@@ -31,20 +31,25 @@ def _scalars(field, vec):
 
 
 def _cmd_check(ws, args):
-    out = []
-    names = [args["object"]] if "object" in args else \
-        [n for table in (ws.algebras, ws.modules, ws.morphisms, ws.cochains,
-                         ws.crossed_modules, ws.sequences, ws.extensions)
-         for n in table]
-    for n in names:
-        out.append({"op": "check", "object": n, "status": "PASS"})
-    return out
+    """Every object was validated when the workspace was parsed, so a named
+    object passes iff it exists."""
+    known = [n for table in (ws.algebras, ws.modules, ws.morphisms,
+                             ws.cochains, ws.crossed_modules, ws.sequences,
+                             ws.extensions)
+             for n in table]
+    if "object" in args:
+        name = args["object"]
+        if name not in known:
+            raise CheckFailure("UNRESOLVED_REFERENCE", name,
+                               f"unknown object {name!r}")
+        known = [name]
+    return [{"op": "check", "object": n, "status": "PASS"} for n in known]
 
 
 def _cmd_cohomology(ws, args, degree_cap):
     alg = ws.algebras[args["algebra"]]
     mod = ws.modules[args["module"]]
-    cap = args.get("max_degree", degree_cap)
+    cap = min(args.get("max_degree", degree_cap), degree_cap)
     rows = cohomology_table(alg, mod, cap)
     return [{"op": "cohomology", "algebra": args["algebra"],
              "module": args["module"], "status": "PASS",
@@ -208,10 +213,12 @@ def main(argv=None):
     if args.field is not None:
         try:
             doc = json.loads(text)
-            doc["field"] = args.field
-            text = json.dumps(doc)
         except json.JSONDecodeError:
             pass  # parse_workspace reports the position
+        else:
+            if isinstance(doc, dict):
+                doc["field"] = args.field
+                text = json.dumps(doc)
     try:
         ws = parse_workspace(text)
     except CheckFailure as exc:

@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CheckFailure
-from .linalg import (LinearMap, Matrix, Subspace, image, kernel, solve,
+from .linalg import (LinearMap, Matrix, Subspace, image, kernel, rank, solve,
                      vec_add, vec_scale, vec_sub, vec_zero)
 from .algebra import (LeibnizRepresentation, ModuleMorphism, Representation,
                       validate_morphism)
@@ -121,11 +121,6 @@ def cochain_from_values(flavor, module, degree, value_of) -> Cochain:
     return Cochain(flavor, degree, module, tuple(vec))
 
 
-def zero_cochain(flavor, module, degree) -> Cochain:
-    n = len(cochain_tuples(flavor, module.algebra.dim, degree)) * module.dim
-    return Cochain(flavor, degree, module, vec_zero(module.algebra.field, n))
-
-
 def ce_coboundary_matrix(g, M: Representation, n: int) -> LinearMap:
     """Matrix of the CE coboundary C^n -> C^{n+1} on the increasing-tuple basis.
 
@@ -167,7 +162,7 @@ def ce_coboundary_matrix(g, M: Representation, n: int) -> LinearMap:
                     for a in range(m):
                         row = grid[sidx * m + a]
                         row[cidx * m + a] = row[cidx * m + a] + total * coef
-    return LinearMap(Matrix(field, grid, cols=len(ins) * m))
+    return LinearMap(Matrix._raw(field, tuple(map(tuple, grid)), len(ins) * m))
 
 
 def leibniz_coboundary_matrix(h, M: LeibnizRepresentation, n: int) -> LinearMap:
@@ -211,7 +206,7 @@ def leibniz_coboundary_matrix(h, M: LeibnizRepresentation, n: int) -> LinearMap:
                         continue
                     merged = S[:pa] + (k,) + S[pa + 1:pb] + S[pb + 1:]
                     add_scalar(sidx, tindex[merged], coef, sign)
-    return LinearMap(Matrix(field, grid, cols=len(ins) * m))
+    return LinearMap(Matrix._raw(field, tuple(map(tuple, grid)), len(ins) * m))
 
 
 def coboundary_matrix(flavor, algebra, M, n) -> LinearMap:
@@ -314,7 +309,7 @@ def cohomology_table(algebra, M, max_degree: int, flavor: str | None = None):
     for n in range(max_degree + 1):
         d_n = coboundary_matrix(flavor, algebra, M, n)
         dim_c = d_n.domain_dim
-        rank_n = image(d_n).dim
+        rank_n = rank(d_n)
         rows.append((n, dim_c, rank_n, dim_c - rank_n - prev_rank))
         prev_rank = rank_n
     return rows

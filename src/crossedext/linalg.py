@@ -6,11 +6,16 @@ above this module) a plain data comparison.
 """
 from __future__ import annotations
 
-from .field import QQ
+from .field import FpElement, PrimeField
 
 
 class Matrix:
-    """Immutable dense matrix over an exact field."""
+    """Immutable dense matrix over an exact field.
+
+    The public constructor coerces every entry with `field.of`; results of
+    matrix operations are built by `_raw` from entries that already are
+    field elements.
+    """
 
     __slots__ = ("field", "rows", "cols", "data")
 
@@ -29,14 +34,25 @@ class Matrix:
                 raise ValueError("ragged matrix rows")
 
     @classmethod
+    def _raw(cls, field, data, cols):
+        """Trusted constructor: data is a tuple of row tuples, each of
+        length cols, whose entries already are elements of field."""
+        m = object.__new__(cls)
+        m.field = field
+        m.data = data
+        m.rows = len(data)
+        m.cols = cols
+        return m
+
+    @classmethod
     def zero(cls, field, rows, cols):
-        z = field.zero
-        return cls(field, [[z] * cols for _ in range(rows)], cols=cols)
+        return cls._raw(field, ((field.zero,) * cols,) * rows, cols)
 
     @classmethod
     def identity(cls, field, n):
         z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls._raw(field, tuple(
+            tuple(o if i == j else z for j in range(n)) for i in range(n)), n)
 
     @classmethod
     def from_cols(cls, field, cols, rows_count):
@@ -47,27 +63,30 @@ class Matrix:
         return tuple(row[j] for row in self.data)
 
     def transpose(self):
-        return Matrix(self.field, [self.col(j) for j in range(self.cols)],
-                      cols=self.rows)
+        data = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
+        return Matrix._raw(self.field, data, self.rows)
 
+    # +, - and scale skip the scalar arithmetic on zero entries, which
+    # most entries of action and coboundary matrices are.
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch in +")
-        return Matrix(self.field, [
-            [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)
-        ], cols=self.cols)
+        return Matrix._raw(self.field, tuple(
+            tuple(a + b if a and b else a or b for a, b in zip(r1, r2))
+            for r1, r2 in zip(self.data, other.data)), self.cols)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Matrix(self.field, [[-a for a in row] for row in self.data],
-                      cols=self.cols)
+        return Matrix._raw(self.field, tuple(tuple(-a if a else a for a in row)
+                                             for row in self.data), self.cols)
 
     def scale(self, c):
         c = self.field.of(c)
-        return Matrix(self.field, [[c * a for a in row] for row in self.data],
-                      cols=self.cols)
+        return Matrix._raw(self.field, tuple(tuple(c * a if a else a
+                                                   for a in row)
+                                             for row in self.data), self.cols)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
@@ -84,7 +103,7 @@ class Matrix:
                 for j, b in enumerate(brow):
                     if b:
                         oi[j] = oi[j] + a * b
-        return Matrix(self.field, out, cols=other.cols)
+        return Matrix._raw(self.field, tuple(map(tuple, out)), other.cols)
 
     def apply(self, vec):
         if len(vec) != self.cols:
@@ -102,13 +121,14 @@ class Matrix:
     def hstack(self, other):
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        return Matrix(self.field, [r1 + r2 for r1, r2 in zip(self.data, other.data)],
-                      cols=self.cols + other.cols)
+        return Matrix._raw(self.field, tuple(r1 + r2 for r1, r2 in
+                                             zip(self.data, other.data)),
+                           self.cols + other.cols)
 
     def vstack(self, other):
         if self.cols != other.cols:
             raise ValueError("col mismatch in vstack")
-        return Matrix(self.field, self.data + other.data, cols=self.cols)
+        return Matrix._raw(self.field, self.data + other.data, self.cols)
 
     def is_zero(self):
         return all(not a for row in self.data for a in row)
@@ -130,32 +150,87 @@ def block_diag(a: Matrix, b: Matrix) -> Matrix:
     return top.vstack(bot)
 
 
-def rref(m: Matrix):
-    """Reduced row echelon form.  Returns (rref matrix, pivot column tuple)."""
-    rows = [list(r) for r in m.data]
-    nr, nc = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(nc):
-        if r >= nr:
-            break
-        pr = None
-        for i in range(r, nr):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
+def _axpy(row, f, tail, p):
+    """row -= f * tail in place, dropping entries that cancel.  Scalars are
+    Fractions when p is None and ints mod p otherwise."""
+    if p is None:
+        for j, v in tail.items():
+            x = row.get(j)
+            if x is None:
+                row[j] = -f * v
+            else:
+                x -= f * v
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+    else:
+        for j, v in tail.items():
+            x = (row.get(j, 0) - f * v) % p
+            if x:
+                row[j] = x
+            else:
+                del row[j]
+
+
+def _echelon(rows, p):
+    """Sparse Gauss-Jordan elimination of rows given as {column: nonzero}.
+
+    Returns {pivot column: tail}, where the tail maps the non-pivot columns
+    of that reduced row to their values (the pivot entry is an implicit 1).
+    The dict stays fully reduced after each insertion -- no tail holds a
+    pivot column -- so an incoming row is reduced by one pass over its own
+    pivot-column entries, and the pivot of every row is its leftmost column:
+    the result is the canonical RREF of the row space.
+    """
+    piv = {}
+    for r in rows:
+        for c in [c for c in r if c in piv]:
+            _axpy(r, r.pop(c), piv[c], p)
+        if not r:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = m.field.one / rows[r][c]
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return Matrix(m.field, rows, cols=nc), tuple(pivots)
+        c = min(r)
+        lead = r.pop(c)
+        if p is None:
+            inv = 1 / lead
+            tail = {j: v * inv for j, v in r.items()}
+        else:
+            inv = pow(lead, -1, p)
+            tail = {j: v * inv % p for j, v in r.items()}
+        for t in piv.values():
+            if c in t:
+                _axpy(t, t.pop(c), tail, p)
+        piv[c] = tail
+    return piv
+
+
+def rref(m: Matrix):
+    """Reduced row echelon form.  Returns (rref matrix, pivot column tuple).
+
+    Prime-field entries enter the engine as plain ints mod p and leave it as
+    FpElements; rationals stay Fractions throughout.
+    """
+    field = m.field
+    p = field.p if isinstance(field, PrimeField) else None
+    zero, one = field.zero, field.one
+    # `x is not zero` skips the shared zero object before a slower truth test
+    if p is None:
+        rows = [{j: x for j, x in enumerate(row) if x is not zero and x}
+                for row in m.data]
+    else:
+        rows = [{j: x.val for j, x in enumerate(row) if x is not zero and x}
+                for row in m.data]
+    piv = _echelon(rows, p)
+    pivots = tuple(sorted(piv))
+    out = []
+    for c in pivots:
+        line = [zero] * m.cols
+        line[c] = one
+        for j, v in piv[c].items():
+            line[j] = v if p is None else FpElement(v, p)
+        out.append(tuple(line))
+    out.extend([(zero,) * m.cols] * (m.rows - len(pivots)))
+    return Matrix._raw(field, tuple(out), m.cols), pivots
 
 
 class Subspace:
@@ -174,14 +249,18 @@ class Subspace:
         m = Matrix(field, list(rows)) if rows else Matrix.zero(field, 0, ambient_dim)
         if m.cols != ambient_dim:
             raise ValueError("row length != ambient dimension")
+        return cls.row_space(m)
+
+    @classmethod
+    def row_space(cls, m: Matrix):
+        """The span of the rows of m."""
         r, piv = rref(m)
-        keep = [r.data[i] for i in range(len(piv))]
-        return cls(field, ambient_dim, Matrix(field, keep) if keep
-                   else Matrix.zero(field, 0, ambient_dim), piv)
+        return cls(m.field, m.cols, Matrix._raw(m.field, r.data[:len(piv)], m.cols),
+                   piv)
 
     @classmethod
     def zero_space(cls, field, ambient_dim):
-        return cls.from_rows(field, ambient_dim, [])
+        return cls.row_space(Matrix.zero(field, 0, ambient_dim))
 
     @classmethod
     def full_space(cls, field, ambient_dim):
@@ -217,12 +296,10 @@ class Subspace:
         return all(self.contains(row) for row in other.basis.data)
 
     def extended(self, vec):
-        return Subspace.from_rows(self.field, self.ambient_dim,
-                                  list(self.basis.data) + [tuple(vec)])
+        return Subspace.row_space(self.basis.vstack(Matrix(self.field, [vec])))
 
     def sum(self, other: "Subspace"):
-        return Subspace.from_rows(self.field, self.ambient_dim,
-                                  list(self.basis.data) + list(other.basis.data))
+        return Subspace.row_space(self.basis.vstack(other.basis))
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
@@ -284,16 +361,17 @@ def kernel(f: LinearMap) -> Subspace:
         v[j] = field.one
         for rr, p in enumerate(piv):
             v[p] = -r.data[rr][j]
-        rows.append(v)
-    return Subspace.from_rows(field, f.domain_dim, rows)
+        rows.append(tuple(v))
+    return Subspace.row_space(Matrix._raw(field, tuple(rows), f.domain_dim))
 
 
 def image(f: LinearMap) -> Subspace:
-    return Subspace.from_rows(f.field, f.codomain_dim, list(f.matrix.transpose().data))
+    return Subspace.row_space(f.matrix.transpose())
 
 
 def rank(f: LinearMap) -> int:
-    return image(f).dim
+    """Row rank of f's matrix, which equals the dimension of its image."""
+    return len(rref(f.matrix)[1])
 
 
 def quotient(ambient_dim: int, sub: Subspace):
@@ -394,10 +472,6 @@ def vec_scale(c, v):
 
 def vec_zero(field, n):
     return (field.zero,) * n
-
-
-def vec_is_zero(v):
-    return not any(v)
 
 
 def basis_vector(field, n, i):

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 from .errors import CheckFailure
-from .field import QQ, field_from_spec
+from .field import QQ, FieldError, field_from_spec
 from .linalg import LinearMap, Matrix
 from .algebra import (LeibnizRepresentation, ModuleMorphism, Representation,
                       validate_leibniz, validate_leibniz_module, validate_lie,
@@ -108,7 +108,10 @@ def parse_workspace(text: str) -> Workspace:
         raise CheckFailure("PARSE_ERROR", (exc.lineno, exc.colno), str(exc))
     if not isinstance(doc, dict):
         raise CheckFailure("PARSE_ERROR", detail="top level must be an object")
-    field = field_from_spec(doc.get("field", "q"))
+    try:
+        field = field_from_spec(doc.get("field", "q"))
+    except FieldError as exc:
+        raise CheckFailure("PARSE_ERROR", "field", str(exc)) from exc
     ws = Workspace(field)
 
     for name, spec in doc.get("algebras", {}).items():

@@ -1,9 +1,10 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from crossedext.field import (FpElement, PrimeField, QQ, FieldError,
-                              field_from_spec)
+                              _is_prime, field_from_spec)
 
 
 def test_rational_parse_roundtrip():
@@ -52,3 +53,38 @@ def test_field_from_spec():
     assert field_from_spec("p:13") == PrimeField(13)
     with pytest.raises(FieldError):
         field_from_spec("r")
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(5000) if _is_prime(n)] == \
+        [n for n in range(5000) if _trial_division(n)]
+
+
+@pytest.mark.parametrize("n", [561, 3215031751, 2047, 25326001,
+                               3825123056546413051])
+def test_strong_pseudoprimes_rejected(n):
+    # Carmichael numbers and strong pseudoprimes to several small bases
+    with pytest.raises(FieldError):
+        PrimeField(n)
+
+
+def test_large_prime_accepted_quickly():
+    t0 = time.perf_counter()
+    F = field_from_spec(f"p:{2 ** 61 - 1}")
+    assert time.perf_counter() - t0 < 1.0
+    assert F.of(2 ** 61) == F.one
+
+
+def test_uncertifiable_modulus_refused():
+    with pytest.raises(FieldError):
+        PrimeField(2 ** 89 - 1)  # prime, but above the Miller-Rabin bound
+
+
+@pytest.mark.parametrize("spec", ["p:4", "p:x", "p:", 7])
+def test_bad_field_spec_rejected(spec):
+    with pytest.raises(FieldError):
+        field_from_spec(spec)

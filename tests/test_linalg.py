@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -6,8 +7,10 @@ from crossedext.field import PrimeField, QQ
 from crossedext.linalg import (LinearMap, Matrix, Subspace, basis_vector,
                                block_diag, kernel, linear_section,
                                quotient, rank, rref, solve, solve_matrix)
+from dense_oracle import dense_rref
 
 FIELDS = [QQ, PrimeField(5)]
+ORACLE_FIELDS = [QQ, PrimeField(5), PrimeField(2147483647)]
 
 
 def _entries(field):
@@ -129,3 +132,68 @@ def test_block_diag_shape():
 def test_basis_vector():
     v = basis_vector(QQ, 4, 2)
     assert v == (QQ.zero, QQ.zero, QQ.one, QQ.zero)
+
+
+def _sparse_scalars(field):
+    """Mostly zeros, as in coboundary matrices, plus small and full-size
+    values of the field."""
+    if field is QQ:
+        other = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    else:
+        other = st.integers(0, field.p - 1)
+    return st.one_of(st.just(0), st.just(0), st.sampled_from([1, -1, 2]),
+                     other).map(field.of)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A matrix with zero rows and columns allowed (including 0 x n and
+    n x 0 shapes), sometimes with rows that are combinations of others."""
+    field = draw(st.sampled_from(ORACLE_FIELDS))
+    nr, nc = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    rows = [draw(st.lists(_sparse_scalars(field), min_size=nc, max_size=nc))
+            for _ in range(nr)]
+    if nr >= 2 and draw(st.booleans()):
+        k = draw(_sparse_scalars(field))
+        rows.append([k * a + b for a, b in zip(rows[0], rows[1])])
+    return Matrix(field, rows, cols=nc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_cases())
+def test_rref_matches_dense_oracle(m):
+    expected = dense_rref(m)
+    assert rref(m) == expected
+    reduced = expected[0]
+    assert rref(reduced) == dense_rref(reduced) == expected
+    assert rank(LinearMap(m)) == len(dense_rref(m.transpose())[1])
+
+
+def test_rref_oracle_on_degenerate_shapes():
+    for field in ORACLE_FIELDS:
+        for m in (Matrix.zero(field, 0, 4), Matrix.zero(field, 3, 0),
+                  Matrix.zero(field, 3, 4), Matrix.identity(field, 3)):
+            assert rref(m) == dense_rref(m)
+            assert (rref(m)[0].rows, rref(m)[0].cols) == (m.rows, m.cols)
+
+
+def test_raw_matrix_equals_coerced_matrix():
+    for field in ORACLE_FIELDS:
+        data = ((field.of(1), field.zero), (field.of(-2), field.of(3)))
+        raw = Matrix._raw(field, data, 2)
+        coerced = Matrix(field, [[1, 0], [-2, 3]])
+        assert raw == coerced and hash(raw) == hash(coerced)
+        assert type(raw.data) is tuple
+        assert all(type(row) is tuple for row in raw.data)
+        zero = Matrix.zero(field, 2, 2)
+        for built in (raw.transpose().transpose(), raw + zero, raw - zero,
+                      zero - (-raw), raw.scale(1),
+                      raw @ Matrix.identity(field, 2), -(-raw),
+                      raw.hstack(Matrix.zero(field, 2, 0)),
+                      raw.vstack(Matrix.zero(field, 0, 2))):
+            assert built == coerced and hash(built) == hash(coerced)
+            assert all(type(row) is tuple for row in built.data)
+        assert raw + raw == raw.scale(2) == Matrix(field, [[2, 0], [-4, 6]])
+        assert (raw - raw).is_zero() and raw.scale(0).is_zero()
+    q = Matrix(QQ, [[Fraction(1, 2), 3]])
+    assert Subspace.from_rows(QQ, 2, q.data).basis == Matrix(QQ, [[1, 6]])

@@ -1,10 +1,14 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import crossedext
 from crossedext.errors import CheckFailure
 from crossedext.cli import main, run
 from crossedext.workspace import parse_workspace, serialize_workspace
@@ -105,9 +109,93 @@ def test_cli_field_override(tmp_path, capsys):
 
 
 def test_console_script_installed():
+    # the child imports the same crossedext as this process, installed or not
+    src = str(Path(crossedext.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "crossedext.cli", "report", "--input",
          str(FIXTURES / "sl2.json")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "[PASS] cohomology" in proc.stdout
+
+
+# SHA-256 of `crossed-ext report --format json` on each fixture, recorded
+# with the dense elimination engine that the sparse one replaced.
+REPORT_SHA256 = {
+    "sl2.json":
+        "03369fdb1294be4ca660e51e0e6bbab06540e8cf8b049c1dfd92a2b6372d7957",
+    "yoneda_jordan.json":
+        "438fed50275f18a068722d7d7266b342f4d4e4155f3994453e2f9a2aaf709be1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_SHA256))
+def test_fixture_reports_byte_identical_to_recorded(name, capsys):
+    assert main(["report", "--input", str(FIXTURES / name),
+                 "--format", "json"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == REPORT_SHA256[name]
+
+
+@pytest.mark.parametrize("spec", ["p:4", "p:561", "p:3215031751", "p:x"])
+def test_cli_bad_field_is_a_parse_error(spec, capsys):
+    rc = main(["cohomology", "--input", str(FIXTURES / "sl2.json"),
+               "--field", spec, "--format", "json"])
+    assert rc == 1
+    rec = json.loads(capsys.readouterr().out)["results"][0]
+    assert (rec["op"], rec["status"], rec["error"]) == \
+        ("parse", "FAIL", "PARSE_ERROR")
+
+
+def test_cli_field_override_on_non_object_document(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert main(["check", "--input", str(path), "--field", "p:7",
+                 "--format", "json"]) == 1
+    rec = json.loads(capsys.readouterr().out)["results"][0]
+    assert rec["error"] == "PARSE_ERROR"
+
+
+def test_document_bad_field_is_a_parse_error():
+    doc = json.loads(MINIMAL)
+    doc["field"] = "p:9"
+    with pytest.raises(CheckFailure) as exc:
+        parse_workspace(json.dumps(doc))
+    assert exc.value.code == "PARSE_ERROR"
+
+
+def test_cli_large_prime_field_finishes(capsys):
+    t0 = time.perf_counter()
+    rc = main(["cohomology", "--input", str(FIXTURES / "sl2.json"),
+               "--field", f"p:{2 ** 61 - 1}", "--format", "json"])
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert [r["dim_h"] for r in out["results"][0]["table"]] == [1, 0, 0, 1]
+
+
+def test_check_unknown_object_is_unresolved(tmp_path, capsys):
+    doc = json.loads(MINIMAL)
+    doc["commands"] = [{"op": "check", "object": "does_not_exist"}]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--input", str(path), "--format", "json"]) == 1
+    rec = json.loads(capsys.readouterr().out)["results"][0]
+    assert (rec["status"], rec["error"]) == ("FAIL", "UNRESOLVED_REFERENCE")
+    doc["commands"] = [{"op": "check", "object": "a1"}]
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--input", str(path), "--format", "json"]) == 0
+
+
+def test_cli_max_degree_caps_the_document(capsys):
+    path = str(FIXTURES / "sl2.json")  # its cohomology command asks for 3
+    assert main(["cohomology", "--input", path, "--max-degree", "1",
+                 "--format", "json"]) == 0
+    table = json.loads(capsys.readouterr().out)["results"][0]["table"]
+    assert [row["degree"] for row in table] == [0, 1]
+    assert main(["cohomology", "--input", path, "--max-degree", "5",
+                 "--format", "json"]) == 0
+    table = json.loads(capsys.readouterr().out)["results"][0]["table"]
+    assert [row["degree"] for row in table] == [0, 1, 2, 3]
