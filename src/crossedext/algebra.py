@@ -7,7 +7,8 @@ one representation.
 from __future__ import annotations
 
 from .errors import CheckFailure
-from .linalg import Matrix, LinearMap, block_diag, vec_add, vec_scale, vec_zero
+from .linalg import (Matrix, LinearMap, _int_rows, _modulus, block_diag,
+                     lincomb, vec_add, vec_scale, vec_zero)
 
 
 def _coerce_structure(field, dim, structure):
@@ -85,19 +86,22 @@ def validate_lie(field, dim, structure) -> LieAlgebra:
             rhs = tuple(-x for x in g.c[j][i])
             if lhs != rhs:
                 raise CheckFailure("ANTISYM_FAIL", (i, j))
+    # The Jacobi sum runs on the structure constants scaled to integers over
+    # one common denominator d (residues over F_p): every term is a product of
+    # two constants, so the sum is d^2 times the true one and vanishes with it.
+    p = _modulus(field)
+    c, _ = _int_rows(Matrix._raw(field, tuple(v for row in g.c for v in row),
+                                 dim))
     for i in range(dim):
         for j in range(dim):
             for k in range(dim):
                 # [[ei,ej],ek] + [[ej,ek],ei] + [[ek,ei],ej] = 0
-                acc = [field.zero] * dim
+                acc = {}
                 for (a, b, cidx) in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = g.c[a][b]
-                    for m, coef in enumerate(inner):
-                        if coef:
-                            for t, s in enumerate(g.c[m][cidx]):
-                                if s:
-                                    acc[t] = acc[t] + coef * s
-                if any(acc):
+                    for m, coef in c[a * dim + b].items():
+                        for t, s in c[m * dim + cidx].items():
+                            acc[t] = acc.get(t, 0) + coef * s
+                if any(v % p if p else v for v in acc.values()):
                     raise CheckFailure("JACOBI_FAIL", (i, j, k))
     return g
 
@@ -144,12 +148,8 @@ class Representation:
         return out
 
     def action_of(self, xvec) -> Matrix:
-        field = self.algebra.field
-        out = Matrix.zero(field, self.dim, self.dim)
-        for i, a in enumerate(xvec):
-            if a:
-                out = out + self.action[i].scale(a)
-        return out
+        return lincomb(self.algebra.field, xvec, self.action, self.dim,
+                       self.dim)
 
     def __eq__(self, other):
         return (isinstance(other, Representation) and self.algebra == other.algebra
@@ -167,14 +167,19 @@ def trivial_rep(algebra, dim) -> "Representation | LeibnizRepresentation":
     return Representation(algebra, dim, zeros)
 
 
+def _products(xs, ys):
+    """The table t[i][j] = xs[i] @ ys[j]."""
+    return [[x @ y for y in ys] for x in xs]
+
+
 def validate_module(rep: Representation) -> Representation:
     """Check rho([ei,ej]) = rho(ei)rho(ej) - rho(ej)rho(ei) on all pairs."""
     g = rep.algebra
+    prod = _products(rep.action, rep.action)
     for i in range(g.dim):
         for j in range(g.dim):
             lhs = rep.action_of(g.c[i][j])
-            rhs = rep.action[i] @ rep.action[j] - rep.action[j] @ rep.action[i]
-            if lhs != rhs:
+            if lhs != prod[i][j] - prod[j][i]:
                 raise CheckFailure("MODULE_AXIOM_FAIL", (i, j))
     return rep
 
@@ -207,20 +212,11 @@ class LeibnizRepresentation:
                 raise ValueError("action matrix of wrong shape")
 
     def left_of(self, xvec) -> Matrix:
-        field = self.algebra.field
-        out = Matrix.zero(field, self.dim, self.dim)
-        for i, a in enumerate(xvec):
-            if a:
-                out = out + self.left[i].scale(a)
-        return out
+        return lincomb(self.algebra.field, xvec, self.left, self.dim, self.dim)
 
     def right_of(self, xvec) -> Matrix:
-        field = self.algebra.field
-        out = Matrix.zero(field, self.dim, self.dim)
-        for i, a in enumerate(xvec):
-            if a:
-                out = out + self.right[i].scale(a)
-        return out
+        return lincomb(self.algebra.field, xvec, self.right, self.dim,
+                       self.dim)
 
     def act_left(self, xvec, mvec):
         return self.left_of(xvec).apply(mvec)
@@ -246,15 +242,18 @@ def validate_leibniz_module(rep: LeibnizRepresentation) -> LeibnizRepresentation
       slot x:  R_[jk]  = R_k R_j - R_j R_k
     """
     h = rep.algebra
+    L, R = rep.left, rep.right
+    LL, LR = _products(L, L), _products(L, R)
+    RL, RR = _products(R, L), _products(R, R)
     for i in range(h.dim):
         for j in range(h.dim):
             lb = rep.left_of(h.c[i][j])
-            if rep.left[i] @ rep.left[j] != lb - rep.right[j] @ rep.left[i]:
+            if LL[i][j] != lb - RL[j][i]:
                 raise CheckFailure("MODULE_AXIOM_FAIL", (i, j), "slot z")
-            if rep.left[i] @ rep.right[j] != rep.right[j] @ rep.left[i] - lb:
+            if LR[i][j] != RL[j][i] - lb:
                 raise CheckFailure("MODULE_AXIOM_FAIL", (i, j), "slot y")
             rb = rep.right_of(h.c[i][j])
-            if rb != rep.right[j] @ rep.right[i] - rep.right[i] @ rep.right[j]:
+            if rb != RR[j][i] - RR[i][j]:
                 raise CheckFailure("MODULE_AXIOM_FAIL", (i, j), "slot x")
     return rep
 

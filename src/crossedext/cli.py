@@ -49,7 +49,11 @@ def _cmd_check(ws, args):
 def _cmd_cohomology(ws, args, degree_cap):
     alg = ws.algebras[args["algebra"]]
     mod = ws.modules[args["module"]]
-    cap = min(args.get("max_degree", degree_cap), degree_cap)
+    asked = args.get("max_degree", degree_cap)
+    if not isinstance(asked, int) or isinstance(asked, bool):
+        raise CheckFailure("PARSE_ERROR", "max_degree",
+                           f"max_degree must be an integer, not {asked!r}")
+    cap = min(asked, degree_cap)
     rows = cohomology_table(alg, mod, cap)
     return [{"op": "cohomology", "algebra": args["algebra"],
              "module": args["module"], "status": "PASS",
@@ -136,10 +140,19 @@ def _cmd_yoneda(ws, args):
              "matches_connecting": agree}]
 
 
+# command arguments that name an object of the workspace
+NAME_ARGS = ("algebra", "module", "crossed_module", "left", "right", "f", "g",
+             "sequence", "cochain", "object")
+
+
 def run_command(ws: Workspace, cmd: dict, degree_cap=DEFAULT_DEGREE_CAP):
     op = cmd.get("op")
     args = {k: v for k, v in cmd.items() if k != "op"}
     try:
+        for key in NAME_ARGS:
+            if key in args and not isinstance(args[key], str):
+                raise CheckFailure("PARSE_ERROR", key,
+                                   f"{key} must be a name, not {args[key]!r}")
         if op == "check":
             return _cmd_check(ws, args)
         if op == "cohomology":

@@ -75,23 +75,22 @@ def validate_crossed(cm: CrossedModule) -> CrossedModule:
         else:
             if dm @ V.action[i] != _adjoint_matrix(L, i) @ dm:
                 raise CheckFailure("EQUIVARIANCE_FAIL", (i,))
-    field = L.field
+    # rho(dv) once per v; column w of rho(dv) is rho(dv) applied to e_w
+    if leib:
+        lefts = [V.left_of(dm.col(v)) for v in range(V.dim)]
+        rights = [V.right_of(dm.col(v)) for v in range(V.dim)]
+    else:
+        acts = [V.action_of(dm.col(v)) for v in range(V.dim)]
     for v in range(V.dim):
-        dv = dm.col(v)
         for w in range(V.dim):
-            dw = dm.col(w)
-            ew = basis_vector(field, V.dim, w)
-            ev = basis_vector(field, V.dim, v)
             if leib:
-                lhs = V.left_of(dv).apply(ew)       # [dv, w]
-                rhs = V.right_of(dw).apply(ev)      # [v, dw]
-                if lhs != rhs:
-                    raise CheckFailure("PEIFFER_FAIL", (v, w))
+                lhs = lefts[v].col(w)                   # [dv, w]
+                rhs = rights[w].col(v)                  # [v, dw]
             else:
-                lhs = V.action_of(dv).apply(ew)
-                rhs = tuple(-x for x in V.action_of(dw).apply(ev))
-                if lhs != rhs:
-                    raise CheckFailure("PEIFFER_FAIL", (v, w))
+                lhs = acts[v].col(w)
+                rhs = tuple(-x for x in acts[w].col(v))
+            if lhs != rhs:
+                raise CheckFailure("PEIFFER_FAIL", (v, w))
     # derived: im(d) acts trivially on ker(d)
     ker = kernel(d)
     for lrow in image(d).basis.data:

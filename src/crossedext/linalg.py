@@ -6,7 +6,15 @@ above this module) a plain data comparison.
 """
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 from .field import FpElement, PrimeField
+
+
+def _modulus(field):
+    """p for F_p, None for Q."""
+    return field.p if isinstance(field, PrimeField) else None
 
 
 class Matrix:
@@ -14,13 +22,14 @@ class Matrix:
 
     The public constructor coerces every entry with `field.of`; results of
     matrix operations are built by `_raw` from entries that already are
-    field elements.
+    field elements.  `_ints` caches the integer view of `_int_rows`.
     """
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "data", "_ints")
 
     def __init__(self, field, data, cols=None):
         self.field = field
+        self._ints = None
         self.data = tuple(tuple(field.of(x) for x in row) for row in data)
         self.rows = len(self.data)
         if self.rows:
@@ -39,6 +48,7 @@ class Matrix:
         length cols, whose entries already are elements of field."""
         m = object.__new__(cls)
         m.field = field
+        m._ints = None
         m.data = data
         m.rows = len(data)
         m.cols = cols
@@ -66,18 +76,30 @@ class Matrix:
         data = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
         return Matrix._raw(self.field, data, self.rows)
 
-    # +, - and scale skip the scalar arithmetic on zero entries, which
-    # most entries of action and coboundary matrices are.
     def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch in +")
-        return Matrix._raw(self.field, tuple(
-            tuple(a + b if a and b else a or b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.data, other.data)), self.cols)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
 
+    def _combine(self, other, sign):
+        """self + sign * other on the integer views."""
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shape mismatch in " + ("+" if sign > 0 else "-"))
+        arows, da = _int_rows(self)
+        brows, db = _int_rows(other)
+        d = math.lcm(da, db)
+        fa, fb = d // da, sign * (d // db)
+        out = []
+        for arow, brow in zip(arows, brows):
+            acc = {j: fa * a for j, a in arow.items()}
+            for j, b in brow.items():
+                acc[j] = acc.get(j, 0) + fb * b
+            out.append(acc)
+        return _from_ints(self.field, out, d, self.cols)
+
+    # negation and scale skip the scalar arithmetic on zero entries, which
+    # most entries of action and coboundary matrices are.
     def __neg__(self):
         return Matrix._raw(self.field, tuple(tuple(-a if a else a for a in row)
                                              for row in self.data), self.cols)
@@ -91,31 +113,38 @@ class Matrix:
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch in @")
-        z = self.field.zero
-        # sparse-aware triple loop; coboundary matrices are mostly zero
-        out = [[z] * other.cols for _ in range(self.rows)]
-        for i, arow in enumerate(self.data):
-            oi = out[i]
-            for k, a in enumerate(arow):
-                if not a:
-                    continue
-                brow = other.data[k]
-                for j, b in enumerate(brow):
-                    if b:
-                        oi[j] = oi[j] + a * b
-        return Matrix._raw(self.field, tuple(map(tuple, out)), other.cols)
+        arows, da = _int_rows(self)
+        brows, db = _int_rows(other)
+        out = []
+        for arow in arows:
+            acc = {}
+            for k, a in arow.items():
+                for j, b in brows[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append(acc)
+        return _from_ints(self.field, out, da * db, other.cols)
 
     def apply(self, vec):
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        z = self.field.zero
+        rows, d = _int_rows(self)
+        field = self.field
+        p = _modulus(field)
+        if p is None:
+            dv = math.lcm(*(x.denominator for x in vec if x))
+            v = [x.numerator * (dv // x.denominator) if x else 0 for x in vec]
+            d *= dv
+        else:
+            v = [x.val for x in vec]
+        make = _to_field(field, d)
         out = []
-        for row in self.data:
-            s = z
-            for a, v in zip(row, vec):
-                if a and v:
-                    s = s + a * v
-            out.append(s)
+        for row in rows:
+            s = 0
+            for j, a in row.items():
+                s += a * v[j]
+            if p is not None:
+                s %= p
+            out.append(make(s) if s else field.zero)
         return tuple(out)
 
     def hstack(self, other):
@@ -142,6 +171,83 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.data!r})"
+
+
+def _int_rows(m: Matrix):
+    """The integer view of m: (rows, d) with rows[i] = {column: int} for the
+    nonzero entries of row i.  Over Q, entry (i, j) is rows[i][j] / d with d
+    the lcm of the entries' denominators; over F_p it is rows[i][j] mod p
+    (the residue itself) and d is 1.  Computed once per matrix."""
+    ints = m._ints
+    if ints is None:
+        zero = m.field.zero
+        rows = [{j: x for j, x in enumerate(row) if x is not zero and x}
+                for row in m.data]
+        if _modulus(m.field) is None:
+            d = math.lcm(*{x.denominator for r in rows for x in r.values()})
+            ints = (tuple({j: x.numerator * (d // x.denominator)
+                           for j, x in r.items()} for r in rows), d)
+        else:
+            ints = (tuple({j: x.val for j, x in r.items()} for r in rows), 1)
+        m._ints = ints
+    return ints
+
+
+def _to_field(field, d):
+    """The map from a nonzero integer v (reduced mod p over F_p) to the
+    field element v / d over Q, v mod p over F_p."""
+    p = _modulus(field)
+    if p is not None:
+        return lambda v: FpElement(v, p)
+    if d == 1:
+        return Fraction
+    return lambda v: Fraction(v, d)
+
+
+def _from_ints(field, rows, d, cols):
+    """The matrix whose entry (i, j) is rows[i][j] / d over Q and rows[i][j]
+    mod p over F_p (field.zero where rows[i] has no j): one field element
+    per nonzero entry.  When d is 1 the reduced rows are the matrix's integer
+    view, so they are cached with it."""
+    zero = field.zero
+    p = _modulus(field)
+    make = _to_field(field, d)
+    out, view = [], []
+    for r in rows:
+        line = [zero] * cols
+        kept = {}
+        for j, v in r.items():
+            if p is not None:
+                v %= p
+            if v:
+                line[j] = make(v)
+                kept[j] = v
+        out.append(tuple(line))
+        view.append(kept)
+    m = Matrix._raw(field, tuple(out), cols)
+    if d == 1:
+        m._ints = (tuple(view), 1)
+    return m
+
+
+def lincomb(field, coefs, mats, rows, cols) -> Matrix:
+    """sum_i coefs[i] * mats[i], a rows x cols matrix (zero when every
+    coefficient is zero), accumulated on the integer views of the mats."""
+    p = _modulus(field)
+    terms = [(c, _int_rows(m)) for c, m in zip(coefs, mats) if c]
+    if p is None:
+        d = math.lcm(*(c.denominator * dm for c, (_, dm) in terms))
+        scaled = [(c.numerator * (d // (c.denominator * dm)), mrows)
+                  for c, (mrows, dm) in terms]
+    else:
+        d = 1
+        scaled = [(c.val, mrows) for c, (mrows, _) in terms]
+    acc = [{} for _ in range(rows)]
+    for f, mrows in scaled:
+        for a, mrow in zip(acc, mrows):
+            for j, x in mrow.items():
+                a[j] = a.get(j, 0) + f * x
+    return _from_ints(field, acc, d, cols)
 
 
 def block_diag(a: Matrix, b: Matrix) -> Matrix:
@@ -211,7 +317,7 @@ def rref(m: Matrix):
     FpElements; rationals stay Fractions throughout.
     """
     field = m.field
-    p = field.p if isinstance(field, PrimeField) else None
+    p = _modulus(field)
     zero, one = field.zero, field.one
     # `x is not zero` skips the shared zero object before a slower truth test
     if p is None:

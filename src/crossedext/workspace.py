@@ -59,20 +59,70 @@ def _matrix_out(field, m: Matrix):
     return [[_scalar_out(field, x) for x in row] for row in m.data]
 
 
+def _action_in(spec, key, count, name):
+    """The count matrices of an action family {"0": rows, "1": rows, ...}."""
+    mats = _key(spec, key, dict, name)
+    for i in range(count):
+        if not isinstance(mats.get(str(i)), list):
+            raise CheckFailure("PARSE_ERROR", name,
+                               f"{name}: key {key!r} needs a matrix under "
+                               f"{str(i)!r}")
+    return [mats[str(i)] for i in range(count)]
+
+
 def _resolve(table, name, kind):
     if name not in table:
         raise CheckFailure("UNRESOLVED_REFERENCE", name, f"unknown {kind} {name!r}")
     return table[name]
 
 
-def _structure_in(field, dim, records):
+def _structure_in(field, dim, records, name):
     c = [[[field.zero] * dim for _ in range(dim)] for _ in range(dim)]
     for rec in records:
         i, j, k = rec["i"], rec["j"], rec["k"]
-        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-            raise CheckFailure("PARSE_ERROR", detail=f"index out of range: {rec}")
+        if not all(_is_int(x) and 0 <= x < dim for x in (i, j, k)):
+            raise CheckFailure("PARSE_ERROR", name,
+                               f"{name}: index out of range: {rec}")
         c[i][j][k] = _scalar_in(field, rec["value"])
     return [[tuple(c[i][j]) for j in range(dim)] for i in range(dim)]
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+_KINDS = {int: "an integer", str: "a string", list: "a list",
+          dict: "an object"}
+_REQUIRED = object()
+
+
+def _key(spec, key, kind, name, default=_REQUIRED):
+    """spec[key] checked to be of type kind (a non-negative int for int);
+    a missing or mistyped key is a PARSE_ERROR naming the object and key."""
+    if key not in spec:
+        if default is not _REQUIRED:
+            return default
+        raise CheckFailure("PARSE_ERROR", name,
+                           f"{name}: missing key {key!r}")
+    value = spec[key]
+    ok = _is_int(value) and value >= 0 if kind is int else \
+        isinstance(value, kind)
+    if not ok:
+        want = "a non-negative integer" if kind is int else _KINDS[kind]
+        raise CheckFailure("PARSE_ERROR", name,
+                           f"{name}: key {key!r} must be {want}, "
+                           f"not {value!r}")
+    return value
+
+
+def _section(doc, key):
+    """The (name, spec) pairs of one top-level table of the document."""
+    table = _key(doc, key, dict, "document", {})
+    for name, spec in table.items():
+        if not isinstance(spec, dict):
+            raise CheckFailure("PARSE_ERROR", name,
+                               f"{name}: must be an object")
+    return table.items()
 
 
 def _structure_out(field, alg):
@@ -87,7 +137,8 @@ def _structure_out(field, alg):
 
 
 def _wrap(name):
-    """Re-raise engine check failures with the object name attached."""
+    """Re-raise engine check failures with the object name attached; a
+    malformed value deeper in the object's spec becomes a PARSE_ERROR."""
     class _Ctx:
         def __enter__(self):
             return self
@@ -97,6 +148,13 @@ def _wrap(name):
                     ("PARSE_ERROR", "UNRESOLVED_REFERENCE", "VALIDATION_FAIL"):
                 raise CheckFailure("VALIDATION_FAIL", name,
                                    f"{name}: {exc}") from exc
+            if isinstance(exc, KeyError):
+                raise CheckFailure("PARSE_ERROR", name,
+                                   f"{name}: missing key {exc}") from exc
+            if isinstance(exc, (TypeError, ValueError, IndexError,
+                                AttributeError)):
+                raise CheckFailure("PARSE_ERROR", name,
+                                   f"{name}: malformed spec: {exc}") from exc
             return False
     return _Ctx()
 
@@ -114,48 +172,54 @@ def parse_workspace(text: str) -> Workspace:
         raise CheckFailure("PARSE_ERROR", "field", str(exc)) from exc
     ws = Workspace(field)
 
-    for name, spec in doc.get("algebras", {}).items():
+    for name, spec in _section(doc, "algebras"):
         with _wrap(name):
-            dim = spec["dim"]
-            structure = _structure_in(field, dim, spec.get("structure", []))
-            if spec.get("type", "lie") == "leibniz":
+            dim = _key(spec, "dim", int, name)
+            structure = _structure_in(
+                field, dim, _key(spec, "structure", list, name, []), name)
+            if _key(spec, "type", str, name, "lie") == "leibniz":
                 ws.algebras[name] = validate_leibniz(field, dim, structure)
             else:
                 ws.algebras[name] = validate_lie(field, dim, structure)
 
-    for name, spec in doc.get("modules", {}).items():
+    for name, spec in _section(doc, "modules"):
         with _wrap(name):
-            alg = _resolve(ws.algebras, spec["algebra"], "algebra")
-            dim = spec["dim"]
+            alg = _resolve(ws.algebras, _key(spec, "algebra", str, name),
+                           "algebra")
+            dim = _key(spec, "dim", int, name)
             if "left" in spec:
-                left = [_matrix_in(field, spec["left"][str(i)], dim)
-                        for i in range(alg.dim)]
-                right = [_matrix_in(field, spec["right"][str(i)], dim)
-                         for i in range(alg.dim)]
+                left = [_matrix_in(field, m, dim) for m in
+                        _action_in(spec, "left", alg.dim, name)]
+                right = [_matrix_in(field, m, dim) for m in
+                         _action_in(spec, "right", alg.dim, name)]
                 ws.modules[name] = validate_leibniz_module(
                     LeibnizRepresentation(alg, dim, left, right))
             else:
-                action = [_matrix_in(field, spec["action"][str(i)], dim)
-                          for i in range(alg.dim)]
+                action = [_matrix_in(field, m, dim) for m in
+                          _action_in(spec, "action", alg.dim, name)]
                 ws.modules[name] = validate_module(
                     Representation(alg, dim, action))
 
-    for name, spec in doc.get("morphisms", {}).items():
+    for name, spec in _section(doc, "morphisms"):
         with _wrap(name):
-            src = _resolve(ws.modules, spec["source"], "module")
-            tgt = _resolve(ws.modules, spec["target"], "module")
-            mor = ModuleMorphism(src, tgt,
-                                 _matrix_in(field, spec["matrix"], src.dim))
+            src = _resolve(ws.modules, _key(spec, "source", str, name),
+                           "module")
+            tgt = _resolve(ws.modules, _key(spec, "target", str, name),
+                           "module")
+            mor = ModuleMorphism(src, tgt, _matrix_in(
+                field, _key(spec, "matrix", list, name), src.dim))
             ws.morphisms[name] = validate_morphism(mor)
 
-    for name, spec in doc.get("cochains", {}).items():
+    for name, spec in _section(doc, "cochains"):
         with _wrap(name):
-            mod = _resolve(ws.modules, spec["module"], "module")
-            degree, flavor = spec["degree"], spec.get("flavor", "ce")
+            mod = _resolve(ws.modules, _key(spec, "module", str, name),
+                           "module")
+            degree = _key(spec, "degree", int, name)
+            flavor = _key(spec, "flavor", str, name, "ce")
             tuples = list(cochain_tuples(flavor, mod.algebra.dim, degree))
             values = {tuple(e["tuple"]):
                       tuple(_scalar_in(field, s) for s in e["value"])
-                      for e in spec.get("entries", [])}
+                      for e in _key(spec, "entries", list, name, [])}
             unknown = set(values) - set(tuples)
             if unknown:
                 raise CheckFailure("PARSE_ERROR",
@@ -166,39 +230,48 @@ def parse_workspace(text: str) -> Workspace:
                 vec.extend(values.get(t, zero))
             ws.cochains[name] = Cochain(flavor, degree, mod, tuple(vec))
 
-    for name, spec in doc.get("crossed_modules", {}).items():
+    for name, spec in _section(doc, "crossed_modules"):
         with _wrap(name):
-            L = _resolve(ws.algebras, spec["L"], "algebra")
-            V = _resolve(ws.modules, spec["V"], "module")
-            partial = LinearMap(_matrix_in(field, spec["partial"], V.dim))
+            L = _resolve(ws.algebras, _key(spec, "L", str, name), "algebra")
+            V = _resolve(ws.modules, _key(spec, "V", str, name), "module")
+            partial = LinearMap(_matrix_in(
+                field, _key(spec, "partial", list, name), V.dim))
             ws.crossed_modules[name] = validate_crossed(
                 CrossedModule(L, V, partial))
 
-    for name, spec in doc.get("sequences", {}).items():
+    for name, spec in _section(doc, "sequences"):
         with _wrap(name):
-            alpha = _resolve(ws.morphisms, spec["alpha"], "morphism")
-            beta = _resolve(ws.morphisms, spec["beta"], "morphism")
+            alpha = _resolve(ws.morphisms, _key(spec, "alpha", str, name),
+                             "morphism")
+            beta = _resolve(ws.morphisms, _key(spec, "beta", str, name),
+                            "morphism")
             ws.sequences[name] = validate_ses(ShortExactSequence(alpha, beta))
 
-    for name, spec in doc.get("extensions", {}).items():
+    for name, spec in _section(doc, "extensions"):
         with _wrap(name):
-            g = _resolve(ws.algebras, spec["g"], "algebra")
-            M = _resolve(ws.modules, spec["M"], "module")
-            base = _resolve(ws.crossed_modules, spec["base"], "crossed module")
+            g = _resolve(ws.algebras, _key(spec, "g", str, name), "algebra")
+            M = _resolve(ws.modules, _key(spec, "M", str, name), "module")
+            base = _resolve(ws.crossed_modules, _key(spec, "base", str, name),
+                            "crossed module")
+            chain = _key(spec, "chain", list, name)
             mids = [_resolve(ws.modules, link["module"], "module")
-                    for link in spec["chain"]]
+                    for link in chain]
             partials = [LinearMap(_matrix_in(field, link["map"], mod.dim))
-                        for link, mod in zip(spec["chain"], mids)]
+                        for link, mod in zip(chain, mids)]
             E = CrossedExtension(
-                spec["n"], g, M,
-                LinearMap(_matrix_in(field, spec["f"], M.dim)),
+                _key(spec, "n", int, name), g, M,
+                LinearMap(_matrix_in(field, _key(spec, "f", list, name),
+                                     M.dim)),
                 tuple(mids), tuple(partials), base,
-                LinearMap(_matrix_in(field, spec["pi"], base.algebra.dim)))
+                LinearMap(_matrix_in(field, _key(spec, "pi", list, name),
+                                     base.algebra.dim)))
             ws.extensions[name] = validate_extension(E)
 
     cmds = doc.get("commands", [])
-    if not isinstance(cmds, list):
-        raise CheckFailure("PARSE_ERROR", detail="commands must be a list")
+    if not isinstance(cmds, list) or \
+            not all(isinstance(c, dict) for c in cmds):
+        raise CheckFailure("PARSE_ERROR", detail="commands must be a list "
+                           "of objects")
     ws.commands = cmds
     return ws
 

@@ -1,5 +1,8 @@
-"""Dense Gauss-Jordan elimination, kept only as the reference that the
-sparse engine in `crossedext.linalg.rref` is tested against."""
+"""Dense reference loops, kept only as the oracles that the engine in
+`crossedext.linalg` is tested against: Gauss-Jordan elimination for the
+sparse `rref`, and Fraction/FpElement multiply-accumulate loops for the
+integer kernels under `@`, `apply`, `lincomb` and the validators."""
+from crossedext.errors import CheckFailure
 from crossedext.linalg import Matrix
 
 
@@ -30,3 +33,120 @@ def dense_rref(m: Matrix):
         pivots.append(c)
         r += 1
     return Matrix(m.field, rows, cols=nc), tuple(pivots)
+
+
+def dense_matmul(a: Matrix, b: Matrix) -> Matrix:
+    """a @ b by a scalar triple loop."""
+    z = a.field.zero
+    out = [[z] * b.cols for _ in range(a.rows)]
+    for i, arow in enumerate(a.data):
+        oi = out[i]
+        for k, x in enumerate(arow):
+            if not x:
+                continue
+            for j, y in enumerate(b.data[k]):
+                if y:
+                    oi[j] = oi[j] + x * y
+    return Matrix(a.field, out, cols=b.cols)
+
+
+def dense_apply(m: Matrix, vec):
+    """m applied to vec by scalar dot products."""
+    out = []
+    for row in m.data:
+        s = m.field.zero
+        for a, v in zip(row, vec):
+            if a and v:
+                s = s + a * v
+        out.append(s)
+    return tuple(out)
+
+
+def dense_lincomb(field, coefs, mats, rows, cols) -> Matrix:
+    """sum_i coefs[i] * mats[i] by scaled matrix additions."""
+    out = [[field.zero] * cols for _ in range(rows)]
+    for c, m in zip(coefs, mats):
+        if c:
+            out = [[x + c * y for x, y in zip(orow, mrow)]
+                   for orow, mrow in zip(out, m.data)]
+    return Matrix(field, out, cols=cols)
+
+
+def dense_validate_lie(field, dim, c):
+    """The antisymmetry and Jacobi loops of a Lie algebra validator, on
+    structure constants c[i][j] (vectors of field elements)."""
+    for i in range(dim):
+        for j in range(dim):
+            if tuple(c[i][j]) != tuple(-x for x in c[j][i]):
+                raise CheckFailure("ANTISYM_FAIL", (i, j))
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                acc = [field.zero] * dim
+                for (a, b, cidx) in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, coef in enumerate(c[a][b]):
+                        if coef:
+                            for t, s in enumerate(c[m][cidx]):
+                                if s:
+                                    acc[t] = acc[t] + coef * s
+                if any(acc):
+                    raise CheckFailure("JACOBI_FAIL", (i, j, k))
+
+
+def _sub(a: Matrix, b: Matrix) -> Matrix:
+    return Matrix(a.field, [[x - y for x, y in zip(r, s)]
+                            for r, s in zip(a.data, b.data)], cols=a.cols)
+
+
+def dense_validate_module(rep):
+    """rho([ei,ej]) = rho(ei)rho(ej) - rho(ej)rho(ei), pair by pair."""
+    g, A, n = rep.algebra, rep.action, rep.dim
+    for i in range(g.dim):
+        for j in range(g.dim):
+            lhs = dense_lincomb(g.field, g.c[i][j], A, n, n)
+            rhs = _sub(dense_matmul(A[i], A[j]), dense_matmul(A[j], A[i]))
+            if lhs != rhs:
+                raise CheckFailure("MODULE_AXIOM_FAIL", (i, j))
+
+
+def dense_validate_leibniz_module(rep):
+    """The slot z, y and x identities of a Leibniz module, pair by pair."""
+    h, L, R, n = rep.algebra, rep.left, rep.right, rep.dim
+    mm = dense_matmul
+    for i in range(h.dim):
+        for j in range(h.dim):
+            lb = dense_lincomb(h.field, h.c[i][j], L, n, n)
+            if mm(L[i], L[j]) != _sub(lb, mm(R[j], L[i])):
+                raise CheckFailure("MODULE_AXIOM_FAIL", (i, j), "slot z")
+            if mm(L[i], R[j]) != _sub(mm(R[j], L[i]), lb):
+                raise CheckFailure("MODULE_AXIOM_FAIL", (i, j), "slot y")
+            rb = dense_lincomb(h.field, h.c[i][j], R, n, n)
+            if rb != _sub(mm(R[j], R[i]), mm(R[i], R[j])):
+                raise CheckFailure("MODULE_AXIOM_FAIL", (i, j), "slot x")
+
+
+def dense_peiffer(cm, leibniz):
+    """The Peiffer loop of a crossed module: rho(dv) w = -rho(dw) v (Lie),
+    [dv, w] = [v, dw] (Leibniz), over every pair (v, w)."""
+    V, dm = cm.rep, cm.partial.matrix
+    field = dm.field
+    n = V.dim
+
+    def e(i):
+        return tuple(field.one if t == i else field.zero for t in range(n))
+
+    for v in range(n):
+        dv = dm.col(v)
+        for w in range(n):
+            dw = dm.col(w)
+            if leibniz:
+                lhs = dense_apply(dense_lincomb(field, dv, V.left, n, n), e(w))
+                rhs = dense_apply(dense_lincomb(field, dw, V.right, n, n),
+                                  e(v))
+            else:
+                lhs = dense_apply(dense_lincomb(field, dv, V.action, n, n),
+                                  e(w))
+                rhs = tuple(-x for x in dense_apply(
+                    dense_lincomb(field, dw, V.action, n, n), e(v)))
+            if lhs != rhs:
+                raise CheckFailure("PEIFFER_FAIL", (v, w))

@@ -199,3 +199,91 @@ def test_cli_max_degree_caps_the_document(capsys):
                  "--format", "json"]) == 0
     table = json.loads(capsys.readouterr().out)["results"][0]["table"]
     assert [row["degree"] for row in table] == [0, 1, 2, 3]
+
+
+def _sl2_with(tmp_path, edit):
+    doc = json.loads((FIXTURES / "sl2.json").read_text())
+    edit(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _first_module(doc):
+    return sorted(doc["modules"])[0]
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda spec: spec.pop("dim"), "'dim'"),
+    (lambda spec: spec.update(dim="3"), "'dim'"),
+    (lambda spec: spec.update(dim=True), "'dim'"),
+    (lambda spec: spec.pop("algebra"), "'algebra'"),
+    (lambda spec: spec.update(action=[]), "'action'"),
+    (lambda spec: spec["action"].pop("0"), "'action'"),
+])
+def test_missing_or_mistyped_module_key_is_a_parse_error(edit, key, tmp_path,
+                                                         capsys):
+    name = []
+
+    def mutate(doc):
+        name.append(_first_module(doc))
+        edit(doc["modules"][name[0]])
+
+    path = _sl2_with(tmp_path, mutate)
+    assert main(["check", "--input", path, "--format", "json"]) == 1
+    rec = json.loads(capsys.readouterr().out)["results"][0]
+    assert (rec["op"], rec["status"], rec["error"]) == \
+        ("parse", "FAIL", "PARSE_ERROR")
+    assert name[0] in rec["detail"] and key in rec["detail"]
+
+
+def _module_row(doc):
+    return doc["modules"][_first_module(doc)]["action"]["0"][0]
+
+
+def _structure_record(doc):
+    return doc["algebras"]["sl2"]["structure"][0]
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda doc: _module_row(doc).pop(), "adjoint"),
+    (lambda doc: _module_row(doc).__setitem__(0, 1), "adjoint"),
+    (lambda doc: _structure_record(doc).pop("value"), "sl2"),
+    (lambda doc: _structure_record(doc).update(i="0"), "sl2"),
+    (lambda doc: _structure_record(doc).update(k=3), "sl2"),
+    (lambda doc: doc.update(modules=[]), "modules"),
+    (lambda doc: doc["commands"].append("check"), "commands"),
+])
+def test_malformed_document_is_a_parse_error(edit, named, tmp_path, capsys):
+    path = _sl2_with(tmp_path, edit)
+    assert main(["check", "--input", path, "--format", "json"]) == 1
+    rec = json.loads(capsys.readouterr().out)["results"][0]
+    assert (rec["op"], rec["error"]) == ("parse", "PARSE_ERROR")
+    assert named in rec["detail"]
+
+
+@pytest.mark.parametrize("value", ["3", True, 2.5, None])
+def test_non_integer_max_degree_is_a_fail_record(value, tmp_path, capsys):
+    def edit(doc):
+        for cmd in doc["commands"]:
+            if cmd["op"] == "cohomology":
+                cmd["max_degree"] = value
+
+    path = _sl2_with(tmp_path, edit)
+    assert main(["cohomology", "--input", path, "--format", "json"]) == 1
+    rec = json.loads(capsys.readouterr().out)["results"][0]
+    assert (rec["op"], rec["status"], rec["error"]) == \
+        ("cohomology", "FAIL", "PARSE_ERROR")
+    assert "max_degree" in rec["detail"]
+
+
+def test_non_string_object_name_is_a_fail_record(tmp_path, capsys):
+    def edit(doc):
+        for cmd in doc["commands"]:
+            if cmd["op"] == "cohomology":
+                cmd["algebra"] = ["sl2"]
+
+    path = _sl2_with(tmp_path, edit)
+    assert main(["cohomology", "--input", path, "--format", "json"]) == 1
+    rec = json.loads(capsys.readouterr().out)["results"][0]
+    assert (rec["status"], rec["error"]) == ("FAIL", "PARSE_ERROR")
