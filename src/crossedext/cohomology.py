@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CheckFailure
-from .linalg import (LinearMap, Matrix, Subspace, image, kernel, rank, solve,
+from .linalg import (Echelon, LinearMap, Matrix, Subspace, image, kernel, rank,
                      vec_add, vec_scale, vec_sub, vec_zero)
 from .algebra import (LeibnizRepresentation, ModuleMorphism, Representation,
                       validate_morphism)
@@ -220,6 +220,74 @@ def coboundary(z: Cochain) -> Cochain:
     return Cochain(z.flavor, z.degree + 1, z.module, d.apply(z.vec))
 
 
+class CochainComplex:
+    """The cochain complex C^*(algebra, module) of one flavor.
+
+    Each coboundary delta_n, the echelon form of its rows and the space
+    B^n = im delta_{n-1} of n-coboundaries are built on first use and kept
+    for the life of the object.  Callers scope that life to one computation
+    (a CLI command builds at most one complex per (algebra, module)):
+    nothing is cached on the algebra, the module or the module namespace.
+    """
+
+    __slots__ = ("algebra", "module", "flavor", "_delta", "_echelon",
+                 "_boundaries")
+
+    def __init__(self, algebra, module, flavor: str | None = None):
+        self.algebra = algebra
+        self.module = module
+        self.flavor = flavor or _flavor_of_module(module)
+        self._delta = {}
+        self._echelon = {}
+        self._boundaries = {}
+
+    def delta(self, n) -> LinearMap:
+        """delta_n : C^n -> C^{n+1}."""
+        d = self._delta.get(n)
+        if d is None:
+            d = self._delta[n] = coboundary_matrix(self.flavor, self.algebra,
+                                                   self.module, n)
+        return d
+
+    def echelon(self, n) -> Echelon:
+        """The factorization of delta_n's matrix."""
+        e = self._echelon.get(n)
+        if e is None:
+            e = self._echelon[n] = Echelon(self.delta(n).matrix)
+        return e
+
+    def coboundaries(self, n) -> Subspace:
+        """B^n = im delta_{n-1} inside C^n (the zero space at n = 0)."""
+        b = self._boundaries.get(n)
+        if b is None:
+            if n == 0:
+                b = Subspace.zero_space(self.algebra.field, self.module.dim)
+            else:
+                b = image(self.delta(n - 1))
+            self._boundaries[n] = b
+        return b
+
+    def dim_h(self, n) -> int:
+        """dim H^n = dim C^n - rank delta_n - rank delta_{n-1}."""
+        return (self.delta(n).domain_dim - self.echelon(n).rank
+                - self.coboundaries(n).dim)
+
+    def check_cocycle(self, z: Cochain):
+        """Raise NOT_A_COCYCLE unless delta(z) = 0."""
+        if any(self.delta(z.degree).apply(z.vec)):
+            raise CheckFailure("NOT_A_COCYCLE", detail=f"degree {z.degree}")
+
+
+def _complex_for(z: Cochain, cx: CochainComplex | None) -> CochainComplex:
+    """cx when it is the complex z lives in; a new one when cx is None."""
+    if cx is None:
+        return CochainComplex(z.algebra, z.module, z.flavor)
+    if cx.flavor != z.flavor or (cx.module is not z.module
+                                 and cx.module != z.module):
+        raise ValueError("cochain does not live in the given complex")
+    return cx
+
+
 @dataclass(frozen=True)
 class CohomologyClass:
     """A cohomology class with its canonical reduced representative.
@@ -267,35 +335,29 @@ class CohomologyClass:
         return hash((self.flavor, self.degree, self.canonical))
 
 
-def class_of(z: Cochain) -> CohomologyClass:
-    """Cohomology class of a cocycle; raises NOT_A_COCYCLE otherwise."""
-    d_n = coboundary_matrix(z.flavor, z.algebra, z.module, z.degree)
-    if any(d_n.apply(z.vec)):
-        raise CheckFailure("NOT_A_COCYCLE", detail=f"degree {z.degree}")
-    if z.degree == 0:
-        b = Subspace.zero_space(z.algebra.field, len(z.vec))
-    else:
-        b = image(coboundary_matrix(z.flavor, z.algebra, z.module, z.degree - 1))
+def class_of(z: Cochain, cx: CochainComplex | None = None) -> CohomologyClass:
+    """Cohomology class of a cocycle; raises NOT_A_COCYCLE otherwise.
+    cx, when given, is the complex z lives in."""
+    cx = _complex_for(z, cx)
+    cx.check_cocycle(z)
+    b = cx.coboundaries(z.degree)
     return CohomologyClass(z.flavor, z.degree, z.module, z, b, b.reduce(z.vec))
 
 
 def cohomology(algebra, M, n: int, flavor: str | None = None):
     """Dimension of H^n and a basis of classes with cocycle representatives."""
-    flavor = flavor or _flavor_of_module(M)
-    d_n = coboundary_matrix(flavor, algebra, M, n)
-    z = kernel(d_n)
-    if n == 0:
-        b = Subspace.zero_space(algebra.field, d_n.domain_dim)
-    else:
-        b = image(coboundary_matrix(flavor, algebra, M, n - 1))
+    cx = CochainComplex(algebra, M, flavor)
+    flavor = cx.flavor
+    z = cx.echelon(n).kernel()
+    b = cx.coboundaries(n)
     classes = []
-    acc = b
+    # the classes are the kernel rows that leave the span of B^n and the
+    # rows taken before them
+    acc = Echelon(b.basis)
     for row in z.basis.data:
-        red = acc.reduce(row)
-        if any(red):
+        if acc.extend(row):
             rep = Cochain(flavor, n, M, tuple(row))
             classes.append(CohomologyClass(flavor, n, M, rep, b, b.reduce(row)))
-            acc = acc.extended(row)
     dim_h = z.dim - b.dim
     assert dim_h == len(classes)
     return dim_h, classes
@@ -328,13 +390,11 @@ def h0_invariants(algebra, M) -> Subspace:
 def coboundary_witness(z: Cochain) -> Cochain | None:
     """A cochain b with delta(b) = z when [z] = 0; None when the class is
     nontrivial.  Raises NOT_A_COCYCLE when z is not closed."""
-    d_n = coboundary_matrix(z.flavor, z.algebra, z.module, z.degree)
-    if any(d_n.apply(z.vec)):
-        raise CheckFailure("NOT_A_COCYCLE", detail=f"degree {z.degree}")
+    cx = CochainComplex(z.algebra, z.module, z.flavor)
+    cx.check_cocycle(z)
     if z.degree == 0:
         return None if any(z.vec) else z
-    d_prev = coboundary_matrix(z.flavor, z.algebra, z.module, z.degree - 1)
-    sol = solve(d_prev, z.vec)
+    sol = cx.echelon(z.degree - 1).solve(z.vec)
     if sol is None:
         return None
     return Cochain(z.flavor, z.degree - 1, z.module, sol)
@@ -386,22 +446,31 @@ def map_class(phi: ModuleMorphism, c: CohomologyClass) -> CohomologyClass:
     return class_of(map_coefficients(phi, c.representative))
 
 
+def _values(z: Cochain):
+    """The values of z on its basis tuples, in order."""
+    m = z.module.dim
+    return [z.vec[i * m:(i + 1) * m] for i in range(len(z.tuples()))]
+
+
 def connecting_hom(ses: ShortExactSequence, c: CohomologyClass,
-                   lift_rng=None) -> CohomologyClass:
+                   lift_rng=None, cx: CochainComplex | None = None
+                   ) -> CohomologyClass:
     """Cochain-level snake lemma: lift a representative through beta, apply
     the coboundary in the middle module, pull back through alpha.
 
     lift_rng, when given, perturbs each lift by a random kernel(beta) element;
-    the resulting class must not change (checked by property tests).
+    the resulting class must not change (checked by property tests).  cx,
+    when given, is the complex of (algebra, head) the result lives in.
     """
     if c.module.dim != ses.tail.dim:
         raise ValueError("class is not valued in the sequence tail")
     flavor, n = c.flavor, c.degree
     algebra = ses.head.algebra
     ker_beta = kernel(ses.beta.map)
+    lift_of = Echelon(ses.beta.map.matrix).solve
     lifted = []
-    for t in cochain_tuples(flavor, algebra.dim, n):
-        v = solve(ses.beta.map, c.representative.value(t))
+    for value in _values(c.representative):
+        v = lift_of(value)
         if v is None:
             raise CheckFailure("EXACTNESS_FAIL", "tail", "beta is not surjective")
         if lift_rng is not None and ker_beta.dim:
@@ -410,31 +479,35 @@ def connecting_hom(ses: ShortExactSequence, c: CohomologyClass,
             for coef, row in zip(coefs, ker_beta.basis.data):
                 v = vec_add(v, vec_scale(coef, row))
         lifted.append(v)
-    lift = cochain_from_values(flavor, ses.middle, n,
-                               lambda t, _tab={tt: vv for tt, vv in
-                                               zip(cochain_tuples(flavor, algebra.dim, n),
-                                                   lifted)}: _tab[t])
-    d_lift = coboundary(lift)
-    def pull(t):
-        m = solve(ses.alpha.map, d_lift.value(t))
+    lift = Cochain(flavor, n, ses.middle, tuple(x for v in lifted for x in v))
+    pull_of = Echelon(ses.alpha.map.matrix).solve
+    pulled = []
+    for value in _values(coboundary(lift)):
+        m = pull_of(value)
         if m is None:
             raise CheckFailure("EXACTNESS_FAIL", "middle",
                                "coboundary of lift is not in image(alpha)")
-        return m
-    return class_of(cochain_from_values(flavor, ses.head, n + 1, pull))
+        pulled.extend(m)
+    return class_of(Cochain(flavor, n + 1, ses.head, tuple(pulled)), cx)
 
 
-def abelian_extension_from_2cocycle(g, Mpp: Representation, alpha: Cochain):
+def abelian_extension_from_2cocycle(g, Mpp: Representation, alpha: Cochain,
+                                    cx: CochainComplex | None = None):
     """The Lie algebra M'' + g with bracket twisted by a 2-cocycle.
 
     Returns (e, inclusion of M'', projection onto g).  The bracket is
     [(m,x),(n,y)] = ([x,n] - [y,m] + alpha(x,y), [x,y]); its Jacobi identity
-    is equivalent to delta(alpha) = 0, which is checked first.
+    is equivalent to delta(alpha) = 0, which is checked first.  cx, when
+    given, is the CE complex of (g, M'').
     """
     from .algebra import validate_lie
     if alpha.degree != 2 or alpha.flavor != CE or alpha.module.dim != Mpp.dim:
         raise ValueError("need a degree-2 CE cochain valued in the module")
-    d2 = ce_coboundary_matrix(g, Mpp, 2)
+    if cx is None:
+        cx = CochainComplex(g, Mpp, CE)
+    elif cx.flavor != CE or cx.module is not Mpp:
+        raise ValueError("cx is not the CE complex of the module")
+    d2 = cx.delta(2)
     if any(d2.apply(alpha.vec)):
         raise CheckFailure("NOT_A_COCYCLE", detail="delta(alpha) != 0")
     field = g.field

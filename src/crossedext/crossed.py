@@ -10,15 +10,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CheckFailure
-from .linalg import (LinearMap, Matrix, image, kernel, linear_section,
-                     quotient, solve, vec_add, vec_scale, vec_zero,
+from .linalg import (Echelon, LinearMap, Matrix, image, kernel,
+                     linear_section, quotient, vec_add, vec_scale, vec_zero,
                      basis_vector)
 from .algebra import (LeibnizRepresentation, Representation, validate_lie,
                       validate_leibniz, validate_module,
                       validate_leibniz_module)
-from .cohomology import (CE, LEIBNIZ, Cochain, CohomologyClass,
-                         ShortExactSequence, abelian_extension_from_2cocycle,
-                         class_of, cochain_from_values, validate_ses)
+from .cohomology import (CE, LEIBNIZ, Cochain, CochainComplex,
+                         CohomologyClass, ShortExactSequence,
+                         abelian_extension_from_2cocycle, class_of,
+                         cochain_from_values, validate_ses)
 
 
 @dataclass(frozen=True)
@@ -252,12 +253,18 @@ def _g2_table(pres, s, q):
     return svecs, table
 
 
-def _pull_to_kernel(pres, val):
-    m = solve(pres.incl, val)
-    if m is None:
-        raise CheckFailure("PEIFFER_FAIL", None,
-                           "theta value is outside ker(partial)")
-    return m
+def _kernel_puller(pres):
+    """The map from a value in ker(partial) to its coordinates in M, by one
+    factorization of incl."""
+    solve = Echelon(pres.incl.matrix).solve
+
+    def pull(val):
+        m = solve(val)
+        if m is None:
+            raise CheckFailure("PEIFFER_FAIL", None,
+                               "theta value is outside ker(partial)")
+        return m
+    return pull
 
 
 def theta(pres: Presentation, s: LinearMap | None = None,
@@ -275,6 +282,8 @@ def theta(pres: Presentation, s: LinearMap | None = None,
     cm, g, V = pres.cm, pres.g, pres.cm.rep
     field = g.field
     svecs, g2 = _g2_table(pres, s, q)
+    acts = [V.action_of(sv) for sv in svecs]
+    pull = _kernel_puller(pres)
 
     def g2v(a, b):
         return g2[(a, b)]
@@ -288,16 +297,15 @@ def theta(pres: Presentation, s: LinearMap | None = None,
 
     def value(t):
         i, j, k = t
-        val = V.action_of(svecs[i]).apply(g2v(j, k))
-        val = tuple(a - b for a, b in
-                    zip(val, V.action_of(svecs[j]).apply(g2v(i, k))))
-        val = vec_add(val, V.action_of(svecs[k]).apply(g2v(i, j)))
+        val = acts[i].apply(g2v(j, k))
+        val = tuple(a - b for a, b in zip(val, acts[j].apply(g2v(i, k))))
+        val = vec_add(val, acts[k].apply(g2v(i, j)))
         val = tuple(a - b for a, b in zip(val, g2_lin(g.c[i][j], k)))
         val = vec_add(val, g2_lin(g.c[i][k], j))
         val = tuple(a - b for a, b in zip(val, g2_lin(g.c[j][k], i)))
         if any(cm.partial.apply(val)):
             raise CheckFailure("PEIFFER_FAIL", t, "partial(theta) != 0")
-        return _pull_to_kernel(pres, val)
+        return pull(val)
 
     return cochain_from_values(CE, pres.M, 3, value)
 
@@ -315,6 +323,9 @@ def leibniz_theta(pres: Presentation, s: LinearMap | None = None,
     cm, g, V = pres.cm, pres.g, pres.cm.rep
     field = g.field
     svecs, g2 = _g2_table(pres, s, q)
+    lefts = [V.left_of(sv) for sv in svecs]
+    rights = [V.right_of(sv) for sv in svecs]
+    pull = _kernel_puller(pres)
 
     def g2_first(uvec, k):
         out = vec_zero(field, V.dim)
@@ -332,25 +343,27 @@ def leibniz_theta(pres: Presentation, s: LinearMap | None = None,
 
     def value(t):
         i, j, k = t
-        val = V.left_of(svecs[i]).apply(g2[(j, k)])
-        val = vec_add(val, V.right_of(svecs[j]).apply(g2[(i, k)]))
-        val = tuple(a - b for a, b in
-                    zip(val, V.right_of(svecs[k]).apply(g2[(i, j)])))
+        val = lefts[i].apply(g2[(j, k)])
+        val = vec_add(val, rights[j].apply(g2[(i, k)]))
+        val = tuple(a - b for a, b in zip(val, rights[k].apply(g2[(i, j)])))
         val = tuple(a - b for a, b in zip(val, g2_first(g.c[i][j], k)))
         val = vec_add(val, g2_first(g.c[i][k], j))
         val = vec_add(val, g2_second(i, g.c[j][k]))
         if any(cm.partial.apply(val)):
             raise CheckFailure("PEIFFER_FAIL", t, "partial(theta) != 0")
-        return _pull_to_kernel(pres, val)
+        return pull(val)
 
     return cochain_from_values(LEIBNIZ, pres.M, 3, value)
 
 
-def classify2(obj) -> CohomologyClass:
-    """The H^3 class of a crossed module via the canonical sections."""
+def classify2(obj, cx: CochainComplex | None = None) -> CohomologyClass:
+    """The H^3 class of a crossed module via the canonical sections.  Its
+    representative is the classifying cochain itself: theta, or
+    leibniz_theta for a Leibniz crossed module.  cx, when given, is the
+    complex of the presentation's (g, M)."""
     pres = induced_pair(obj) if isinstance(obj, CrossedModule) else obj
     th = leibniz_theta(pres) if pres.cm.flavor == LEIBNIZ else theta(pres)
-    return class_of(th)
+    return class_of(th, cx)
 
 
 @dataclass(frozen=True)
@@ -398,19 +411,22 @@ def check_crossed_morphism(cm: CrossedModule, cm2: CrossedModule,
     return phi
 
 
-def yoneda_crossed_module(ses: ShortExactSequence, ext2: Cochain) -> Presentation:
+def yoneda_crossed_module(ses: ShortExactSequence, ext2: Cochain,
+                          cx: CochainComplex | None = None) -> Presentation:
     """Splice a short exact sequence of g-modules with the abelian extension
     of a 2-cocycle valued in the quotient module.
 
     The result is a crossed module presented over (g, M) whose H^3 class is
     the connecting image of the 2-class (checked as an acceptance property).
+    cx, when given, is the CE complex of (g, M''), where the 2-cocycle lives.
     """
     validate_ses(ses)
     g = ses.head.algebra
     field = g.field
     if ext2.module.dim != ses.tail.dim:
         raise ValueError("2-cocycle must be valued in the tail module")
-    e, _incl_e, proj_e = abelian_extension_from_2cocycle(g, ses.tail, ext2)
+    e, _incl_e, proj_e = abelian_extension_from_2cocycle(g, ses.tail, ext2,
+                                                         cx)
     mdim = ses.tail.dim
     zero_act = [Matrix.zero(field, ses.middle.dim, ses.middle.dim)
                 for _ in range(mdim)]

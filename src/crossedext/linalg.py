@@ -279,6 +279,29 @@ def _axpy(row, f, tail, p):
                 del row[j]
 
 
+def _insert(piv, r, p):
+    """Add row r ({column: nonzero}, consumed) to the pivot dict piv of
+    `_echelon`, keeping piv fully reduced.  Returns whether r was
+    independent of piv's rows (and so raised the rank)."""
+    for c in [c for c in r if c in piv]:
+        _axpy(r, r.pop(c), piv[c], p)
+    if not r:
+        return False
+    c = min(r)
+    lead = r.pop(c)
+    if p is None:
+        inv = 1 / lead
+        tail = {j: v * inv for j, v in r.items()}
+    else:
+        inv = pow(lead, -1, p)
+        tail = {j: v * inv % p for j, v in r.items()}
+    for t in piv.values():
+        if c in t:
+            _axpy(t, t.pop(c), tail, p)
+    piv[c] = tail
+    return True
+
+
 def _echelon(rows, p):
     """Sparse Gauss-Jordan elimination of rows given as {column: nonzero}.
 
@@ -291,23 +314,20 @@ def _echelon(rows, p):
     """
     piv = {}
     for r in rows:
-        for c in [c for c in r if c in piv]:
-            _axpy(r, r.pop(c), piv[c], p)
-        if not r:
-            continue
-        c = min(r)
-        lead = r.pop(c)
-        if p is None:
-            inv = 1 / lead
-            tail = {j: v * inv for j, v in r.items()}
-        else:
-            inv = pow(lead, -1, p)
-            tail = {j: v * inv % p for j, v in r.items()}
-        for t in piv.values():
-            if c in t:
-                _axpy(t, t.pop(c), tail, p)
-        piv[c] = tail
+        _insert(piv, r, p)
     return piv
+
+
+def _engine_rows(m: Matrix):
+    """m's rows as {column: nonzero entry} in the engine's scalars:
+    Fractions over Q, ints mod p over F_p."""
+    zero = m.field.zero
+    # `x is not zero` skips the shared zero object before a slower truth test
+    if _modulus(m.field) is None:
+        return [{j: x for j, x in enumerate(row) if x is not zero and x}
+                for row in m.data]
+    return [{j: x.val for j, x in enumerate(row) if x is not zero and x}
+            for row in m.data]
 
 
 def rref(m: Matrix):
@@ -319,14 +339,7 @@ def rref(m: Matrix):
     field = m.field
     p = _modulus(field)
     zero, one = field.zero, field.one
-    # `x is not zero` skips the shared zero object before a slower truth test
-    if p is None:
-        rows = [{j: x for j, x in enumerate(row) if x is not zero and x}
-                for row in m.data]
-    else:
-        rows = [{j: x.val for j, x in enumerate(row) if x is not zero and x}
-                for row in m.data]
-    piv = _echelon(rows, p)
+    piv = _echelon(_engine_rows(m), p)
     pivots = tuple(sorted(piv))
     out = []
     for c in pivots:
@@ -337,6 +350,159 @@ def rref(m: Matrix):
         out.append(tuple(line))
     out.extend([(zero,) * m.cols] * (m.rows - len(pivots)))
     return Matrix._raw(field, tuple(out), m.cols), pivots
+
+
+class Echelon:
+    """One sparse factorization of the rows of a matrix A, asked many
+    questions: rank, pivots, kernel, solve, and grown one row at a time by
+    extend.
+
+    The row echelon form (the pivot dict of `_echelon`) is built on the first
+    question that needs it.  The first solve eliminates [A | b], one column
+    more than A; a second solve eliminates [A | I] once for the row
+    transform, and every later solve is a product with it.  So a one-shot
+    solve of a tall A costs no more than one elimination of A, and a
+    factorization that is never asked to solve never pays for the transform.
+    Nothing is cached outside the object: it lives exactly as long as the
+    caller that built it keeps it.  Vectors passed in hold field elements.
+    """
+
+    __slots__ = ("field", "cols", "_p", "_rows", "_piv", "_transform",
+                 "_solved")
+
+    def __init__(self, matrix: Matrix):
+        self.field = matrix.field
+        self.cols = matrix.cols
+        self._p = _modulus(matrix.field)
+        self._rows = _engine_rows(matrix)
+        self._piv = None
+        self._transform = None
+        self._solved = False
+
+    def _pivots(self):
+        if self._piv is None:
+            self._piv = _echelon([dict(r) for r in self._rows], self._p)
+        return self._piv
+
+    @property
+    def rank(self):
+        return len(self._pivots())
+
+    @property
+    def pivots(self):
+        return tuple(sorted(self._pivots()))
+
+    def _sparse(self, vec):
+        """vec as {index: nonzero entry} in the engine's scalars."""
+        zero = self.field.zero
+        if self._p is None:
+            return {j: x for j, x in enumerate(vec) if x is not zero and x}
+        return {j: x.val for j, x in enumerate(vec) if x is not zero and x}
+
+    def _dense(self, v):
+        """The field vector of length cols with the engine entries v."""
+        out = [self.field.zero] * self.cols
+        if self._p is None:
+            for j, x in v.items():
+                out[j] = x
+        else:
+            for j, x in v.items():
+                out[j] = FpElement(x, self._p)
+        return tuple(out)
+
+    def kernel(self) -> "Subspace":
+        """{x | A x = 0}: one basis vector per free column j, with 1 at j
+        and minus column j of the RREF at the pivots."""
+        piv = self._pivots()
+        field, n, p = self.field, self.cols, self._p
+        one = field.one if p is None else 1
+        rows = []
+        for j in range(n):
+            if j in piv:
+                continue
+            v = {j: one}
+            for c, tail in piv.items():
+                x = tail.get(j)
+                if x is not None:
+                    v[c] = -x if p is None else p - x
+            rows.append(self._dense(v))
+        return Subspace.row_space(Matrix._raw(field, tuple(rows), n))
+
+    def extend(self, row):
+        """Add row to A.  Returns whether it raised the rank."""
+        if len(row) != self.cols:
+            raise ValueError("vector length mismatch")
+        piv = self._pivots()
+        r = self._sparse(row)
+        self._rows.append(dict(r))
+        self._transform = None
+        return _insert(piv, r, self._p)
+
+    def _solver(self):
+        """The row transform of A, from one elimination of [A | I].
+
+        Every row of the eliminated space is (y A | y).  A row with its pivot
+        c in A's columns is (R_r | T_r): the RREF row R_r = T_r A, so a
+        consistent b has the solution x[c] = T_r . b with zero free
+        coordinates.  A row (0 | N) has N A = 0, so N . b = 0 for every
+        consistent b.  Returns ([(c, T_r)], [N]) with the T_r and N as lists
+        of (index into b, value).
+        """
+        if self._transform is None:
+            n, p = self.cols, self._p
+            one = self.field.one if p is None else 1
+            piv = _echelon([{**r, n + i: one} for i, r in enumerate(self._rows)],
+                           p)
+            solutions, checks = [], []
+            for c, tail in piv.items():
+                t = [(j - n, v) for j, v in tail.items() if j >= n]
+                if c < n:
+                    solutions.append((c, t))
+                else:
+                    checks.append([(c - n, one)] + t)
+            self._transform = (solutions, checks)
+        return self._transform
+
+    def _solve_once(self, bv):
+        """Solve for one right-hand side by eliminating [A | b]: b is
+        consistent unless column n = cols becomes a pivot, and then x[c] is
+        entry n of the RREF row with pivot c."""
+        n = self.cols
+        piv = _echelon([{**r, n: bv[i]} if i in bv else dict(r)
+                        for i, r in enumerate(self._rows)], self._p)
+        if n in piv:
+            return None
+        return self._dense({c: tail[n] for c, tail in piv.items()
+                            if n in tail})
+
+    def solve(self, b):
+        """The vector x with A x = b whose free coordinates are zero, or None
+        if b is not in the column space of A."""
+        if len(b) != len(self._rows):
+            raise ValueError("target length mismatch")
+        bv = self._sparse(b)
+        if not self._solved:
+            self._solved = True
+            return self._solve_once(bv)
+        solutions, checks = self._solver()
+        p = self._p
+
+        def dot(t):
+            s = 0
+            for k, v in t:
+                x = bv.get(k)
+                if x is not None:
+                    s += v * x
+            return s if p is None else s % p
+
+        if any(dot(t) for t in checks):
+            return None
+        out = {}
+        for c, t in solutions:
+            s = dot(t)
+            if s:
+                out[c] = s
+        return self._dense(out)
 
 
 class Subspace:
@@ -379,13 +545,18 @@ class Subspace:
 
     def reduce(self, vec):
         """Eliminate the pivot coordinates of vec; result is the canonical
-        representative of vec modulo this subspace."""
+        representative of vec modulo this subspace.  Only the nonzero
+        entries of each basis row (the columns of its integer view) are
+        touched."""
         v = list(vec)
+        data = self.basis.data
+        nonzero = _int_rows(self.basis)[0]
         for r, p in enumerate(self.pivots):
-            if v[p]:
-                f = v[p]
-                row = self.basis.data[r]
-                v = [x - f * y for x, y in zip(v, row)]
+            f = v[p]
+            if f:
+                row = data[r]
+                for j in nonzero[r]:
+                    v[j] -= f * row[j]
         return tuple(v)
 
     def contains(self, vec):
@@ -400,9 +571,6 @@ class Subspace:
 
     def contains_space(self, other: "Subspace"):
         return all(self.contains(row) for row in other.basis.data)
-
-    def extended(self, vec):
-        return Subspace.row_space(self.basis.vstack(Matrix(self.field, [vec])))
 
     def sum(self, other: "Subspace"):
         return Subspace.row_space(self.basis.vstack(other.basis))
@@ -458,17 +626,7 @@ class LinearMap:
 
 
 def kernel(f: LinearMap) -> Subspace:
-    r, piv = rref(f.matrix)
-    field = f.field
-    free = [c for c in range(f.domain_dim) if c not in piv]
-    rows = []
-    for j in free:
-        v = [field.zero] * f.domain_dim
-        v[j] = field.one
-        for rr, p in enumerate(piv):
-            v[p] = -r.data[rr][j]
-        rows.append(tuple(v))
-    return Subspace.row_space(Matrix._raw(field, tuple(rows), f.domain_dim))
+    return Echelon(f.matrix).kernel()
 
 
 def image(f: LinearMap) -> Subspace:
@@ -490,52 +648,43 @@ def quotient(ambient_dim: int, sub: Subspace):
     if sub.ambient_dim != ambient_dim:
         raise ValueError("subspace ambient dimension mismatch")
     field = sub.field
+    zero, one = field.zero, field.one
     free = [c for c in range(ambient_dim) if c not in sub.pivots]
     qdim = len(free)
+    # entry (f, i) of the projection is coordinate f of sub.reduce(e_i): 1 at
+    # i = f, minus entry f of basis row r at i = pivot r, 0 elsewhere
     proj_rows = []
     for fcol in free:
-        row = []
-        for i in range(ambient_dim):
-            e = [field.zero] * ambient_dim
-            e[i] = field.one
-            row.append(sub.reduce(e)[fcol])
-        proj_rows.append(row)
-    proj = LinearMap(Matrix(field, proj_rows) if qdim
-                     else Matrix.zero(field, 0, ambient_dim))
-    sect_cols = []
-    for fcol in free:
-        e = [field.zero] * ambient_dim
-        e[fcol] = field.one
-        sect_cols.append(e)
-    sect = LinearMap(Matrix.from_cols(field, sect_cols, ambient_dim))
+        row = [zero] * ambient_dim
+        row[fcol] = one
+        for brow, p in zip(sub.basis.data, sub.pivots):
+            x = brow[fcol]
+            if x:
+                row[p] = -x
+        proj_rows.append(tuple(row))
+    proj = LinearMap(Matrix._raw(field, tuple(proj_rows), ambient_dim))
+    sect = LinearMap(Matrix._raw(field, tuple(
+        tuple(one if i == fcol else zero for fcol in free)
+        for i in range(ambient_dim)), qdim))
     return proj, sect, qdim
 
 
 def solve(f: LinearMap, target):
     """A vector v with f(v) = target exactly, or None if target is not in
-    the image of f."""
-    if len(target) != f.codomain_dim:
-        raise ValueError("target length mismatch")
-    field = f.field
-    aug = f.matrix.hstack(Matrix.from_cols(field, [list(target)], f.codomain_dim))
-    r, piv = rref(aug)
-    n = f.domain_dim
-    if n in piv:
-        return None
-    x = [field.zero] * n
-    for rr, p in enumerate(piv):
-        x[p] = r.data[rr][n]
-    return tuple(x)
+    the image of f.  target's entries may be anything the field coerces."""
+    return Echelon(f.matrix).solve(tuple(map(f.field.of, target)))
 
 
 def solve_matrix(f: LinearMap, targets: Matrix):
     """Columnwise solve: a matrix X with f.matrix @ X = targets, or None."""
+    ech = Echelon(f.matrix)
+    of = f.field.of
     cols = []
     for j in range(targets.cols):
-        x = solve(f, targets.col(j))
+        x = ech.solve(tuple(map(of, targets.col(j))))
         if x is None:
             return None
-        cols.append(list(x))
+        cols.append(x)
     return Matrix.from_cols(f.field, cols, f.domain_dim)
 
 
@@ -543,25 +692,16 @@ def linear_section(f: LinearMap) -> LinearMap:
     """A map q with f . q = id on image(f), chosen by pivot preimages.
 
     q is defined on the whole codomain: a codomain vector is first written in
-    the RREF basis of image(f) by reading off pivot coordinates.
+    the RREF basis of image(f) by reading off pivot coordinates, so column i
+    of q is the preimage of basis row r when i is pivot r of image(f), and
+    zero otherwise.
     """
     im = image(f)
-    field = f.field
-    preimages = []
-    for row in im.basis.data:
-        v = solve(f, row)
-        preimages.append(v)
-    cols = []
-    for i in range(f.codomain_dim):
-        e = [field.zero] * f.codomain_dim
-        e[i] = field.one
-        acc = [field.zero] * f.domain_dim
-        for r, p in enumerate(im.pivots):
-            c = e[p]
-            if c:
-                acc = [a + c * b for a, b in zip(acc, preimages[r])]
-        cols.append(acc)
-    return LinearMap(Matrix.from_cols(field, cols, f.domain_dim))
+    ech = Echelon(f.matrix)
+    cols = [(f.field.zero,) * f.domain_dim] * f.codomain_dim
+    for row, p in zip(im.basis.data, im.pivots):
+        cols[p] = ech.solve(row)
+    return LinearMap(Matrix.from_cols(f.field, cols, f.domain_dim))
 
 
 def vec_add(u, v):

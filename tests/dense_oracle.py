@@ -1,7 +1,9 @@
 """Dense reference loops, kept only as the oracles that the engine in
 `crossedext.linalg` is tested against: Gauss-Jordan elimination for the
-sparse `rref`, and Fraction/FpElement multiply-accumulate loops for the
-integer kernels under `@`, `apply`, `lincomb` and the validators."""
+sparse `rref`; the augmented-matrix solve, the reduce loop and the
+reduce-built quotient for `Echelon`, `Subspace.reduce` and `quotient`; and
+Fraction/FpElement multiply-accumulate loops for the integer kernels under
+`@`, `apply`, `lincomb` and the validators."""
 from crossedext.errors import CheckFailure
 from crossedext.linalg import Matrix
 
@@ -33,6 +35,69 @@ def dense_rref(m: Matrix):
         pivots.append(c)
         r += 1
     return Matrix(m.field, rows, cols=nc), tuple(pivots)
+
+
+def dense_solve(m: Matrix, target):
+    """x with m x = target and zero free coordinates, or None: the RREF of
+    the augmented matrix [m | target], eliminated afresh for each target."""
+    n = m.cols
+    aug = Matrix(m.field, [list(row) + [t] for row, t in zip(m.data, target)],
+                 cols=n + 1)
+    r, piv = dense_rref(aug)
+    if n in piv:
+        return None
+    x = [m.field.zero] * n
+    for rr, p in enumerate(piv):
+        x[p] = r.data[rr][n]
+    return tuple(x)
+
+
+def dense_kernel_rows(m: Matrix):
+    """One null vector of m per free column j of its RREF: 1 at j, minus
+    column j of the RREF at the pivots."""
+    r, piv = dense_rref(m)
+    field = m.field
+    rows = []
+    for j in range(m.cols):
+        if j in piv:
+            continue
+        v = [field.zero] * m.cols
+        v[j] = field.one
+        for rr, p in enumerate(piv):
+            v[p] = -r.data[rr][j]
+        rows.append(tuple(v))
+    return rows
+
+
+def dense_reduce(basis: Matrix, pivots, vec):
+    """vec minus the multiples of the RREF basis rows that clear its pivot
+    coordinates, by whole-row subtraction."""
+    v = list(vec)
+    for r, p in enumerate(pivots):
+        if v[p]:
+            f = v[p]
+            v = [x - f * y for x, y in zip(v, basis.data[r])]
+    return tuple(v)
+
+
+def dense_quotient(ambient_dim, basis: Matrix, pivots):
+    """The projection and section of field^ambient_dim onto the quotient by
+    the span of an RREF basis: projection entry (f, i) is coordinate f of
+    the reduced unit vector e_i, for each free column f; the section embeds
+    the quotient along the free columns."""
+    field = basis.field
+    free = [c for c in range(ambient_dim) if c not in pivots]
+
+    def e(i):
+        return tuple(field.one if t == i else field.zero
+                     for t in range(ambient_dim))
+
+    proj = Matrix(field, [[dense_reduce(basis, pivots, e(i))[f]
+                           for i in range(ambient_dim)] for f in free],
+                  cols=ambient_dim)
+    sect = Matrix(field, [[field.one if i == f else field.zero for f in free]
+                          for i in range(ambient_dim)], cols=len(free))
+    return proj, sect
 
 
 def dense_matmul(a: Matrix, b: Matrix) -> Matrix:

@@ -1,0 +1,164 @@
+"""One CLI command factors each matrix once: classify and yoneda build each
+coboundary of (g, M) once, theta computes theta once, and theta and
+classify on Leibniz crossed modules use the Leibniz classifier."""
+import importlib
+import json
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from crossedext import samples
+from crossedext.algebra import (leibniz_adjoint, leibniz_from_lie,
+                                leibniz_rep_from_lie)
+from crossedext.cli import main, run_command
+from crossedext.cohomology import LEIBNIZ, cohomology
+from crossedext.crossed import (CrossedModule, choose_sections, induced_pair,
+                                leibniz_theta, theta, validate_crossed,
+                                yoneda_crossed_module)
+from crossedext.field import QQ
+from crossedext.linalg import LinearMap
+from crossedext.workspace import parse_workspace, serialize_workspace
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+# the package exports a function named cohomology, so the submodules are
+# looked up by name
+cohomology_mod = importlib.import_module("crossedext.cohomology")
+crossed_mod = importlib.import_module("crossedext.crossed")
+
+
+def _workspace():
+    """The Jordan fixture plus three crossed modules: its Yoneda splice
+    (Lie), the same splice read as a Leibniz crossed module (right action
+    minus the left one), and the zero boundary into the Leibniz adjoint
+    module of a Leibniz algebra that is not Lie."""
+    ws = parse_workspace((FIXTURES / "yoneda_jordan.json").read_text())
+    cm = yoneda_crossed_module(ws.sequences["jordan_ses"],
+                               ws.cochains["vol12"]).cm
+    leib = leibniz_from_lie(cm.algebra)
+    h = samples.nonlie_leibniz(QQ)
+    ad_h = leibniz_adjoint(h)
+    ws.algebras.update({"jordan_e": cm.algebra, "jordan_e_leib": leib,
+                        "h": h})
+    ws.modules.update({"jordan_v": cm.rep,
+                       "jordan_v_leib": leibniz_rep_from_lie(cm.rep, leib),
+                       "ad_h": ad_h})
+    ws.crossed_modules.update({
+        "jordan_cm": cm,
+        "jordan_leib": validate_crossed(CrossedModule(
+            leib, ws.modules["jordan_v_leib"], cm.partial)),
+        "zero_leib": validate_crossed(CrossedModule(
+            h, ad_h, LinearMap.zero(QQ, ad_h.dim, h.dim)))})
+    return ws
+
+
+@pytest.fixture(scope="module")
+def doc_text():
+    return serialize_workspace(_workspace())
+
+
+def _cli(tmp_path, text, command, name):
+    doc = json.loads(text)
+    doc["commands"] = [{"op": command, "crossed_module": name}]
+    path = tmp_path / f"{command}-{name}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("name", ["jordan_leib", "zero_leib"])
+def test_leibniz_theta_and_classify_commands(name, doc_text, tmp_path,
+                                             capsys):
+    ws = parse_workspace(doc_text)
+    pres = induced_pair(ws.crossed_modules[name])
+    want_theta = leibniz_theta(pres, *choose_sections(pres))
+    want_h3, _ = cohomology(pres.g, pres.M, 3, LEIBNIZ)
+
+    rc = main(["theta", "--input", str(_cli(tmp_path, doc_text, "theta",
+                                            name)), "--format", "json"])
+    rec, = json.loads(capsys.readouterr().out)["results"]
+    assert rc == 0 and rec["status"] == "PASS"
+    assert rec["theta"] == [ws.field.to_str(x) for x in want_theta.vec]
+
+    rc = main(["classify", "--input", str(_cli(tmp_path, doc_text,
+                                               "classify", name)),
+               "--format", "json"])
+    rec, = json.loads(capsys.readouterr().out)["results"]
+    assert rc == 0 and rec["status"] == "PASS"
+    assert rec["dim_h3"] == want_h3
+
+
+def test_leibniz_theta_is_not_zero_on_the_splice(doc_text):
+    """The splice gives the Leibniz test a nonzero cochain to compare."""
+    ws = parse_workspace(doc_text)
+    pres = induced_pair(ws.crossed_modules["jordan_leib"])
+    assert any(leibniz_theta(pres).vec)
+
+
+def _count_builds(monkeypatch):
+    """Record (module, n) for every coboundary matrix built."""
+    builds = Counter()
+    for name in ("ce_coboundary_matrix", "leibniz_coboundary_matrix"):
+        original = getattr(cohomology_mod, name)
+
+        def counted(algebra, module, n, _original=original):
+            builds[(id(module), n)] += 1
+            return _original(algebra, module, n)
+        monkeypatch.setattr(cohomology_mod, name, counted)
+    return builds
+
+
+@pytest.mark.parametrize("name", ["jordan_cm", "jordan_leib"])
+def test_classify_builds_each_coboundary_once(name, doc_text, monkeypatch):
+    ws = parse_workspace(doc_text)
+    builds = _count_builds(monkeypatch)
+    rec, = run_command(ws, {"op": "classify", "crossed_module": name})
+    assert rec["status"] == "PASS"
+    # every build is of the induced module, delta_2 and delta_3 once each
+    assert sorted(n for (_, n) in builds) == [2, 3]
+    assert set(builds.values()) == {1}
+
+
+@pytest.mark.parametrize("name", ["jordan_cm", "jordan_leib"])
+def test_theta_command_computes_theta_once(name, doc_text, monkeypatch):
+    ws = parse_workspace(doc_text)
+    calls = []
+    original = crossed_mod._g2_table
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(crossed_mod, "_g2_table", counted)
+    rec, = run_command(ws, {"op": "theta", "crossed_module": name})
+    assert rec["status"] == "PASS"
+    assert len(calls) == 1
+    if name == "jordan_cm":
+        pres = induced_pair(ws.crossed_modules[name])
+        assert rec["theta"] == [ws.field.to_str(x) for x in
+                                theta(pres, *choose_sections(pres)).vec]
+
+
+def test_yoneda_builds_each_coboundary_of_g_m_once(doc_text, monkeypatch):
+    ws = parse_workspace(doc_text)
+    head = ws.sequences["jordan_ses"].head
+    builds = _count_builds(monkeypatch)
+    rec, = run_command(ws, {"op": "yoneda", "sequence": "jordan_ses",
+                            "cochain": "vol12"})
+    assert rec["status"] == "PASS" and rec["matches_connecting"] is True
+    assert builds[(id(head), 2)] == 1
+    assert builds[(id(head), 3)] == 1
+
+
+def test_splice_refuses_a_complex_of_another_module():
+    ws = parse_workspace((FIXTURES / "yoneda_jordan.json").read_text())
+    ses, c = ws.sequences["jordan_ses"], ws.cochains["vol12"]
+    g = ses.head.algebra
+    # k_tail has the dimension and action of the sequence's tail k_head, so
+    # only the identity check can tell the complexes apart
+    other = cohomology_mod.CochainComplex(g, ws.modules["k_tail"])
+    assert other.module.dim == ses.tail.dim
+    with pytest.raises(ValueError):
+        cohomology_mod.abelian_extension_from_2cocycle(g, ses.tail, c, other)
+    own = cohomology_mod.CochainComplex(g, ses.tail)
+    e, _, _ = cohomology_mod.abelian_extension_from_2cocycle(g, ses.tail, c,
+                                                             own)
+    assert e.dim == g.dim + ses.tail.dim

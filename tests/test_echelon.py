@@ -1,0 +1,242 @@
+"""`Echelon` (one factorization, many questions) and the solvers built on it,
+checked against the dense oracles: the augmented-matrix solve, eliminated
+afresh for each right-hand side, the dense RREF, the whole-row reduce loop
+and the reduce-built quotient."""
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from crossedext.field import PrimeField, QQ
+from crossedext.linalg import (Echelon, LinearMap, Matrix, Subspace, kernel,
+                               linear_section, quotient, solve, solve_matrix)
+from dense_oracle import (dense_apply, dense_kernel_rows, dense_quotient,
+                          dense_reduce, dense_rref, dense_solve)
+
+FIELDS = [QQ, PrimeField(2), PrimeField(5), PrimeField(2147483647)]
+
+
+def scalars(field):
+    """Mostly zero; over Q with denominators other than 1."""
+    if field is QQ:
+        value = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6))
+    else:
+        value = st.integers(-field.p, field.p).map(field.of)
+    return st.one_of(st.just(field.zero), value)
+
+
+def vectors(field, n):
+    return st.lists(scalars(field), min_size=n, max_size=n).map(tuple)
+
+
+@st.composite
+def matrices(draw, field, rows=None, cols=None):
+    """Random, zero, rank-one-repeated or 0 x n / n x 0 matrices."""
+    r = draw(st.integers(0, 5)) if rows is None else rows
+    c = draw(st.integers(0, 5)) if cols is None else cols
+    kind = draw(st.sampled_from(["random", "random", "zero", "repeated"]))
+    if kind == "zero":
+        return Matrix.zero(field, r, c)
+    if kind == "repeated" and r:
+        row = draw(vectors(field, c))
+        return Matrix(field, [row] * r, cols=c)
+    return Matrix(field, draw(st.lists(vectors(field, c), min_size=r,
+                                       max_size=r)), cols=c)
+
+
+@st.composite
+def systems(draw):
+    """A matrix with several right-hand sides: images of random vectors
+    (always consistent) and random vectors (often not)."""
+    field = draw(st.sampled_from(FIELDS))
+    m = draw(matrices(field))
+    xs = draw(st.lists(vectors(field, m.cols), max_size=4))
+    bs = draw(st.lists(vectors(field, m.rows), max_size=4))
+    targets = [dense_apply(m, x) for x in xs] + bs
+    draw(st.randoms()).shuffle(targets)
+    return m, targets
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+def test_echelon_solve_matches_augmented_oracle(system):
+    m, targets = system
+    ech = Echelon(m)
+    for b in targets:
+        assert ech.solve(b) == dense_solve(m, b)
+        assert solve(LinearMap(m), b) == dense_solve(m, b)
+    # the rank and pivots asked after the solves match the RREF
+    _, piv = dense_rref(m)
+    assert (ech.rank, ech.pivots) == (len(piv), piv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems())
+def test_consistent_targets_solve_and_others_are_none(system):
+    m, targets = system
+    ech = Echelon(m)
+    for b in targets:
+        x = ech.solve(b)
+        if x is None:
+            assert dense_solve(m, b) is None
+        else:
+            assert dense_apply(m, x) == tuple(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(FIELDS).flatmap(
+    lambda f: st.integers(0, 5).flatmap(
+        lambda n: st.tuples(matrices(f, rows=n), matrices(f, rows=n)))))
+def test_solve_matrix_matches_columnwise_oracle(ab):
+    a, b = ab
+    want = [dense_solve(a, b.col(j)) for j in range(b.cols)]
+    got = solve_matrix(LinearMap(a), b)
+    if any(x is None for x in want):
+        assert got is None
+    else:
+        assert got == Matrix.from_cols(a.field, want, a.cols)
+
+
+def oracle_section(m: Matrix) -> Matrix:
+    """Column i is the oracle preimage of basis row r of image(m) when i is
+    pivot r, zero otherwise."""
+    basis, piv = dense_rref(m.transpose())
+    cols = [[m.field.zero] * m.cols for _ in range(m.rows)]
+    for r, p in enumerate(piv):
+        cols[p] = list(dense_solve(m, basis.data[r]))
+    return Matrix.from_cols(m.field, cols, m.cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FIELDS).flatmap(matrices))
+def test_linear_section_matches_oracle(m):
+    q = linear_section(LinearMap(m))
+    assert q.matrix == oracle_section(m)
+    # f . q is the identity on image(f)
+    for row in dense_rref(m.transpose())[0].data:
+        assert dense_apply(m, dense_apply(q.matrix, row)) == row
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FIELDS).flatmap(
+    lambda f: st.integers(0, 5).flatmap(
+        lambda n: st.tuples(matrices(f, cols=n),
+                            st.lists(vectors(f, n), max_size=5)))))
+def test_extend_matches_row_space_of_stacked_matrix(case):
+    m, extra = case
+    ech = Echelon(m)
+    rows = list(m.data)
+    for row in extra:
+        before = Subspace.row_space(Matrix(m.field, rows, cols=m.cols))
+        grew = ech.extend(row)
+        rows.append(row)
+        after = Subspace.row_space(Matrix(m.field, rows, cols=m.cols))
+        assert grew == (after.dim > before.dim)
+        assert (ech.rank, ech.pivots) == (after.dim, after.pivots)
+        # the grown factorization still solves against the stacked matrix
+        stacked = Matrix(m.field, rows, cols=m.cols)
+        b = dense_apply(stacked, row)
+        assert ech.solve(b) == dense_solve(stacked, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FIELDS).flatmap(
+    lambda f: st.integers(0, 5).flatmap(
+        lambda n: st.tuples(matrices(f, cols=n),
+                            st.lists(vectors(f, n), max_size=4)))))
+def test_subspace_reduce_and_coordinates_match_oracle(case):
+    m, vecs = case
+    basis, piv = dense_rref(m)
+    basis = Matrix(m.field, basis.data[:len(piv)], cols=m.cols)
+    sub = Subspace.row_space(m)
+    # a member of the row space too, not only random vectors
+    coefs = tuple(m.field.of(k % 3 + 1) for k in range(m.rows))
+    member = dense_apply(m.transpose(), coefs)
+    for vec in list(vecs) + [member]:
+        want = dense_reduce(basis, piv, vec)
+        assert sub.reduce(vec) == want
+        inside = not any(want)
+        coords = tuple(vec[p] for p in piv) if inside else None
+        assert sub.coordinates(vec) == coords
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FIELDS).flatmap(matrices))
+def test_kernel_matches_oracle(m):
+    want = Subspace.row_space(Matrix(m.field, dense_kernel_rows(m),
+                                     cols=m.cols))
+    assert Echelon(m).kernel() == want
+    assert kernel(LinearMap(m)) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FIELDS).flatmap(matrices))
+def test_quotient_matches_reduce_built_oracle(m):
+    sub = Subspace.row_space(m)
+    proj, sect, qdim = quotient(m.cols, sub)
+    want_proj, want_sect = dense_quotient(m.cols, sub.basis, sub.pivots)
+    assert proj.matrix == want_proj
+    assert sect.matrix == want_sect
+    assert qdim == m.cols - sub.dim
+    assert (proj.matrix.rows, proj.matrix.cols) == (qdim, m.cols)
+    assert (sect.matrix.rows, sect.matrix.cols) == (m.cols, qdim)
+
+
+def test_empty_shapes():
+    for field in FIELDS:
+        tall = Echelon(Matrix.zero(field, 3, 0))       # 3 x 0
+        assert tall.rank == 0 and tall.pivots == ()
+        assert tall.solve((field.zero,) * 3) == ()
+        assert tall.solve((field.zero, field.one, field.zero)) is None
+        wide = Echelon(Matrix.zero(field, 0, 3))       # 0 x 3
+        assert wide.solve(()) == (field.zero,) * 3
+        assert wide.kernel().dim == 3
+        assert wide.extend((field.zero, field.one, field.one))
+        assert wide.solve((field.of(2),)) == (field.zero, field.of(2),
+                                              field.zero)
+
+
+def test_solve_coerces_plain_int_targets():
+    for field in FIELDS:
+        m = Matrix(field, [[1, 2, 0], [0, 1, 1], [1, 3, 1]], cols=3)
+        f = LinearMap(m)
+        b = (3, 1, 4)
+        want = dense_solve(m, tuple(map(field.of, b)))
+        assert want is not None
+        assert solve(f, b) == want
+        assert all(type(x) is type(field.one) for x in solve(f, b))
+        targets = Matrix._raw(field, ((3, 0), (1, 1), (4, 1)), 2)
+        assert solve_matrix(f, targets) == Matrix.from_cols(
+            field, [want, dense_solve(m, (field.zero, field.one, field.one))],
+            3)
+
+
+def test_one_shot_and_repeated_solves_agree():
+    # the first solve eliminates [A | b], later ones use the row transform
+    rng = random.Random(11)
+    for field in FIELDS:
+        m = Matrix(field, [[field.of(rng.randint(-2, 2)) for _ in range(3)]
+                           for _ in range(7)], cols=3)
+        x = tuple(field.of(rng.randint(-3, 3)) for _ in range(3))
+        targets = [dense_apply(m, x),
+                   tuple(field.of(rng.randint(-3, 3)) for _ in range(7))]
+        for b in targets:
+            fresh = Echelon(m)
+            first = fresh.solve(b)
+            assert first == fresh.solve(b) == dense_solve(m, b)
+            assert (fresh.rank, fresh.pivots) == (len(dense_rref(m)[1]),
+                                                  dense_rref(m)[1])
+
+
+def test_many_targets_against_one_factorization():
+    rng = random.Random(5)
+    for field in FIELDS:
+        m = Matrix(field, [[field.of(rng.randint(-2, 2)) for _ in range(6)]
+                           for _ in range(5)], cols=6)
+        ech = Echelon(m)
+        for _ in range(40):
+            x = tuple(field.of(rng.randint(-3, 3)) for _ in range(6))
+            b = dense_apply(m, x)
+            assert ech.solve(b) == dense_solve(m, b)
+            b = tuple(field.of(rng.randint(-3, 3)) for _ in range(5))
+            assert ech.solve(b) == dense_solve(m, b)
