@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .errors import CheckFailure
 from .linalg import (Matrix, LinearMap, _int_rows, _modulus, block_diag,
-                     lincomb, vec_add, vec_scale, vec_zero)
+                     lincomb)
 
 
 def _coerce_structure(field, dim, structure):
@@ -27,6 +27,14 @@ def _coerce_structure(field, dim, structure):
 class _AlgebraBase:
     __slots__ = ("field", "dim", "c")
 
+    def __init__(self, field, dim, structure):
+        self.field = field
+        self.dim = dim
+        self.c = _coerce_structure(field, dim, structure)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(dim={self.dim}, field={self.field!r})"
+
     def bracket(self, u, v):
         field = self.field
         out = [field.zero] * self.dim
@@ -42,9 +50,6 @@ class _AlgebraBase:
                         out[k] = out[k] + coef * s
         return tuple(out)
 
-    def basis_bracket(self, i, j):
-        return self.c[i][j]
-
     def __eq__(self, other):
         return (type(self) is type(other) and self.field == other.field
                 and self.c == other.c)
@@ -56,25 +61,9 @@ class _AlgebraBase:
 class LieAlgebra(_AlgebraBase):
     flavor = "lie"
 
-    def __init__(self, field, dim, structure):
-        self.field = field
-        self.dim = dim
-        self.c = _coerce_structure(field, dim, structure)
-
-    def __repr__(self):
-        return f"LieAlgebra(dim={self.dim}, field={self.field!r})"
-
 
 class LeibnizAlgebra(_AlgebraBase):
     flavor = "leibniz"
-
-    def __init__(self, field, dim, structure):
-        self.field = field
-        self.dim = dim
-        self.c = _coerce_structure(field, dim, structure)
-
-    def __repr__(self):
-        return f"LeibnizAlgebra(dim={self.dim}, field={self.field!r})"
 
 
 def validate_lie(field, dim, structure) -> LieAlgebra:
@@ -139,13 +128,6 @@ class Representation:
 
     def act_basis(self, i, mvec):
         return self.action[i].apply(mvec)
-
-    def act(self, xvec, mvec):
-        out = vec_zero(self.algebra.field, self.dim)
-        for i, a in enumerate(xvec):
-            if a:
-                out = vec_add(out, vec_scale(a, self.action[i].apply(mvec)))
-        return out
 
     def action_of(self, xvec) -> Matrix:
         return lincomb(self.algebra.field, xvec, self.action, self.dim,
@@ -218,12 +200,6 @@ class LeibnizRepresentation:
         return lincomb(self.algebra.field, xvec, self.right, self.dim,
                        self.dim)
 
-    def act_left(self, xvec, mvec):
-        return self.left_of(xvec).apply(mvec)
-
-    def act_right(self, mvec, xvec):
-        return self.right_of(xvec).apply(mvec)
-
     def __eq__(self, other):
         return (isinstance(other, LeibnizRepresentation)
                 and self.algebra == other.algebra
@@ -256,6 +232,27 @@ def validate_leibniz_module(rep: LeibnizRepresentation) -> LeibnizRepresentation
             if rb != RR[j][i] - RR[i][j]:
                 raise CheckFailure("MODULE_AXIOM_FAIL", (i, j), "slot x")
     return rep
+
+
+def sides(rep):
+    """The action families of a module, as (side, matrices, of) triples:
+    ρ alone for a Lie module, left then right for a Leibniz module.  The
+    side names the family in a failure's detail; it is "" for ρ."""
+    if isinstance(rep, LeibnizRepresentation):
+        return (("left", rep.left, rep.left_of),
+                ("right", rep.right, rep.right_of))
+    return (("", rep.action, rep.action_of),)
+
+
+def bracket_defect(f: LinearMap, A, B):
+    """The first basis pair (i, j) with f([e_i, e_j]_A) != [f e_i, f e_j]_B,
+    or None when the linear map f : A -> B is an algebra map."""
+    cols = [f.matrix.col(i) for i in range(A.dim)]
+    for i in range(A.dim):
+        for j in range(A.dim):
+            if f.apply(A.c[i][j]) != B.bracket(cols[i], cols[j]):
+                return i, j
+    return None
 
 
 def leibniz_adjoint(h: LeibnizAlgebra) -> LeibnizRepresentation:
@@ -309,17 +306,13 @@ class ModuleMorphism:
 def validate_morphism(phi: ModuleMorphism) -> ModuleMorphism:
     if phi.source.algebra != phi.target.algebra:
         raise CheckFailure("BASE_MISMATCH", detail="morphism across different algebras")
-    alg = phi.source.algebra
-    if alg.flavor == "leibniz":
-        for i in range(alg.dim):
-            if phi.matrix @ phi.source.left[i] != phi.target.left[i] @ phi.matrix:
-                raise CheckFailure("EQUIVARIANCE_FAIL", (i,), "left action")
-            if phi.matrix @ phi.source.right[i] != phi.target.right[i] @ phi.matrix:
-                raise CheckFailure("EQUIVARIANCE_FAIL", (i,), "right action")
-    else:
-        for i in range(alg.dim):
-            if phi.matrix @ phi.source.action[i] != phi.target.action[i] @ phi.matrix:
-                raise CheckFailure("EQUIVARIANCE_FAIL", (i,))
+    f = phi.matrix
+    for i in range(phi.source.algebra.dim):
+        for (side, src, _), (_, tgt, _) in zip(sides(phi.source),
+                                               sides(phi.target)):
+            if f @ src[i] != tgt[i] @ f:
+                raise CheckFailure("EQUIVARIANCE_FAIL", (i,),
+                                   side and f"{side} action")
     return phi
 
 

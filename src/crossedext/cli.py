@@ -21,8 +21,6 @@ from .crossed import classify2, yoneda_crossed_module, induced_pair
 from .extensions import baer_sum, baer_sum_n2, pushout, split_detect
 from .workspace import Workspace, parse_workspace
 
-COMMANDS = ("check", "cohomology", "theta", "classify", "baer-sum",
-            "pushout", "connecting", "yoneda", "report")
 DEFAULT_DEGREE_CAP = 4
 
 
@@ -30,7 +28,7 @@ def _scalars(field, vec):
     return [field.to_str(x) for x in vec]
 
 
-def _cmd_check(ws, args):
+def _cmd_check(ws, args, degree_cap):
     """Every object was validated when the workspace was parsed, so a named
     object passes iff it exists."""
     known = [n for table in (ws.algebras, ws.modules, ws.morphisms,
@@ -77,7 +75,7 @@ def _classify_record(ws, name):
         "class_is_zero": cl.is_zero()}
 
 
-def _cmd_theta(ws, args):
+def _cmd_theta(ws, args, degree_cap):
     _, cl, rec = _classify_record(ws, args["crossed_module"])
     # the class's representative is the theta cochain classify2 built
     rec.update({"op": "theta", "status": "PASS",
@@ -85,13 +83,13 @@ def _cmd_theta(ws, args):
     return [rec]
 
 
-def _cmd_classify(ws, args):
+def _cmd_classify(ws, args, degree_cap):
     cx, _, rec = _classify_record(ws, args["crossed_module"])
     rec.update({"op": "classify", "status": "PASS", "dim_h3": cx.dim_h(3)})
     return [rec]
 
 
-def _cmd_baer_sum(ws, args):
+def _cmd_baer_sum(ws, args, degree_cap):
     left, right = args["left"], args["right"]
     if left in ws.extensions:
         E = baer_sum(ws.extensions[left], ws.extensions[right])
@@ -108,7 +106,7 @@ def _cmd_baer_sum(ws, args):
              "class_canonical": _scalars(ws.field, cl.canonical)}]
 
 
-def _cmd_pushout(ws, args):
+def _cmd_pushout(ws, args, degree_cap):
     pd = pushout(ws.morphisms[args["f"]], ws.morphisms[args["g"]])
     return [{"op": "pushout", "f": args["f"], "g": args["g"], "status": "PASS",
              "dim": pd.D.dim}]
@@ -126,7 +124,7 @@ def _complexes(ses, c):
     return head, CochainComplex(c.algebra, c.module, c.flavor)
 
 
-def _cmd_connecting(ws, args):
+def _cmd_connecting(ws, args, degree_cap):
     ses = ws.sequences[args["sequence"]]
     c = ws.cochains[args["cochain"]]
     head, tail = _complexes(ses, c)
@@ -138,7 +136,7 @@ def _cmd_connecting(ws, args):
              "class_is_zero": cl.is_zero()}]
 
 
-def _cmd_yoneda(ws, args):
+def _cmd_yoneda(ws, args, degree_cap):
     ses = ws.sequences[args["sequence"]]
     c = ws.cochains[args["cochain"]]
     head, tail = _complexes(ses, c)
@@ -155,6 +153,14 @@ def _cmd_yoneda(ws, args):
              "matches_connecting": agree}]
 
 
+# each handler takes (workspace, arguments, degree cap); only cohomology
+# reads the cap
+HANDLERS = {"check": _cmd_check, "cohomology": _cmd_cohomology,
+            "theta": _cmd_theta, "classify": _cmd_classify,
+            "baer-sum": _cmd_baer_sum, "pushout": _cmd_pushout,
+            "connecting": _cmd_connecting, "yoneda": _cmd_yoneda}
+COMMANDS = tuple(HANDLERS) + ("report",)
+
 # command arguments that name an object of the workspace
 NAME_ARGS = ("algebra", "module", "crossed_module", "left", "right", "f", "g",
              "sequence", "cochain", "object")
@@ -168,23 +174,11 @@ def run_command(ws: Workspace, cmd: dict, degree_cap=DEFAULT_DEGREE_CAP):
             if key in args and not isinstance(args[key], str):
                 raise CheckFailure("PARSE_ERROR", key,
                                    f"{key} must be a name, not {args[key]!r}")
-        if op == "check":
-            return _cmd_check(ws, args)
-        if op == "cohomology":
-            return _cmd_cohomology(ws, args, degree_cap)
-        if op == "theta":
-            return _cmd_theta(ws, args)
-        if op == "classify":
-            return _cmd_classify(ws, args)
-        if op == "baer-sum":
-            return _cmd_baer_sum(ws, args)
-        if op == "pushout":
-            return _cmd_pushout(ws, args)
-        if op == "connecting":
-            return _cmd_connecting(ws, args)
-        if op == "yoneda":
-            return _cmd_yoneda(ws, args)
-        return [{"op": op, "status": "FAIL", "error": "UNKNOWN_COMMAND"}]
+        # an op read from JSON may be any value, hashable or not
+        handler = HANDLERS.get(op) if isinstance(op, str) else None
+        if handler is None:
+            return [{"op": op, "status": "FAIL", "error": "UNKNOWN_COMMAND"}]
+        return handler(ws, args, degree_cap)
     except KeyError as exc:
         return [{"op": op, "status": "FAIL", "error": "UNRESOLVED_REFERENCE",
                  "detail": str(exc)}]

@@ -13,7 +13,7 @@ from .errors import CheckFailure
 from .linalg import (Echelon, LinearMap, Matrix, Subspace, image, kernel, rank,
                      vec_add, vec_scale, vec_sub, vec_zero)
 from .algebra import (LeibnizRepresentation, ModuleMorphism, Representation,
-                      validate_morphism)
+                      validate_lie, validate_morphism)
 
 CE = "ce"
 LEIBNIZ = "leibniz"
@@ -500,7 +500,6 @@ def abelian_extension_from_2cocycle(g, Mpp: Representation, alpha: Cochain,
     is equivalent to delta(alpha) = 0, which is checked first.  cx, when
     given, is the CE complex of (g, M'').
     """
-    from .algebra import validate_lie
     if alpha.degree != 2 or alpha.flavor != CE or alpha.module.dim != Mpp.dim:
         raise ValueError("need a degree-2 CE cochain valued in the module")
     if cx is None:

@@ -4,6 +4,11 @@ A crossed module (V, L, d) induces g = coker(d) and M = ker(d); the class of
 the section-built degree-3 cocycle in H^3(g, M) classifies it up to
 equivalence.  Sections are chosen deterministically by pivot order, and
 section-independence is a test obligation rather than an assumption.
+
+One code path serves both flavors.  A Lie module is read as a Leibniz
+module whose right action is -rho, so theta is one formula (see `theta`),
+and the validators walk a module's action families (`algebra.sides`): rho
+alone for a Lie module, left then right for a Leibniz one.
 """
 from __future__ import annotations
 
@@ -13,8 +18,8 @@ from .errors import CheckFailure
 from .linalg import (Echelon, LinearMap, Matrix, image, kernel,
                      linear_section, quotient, vec_add, vec_scale, vec_zero,
                      basis_vector)
-from .algebra import (LeibnizRepresentation, Representation, validate_lie,
-                      validate_leibniz, validate_module,
+from .algebra import (LeibnizRepresentation, Representation, bracket_defect,
+                      sides, validate_lie, validate_leibniz, validate_module,
                       validate_leibniz_module)
 from .cohomology import (CE, LEIBNIZ, Cochain, CochainComplex,
                          CohomologyClass, ShortExactSequence,
@@ -50,63 +55,52 @@ class Presentation:
     incl: LinearMap
 
 
-def _adjoint_matrix(algebra, i, side="left") -> Matrix:
-    if side == "left":
-        cols = [list(algebra.c[i][j]) for j in range(algebra.dim)]
-    else:
+def _adjoint_matrix(algebra, i, side) -> Matrix:
+    """Column j is [e_i, e_j], or [e_j, e_i] for the right side."""
+    if side == "right":
         cols = [list(algebra.c[j][i]) for j in range(algebra.dim)]
+    else:
+        cols = [list(algebra.c[i][j]) for j in range(algebra.dim)]
     return Matrix.from_cols(algebra.field, cols, algebra.dim)
+
+
+def _left_right(V, vecs):
+    """The left and right action matrices of each vector.  A Lie module is
+    a Leibniz module whose right action is -rho."""
+    acts = [[of(x) for x in vecs] for _, _, of in sides(V)]
+    return acts[0], acts[1] if len(acts) == 2 else [-a for a in acts[0]]
 
 
 def validate_crossed(cm: CrossedModule) -> CrossedModule:
     L, V, d = cm.algebra, cm.rep, cm.partial
-    leib = cm.flavor == LEIBNIZ
-    if leib:
+    if cm.flavor == LEIBNIZ:
         validate_leibniz_module(V)
     else:
         validate_module(V)
     dm = d.matrix
+    # d[x, v] = [x, dv], and d[v, x] = [dv, x] for a Leibniz module
     for i in range(L.dim):
-        if leib:
-            # d[x, v] = [x, dv] and d[v, x] = [dv, x]
-            if dm @ V.left[i] != _adjoint_matrix(L, i, "left") @ dm:
-                raise CheckFailure("EQUIVARIANCE_FAIL", (i,), "left action")
-            if dm @ V.right[i] != _adjoint_matrix(L, i, "right") @ dm:
-                raise CheckFailure("EQUIVARIANCE_FAIL", (i,), "right action")
-        else:
-            if dm @ V.action[i] != _adjoint_matrix(L, i) @ dm:
-                raise CheckFailure("EQUIVARIANCE_FAIL", (i,))
-    # rho(dv) once per v; column w of rho(dv) is rho(dv) applied to e_w
-    if leib:
-        lefts = [V.left_of(dm.col(v)) for v in range(V.dim)]
-        rights = [V.right_of(dm.col(v)) for v in range(V.dim)]
-    else:
-        acts = [V.action_of(dm.col(v)) for v in range(V.dim)]
+        for side, mats, _ in sides(V):
+            if dm @ mats[i] != _adjoint_matrix(L, i, side) @ dm:
+                raise CheckFailure("EQUIVARIANCE_FAIL", (i,),
+                                   side and f"{side} action")
+    # [dv, w] = [v, dw]: the left action of dv once per v, the right one of
+    # dw once per w; column w of a matrix is its value on e_w
+    lefts, rights = _left_right(V, [dm.col(v) for v in range(V.dim)])
     for v in range(V.dim):
         for w in range(V.dim):
-            if leib:
-                lhs = lefts[v].col(w)                   # [dv, w]
-                rhs = rights[w].col(v)                  # [v, dw]
-            else:
-                lhs = acts[v].col(w)
-                rhs = tuple(-x for x in acts[w].col(v))
-            if lhs != rhs:
+            if lefts[v].col(w) != rights[w].col(v):
                 raise CheckFailure("PEIFFER_FAIL", (v, w))
     # derived: im(d) acts trivially on ker(d)
     ker = kernel(d)
     for lrow in image(d).basis.data:
         for krow in ker.basis.data:
-            if leib:
-                if any(V.left_of(lrow).apply(krow)):
-                    raise CheckFailure("PEIFFER_FAIL", None,
-                                       "image acts on kernel from the left")
-                if any(V.right_of(lrow).apply(krow)):
-                    raise CheckFailure("PEIFFER_FAIL", None,
-                                       "image acts on kernel from the right")
-            else:
-                if any(V.action_of(lrow).apply(krow)):
-                    raise CheckFailure("PEIFFER_FAIL", None,
-                                       "image acts on kernel")
+            for side, _, of in sides(V):
+                if any(of(lrow).apply(krow)):
+                    raise CheckFailure(
+                        "PEIFFER_FAIL", None,
+                        f"image acts on kernel from the {side}" if side
+                        else "image acts on kernel")
     return cm
 
 
@@ -121,10 +115,8 @@ def induced_pair(cm: CrossedModule) -> Presentation:
     for i in range(L.dim):
         ei = basis_vector(field, L.dim, i)
         for b in im.basis.data:
-            if not im.contains(L.bracket(ei, b)):
-                raise CheckFailure("EQUIVARIANCE_FAIL", (i,),
-                                   "image of partial is not an ideal")
-            if not im.contains(L.bracket(b, ei)):
+            if not (im.contains(L.bracket(ei, b))
+                    and im.contains(L.bracket(b, ei))):
                 raise CheckFailure("EQUIVARIANCE_FAIL", (i,),
                                    "image of partial is not an ideal")
     proj, sect, qdim = quotient(L.dim, im)
@@ -137,28 +129,26 @@ def induced_pair(cm: CrossedModule) -> Presentation:
         g = validate_lie(field, qdim, structure)
     ker = kernel(d)
     mdim = ker.dim
-
-    def induced_action(op):
+    # the whole left family is induced before the right one, so a failure in
+    # it is reported first, whatever its index
+    families = []
+    for _, _, of in sides(V):
         mats = []
         for u in range(qdim):
+            act = of(svecs[u])
             cols = []
             for krow in ker.basis.data:
-                w = op(svecs[u], krow)
-                coords = ker.coordinates(w)
+                coords = ker.coordinates(act.apply(krow))
                 if coords is None:
                     raise CheckFailure("EQUIVARIANCE_FAIL", (u,),
                                        "kernel is not stable under the action")
                 cols.append(list(coords))
             mats.append(Matrix.from_cols(field, cols, mdim))
-        return mats
-
+        families.append(mats)
     if leib:
-        left = induced_action(lambda x, m: V.left_of(x).apply(m))
-        right = induced_action(lambda x, m: V.right_of(x).apply(m))
-        M = validate_leibniz_module(LeibnizRepresentation(g, mdim, left, right))
+        M = validate_leibniz_module(LeibnizRepresentation(g, mdim, *families))
     else:
-        M = validate_module(Representation(
-            g, mdim, induced_action(lambda x, m: V.action_of(x).apply(m))))
+        M = validate_module(Representation(g, mdim, *families))
     incl = LinearMap(Matrix.from_cols(field, [list(r) for r in ker.basis.data],
                                       V.dim))
     return Presentation(cm, g, proj, M, incl)
@@ -167,18 +157,13 @@ def induced_pair(cm: CrossedModule) -> Presentation:
 def validate_presentation(p: Presentation) -> Presentation:
     cm, g = p.cm, p.g
     L, V, d = cm.algebra, cm.rep, cm.partial
-    field = L.field
     if image(p.pi).dim != g.dim:
         raise CheckFailure("EXACTNESS_FAIL", "g", "pi is not surjective")
     if kernel(p.pi) != image(d):
         raise CheckFailure("EXACTNESS_FAIL", "L", "ker(pi) != im(partial)")
-    for i in range(L.dim):
-        for j in range(L.dim):
-            ei = basis_vector(field, L.dim, i)
-            ej = basis_vector(field, L.dim, j)
-            if p.pi.apply(L.bracket(ei, ej)) != \
-                    g.bracket(p.pi.apply(ei), p.pi.apply(ej)):
-                raise CheckFailure("SQUARE_FAIL", (i, j), "pi is not an algebra map")
+    pair = bracket_defect(p.pi, L, g)
+    if pair is not None:
+        raise CheckFailure("SQUARE_FAIL", pair, "pi is not an algebra map")
     if kernel(p.incl).dim != 0:
         raise CheckFailure("EXACTNESS_FAIL", "M", "incl is not injective")
     if image(p.incl) != kernel(d):
@@ -187,14 +172,10 @@ def validate_presentation(p: Presentation) -> Presentation:
     im = p.incl.matrix
     for u in range(g.dim):
         sv = s.matrix.col(u)
-        if cm.flavor == LEIBNIZ:
-            if im @ p.M.left[u] != V.left_of(sv) @ im:
-                raise CheckFailure("EQUIVARIANCE_FAIL", (u,), "left action on kernel")
-            if im @ p.M.right[u] != V.right_of(sv) @ im:
-                raise CheckFailure("EQUIVARIANCE_FAIL", (u,), "right action on kernel")
-        else:
-            if im @ p.M.action[u] != V.action_of(sv) @ im:
-                raise CheckFailure("EQUIVARIANCE_FAIL", (u,), "action on kernel")
+        for (side, mats, _), (_, _, of) in zip(sides(p.M), sides(V)):
+            if im @ mats[u] != of(sv) @ im:
+                raise CheckFailure("EQUIVARIANCE_FAIL", (u,),
+                                   f"{side} action on kernel".lstrip())
     return p
 
 
@@ -209,35 +190,30 @@ def perturbed_sections(pres: Presentation, rng):
     s, q = choose_sections(pres)
     cm = pres.cm
     field = cm.algebra.field
-    im = image(cm.partial)
-    ker = kernel(cm.partial)
-    smat = s.matrix
-    for j in range(smat.cols):
-        off = vec_zero(field, cm.algebra.dim)
-        for row in im.basis.data:
-            off = vec_add(off, vec_scale(field.of(rng.randint(-3, 3)), row))
-        smat = smat + Matrix.from_cols(
-            field, [list(off) if t == j else [field.zero] * cm.algebra.dim
-                    for t in range(smat.cols)], cm.algebra.dim)
-    qmat = q.matrix
-    for j in range(qmat.cols):
-        off = vec_zero(field, cm.rep.dim)
-        for row in ker.basis.data:
-            off = vec_add(off, vec_scale(field.of(rng.randint(-3, 3)), row))
-        qmat = qmat + Matrix.from_cols(
-            field, [list(off) if t == j else [field.zero] * cm.rep.dim
-                    for t in range(qmat.cols)], cm.rep.dim)
-    return LinearMap(smat), LinearMap(qmat)
+
+    def shifted(mat, space):
+        """mat plus a random map into space, one column at a time."""
+        for j in range(mat.cols):
+            off = vec_zero(field, mat.rows)
+            for row in space.basis.data:
+                off = vec_add(off, vec_scale(field.of(rng.randint(-3, 3)), row))
+            mat = mat + Matrix.from_cols(
+                field, [list(off) if t == j else [field.zero] * mat.rows
+                        for t in range(mat.cols)], mat.rows)
+        return LinearMap(mat)
+
+    return (shifted(s.matrix, image(cm.partial)),
+            shifted(q.matrix, kernel(cm.partial)))
 
 
 def _check_sections(pres: Presentation, s: LinearMap, q: LinearMap):
     cm = pres.cm
     if pres.pi.compose(s) != LinearMap.identity(cm.algebra.field, pres.g.dim):
         raise CheckFailure("SECTION_MISMATCH", None, "pi . s != id")
-    for row in image(cm.partial).basis.data:
-        if cm.partial.apply(q.apply(row)) != tuple(row):
-            raise CheckFailure("SECTION_MISMATCH", None,
-                               "partial . q != id on im(partial)")
+    # d q = id on im(d), which the columns of d span: d q d = d
+    if cm.partial.compose(q).compose(cm.partial) != cm.partial:
+        raise CheckFailure("SECTION_MISMATCH", None,
+                           "partial . q != id on im(partial)")
 
 
 def _g2_table(pres, s, q):
@@ -269,76 +245,41 @@ def _kernel_puller(pres):
 
 def theta(pres: Presentation, s: LinearMap | None = None,
           q: LinearMap | None = None) -> Cochain:
-    """The classifying 3-cochain of a Lie crossed module, valued in M.
+    """The classifying 3-cochain of a crossed module, valued in M:
+
+    theta(x,y,z) = [s x, g2(y,z)] + [g2(x,z), s y] - [g2(x,y), s z]
+                   - g2([x,y],z) + g2([x,z],y) + g2(x,[y,z])
+
+    with g2(x, y) = q([s x, s y] - s [x, y]), evaluated on every triple of a
+    Leibniz crossed module.  A Lie module acts on the right by -rho, so
+    [g2(x,z), s y] = -[s y, g2(x,z)] and [g2(x,y), s z] = -[s z, g2(x,y)];
+    and g2 is exactly antisymmetric, because the brackets of L and g are,
+    so g2(x,[y,z]) = -g2([y,z],x).  On the increasing triples of a Lie
+    crossed module the formula is therefore the Chevalley-Eilenberg one,
 
     theta(x,y,z) = [s x, g2(y,z)] - [s y, g2(x,z)] + [s z, g2(x,y)]
-                   - g2([x,y],z) + g2([x,z],y) - g2([y,z],x).
+                   - g2([x,y],z) + g2([x,z],y) - g2([y,z],x),
+
+    value for value, and the cochain is built on the flavor's triples.
     """
-    if pres.cm.flavor != CE:
-        raise ValueError("theta is the Lie-flavor classifier")
     if s is None or q is None:
         s, q = choose_sections(pres)
     _check_sections(pres, s, q)
     cm, g, V = pres.cm, pres.g, pres.cm.rep
     field = g.field
     svecs, g2 = _g2_table(pres, s, q)
-    acts = [V.action_of(sv) for sv in svecs]
+    lefts, rights = _left_right(V, svecs)
     pull = _kernel_puller(pres)
 
-    def g2v(a, b):
-        return g2[(a, b)]
+    # g2(-, e_k) and g2(e_i, -) as lists of values on the basis
+    by_second = [[g2[(a, k)] for a in range(g.dim)] for k in range(g.dim)]
+    by_first = [[g2[(i, a)] for a in range(g.dim)] for i in range(g.dim)]
 
-    def g2_lin(uvec, k):
+    def lin(uvec, vecs):
         out = vec_zero(field, V.dim)
-        for a, coef in enumerate(uvec):
+        for coef, vec in zip(uvec, vecs):
             if coef:
-                out = vec_add(out, vec_scale(coef, g2v(a, k)))
-        return out
-
-    def value(t):
-        i, j, k = t
-        val = acts[i].apply(g2v(j, k))
-        val = tuple(a - b for a, b in zip(val, acts[j].apply(g2v(i, k))))
-        val = vec_add(val, acts[k].apply(g2v(i, j)))
-        val = tuple(a - b for a, b in zip(val, g2_lin(g.c[i][j], k)))
-        val = vec_add(val, g2_lin(g.c[i][k], j))
-        val = tuple(a - b for a, b in zip(val, g2_lin(g.c[j][k], i)))
-        if any(cm.partial.apply(val)):
-            raise CheckFailure("PEIFFER_FAIL", t, "partial(theta) != 0")
-        return pull(val)
-
-    return cochain_from_values(CE, pres.M, 3, value)
-
-
-def leibniz_theta(pres: Presentation, s: LinearMap | None = None,
-                  q: LinearMap | None = None) -> Cochain:
-    """The classifying Leibniz 3-cochain:
-    theta(x,y,z) = [s x, g2(y,z)] + [g2(x,z), s y] - [g2(x,y), s z]
-                   - g2([x,y],z) + g2([x,z],y) + g2(x,[y,z])."""
-    if pres.cm.flavor != LEIBNIZ:
-        raise ValueError("leibniz_theta needs a Leibniz crossed module")
-    if s is None or q is None:
-        s, q = choose_sections(pres)
-    _check_sections(pres, s, q)
-    cm, g, V = pres.cm, pres.g, pres.cm.rep
-    field = g.field
-    svecs, g2 = _g2_table(pres, s, q)
-    lefts = [V.left_of(sv) for sv in svecs]
-    rights = [V.right_of(sv) for sv in svecs]
-    pull = _kernel_puller(pres)
-
-    def g2_first(uvec, k):
-        out = vec_zero(field, V.dim)
-        for a, coef in enumerate(uvec):
-            if coef:
-                out = vec_add(out, vec_scale(coef, g2[(a, k)]))
-        return out
-
-    def g2_second(i, uvec):
-        out = vec_zero(field, V.dim)
-        for a, coef in enumerate(uvec):
-            if coef:
-                out = vec_add(out, vec_scale(coef, g2[(i, a)]))
+                out = vec_add(out, vec_scale(coef, vec))
         return out
 
     def value(t):
@@ -346,24 +287,26 @@ def leibniz_theta(pres: Presentation, s: LinearMap | None = None,
         val = lefts[i].apply(g2[(j, k)])
         val = vec_add(val, rights[j].apply(g2[(i, k)]))
         val = tuple(a - b for a, b in zip(val, rights[k].apply(g2[(i, j)])))
-        val = tuple(a - b for a, b in zip(val, g2_first(g.c[i][j], k)))
-        val = vec_add(val, g2_first(g.c[i][k], j))
-        val = vec_add(val, g2_second(i, g.c[j][k]))
+        val = tuple(a - b for a, b in zip(val, lin(g.c[i][j], by_second[k])))
+        val = vec_add(val, lin(g.c[i][k], by_second[j]))
+        val = vec_add(val, lin(g.c[j][k], by_first[i]))
         if any(cm.partial.apply(val)):
             raise CheckFailure("PEIFFER_FAIL", t, "partial(theta) != 0")
         return pull(val)
 
-    return cochain_from_values(LEIBNIZ, pres.M, 3, value)
+    return cochain_from_values(cm.flavor, pres.M, 3, value)
+
+
+# the Leibniz name of the one theta
+leibniz_theta = theta
 
 
 def classify2(obj, cx: CochainComplex | None = None) -> CohomologyClass:
     """The H^3 class of a crossed module via the canonical sections.  Its
-    representative is the classifying cochain itself: theta, or
-    leibniz_theta for a Leibniz crossed module.  cx, when given, is the
-    complex of the presentation's (g, M)."""
+    representative is the classifying cochain theta itself.  cx, when
+    given, is the complex of the presentation's (g, M)."""
     pres = induced_pair(obj) if isinstance(obj, CrossedModule) else obj
-    th = leibniz_theta(pres) if pres.cm.flavor == LEIBNIZ else theta(pres)
-    return class_of(th, cx)
+    return class_of(theta(pres), cx)
 
 
 @dataclass(frozen=True)
@@ -377,30 +320,19 @@ def check_crossed_morphism(cm: CrossedModule, cm2: CrossedModule,
                            pres: Presentation | None = None,
                            pres2: Presentation | None = None,
                            require_identity: bool = False) -> CrossedMorphism:
-    L, L2 = cm.algebra, cm2.algebra
-    field = L.field
-    if phi.beta.matrix @ cm.partial.matrix != cm2.partial.matrix @ phi.alpha.matrix:
+    L = cm.algebra
+    a = phi.alpha.matrix
+    if phi.beta.matrix @ cm.partial.matrix != cm2.partial.matrix @ a:
         raise CheckFailure("SQUARE_FAIL", None, "partial' . alpha != beta . partial")
-    for i in range(L.dim):
-        for j in range(L.dim):
-            ei = basis_vector(field, L.dim, i)
-            ej = basis_vector(field, L.dim, j)
-            if phi.beta.apply(L.bracket(ei, ej)) != \
-                    L2.bracket(phi.beta.apply(ei), phi.beta.apply(ej)):
-                raise CheckFailure("SQUARE_FAIL", (i, j), "beta is not an algebra map")
+    pair = bracket_defect(phi.beta, L, cm2.algebra)
+    if pair is not None:
+        raise CheckFailure("SQUARE_FAIL", pair, "beta is not an algebra map")
     for i in range(L.dim):
         bi = phi.beta.matrix.col(i)
-        if cm.flavor == LEIBNIZ:
-            if phi.alpha.matrix @ cm.rep.left[i] != \
-                    cm2.rep.left_of(bi) @ phi.alpha.matrix:
-                raise CheckFailure("EQUIVARIANCE_FAIL", (i,), "left action")
-            if phi.alpha.matrix @ cm.rep.right[i] != \
-                    cm2.rep.right_of(bi) @ phi.alpha.matrix:
-                raise CheckFailure("EQUIVARIANCE_FAIL", (i,), "right action")
-        else:
-            if phi.alpha.matrix @ cm.rep.action[i] != \
-                    cm2.rep.action_of(bi) @ phi.alpha.matrix:
-                raise CheckFailure("EQUIVARIANCE_FAIL", (i,))
+        for (side, mats, _), (_, _, of) in zip(sides(cm.rep), sides(cm2.rep)):
+            if a @ mats[i] != of(bi) @ a:
+                raise CheckFailure("EQUIVARIANCE_FAIL", (i,),
+                                   side and f"{side} action")
     if require_identity:
         if pres is None or pres2 is None:
             raise ValueError("identity check needs both presentations")

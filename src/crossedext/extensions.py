@@ -9,11 +9,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CheckFailure
-from .linalg import (LinearMap, Matrix, block_diag, image, kernel,
-                     linear_section, quotient, solve, basis_vector)
-from .algebra import (ModuleMorphism, Representation, direct_sum_reps,
-                      trivial_rep, validate_lie, validate_module,
-                      validate_morphism)
+from .linalg import (LinearMap, Matrix, Subspace, block_diag, image, kernel,
+                     linear_section, quotient, solve)
+from .algebra import (ModuleMorphism, Representation, bracket_defect,
+                      direct_sum_reps, trivial_rep, validate_lie,
+                      validate_module, validate_morphism)
 from .cohomology import ShortExactSequence, validate_ses
 from .crossed import (CrossedModule, CrossedMorphism, Presentation,
                       check_crossed_morphism, validate_crossed,
@@ -33,6 +33,25 @@ class PushoutData:
     g: ModuleMorphism
 
 
+def _quotient_module(alg, f: Matrix, g: Matrix, actions, detail):
+    """(B (+) C)/S for S = {(f x, -g x)}, the antidiagonal graph of two maps
+    f : A -> B and g : A -> C, as a module over alg whose basis vector u
+    acts on B (+) C by actions[u].  Returns (module, proj, sect); a
+    relation that some action moves out of S is a failure with detail."""
+    field = alg.field
+    graph = f.vstack(-g)
+    S = Subspace.from_rows(field, graph.rows,
+                           [graph.col(a) for a in range(graph.cols)])
+    proj, sect, qdim = quotient(graph.rows, S)
+    induced = []
+    for u, big in enumerate(actions):
+        for srow in S.basis.data:
+            if not S.contains(big.apply(srow)):
+                raise CheckFailure("EQUIVARIANCE_FAIL", (u,), detail)
+        induced.append(proj.matrix @ big @ sect.matrix)
+    return validate_module(Representation(alg, qdim, induced)), proj, sect
+
+
 def pushout(f: ModuleMorphism, g: ModuleMorphism) -> PushoutData:
     """Pushout of two module morphisms out of the same source."""
     if f.source != g.source:
@@ -42,23 +61,10 @@ def pushout(f: ModuleMorphism, g: ModuleMorphism) -> PushoutData:
     B, C = f.target, g.target
     alg = B.algebra
     field = alg.field
-    total = B.dim + C.dim
-    rows = []
-    for a in range(f.source.dim):
-        ea = basis_vector(field, f.source.dim, a)
-        rows.append(tuple(f.apply(ea)) + tuple(-x for x in g.apply(ea)))
-    from .linalg import Subspace
-    S = Subspace.from_rows(field, total, rows)
-    proj, sect, qdim = quotient(total, S)
-    action = []
-    for u in range(alg.dim):
-        big = block_diag(B.action[u], C.action[u])
-        for srow in S.basis.data:
-            if not S.contains(big.apply(srow)):
-                raise CheckFailure("EQUIVARIANCE_FAIL", (u,),
-                                   "graph subspace is not a submodule")
-        action.append(proj.matrix @ big @ sect.matrix)
-    D = validate_module(Representation(alg, qdim, action))
+    D, proj, sect = _quotient_module(
+        alg, f.matrix, g.matrix,
+        (block_diag(B.action[u], C.action[u]) for u in range(alg.dim)),
+        "graph subspace is not a submodule")
     emb_b = Matrix.identity(field, B.dim).vstack(Matrix.zero(field, C.dim, B.dim))
     emb_c = Matrix.zero(field, B.dim, C.dim).vstack(Matrix.identity(field, C.dim))
     i = ModuleMorphism(B, D, proj.matrix @ emb_b)
@@ -102,25 +108,17 @@ class CrossedExtension:
 
 def validate_extension(E: CrossedExtension) -> CrossedExtension:
     g = E.g
-    field = g.field
     try:
         validate_crossed(E.base)
     except CheckFailure as exc:
         raise CheckFailure("BASE_NOT_CROSSED", exc.witness, str(exc)) from exc
     # pi is a surjective algebra map with kernel im(d_1)
-    L = E.base.algebra
     if image(E.pi).dim != g.dim:
         raise CheckFailure("EXACTNESS_FAIL", "g", "pi is not surjective")
     if kernel(E.pi) != image(E.base.partial):
         raise CheckFailure("EXACTNESS_FAIL", "L", "ker(pi) != im(d_1)")
-    for i in range(L.dim):
-        for j in range(L.dim):
-            ei = basis_vector(field, L.dim, i)
-            ej = basis_vector(field, L.dim, j)
-            if E.pi.apply(L.bracket(ei, ej)) != \
-                    g.bracket(E.pi.apply(ei), E.pi.apply(ej)):
-                raise CheckFailure("EXACTNESS_FAIL", "L",
-                                   "pi is not an algebra map")
+    if bracket_defect(E.pi, E.base.algebra, g) is not None:
+        raise CheckFailure("EXACTNESS_FAIL", "L", "pi is not an algebra map")
     validate_module(E.M)
     for mid in E.mids:
         validate_module(mid)
@@ -276,9 +274,22 @@ def _fiber_algebra(baseA: CrossedModule, piA: LinearMap,
     return LF, F, basis, split, q
 
 
+def _fiber_boundary(F, dA: Matrix, dB: Matrix, details):
+    """d (+) d' : V (+) V' -> L (+) L' in the coordinates of the fiber
+    product F; a column of d or of d' outside F is a failure with detail
+    details[0] or details[1]."""
+    d_sum = block_diag(dA, dB)
+    cols = []
+    for v in range(d_sum.cols):
+        coords = F.coordinates(d_sum.col(v))
+        if coords is None:
+            raise CheckFailure("EXACTNESS_FAIL", "L", details[v >= dA.cols])
+        cols.append(list(coords))
+    return Matrix.from_cols(F.field, cols, F.dim)
+
+
 def _fiber_base(baseA, piA, baseB, piB, g):
     """The crossed module (V (+) V', L x_g L', (d, d')) with its projection."""
-    field = g.field
     LF, F, basis, split, q = _fiber_algebra(baseA, piA, baseB, piB, g)
     VA, VB = baseA.rep, baseB.rep
     action = []
@@ -286,23 +297,9 @@ def _fiber_base(baseA, piA, baseB, piB, g):
         xa, ya = split(basis[a])
         action.append(block_diag(VA.action_of(xa), VB.action_of(ya)))
     VV = Representation(LF, VA.dim + VB.dim, action)
-    d_cols = []
-    for v in range(VA.dim):
-        w = tuple(baseA.partial.matrix.col(v)) + \
-            tuple(field.zero for _ in range(baseB.algebra.dim))
-        coords = F.coordinates(w)
-        if coords is None:
-            raise CheckFailure("EXACTNESS_FAIL", "L", "d_1 misses the fiber")
-        d_cols.append(list(coords))
-    for v in range(VB.dim):
-        w = tuple(field.zero for _ in range(baseA.algebra.dim)) + \
-            tuple(baseB.partial.matrix.col(v))
-        coords = F.coordinates(w)
-        if coords is None:
-            raise CheckFailure("EXACTNESS_FAIL", "L", "d_1' misses the fiber")
-        d_cols.append(list(coords))
-    d = LinearMap(Matrix.from_cols(field, d_cols, LF.dim))
-    return CrossedModule(LF, VV, d), q
+    d = _fiber_boundary(F, baseA.partial.matrix, baseB.partial.matrix,
+                        ("d_1 misses the fiber", "d_1' misses the fiber"))
+    return CrossedModule(LF, VV, LinearMap(d)), q
 
 
 def sum_over_g(E: CrossedExtension, E2: CrossedExtension) -> CrossedExtension:
@@ -345,35 +342,13 @@ def baer_sum_n2(presA: Presentation, presB: Presentation) -> Presentation:
     cmA, cmB = presA.cm, presB.cm
     VA, VB = cmA.rep, cmB.rep
     LF, F, basis, split, q = _fiber_algebra(cmA, presA.pi, cmB, presB.pi, g)
-    total = VA.dim + VB.dim
-    from .linalg import Subspace
-    rows = []
-    for a in range(M.dim):
-        ea = basis_vector(field, M.dim, a)
-        rows.append(tuple(presA.incl.apply(ea)) +
-                    tuple(-x for x in presB.incl.apply(ea)))
-    S = Subspace.from_rows(field, total, rows)
-    proj, sect, qdim = quotient(total, S)
-    action = []
-    for a in range(LF.dim):
-        xa, ya = split(basis[a])
-        big = block_diag(VA.action_of(xa), VB.action_of(ya))
-        for srow in S.basis.data:
-            if not S.contains(big.apply(srow)):
-                raise CheckFailure("EQUIVARIANCE_FAIL", (a,),
-                                   "pushout relation is not stable")
-        action.append(proj.matrix @ big @ sect.matrix)
-    W = validate_module(Representation(LF, qdim, action))
-    d_cols = []
-    for v in range(total):
-        vec = basis_vector(field, total, v)
-        w = tuple(cmA.partial.apply(vec[:VA.dim])) + \
-            tuple(cmB.partial.apply(vec[VA.dim:]))
-        coords = F.coordinates(w)
-        if coords is None:
-            raise CheckFailure("EXACTNESS_FAIL", "L", "boundary misses the fiber")
-        d_cols.append(list(coords))
-    d_big = Matrix.from_cols(field, d_cols, LF.dim)
+    W, proj, sect = _quotient_module(
+        LF, presA.incl.matrix, presB.incl.matrix,
+        (block_diag(VA.action_of(x), VB.action_of(y))
+         for x, y in map(split, basis)),
+        "pushout relation is not stable")
+    d_big = _fiber_boundary(F, cmA.partial.matrix, cmB.partial.matrix,
+                            ("boundary misses the fiber",) * 2)
     d = LinearMap(d_big @ sect.matrix)
     cm = CrossedModule(LF, W, d)
     validate_crossed(cm)

@@ -3,9 +3,13 @@
 sparse `rref`; the augmented-matrix solve, the reduce loop and the
 reduce-built quotient for `Echelon`, `Subspace.reduce` and `quotient`; and
 Fraction/FpElement multiply-accumulate loops for the integer kernels under
-`@`, `apply`, `lincomb` and the validators."""
+`@`, `apply`, `lincomb` and the validators; and the Chevalley-Eilenberg
+theta formula that the one theta of both flavors must reproduce on Lie
+crossed modules."""
 from crossedext.errors import CheckFailure
-from crossedext.linalg import Matrix
+from crossedext.linalg import Matrix, vec_add, vec_scale, vec_zero
+from crossedext.cohomology import CE, cochain_from_values
+from crossedext.crossed import _check_sections, _g2_table, _kernel_puller
 
 
 def dense_rref(m: Matrix):
@@ -215,3 +219,37 @@ def dense_peiffer(cm, leibniz):
                     dense_lincomb(field, dw, V.action, n, n), e(v)))
             if lhs != rhs:
                 raise CheckFailure("PEIFFER_FAIL", (v, w))
+
+
+def lie_theta(pres, s, q):
+    """The classifying 3-cochain of a Lie crossed module by the CE formula
+    theta(x,y,z) = [s x, g2(y,z)] - [s y, g2(x,z)] + [s z, g2(x,y)]
+                   - g2([x,y],z) + g2([x,z],y) - g2([y,z],x)
+    on increasing triples."""
+    _check_sections(pres, s, q)
+    cm, g, V = pres.cm, pres.g, pres.cm.rep
+    field = g.field
+    svecs, g2 = _g2_table(pres, s, q)
+    acts = [V.action_of(sv) for sv in svecs]
+    pull = _kernel_puller(pres)
+
+    def g2_lin(uvec, k):
+        out = vec_zero(field, V.dim)
+        for a, coef in enumerate(uvec):
+            if coef:
+                out = vec_add(out, vec_scale(coef, g2[(a, k)]))
+        return out
+
+    def value(t):
+        i, j, k = t
+        val = acts[i].apply(g2[(j, k)])
+        val = tuple(a - b for a, b in zip(val, acts[j].apply(g2[(i, k)])))
+        val = vec_add(val, acts[k].apply(g2[(i, j)]))
+        val = tuple(a - b for a, b in zip(val, g2_lin(g.c[i][j], k)))
+        val = vec_add(val, g2_lin(g.c[i][k], j))
+        val = tuple(a - b for a, b in zip(val, g2_lin(g.c[j][k], i)))
+        if any(cm.partial.apply(val)):
+            raise CheckFailure("PEIFFER_FAIL", t, "partial(theta) != 0")
+        return pull(val)
+
+    return cochain_from_values(CE, pres.M, 3, value)

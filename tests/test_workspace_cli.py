@@ -287,3 +287,15 @@ def test_non_string_object_name_is_a_fail_record(tmp_path, capsys):
     assert main(["cohomology", "--input", path, "--format", "json"]) == 1
     rec = json.loads(capsys.readouterr().out)["results"][0]
     assert (rec["status"], rec["error"]) == ("FAIL", "PARSE_ERROR")
+
+
+@pytest.mark.parametrize("op", ["report", "nope", ["theta"], {"op": 1}, 3,
+                                None])
+def test_unknown_command_record(op):
+    from crossedext.cli import COMMANDS, run_command
+    assert COMMANDS == ("check", "cohomology", "theta", "classify",
+                        "baer-sum", "pushout", "connecting", "yoneda",
+                        "report")
+    ws = parse_workspace((FIXTURES / "sl2.json").read_text())
+    assert run_command(ws, {"op": op}) == \
+        [{"op": op, "status": "FAIL", "error": "UNKNOWN_COMMAND"}]
