@@ -7,8 +7,8 @@ one representation.
 from __future__ import annotations
 
 from .errors import CheckFailure
-from .linalg import (Matrix, LinearMap, _int_rows, _modulus, block_diag,
-                     lincomb)
+from .linalg import (Matrix, LinearMap, _int_rows, _int_vec, _modulus,
+                     _to_field, block_diag, lincomb)
 
 
 def _coerce_structure(field, dim, structure):
@@ -25,29 +25,53 @@ def _coerce_structure(field, dim, structure):
 
 
 class _AlgebraBase:
-    __slots__ = ("field", "dim", "c")
+    __slots__ = ("field", "dim", "c", "_ints")
 
     def __init__(self, field, dim, structure):
         self.field = field
         self.dim = dim
         self.c = _coerce_structure(field, dim, structure)
+        self._ints = None
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim}, field={self.field!r})"
 
+    def int_structure(self):
+        """The integer view of the structure constants, built once: (rows,
+        d) with rows[i * dim + j] = {k: int} the nonzero coordinates of
+        [e_i, e_j] on the common denominator d (see `linalg._int_rows`)."""
+        if self._ints is None:
+            self._ints = _int_rows(Matrix._raw(
+                self.field, tuple(v for row in self.c for v in row),
+                self.dim))
+        return self._ints
+
     def bracket(self, u, v):
-        field = self.field
-        out = [field.zero] * self.dim
-        for i, a in enumerate(u):
+        """[u, v] of coordinate vectors, summed on the integer views of u,
+        v and the structure constants."""
+        field, dim = self.field, self.dim
+        c, d = self.int_structure()
+        us, du = _int_vec(field, u)
+        vs, dv = _int_vec(field, v)
+        acc = {}
+        for i, a in enumerate(us):
             if not a:
                 continue
-            for j, b in enumerate(v):
+            base = i * dim
+            for j, b in enumerate(vs):
                 if not b:
                     continue
-                coef = a * b
-                for k, s in enumerate(self.c[i][j]):
-                    if s:
-                        out[k] = out[k] + coef * s
+                ab = a * b
+                for k, s in c[base + j].items():
+                    acc[k] = acc.get(k, 0) + ab * s
+        p = _modulus(field)
+        make = _to_field(field, d * du * dv)
+        out = [field.zero] * dim
+        for k, x in acc.items():
+            if p is not None:
+                x %= p
+            if x:
+                out[k] = make(x)
         return tuple(out)
 
     def __eq__(self, other):
@@ -69,18 +93,17 @@ class LeibnizAlgebra(_AlgebraBase):
 def validate_lie(field, dim, structure) -> LieAlgebra:
     """Check antisymmetry and the Jacobi identity on all basis triples."""
     g = LieAlgebra(field, dim, structure)
+    # Both checks run on the structure constants scaled to integers over one
+    # common denominator d (residues over F_p).  Every Jacobi term is a
+    # product of two constants, so the sum is d^2 times the true one and
+    # vanishes with it.
+    p = _modulus(field)
+    c, _ = g.int_structure()
     for i in range(dim):
         for j in range(dim):
-            lhs = g.c[i][j]
-            rhs = tuple(-x for x in g.c[j][i])
-            if lhs != rhs:
+            if c[i * dim + j] != {k: p - v if p else -v
+                                  for k, v in c[j * dim + i].items()}:
                 raise CheckFailure("ANTISYM_FAIL", (i, j))
-    # The Jacobi sum runs on the structure constants scaled to integers over
-    # one common denominator d (residues over F_p): every term is a product of
-    # two constants, so the sum is d^2 times the true one and vanishes with it.
-    p = _modulus(field)
-    c, _ = _int_rows(Matrix._raw(field, tuple(v for row in g.c for v in row),
-                                 dim))
     for i in range(dim):
         for j in range(dim):
             for k in range(dim):

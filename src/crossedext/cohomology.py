@@ -3,15 +3,25 @@
 Cochain bases are ordered lexicographically: increasing index tuples for the
 alternating (CE) complex, all index tuples for the Leibniz complex, with the
 module basis running fastest.  This fixes every coboundary matrix bit for bit.
+
+Both flavors' coboundaries come from one emitter, `_emit_coboundary`, which
+writes delta_n directly as integer rows (`{column: int}` on one common
+denominator over Q, residues over F_p) from the integer views of the action
+matrices and the structure constants; the flavors differ only in their
+cochain tuples and their action and bracket terms.  The matrix's dense rows
+are built only if something reads `.data`: rank, elimination, transpose and
+apply work on the integer rows.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import CheckFailure
-from .linalg import (Echelon, LinearMap, Matrix, Subspace, image, kernel, rank,
-                     vec_add, vec_scale, vec_sub, vec_zero)
+from .linalg import (Echelon, LinearMap, Matrix, Subspace, _from_ints,
+                     _int_rows, image, kernel, rank, vec_add, vec_scale,
+                     vec_sub, vec_zero)
 from .algebra import (LeibnizRepresentation, ModuleMorphism, Representation,
                       validate_lie, validate_morphism)
 
@@ -121,6 +131,88 @@ def cochain_from_values(flavor, module, degree, value_of) -> Cochain:
     return Cochain(flavor, degree, module, tuple(vec))
 
 
+def _ce_actions(S):
+    """The action terms of CE delta on the output tuple S: rho(x_pos)
+    applied to the value on S without x_pos, with sign (-1)^pos."""
+    for pos in range(len(S)):
+        yield S[:pos] + S[pos + 1:], 0, S[pos], 1 if pos % 2 == 0 else -1
+
+
+def _ce_insert(S, pa, pb, k):
+    """[x_pa, x_pb]'s coordinate e_k put in the first slot and the tuple
+    resorted: (input tuple, sign (-1)^{pa+pb} times the sorting sign), or
+    None when k repeats an index."""
+    merged, sign = sort_with_sign((k,) + S[:pa] + S[pa + 1:pb] + S[pb + 1:])
+    if merged is None:
+        return None
+    return merged, sign if (pa + pb) % 2 == 0 else -sign
+
+
+def _leibniz_actions(S):
+    """The action terms of Leibniz delta on S: the left action of x_0, and
+    the right action of x_pos with sign (-1)^{pos+1}."""
+    yield S[1:], 0, S[0], 1
+    for pos in range(1, len(S)):
+        yield S[:pos] + S[pos + 1:], 1, S[pos], -1 if pos % 2 == 0 else 1
+
+
+def _leibniz_insert(S, pa, pb, k):
+    """[x_pa, x_pb]'s coordinate e_k put in slot pa, in place, with sign
+    (-1)^pb."""
+    return (S[:pa] + (k,) + S[pa + 1:pb] + S[pb + 1:],
+            1 if pb % 2 == 0 else -1)
+
+
+def _emit_coboundary(algebra, families, m, n, tuples, actions, insert
+                     ) -> LinearMap:
+    """delta_n : C^n -> C^{n+1}, emitted as integer rows.
+
+    Row (S, a) of the matrix is output tuple S and module coordinate a; its
+    column (t, b) is input tuple t and module coordinate b.  actions(S)
+    yields (t, f, i, sign): the block sign * families[f][i] from t.
+    insert(S, pa, pb, k) gives (t, sign) for the coordinate e_k of the
+    bracket of slots pa < pb, or None, which contributes sign * that
+    coordinate times the identity block from t.  Every term is an integer on
+    one common denominator D, the lcm of the denominators of the action
+    matrices' and the structure constants' integer views (over F_p these
+    are residues and D is 1), and `_from_ints` makes the rows the matrix's
+    canonical integer view.
+    """
+    dim = algebra.dim
+    ins = tuples(dim, n)
+    tindex = {t: i for i, t in enumerate(ins)}
+    c, dc = algebra.int_structure()
+    views = [[_int_rows(a) for a in fam] for fam in families]
+    D = math.lcm(dc, *(d for fam in views for _, d in fam))
+    blocks = [[rows if d == D else
+               [{b: v * (D // d) for b, v in r.items()} for r in rows]
+               for rows, d in fam] for fam in views]
+    cf = D // dc
+    out = []
+    for S in tuples(dim, n + 1):
+        block = [{} for _ in range(m)]
+        for t, f, i, sign in actions(S):
+            off = tindex[t] * m
+            for row, arow in zip(block, blocks[f][i]):
+                for b, v in arow.items():
+                    j = off + b
+                    row[j] = row.get(j, 0) + sign * v
+        for pa in range(n + 1):
+            for pb in range(pa + 1, n + 1):
+                for k, coef in c[S[pa] * dim + S[pb]].items():
+                    hit = insert(S, pa, pb, k)
+                    if hit is None:
+                        continue
+                    t, sign = hit
+                    off = tindex[t] * m
+                    x = sign * coef * cf
+                    for a, row in enumerate(block):
+                        j = off + a
+                        row[j] = row.get(j, 0) + x
+        out.extend(block)
+    return LinearMap(_from_ints(algebra.field, out, D, len(ins) * m))
+
+
 def ce_coboundary_matrix(g, M: Representation, n: int) -> LinearMap:
     """Matrix of the CE coboundary C^n -> C^{n+1} on the increasing-tuple basis.
 
@@ -128,41 +220,8 @@ def ce_coboundary_matrix(g, M: Representation, n: int) -> LinearMap:
     the first slot, resorted into increasing order.  Degree 0 is the map
     m -> (x -> [x, m]).
     """
-    field = g.field
-    m = M.dim
-    ins = ce_tuples(g.dim, n)
-    outs = ce_tuples(g.dim, n + 1)
-    tindex = {t: i for i, t in enumerate(ins)}
-    grid = [[field.zero] * (len(ins) * m) for _ in range(len(outs) * m)]
-    for sidx, S in enumerate(outs):
-        for pos in range(n + 1):
-            rest = S[:pos] + S[pos + 1:]
-            cidx = tindex[rest]
-            sign = 1 if pos % 2 == 0 else -1  # (-1)^{i+1}, i = pos+1
-            act = M.action[S[pos]]
-            for a in range(m):
-                row = grid[sidx * m + a]
-                arow = act.data[a]
-                for b in range(m):
-                    if arow[b]:
-                        row[cidx * m + b] = row[cidx * m + b] + sign * arow[b]
-        for pa in range(n + 1):
-            for pb in range(pa + 1, n + 1):
-                u = g.c[S[pa]][S[pb]]
-                rest = tuple(S[t] for t in range(n + 1) if t not in (pa, pb))
-                pair_sign = 1 if (pa + pb) % 2 == 0 else -1  # (-1)^{i+j}
-                for k, coef in enumerate(u):
-                    if not coef:
-                        continue
-                    merged, ssign = sort_with_sign((k,) + rest)
-                    if merged is None:
-                        continue
-                    cidx = tindex[merged]
-                    total = pair_sign * ssign
-                    for a in range(m):
-                        row = grid[sidx * m + a]
-                        row[cidx * m + a] = row[cidx * m + a] + total * coef
-    return LinearMap(Matrix._raw(field, tuple(map(tuple, grid)), len(ins) * m))
+    return _emit_coboundary(g, (M.action,), M.dim, n, ce_tuples, _ce_actions,
+                            _ce_insert)
 
 
 def leibniz_coboundary_matrix(h, M: LeibnizRepresentation, n: int) -> LinearMap:
@@ -171,42 +230,8 @@ def leibniz_coboundary_matrix(h, M: LeibnizRepresentation, n: int) -> LinearMap:
     Terms: left action on the first argument, signed right actions, and
     bracket substitution into the earlier slot.
     """
-    field = h.field
-    m = M.dim
-    ins = leib_tuples(h.dim, n)
-    outs = leib_tuples(h.dim, n + 1)
-    tindex = {t: i for i, t in enumerate(ins)}
-    grid = [[field.zero] * (len(ins) * m) for _ in range(len(outs) * m)]
-
-    def add_block(sidx, cidx, mat, sign):
-        for a in range(m):
-            row = grid[sidx * m + a]
-            arow = mat.data[a]
-            for b in range(m):
-                if arow[b]:
-                    row[cidx * m + b] = row[cidx * m + b] + sign * arow[b]
-
-    def add_scalar(sidx, cidx, coef, sign):
-        for a in range(m):
-            row = grid[sidx * m + a]
-            row[cidx * m + a] = row[cidx * m + a] + sign * coef
-
-    for sidx, S in enumerate(outs):
-        add_block(sidx, tindex[S[1:]], M.left[S[0]], 1)
-        for pos in range(1, n + 1):
-            rest = S[:pos] + S[pos + 1:]
-            sign = 1 if (pos + 1) % 2 == 0 else -1  # (-1)^i, i = pos+1
-            add_block(sidx, tindex[rest], M.right[S[pos]], sign)
-        for pa in range(n + 1):
-            for pb in range(pa + 1, n + 1):
-                u = h.c[S[pa]][S[pb]]
-                sign = 1 if pb % 2 == 0 else -1  # (-1)^{j+1}, j = pb+1
-                for k, coef in enumerate(u):
-                    if not coef:
-                        continue
-                    merged = S[:pa] + (k,) + S[pa + 1:pb] + S[pb + 1:]
-                    add_scalar(sidx, tindex[merged], coef, sign)
-    return LinearMap(Matrix._raw(field, tuple(map(tuple, grid)), len(ins) * m))
+    return _emit_coboundary(h, (M.left, M.right), M.dim, n, leib_tuples,
+                            _leibniz_actions, _leibniz_insert)
 
 
 def coboundary_matrix(flavor, algebra, M, n) -> LinearMap:

@@ -91,16 +91,8 @@ def validate_crossed(cm: CrossedModule) -> CrossedModule:
         for w in range(V.dim):
             if lefts[v].col(w) != rights[w].col(v):
                 raise CheckFailure("PEIFFER_FAIL", (v, w))
-    # derived: im(d) acts trivially on ker(d)
-    ker = kernel(d)
-    for lrow in image(d).basis.data:
-        for krow in ker.basis.data:
-            for side, _, of in sides(V):
-                if any(of(lrow).apply(krow)):
-                    raise CheckFailure(
-                        "PEIFFER_FAIL", None,
-                        f"image acts on kernel from the {side}" if side
-                        else "image acts on kernel")
+    # the loop is bilinear, so for k in ker(d) it gives [dv, k] = [v, dk] = 0
+    # and [k, dw] = [dk, w] = 0: im(d) acts trivially on ker(d)
     return cm
 
 

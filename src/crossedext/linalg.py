@@ -18,11 +18,19 @@ def _modulus(field):
 
 
 class Matrix:
-    """Immutable dense matrix over an exact field.
+    """Immutable matrix over an exact field.
 
-    The public constructor coerces every entry with `field.of`; results of
-    matrix operations are built by `_raw` from entries that already are
-    field elements.  `_ints` caches the integer view of `_int_rows`.
+    A matrix has two forms.  `.data` is the dense form: a tuple of row
+    tuples of field elements.  The integer view of `_int_rows`, cached in
+    `_ints`, is the sparse form: each row as {column: int} on one common
+    denominator, canonical, so two views are equal iff the entries are.
+    The public constructor coerces every entry with `field.of`, and `_raw`
+    takes entries that already are field elements; both build the dense
+    form.  `_from_int_rows` builds a matrix from its integer view alone --
+    the results of `@`, `+`, `-`, `lincomb` and the coboundary emitter --
+    and its `.data` is built on the first read (see `_IntRowMatrix`).
+    `==`, `is_zero`, negation, `transpose`, `apply`, `@` and elimination
+    read the view when `.data` is not built.
     """
 
     __slots__ = ("field", "rows", "cols", "data", "_ints")
@@ -54,6 +62,19 @@ class Matrix:
         m.cols = cols
         return m
 
+    @staticmethod
+    def _from_int_rows(field, rows, d, cols):
+        """Trusted constructor from an integer view (see `_int_rows`): rows
+        is a sequence of {column: nonzero int} dicts, canonical -- residues
+        in [1, p) and d = 1 over F_p; over Q, d > 0 with no common factor
+        of d and all entries.  `.data` is left unset until it is read."""
+        m = object.__new__(_IntRowMatrix)
+        m.field = field
+        m._ints = (tuple(rows), d)
+        m.rows = len(m._ints[0])
+        m.cols = cols
+        return m
+
     @classmethod
     def zero(cls, field, rows, cols):
         return cls._raw(field, ((field.zero,) * cols,) * rows, cols)
@@ -73,6 +94,13 @@ class Matrix:
         return tuple(row[j] for row in self.data)
 
     def transpose(self):
+        if _built_rows(self) is None:
+            rows, d = self._ints
+            out = [{} for _ in range(self.cols)]
+            for i, r in enumerate(rows):
+                for j, v in r.items():
+                    out[j][i] = v
+            return Matrix._from_int_rows(self.field, out, d, self.rows)
         data = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
         return Matrix._raw(self.field, data, self.rows)
 
@@ -98,9 +126,16 @@ class Matrix:
             out.append(acc)
         return _from_ints(self.field, out, d, self.cols)
 
-    # negation and scale skip the scalar arithmetic on zero entries, which
-    # most entries of action and coboundary matrices are.
+    # negation of a matrix without dense rows negates its integer view; on
+    # dense rows, negation and scale skip the scalar arithmetic on zero
+    # entries, which most entries of action and coboundary matrices are.
     def __neg__(self):
+        if _built_rows(self) is None:
+            rows, d = self._ints
+            p = _modulus(self.field)
+            return Matrix._from_int_rows(
+                self.field, [{j: p - v if p else -v for j, v in r.items()}
+                             for r in rows], d, self.cols)
         return Matrix._raw(self.field, tuple(tuple(-a if a else a for a in row)
                                              for row in self.data), self.cols)
 
@@ -130,13 +165,8 @@ class Matrix:
         rows, d = _int_rows(self)
         field = self.field
         p = _modulus(field)
-        if p is None:
-            dv = math.lcm(*(x.denominator for x in vec if x))
-            v = [x.numerator * (dv // x.denominator) if x else 0 for x in vec]
-            d *= dv
-        else:
-            v = [x.val for x in vec]
-        make = _to_field(field, d)
+        v, dv = _int_vec(field, vec)
+        make = _to_field(field, d * dv)
         out = []
         for row in rows:
             s = 0
@@ -160,17 +190,62 @@ class Matrix:
         return Matrix._raw(self.field, self.data + other.data, self.cols)
 
     def is_zero(self):
+        if self._ints is not None:
+            return not any(self._ints[0])
         return all(not a for row in self.data for a in row)
 
     def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.field == other.field
-                and self.data == other.data)
+        if not isinstance(other, Matrix) or self.field != other.field:
+            return False
+        if self._ints is None or other._ints is None:
+            return self.data == other.data
+        # integer views are canonical, so they are equal iff the entries are
+        return self._ints == other._ints and (self.cols == other.cols
+                                              or not self.rows)
 
     def __hash__(self):
         return hash((self.field, self.data))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.data!r})"
+
+
+class _IntRowMatrix(Matrix):
+    """A matrix built by `Matrix._from_int_rows`.  The hook that builds
+    `.data` on first read lives on this subclass only: a class with
+    `__getattr__` loses the interpreter's fast path for every attribute
+    read of its instances (about 40 ns against 6 ns per read on CPython
+    3.11), so dense matrices keep plain slot reads."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        # reached only for unset slots, that is for `data` before its
+        # first read
+        if name != "data":
+            raise AttributeError(name)
+        rows, d = self._ints
+        zero, make, cols = self.field.zero, _to_field(self.field, d), self.cols
+        out = []
+        for r in rows:
+            line = [zero] * cols
+            for j, v in r.items():
+                line[j] = make(v)
+            out.append(tuple(line))
+        self.data = tuple(out)
+        return self.data
+
+
+_DATA = Matrix.data
+
+
+def _built_rows(m: Matrix):
+    """m's dense rows if they are built, else None (reading the slot
+    directly never builds them)."""
+    try:
+        return _DATA.__get__(m)
+    except AttributeError:
+        return None
 
 
 def _int_rows(m: Matrix):
@@ -193,6 +268,18 @@ def _int_rows(m: Matrix):
     return ints
 
 
+def _int_vec(field, vec):
+    """vec on one denominator: (ints, d) with vec[i] = ints[i] / d over Q,
+    d the lcm of the entries' denominators; the residues and d = 1 over
+    F_p."""
+    if _modulus(field) is None:
+        d = math.lcm(*[x.denominator for x in vec])
+        if d == 1:
+            return [x.numerator for x in vec], 1
+        return [x.numerator * (d // x.denominator) for x in vec], d
+    return [x.val for x in vec], 1
+
+
 def _to_field(field, d):
     """The map from a nonzero integer v (reduced mod p over F_p) to the
     field element v / d over Q, v mod p over F_p."""
@@ -206,28 +293,31 @@ def _to_field(field, d):
 
 def _from_ints(field, rows, d, cols):
     """The matrix whose entry (i, j) is rows[i][j] / d over Q and rows[i][j]
-    mod p over F_p (field.zero where rows[i] has no j): one field element
-    per nonzero entry.  When d is 1 the reduced rows are the matrix's integer
-    view, so they are cached with it."""
-    zero = field.zero
+    mod p over F_p (zero where rows[i] has no j), built from its integer
+    view: zeros dropped, residues reduced mod p, and over Q the entries and
+    d divided by their common gcd.  Its dense rows are built on first
+    read."""
     p = _modulus(field)
-    make = _to_field(field, d)
-    out, view = [], []
-    for r in rows:
-        line = [zero] * cols
-        kept = {}
-        for j, v in r.items():
-            if p is not None:
+    view = []
+    if p is not None:
+        for r in rows:
+            kept = {}
+            for j, v in r.items():
                 v %= p
-            if v:
-                line[j] = make(v)
-                kept[j] = v
-        out.append(tuple(line))
-        view.append(kept)
-    m = Matrix._raw(field, tuple(out), cols)
-    if d == 1:
-        m._ints = (tuple(view), 1)
-    return m
+                if v:
+                    kept[j] = v
+            view.append(kept)
+        return Matrix._from_int_rows(field, view, 1, cols)
+    view = [{j: v for j, v in r.items() if v} for r in rows]
+    g = d
+    for r in view:
+        if g == 1:
+            break
+        g = math.gcd(g, *r.values())
+    if g > 1:
+        d //= g
+        view = [{j: v // g for j, v in r.items()} for r in view]
+    return Matrix._from_int_rows(field, view, d, cols)
 
 
 def lincomb(field, coefs, mats, rows, cols) -> Matrix:
@@ -319,8 +409,15 @@ def _echelon(rows, p):
 
 
 def _engine_rows(m: Matrix):
-    """m's rows as {column: nonzero entry} in the engine's scalars:
-    Fractions over Q, ints mod p over F_p."""
+    """m's rows as fresh {column: nonzero entry} dicts in the engine's
+    scalars: Fractions over Q, ints mod p over F_p.  A matrix whose dense
+    rows are not built is read from its integer view."""
+    if _built_rows(m) is None:
+        rows, d = m._ints
+        if _modulus(m.field) is not None:
+            return [dict(r) for r in rows]
+        make = _to_field(m.field, d)
+        return [{j: make(v) for j, v in r.items()} for r in rows]
     zero = m.field.zero
     # `x is not zero` skips the shared zero object before a slower truth test
     if _modulus(m.field) is None:

@@ -5,6 +5,7 @@ these generators so failures reproduce.
 """
 from __future__ import annotations
 
+import itertools
 import random
 
 from .algebra import (ModuleMorphism, Representation, adjoint,
@@ -52,6 +53,21 @@ def sl2(field):
         [zz, (z, z, o), (-t, z, z)],
         [(z, z, -o), zz, (z, t, z)],
         [(t, z, z), (z, -t, z), zz]])
+
+
+def gl(field, n):
+    """gl_n on the matrix units: E_ij at index i*n + j, with
+    [E_ij, E_kl] = d_jk E_il - d_li E_kj."""
+    d = n * n
+    z, o = field.zero, field.one
+    c = [[[z] * d for _ in range(d)] for _ in range(d)]
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        a, b = i * n + j, k * n + l
+        if j == k:
+            c[a][b][i * n + l] += o
+        if l == i:
+            c[a][b][k * n + j] -= o
+    return validate_lie(field, d, c)
 
 
 def nonlie_leibniz(field):

@@ -3,12 +3,14 @@
 sparse `rref`; the augmented-matrix solve, the reduce loop and the
 reduce-built quotient for `Echelon`, `Subspace.reduce` and `quotient`; and
 Fraction/FpElement multiply-accumulate loops for the integer kernels under
-`@`, `apply`, `lincomb` and the validators; and the Chevalley-Eilenberg
+`@`, `apply`, `lincomb`, `bracket` and the validators; the Chevalley-Eilenberg
 theta formula that the one theta of both flavors must reproduce on Lie
-crossed modules."""
+crossed modules; and the dense-grid CE and Leibniz coboundary builders that
+the integer-row emitter of `crossedext.cohomology` must reproduce."""
 from crossedext.errors import CheckFailure
-from crossedext.linalg import Matrix, vec_add, vec_scale, vec_zero
-from crossedext.cohomology import CE, cochain_from_values
+from crossedext.linalg import LinearMap, Matrix, vec_add, vec_scale, vec_zero
+from crossedext.cohomology import (CE, ce_tuples, cochain_from_values,
+                                   leib_tuples, sort_with_sign)
 from crossedext.crossed import _check_sections, _g2_table, _kernel_puller
 
 
@@ -221,6 +223,24 @@ def dense_peiffer(cm, leibniz):
                 raise CheckFailure("PEIFFER_FAIL", (v, w))
 
 
+def dense_image_kills_kernel(cm, leibniz):
+    """Whether every element of im(d) acts by zero on every element of
+    ker(d): rho for a Lie module, left and right for a Leibniz one, with
+    both spaces from the dense RREF."""
+    V, dm = cm.rep, cm.partial.matrix
+    field, n = dm.field, V.dim
+    r, piv = dense_rref(dm.transpose())
+    image_rows = r.data[:len(piv)]
+    families = (V.left, V.right) if leibniz else (V.action,)
+    for lrow in image_rows:
+        for krow in dense_kernel_rows(dm):
+            for mats in families:
+                if any(dense_apply(dense_lincomb(field, lrow, mats, n, n),
+                                   krow)):
+                    return False
+    return True
+
+
 def lie_theta(pres, s, q):
     """The classifying 3-cochain of a Lie crossed module by the CE formula
     theta(x,y,z) = [s x, g2(y,z)] - [s y, g2(x,z)] + [s z, g2(x,y)]
@@ -253,3 +273,109 @@ def lie_theta(pres, s, q):
         return pull(val)
 
     return cochain_from_values(CE, pres.M, 3, value)
+
+
+def dense_bracket(algebra, u, v):
+    """[u, v] by a Fraction/FpElement multiply-accumulate loop over the
+    structure constants."""
+    field = algebra.field
+    out = [field.zero] * algebra.dim
+    for i, a in enumerate(u):
+        if not a:
+            continue
+        for j, b in enumerate(v):
+            if not b:
+                continue
+            coef = a * b
+            for k, s in enumerate(algebra.c[i][j]):
+                if s:
+                    out[k] = out[k] + coef * s
+    return tuple(out)
+
+
+def dense_ce_coboundary_matrix(g, M, n: int) -> LinearMap:
+    """Matrix of the CE coboundary C^n -> C^{n+1} on the increasing-tuple basis.
+
+    First sum: signed module action terms; second sum: bracket insertion in
+    the first slot, resorted into increasing order.  Degree 0 is the map
+    m -> (x -> [x, m]).
+    """
+    field = g.field
+    m = M.dim
+    ins = ce_tuples(g.dim, n)
+    outs = ce_tuples(g.dim, n + 1)
+    tindex = {t: i for i, t in enumerate(ins)}
+    grid = [[field.zero] * (len(ins) * m) for _ in range(len(outs) * m)]
+    for sidx, S in enumerate(outs):
+        for pos in range(n + 1):
+            rest = S[:pos] + S[pos + 1:]
+            cidx = tindex[rest]
+            sign = 1 if pos % 2 == 0 else -1  # (-1)^{i+1}, i = pos+1
+            act = M.action[S[pos]]
+            for a in range(m):
+                row = grid[sidx * m + a]
+                arow = act.data[a]
+                for b in range(m):
+                    if arow[b]:
+                        row[cidx * m + b] = row[cidx * m + b] + sign * arow[b]
+        for pa in range(n + 1):
+            for pb in range(pa + 1, n + 1):
+                u = g.c[S[pa]][S[pb]]
+                rest = tuple(S[t] for t in range(n + 1) if t not in (pa, pb))
+                pair_sign = 1 if (pa + pb) % 2 == 0 else -1  # (-1)^{i+j}
+                for k, coef in enumerate(u):
+                    if not coef:
+                        continue
+                    merged, ssign = sort_with_sign((k,) + rest)
+                    if merged is None:
+                        continue
+                    cidx = tindex[merged]
+                    total = pair_sign * ssign
+                    for a in range(m):
+                        row = grid[sidx * m + a]
+                        row[cidx * m + a] = row[cidx * m + a] + total * coef
+    return LinearMap(Matrix._raw(field, tuple(map(tuple, grid)), len(ins) * m))
+
+
+def dense_leibniz_coboundary_matrix(h, M, n: int) -> LinearMap:
+    """Matrix of the Leibniz coboundary C^n -> C^{n+1} on the tensor basis.
+
+    Terms: left action on the first argument, signed right actions, and
+    bracket substitution into the earlier slot.
+    """
+    field = h.field
+    m = M.dim
+    ins = leib_tuples(h.dim, n)
+    outs = leib_tuples(h.dim, n + 1)
+    tindex = {t: i for i, t in enumerate(ins)}
+    grid = [[field.zero] * (len(ins) * m) for _ in range(len(outs) * m)]
+
+    def add_block(sidx, cidx, mat, sign):
+        for a in range(m):
+            row = grid[sidx * m + a]
+            arow = mat.data[a]
+            for b in range(m):
+                if arow[b]:
+                    row[cidx * m + b] = row[cidx * m + b] + sign * arow[b]
+
+    def add_scalar(sidx, cidx, coef, sign):
+        for a in range(m):
+            row = grid[sidx * m + a]
+            row[cidx * m + a] = row[cidx * m + a] + sign * coef
+
+    for sidx, S in enumerate(outs):
+        add_block(sidx, tindex[S[1:]], M.left[S[0]], 1)
+        for pos in range(1, n + 1):
+            rest = S[:pos] + S[pos + 1:]
+            sign = 1 if (pos + 1) % 2 == 0 else -1  # (-1)^i, i = pos+1
+            add_block(sidx, tindex[rest], M.right[S[pos]], sign)
+        for pa in range(n + 1):
+            for pb in range(pa + 1, n + 1):
+                u = h.c[S[pa]][S[pb]]
+                sign = 1 if pb % 2 == 0 else -1  # (-1)^{j+1}, j = pb+1
+                for k, coef in enumerate(u):
+                    if not coef:
+                        continue
+                    merged = S[:pa] + (k,) + S[pa + 1:pb] + S[pb + 1:]
+                    add_scalar(sidx, tindex[merged], coef, sign)
+    return LinearMap(Matrix._raw(field, tuple(map(tuple, grid)), len(ins) * m))

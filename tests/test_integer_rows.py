@@ -1,0 +1,276 @@
+"""Coboundaries emitted as integer rows, matrices whose dense rows are built
+on first read, and the integer-view bracket, checked against the dense
+builders and the Fraction/FpElement bracket loop of dense_oracle; plus the
+gl_n samples at a size where only the integer rows fit in memory."""
+import importlib
+import tracemalloc
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from crossedext import samples
+from crossedext.algebra import (LeibnizAlgebra, LeibnizRepresentation,
+                                LieAlgebra, adjoint, direct_sum_reps,
+                                leibniz_adjoint, leibniz_from_lie,
+                                leibniz_rep_from_lie, trivial_rep,
+                                validate_leibniz, validate_leibniz_module,
+                                validate_lie)
+from crossedext.cohomology import (CochainComplex, ce_coboundary_matrix,
+                                   cohomology_table,
+                                   leibniz_coboundary_matrix)
+from crossedext.field import PrimeField, QQ
+from crossedext.linalg import (Echelon, LinearMap, Matrix, _built_rows,
+                               _int_rows, kernel, rref)
+from dense_oracle import (dense_bracket, dense_ce_coboundary_matrix,
+                          dense_leibniz_coboundary_matrix)
+
+FIELDS = [QQ, PrimeField(2), PrimeField(5), PrimeField(2147483647)]
+cohomology_mod = importlib.import_module("crossedext.cohomology")
+
+
+def scalars(field):
+    """Mostly zero; over Q with denominators 1 to 6."""
+    if field is QQ:
+        value = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6))
+    else:
+        value = st.integers(-field.p, field.p).map(field.of)
+    return st.one_of(st.just(field.zero), value)
+
+
+def vectors(field, n):
+    return st.lists(scalars(field), min_size=n, max_size=n).map(tuple)
+
+
+@st.composite
+def invertibles(draw, field, n):
+    """A unit lower-triangular times an upper-triangular matrix with a
+    nonzero diagonal: invertible by construction."""
+    nonzero = scalars(field).filter(bool)
+    lo = Matrix(field, [[draw(scalars(field)) if j < i else
+                         (field.one if j == i else field.zero)
+                         for j in range(n)] for i in range(n)], cols=n)
+    up = Matrix(field, [[draw(scalars(field)) if j > i else
+                         (draw(nonzero) if j == i else field.zero)
+                         for j in range(n)] for i in range(n)], cols=n)
+    return lo @ up
+
+
+def _rebased(alg, P, validate):
+    """The algebra's structure constants in the basis of P's columns."""
+    Pinv = samples._inverse(P)
+    return validate(alg.field, alg.dim, [
+        [Pinv.apply(alg.bracket(P.col(i), P.col(j))) for j in range(alg.dim)]
+        for i in range(alg.dim)])
+
+
+LIE_BASES = ["abelian0", "abelian1", "abelian2", "abelian3", "solvable2",
+             "heisenberg", "sl2", "gl2"]
+
+
+def _lie(field, name):
+    if name == "gl2":
+        return samples.gl(field, 2)
+    return samples.lie_by_name(field, name)
+
+
+@st.composite
+def ce_cases(draw):
+    """(g, M) with g in a changed basis and M zero (dimension 0), trivial,
+    adjoint or adjoint plus trivial, in a changed basis of its own."""
+    field = draw(st.sampled_from(FIELDS))
+    g = _lie(field, draw(st.sampled_from(LIE_BASES)))
+    if g.dim and draw(st.booleans()):
+        g = _rebased(g, draw(invertibles(field, g.dim)),
+                     validate_lie)
+    kind = draw(st.sampled_from(["zero", "trivial", "adjoint", "sum"]))
+    if kind == "zero":
+        return g, trivial_rep(g, 0)
+    if kind == "trivial":
+        return g, trivial_rep(g, draw(st.integers(1, 2)))
+    M = adjoint(g) if kind == "adjoint" else \
+        direct_sum_reps(adjoint(g), trivial_rep(g, 1))
+    if M.dim and draw(st.booleans()):
+        M = samples.conjugate_module(M, draw(invertibles(field, M.dim)))
+    return g, M
+
+
+@st.composite
+def leibniz_cases(draw):
+    """(h, M) with h not Lie or a Lie algebra read as Leibniz, and M zero,
+    trivial, the Leibniz adjoint module of h in a changed basis, or a Lie
+    adjoint module read as Leibniz (right action minus the left); M in a
+    changed basis of its own."""
+    field = draw(st.sampled_from(FIELDS))
+    name = draw(st.sampled_from(["nonlie"] + LIE_BASES[:6]))
+    g = None if name == "nonlie" else _lie(field, name)
+    h = samples.nonlie_leibniz(field) if g is None else leibniz_from_lie(g)
+    kind = draw(st.sampled_from(["zero", "trivial", "adjoint", "lie"]))
+    if kind == "lie" and g is not None:
+        M = leibniz_rep_from_lie(adjoint(g), h)
+    else:
+        if h.dim and draw(st.booleans()):
+            h = _rebased(h, draw(invertibles(field, h.dim)), validate_leibniz)
+        if kind in ("zero", "trivial"):
+            return h, trivial_rep(h, 0 if kind == "zero" else
+                                  draw(st.integers(1, 2)))
+        M = leibniz_adjoint(h)
+    if M.dim and draw(st.booleans()):
+        Q = draw(invertibles(field, M.dim))
+        Qinv = samples._inverse(Q)
+        M = validate_leibniz_module(LeibnizRepresentation(
+            h, M.dim, [Qinv @ a @ Q for a in M.left],
+            [Qinv @ a @ Q for a in M.right]))
+    return h, M
+
+
+def _assert_same_matrix(emitted: Matrix, dense: Matrix):
+    """Integer view, dense rows, equality both ways and hash."""
+    assert _built_rows(emitted) is None
+    assert (emitted.rows, emitted.cols) == (dense.rows, dense.cols)
+    assert _int_rows(emitted) == _int_rows(dense)
+    assert emitted.data == dense.data
+    assert emitted == dense and dense == emitted
+    assert hash(emitted) == hash(dense)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ce_cases(), st.integers(0, 3))
+def test_ce_coboundary_matches_dense_builder(case, n):
+    g, M = case
+    _assert_same_matrix(ce_coboundary_matrix(g, M, n).matrix,
+                        dense_ce_coboundary_matrix(g, M, n).matrix)
+
+
+@settings(max_examples=80, deadline=None)
+@given(leibniz_cases(), st.integers(0, 3))
+def test_leibniz_coboundary_matches_dense_builder(case, n):
+    h, M = case
+    _assert_same_matrix(leibniz_coboundary_matrix(h, M, n).matrix,
+                        dense_leibniz_coboundary_matrix(h, M, n).matrix)
+
+
+@st.composite
+def matrices(draw):
+    field = draw(st.sampled_from(FIELDS))
+    r, c = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    return Matrix(field, draw(st.lists(vectors(field, c), min_size=r,
+                                       max_size=r)), cols=c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_matrix_from_int_rows_is_the_dense_matrix(m):
+    rows, d = _int_rows(m)
+
+    def lazy():
+        return Matrix._from_int_rows(m.field, [dict(r) for r in rows], d,
+                                     m.cols)
+
+    _assert_same_matrix(lazy(), m)
+    # transpose, elimination, kernel and apply read the integer view and
+    # leave the dense rows unbuilt
+    a = lazy()
+    t = a.transpose()
+    assert _built_rows(a) is None and _built_rows(t) is None
+    assert t == m.transpose() and _int_rows(t) == _int_rows(m.transpose())
+    a = lazy()
+    assert rref(a) == rref(m) and Echelon(a).kernel() == kernel(LinearMap(m))
+    v = tuple(m.field.of(j + 1) for j in range(m.cols))
+    assert a.apply(v) == m.apply(v)
+    assert a.is_zero() == m.is_zero()
+    n = -a
+    assert _built_rows(a) is None and _built_rows(n) is None
+    _assert_same_matrix(n, -m)
+
+
+def test_matrix_from_no_int_rows():
+    for field in FIELDS:
+        m = Matrix._from_int_rows(field, [], 1, 3)
+        assert m.data == () and m == Matrix.zero(field, 0, 3)
+        z = Matrix._from_int_rows(field, [{}, {}], 1, 2)
+        assert z.data == Matrix.zero(field, 2, 2).data and z.is_zero()
+        # equal integer views, different widths
+        assert z != Matrix._from_int_rows(field, [{}, {}], 1, 3)
+        assert z != Matrix.zero(field, 2, 3) and z == Matrix.zero(field, 2, 2)
+
+
+def test_dense_matrices_keep_plain_attribute_reads():
+    """Only a matrix built from integer rows carries the hook that builds
+    `.data` on first read: a `__getattr__` on Matrix itself would slow
+    every attribute read of every dense matrix."""
+    assert "__getattr__" not in vars(Matrix)
+    one = Matrix(QQ, [[1]])
+    assert type(one) is Matrix and type(Matrix.zero(QQ, 1, 1)) is Matrix
+    assert type(one @ one) is not Matrix and (one @ one).data == one.data
+
+
+@st.composite
+def brackets(draw):
+    """Any bilinear structure constants, Lie or not, and two vectors."""
+    field = draw(st.sampled_from(FIELDS))
+    dim = draw(st.integers(0, 3))
+    c = [[draw(vectors(field, dim)) for _ in range(dim)] for _ in range(dim)]
+    cls = draw(st.sampled_from([LieAlgebra, LeibnizAlgebra]))
+    return cls(field, dim, c), draw(vectors(field, dim)), \
+        draw(vectors(field, dim))
+
+
+@settings(max_examples=100, deadline=None)
+@given(brackets())
+def test_bracket_matches_dense_bracket(case):
+    alg, u, v = case
+    assert alg.bracket(u, v) == dense_bracket(alg, u, v)
+    assert alg.int_structure() is alg.int_structure()
+
+
+def test_cohomology_reads_delta_as_integer_rows(monkeypatch):
+    """cohomology_table and a CochainComplex eliminate delta and its
+    transpose without building a dense row of either."""
+    built = []
+    original = cohomology_mod.ce_coboundary_matrix
+
+    def recorded(*args):
+        built.append(original(*args).matrix)
+        return LinearMap(built[-1])
+    monkeypatch.setattr(cohomology_mod, "ce_coboundary_matrix", recorded)
+    g = samples.sl2(QQ)
+    M = adjoint(g)
+    assert [row[3] for row in cohomology_table(g, M, 3)] == [0, 0, 0, 0]
+    cx = CochainComplex(g, M)
+    assert [cx.dim_h(n) for n in range(4)] == [0, 0, 0, 0]
+    assert len(built) == 4 + 4
+    assert all(_built_rows(m) is None for m in built)
+
+
+def test_gl4_adjoint_table_fits_in_integer_rows():
+    """H^n(gl_4, adjoint) is exterior on generators of degrees 1, 3, 5, 7
+    (Whitehead on sl_4 plus the centre), so dim H = 1, 1, 0 up to degree 2.
+    delta_2 is 8960 x 1920 with 21 840 nonzeros: a dense grid of it would
+    take about 270 MB."""
+    g = samples.gl(QQ, 4)
+    M = adjoint(g)
+    tracemalloc.start()
+    try:
+        rows = cohomology_table(g, M, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [row[3] for row in rows] == [1, 1, 0]
+    assert peak < 64 * 10**6
+
+
+def test_gl3_adjoint_table_over_a_large_prime_equals_q():
+    F = PrimeField(2147483647)
+    want = cohomology_table(samples.gl(QQ, 3), adjoint(samples.gl(QQ, 3)), 3)
+    assert cohomology_table(samples.gl(F, 3), adjoint(samples.gl(F, 3)),
+                            3) == want
+    assert [row[3] for row in want] == [1, 1, 0, 1]
+
+
+def test_gl_brackets_and_catalog():
+    """[E_01, E_10] = E_00 - E_11 in gl_2; gl_n stays out of LIE_CATALOG,
+    whose order seeds random_lie."""
+    g = samples.gl(QQ, 2)
+    e = [tuple(QQ.of(int(i == k)) for i in range(4)) for k in range(4)]
+    assert g.bracket(e[1], e[2]) == (1, 0, 0, -1)
+    assert not any(name.startswith("gl") for name in samples.LIE_CATALOG)
