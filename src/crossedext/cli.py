@@ -48,9 +48,10 @@ def _cmd_cohomology(ws, args, degree_cap):
     alg = ws.algebras[args["algebra"]]
     mod = ws.modules[args["module"]]
     asked = args.get("max_degree", degree_cap)
-    if not isinstance(asked, int) or isinstance(asked, bool):
+    if not isinstance(asked, int) or isinstance(asked, bool) or asked < 0:
         raise CheckFailure("PARSE_ERROR", "max_degree",
-                           f"max_degree must be an integer, not {asked!r}")
+                           "max_degree must be a non-negative integer, "
+                           f"not {asked!r}")
     cap = min(asked, degree_cap)
     rows = cohomology_table(alg, mod, cap)
     return [{"op": "cohomology", "algebra": args["algebra"],
@@ -59,33 +60,67 @@ def _cmd_cohomology(ws, args, degree_cap):
                         "dim_h": h} for n, c, r, h in rows]}]
 
 
-def _classify_record(ws, name):
-    """The class of a crossed module, the complex of its (g, M) that
-    classified it, and the record fields that theta and classify share."""
+class _Classified:
+    """A crossed module with its induced pair, and, once a command needs
+    them, the complex of the pair's (g, M) and the module's class."""
+
+    __slots__ = ("cm", "pres", "cx", "cl")
+
+    def __init__(self, cm):
+        self.cm = cm
+        self.pres = induced_pair(cm)
+        self.cx = self.cl = None
+
+    def complex(self):
+        if self.cx is None:
+            self.cx = CochainComplex(self.pres.g, self.pres.M, self.cm.flavor)
+        return self.cx
+
+    def classify(self):
+        if self.cl is None:
+            self.cl = classify2(self.pres, self.complex())
+        return self.cl
+
+
+def _classified(ws, name) -> _Classified:
+    """The run's entry for the named crossed module, made by the first
+    command that names it and reused by every later one.  The entry keeps
+    the CrossedModule it was made from, so a replaced table entry is
+    presented afresh; a presentation that fails stores nothing, and fails
+    again the same way."""
     cm = ws.crossed_modules[name]
-    pres = induced_pair(cm)
-    cx = CochainComplex(pres.g, pres.M, cm.flavor)
-    cl = classify2(pres, cx)
-    field = ws.field
-    return cx, cl, {
+    entry = ws.classified.get(name)
+    if entry is None or entry.cm is not cm:
+        entry = ws.classified[name] = _Classified(cm)
+    return entry
+
+
+def _classify_record(ws, name):
+    """The classified entry of a crossed module and the record fields that
+    theta and classify share."""
+    entry = _classified(ws, name)
+    cl, pres = entry.classify(), entry.pres
+    return entry, {
         "crossed_module": name,
         "induced_g_dim": pres.g.dim,
         "induced_m_dim": pres.M.dim,
-        "class_canonical": _scalars(field, cl.canonical),
+        "class_canonical": _scalars(ws.field, cl.canonical),
         "class_is_zero": cl.is_zero()}
 
 
 def _cmd_theta(ws, args, degree_cap):
-    _, cl, rec = _classify_record(ws, args["crossed_module"])
+    entry, rec = _classify_record(ws, args["crossed_module"])
     # the class's representative is the theta cochain classify2 built
+    theta = entry.classify().representative
     rec.update({"op": "theta", "status": "PASS",
-                "theta": _scalars(ws.field, cl.representative.vec)})
+                "theta": _scalars(ws.field, theta.vec)})
     return [rec]
 
 
 def _cmd_classify(ws, args, degree_cap):
-    cx, _, rec = _classify_record(ws, args["crossed_module"])
-    rec.update({"op": "classify", "status": "PASS", "dim_h3": cx.dim_h(3)})
+    entry, rec = _classify_record(ws, args["crossed_module"])
+    rec.update({"op": "classify", "status": "PASS",
+                "dim_h3": entry.complex().dim_h(3)})
     return [rec]
 
 
@@ -97,10 +132,10 @@ def _cmd_baer_sum(ws, args, degree_cap):
                  "status": "PASS", "n": E.n,
                  "top_dim": E.mids[0].dim, "base_dim": E.base.algebra.dim,
                  "splits": split_detect(E) is not None}]
-    presA = induced_pair(ws.crossed_modules[left])
-    presB = induced_pair(ws.crossed_modules[right])
-    S = baer_sum_n2(presA, presB)
-    cl = classify2(S)
+    a = _classified(ws, left)
+    S = baer_sum_n2(a.pres, _classified(ws, right).pres)
+    # the sum is presented over the left operand's (g, M)
+    cl = classify2(S, a.complex())
     return [{"op": "baer-sum", "left": left, "right": right,
              "status": "PASS", "v_dim": S.cm.rep.dim, "l_dim": S.cm.algebra.dim,
              "class_canonical": _scalars(ws.field, cl.canonical)}]
@@ -216,13 +251,25 @@ def render_human(records):
     return "\n".join(lines) + "\n"
 
 
+def _degree(text):
+    """The value of --max-degree: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, not {text!r}")
+    return value
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(prog="crossed-ext", description=__doc__)
     ap.add_argument("command", choices=COMMANDS)
     ap.add_argument("--input", required=True)
     ap.add_argument("--field", default=None,
                     help="override the document's field selector")
-    ap.add_argument("--max-degree", type=int, default=DEFAULT_DEGREE_CAP)
+    ap.add_argument("--max-degree", type=_degree, default=DEFAULT_DEGREE_CAP)
     ap.add_argument("--format", choices=("human", "json"), default="human")
     args = ap.parse_args(argv)
 

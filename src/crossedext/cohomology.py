@@ -250,9 +250,11 @@ class CochainComplex:
 
     Each coboundary delta_n, the echelon form of its rows and the space
     B^n = im delta_{n-1} of n-coboundaries are built on first use and kept
-    for the life of the object.  Callers scope that life to one computation
-    (a CLI command builds at most one complex per (algebra, module)):
-    nothing is cached on the algebra, the module or the module namespace.
+    for the life of the object.  Callers scope that life: a CLI run keeps
+    one complex per classified crossed module, the complex of its induced
+    (g, M), in the workspace's memo (see cli._classified); other commands
+    build at most one per (algebra, module) and drop it when they end.
+    Nothing is cached on the algebra, the module or the module namespace.
     """
 
     __slots__ = ("algebra", "module", "flavor", "_delta", "_echelon",

@@ -72,11 +72,19 @@ def _left_right(V, vecs):
 
 
 def validate_crossed(cm: CrossedModule) -> CrossedModule:
-    L, V, d = cm.algebra, cm.rep, cm.partial
+    """Validate V as an L-module, then the crossed-module axioms."""
     if cm.flavor == LEIBNIZ:
-        validate_leibniz_module(V)
+        validate_leibniz_module(cm.rep)
     else:
-        validate_module(V)
+        validate_module(cm.rep)
+    return crossed_axioms(cm)
+
+
+def crossed_axioms(cm: CrossedModule) -> CrossedModule:
+    """The crossed-module axioms, equivariance of d and the Peiffer
+    identity, for a V already validated as a module of L's flavor (as every
+    module of a parsed workspace is)."""
+    L, V, d = cm.algebra, cm.rep, cm.partial
     dm = d.matrix
     # d[x, v] = [x, dv], and d[v, x] = [dv, x] for a Leibniz module
     for i in range(L.dim):

@@ -16,8 +16,8 @@ from .algebra import (ModuleMorphism, Representation, bracket_defect,
                       validate_module, validate_morphism)
 from .cohomology import ShortExactSequence, validate_ses
 from .crossed import (CrossedModule, CrossedMorphism, Presentation,
-                      check_crossed_morphism, validate_crossed,
-                      validate_presentation)
+                      check_crossed_morphism, crossed_axioms,
+                      validate_crossed, validate_presentation)
 
 
 @dataclass(frozen=True)
@@ -351,7 +351,8 @@ def baer_sum_n2(presA: Presentation, presB: Presentation) -> Presentation:
                             ("boundary misses the fiber",) * 2)
     d = LinearMap(d_big @ sect.matrix)
     cm = CrossedModule(LF, W, d)
-    validate_crossed(cm)
+    # _quotient_module has validated W
+    crossed_axioms(cm)
     emb_a = Matrix.identity(field, VA.dim).vstack(Matrix.zero(field, VB.dim, VA.dim))
     j = LinearMap(proj.matrix @ emb_a @ presA.incl.matrix)
     pres = Presentation(cm, g, q, M, j)

@@ -150,14 +150,8 @@ class Matrix:
             raise ValueError("shape mismatch in @")
         arows, da = _int_rows(self)
         brows, db = _int_rows(other)
-        out = []
-        for arow in arows:
-            acc = {}
-            for k, a in arow.items():
-                for j, b in brows[k].items():
-                    acc[j] = acc.get(j, 0) + a * b
-            out.append(acc)
-        return _from_ints(self.field, out, da * db, other.cols)
+        return _from_ints(self.field, _mul_rows(arows, brows), da * db,
+                          other.cols)
 
     def apply(self, vec):
         if len(vec) != self.cols:
@@ -266,6 +260,19 @@ def _int_rows(m: Matrix):
             ints = (tuple({j: x.val for j, x in r.items()} for r in rows), 1)
         m._ints = ints
     return ints
+
+
+def _mul_rows(arows, brows):
+    """The integer rows of the product of two matrices given by integer
+    rows (neither reduced mod p nor freed of zeros)."""
+    out = []
+    for arow in arows:
+        acc = {}
+        for k, a in arow.items():
+            for j, b in brows[k].items():
+                acc[j] = acc.get(j, 0) + a * b
+        out.append(acc)
+    return out
 
 
 def _int_vec(field, vec):

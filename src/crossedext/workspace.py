@@ -19,7 +19,7 @@ from .algebra import (LeibnizRepresentation, ModuleMorphism, Representation,
                       validate_module, validate_morphism)
 from .cohomology import (Cochain, ShortExactSequence, cochain_tuples,
                          validate_ses)
-from .crossed import CrossedModule, validate_crossed
+from .crossed import CrossedModule, crossed_axioms
 from .extensions import CrossedExtension, validate_extension
 
 
@@ -34,6 +34,10 @@ class Workspace:
     sequences: dict = dc_field(default_factory=dict)
     extensions: dict = dc_field(default_factory=dict)
     commands: list = dc_field(default_factory=list)
+    # what a run's commands computed for each crossed module, by name (see
+    # cli._classified); no part of the document
+    classified: dict = dc_field(default_factory=dict, repr=False,
+                                compare=False)
 
 
 def _scalar_in(field, s):
@@ -236,8 +240,13 @@ def parse_workspace(text: str) -> Workspace:
             V = _resolve(ws.modules, _key(spec, "V", str, name), "module")
             partial = LinearMap(_matrix_in(
                 field, _key(spec, "partial", list, name), V.dim))
-            ws.crossed_modules[name] = validate_crossed(
-                CrossedModule(L, V, partial))
+            cm = CrossedModule(L, V, partial)
+            if isinstance(V, LeibnizRepresentation) != \
+                    (L.flavor == "leibniz"):
+                raise CheckFailure("PARSE_ERROR", name,
+                                   f"{name}: V is not a module of L's flavor")
+            # V was validated with the modules above
+            ws.crossed_modules[name] = crossed_axioms(cm)
 
     for name, spec in _section(doc, "sequences"):
         with _wrap(name):

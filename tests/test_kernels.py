@@ -325,3 +325,18 @@ def test_jacobi_witness_with_fractions():
          [[0, 0, -1], [0, 0, 0], [0, 1, 0]],
          [[-h, 0, 0], [0, -1, 0], [0, 0, 0]]]
     assert outcome(validate_lie, QQ, 3, c) == ("JACOBI_FAIL", (0, 1, 2), "")
+
+
+def test_jacobi_witness_is_the_rotation_with_the_least_index_first():
+    """[e0, e1] = e0 and [e2, e2] = e0 over F_2: the only failing orbit is
+    that of (2, 2, 1), where [[e2, e2], e1] = e0 is the one nonzero term.
+    Its rotation (1, 2, 2) comes first in lexicographic order, and both the
+    loop over j, k >= i and the oracle's loop over all triples report it."""
+    F2 = PrimeField(2)
+    c = [[[0, 0, 0], [1, 0, 0], [0, 0, 0]],
+         [[1, 0, 0], [0, 0, 0], [0, 0, 0]],
+         [[0, 0, 0], [0, 0, 0], [1, 0, 0]]]
+    assert outcome(validate_lie, F2, 3, c) == ("JACOBI_FAIL", (1, 2, 2), "")
+    assert outcome(dense_validate_lie, F2, 3,
+                   [[tuple(F2.of(x) for x in v) for v in row]
+                    for row in c]) == ("JACOBI_FAIL", (1, 2, 2), "")

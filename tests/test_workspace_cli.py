@@ -299,3 +299,43 @@ def test_unknown_command_record(op):
     ws = parse_workspace((FIXTURES / "sl2.json").read_text())
     assert run_command(ws, {"op": op}) == \
         [{"op": op, "status": "FAIL", "error": "UNKNOWN_COMMAND"}]
+
+
+@pytest.mark.parametrize("value", [-1, -5])
+def test_negative_max_degree_is_a_fail_record(value, tmp_path, capsys):
+    def edit(doc):
+        for cmd in doc["commands"]:
+            if cmd["op"] == "cohomology":
+                cmd["max_degree"] = value
+
+    path = _sl2_with(tmp_path, edit)
+    assert main(["cohomology", "--input", path, "--format", "json"]) == 1
+    rec = json.loads(capsys.readouterr().out)["results"][0]
+    assert (rec["op"], rec["status"], rec["error"]) == \
+        ("cohomology", "FAIL", "PARSE_ERROR")
+    assert "non-negative integer" in rec["detail"]
+    assert "table" not in rec
+
+
+@pytest.mark.parametrize("value", ["-1", "x"])
+def test_bad_max_degree_option_is_a_usage_error(value, capsys):
+    path = str(FIXTURES / "sl2.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology", "--input", path, "--max-degree", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--max-degree" in err and "non-negative integer" in err
+
+
+def test_crossed_module_over_a_module_of_the_other_flavor(capsys, tmp_path):
+    doc = json.loads(MINIMAL)
+    zero = [["0"]]
+    doc["modules"] = {"m": {"algebra": "a1", "dim": 1, "left": {"0": zero},
+                            "right": {"0": zero}}}
+    doc["crossed_modules"] = {"x": {"L": "a1", "V": "m", "partial": zero}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--input", str(path), "--format", "json"]) == 1
+    rec = json.loads(capsys.readouterr().out)["results"][0]
+    assert (rec["op"], rec["error"]) == ("parse", "PARSE_ERROR")
+    assert "x" in rec["detail"]
