@@ -6,11 +6,9 @@ one representation.
 """
 from __future__ import annotations
 
-import math
-
 from .errors import CheckFailure
-from .linalg import (Matrix, LinearMap, _int_rows, _int_vec, _modulus,
-                     _mul_rows, _to_field, block_diag, lincomb)
+from .linalg import (Matrix, LinearMap, _common_rows, _int_rows, _int_vec,
+                     _modulus, _mul_rows, _to_field, block_diag, lincomb)
 
 
 def _coerce_structure(field, dim, structure):
@@ -200,11 +198,9 @@ def validate_module(rep: Representation) -> Representation:
     g, n = rep.algebra, rep.dim
     p = _modulus(g.field)
     c, dc = g.int_structure()
-    views = [_int_rows(m) for m in rep.action]
-    D = math.lcm(*(d for _, d in views))
-    A = [rows if d == D else
-         [{j: v * (D // d) for j, v in row.items()} for row in rows]
-         for rows, d in views]
+    A, D = _common_rows(rep.action)
+    if not any(any(rows) for rows in A):
+        return rep      # every action is zero, and so is either side
     prod = [[_mul_rows(x, y) for y in A] for x in A]
     for i in range(g.dim):
         for j in range(g.dim):

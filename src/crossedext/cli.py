@@ -279,17 +279,8 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.field is not None:
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError:
-            pass  # parse_workspace reports the position
-        else:
-            if isinstance(doc, dict):
-                doc["field"] = args.field
-                text = json.dumps(doc)
     try:
-        ws = parse_workspace(text)
+        ws = parse_workspace(text, args.field)
     except CheckFailure as exc:
         records = [{"op": "parse", "status": "FAIL", "error": exc.code,
                     "detail": str(exc)}]

@@ -23,7 +23,7 @@ from .linalg import (Echelon, LinearMap, Matrix, Subspace, _from_ints,
                      _int_rows, image, kernel, rank, vec_add, vec_scale,
                      vec_sub, vec_zero)
 from .algebra import (LeibnizRepresentation, ModuleMorphism, Representation,
-                      validate_lie, validate_morphism)
+                      validate_lie)
 
 CE = "ce"
 LEIBNIZ = "leibniz"
@@ -448,8 +448,10 @@ class ShortExactSequence:
 
 
 def validate_ses(ses: ShortExactSequence) -> ShortExactSequence:
-    validate_morphism(ses.alpha)
-    validate_morphism(ses.beta)
+    """Exactness of 0 -> head -> middle -> tail -> 0, for alpha and beta
+    already validated as module morphisms (as every morphism of a parsed
+    workspace is): the middle modules agree, alpha is injective, beta is
+    surjective and im(alpha) = ker(beta)."""
     if ses.alpha.target is not ses.beta.source and ses.alpha.target != ses.beta.source:
         raise CheckFailure("BASE_MISMATCH", detail="middle modules differ")
     if kernel(ses.alpha.map).dim != 0:

@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CheckFailure
-from .linalg import (Echelon, LinearMap, Matrix, image, kernel,
+from .linalg import (Echelon, LinearMap, Matrix, _common_rows, _int_rows,
+                     _lincomb_rows, _modulus, _mul_rows, image, kernel,
                      linear_section, quotient, vec_add, vec_scale, vec_zero,
                      basis_vector)
 from .algebra import (LeibnizRepresentation, Representation, bracket_defect,
@@ -55,15 +56,6 @@ class Presentation:
     incl: LinearMap
 
 
-def _adjoint_matrix(algebra, i, side) -> Matrix:
-    """Column j is [e_i, e_j], or [e_j, e_i] for the right side."""
-    if side == "right":
-        cols = [list(algebra.c[j][i]) for j in range(algebra.dim)]
-    else:
-        cols = [list(algebra.c[i][j]) for j in range(algebra.dim)]
-    return Matrix.from_cols(algebra.field, cols, algebra.dim)
-
-
 def _left_right(V, vecs):
     """The left and right action matrices of each vector.  A Lie module is
     a Leibniz module whose right action is -rho."""
@@ -80,25 +72,68 @@ def validate_crossed(cm: CrossedModule) -> CrossedModule:
     return crossed_axioms(cm)
 
 
+def _differ(xs, fx, ys, fy, p):
+    """Whether fx * xs != fy * ys for two lists of integer rows, mod p over
+    F_p."""
+    for x, y in zip(xs, ys):
+        acc = {j: fx * v for j, v in x.items()}
+        for j, v in y.items():
+            acc[j] = acc.get(j, 0) - fy * v
+        if any(v % p if p else v for v in acc.values()):
+            return True
+    return False
+
+
 def crossed_axioms(cm: CrossedModule) -> CrossedModule:
     """The crossed-module axioms, equivariance of d and the Peiffer
     identity, for a V already validated as a module of L's flavor (as every
-    module of a parsed workspace is)."""
-    L, V, d = cm.algebra, cm.rep, cm.partial
-    dm = d.matrix
+    module of a parsed workspace is).
+
+    Both run on plain integers (mod p over F_p): the integer rows D of d on
+    its denominator, the rows of each action matrix and the integer
+    structure constants c on d_c (`int_structure`).  Equivariance for e_i
+    on a side with action rows A on a is d_c * D A = a * C D, C the rows of
+    the bracket with e_i on that side.  The Peiffer identity compares, for
+    each pair (v, w), column w of the left action of dv with column v of
+    the right action of dw (minus rho for a Lie module), each family on its
+    common denominator."""
+    L, V = cm.algebra, cm.rep
+    n, dim = V.dim, L.dim
+    p = _modulus(L.field)
+    c, dc = L.int_structure()
+    D, _ = _int_rows(cm.partial.matrix)
+    families = sides(V)
     # d[x, v] = [x, dv], and d[v, x] = [dv, x] for a Leibniz module
-    for i in range(L.dim):
-        for side, mats, _ in sides(V):
-            if dm @ mats[i] != _adjoint_matrix(L, i, side) @ dm:
+    for i in range(dim):
+        for side, mats, _ in families:
+            A, da = _int_rows(mats[i])
+            C = [{} for _ in range(dim)]
+            for j in range(dim):
+                for k, s in c[j * dim + i if side == "right"
+                              else i * dim + j].items():
+                    C[k][j] = s
+            if _differ(_mul_rows(D, A), dc, _mul_rows(C, D), da, p):
                 raise CheckFailure("EQUIVARIANCE_FAIL", (i,),
                                    side and f"{side} action")
-    # [dv, w] = [v, dw]: the left action of dv once per v, the right one of
-    # dw once per w; column w of a matrix is its value on e_w
-    lefts, rights = _left_right(V, [dm.col(v) for v in range(V.dim)])
-    for v in range(V.dim):
-        for w in range(V.dim):
-            if lefts[v].col(w) != rights[w].col(v):
-                raise CheckFailure("PEIFFER_FAIL", (v, w))
+    # [dv, w] = [v, dw]: X[v] is the left action of dv, Y[w] the right
+    # action of dw without the sign of a Lie module's -rho
+    cols = [{} for _ in range(n)]
+    for k, row in enumerate(D):
+        for v, x in row.items():
+            cols[v][k] = x
+    views = [_common_rows(mats) for _, mats, _ in families]
+    (A, da), (B, db) = views[0], views[-1]
+    sign = 1 if len(views) == 2 else -1
+    X = [_lincomb_rows([(x, A[k]) for k, x in col.items()], n)
+         for col in cols]
+    Y = X if B is A else [_lincomb_rows([(x, B[k]) for k, x in col.items()],
+                                        n) for col in cols]
+    for v in range(n):
+        for w in range(n):
+            for r in range(n):
+                x = db * X[v][r].get(w, 0) - sign * da * Y[w][r].get(v, 0)
+                if x % p if p else x:
+                    raise CheckFailure("PEIFFER_FAIL", (v, w))
     # the loop is bilinear, so for k in ker(d) it gives [dv, k] = [v, dk] = 0
     # and [k, dw] = [dk, w] = 0: im(d) acts trivially on ker(d)
     return cm

@@ -262,6 +262,17 @@ def _int_rows(m: Matrix):
     return ints
 
 
+def _common_rows(mats):
+    """The integer rows of each of mats on their one common denominator D
+    (the lcm of the views' denominators; 1 over F_p): (rows per matrix,
+    D)."""
+    views = [_int_rows(m) for m in mats]
+    D = math.lcm(*(d for _, d in views))
+    return [rows if d == D else
+            [{j: v * (D // d) for j, v in row.items()} for row in rows]
+            for rows, d in views], D
+
+
 def _mul_rows(arows, brows):
     """The integer rows of the product of two matrices given by integer
     rows (neither reduced mod p nor freed of zeros)."""
@@ -339,12 +350,18 @@ def lincomb(field, coefs, mats, rows, cols) -> Matrix:
     else:
         d = 1
         scaled = [(c.val, mrows) for c, (mrows, _) in terms]
-    acc = [{} for _ in range(rows)]
-    for f, mrows in scaled:
-        for a, mrow in zip(acc, mrows):
-            for j, x in mrow.items():
+    return _from_ints(field, _lincomb_rows(scaled, rows), d, cols)
+
+
+def _lincomb_rows(terms, n):
+    """sum f * rows over the (int f, integer rows) terms, as n integer rows
+    (neither reduced mod p nor freed of zeros)."""
+    acc = [{} for _ in range(n)]
+    for f, rows in terms:
+        for a, row in zip(acc, rows):
+            for j, x in row.items():
                 a[j] = a.get(j, 0) + f * x
-    return _from_ints(field, acc, d, cols)
+    return acc
 
 
 def block_diag(a: Matrix, b: Matrix) -> Matrix:

@@ -11,7 +11,7 @@ import random
 from .algebra import (ModuleMorphism, Representation, adjoint,
                       direct_sum_reps, leibniz_from_lie, trivial_rep,
                       validate_leibniz, validate_leibniz_module,
-                      validate_lie, validate_module)
+                      validate_lie, validate_module, validate_morphism)
 from .cohomology import (Cochain, ShortExactSequence, coboundary_matrix,
                          validate_ses)
 from .crossed import (CrossedModule, Presentation, validate_crossed,
@@ -218,7 +218,6 @@ def random_module_morphism(A: Representation, B: Representation,
             vec = [a + c * b for a, b in zip(vec, basis_row)]
     mat = Matrix(field, [[vec[var(r, c)] for c in range(A.dim)]
                          for r in range(B.dim)], cols=A.dim)
-    from .algebra import validate_morphism
     return validate_morphism(ModuleMorphism(A, B, mat))
 
 
@@ -244,10 +243,12 @@ def nilpotent_ses(g, rng: random.Random | None = None) -> ShortExactSequence:
         acts[0] = rho0
     K = trivial_rep(g, 1)
     Mp = validate_module(Representation(g, 2, acts))
-    ses = ShortExactSequence(
-        ModuleMorphism(K, Mp, Matrix(field, [[o], [z]], cols=1)),
-        ModuleMorphism(Mp, K, Matrix(field, [[z, o]], cols=2)))
-    return validate_ses(ses)
+    # validate_ses checks exactness of morphisms validated beforehand
+    return validate_ses(ShortExactSequence(
+        validate_morphism(ModuleMorphism(K, Mp, Matrix(field, [[o], [z]],
+                                                       cols=1))),
+        validate_morphism(ModuleMorphism(Mp, K, Matrix(field, [[z, o]],
+                                                       cols=2)))))
 
 
 def split_ses(g, M: Representation, Mpp: Representation) -> ShortExactSequence:
@@ -257,7 +258,8 @@ def split_ses(g, M: Representation, Mpp: Representation) -> ShortExactSequence:
     pb = Matrix.zero(field, M.dim, Mpp.dim).transpose().hstack(
         Matrix.identity(field, Mpp.dim))
     return validate_ses(ShortExactSequence(
-        ModuleMorphism(M, mid, ia), ModuleMorphism(mid, Mpp, pb)))
+        validate_morphism(ModuleMorphism(M, mid, ia)),
+        validate_morphism(ModuleMorphism(mid, Mpp, pb))))
 
 
 def random_2cocycle(g, M: Representation, rng: random.Random) -> Cochain:

@@ -40,23 +40,45 @@ class Workspace:
                                 compare=False)
 
 
-def _scalar_in(field, s):
-    try:
-        return field.parse(s)
-    except (ValueError, KeyError) as exc:
-        raise CheckFailure("PARSE_ERROR", detail=f"bad scalar {s!r}: {exc}")
+class _Scalars:
+    """The scalar parser of one `parse_workspace` call: each distinct
+    string is parsed once, and every later occurrence reuses its field
+    element (Fractions and residues are immutable).  A string is stored
+    only once it has parsed, so a bad scalar fails wherever it occurs."""
+
+    __slots__ = ("field", "seen")
+
+    def __init__(self, field):
+        self.field = field
+        self.seen = {}
+
+    def __call__(self, s):
+        try:
+            return self.seen[s]
+        except (KeyError, TypeError):   # TypeError: an unhashable value
+            pass
+        try:
+            x = self.field.parse(s)
+        except (ValueError, KeyError) as exc:
+            raise CheckFailure("PARSE_ERROR",
+                               detail=f"bad scalar {s!r}: {exc}")
+        self.seen[s] = x
+        return x
+
+    def matrix(self, rows, cols):
+        """The matrix of row-major scalar strings with cols columns."""
+        data = tuple(tuple(self(s) for s in row) for row in rows)
+        # a row unlike the first is malformed; rows all of one length
+        # other than cols are ragged against the declared dimension
+        if data and any(len(r) != len(data[0]) for r in data):
+            raise ValueError("ragged matrix rows")
+        if any(len(r) != cols for r in data):
+            raise CheckFailure("PARSE_ERROR", detail="ragged matrix rows")
+        return Matrix._raw(self.field, data, cols)
 
 
 def _scalar_out(field, x):
     return field.to_str(x)
-
-
-def _matrix_in(field, rows, cols):
-    data = [[_scalar_in(field, s) for s in row] for row in rows]
-    m = Matrix(field, data, cols=cols)
-    if any(len(r) != cols for r in rows):
-        raise CheckFailure("PARSE_ERROR", detail="ragged matrix rows")
-    return m
 
 
 def _matrix_out(field, m: Matrix):
@@ -80,14 +102,15 @@ def _resolve(table, name, kind):
     return table[name]
 
 
-def _structure_in(field, dim, records, name):
-    c = [[[field.zero] * dim for _ in range(dim)] for _ in range(dim)]
+def _structure_in(scalar, dim, records, name):
+    zero = scalar.field.zero
+    c = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
     for rec in records:
         i, j, k = rec["i"], rec["j"], rec["k"]
         if not all(_is_int(x) and 0 <= x < dim for x in (i, j, k)):
             raise CheckFailure("PARSE_ERROR", name,
                                f"{name}: index out of range: {rec}")
-        c[i][j][k] = _scalar_in(field, rec["value"])
+        c[i][j][k] = scalar(rec["value"])
     return [[tuple(c[i][j]) for j in range(dim)] for i in range(dim)]
 
 
@@ -140,30 +163,38 @@ def _structure_out(field, alg):
     return out
 
 
-def _wrap(name):
+class _wrap:
     """Re-raise engine check failures with the object name attached; a
     malformed value deeper in the object's spec becomes a PARSE_ERROR."""
-    class _Ctx:
-        def __enter__(self):
-            return self
 
-        def __exit__(self, exc_type, exc, tb):
-            if isinstance(exc, CheckFailure) and exc.code not in \
-                    ("PARSE_ERROR", "UNRESOLVED_REFERENCE", "VALIDATION_FAIL"):
-                raise CheckFailure("VALIDATION_FAIL", name,
-                                   f"{name}: {exc}") from exc
-            if isinstance(exc, KeyError):
-                raise CheckFailure("PARSE_ERROR", name,
-                                   f"{name}: missing key {exc}") from exc
-            if isinstance(exc, (TypeError, ValueError, IndexError,
-                                AttributeError)):
-                raise CheckFailure("PARSE_ERROR", name,
-                                   f"{name}: malformed spec: {exc}") from exc
-            return False
-    return _Ctx()
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        name = self.name
+        if isinstance(exc, CheckFailure) and exc.code not in \
+                ("PARSE_ERROR", "UNRESOLVED_REFERENCE", "VALIDATION_FAIL"):
+            raise CheckFailure("VALIDATION_FAIL", name,
+                               f"{name}: {exc}") from exc
+        if isinstance(exc, KeyError):
+            raise CheckFailure("PARSE_ERROR", name,
+                               f"{name}: missing key {exc}") from exc
+        if isinstance(exc, (TypeError, ValueError, IndexError,
+                            AttributeError)):
+            raise CheckFailure("PARSE_ERROR", name,
+                               f"{name}: malformed spec: {exc}") from exc
+        return False
 
 
-def parse_workspace(text: str) -> Workspace:
+def parse_workspace(text: str, field: str | None = None) -> Workspace:
+    """The workspace of a JSON document, every object validated once, in
+    table order.  field, when given, is a field selector that replaces the
+    document's own."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -171,16 +202,18 @@ def parse_workspace(text: str) -> Workspace:
     if not isinstance(doc, dict):
         raise CheckFailure("PARSE_ERROR", detail="top level must be an object")
     try:
-        field = field_from_spec(doc.get("field", "q"))
+        field = field_from_spec(doc.get("field", "q") if field is None
+                                else field)
     except FieldError as exc:
         raise CheckFailure("PARSE_ERROR", "field", str(exc)) from exc
     ws = Workspace(field)
+    scalar = _Scalars(field)
 
     for name, spec in _section(doc, "algebras"):
         with _wrap(name):
             dim = _key(spec, "dim", int, name)
             structure = _structure_in(
-                field, dim, _key(spec, "structure", list, name, []), name)
+                scalar, dim, _key(spec, "structure", list, name, []), name)
             if _key(spec, "type", str, name, "lie") == "leibniz":
                 ws.algebras[name] = validate_leibniz(field, dim, structure)
             else:
@@ -192,14 +225,14 @@ def parse_workspace(text: str) -> Workspace:
                            "algebra")
             dim = _key(spec, "dim", int, name)
             if "left" in spec:
-                left = [_matrix_in(field, m, dim) for m in
+                left = [scalar.matrix(m, dim) for m in
                         _action_in(spec, "left", alg.dim, name)]
-                right = [_matrix_in(field, m, dim) for m in
+                right = [scalar.matrix(m, dim) for m in
                          _action_in(spec, "right", alg.dim, name)]
                 ws.modules[name] = validate_leibniz_module(
                     LeibnizRepresentation(alg, dim, left, right))
             else:
-                action = [_matrix_in(field, m, dim) for m in
+                action = [scalar.matrix(m, dim) for m in
                           _action_in(spec, "action", alg.dim, name)]
                 ws.modules[name] = validate_module(
                     Representation(alg, dim, action))
@@ -210,8 +243,8 @@ def parse_workspace(text: str) -> Workspace:
                            "module")
             tgt = _resolve(ws.modules, _key(spec, "target", str, name),
                            "module")
-            mor = ModuleMorphism(src, tgt, _matrix_in(
-                field, _key(spec, "matrix", list, name), src.dim))
+            mor = ModuleMorphism(src, tgt, scalar.matrix(
+                _key(spec, "matrix", list, name), src.dim))
             ws.morphisms[name] = validate_morphism(mor)
 
     for name, spec in _section(doc, "cochains"):
@@ -222,7 +255,7 @@ def parse_workspace(text: str) -> Workspace:
             flavor = _key(spec, "flavor", str, name, "ce")
             tuples = list(cochain_tuples(flavor, mod.algebra.dim, degree))
             values = {tuple(e["tuple"]):
-                      tuple(_scalar_in(field, s) for s in e["value"])
+                      tuple(scalar(s) for s in e["value"])
                       for e in _key(spec, "entries", list, name, [])}
             unknown = set(values) - set(tuples)
             if unknown:
@@ -238,8 +271,8 @@ def parse_workspace(text: str) -> Workspace:
         with _wrap(name):
             L = _resolve(ws.algebras, _key(spec, "L", str, name), "algebra")
             V = _resolve(ws.modules, _key(spec, "V", str, name), "module")
-            partial = LinearMap(_matrix_in(
-                field, _key(spec, "partial", list, name), V.dim))
+            partial = LinearMap(scalar.matrix(
+                _key(spec, "partial", list, name), V.dim))
             cm = CrossedModule(L, V, partial)
             if isinstance(V, LeibnizRepresentation) != \
                     (L.flavor == "leibniz"):
@@ -265,15 +298,15 @@ def parse_workspace(text: str) -> Workspace:
             chain = _key(spec, "chain", list, name)
             mids = [_resolve(ws.modules, link["module"], "module")
                     for link in chain]
-            partials = [LinearMap(_matrix_in(field, link["map"], mod.dim))
+            partials = [LinearMap(scalar.matrix(link["map"], mod.dim))
                         for link, mod in zip(chain, mids)]
             E = CrossedExtension(
                 _key(spec, "n", int, name), g, M,
-                LinearMap(_matrix_in(field, _key(spec, "f", list, name),
-                                     M.dim)),
+                LinearMap(scalar.matrix(_key(spec, "f", list, name),
+                                        M.dim)),
                 tuple(mids), tuple(partials), base,
-                LinearMap(_matrix_in(field, _key(spec, "pi", list, name),
-                                     base.algebra.dim)))
+                LinearMap(scalar.matrix(_key(spec, "pi", list, name),
+                                        base.algebra.dim)))
             ws.extensions[name] = validate_extension(E)
 
     cmds = doc.get("commands", [])

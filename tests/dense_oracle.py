@@ -3,10 +3,11 @@
 sparse `rref`; the augmented-matrix solve, the reduce loop and the
 reduce-built quotient for `Echelon`, `Subspace.reduce` and `quotient`; and
 Fraction/FpElement multiply-accumulate loops for the integer kernels under
-`@`, `apply`, `lincomb`, `bracket` and the validators; the Chevalley-Eilenberg
-theta formula that the one theta of both flavors must reproduce on Lie
-crossed modules; and the dense-grid CE and Leibniz coboundary builders that
+`@`, `apply`, `lincomb`, `bracket` and the validators, the crossed-module
+axioms among them; the Chevalley-Eilenberg theta formula that the one
+theta of both flavors must reproduce on Lie crossed modules; and the dense-grid CE and Leibniz coboundary builders that
 the integer-row emitter of `crossedext.cohomology` must reproduce."""
+from crossedext.algebra import sides
 from crossedext.errors import CheckFailure
 from crossedext.linalg import LinearMap, Matrix, vec_add, vec_scale, vec_zero
 from crossedext.cohomology import (CE, ce_tuples, cochain_from_values,
@@ -239,6 +240,41 @@ def dense_image_kills_kernel(cm, leibniz):
                                    krow)):
                     return False
     return True
+
+
+def _adjoint_matrix(algebra, i, side) -> Matrix:
+    """Column j is [e_i, e_j], or [e_j, e_i] for the right side."""
+    if side == "right":
+        cols = [list(algebra.c[j][i]) for j in range(algebra.dim)]
+    else:
+        cols = [list(algebra.c[i][j]) for j in range(algebra.dim)]
+    return Matrix.from_cols(algebra.field, cols, algebra.dim)
+
+
+def dense_crossed_axioms(cm):
+    """The crossed-module axioms by Matrix products of field elements, as
+    `crossed.crossed_axioms` checked them before it ran on integer rows:
+    d A_i = ad(e_i) d for every action family, then, pair by pair, column
+    w of the left action of dv against column v of the right action of dw
+    (minus rho for a Lie module)."""
+    L, V, dm = cm.algebra, cm.rep, cm.partial.matrix
+    field, n = dm.field, V.dim
+    for i in range(L.dim):
+        for side, mats, _ in sides(V):
+            if dense_matmul(dm, mats[i]) != \
+                    dense_matmul(_adjoint_matrix(L, i, side), dm):
+                raise CheckFailure("EQUIVARIANCE_FAIL", (i,),
+                                   side and f"{side} action")
+    families = [mats for _, mats, _ in sides(V)]
+    lefts = [dense_lincomb(field, dm.col(v), families[0], n, n)
+             for v in range(n)]
+    rights = [dense_lincomb(field, dm.col(w), families[-1], n, n)
+              for w in range(n)]
+    sign = field.one if len(families) == 2 else -field.one
+    for v in range(n):
+        for w in range(n):
+            if lefts[v].col(w) != tuple(sign * x for x in rights[w].col(v)):
+                raise CheckFailure("PEIFFER_FAIL", (v, w))
 
 
 def lie_theta(pres, s, q):

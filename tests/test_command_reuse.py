@@ -162,3 +162,32 @@ def test_splice_refuses_a_complex_of_another_module():
     e, _, _ = cohomology_mod.abelian_extension_from_2cocycle(g, ses.tail, c,
                                                              own)
     assert e.dim == g.dim + ses.tail.dim
+
+
+LEIBNIZ_BAER = {"op": "baer-sum", "status": "FAIL",
+                "error": "UNSUPPORTED_FLAVOR",
+                "detail": "UNSUPPORTED_FLAVOR: the Baer sum of Leibniz "
+                          "crossed modules is not implemented"}
+
+
+@pytest.mark.parametrize("name", ["jordan_leib", "zero_leib"])
+def test_leibniz_baer_sum_is_a_fail_record(name, doc_text, tmp_path,
+                                           capsys):
+    """A Baer sum of Leibniz crossed modules is refused with its own code:
+    no traceback, and no failure of a Lie check on the fiber product."""
+    ws = parse_workspace(doc_text)
+    cmd = {"op": "baer-sum", "left": name, "right": name}
+    assert run_command(ws, cmd) == [LEIBNIZ_BAER]
+    doc = json.loads(doc_text)
+    doc["commands"] = [cmd]
+    path = tmp_path / "baer.json"
+    path.write_text(json.dumps(doc))
+    assert main(["baer-sum", "--input", str(path), "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["results"] == [LEIBNIZ_BAER]
+
+
+def test_baer_sum_across_flavors_is_a_base_mismatch(doc_text):
+    ws = parse_workspace(doc_text)
+    rec, = run_command(ws, {"op": "baer-sum", "left": "jordan_cm",
+                            "right": "jordan_leib"})
+    assert (rec["status"], rec["error"]) == ("FAIL", "BASE_MISMATCH")

@@ -5,10 +5,11 @@ import pytest
 from crossedext.errors import CheckFailure
 from crossedext.field import QQ
 from crossedext.linalg import LinearMap, Matrix
-from crossedext.algebra import ModuleMorphism, adjoint, trivial_rep
+from crossedext.algebra import (ModuleMorphism, adjoint, trivial_rep,
+                                validate_module)
 from crossedext.cohomology import cochain_from_values
-from crossedext.crossed import classify2, negate_crossed, yoneda_crossed_module, \
-    zero_crossed_module
+from crossedext.crossed import classify2, negate_crossed, validate_crossed, \
+    yoneda_crossed_module, zero_crossed_module
 from crossedext.extensions import (baer_sum, baer_sum_n2,
                                    check_extension_morphism, mediate, negate,
                                    opext_connecting, push_forward, pushout,
@@ -19,6 +20,16 @@ from crossedext import samples
 Z, O = QQ.zero, QQ.one
 
 
+def validate_whole(E):
+    """validate_extension on an extension whose parts no parse has
+    validated: the base as a crossed module and M and the mids as modules
+    first, as its contract asks."""
+    validate_crossed(E.base)
+    for mod in (E.M,) + E.mids:
+        validate_module(mod)
+    return validate_extension(E)
+
+
 def _zero_ext(n=3):
     g = samples.heisenberg(QQ)
     return zero_extension(g, adjoint(g), n)
@@ -26,7 +37,7 @@ def _zero_ext(n=3):
 
 def test_zero_extension_validates_all_lengths():
     for n in (3, 4, 5):
-        validate_extension(_zero_ext(n))
+        validate_whole(_zero_ext(n))
 
 
 def test_split_detect_finds_identity_on_zero_extension():
@@ -38,7 +49,7 @@ def test_split_detect_finds_identity_on_zero_extension():
 
 def test_split_detect_rejects_nonsplit_fixture():
     E = samples.nonsplit_extension3(QQ)
-    validate_extension(E)
+    validate_whole(E)
     assert split_detect(E) is None
 
 
@@ -46,7 +57,7 @@ def test_push_forward_keeps_splitness():
     E = _zero_ext()
     dbl = ModuleMorphism(E.M, E.M, Matrix.identity(QQ, 3).scale(QQ.of(2)))
     E2, mor = push_forward(dbl, E)
-    validate_extension(E2)
+    validate_whole(E2)
     check_extension_morphism(E, E2, mor)
     assert split_detect(E2) is not None
 
@@ -56,20 +67,20 @@ def test_push_forward_of_nonsplit_along_zero_map_splits():
     crush = ModuleMorphism(E.M, trivial_rep(E.g, 1),
                            Matrix.zero(QQ, 1, E.M.dim))
     E2, _ = push_forward(crush, E)
-    validate_extension(E2)
+    validate_whole(E2)
     assert split_detect(E2) is not None
 
 
 def test_negate_twice_is_original_chain():
     E = _zero_ext()
     assert negate(negate(E)).f.matrix == E.f.matrix
-    validate_extension(negate(E))
+    validate_whole(negate(E))
 
 
 def test_sum_over_g_dimensions():
     E = _zero_ext()
     S = sum_over_g(E, E)
-    validate_extension(S)
+    validate_whole(S)
     assert S.M.dim == 6
     assert S.base.algebra.dim == 3  # fiber product of g with itself over g
 
@@ -77,7 +88,7 @@ def test_sum_over_g_dimensions():
 def test_baer_sum_of_zero_extensions_splits():
     E = _zero_ext()
     B = baer_sum(E, E)
-    validate_extension(B)
+    validate_whole(B)
     assert split_detect(B) is not None
 
 
@@ -178,11 +189,11 @@ def test_opext_connecting_extends_length():
     E2 = zero_crossed_module(g, ses.tail)
     E3 = opext_connecting(ses, E2)
     assert E3.n == 3
-    validate_extension(E3)
+    validate_whole(E3)
     E4 = opext_connecting(samples.split_ses(g, trivial_rep(g, 1), E3.M),
                           E3)
     assert E4.n == 4
-    validate_extension(E4)
+    validate_whole(E4)
 
 
 def test_opext_connecting_base_mismatch():
