@@ -27,7 +27,7 @@ def main():
     print("sequence: 0 -> K -> K^2 (Jordan block action) -> K -> 0")
 
     one, zero = QQ.one, QQ.zero
-    c = cochain_from_values("ce", ses.tail, 2,
+    c = cochain_from_values(ses.tail, 2,
                             lambda t: (one,) if t == (1, 2) else (zero,))
     print("\n2-cocycle c supported on (e_1, e_2); its class maps under the")
     print("connecting homomorphism to", fmt(connecting_hom(ses, class_of(c))))

@@ -9,9 +9,9 @@ from crossedext.field import field_from_spec
 from crossedext.samples import LIE_CATALOG, lie_by_name
 
 
-def show(name, g, M, label, cap):
+def show(name, M, label, cap):
     print(f"{name}  ({label} coefficients)")
-    for n, dim_c, rank_d, dim_h in cohomology_table(g, M, cap):
+    for n, dim_c, rank_d, dim_h in cohomology_table(M, cap):
         print(f"  H^{n}: dim C = {dim_c:3d}  rank d = {rank_d:3d}"
               f"  dim H = {dim_h}")
 
@@ -24,8 +24,8 @@ def main():
     field = field_from_spec(args.field)
     for name in LIE_CATALOG:
         g = lie_by_name(field, name)
-        show(name, g, trivial_rep(g, 1), "trivial", args.max_degree)
-        show(name, g, adjoint(g), "adjoint", args.max_degree)
+        show(name, trivial_rep(g, 1), "trivial", args.max_degree)
+        show(name, adjoint(g), "adjoint", args.max_degree)
         print()
 
 

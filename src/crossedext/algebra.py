@@ -10,6 +10,10 @@ from .errors import CheckFailure
 from .linalg import (Matrix, LinearMap, _common_rows, _int_rows, _int_vec,
                      _modulus, _mul_rows, _to_field, block_diag, lincomb)
 
+# the cochain flavor of a Lie module and of a Leibniz module
+CE = "ce"
+LEIBNIZ = "leibniz"
+
 
 def _coerce_structure(field, dim, structure):
     """structure[i][j] is the coefficient vector of the bracket of e_i, e_j."""
@@ -90,13 +94,37 @@ class LeibnizAlgebra(_AlgebraBase):
     flavor = "leibniz"
 
 
+def _leibniz_identity(g, code, cyclic):
+    """g, unless the Leibniz defect [ei,[ej,ek]] - [[ei,ej],ek] + [[ei,ek],ej]
+    is nonzero on a basis triple: then a failure with code and the first such
+    (i, j, k) in lexicographic order, among those with j, k >= i when cyclic.
+    The sum runs on the integer structure constants on their denominator d
+    (residues over F_p): each term is a product of two constants, so the
+    sum is d^2 times the true one and vanishes with it."""
+    dim, p = g.dim, _modulus(g.field)
+    c, _ = g.int_structure()
+    for i in range(dim):
+        lo = i if cyclic else 0
+        for j in range(lo, dim):
+            for k in range(lo, dim):
+                acc = {}
+                for m, coef in c[j * dim + k].items():
+                    for t, s in c[i * dim + m].items():
+                        acc[t] = acc.get(t, 0) + coef * s
+                for m, coef in c[i * dim + j].items():
+                    for t, s in c[m * dim + k].items():
+                        acc[t] = acc.get(t, 0) - coef * s
+                for m, coef in c[i * dim + k].items():
+                    for t, s in c[m * dim + j].items():
+                        acc[t] = acc.get(t, 0) + coef * s
+                if any(v % p if p else v for v in acc.values()):
+                    raise CheckFailure(code, (i, j, k))
+    return g
+
+
 def validate_lie(field, dim, structure) -> LieAlgebra:
     """Check antisymmetry and the Jacobi identity on all basis triples."""
     g = LieAlgebra(field, dim, structure)
-    # Both checks run on the structure constants scaled to integers over one
-    # common denominator d (residues over F_p).  Every Jacobi term is a
-    # product of two constants, so the sum is d^2 times the true one and
-    # vanishes with it.
     p = _modulus(field)
     c, _ = g.int_structure()
     for i in range(dim):
@@ -104,47 +132,26 @@ def validate_lie(field, dim, structure) -> LieAlgebra:
             if c[i * dim + j] != {k: p - v if p else -v
                                   for k, v in c[j * dim + i].items()}:
                 raise CheckFailure("ANTISYM_FAIL", (i, j))
-    # The Jacobi sum J(i, j, k) = [[ei,ej],ek] + [[ej,ek],ei] + [[ek,ei],ej]
-    # is the same sum for the rotations (j, k, i) and (k, i, j), so the
-    # failing triples are closed under rotation.  If the lexicographically
-    # first one had an index smaller than i, the rotation bringing that
-    # index to the front would come before it and fail too; so its least
-    # index is i, and the loop over j >= i and k >= i alone, in the same
-    # order, meets it first.  Triples with repeated indices stay in: over
-    # F_2 a nonzero [ei, ei] passes the antisymmetry check above.
-    for i in range(dim):
-        for j in range(i, dim):
-            for k in range(i, dim):
-                acc = {}
-                for (a, b, cidx) in ((i, j, k), (j, k, i), (k, i, j)):
-                    for m, coef in c[a * dim + b].items():
-                        for t, s in c[m * dim + cidx].items():
-                            acc[t] = acc.get(t, 0) + coef * s
-                if any(v % p if p else v for v in acc.values()):
-                    raise CheckFailure("JACOBI_FAIL", (i, j, k))
-    return g
+    # Given antisymmetry the Leibniz defect is minus the Jacobi sum
+    # J(i, j, k) = [[ei,ej],ek] + [[ej,ek],ei] + [[ek,ei],ej], invariant
+    # under rotation.  So the lexicographically first failing triple has its
+    # least index first, and the loop over j, k >= i meets it first.
+    # Repeated indices stay in: over F_2 a nonzero [ei, ei] is antisymmetric.
+    return _leibniz_identity(g, "JACOBI_FAIL", cyclic=True)
 
 
 def validate_leibniz(field, dim, structure) -> LeibnizAlgebra:
-    """Check the right Leibniz identity [x,[y,z]] = [[x,y],z] - [[x,z],y]."""
-    h = LeibnizAlgebra(field, dim, structure)
-    e = [tuple(field.one if t == s else field.zero for t in range(dim))
-         for s in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                lhs = h.bracket(e[i], h.c[j][k])
-                rhs1 = h.bracket(h.c[i][j], e[k])
-                rhs2 = h.bracket(h.c[i][k], e[j])
-                if lhs != tuple(a - b for a, b in zip(rhs1, rhs2)):
-                    raise CheckFailure("LEIBNIZ_FAIL", (i, j, k))
-    return h
+    """Check the right Leibniz identity [x,[y,z]] = [[x,y],z] - [[x,z],y]
+    on all basis triples."""
+    return _leibniz_identity(LeibnizAlgebra(field, dim, structure),
+                             "LEIBNIZ_FAIL", cyclic=False)
 
 
 class Representation:
     """A module over a Lie algebra: one action matrix per basis vector."""
 
     __slots__ = ("algebra", "dim", "action")
+    flavor = CE
 
     def __init__(self, algebra: LieAlgebra, dim: int, action):
         self.algebra = algebra
@@ -174,7 +181,7 @@ class Representation:
 def trivial_rep(algebra, dim) -> "Representation | LeibnizRepresentation":
     field = algebra.field
     zeros = [Matrix.zero(field, dim, dim) for _ in range(algebra.dim)]
-    if algebra.flavor == "leibniz":
+    if algebra.flavor == LEIBNIZ:
         return LeibnizRepresentation(algebra, dim, zeros, list(zeros))
     return Representation(algebra, dim, zeros)
 
@@ -234,6 +241,7 @@ class LeibnizRepresentation:
     """A module over a Leibniz algebra: left and right action families."""
 
     __slots__ = ("algebra", "dim", "left", "right")
+    flavor = LEIBNIZ
 
     def __init__(self, algebra: LeibnizAlgebra, dim: int, left, right):
         self.algebra = algebra

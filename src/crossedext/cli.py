@@ -45,15 +45,19 @@ def _cmd_check(ws, args, degree_cap):
 
 
 def _cmd_cohomology(ws, args, degree_cap):
+    """H^n of the module over its own algebra, which the command names."""
     alg = ws.algebras[args["algebra"]]
     mod = ws.modules[args["module"]]
+    if alg != mod.algebra:
+        raise CheckFailure("BASE_MISMATCH", args["module"],
+                           f"not a module over {args['algebra']!r}")
     asked = args.get("max_degree", degree_cap)
     if not isinstance(asked, int) or isinstance(asked, bool) or asked < 0:
         raise CheckFailure("PARSE_ERROR", "max_degree",
                            "max_degree must be a non-negative integer, "
                            f"not {asked!r}")
     cap = min(asked, degree_cap)
-    rows = cohomology_table(alg, mod, cap)
+    rows = cohomology_table(mod, cap)
     return [{"op": "cohomology", "algebra": args["algebra"],
              "module": args["module"], "status": "PASS",
              "table": [{"degree": n, "dim_cochains": c, "rank_delta": r,
@@ -73,7 +77,7 @@ class _Classified:
 
     def complex(self):
         if self.cx is None:
-            self.cx = CochainComplex(self.pres.g, self.pres.M, self.cm.flavor)
+            self.cx = CochainComplex(self.pres.M)
         return self.cx
 
     def classify(self):
@@ -148,15 +152,18 @@ def _cmd_pushout(ws, args, degree_cap):
 
 
 def _complexes(ses, c):
-    """For a sequence 0 -> M -> M' -> M'' -> 0 and a cochain c: the complex
-    of (g, M), where the connecting class lives, and the complex of c.  They
-    are one complex when c is valued in M itself, as in a sequence whose head
-    and tail are the same module (0 -> k -> jordan2 -> k -> 0 in
-    fixtures/yoneda_jordan.json)."""
-    head = CochainComplex(ses.head.algebra, ses.head, c.flavor)
+    """For a sequence 0 -> M -> M' -> M'' -> 0 and a cochain c valued in M''
+    (a BASE_MISMATCH otherwise): the complex of M, where the connecting
+    class lives, and the complex of c.  They are one complex when c is
+    valued in M itself, as in a sequence whose head and tail are the same
+    module (0 -> k -> jordan2 -> k -> 0 in fixtures/yoneda_jordan.json)."""
+    if c.module is not ses.tail and c.module != ses.tail:
+        raise CheckFailure("BASE_MISMATCH", detail="cochain is not valued "
+                           "in the sequence tail")
+    head = CochainComplex(ses.head)
     if c.module is ses.head:
         return head, head
-    return head, CochainComplex(c.algebra, c.module, c.flavor)
+    return head, CochainComplex(c.module)
 
 
 def _cmd_connecting(ws, args, degree_cap):

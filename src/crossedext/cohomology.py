@@ -10,7 +10,8 @@ denominator over Q, residues over F_p) from the integer views of the action
 matrices and the structure constants; the flavors differ only in their
 cochain tuples and their action and bracket terms.  The matrix's dense rows
 are built only if something reads `.data`: rank, elimination, transpose and
-apply work on the integer rows.
+apply work on the integer rows.  Complexes, cochains and classes read their
+algebra and their flavor (CE or LEIBNIZ) from their module.
 """
 from __future__ import annotations
 
@@ -21,12 +22,10 @@ from dataclasses import dataclass
 from .errors import CheckFailure
 from .linalg import (Echelon, LinearMap, Matrix, Subspace, _from_ints,
                      _int_rows, image, kernel, rank, vec_add, vec_scale,
-                     vec_sub, vec_zero)
-from .algebra import (LeibnizRepresentation, ModuleMorphism, Representation,
-                      validate_lie)
-
-CE = "ce"
-LEIBNIZ = "leibniz"
+                     vec_zero)
+# CE and LEIBNIZ are re-exported here, next to the complexes they name
+from .algebra import (CE, LEIBNIZ, LeibnizRepresentation, ModuleMorphism,
+                      Representation, sides, validate_lie)
 
 
 def ce_tuples(dim: int, n: int):
@@ -35,8 +34,10 @@ def ce_tuples(dim: int, n: int):
 def leib_tuples(dim: int, n: int):
     return tuple(itertools.product(range(dim), repeat=n))
 
-def cochain_tuples(flavor: str, dim: int, n: int):
-    return ce_tuples(dim, n) if flavor == CE else leib_tuples(dim, n)
+def cochain_tuples(module, n: int):
+    """The basis tuples of the n-cochains valued in module."""
+    tuples = ce_tuples if module.flavor == CE else leib_tuples
+    return tuples(module.algebra.dim, n)
 
 
 def sort_with_sign(t):
@@ -56,15 +57,11 @@ def sort_with_sign(t):
     return tuple(t), sign
 
 
-def _flavor_of_module(module) -> str:
-    return LEIBNIZ if isinstance(module, LeibnizRepresentation) else CE
-
-
 @dataclass(frozen=True)
 class Cochain:
-    """Degree-n cochain with values in a module, stored as one flat vector."""
+    """Degree-n cochain with values in a module, stored as one flat vector;
+    its flavor is the module's."""
 
-    flavor: str
     degree: int
     module: object
     vec: tuple
@@ -75,11 +72,11 @@ class Cochain:
             raise ValueError(f"cochain vector has length {len(self.vec)}, want {expected}")
 
     @property
-    def algebra(self):
-        return self.module.algebra
+    def flavor(self):
+        return self.module.flavor
 
     def tuples(self):
-        return cochain_tuples(self.flavor, self.algebra.dim, self.degree)
+        return cochain_tuples(self.module, self.degree)
 
     def value(self, t):
         idx = self.tuples().index(tuple(t))
@@ -92,23 +89,19 @@ class Cochain:
             return self.value(t)
         st, sign = sort_with_sign(t)
         if st is None:
-            return vec_zero(self.algebra.field, self.module.dim)
+            return vec_zero(self.module.algebra.field, self.module.dim)
         v = self.value(st)
         return v if sign == 1 else tuple(-x for x in v)
 
     def __add__(self, other):
         self._check_like(other)
-        return Cochain(self.flavor, self.degree, self.module,
-                       vec_add(self.vec, other.vec))
+        return Cochain(self.degree, self.module, vec_add(self.vec, other.vec))
 
     def __sub__(self, other):
-        self._check_like(other)
-        return Cochain(self.flavor, self.degree, self.module,
-                       vec_sub(self.vec, other.vec))
+        return self + (-other)
 
     def __neg__(self):
-        return Cochain(self.flavor, self.degree, self.module,
-                       tuple(-x for x in self.vec))
+        return Cochain(self.degree, self.module, tuple(-x for x in self.vec))
 
     def _check_like(self, other):
         if (self.flavor, self.degree, self.module.dim) != \
@@ -119,16 +112,16 @@ class Cochain:
         return not any(self.vec)
 
 
-def cochain_from_values(flavor, module, degree, value_of) -> Cochain:
+def cochain_from_values(module, degree, value_of) -> Cochain:
     """Assemble a cochain from a function mapping basis index tuples to
     module vectors."""
     vec = []
-    for t in cochain_tuples(flavor, module.algebra.dim, degree):
+    for t in cochain_tuples(module, degree):
         v = tuple(value_of(t))
         if len(v) != module.dim:
             raise ValueError("value of wrong length")
         vec.extend(v)
-    return Cochain(flavor, degree, module, tuple(vec))
+    return Cochain(degree, module, tuple(vec))
 
 
 def _ce_actions(S):
@@ -234,36 +227,34 @@ def leibniz_coboundary_matrix(h, M: LeibnizRepresentation, n: int) -> LinearMap:
                             _leibniz_actions, _leibniz_insert)
 
 
-def coboundary_matrix(flavor, algebra, M, n) -> LinearMap:
-    if flavor == CE:
-        return ce_coboundary_matrix(algebra, M, n)
-    return leibniz_coboundary_matrix(algebra, M, n)
+def coboundary_matrix(M, n) -> LinearMap:
+    """delta_n of the complex of M's flavor over M's algebra."""
+    if M.flavor == CE:
+        return ce_coboundary_matrix(M.algebra, M, n)
+    return leibniz_coboundary_matrix(M.algebra, M, n)
 
 
 def coboundary(z: Cochain) -> Cochain:
-    d = coboundary_matrix(z.flavor, z.algebra, z.module, z.degree)
-    return Cochain(z.flavor, z.degree + 1, z.module, d.apply(z.vec))
+    d = coboundary_matrix(z.module, z.degree)
+    return Cochain(z.degree + 1, z.module, d.apply(z.vec))
 
 
 class CochainComplex:
-    """The cochain complex C^*(algebra, module) of one flavor.
+    """The cochain complex C^*(g, M) of a module M over g, of M's flavor.
 
     Each coboundary delta_n, the echelon form of its rows and the space
     B^n = im delta_{n-1} of n-coboundaries are built on first use and kept
     for the life of the object.  Callers scope that life: a CLI run keeps
     one complex per classified crossed module, the complex of its induced
     (g, M), in the workspace's memo (see cli._classified); other commands
-    build at most one per (algebra, module) and drop it when they end.
-    Nothing is cached on the algebra, the module or the module namespace.
+    build at most one per module and drop it when they end.  Nothing is
+    cached on the algebra, the module or the module namespace.
     """
 
-    __slots__ = ("algebra", "module", "flavor", "_delta", "_echelon",
-                 "_boundaries")
+    __slots__ = ("module", "_delta", "_echelon", "_boundaries")
 
-    def __init__(self, algebra, module, flavor: str | None = None):
-        self.algebra = algebra
+    def __init__(self, module):
         self.module = module
-        self.flavor = flavor or _flavor_of_module(module)
         self._delta = {}
         self._echelon = {}
         self._boundaries = {}
@@ -272,8 +263,7 @@ class CochainComplex:
         """delta_n : C^n -> C^{n+1}."""
         d = self._delta.get(n)
         if d is None:
-            d = self._delta[n] = coboundary_matrix(self.flavor, self.algebra,
-                                                   self.module, n)
+            d = self._delta[n] = coboundary_matrix(self.module, n)
         return d
 
     def echelon(self, n) -> Echelon:
@@ -288,7 +278,8 @@ class CochainComplex:
         b = self._boundaries.get(n)
         if b is None:
             if n == 0:
-                b = Subspace.zero_space(self.algebra.field, self.module.dim)
+                b = Subspace.zero_space(self.module.algebra.field,
+                                        self.module.dim)
             else:
                 b = image(self.delta(n - 1))
             self._boundaries[n] = b
@@ -305,37 +296,31 @@ class CochainComplex:
             raise CheckFailure("NOT_A_COCYCLE", detail=f"degree {z.degree}")
 
 
-def _complex_for(z: Cochain, cx: CochainComplex | None) -> CochainComplex:
-    """cx when it is the complex z lives in; a new one when cx is None."""
-    if cx is None:
-        return CochainComplex(z.algebra, z.module, z.flavor)
-    if cx.flavor != z.flavor or (cx.module is not z.module
-                                 and cx.module != z.module):
-        raise ValueError("cochain does not live in the given complex")
-    return cx
-
-
 @dataclass(frozen=True)
 class CohomologyClass:
     """A cohomology class with its canonical reduced representative.
 
     canonical is the representative vector reduced against the RREF basis of
     the coboundary image; two classes agree iff their canonicals agree.
+    Its flavor is its module's.
     """
 
-    flavor: str
     degree: int
     module: object
     representative: Cochain
     coboundary_space: Subspace
     canonical: tuple
 
+    @property
+    def flavor(self):
+        return self.module.flavor
+
     def is_zero(self):
         return not any(self.canonical)
 
     def __add__(self, other):
-        self._check_like(other)
-        return CohomologyClass(self.flavor, self.degree, self.module,
+        # the representatives' sum checks that the shapes agree
+        return CohomologyClass(self.degree, self.module,
                                self.representative + other.representative,
                                self.coboundary_space,
                                vec_add(self.canonical, other.canonical))
@@ -344,14 +329,9 @@ class CohomologyClass:
         return self + (-other)
 
     def __neg__(self):
-        return CohomologyClass(self.flavor, self.degree, self.module,
-                               -self.representative, self.coboundary_space,
+        return CohomologyClass(self.degree, self.module, -self.representative,
+                               self.coboundary_space,
                                tuple(-x for x in self.canonical))
-
-    def _check_like(self, other):
-        if (self.flavor, self.degree, self.module.dim) != \
-                (other.flavor, other.degree, other.module.dim):
-            raise ValueError("class shape mismatch")
 
     def __eq__(self, other):
         return (isinstance(other, CohomologyClass)
@@ -365,16 +345,19 @@ class CohomologyClass:
 def class_of(z: Cochain, cx: CochainComplex | None = None) -> CohomologyClass:
     """Cohomology class of a cocycle; raises NOT_A_COCYCLE otherwise.
     cx, when given, is the complex z lives in."""
-    cx = _complex_for(z, cx)
+    if cx is None:
+        cx = CochainComplex(z.module)
+    elif cx.module is not z.module and cx.module != z.module:
+        raise ValueError("cochain does not live in the given complex")
     cx.check_cocycle(z)
     b = cx.coboundaries(z.degree)
-    return CohomologyClass(z.flavor, z.degree, z.module, z, b, b.reduce(z.vec))
+    return CohomologyClass(z.degree, z.module, z, b, b.reduce(z.vec))
 
 
-def cohomology(algebra, M, n: int, flavor: str | None = None):
-    """Dimension of H^n and a basis of classes with cocycle representatives."""
-    cx = CochainComplex(algebra, M, flavor)
-    flavor = cx.flavor
+def cohomology(M, n: int):
+    """Dimension of H^n(g, M) for M's algebra g, and a basis of classes with
+    cocycle representatives."""
+    cx = CochainComplex(M)
     z = cx.echelon(n).kernel()
     b = cx.coboundaries(n)
     classes = []
@@ -383,20 +366,19 @@ def cohomology(algebra, M, n: int, flavor: str | None = None):
     acc = Echelon(b.basis)
     for row in z.basis.data:
         if acc.extend(row):
-            rep = Cochain(flavor, n, M, tuple(row))
-            classes.append(CohomologyClass(flavor, n, M, rep, b, b.reduce(row)))
+            rep = Cochain(n, M, tuple(row))
+            classes.append(CohomologyClass(n, M, rep, b, b.reduce(row)))
     dim_h = z.dim - b.dim
     assert dim_h == len(classes)
     return dim_h, classes
 
 
-def cohomology_table(algebra, M, max_degree: int, flavor: str | None = None):
+def cohomology_table(M, max_degree: int):
     """Rows (degree, dim C^n, rank delta_n, dim H^n) for n = 0..max_degree."""
-    flavor = flavor or _flavor_of_module(M)
     rows = []
     prev_rank = 0
     for n in range(max_degree + 1):
-        d_n = coboundary_matrix(flavor, algebra, M, n)
+        d_n = coboundary_matrix(M, n)
         dim_c = d_n.domain_dim
         rank_n = rank(d_n)
         rows.append((n, dim_c, rank_n, dim_c - rank_n - prev_rank))
@@ -404,12 +386,11 @@ def cohomology_table(algebra, M, max_degree: int, flavor: str | None = None):
     return rows
 
 
-def h0_invariants(algebra, M) -> Subspace:
-    """Kernel of the stacked action matrices: {m | [x, m] = 0 for all x}."""
-    field = algebra.field
-    mats = M.left if isinstance(M, LeibnizRepresentation) else M.action
-    stacked = Matrix.zero(field, 0, M.dim)
-    for a in mats:
+def h0_invariants(M) -> Subspace:
+    """Kernel of the stacked action matrices (the left ones of a Leibniz
+    module): {m | [x, m] = 0 for all x}."""
+    stacked = Matrix.zero(M.algebra.field, 0, M.dim)
+    for a in sides(M)[0][1]:
         stacked = stacked.vstack(a)
     return kernel(LinearMap(stacked))
 
@@ -417,14 +398,14 @@ def h0_invariants(algebra, M) -> Subspace:
 def coboundary_witness(z: Cochain) -> Cochain | None:
     """A cochain b with delta(b) = z when [z] = 0; None when the class is
     nontrivial.  Raises NOT_A_COCYCLE when z is not closed."""
-    cx = CochainComplex(z.algebra, z.module, z.flavor)
+    cx = CochainComplex(z.module)
     cx.check_cocycle(z)
     if z.degree == 0:
         return None if any(z.vec) else z
     sol = cx.echelon(z.degree - 1).solve(z.vec)
     if sol is None:
         return None
-    return Cochain(z.flavor, z.degree - 1, z.module, sol)
+    return Cochain(z.degree - 1, z.module, sol)
 
 
 @dataclass(frozen=True)
@@ -467,7 +448,7 @@ def map_coefficients(phi: ModuleMorphism, z: Cochain) -> Cochain:
     """Push a cochain forward along a module morphism on coefficients."""
     if z.module.dim != phi.source.dim:
         raise ValueError("cochain module mismatch")
-    return cochain_from_values(z.flavor, phi.target, z.degree,
+    return cochain_from_values(phi.target, z.degree,
                                lambda t: phi.apply(z.value(t)))
 
 
@@ -489,11 +470,12 @@ def connecting_hom(ses: ShortExactSequence, c: CohomologyClass,
 
     lift_rng, when given, perturbs each lift by a random kernel(beta) element;
     the resulting class must not change (checked by property tests).  cx,
-    when given, is the complex of (algebra, head) the result lives in.
+    when given, is the complex of the head the result lives in.
     """
-    if c.module.dim != ses.tail.dim:
-        raise ValueError("class is not valued in the sequence tail")
-    flavor, n = c.flavor, c.degree
+    if c.module is not ses.tail and c.module != ses.tail:
+        raise CheckFailure("BASE_MISMATCH",
+                           detail="class is not valued in the sequence tail")
+    n = c.degree
     algebra = ses.head.algebra
     ker_beta = kernel(ses.beta.map)
     lift_of = Echelon(ses.beta.map.matrix).solve
@@ -508,7 +490,7 @@ def connecting_hom(ses: ShortExactSequence, c: CohomologyClass,
             for coef, row in zip(coefs, ker_beta.basis.data):
                 v = vec_add(v, vec_scale(coef, row))
         lifted.append(v)
-    lift = Cochain(flavor, n, ses.middle, tuple(x for v in lifted for x in v))
+    lift = Cochain(n, ses.middle, tuple(x for v in lifted for x in v))
     pull_of = Echelon(ses.alpha.map.matrix).solve
     pulled = []
     for value in _values(coboundary(lift)):
@@ -517,27 +499,35 @@ def connecting_hom(ses: ShortExactSequence, c: CohomologyClass,
             raise CheckFailure("EXACTNESS_FAIL", "middle",
                                "coboundary of lift is not in image(alpha)")
         pulled.extend(m)
-    return class_of(Cochain(flavor, n + 1, ses.head, tuple(pulled)), cx)
+    return class_of(Cochain(n + 1, ses.head, tuple(pulled)), cx)
 
 
-def abelian_extension_from_2cocycle(g, Mpp: Representation, alpha: Cochain,
+def abelian_extension_from_2cocycle(Mpp: Representation, alpha: Cochain,
                                     cx: CochainComplex | None = None):
-    """The Lie algebra M'' + g with bracket twisted by a 2-cocycle.
+    """The Lie algebra M'' + g, for g the algebra of the Lie module M'',
+    with bracket twisted by a 2-cocycle.
 
     Returns (e, inclusion of M'', projection onto g).  The bracket is
     [(m,x),(n,y)] = ([x,n] - [y,m] + alpha(x,y), [x,y]); its Jacobi identity
     is equivalent to delta(alpha) = 0, which is checked first.  cx, when
-    given, is the CE complex of (g, M'').
+    given, is the complex of M''.
     """
-    if alpha.degree != 2 or alpha.flavor != CE or alpha.module.dim != Mpp.dim:
-        raise ValueError("need a degree-2 CE cochain valued in the module")
+    if Mpp.flavor != CE:
+        raise CheckFailure("UNSUPPORTED_FLAVOR", detail="the abelian "
+                           "extension of a Leibniz module is not implemented")
+    if alpha.module is not Mpp and alpha.module != Mpp:
+        raise CheckFailure("BASE_MISMATCH",
+                           detail="2-cocycle is not valued in the module")
+    if alpha.degree != 2:
+        raise CheckFailure("DEGREE_MISMATCH", alpha.degree, "need a 2-cocycle")
     if cx is None:
-        cx = CochainComplex(g, Mpp, CE)
-    elif cx.flavor != CE or cx.module is not Mpp:
-        raise ValueError("cx is not the CE complex of the module")
+        cx = CochainComplex(Mpp)
+    elif cx.module is not Mpp:
+        raise ValueError("cx is not the complex of the module")
     d2 = cx.delta(2)
     if any(d2.apply(alpha.vec)):
         raise CheckFailure("NOT_A_COCYCLE", detail="delta(alpha) != 0")
+    g = Mpp.algebra
     field = g.field
     m, d = Mpp.dim, g.dim
     n = m + d
@@ -545,8 +535,7 @@ def abelian_extension_from_2cocycle(g, Mpp: Representation, alpha: Cochain,
     structure = [[zero for _ in range(n)] for _ in range(n)]
     for i in range(m):
         for j in range(d):
-            act = Mpp.act_basis(j, tuple(field.one if t == i else field.zero
-                                         for t in range(m)))
+            act = Mpp.action[j].col(i)
             structure[i][m + j] = tuple(-x for x in act) + vec_zero(field, d)
             structure[m + j][i] = tuple(act) + vec_zero(field, d)
     for i in range(d):

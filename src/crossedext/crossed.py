@@ -22,7 +22,7 @@ from .linalg import (Echelon, LinearMap, Matrix, _common_rows, _int_rows,
 from .algebra import (LeibnizRepresentation, Representation, bracket_defect,
                       sides, validate_lie, validate_leibniz, validate_module,
                       validate_leibniz_module)
-from .cohomology import (CE, LEIBNIZ, Cochain, CochainComplex,
+from .cohomology import (LEIBNIZ, Cochain, CochainComplex,
                          CohomologyClass, ShortExactSequence,
                          abelian_extension_from_2cocycle, class_of,
                          cochain_from_values, validate_ses)
@@ -36,7 +36,7 @@ class CrossedModule:
 
     @property
     def flavor(self):
-        return LEIBNIZ if self.algebra.flavor == "leibniz" else CE
+        return self.rep.flavor
 
     def __post_init__(self):
         if self.partial.domain_dim != self.rep.dim or \
@@ -158,10 +158,7 @@ def induced_pair(cm: CrossedModule) -> Presentation:
     svecs = [sect.matrix.col(j) for j in range(qdim)]
     structure = [[proj.apply(L.bracket(svecs[i], svecs[j]))
                   for j in range(qdim)] for i in range(qdim)]
-    if leib:
-        g = validate_leibniz(field, qdim, structure)
-    else:
-        g = validate_lie(field, qdim, structure)
+    g = (validate_leibniz if leib else validate_lie)(field, qdim, structure)
     ker = kernel(d)
     mdim = ker.dim
     # the whole left family is induced before the right one, so a failure in
@@ -329,7 +326,7 @@ def theta(pres: Presentation, s: LinearMap | None = None,
             raise CheckFailure("PEIFFER_FAIL", t, "partial(theta) != 0")
         return pull(val)
 
-    return cochain_from_values(cm.flavor, pres.M, 3, value)
+    return cochain_from_values(pres.M, 3, value)
 
 
 # the Leibniz name of the one theta
@@ -385,15 +382,12 @@ def yoneda_crossed_module(ses: ShortExactSequence, ext2: Cochain,
 
     The result is a crossed module presented over (g, M) whose H^3 class is
     the connecting image of the 2-class (checked as an acceptance property).
-    cx, when given, is the CE complex of (g, M''), where the 2-cocycle lives.
+    cx, when given, is the complex of M'', where the 2-cocycle lives.
     """
     validate_ses(ses)
     g = ses.head.algebra
     field = g.field
-    if ext2.module.dim != ses.tail.dim:
-        raise ValueError("2-cocycle must be valued in the tail module")
-    e, _incl_e, proj_e = abelian_extension_from_2cocycle(g, ses.tail, ext2,
-                                                         cx)
+    e, _incl_e, proj_e = abelian_extension_from_2cocycle(ses.tail, ext2, cx)
     mdim = ses.tail.dim
     zero_act = [Matrix.zero(field, ses.middle.dim, ses.middle.dim)
                 for _ in range(mdim)]

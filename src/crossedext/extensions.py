@@ -112,7 +112,11 @@ def validate_extension(E: CrossedExtension) -> CrossedExtension:
     validated as a crossed module and M and mids already validated as
     g-modules (as every crossed module and module of a parsed workspace
     is): pi is a surjective algebra map with kernel im(d_1), every chain
-    map is g-equivariant, and the chain is exact at every node."""
+    map is g-equivariant, and the chain is exact at every node.  An
+    extension over a Leibniz base is UNSUPPORTED_FLAVOR."""
+    if E.base.flavor == LEIBNIZ:
+        raise CheckFailure("UNSUPPORTED_FLAVOR", detail="crossed extensions "
+                           "over a Leibniz algebra are not implemented")
     g = E.g
     # pi is a surjective algebra map with kernel im(d_1)
     if image(E.pi).dim != g.dim:

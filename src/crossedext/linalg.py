@@ -655,11 +655,6 @@ class Subspace:
     def zero_space(cls, field, ambient_dim):
         return cls.row_space(Matrix.zero(field, 0, ambient_dim))
 
-    @classmethod
-    def full_space(cls, field, ambient_dim):
-        return cls(field, ambient_dim, Matrix.identity(field, ambient_dim),
-                   tuple(range(ambient_dim)))
-
     @property
     def dim(self):
         return self.basis.rows
@@ -689,9 +684,6 @@ class Subspace:
         if any(self.reduce(vec)):
             return None
         return coords
-
-    def contains_space(self, other: "Subspace"):
-        return all(self.contains(row) for row in other.basis.data)
 
     def sum(self, other: "Subspace"):
         return Subspace.row_space(self.basis.vstack(other.basis))

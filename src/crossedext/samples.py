@@ -262,16 +262,16 @@ def split_ses(g, M: Representation, Mpp: Representation) -> ShortExactSequence:
         validate_morphism(ModuleMorphism(mid, Mpp, pb))))
 
 
-def random_2cocycle(g, M: Representation, rng: random.Random) -> Cochain:
-    """Uniform draw from ker(delta_2)."""
-    d2 = coboundary_matrix("ce", g, M, 2)
+def random_2cocycle(M: Representation, rng: random.Random) -> Cochain:
+    """Uniform draw from ker(delta_2) of M's algebra."""
+    d2 = coboundary_matrix(M, 2)
     Z = kernel(d2)
-    field = g.field
+    field = M.algebra.field
     vec = [field.zero] * d2.domain_dim
     for row in Z.basis.data:
         c = random_scalar(field, rng)
         vec = [a + c * b for a, b in zip(vec, row)]
-    return Cochain("ce", 2, M, tuple(vec))
+    return Cochain(2, M, tuple(vec))
 
 
 def yoneda_fixtures(field, rng: random.Random, count=10):
@@ -282,7 +282,7 @@ def yoneda_fixtures(field, rng: random.Random, count=10):
                         solvable2(field), heisenberg(field)])
         ses = nilpotent_ses(g) if rng.random() < 0.7 else \
             split_ses(g, trivial_rep(g, 1), trivial_rep(g, 1))
-        c = random_2cocycle(g, ses.tail, rng)
+        c = random_2cocycle(ses.tail, rng)
         out.append((ses, c))
     return out
 

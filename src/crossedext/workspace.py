@@ -77,12 +77,8 @@ class _Scalars:
         return Matrix._raw(self.field, data, cols)
 
 
-def _scalar_out(field, x):
-    return field.to_str(x)
-
-
 def _matrix_out(field, m: Matrix):
-    return [[_scalar_out(field, x) for x in row] for row in m.data]
+    return [[field.to_str(x) for x in row] for row in m.data]
 
 
 def _action_in(spec, key, count, name):
@@ -159,7 +155,7 @@ def _structure_out(field, alg):
             for k, v in enumerate(alg.c[i][j]):
                 if v:
                     out.append({"i": i, "j": j, "k": k,
-                                "value": _scalar_out(field, v)})
+                                "value": field.to_str(v)})
     return out
 
 
@@ -252,8 +248,13 @@ def parse_workspace(text: str, field: str | None = None) -> Workspace:
             mod = _resolve(ws.modules, _key(spec, "module", str, name),
                            "module")
             degree = _key(spec, "degree", int, name)
-            flavor = _key(spec, "flavor", str, name, "ce")
-            tuples = list(cochain_tuples(flavor, mod.algebra.dim, degree))
+            # the flavor is the module's; the key may only repeat it
+            flavor = _key(spec, "flavor", str, name, mod.flavor)
+            if flavor != mod.flavor:
+                raise CheckFailure("PARSE_ERROR", name,
+                                   f"{name}: flavor {flavor!r} is not the "
+                                   f"module's flavor {mod.flavor!r}")
+            tuples = list(cochain_tuples(mod, degree))
             values = {tuple(e["tuple"]):
                       tuple(scalar(s) for s in e["value"])
                       for e in _key(spec, "entries", list, name, [])}
@@ -265,7 +266,7 @@ def parse_workspace(text: str, field: str | None = None) -> Workspace:
             zero = tuple(field.zero for _ in range(mod.dim))
             for t in tuples:
                 vec.extend(values.get(t, zero))
-            ws.cochains[name] = Cochain(flavor, degree, mod, tuple(vec))
+            ws.cochains[name] = Cochain(degree, mod, tuple(vec))
 
     for name, spec in _section(doc, "crossed_modules"):
         with _wrap(name):
@@ -346,13 +347,13 @@ def serialize_workspace(ws: Workspace) -> str:
     doc["cochains"] = {}
     for name, c in ws.cochains.items():
         entries = []
-        tuples = list(cochain_tuples(c.flavor, c.algebra.dim, c.degree))
+        tuples = c.tuples()
         d = c.module.dim
         for pos, t in enumerate(tuples):
             chunk = c.vec[pos * d:(pos + 1) * d]
             if any(chunk):
                 entries.append({"tuple": list(t),
-                                "value": [_scalar_out(field, x) for x in chunk]})
+                                "value": [field.to_str(x) for x in chunk]})
         doc["cochains"][name] = {"module": _name_of(ws.modules, c.module),
                                  "degree": c.degree, "flavor": c.flavor,
                                  "entries": entries}

@@ -10,7 +10,7 @@ the integer-row emitter of `crossedext.cohomology` must reproduce."""
 from crossedext.algebra import sides
 from crossedext.errors import CheckFailure
 from crossedext.linalg import LinearMap, Matrix, vec_add, vec_scale, vec_zero
-from crossedext.cohomology import (CE, ce_tuples, cochain_from_values,
+from crossedext.cohomology import (ce_tuples, cochain_from_values,
                                    leib_tuples, sort_with_sign)
 from crossedext.crossed import _check_sections, _g2_table, _kernel_puller
 
@@ -165,6 +165,22 @@ def dense_validate_lie(field, dim, c):
                     raise CheckFailure("JACOBI_FAIL", (i, j, k))
 
 
+def dense_validate_leibniz(algebra):
+    """The right Leibniz identity [x,[y,z]] = [[x,y],z] - [[x,z],y] on all
+    basis triples in lexicographic order, by `dense_bracket`."""
+    field, dim, c = algebra.field, algebra.dim, algebra.c
+    e = [tuple(field.one if t == s else field.zero for t in range(dim))
+         for s in range(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                lhs = dense_bracket(algebra, e[i], c[j][k])
+                rhs1 = dense_bracket(algebra, c[i][j], e[k])
+                rhs2 = dense_bracket(algebra, c[i][k], e[j])
+                if lhs != tuple(a - b for a, b in zip(rhs1, rhs2)):
+                    raise CheckFailure("LEIBNIZ_FAIL", (i, j, k))
+
+
 def _sub(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.field, [[x - y for x, y in zip(r, s)]
                             for r, s in zip(a.data, b.data)], cols=a.cols)
@@ -308,7 +324,7 @@ def lie_theta(pres, s, q):
             raise CheckFailure("PEIFFER_FAIL", t, "partial(theta) != 0")
         return pull(val)
 
-    return cochain_from_values(CE, pres.M, 3, value)
+    return cochain_from_values(pres.M, 3, value)
 
 
 def dense_bracket(algebra, u, v):

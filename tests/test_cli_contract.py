@@ -1,0 +1,188 @@
+"""The CLI contract on hostile input: every failure is a record with a
+status and an error code, the exit status is 1, and no traceback reaches
+stderr.  A module carries its algebra and its flavor, so an input that names
+another algebra or flavor beside a module is refused where it enters."""
+import importlib.util
+import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import crossedext
+from crossedext.cli import run_command
+from crossedext.errors import CheckFailure
+from crossedext.extensions import CrossedExtension, validate_extension
+from crossedext.linalg import LinearMap, Matrix
+from crossedext.workspace import parse_workspace
+from test_command_reuse import _workspace
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+
+
+def _ladder_doc():
+    """The seed-1 ladder-q document of perfbench/gen.py (stdlib only)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    text, _, _ = gen.generate("ladder-q", 1)
+    return json.loads(text)
+
+
+def _jordan(**cochains):
+    doc = json.loads((FIXTURES / "yoneda_jordan.json").read_text())
+    doc["cochains"].update(cochains)
+    return doc
+
+
+ZERO1 = [["0"]]
+ZERO2 = [["0", "0"], ["0", "0"]]
+
+# one-dimensional Leibniz algebra, its zero crossed module (V = k) and the
+# exact 0 -> k -> k^2 -> V -> L -> L -> 0, all actions zero
+LEIBNIZ_EXTENSION = {
+    "field": "q",
+    "algebras": {"h1": {"type": "leibniz", "dim": 1}},
+    "modules": {
+        "v": {"algebra": "h1", "dim": 1, "left": {"0": ZERO1},
+              "right": {"0": ZERO1}},
+        "m": {"algebra": "h1", "dim": 1, "left": {"0": ZERO1},
+              "right": {"0": ZERO1}},
+        "m2": {"algebra": "h1", "dim": 2, "left": {"0": ZERO2},
+               "right": {"0": ZERO2}}},
+    "crossed_modules": {"zero": {"L": "h1", "V": "v", "partial": ZERO1}},
+    "extensions": {"ext": {"n": 3, "g": "h1", "M": "m", "f": [["1"], ["0"]],
+                           "chain": [{"module": "m2", "map": [["0", "1"]]}],
+                           "base": "zero", "pi": [["1"]]}},
+    "commands": [{"op": "check"}]}
+
+
+def _cochain(module, degree, entries=(), **extra):
+    return dict(module=module, degree=degree, entries=list(entries), **extra)
+
+
+DEG1_ON_JORDAN2 = _cochain("jordan2", 1, [{"tuple": [0], "value": ["1", "0"]}])
+DEG3_ON_K_TAIL = _cochain("k_tail", 3, [{"tuple": [0, 1, 2], "value": ["1"]}])
+LEIBNIZ_ON_K_TAIL = _cochain("k_tail", 2, flavor="leibniz")
+
+
+def _on_sequence(op, cochain):
+    return {**_jordan(c=cochain),
+            "commands": [{"op": op, "sequence": "jordan_ses", "cochain": "c"}]}
+
+
+def _cohomology_over(algebra):
+    return {**_ladder_doc(),
+            "commands": [{"op": "cohomology", "algebra": algebra,
+                          "module": "sl2_adjoint", "max_degree": 2}]}
+
+
+# (document, expected error code of its one record)
+HOSTILE = {
+    "cohomology-heis3-sl2": (lambda: _cohomology_over("heis3"),
+                             "BASE_MISMATCH"),
+    "cohomology-gl3-sl2": (lambda: _cohomology_over("gl3"), "BASE_MISMATCH"),
+    "connecting-deg1-jordan2": (
+        lambda: _on_sequence("connecting", DEG1_ON_JORDAN2), "BASE_MISMATCH"),
+    "yoneda-deg1-jordan2": (
+        lambda: _on_sequence("yoneda", DEG1_ON_JORDAN2), "BASE_MISMATCH"),
+    "yoneda-deg3-k_tail": (
+        lambda: _on_sequence("yoneda", DEG3_ON_K_TAIL), "DEGREE_MISMATCH"),
+    "connecting-leibniz-k_tail": (
+        lambda: _on_sequence("connecting", LEIBNIZ_ON_K_TAIL), "PARSE_ERROR"),
+    "yoneda-leibniz-k_tail": (
+        lambda: _on_sequence("yoneda", LEIBNIZ_ON_K_TAIL), "PARSE_ERROR"),
+    "cochain-flavor-xyz": (
+        lambda: _jordan(c=_cochain("k_tail", 2, flavor="xyz")),
+        "PARSE_ERROR"),
+    "leibniz-extension": (lambda: LEIBNIZ_EXTENSION, "VALIDATION_FAIL"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_hostile_input_is_a_fail_record(case, tmp_path):
+    make, code = HOSTILE[case]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(make()))
+    # the child imports the same crossedext as this process, installed or not
+    src = str(Path(crossedext.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "crossedext.cli", "report", "--input",
+         str(path), "--format", "json"],
+        capture_output=True, text=True, env=env)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 1
+    records = json.loads(proc.stdout)["results"]
+    assert all("status" in r and "error" in r for r in records)
+    assert [(r["status"], r["error"]) for r in records] == [("FAIL", code)]
+
+
+def test_cohomology_over_another_algebra_is_not_a_pass():
+    ws = parse_workspace(json.dumps(_ladder_doc()))
+    rec, = run_command(ws, {"op": "cohomology", "algebra": "heis3",
+                            "module": "sl2_adjoint"})
+    assert (rec["status"], rec["error"]) == ("FAIL", "BASE_MISMATCH")
+
+
+def test_absent_flavor_is_the_modules_and_its_own_is_accepted():
+    ws = parse_workspace(json.dumps(_jordan(
+        a=_cochain("k_tail", 2), b=_cochain("k_tail", 2, flavor="ce"))))
+    assert ws.cochains["a"].flavor == ws.cochains["b"].flavor == "ce"
+
+
+def test_leibniz_extension_is_unsupported_flavor():
+    with pytest.raises(CheckFailure) as exc:
+        parse_workspace(json.dumps(LEIBNIZ_EXTENSION))
+    assert (exc.value.code, exc.value.witness) == ("VALIDATION_FAIL", "ext")
+    assert "UNSUPPORTED_FLAVOR" in exc.value.detail
+    doc = dict(LEIBNIZ_EXTENSION, extensions={})
+    ws = parse_workspace(json.dumps(doc))
+    h, F = ws.algebras["h1"], ws.field
+    E = CrossedExtension(
+        3, h, ws.modules["m"], LinearMap(Matrix(F, [[1], [0]], cols=1)),
+        (ws.modules["m2"],), (LinearMap(Matrix(F, [[0, 1]], cols=2)),),
+        ws.crossed_modules["zero"], LinearMap(Matrix.identity(F, 1)))
+    with pytest.raises(CheckFailure) as exc:
+        validate_extension(E)
+    assert exc.value.code == "UNSUPPORTED_FLAVOR"
+
+
+# the name arguments of each command
+OP_ARGS = {"check": ("object",), "cohomology": ("algebra", "module"),
+           "theta": ("crossed_module",), "classify": ("crossed_module",),
+           "baer-sum": ("left", "right"), "pushout": ("f", "g"),
+           "connecting": ("sequence", "cochain"),
+           "yoneda": ("sequence", "cochain")}
+
+SWEPT = {
+    "sl2": lambda: parse_workspace((FIXTURES / "sl2.json").read_text()),
+    "yoneda_jordan": lambda: parse_workspace(
+        (FIXTURES / "yoneda_jordan.json").read_text()),
+    "leibniz": _workspace,
+}
+
+
+@pytest.mark.parametrize("which", sorted(SWEPT))
+def test_every_name_in_every_argument_gives_records(which):
+    """Every object name of the workspace in every name argument of every
+    command: a record for each, never an exception."""
+    ws = SWEPT[which]()
+    names = sorted({n for table in (ws.algebras, ws.modules, ws.morphisms,
+                                    ws.cochains, ws.crossed_modules,
+                                    ws.sequences, ws.extensions)
+                    for n in table})
+    for op, keys in OP_ARGS.items():
+        for values in itertools.product(names, repeat=len(keys)):
+            cmd = {"op": op, **dict(zip(keys, values))}
+            records = run_command(ws, cmd, degree_cap=2)
+            assert records, cmd
+            for rec in records:
+                assert rec["status"] in ("PASS", "FAIL"), cmd
+                assert rec["status"] == "PASS" or "error" in rec, cmd

@@ -12,7 +12,7 @@ from crossedext import samples
 from crossedext.algebra import (leibniz_adjoint, leibniz_from_lie,
                                 leibniz_rep_from_lie)
 from crossedext.cli import main, run_command
-from crossedext.cohomology import LEIBNIZ, cohomology
+from crossedext.cohomology import cohomology
 from crossedext.crossed import (CrossedModule, choose_sections, induced_pair,
                                 leibniz_theta, theta, validate_crossed,
                                 yoneda_crossed_module)
@@ -71,7 +71,7 @@ def test_leibniz_theta_and_classify_commands(name, doc_text, tmp_path,
     ws = parse_workspace(doc_text)
     pres = induced_pair(ws.crossed_modules[name])
     want_theta = leibniz_theta(pres, *choose_sections(pres))
-    want_h3, _ = cohomology(pres.g, pres.M, 3, LEIBNIZ)
+    want_h3, _ = cohomology(pres.M, 3)
 
     rc = main(["theta", "--input", str(_cli(tmp_path, doc_text, "theta",
                                             name)), "--format", "json"])
@@ -154,12 +154,12 @@ def test_splice_refuses_a_complex_of_another_module():
     g = ses.head.algebra
     # k_tail has the dimension and action of the sequence's tail k_head, so
     # only the identity check can tell the complexes apart
-    other = cohomology_mod.CochainComplex(g, ws.modules["k_tail"])
+    other = cohomology_mod.CochainComplex(ws.modules["k_tail"])
     assert other.module.dim == ses.tail.dim
     with pytest.raises(ValueError):
-        cohomology_mod.abelian_extension_from_2cocycle(g, ses.tail, c, other)
-    own = cohomology_mod.CochainComplex(g, ses.tail)
-    e, _, _ = cohomology_mod.abelian_extension_from_2cocycle(g, ses.tail, c,
+        cohomology_mod.abelian_extension_from_2cocycle(ses.tail, c, other)
+    own = cohomology_mod.CochainComplex(ses.tail)
+    e, _, _ = cohomology_mod.abelian_extension_from_2cocycle(ses.tail, c,
                                                              own)
     assert e.dim == g.dim + ses.tail.dim
 

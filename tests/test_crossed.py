@@ -56,7 +56,7 @@ def test_validate_presentation_rejects_wrong_kernel():
 def _jordan_yoneda(value_tuple=(1, 2), scale=1):
     g = samples.abelian(QQ, 3)
     ses = samples.nilpotent_ses(g)
-    c = cochain_from_values("ce", ses.tail, 2,
+    c = cochain_from_values(ses.tail, 2,
                             lambda t: (QQ.of(scale),) if t == value_tuple
                             else (Z,))
     return g, ses, c, yoneda_crossed_module(ses, c)
@@ -109,7 +109,7 @@ def test_cohomologous_cocycles_give_crossed_morphism_and_equal_class():
     # c and c + delta(b) produce isomorphic abelian extensions; the shear
     # (m, x) -> (m - b(x), x) lifts to a crossed morphism over identity
     g, ses, c, presA = _jordan_yoneda()
-    b = cochain_from_values("ce", ses.tail, 1,
+    b = cochain_from_values(ses.tail, 1,
                             lambda t: (O,) if t == (1,) else (Z,))
     c2 = c + coboundary(b)
     presB = yoneda_crossed_module(ses, c2)

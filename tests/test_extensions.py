@@ -158,9 +158,9 @@ def test_mediate_rejects_non_cocone():
 def _yoneda_pair():
     g = samples.abelian(QQ, 3)
     ses = samples.nilpotent_ses(g)
-    c1 = cochain_from_values("ce", ses.tail, 2,
+    c1 = cochain_from_values(ses.tail, 2,
                              lambda t: (O,) if t == (1, 2) else (Z,))
-    c2 = cochain_from_values("ce", ses.tail, 2,
+    c2 = cochain_from_values(ses.tail, 2,
                              lambda t: (QQ.of(3),) if t == (1, 2) else (Z,))
     return yoneda_crossed_module(ses, c1), yoneda_crossed_module(ses, c2)
 

@@ -51,7 +51,7 @@ def _splice(field):
     is not zero."""
     g = samples.abelian(field, 3)
     ses = samples.nilpotent_ses(g)
-    c = cochain_from_values("ce", ses.tail, 2,
+    c = cochain_from_values(ses.tail, 2,
                             lambda t: (field.one if t == (1, 2)
                                        else field.zero,))
     return yoneda_crossed_module(ses, c)

@@ -2,6 +2,7 @@
 (and so `action_of`, `left_of`, `right_of`) and the validators, checked
 entry for entry against the Fraction/FpElement loops of dense_oracle."""
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,15 +10,19 @@ from hypothesis import given, settings, strategies as st
 
 from crossedext.errors import CheckFailure
 from crossedext.field import FpElement, PrimeField, QQ
-from crossedext.linalg import Matrix, LinearMap, _int_rows, lincomb
+from crossedext.linalg import (Matrix, LinearMap, _int_rows, lincomb,
+                               solve_matrix)
 from crossedext.algebra import (LeibnizAlgebra, LeibnizRepresentation,
-                                Representation, adjoint, validate_lie,
-                                validate_leibniz_module, validate_module)
+                                Representation, adjoint, leibniz_from_lie,
+                                validate_leibniz, validate_leibniz_module,
+                                validate_lie, validate_module)
 from crossedext.crossed import CrossedModule, validate_crossed
 from crossedext import samples
-from dense_oracle import (dense_apply, dense_lincomb, dense_matmul,
-                          dense_peiffer, dense_validate_leibniz_module,
-                          dense_validate_lie, dense_validate_module)
+from dense_oracle import (dense_apply, dense_bracket, dense_lincomb,
+                          dense_matmul, dense_peiffer,
+                          dense_validate_leibniz,
+                          dense_validate_leibniz_module, dense_validate_lie,
+                          dense_validate_module)
 
 FIELDS = [QQ, PrimeField(2), PrimeField(5), PrimeField(2147483647)]
 
@@ -178,6 +183,48 @@ def test_validate_lie_matches_oracle(case):
 
 ALGEBRAS = [samples.sl2, samples.heisenberg, samples.solvable2,
             lambda f: samples.abelian(f, 2)]
+
+
+def _nonlie_leibniz3(field):
+    """Dim 3, [e2, e2] = e0 with e0 central: Leibniz, not Lie."""
+    z, o = field.zero, field.one
+    c = [[(z, z, z)] * 3 for _ in range(3)]
+    c[2][2] = (o, z, z)
+    return validate_leibniz(field, 3, c)
+
+
+LEIBNIZ_ALGEBRAS = [samples.nonlie_leibniz, _nonlie_leibniz3] + [
+    lambda f, make=make: leibniz_from_lie(make(f)) for make in ALGEBRAS]
+
+
+def _in_basis(h, P):
+    """The structure constants of h in the basis of P's columns."""
+    Pinv = solve_matrix(LinearMap(P), Matrix.identity(h.field, h.dim))
+    cols = [P.col(i) for i in range(h.dim)]
+    return [[Pinv.apply(dense_bracket(h, x, y)) for y in cols] for x in cols]
+
+
+@st.composite
+def leibniz_structures(draw):
+    """Leibniz algebras in a random basis, some with one bracket replaced
+    by a random vector (a planted failure)."""
+    field = draw(st.sampled_from(FIELDS))
+    h = draw(st.sampled_from(LEIBNIZ_ALGEBRAS))(field)
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    c = _in_basis(h, samples.random_invertible(field, h.dim, rng))
+    if draw(st.booleans()):
+        i, j = (draw(st.integers(0, h.dim - 1)) for _ in range(2))
+        c[i][j] = tuple(draw(st.lists(scalars(field), min_size=h.dim,
+                                      max_size=h.dim)))
+    return field, h.dim, c
+
+
+@settings(max_examples=150, deadline=None)
+@given(leibniz_structures())
+def test_validate_leibniz_matches_oracle(case):
+    field, dim, c = case
+    assert outcome(validate_leibniz, field, dim, c) == \
+        outcome(dense_validate_leibniz, LeibnizAlgebra(field, dim, c))
 
 
 @st.composite
