@@ -150,21 +150,19 @@ def validate_leibniz(field, dim, structure) -> LeibnizAlgebra:
 class Representation:
     """A module over a Lie algebra: one action matrix per basis vector."""
 
-    __slots__ = ("algebra", "dim", "action")
+    __slots__ = ("algebra", "dim", "action", "_complex")
     flavor = CE
 
     def __init__(self, algebra: LieAlgebra, dim: int, action):
         self.algebra = algebra
         self.dim = dim
         self.action = tuple(action)
+        self._complex = None    # its cochain complex, cohomology.complex_of
         if len(self.action) != algebra.dim:
             raise ValueError("need one action matrix per algebra basis vector")
         for m in self.action:
             if m.rows != dim or m.cols != dim:
                 raise ValueError("action matrix of wrong shape")
-
-    def act_basis(self, i, mvec):
-        return self.action[i].apply(mvec)
 
     def action_of(self, xvec) -> Matrix:
         return lincomb(self.algebra.field, xvec, self.action, self.dim,
@@ -240,7 +238,7 @@ def adjoint(g: LieAlgebra) -> Representation:
 class LeibnizRepresentation:
     """A module over a Leibniz algebra: left and right action families."""
 
-    __slots__ = ("algebra", "dim", "left", "right")
+    __slots__ = ("algebra", "dim", "left", "right", "_complex")
     flavor = LEIBNIZ
 
     def __init__(self, algebra: LeibnizAlgebra, dim: int, left, right):
@@ -248,6 +246,7 @@ class LeibnizRepresentation:
         self.dim = dim
         self.left = tuple(left)
         self.right = tuple(right)
+        self._complex = None    # its cochain complex, cohomology.complex_of
         if len(self.left) != algebra.dim or len(self.right) != algebra.dim:
             raise ValueError("need one left and one right matrix per basis vector")
         for m in self.left + self.right:

@@ -15,7 +15,7 @@ import json
 import sys
 
 from .errors import CheckFailure
-from .cohomology import (CochainComplex, class_of, cohomology_table,
+from .cohomology import (class_of, cohomology_table, complex_of,
                          connecting_hom)
 from .crossed import classify2, yoneda_crossed_module, induced_pair
 from .extensions import baer_sum, baer_sum_n2, pushout, split_detect
@@ -66,23 +66,18 @@ def _cmd_cohomology(ws, args, degree_cap):
 
 class _Classified:
     """A crossed module with its induced pair, and, once a command needs
-    them, the complex of the pair's (g, M) and the module's class."""
+    it, the module's class.  The complex of the pair's (g, M) is M's own."""
 
-    __slots__ = ("cm", "pres", "cx", "cl")
+    __slots__ = ("cm", "pres", "cl")
 
     def __init__(self, cm):
         self.cm = cm
         self.pres = induced_pair(cm)
-        self.cx = self.cl = None
-
-    def complex(self):
-        if self.cx is None:
-            self.cx = CochainComplex(self.pres.M)
-        return self.cx
+        self.cl = None
 
     def classify(self):
         if self.cl is None:
-            self.cl = classify2(self.pres, self.complex())
+            self.cl = classify2(self.pres)
         return self.cl
 
 
@@ -124,7 +119,7 @@ def _cmd_theta(ws, args, degree_cap):
 def _cmd_classify(ws, args, degree_cap):
     entry, rec = _classify_record(ws, args["crossed_module"])
     rec.update({"op": "classify", "status": "PASS",
-                "dim_h3": entry.complex().dim_h(3)})
+                "dim_h3": complex_of(entry.pres.M).dim_h(3)})
     return [rec]
 
 
@@ -136,10 +131,10 @@ def _cmd_baer_sum(ws, args, degree_cap):
                  "status": "PASS", "n": E.n,
                  "top_dim": E.mids[0].dim, "base_dim": E.base.algebra.dim,
                  "splits": split_detect(E) is not None}]
-    a = _classified(ws, left)
-    S = baer_sum_n2(a.pres, _classified(ws, right).pres)
-    # the sum is presented over the left operand's (g, M)
-    cl = classify2(S, a.complex())
+    # the sum is presented over the left operand's (g, M), so its class
+    # lives in that module's complex
+    S = baer_sum_n2(_classified(ws, left).pres, _classified(ws, right).pres)
+    cl = classify2(S)
     return [{"op": "baer-sum", "left": left, "right": right,
              "status": "PASS", "v_dim": S.cm.rep.dim, "l_dim": S.cm.algebra.dim,
              "class_canonical": _scalars(ws.field, cl.canonical)}]
@@ -151,26 +146,19 @@ def _cmd_pushout(ws, args, degree_cap):
              "dim": pd.D.dim}]
 
 
-def _complexes(ses, c):
-    """For a sequence 0 -> M -> M' -> M'' -> 0 and a cochain c valued in M''
-    (a BASE_MISMATCH otherwise): the complex of M, where the connecting
-    class lives, and the complex of c.  They are one complex when c is
-    valued in M itself, as in a sequence whose head and tail are the same
-    module (0 -> k -> jordan2 -> k -> 0 in fixtures/yoneda_jordan.json)."""
+def _check_tail(ses, c):
+    """A BASE_MISMATCH unless the cochain c is valued in the tail M'' of the
+    sequence 0 -> M -> M' -> M'' -> 0."""
     if c.module is not ses.tail and c.module != ses.tail:
         raise CheckFailure("BASE_MISMATCH", detail="cochain is not valued "
                            "in the sequence tail")
-    head = CochainComplex(ses.head)
-    if c.module is ses.head:
-        return head, head
-    return head, CochainComplex(c.module)
 
 
 def _cmd_connecting(ws, args, degree_cap):
     ses = ws.sequences[args["sequence"]]
     c = ws.cochains[args["cochain"]]
-    head, tail = _complexes(ses, c)
-    cl = connecting_hom(ses, class_of(c, tail), cx=head)
+    _check_tail(ses, c)
+    cl = connecting_hom(ses, class_of(c))
     return [{"op": "connecting", "sequence": args["sequence"],
              "cochain": args["cochain"], "status": "PASS",
              "degree": cl.degree,
@@ -181,12 +169,11 @@ def _cmd_connecting(ws, args, degree_cap):
 def _cmd_yoneda(ws, args, degree_cap):
     ses = ws.sequences[args["sequence"]]
     c = ws.cochains[args["cochain"]]
-    head, tail = _complexes(ses, c)
-    pres = yoneda_crossed_module(ses, c,
-                                 tail if c.module is ses.tail else None)
-    # both classes live in H^3(g, M): one complex serves the two
-    cl = classify2(pres, head)
-    agree = cl == connecting_hom(ses, class_of(c, tail), cx=head)
+    _check_tail(ses, c)
+    pres = yoneda_crossed_module(ses, c)
+    # both classes live in H^3(g, M), the complex of pres.M = ses.head
+    cl = classify2(pres)
+    agree = cl == connecting_hom(ses, class_of(c))
     return [{"op": "yoneda", "sequence": args["sequence"],
              "cochain": args["cochain"],
              "status": "PASS" if agree else "FAIL",

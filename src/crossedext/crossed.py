@@ -22,10 +22,9 @@ from .linalg import (Echelon, LinearMap, Matrix, _common_rows, _int_rows,
 from .algebra import (LeibnizRepresentation, Representation, bracket_defect,
                       sides, validate_lie, validate_leibniz, validate_module,
                       validate_leibniz_module)
-from .cohomology import (LEIBNIZ, Cochain, CochainComplex,
-                         CohomologyClass, ShortExactSequence,
-                         abelian_extension_from_2cocycle, class_of,
-                         cochain_from_values, validate_ses)
+from .cohomology import (LEIBNIZ, Cochain, CohomologyClass,
+                         ShortExactSequence, abelian_extension_from_2cocycle,
+                         class_of, cochain_from_values, validate_ses)
 
 
 @dataclass(frozen=True)
@@ -333,12 +332,11 @@ def theta(pres: Presentation, s: LinearMap | None = None,
 leibniz_theta = theta
 
 
-def classify2(obj, cx: CochainComplex | None = None) -> CohomologyClass:
+def classify2(obj) -> CohomologyClass:
     """The H^3 class of a crossed module via the canonical sections.  Its
-    representative is the classifying cochain theta itself.  cx, when
-    given, is the complex of the presentation's (g, M)."""
+    representative is the classifying cochain theta itself."""
     pres = induced_pair(obj) if isinstance(obj, CrossedModule) else obj
-    return class_of(theta(pres), cx)
+    return class_of(theta(pres))
 
 
 @dataclass(frozen=True)
@@ -375,19 +373,18 @@ def check_crossed_morphism(cm: CrossedModule, cm2: CrossedModule,
     return phi
 
 
-def yoneda_crossed_module(ses: ShortExactSequence, ext2: Cochain,
-                          cx: CochainComplex | None = None) -> Presentation:
+def yoneda_crossed_module(ses: ShortExactSequence, ext2: Cochain
+                          ) -> Presentation:
     """Splice a short exact sequence of g-modules with the abelian extension
     of a 2-cocycle valued in the quotient module.
 
     The result is a crossed module presented over (g, M) whose H^3 class is
     the connecting image of the 2-class (checked as an acceptance property).
-    cx, when given, is the complex of M'', where the 2-cocycle lives.
     """
     validate_ses(ses)
     g = ses.head.algebra
     field = g.field
-    e, _incl_e, proj_e = abelian_extension_from_2cocycle(ses.tail, ext2, cx)
+    e, _incl_e, proj_e = abelian_extension_from_2cocycle(ses.tail, ext2)
     mdim = ses.tail.dim
     zero_act = [Matrix.zero(field, ses.middle.dim, ses.middle.dim)
                 for _ in range(mdim)]

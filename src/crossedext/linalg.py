@@ -685,9 +685,6 @@ class Subspace:
             return None
         return coords
 
-    def sum(self, other: "Subspace"):
-        return Subspace.row_space(self.basis.vstack(other.basis))
-
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
                 and self.basis == other.basis)
@@ -819,10 +816,6 @@ def linear_section(f: LinearMap) -> LinearMap:
 
 def vec_add(u, v):
     return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def vec_scale(c, v):

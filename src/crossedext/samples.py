@@ -8,16 +8,18 @@ from __future__ import annotations
 import itertools
 import random
 
-from .algebra import (ModuleMorphism, Representation, adjoint,
-                      direct_sum_reps, leibniz_from_lie, trivial_rep,
+from .algebra import (LeibnizRepresentation, ModuleMorphism, Representation,
+                      adjoint, direct_sum_reps, leibniz_from_lie, trivial_rep,
                       validate_leibniz, validate_leibniz_module,
                       validate_lie, validate_module, validate_morphism)
 from .cohomology import (Cochain, ShortExactSequence, coboundary_matrix,
                          validate_ses)
-from .crossed import (CrossedModule, Presentation, validate_crossed,
-                      yoneda_crossed_module, zero_crossed_module)
+from .crossed import (CrossedModule, Presentation, induced_pair,
+                      validate_crossed, yoneda_crossed_module,
+                      zero_crossed_module)
+from .extensions import opext_connecting
 from .field import QQ
-from .linalg import LinearMap, Matrix, kernel
+from .linalg import LinearMap, Matrix, kernel, solve_matrix
 
 
 # ---------------------------------------------------------------- catalog
@@ -105,7 +107,6 @@ def random_invertible(field, n, rng: random.Random) -> Matrix:
 
 
 def _inverse(m: Matrix) -> Matrix:
-    from .linalg import solve_matrix
     inv = solve_matrix(LinearMap(m), Matrix.identity(m.field, m.rows))
     assert inv is not None
     return inv
@@ -184,7 +185,6 @@ def random_leibniz_module(h, rng: random.Random, max_dim=3):
     zero = Matrix.zero(field, d, d)
     left = [zero for _ in range(h.dim)]
     right = [zero for _ in range(h.dim)]
-    from .algebra import LeibnizRepresentation
     return validate_leibniz_module(LeibnizRepresentation(h, d, left, right))
 
 
@@ -228,7 +228,6 @@ def identity_crossed(g) -> Presentation:
     field = g.field
     cm = CrossedModule(g, adjoint(g), LinearMap.identity(field, g.dim))
     validate_crossed(cm)
-    from .crossed import induced_pair
     return induced_pair(cm)
 
 
@@ -293,7 +292,6 @@ def nonsplit_extension3(field):
 
     The required retraction h would satisfy h . alpha = id and equivariance,
     forcing h ρ(e_0) = 0 while h ρ(e_0) = (0, 1); split_detect must reject."""
-    from .extensions import opext_connecting
     g = abelian(field, 1)
     ses = nilpotent_ses(g)
     return opext_connecting(ses, zero_crossed_module(g, ses.tail))

@@ -279,6 +279,9 @@ def parse_workspace(text: str, field: str | None = None) -> Workspace:
                     (L.flavor == "leibniz"):
                 raise CheckFailure("PARSE_ERROR", name,
                                    f"{name}: V is not a module of L's flavor")
+            if V.algebra is not L and V.algebra != L:
+                raise CheckFailure("BASE_MISMATCH", name,
+                                   f"{name}: V is not a module over L")
             # V was validated with the modules above
             ws.crossed_modules[name] = crossed_axioms(cm)
 

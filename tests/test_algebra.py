@@ -51,7 +51,7 @@ def test_adjoint_action_matches_bracket():
     for i in range(3):
         for j in range(3):
             ej = tuple(O if k == j else Z for k in range(3))
-            assert ad.act_basis(i, ej) == g.c[i][j]
+            assert ad.action[i].apply(ej) == g.c[i][j]
 
 
 def test_module_axiom_violation_witnessed():

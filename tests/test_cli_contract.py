@@ -76,6 +76,17 @@ def _on_sequence(op, cochain):
             "commands": [{"op": op, "sequence": "jordan_ses", "cochain": "c"}]}
 
 
+def _crossed_over(dim):
+    """sl2.json plus a crossed module whose V, the sl2 adjoint module, is
+    read over an abelian L of dimension dim, with zero boundary."""
+    doc = json.loads((FIXTURES / "sl2.json").read_text())
+    doc["algebras"]["ab"] = {"type": "lie", "dim": dim}
+    doc["crossed_modules"]["wrong_base"] = {
+        "L": "ab", "V": "adjoint", "partial": [["0"] * 3] * dim}
+    doc["commands"] = [{"op": "check"}]
+    return doc
+
+
 def _cohomology_over(algebra):
     return {**_ladder_doc(),
             "commands": [{"op": "cohomology", "algebra": algebra,
@@ -101,6 +112,8 @@ HOSTILE = {
         lambda: _jordan(c=_cochain("k_tail", 2, flavor="xyz")),
         "PARSE_ERROR"),
     "leibniz-extension": (lambda: LEIBNIZ_EXTENSION, "VALIDATION_FAIL"),
+    "crossed-ab3-sl2-adjoint": (lambda: _crossed_over(3), "VALIDATION_FAIL"),
+    "crossed-ab2-sl2-adjoint": (lambda: _crossed_over(2), "VALIDATION_FAIL"),
 }
 
 
@@ -129,6 +142,15 @@ def test_cohomology_over_another_algebra_is_not_a_pass():
     rec, = run_command(ws, {"op": "cohomology", "algebra": "heis3",
                             "module": "sl2_adjoint"})
     assert (rec["status"], rec["error"]) == ("FAIL", "BASE_MISMATCH")
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_crossed_module_over_another_algebra_is_a_base_mismatch(dim):
+    with pytest.raises(CheckFailure) as exc:
+        parse_workspace(json.dumps(_crossed_over(dim)))
+    assert (exc.value.code, exc.value.witness) == ("VALIDATION_FAIL",
+                                                   "wrong_base")
+    assert "BASE_MISMATCH" in exc.value.detail
 
 
 def test_absent_flavor_is_the_modules_and_its_own_is_accepted():

@@ -1,6 +1,8 @@
 """One CLI command factors each matrix once: classify and yoneda build each
 coboundary of (g, M) once, theta computes theta once, and theta and
-classify on Leibniz crossed modules use the Leibniz classifier."""
+classify on Leibniz crossed modules use the Leibniz classifier.  A module
+owns its complex, so commands and calls on one module share its
+coboundaries, except cohomology_table, which streams them."""
 import importlib
 import json
 from collections import Counter
@@ -12,7 +14,7 @@ from crossedext import samples
 from crossedext.algebra import (leibniz_adjoint, leibniz_from_lie,
                                 leibniz_rep_from_lie)
 from crossedext.cli import main, run_command
-from crossedext.cohomology import cohomology
+from crossedext.cohomology import class_of, cohomology, cohomology_table
 from crossedext.crossed import (CrossedModule, choose_sections, induced_pair,
                                 leibniz_theta, theta, validate_crossed,
                                 yoneda_crossed_module)
@@ -148,20 +150,36 @@ def test_yoneda_builds_each_coboundary_of_g_m_once(doc_text, monkeypatch):
     assert builds[(id(head), 3)] == 1
 
 
-def test_splice_refuses_a_complex_of_another_module():
+def test_connecting_then_yoneda_share_the_head_complex(doc_text,
+                                                      monkeypatch):
+    """The two commands of one sequence and cocycle build each coboundary
+    of the head once: its complex is the module's, not the command's."""
+    ws = parse_workspace(doc_text)
+    head = ws.sequences["jordan_ses"].head
+    builds = _count_builds(monkeypatch)
+    for op in ("connecting", "yoneda"):
+        rec, = run_command(ws, {"op": op, "sequence": "jordan_ses",
+                                "cochain": "vol12"})
+        assert rec["status"] == "PASS"
+    assert builds[(id(head), 2)] == 1
+    assert builds[(id(head), 3)] == 1
+
+
+def test_class_of_twice_builds_each_coboundary_once(monkeypatch):
     ws = parse_workspace((FIXTURES / "yoneda_jordan.json").read_text())
-    ses, c = ws.sequences["jordan_ses"], ws.cochains["vol12"]
-    g = ses.head.algebra
-    # k_tail has the dimension and action of the sequence's tail k_head, so
-    # only the identity check can tell the complexes apart
-    other = cohomology_mod.CochainComplex(ws.modules["k_tail"])
-    assert other.module.dim == ses.tail.dim
-    with pytest.raises(ValueError):
-        cohomology_mod.abelian_extension_from_2cocycle(ses.tail, c, other)
-    own = cohomology_mod.CochainComplex(ses.tail)
-    e, _, _ = cohomology_mod.abelian_extension_from_2cocycle(ses.tail, c,
-                                                             own)
-    assert e.dim == g.dim + ses.tail.dim
+    c = ws.cochains["vol12"]
+    builds = _count_builds(monkeypatch)
+    assert class_of(c) == class_of(c)
+    assert sorted(n for (_, n) in builds) == [1, 2]
+    assert set(builds.values()) == {1}
+    assert cohomology_mod.complex_of(c.module) is c.module._complex
+
+
+def test_cohomology_table_leaves_the_complex_unbuilt():
+    ws = parse_workspace((FIXTURES / "sl2.json").read_text())
+    M = ws.modules["adjoint"]
+    assert [row[3] for row in cohomology_table(M, 3)] == [0, 0, 0, 0]
+    assert M._complex is None
 
 
 LEIBNIZ_BAER = {"op": "baer-sum", "status": "FAIL",

@@ -1,7 +1,8 @@
 """One run presents and classifies each crossed module once: the first
 theta, classify or baer-sum that names it builds its induced pair, and the
-first theta or classify its complex and class; later commands of the same
-workspace reuse them and give the records a fresh workspace gives."""
+first theta or classify its class, in the complex of the pair's M; later
+commands of the same workspace reuse them and give the records a fresh
+workspace gives."""
 import importlib
 from collections import Counter
 
