@@ -27,8 +27,9 @@ class Matrix:
     The public constructor coerces every entry with `field.of`, and `_raw`
     takes entries that already are field elements; both build the dense
     form.  `_from_int_rows` builds a matrix from its integer view alone --
-    the results of `@`, `+`, `-`, `lincomb` and the coboundary emitter --
-    and its `.data` is built on the first read (see `_IntRowMatrix`).
+    the results of `@`, `+`, `-`, `lincomb`, `rref`, the `Subspace` bases
+    and the coboundary emitter -- and its `.data` is built on the first
+    read (see `_IntRowMatrix`).
     `==`, `is_zero`, negation, `transpose`, `apply`, `@` and elimination
     read the view when `.data` is not built.
     """
@@ -370,61 +371,76 @@ def block_diag(a: Matrix, b: Matrix) -> Matrix:
     return top.vstack(bot)
 
 
-def _axpy(row, f, tail, p):
-    """row -= f * tail in place, dropping entries that cancel.  Scalars are
-    Fractions when p is None and ints mod p otherwise."""
+def _axpy(row, x, lead, tail, p):
+    """row = (lead/g) row - (x/g) tail in place, g = gcd(lead, x), dropping
+    zeros; mod p when p is not None (lead is 1 there).  Returns lead/g."""
+    g = math.gcd(lead, x)
+    a, b = lead // g, x // g
+    if a != 1:
+        for j in row:
+            row[j] *= a
     if p is None:
         for j, v in tail.items():
-            x = row.get(j)
-            if x is None:
-                row[j] = -f * v
-            else:
-                x -= f * v
-                if x:
-                    row[j] = x
-                else:
-                    del row[j]
-    else:
-        for j, v in tail.items():
-            x = (row.get(j, 0) - f * v) % p
+            x = row.get(j, 0) - b * v
             if x:
                 row[j] = x
             else:
                 del row[j]
+    else:
+        for j, v in tail.items():
+            x = (row.get(j, 0) - b * v) % p
+            if x:
+                row[j] = x
+            else:
+                del row[j]
+    return a
+
+
+def _primitive(lead, tail, p):
+    """[lead, tail] divided by its content, with lead > 0; over F_p divided
+    by lead, so lead is 1."""
+    if p is not None:
+        inv = pow(lead, -1, p)
+        return [1, {j: v * inv % p for j, v in tail.items()}]
+    g = math.gcd(lead, *tail.values())
+    g = -g if lead < 0 else g
+    if g == 1:
+        return [lead, tail]
+    return [lead // g, {j: v // g for j, v in tail.items()}]
 
 
 def _insert(piv, r, p):
-    """Add row r ({column: nonzero}, consumed) to the pivot dict piv of
-    `_echelon`, keeping piv fully reduced.  Returns whether r was
-    independent of piv's rows (and so raised the rank)."""
+    """Add the integer row r ({column: nonzero int}, consumed) to the pivot
+    dict piv of `_echelon`, keeping piv fully reduced.  Returns whether r
+    was independent of piv's rows (and so raised the rank)."""
     for c in [c for c in r if c in piv]:
-        _axpy(r, r.pop(c), piv[c], p)
+        _axpy(r, r.pop(c), *piv[c], p)
     if not r:
         return False
     c = min(r)
-    lead = r.pop(c)
-    if p is None:
-        inv = 1 / lead
-        tail = {j: v * inv for j, v in r.items()}
-    else:
-        inv = pow(lead, -1, p)
-        tail = {j: v * inv % p for j, v in r.items()}
+    lead, tail = piv[c] = _primitive(r.pop(c), r, p)
     for t in piv.values():
-        if c in t:
-            _axpy(t, t.pop(c), tail, p)
-    piv[c] = tail
+        if c in t[1]:
+            t[0] *= _axpy(t[1], t[1].pop(c), lead, tail, p)
+            if t[0] != 1:
+                t[:] = _primitive(t[0], t[1], p)
     return True
 
 
 def _echelon(rows, p):
-    """Sparse Gauss-Jordan elimination of rows given as {column: nonzero}.
+    """Sparse fraction-free Gauss-Jordan elimination (Bareiss-style, each
+    stored row divided by its content) of integer rows {column: nonzero
+    int}: a row over Q scaled to integers (a nonzero scale leaves the row
+    space alone), residues over F_p.
 
-    Returns {pivot column: tail}, where the tail maps the non-pivot columns
-    of that reduced row to their values (the pivot entry is an implicit 1).
-    The dict stays fully reduced after each insertion -- no tail holds a
-    pivot column -- so an incoming row is reduced by one pass over its own
-    pivot-column entries, and the pivot of every row is its leftmost column:
-    the result is the canonical RREF of the row space.
+    Returns {pivot column c: [lead, tail]}, where lead * e_c + tail is the
+    primitive integer multiple, lead > 0, of the reduced row with pivot c
+    (lead is 1 over F_p).  A row is reduced by (lead/g) row - (x/g) tail,
+    g = gcd(lead, x), so only integers are formed.  The dict stays fully
+    reduced after each insertion -- no tail holds a pivot column -- so an
+    incoming row is reduced by one pass over its own pivot-column entries,
+    and the pivot of every row is its leftmost column: the rows divided by
+    their leads are the canonical RREF of the row space.
     """
     piv = {}
     for r in rows:
@@ -432,45 +448,27 @@ def _echelon(rows, p):
     return piv
 
 
-def _engine_rows(m: Matrix):
-    """m's rows as fresh {column: nonzero entry} dicts in the engine's
-    scalars: Fractions over Q, ints mod p over F_p.  A matrix whose dense
-    rows are not built is read from its integer view."""
-    if _built_rows(m) is None:
-        rows, d = m._ints
-        if _modulus(m.field) is not None:
-            return [dict(r) for r in rows]
-        make = _to_field(m.field, d)
-        return [{j: make(v) for j, v in r.items()} for r in rows]
-    zero = m.field.zero
-    # `x is not zero` skips the shared zero object before a slower truth test
-    if _modulus(m.field) is None:
-        return [{j: x for j, x in enumerate(row) if x is not zero and x}
-                for row in m.data]
-    return [{j: x.val for j, x in enumerate(row) if x is not zero and x}
-            for row in m.data]
-
-
 def rref(m: Matrix):
     """Reduced row echelon form.  Returns (rref matrix, pivot column tuple).
 
-    Prime-field entries enter the engine as plain ints mod p and leave it as
-    FpElements; rationals stay Fractions throughout.
+    The engine eliminates m's integer view; the result is built from the
+    pivot rows as an integer view on the lcm of their leads, so its dense
+    rows are built only if `.data` is read.
     """
-    field = m.field
-    p = _modulus(field)
-    zero, one = field.zero, field.one
-    piv = _echelon(_engine_rows(m), p)
+    rows, _ = _int_rows(m)
+    piv = _echelon([dict(r) for r in rows], _modulus(m.field))
     pivots = tuple(sorted(piv))
+    # the pivot rows are primitive, so the view on D has no common factor
+    D = math.lcm(*(piv[c][0] for c in pivots))
     out = []
     for c in pivots:
-        line = [zero] * m.cols
-        line[c] = one
-        for j, v in piv[c].items():
-            line[j] = v if p is None else FpElement(v, p)
-        out.append(tuple(line))
-    out.extend([(zero,) * m.cols] * (m.rows - len(pivots)))
-    return Matrix._raw(field, tuple(out), m.cols), pivots
+        lead, tail = piv[c]
+        if lead != D:
+            tail = {j: v * (D // lead) for j, v in tail.items()}
+        tail[c] = D
+        out.append(tail)
+    out.extend([{}] * (m.rows - len(pivots)))
+    return Matrix._from_int_rows(m.field, out, D, m.cols), pivots
 
 
 class Echelon:
@@ -486,16 +484,23 @@ class Echelon:
     factorization that is never asked to solve never pays for the transform.
     Nothing is cached outside the object: it lives exactly as long as the
     caller that built it keeps it.  Vectors passed in hold field elements.
+
+    Engine row i is the integer row s_i A_i, s_i = _scale[i] (A's integer
+    view, or an extended row on its own denominator).  An augmented column
+    carries the same scale: [A | b] enters as s_i (A_i | b_i) and [A | I] as
+    s_i (A_i | e_i).  RREF entries become Fractions only in returned vectors.
     """
 
-    __slots__ = ("field", "cols", "_p", "_rows", "_piv", "_transform",
-                 "_solved")
+    __slots__ = ("field", "cols", "_p", "_rows", "_scale", "_piv",
+                 "_transform", "_solved")
 
     def __init__(self, matrix: Matrix):
         self.field = matrix.field
         self.cols = matrix.cols
         self._p = _modulus(matrix.field)
-        self._rows = _engine_rows(matrix)
+        rows, d = _int_rows(matrix)
+        self._rows = list(rows)
+        self._scale = [d] * len(rows)
         self._piv = None
         self._transform = None
         self._solved = False
@@ -514,48 +519,40 @@ class Echelon:
         return tuple(sorted(self._pivots()))
 
     def _sparse(self, vec):
-        """vec as {index: nonzero entry} in the engine's scalars."""
-        zero = self.field.zero
-        if self._p is None:
-            return {j: x for j, x in enumerate(vec) if x is not zero and x}
-        return {j: x.val for j, x in enumerate(vec) if x is not zero and x}
+        """vec on one denominator d, as ({index: nonzero int}, d)."""
+        v, d = _int_vec(self.field, vec)
+        return {j: x for j, x in enumerate(v) if x}, d
 
     def _dense(self, v):
-        """The field vector of length cols with the engine entries v."""
+        """The field vector of length cols with entry j = x / den for
+        v[j] = (x, den), and zero elsewhere (x mod p over F_p)."""
         out = [self.field.zero] * self.cols
-        if self._p is None:
-            for j, x in v.items():
-                out[j] = x
-        else:
-            for j, x in v.items():
-                out[j] = FpElement(x, self._p)
+        p = self._p
+        for j, (x, den) in v.items():
+            out[j] = Fraction(x, den) if p is None else FpElement(x, p)
         return tuple(out)
 
     def kernel(self) -> "Subspace":
         """{x | A x = 0}: one basis vector per free column j, with 1 at j
-        and minus column j of the RREF at the pivots."""
+        and minus column j of the RREF at the pivots, each scaled to
+        integers by the lcm D of the leads."""
         piv = self._pivots()
-        field, n, p = self.field, self.cols, self._p
-        one = field.one if p is None else 1
-        rows = []
-        for j in range(n):
-            if j in piv:
-                continue
-            v = {j: one}
-            for c, tail in piv.items():
-                x = tail.get(j)
-                if x is not None:
-                    v[c] = -x if p is None else p - x
-            rows.append(self._dense(v))
-        return Subspace.row_space(Matrix._raw(field, tuple(rows), n))
+        D = math.lcm(*(lead for lead, _ in piv.values()))
+        free = {j: {j: D} for j in range(self.cols) if j not in piv}
+        for c, (lead, tail) in piv.items():
+            for j, x in tail.items():
+                free[j][c] = -x * (D // lead)
+        return Subspace.row_space(_from_ints(self.field, list(free.values()),
+                                             1, self.cols))
 
     def extend(self, row):
         """Add row to A.  Returns whether it raised the rank."""
         if len(row) != self.cols:
             raise ValueError("vector length mismatch")
         piv = self._pivots()
-        r = self._sparse(row)
+        r, d = self._sparse(row)
         self._rows.append(dict(r))
+        self._scale.append(d)
         self._transform = None
         return _insert(piv, r, self._p)
 
@@ -566,45 +563,46 @@ class Echelon:
         c in A's columns is (R_r | T_r): the RREF row R_r = T_r A, so a
         consistent b has the solution x[c] = T_r . b with zero free
         coordinates.  A row (0 | N) has N A = 0, so N . b = 0 for every
-        consistent b.  Returns ([(c, T_r)], [N]) with the T_r and N as lists
-        of (index into b, value).
+        consistent b.  Returns ([(c, lead, T_r)], [N]) with lead * T_r and
+        N as lists of (index into b, integer value).
         """
         if self._transform is None:
             n, p = self.cols, self._p
-            one = self.field.one if p is None else 1
-            piv = _echelon([{**r, n + i: one} for i, r in enumerate(self._rows)],
-                           p)
+            piv = _echelon([{**r, n + i: s} for i, (r, s) in
+                            enumerate(zip(self._rows, self._scale))], p)
             solutions, checks = [], []
-            for c, tail in piv.items():
+            for c, (lead, tail) in piv.items():
                 t = [(j - n, v) for j, v in tail.items() if j >= n]
                 if c < n:
-                    solutions.append((c, t))
+                    solutions.append((c, lead, t))
                 else:
-                    checks.append([(c - n, one)] + t)
+                    checks.append([(c - n, lead)] + t)
             self._transform = (solutions, checks)
         return self._transform
 
-    def _solve_once(self, bv):
-        """Solve for one right-hand side by eliminating [A | b]: b is
-        consistent unless column n = cols becomes a pivot, and then x[c] is
-        entry n of the RREF row with pivot c."""
+    def _solve_once(self, bv, db):
+        """Solve for one right-hand side b = bv / db by eliminating
+        [A | bv]: b is consistent unless column n = cols becomes a pivot,
+        and then x[c] is entry n of the RREF row with pivot c, over db."""
         n = self.cols
-        piv = _echelon([{**r, n: bv[i]} if i in bv else dict(r)
-                        for i, r in enumerate(self._rows)], self._p)
+        piv = _echelon([{**r, n: s * bv[i]} if i in bv else dict(r)
+                        for i, (r, s) in enumerate(zip(self._rows,
+                                                       self._scale))],
+                       self._p)
         if n in piv:
             return None
-        return self._dense({c: tail[n] for c, tail in piv.items()
-                            if n in tail})
+        return self._dense({c: (tail[n], lead * db)
+                            for c, (lead, tail) in piv.items() if n in tail})
 
     def solve(self, b):
         """The vector x with A x = b whose free coordinates are zero, or None
         if b is not in the column space of A."""
         if len(b) != len(self._rows):
             raise ValueError("target length mismatch")
-        bv = self._sparse(b)
+        bv, db = self._sparse(b)
         if not self._solved:
             self._solved = True
-            return self._solve_once(bv)
+            return self._solve_once(bv, db)
         solutions, checks = self._solver()
         p = self._p
 
@@ -619,10 +617,10 @@ class Echelon:
         if any(dot(t) for t in checks):
             return None
         out = {}
-        for c, t in solutions:
+        for c, lead, t in solutions:
             s = dot(t)
             if s:
-                out[c] = s
+                out[c] = (s, lead * db)
         return self._dense(out)
 
 
@@ -648,7 +646,9 @@ class Subspace:
     def row_space(cls, m: Matrix):
         """The span of the rows of m."""
         r, piv = rref(m)
-        return cls(m.field, m.cols, Matrix._raw(m.field, r.data[:len(piv)], m.cols),
+        rows, d = _int_rows(r)
+        return cls(m.field, m.cols,
+                   Matrix._from_int_rows(m.field, rows[:len(piv)], d, m.cols),
                    piv)
 
     @classmethod

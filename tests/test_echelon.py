@@ -1,15 +1,19 @@
 """`Echelon` (one factorization, many questions) and the solvers built on it,
 checked against the dense oracles: the augmented-matrix solve, eliminated
 afresh for each right-hand side, the dense RREF, the whole-row reduce loop
-and the reduce-built quotient."""
+and the reduce-built quotient.  The engine eliminates integer rows, each
+row of A scaled to integers, so the matrices drawn include integer views
+on a common denominator d > 1 and dense rows of different denominators:
+a scale dropped from an augmented column would show as a wrong solve."""
 import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from crossedext.field import PrimeField, QQ
-from crossedext.linalg import (Echelon, LinearMap, Matrix, Subspace, kernel,
-                               linear_section, quotient, solve, solve_matrix)
+from crossedext.linalg import (Echelon, LinearMap, Matrix, Subspace,
+                               _from_ints, kernel, linear_section, quotient,
+                               solve, solve_matrix)
 from dense_oracle import (dense_apply, dense_kernel_rows, dense_quotient,
                           dense_reduce, dense_rref, dense_solve)
 
@@ -31,15 +35,29 @@ def vectors(field, n):
 
 @st.composite
 def matrices(draw, field, rows=None, cols=None):
-    """Random, zero, rank-one-repeated or 0 x n / n x 0 matrices."""
+    """Random, zero, rank-one-repeated or 0 x n / n x 0 matrices; integer
+    views on a common denominator d of 2 to 6 (1 over F_p), whose dense
+    rows are built only when read; and over Q rows scaled by 1/k, k = 1 to
+    6 a row, so that the rows' denominators differ."""
     r = draw(st.integers(0, 5)) if rows is None else rows
     c = draw(st.integers(0, 5)) if cols is None else cols
-    kind = draw(st.sampled_from(["random", "random", "zero", "repeated"]))
+    kind = draw(st.sampled_from(["random", "random", "zero", "repeated",
+                                 "view", "scaled"]))
     if kind == "zero":
         return Matrix.zero(field, r, c)
     if kind == "repeated" and r:
         row = draw(vectors(field, c))
         return Matrix(field, [row] * r, cols=c)
+    if kind == "view":
+        ints = st.one_of(st.just(0), st.integers(-9, 9))
+        view = [dict(enumerate(draw(st.lists(ints, min_size=c,
+                                             max_size=c)))) for _ in range(r)]
+        return _from_ints(field, view, draw(st.integers(2, 6)), c)
+    if kind == "scaled" and field is QQ:
+        return Matrix(field, [[x / k for x in draw(vectors(field, c))]
+                              for k in draw(st.lists(st.integers(1, 6),
+                                                     min_size=r,
+                                                     max_size=r))], cols=c)
     return Matrix(field, draw(st.lists(vectors(field, c), min_size=r,
                                        max_size=r)), cols=c)
 

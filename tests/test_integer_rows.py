@@ -1,7 +1,8 @@
 """Coboundaries emitted as integer rows, matrices whose dense rows are built
 on first read, and the integer-view bracket, checked against the dense
-builders and the Fraction/FpElement bracket loop of dense_oracle; plus the
-gl_n samples at a size where only the integer rows fit in memory."""
+builders and the Fraction/FpElement bracket loop of dense_oracle; the
+integer elimination's row scales, against the dense solve, RREF and kernel;
+plus the gl_n samples at a size where only the integer rows fit in memory."""
 import importlib
 import tracemalloc
 from fractions import Fraction
@@ -19,13 +20,16 @@ from crossedext.cohomology import (CochainComplex, ce_coboundary_matrix,
                                    cohomology_table,
                                    leibniz_coboundary_matrix)
 from crossedext.field import PrimeField, QQ
-from crossedext.linalg import (Echelon, LinearMap, Matrix, _built_rows,
-                               _int_rows, kernel, rref)
-from dense_oracle import (dense_bracket, dense_ce_coboundary_matrix,
-                          dense_leibniz_coboundary_matrix)
+from crossedext.linalg import (Echelon, LinearMap, Matrix, Subspace,
+                               _built_rows, _int_rows, kernel, rank, rref)
+from dense_oracle import (dense_apply, dense_bracket,
+                          dense_ce_coboundary_matrix, dense_kernel_rows,
+                          dense_leibniz_coboundary_matrix, dense_rref,
+                          dense_solve)
 
 FIELDS = [QQ, PrimeField(2), PrimeField(5), PrimeField(2147483647)]
 cohomology_mod = importlib.import_module("crossedext.cohomology")
+linalg_mod = importlib.import_module("crossedext.linalg")
 
 
 def scalars(field):
@@ -158,8 +162,8 @@ def matrices(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(matrices())
-def test_matrix_from_int_rows_is_the_dense_matrix(m):
+@given(matrices(), st.data())
+def test_matrix_from_int_rows_is_the_dense_matrix(m, data):
     rows, d = _int_rows(m)
 
     def lazy():
@@ -174,13 +178,39 @@ def test_matrix_from_int_rows_is_the_dense_matrix(m):
     assert _built_rows(a) is None and _built_rows(t) is None
     assert t == m.transpose() and _int_rows(t) == _int_rows(m.transpose())
     a = lazy()
-    assert rref(a) == rref(m) and Echelon(a).kernel() == kernel(LinearMap(m))
+    assert rref(a) == rref(m) == dense_rref(m)
+    assert Echelon(a).kernel() == kernel(LinearMap(m))
     v = tuple(m.field.of(j + 1) for j in range(m.cols))
     assert a.apply(v) == m.apply(v)
     assert a.is_zero() == m.is_zero()
     n = -a
     assert _built_rows(a) is None and _built_rows(n) is None
     _assert_same_matrix(n, -m)
+    # the engine scales each row to integers (the view's common d for the
+    # view, each row's own denominator for an extended row); the solves,
+    # extends and kernels of both factorizations match the dense oracles
+    field = m.field
+    bs = data.draw(st.lists(vectors(field, m.rows), max_size=3))
+    bs.insert(data.draw(st.integers(0, len(bs))), dense_apply(m, v))
+    extra = data.draw(st.lists(vectors(field, m.cols), max_size=3))
+    null = Subspace.row_space(Matrix(field, dense_kernel_rows(m),
+                                     cols=m.cols))
+    for ech in (Echelon(lazy()), Echelon(m)):
+        assert ech.kernel() == null
+        # the first solve eliminates [A | b], the later ones use [A | I]
+        for b in bs + bs:
+            assert ech.solve(b) == dense_solve(m, b)
+        stacked = list(m.data)
+        for row in extra:
+            ech.extend(row)
+            stacked.append(row)
+            grown = Matrix(field, stacked, cols=m.cols)
+            for b in (dense_apply(grown, row),
+                      data.draw(vectors(field, grown.rows))):
+                assert ech.solve(b) == dense_solve(grown, b)
+            assert ech.kernel() == Subspace.row_space(
+                Matrix(field, dense_kernel_rows(grown), cols=m.cols))
+    assert _built_rows(a) is None
 
 
 def test_matrix_from_no_int_rows():
@@ -257,6 +287,41 @@ def test_gl4_adjoint_table_fits_in_integer_rows():
         tracemalloc.stop()
     assert [row[3] for row in rows] == [1, 1, 0]
     assert peak < 64 * 10**6
+
+
+def test_rank_builds_no_dense_rref(monkeypatch):
+    """rank enters rref, whose result stays an integer view: the rank x cols
+    grid of field elements is never built.  rank of gl_4's adjoint delta_2
+    (8960 x 1920) peaked at 26.8 MB of Python objects when rref built that
+    grid."""
+    results = []
+    original = linalg_mod.rref
+
+    def recorded(m):
+        results.append(original(m))
+        return results[-1]
+    monkeypatch.setattr(linalg_mod, "rref", recorded)
+    for field in (QQ, PrimeField(2147483647)):
+        d2 = cohomology_mod.coboundary_matrix(adjoint(samples.gl(field, 4)),
+                                              2)
+        tracemalloc.start()
+        try:
+            r = rank(d2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r == 1680
+        assert _built_rows(results[-1][0]) is None
+        assert peak < 8 * 10**6
+
+
+def test_gl4_trivial_table_is_exterior_on_degrees_1_3_5_7():
+    """H^*(gl_4) is exterior on generators of degrees 1, 3, 5 and 7, so
+    dim H^n = 1, 1, 0, 1, 1 for n = 0..4 (delta_4 is 4368 x 1820)."""
+    want = cohomology_table(trivial_rep(samples.gl(QQ, 4), 1), 4)
+    assert [row[3] for row in want] == [1, 1, 0, 1, 1]
+    F = PrimeField(2147483647)
+    assert cohomology_table(trivial_rep(samples.gl(F, 4), 1), 4) == want
 
 
 def test_gl3_adjoint_table_over_a_large_prime_equals_q():

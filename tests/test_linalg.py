@@ -1,12 +1,16 @@
+import importlib.util
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 from crossedext.field import PrimeField, QQ
-from crossedext.linalg import (LinearMap, Matrix, Subspace, basis_vector,
-                               block_diag, kernel, linear_section,
-                               quotient, rank, rref, solve, solve_matrix)
+from crossedext.linalg import (LinearMap, Matrix, Subspace, _echelon,
+                               _int_rows, basis_vector, block_diag, kernel,
+                               linear_section, quotient, rank, rref, solve,
+                               solve_matrix)
 from dense_oracle import dense_rref
 
 FIELDS = [QQ, PrimeField(5)]
@@ -175,6 +179,63 @@ def test_rref_oracle_on_degenerate_shapes():
                   Matrix.zero(field, 3, 4), Matrix.identity(field, 3)):
             assert rref(m) == dense_rref(m)
             assert (rref(m)[0].rows, rref(m)[0].cols) == (m.rows, m.cols)
+
+
+def _perfbench_gen():
+    """perfbench/gen.py (standard library only), for the random bases the
+    benchmark documents are drawn in."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+GEN = _perfbench_gen()
+
+
+def _int_matrices(rows, cols, bound):
+    return st.lists(st.lists(st.integers(-bound, bound), min_size=cols,
+                             max_size=cols), min_size=rows, max_size=rows)
+
+
+@st.composite
+def growth_cases(draw):
+    """Dense random integer matrices up to 10 x 10 with entries up to
+    +-10^6, where an elimination that never divided by the content would
+    blow up; and random unimodular bases as perfbench/gen.py draws them,
+    alone or times a small random integer matrix."""
+    r, c = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(["dense", "unimodular", "product"]))
+    if kind == "dense":
+        return Matrix(QQ, draw(_int_matrices(r, c, 10**6)), cols=c)
+    p, _ = GEN.unimodular(r, random.Random(draw(st.integers(0, 2**32))))
+    if kind == "unimodular":
+        return Matrix(QQ, p, cols=r)
+    return Matrix(QQ, p, cols=r) @ Matrix(QQ, draw(_int_matrices(r, c, 3)),
+                                         cols=c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(growth_cases())
+def test_pivot_rows_are_primitive_multiples_of_the_rref(m):
+    """Every stored pivot row is the primitive integer multiple, with a
+    positive lead, of its RREF row: no entry is larger than the RREF row on
+    the lcm of its denominators, whatever the elimination went through."""
+    want, piv = dense_rref(m)
+    got = _echelon([dict(r) for r in _int_rows(m)[0]], None)
+    assert tuple(sorted(got)) == piv
+    for k, c in enumerate(piv):
+        lead, tail = got[c]
+        assert lead > 0 and math.gcd(lead, *tail.values()) == 1
+        row = [Fraction(0)] * m.cols
+        row[c] = Fraction(1)
+        for j, v in tail.items():
+            row[j] = Fraction(v, lead)
+        assert tuple(row) == want.data[k]
+    r, p = rref(m)
+    assert p == piv and r.data == want.data
+    assert all(type(x) is Fraction for row in r.data for x in row)
 
 
 def test_raw_matrix_equals_coerced_matrix():
