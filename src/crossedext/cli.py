@@ -17,8 +17,7 @@ import sys
 from .errors import CheckFailure
 from .cohomology import (class_of, cohomology_table, complex_of,
                          connecting_hom)
-from .crossed import classify2, yoneda_crossed_module, induced_pair
-from .extensions import baer_sum, baer_sum_n2, pushout, split_detect
+from . import crossed, extensions
 from .workspace import Workspace, parse_workspace
 
 DEFAULT_DEGREE_CAP = 4
@@ -72,12 +71,12 @@ class _Classified:
 
     def __init__(self, cm):
         self.cm = cm
-        self.pres = induced_pair(cm)
+        self.pres = crossed.induced_pair(cm)
         self.cl = None
 
     def classify(self):
         if self.cl is None:
-            self.cl = classify2(self.pres)
+            self.cl = crossed.classify2(self.pres)
         return self.cl
 
 
@@ -126,22 +125,23 @@ def _cmd_classify(ws, args, degree_cap):
 def _cmd_baer_sum(ws, args, degree_cap):
     left, right = args["left"], args["right"]
     if left in ws.extensions:
-        E = baer_sum(ws.extensions[left], ws.extensions[right])
+        E = extensions.baer_sum(ws.extensions[left], ws.extensions[right])
         return [{"op": "baer-sum", "left": left, "right": right,
                  "status": "PASS", "n": E.n,
                  "top_dim": E.mids[0].dim, "base_dim": E.base.algebra.dim,
-                 "splits": split_detect(E) is not None}]
+                 "splits": extensions.split_detect(E) is not None}]
     # the sum is presented over the left operand's (g, M), so its class
     # lives in that module's complex
-    S = baer_sum_n2(_classified(ws, left).pres, _classified(ws, right).pres)
-    cl = classify2(S)
+    S = extensions.baer_sum_n2(_classified(ws, left).pres,
+                               _classified(ws, right).pres)
+    cl = crossed.classify2(S)
     return [{"op": "baer-sum", "left": left, "right": right,
              "status": "PASS", "v_dim": S.cm.rep.dim, "l_dim": S.cm.algebra.dim,
              "class_canonical": _scalars(ws.field, cl.canonical)}]
 
 
 def _cmd_pushout(ws, args, degree_cap):
-    pd = pushout(ws.morphisms[args["f"]], ws.morphisms[args["g"]])
+    pd = extensions.pushout(ws.morphisms[args["f"]], ws.morphisms[args["g"]])
     return [{"op": "pushout", "f": args["f"], "g": args["g"], "status": "PASS",
              "dim": pd.D.dim}]
 
@@ -170,9 +170,9 @@ def _cmd_yoneda(ws, args, degree_cap):
     ses = ws.sequences[args["sequence"]]
     c = ws.cochains[args["cochain"]]
     _check_tail(ses, c)
-    pres = yoneda_crossed_module(ses, c)
+    pres = crossed.yoneda_crossed_module(ses, c)
     # both classes live in H^3(g, M), the complex of pres.M = ses.head
-    cl = classify2(pres)
+    cl = crossed.classify2(pres)
     agree = cl == connecting_hom(ses, class_of(c))
     return [{"op": "yoneda", "sequence": args["sequence"],
              "cochain": args["cochain"],

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .errors import CheckFailure
 from .linalg import (Echelon, LinearMap, Matrix, Subspace, _from_ints,
@@ -58,16 +57,31 @@ def sort_with_sign(t):
     return tuple(t), sign
 
 
-@dataclass(frozen=True)
-class Cochain:
+class _Record:
+    """A frozen value: each subclass's __init__ stores its fields in
+    __dict__, in order, and instances of one class compare and hash field
+    by field.  Assigning or deleting an attribute raises AttributeError."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: {name}")
+
+    __delattr__ = __setattr__
+
+
+class Cochain(_Record):
     """Degree-n cochain with values in a module, stored as one flat vector;
     its flavor is the module's."""
 
-    degree: int
-    module: object
-    vec: tuple
-
-    def __post_init__(self):
+    def __init__(self, degree: int, module, vec: tuple):
+        self.__dict__.update(degree=degree, module=module, vec=vec)
         expected = len(self.tuples()) * self.module.dim
         if len(self.vec) != expected:
             raise ValueError(f"cochain vector has length {len(self.vec)}, want {expected}")
@@ -306,8 +320,7 @@ def complex_of(module) -> CochainComplex:
     return cx
 
 
-@dataclass(frozen=True)
-class CohomologyClass:
+class CohomologyClass(_Record):
     """A cohomology class with its canonical reduced representative.
 
     canonical is the representative vector reduced against the RREF basis of
@@ -315,11 +328,11 @@ class CohomologyClass:
     Its flavor is its module's.
     """
 
-    degree: int
-    module: object
-    representative: Cochain
-    coboundary_space: Subspace
-    canonical: tuple
+    def __init__(self, degree: int, module, representative: Cochain,
+                 coboundary_space: Subspace, canonical: tuple):
+        self.__dict__.update(
+            degree=degree, module=module, representative=representative,
+            coboundary_space=coboundary_space, canonical=canonical)
 
     @property
     def flavor(self):
@@ -414,12 +427,11 @@ def coboundary_witness(z: Cochain) -> Cochain | None:
     return Cochain(z.degree - 1, z.module, sol)
 
 
-@dataclass(frozen=True)
-class ShortExactSequence:
+class ShortExactSequence(_Record):
     """0 -> M -> M' -> M'' -> 0 of modules over one algebra."""
 
-    alpha: ModuleMorphism
-    beta: ModuleMorphism
+    def __init__(self, alpha: ModuleMorphism, beta: ModuleMorphism):
+        self.__dict__.update(alpha=alpha, beta=beta)
 
     @property
     def head(self):

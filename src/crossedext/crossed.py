@@ -12,8 +12,6 @@ alone for a Lie module, left then right for a Leibniz one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CheckFailure
 from .linalg import (Echelon, LinearMap, Matrix, _common_rows, _int_rows,
                      _lincomb_rows, _modulus, _mul_rows, image, kernel,
@@ -23,36 +21,31 @@ from .algebra import (LeibnizRepresentation, Representation, bracket_defect,
                       sides, validate_lie, validate_leibniz, validate_module,
                       validate_leibniz_module)
 from .cohomology import (LEIBNIZ, Cochain, CohomologyClass,
-                         ShortExactSequence, abelian_extension_from_2cocycle,
-                         class_of, cochain_from_values, validate_ses)
+                         ShortExactSequence, _Record,
+                         abelian_extension_from_2cocycle, class_of,
+                         cochain_from_values, validate_ses)
 
 
-@dataclass(frozen=True)
-class CrossedModule:
-    algebra: object          # L, Lie or Leibniz
-    rep: object              # V as an L-module
-    partial: LinearMap       # V -> L
+class CrossedModule(_Record):
+    def __init__(self, algebra,             # L, Lie or Leibniz
+                 rep,                       # V as an L-module
+                 partial: LinearMap):       # V -> L
+        self.__dict__.update(algebra=algebra, rep=rep, partial=partial)
+        if self.partial.domain_dim != self.rep.dim or \
+                self.partial.codomain_dim != self.algebra.dim:
+            raise ValueError("partial has wrong shape")
 
     @property
     def flavor(self):
         return self.rep.flavor
 
-    def __post_init__(self):
-        if self.partial.domain_dim != self.rep.dim or \
-                self.partial.codomain_dim != self.algebra.dim:
-            raise ValueError("partial has wrong shape")
 
-
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(_Record):
     """A crossed module presented over a fixed pair (g, M): a surjection
     pi : L -> g with kernel im(d) and an embedding incl : M -> V onto ker(d)."""
 
-    cm: CrossedModule
-    g: object
-    pi: LinearMap
-    M: object
-    incl: LinearMap
+    def __init__(self, cm: CrossedModule, g, pi, M, incl):
+        self.__dict__.update(cm=cm, g=g, pi=pi, M=M, incl=incl)
 
 
 def _left_right(V, vecs):
@@ -339,10 +332,10 @@ def classify2(obj) -> CohomologyClass:
     return class_of(theta(pres))
 
 
-@dataclass(frozen=True)
-class CrossedMorphism:
-    alpha: LinearMap   # V -> V'
-    beta: LinearMap    # L -> L'
+class CrossedMorphism(_Record):
+    def __init__(self, alpha: LinearMap,   # V -> V'
+                 beta: LinearMap):         # L -> L'
+        self.__dict__.update(alpha=alpha, beta=beta)
 
 
 def check_crossed_morphism(cm: CrossedModule, cm2: CrossedModule,

@@ -7,31 +7,28 @@ and validate_extension in the tests.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CheckFailure
 from .linalg import (LinearMap, Matrix, Subspace, block_diag, image, kernel,
                      linear_section, quotient, solve)
 from .algebra import (ModuleMorphism, Representation, bracket_defect,
                       direct_sum_reps, trivial_rep, validate_lie,
                       validate_module, validate_morphism)
-from .cohomology import LEIBNIZ, ShortExactSequence, validate_ses
+from .cohomology import LEIBNIZ, ShortExactSequence, _Record, validate_ses
 from .crossed import (CrossedModule, CrossedMorphism, Presentation,
                       check_crossed_morphism, crossed_axioms,
                       validate_presentation)
 
 
-@dataclass(frozen=True)
-class PushoutData:
+class PushoutData(_Record):
     """(B (+) C)/S with S the antidiagonal graph of the two legs."""
 
-    D: Representation
-    i: ModuleMorphism        # B -> D
-    j: ModuleMorphism        # C -> D
-    proj: LinearMap          # B (+) C -> D
-    sect: LinearMap          # D -> B (+) C
-    f: ModuleMorphism
-    g: ModuleMorphism
+    def __init__(self, D: Representation,
+                 i: ModuleMorphism,        # B -> D
+                 j: ModuleMorphism,        # C -> D
+                 proj: LinearMap,          # B (+) C -> D
+                 sect: LinearMap,          # D -> B (+) C
+                 f: ModuleMorphism, g: ModuleMorphism):
+        self.__dict__.update(D=D, i=i, j=j, proj=proj, sect=sect, f=f, g=g)
 
 
 def _quotient_module(alg, f: Matrix, g: Matrix, actions, detail):
@@ -82,24 +79,21 @@ def mediate(pd: PushoutData, i_prime: LinearMap, j_prime: LinearMap) -> LinearMa
     return LinearMap(i_prime.matrix.hstack(j_prime.matrix) @ pd.sect.matrix)
 
 
-@dataclass(frozen=True)
-class CrossedExtension:
+class CrossedExtension(_Record):
     """0 -> M -> M_{n-1} -> ... -> M_2 -> M_1 -> L -> g -> 0.
 
     mids holds the g-modules M_{n-1} down to M_2 (n-2 of them); partials the
     maps leaving them, ending with d_2 : M_2 -> M_1 = base.rep.
     """
 
-    n: int
-    g: object
-    M: Representation
-    f: LinearMap                 # M -> M_{n-1}
-    mids: tuple                  # Representations over g
-    partials: tuple              # LinearMaps, one per mid
-    base: CrossedModule          # (M_1, L, d_1)
-    pi: LinearMap                # L -> g
-
-    def __post_init__(self):
+    def __init__(self, n: int, g, M: Representation,
+                 f: LinearMap,                 # M -> M_{n-1}
+                 mids: tuple,                  # Representations over g
+                 partials: tuple,              # LinearMaps, one per mid
+                 base: CrossedModule,          # (M_1, L, d_1)
+                 pi: LinearMap):               # L -> g
+        self.__dict__.update(n=n, g=g, M=M, f=f, mids=mids, partials=partials,
+                             base=base, pi=pi)
         if self.n < 3:
             raise ValueError("crossed extensions start at length 3; "
                              "length 2 is a presented crossed module")
@@ -158,11 +152,12 @@ def validate_extension(E: CrossedExtension) -> CrossedExtension:
     return E
 
 
-@dataclass(frozen=True)
-class ExtensionMorphism:
-    alpha: LinearMap     # M -> M'
-    mids: tuple          # one LinearMap per mid module
-    crossed: CrossedMorphism   # (delta_1 : M_1 -> M_1', beta : L -> L')
+class ExtensionMorphism(_Record):
+    def __init__(self, alpha: LinearMap,   # M -> M'
+                 mids: tuple,              # one LinearMap per mid module
+                 # (delta_1 : M_1 -> M_1', beta : L -> L')
+                 crossed: CrossedMorphism):
+        self.__dict__.update(alpha=alpha, mids=mids, crossed=crossed)
 
 
 def check_extension_morphism(E: CrossedExtension, E2: CrossedExtension,

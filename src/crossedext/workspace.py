@@ -9,7 +9,6 @@ row-major nested arrays of such strings; structure constants are sparse
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
 
 from .errors import CheckFailure
 from .field import QQ, FieldError, field_from_spec
@@ -19,25 +18,34 @@ from .algebra import (LeibnizRepresentation, ModuleMorphism, Representation,
                       validate_module, validate_morphism)
 from .cohomology import (Cochain, ShortExactSequence, cochain_tuples,
                          validate_ses)
-from .crossed import CrossedModule, crossed_axioms
-from .extensions import CrossedExtension, validate_extension
+from . import crossed, extensions
 
 
-@dataclass
 class Workspace:
-    field: object
-    algebras: dict = dc_field(default_factory=dict)
-    modules: dict = dc_field(default_factory=dict)
-    morphisms: dict = dc_field(default_factory=dict)
-    cochains: dict = dc_field(default_factory=dict)
-    crossed_modules: dict = dc_field(default_factory=dict)
-    sequences: dict = dc_field(default_factory=dict)
-    extensions: dict = dc_field(default_factory=dict)
-    commands: list = dc_field(default_factory=list)
-    # what a run's commands computed for each crossed module, by name (see
-    # cli._classified); no part of the document
-    classified: dict = dc_field(default_factory=dict, repr=False,
-                                compare=False)
+    """A document's field, named objects by section, and commands.
+    `classified` is what a run's commands computed for each crossed module,
+    by name (see cli._classified): no part of the document, nor of `==`."""
+
+    def __init__(self, field, algebras=None, modules=None, morphisms=None,
+                 cochains=None, crossed_modules=None, sequences=None,
+                 extensions=None, commands=None, classified=None):
+        self.field = field
+        self.algebras = {} if algebras is None else algebras
+        self.modules = {} if modules is None else modules
+        self.morphisms = {} if morphisms is None else morphisms
+        self.cochains = {} if cochains is None else cochains
+        self.crossed_modules = {} if crossed_modules is None else \
+            crossed_modules
+        self.sequences = {} if sequences is None else sequences
+        self.extensions = {} if extensions is None else extensions
+        self.commands = [] if commands is None else commands
+        self.classified = {} if classified is None else classified
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ({**vars(self), "classified": None} ==
+                {**vars(other), "classified": None})
 
 
 class _Scalars:
@@ -274,7 +282,7 @@ def parse_workspace(text: str, field: str | None = None) -> Workspace:
             V = _resolve(ws.modules, _key(spec, "V", str, name), "module")
             partial = LinearMap(scalar.matrix(
                 _key(spec, "partial", list, name), V.dim))
-            cm = CrossedModule(L, V, partial)
+            cm = crossed.CrossedModule(L, V, partial)
             if isinstance(V, LeibnizRepresentation) != \
                     (L.flavor == "leibniz"):
                 raise CheckFailure("PARSE_ERROR", name,
@@ -283,7 +291,7 @@ def parse_workspace(text: str, field: str | None = None) -> Workspace:
                 raise CheckFailure("BASE_MISMATCH", name,
                                    f"{name}: V is not a module over L")
             # V was validated with the modules above
-            ws.crossed_modules[name] = crossed_axioms(cm)
+            ws.crossed_modules[name] = crossed.crossed_axioms(cm)
 
     for name, spec in _section(doc, "sequences"):
         with _wrap(name):
@@ -304,14 +312,14 @@ def parse_workspace(text: str, field: str | None = None) -> Workspace:
                     for link in chain]
             partials = [LinearMap(scalar.matrix(link["map"], mod.dim))
                         for link, mod in zip(chain, mids)]
-            E = CrossedExtension(
+            E = extensions.CrossedExtension(
                 _key(spec, "n", int, name), g, M,
                 LinearMap(scalar.matrix(_key(spec, "f", list, name),
                                         M.dim)),
                 tuple(mids), tuple(partials), base,
                 LinearMap(scalar.matrix(_key(spec, "pi", list, name),
                                         base.algebra.dim)))
-            ws.extensions[name] = validate_extension(E)
+            ws.extensions[name] = extensions.validate_extension(E)
 
     cmds = doc.get("commands", [])
     if not isinstance(cmds, list) or \

@@ -14,7 +14,6 @@ from crossedext.linalg import LinearMap, Matrix
 from crossedext.workspace import parse_workspace, serialize_workspace
 from test_command_reuse import _count_builds, _workspace
 
-cli_mod = importlib.import_module("crossedext.cli")
 crossed_mod = importlib.import_module("crossedext.crossed")
 
 
@@ -36,7 +35,7 @@ def _count(monkeypatch):
     """Counters of induced_pair calls and of _g2_table calls, both by the
     crossed module they present."""
     pairs, g2 = Counter(), Counter()
-    original_pair = cli_mod.induced_pair
+    original_pair = crossed_mod.induced_pair
     original_g2 = crossed_mod._g2_table
 
     def counted_pair(cm):
@@ -46,7 +45,7 @@ def _count(monkeypatch):
     def counted_g2(pres, s, q):
         g2[id(pres.cm)] += 1
         return original_g2(pres, s, q)
-    monkeypatch.setattr(cli_mod, "induced_pair", counted_pair)
+    monkeypatch.setattr(crossed_mod, "induced_pair", counted_pair)
     monkeypatch.setattr(crossed_mod, "_g2_table", counted_g2)
     return pairs, g2
 

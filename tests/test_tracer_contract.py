@@ -46,6 +46,8 @@ def test_traced_run_enters_every_listed_layer(workload, tmp_path):
     res = json.loads(out.read_text())
     entered = MANIFEST["layers_entered"]
     installed = set(res["installed"])
+    # a listed layer must be wrapped, not only entered when it is wrapped
+    assert set(entered[workload]) <= installed
     never_entered = (set(entered[workload]) & installed) - set(res["entered"])
     assert sorted(never_entered) == []
     assert sorted(installed - set().union(*entered.values())) == []
