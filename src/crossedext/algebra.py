@@ -7,8 +7,8 @@ one representation.
 from __future__ import annotations
 
 from .errors import CheckFailure
-from .linalg import (Matrix, LinearMap, _common_rows, _int_rows, _int_vec,
-                     _modulus, _mul_rows, _to_field, block_diag, lincomb)
+from .linalg import (Matrix, LinearMap, _common_rows, _field_vec, _int_rows,
+                     _int_vec, _modulus, _mul_rows, block_diag, lincomb)
 
 # the cochain flavor of a Lie module and of a Leibniz module
 CE = "ce"
@@ -68,15 +68,7 @@ class _AlgebraBase:
                 ab = a * b
                 for k, s in c[base + j].items():
                     acc[k] = acc.get(k, 0) + ab * s
-        p = _modulus(field)
-        make = _to_field(field, d * du * dv)
-        out = [field.zero] * dim
-        for k, x in acc.items():
-            if p is not None:
-                x %= p
-            if x:
-                out[k] = make(x)
-        return tuple(out)
+        return _field_vec(field, acc, d * du * dv, dim)
 
     def __eq__(self, other):
         return (type(self) is type(other) and self.field == other.field
@@ -172,6 +164,9 @@ class Representation:
         return (isinstance(other, Representation) and self.algebra == other.algebra
                 and self.action == other.action)
 
+    def __hash__(self):
+        return hash((self.algebra, self.action))
+
     def __repr__(self):
         return f"Representation(dim={self.dim} over dim-{self.algebra.dim} algebra)"
 
@@ -227,12 +222,8 @@ def validate_module(rep: Representation) -> Representation:
 def adjoint(g: LieAlgebra) -> Representation:
     """g acting on itself by the bracket; column j of the matrix of e_i is
     the bracket of e_i with e_j."""
-    field = g.field
-    mats = []
-    for i in range(g.dim):
-        cols = [list(g.c[i][j]) for j in range(g.dim)]
-        mats.append(Matrix.from_cols(field, cols, g.dim))
-    return Representation(g, g.dim, mats)
+    return Representation(g, g.dim, [Matrix.from_cols(g.field, g.c[i], g.dim)
+                                     for i in range(g.dim)])
 
 
 class LeibnizRepresentation:
@@ -264,6 +255,9 @@ class LeibnizRepresentation:
         return (isinstance(other, LeibnizRepresentation)
                 and self.algebra == other.algebra
                 and self.left == other.left and self.right == other.right)
+
+    def __hash__(self):
+        return hash((self.algebra, self.left, self.right))
 
     def __repr__(self):
         return f"LeibnizRepresentation(dim={self.dim})"
@@ -321,15 +315,11 @@ def bracket_defect(f: LinearMap, A, B):
 
 
 def leibniz_adjoint(h: LeibnizAlgebra) -> LeibnizRepresentation:
-    field = h.field
-    left = []
-    right = []
-    for i in range(h.dim):
-        left.append(Matrix.from_cols(field, [list(h.c[i][j]) for j in range(h.dim)],
-                                     h.dim))
-        right.append(Matrix.from_cols(field, [list(h.c[j][i]) for j in range(h.dim)],
-                                      h.dim))
-    return LeibnizRepresentation(h, h.dim, left, right)
+    n = h.dim
+    return LeibnizRepresentation(
+        h, n, [Matrix.from_cols(h.field, h.c[i], n) for i in range(n)],
+        [Matrix.from_cols(h.field, [h.c[j][i] for j in range(n)], n)
+         for i in range(n)])
 
 
 def leibniz_from_lie(g: LieAlgebra) -> LeibnizAlgebra:

@@ -17,11 +17,10 @@ owns its one complex (`complex_of`).
 from __future__ import annotations
 
 import itertools
-import math
 
 from .errors import CheckFailure
-from .linalg import (Echelon, LinearMap, Matrix, Subspace, _from_ints,
-                     _int_rows, image, kernel, rank, vec_add, vec_scale,
+from .linalg import (Echelon, LinearMap, Matrix, Subspace, _common_rows,
+                     _from_ints, image, kernel, rank, vec_add, vec_scale,
                      vec_zero)
 # CE and LEIBNIZ are re-exported here, next to the complexes they name
 from .algebra import (CE, LEIBNIZ, LeibnizRepresentation, ModuleMorphism,
@@ -190,18 +189,14 @@ def _emit_coboundary(algebra, families, m, n, tuples, actions, insert
     ins = tuples(dim, n)
     tindex = {t: i for i, t in enumerate(ins)}
     c, dc = algebra.int_structure()
-    views = [[_int_rows(a) for a in fam] for fam in families]
-    D = math.lcm(dc, *(d for fam in views for _, d in fam))
-    blocks = [[rows if d == D else
-               [{b: v * (D // d) for b, v in r.items()} for r in rows]
-               for rows, d in fam] for fam in views]
+    blocks, D = _common_rows([a for fam in families for a in fam], dc)
     cf = D // dc
     out = []
     for S in tuples(dim, n + 1):
         block = [{} for _ in range(m)]
         for t, f, i, sign in actions(S):
             off = tindex[t] * m
-            for row, arow in zip(block, blocks[f][i]):
+            for row, arow in zip(block, blocks[f * dim + i]):
                 for b, v in arow.items():
                     j = off + b
                     row[j] = row.get(j, 0) + sign * v
@@ -552,10 +547,8 @@ def abelian_extension_from_2cocycle(Mpp: Representation, alpha: Cochain):
             aval = alpha.value_signed((i, j))
             structure[m + i][m + j] = tuple(aval) + tuple(g.c[i][j])
     e = validate_lie(field, n, structure)
-    incl_cols = [[field.one if t == i else field.zero for t in range(n)]
-                 for i in range(m)]
-    incl = LinearMap(Matrix.from_cols(field, incl_cols, n))
-    proj_rows = [[field.one if t == m + i else field.zero for t in range(n)]
-                 for i in range(d)]
-    proj = LinearMap(Matrix(field, proj_rows, cols=n))
+    incl = LinearMap(Matrix.identity(field, m).vstack(
+        Matrix.zero(field, d, m)))
+    proj = LinearMap(Matrix.zero(field, d, m).hstack(
+        Matrix.identity(field, d)))
     return e, incl, proj

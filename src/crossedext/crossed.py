@@ -12,11 +12,13 @@ alone for a Lie module, left then right for a Leibniz one.
 """
 from __future__ import annotations
 
+import math
+
 from .errors import CheckFailure
-from .linalg import (Echelon, LinearMap, Matrix, _common_rows, _int_rows,
-                     _lincomb_rows, _modulus, _mul_rows, image, kernel,
-                     linear_section, quotient, vec_add, vec_scale, vec_zero,
-                     basis_vector)
+from .linalg import (Echelon, LinearMap, Matrix, _columns, _common_rows,
+                     _field_vec, _int_rows, _lincomb_rows, _modulus, _mul_rows,
+                     _reduced, image, kernel, linear_section, quotient,
+                     vec_add, vec_scale, basis_vector)
 from .algebra import (LeibnizRepresentation, Representation, bracket_defect,
                       sides, validate_lie, validate_leibniz, validate_module,
                       validate_leibniz_module)
@@ -48,32 +50,39 @@ class Presentation(_Record):
         self.__dict__.update(cm=cm, g=g, pi=pi, M=M, incl=incl)
 
 
-def _left_right(V, vecs):
-    """The left and right action matrices of each vector.  A Lie module is
-    a Leibniz module whose right action is -rho."""
-    acts = [[of(x) for x in vecs] for _, _, of in sides(V)]
-    return acts[0], acts[1] if len(acts) == 2 else [-a for a in acts[0]]
-
-
 def validate_crossed(cm: CrossedModule) -> CrossedModule:
     """Validate V as an L-module, then the crossed-module axioms."""
-    if cm.flavor == LEIBNIZ:
-        validate_leibniz_module(cm.rep)
-    else:
-        validate_module(cm.rep)
+    (validate_leibniz_module if cm.flavor == LEIBNIZ
+     else validate_module)(cm.rep)
     return crossed_axioms(cm)
+
+
+def _sum(terms):
+    """sum f * vec over the (int f, {index: int} vec) terms."""
+    acc = {}
+    for f, vec in terms:
+        for r, x in vec.items():
+            acc[r] = acc.get(r, 0) + f * x
+    return acc
+
+
+def _actions(V, m):
+    """For each action family of V, the integer columns of the action of
+    each column of m, a matrix into V's algebra, and their denominator."""
+    rows, d = _int_rows(m)
+    n, out = V.dim, []
+    for _, mats, _ in sides(V):
+        A, da = _common_rows(mats)
+        out.append(([_columns(_lincomb_rows([(x, A[k]) for k, x in
+                                             col.items()], n), n)
+                     for col in _columns(rows, m.cols)], d * da))
+    return out
 
 
 def _differ(xs, fx, ys, fy, p):
     """Whether fx * xs != fy * ys for two lists of integer rows, mod p over
     F_p."""
-    for x, y in zip(xs, ys):
-        acc = {j: fx * v for j, v in x.items()}
-        for j, v in y.items():
-            acc[j] = acc.get(j, 0) - fy * v
-        if any(v % p if p else v for v in acc.values()):
-            return True
-    return False
+    return any(_reduced(_sum([(fx, x), (-fy, y)]), p) for x, y in zip(xs, ys))
 
 
 def crossed_axioms(cm: CrossedModule) -> CrossedModule:
@@ -88,16 +97,15 @@ def crossed_axioms(cm: CrossedModule) -> CrossedModule:
     the bracket with e_i on that side.  The Peiffer identity compares, for
     each pair (v, w), column w of the left action of dv with column v of
     the right action of dw (minus rho for a Lie module), each family on its
-    common denominator."""
+    common denominator (`_actions`)."""
     L, V = cm.algebra, cm.rep
     n, dim = V.dim, L.dim
     p = _modulus(L.field)
     c, dc = L.int_structure()
     D, _ = _int_rows(cm.partial.matrix)
-    families = sides(V)
     # d[x, v] = [x, dv], and d[v, x] = [dv, x] for a Leibniz module
     for i in range(dim):
-        for side, mats, _ in families:
+        for side, mats, _ in sides(V):
             A, da = _int_rows(mats[i])
             C = [{} for _ in range(dim)]
             for j in range(dim):
@@ -107,25 +115,15 @@ def crossed_axioms(cm: CrossedModule) -> CrossedModule:
             if _differ(_mul_rows(D, A), dc, _mul_rows(C, D), da, p):
                 raise CheckFailure("EQUIVARIANCE_FAIL", (i,),
                                    side and f"{side} action")
-    # [dv, w] = [v, dw]: X[v] is the left action of dv, Y[w] the right
-    # action of dw without the sign of a Lie module's -rho
-    cols = [{} for _ in range(n)]
-    for k, row in enumerate(D):
-        for v, x in row.items():
-            cols[v][k] = x
-    views = [_common_rows(mats) for _, mats, _ in families]
-    (A, da), (B, db) = views[0], views[-1]
-    sign = 1 if len(views) == 2 else -1
-    X = [_lincomb_rows([(x, A[k]) for k, x in col.items()], n)
-         for col in cols]
-    Y = X if B is A else [_lincomb_rows([(x, B[k]) for k, x in col.items()],
-                                        n) for col in cols]
+    # [dv, w] = [v, dw]: column w of X[v], the left action of dv, against
+    # column v of Y[w], the right action of dw without a Lie module's sign
+    acts = _actions(V, cm.partial.matrix)
+    (X, dx), (Y, dy) = acts[0], acts[-1]
+    sign = 1 if len(acts) == 2 else -1
     for v in range(n):
         for w in range(n):
-            for r in range(n):
-                x = db * X[v][r].get(w, 0) - sign * da * Y[w][r].get(v, 0)
-                if x % p if p else x:
-                    raise CheckFailure("PEIFFER_FAIL", (v, w))
+            if _reduced(_sum([(dy, X[v][w]), (-sign * dx, Y[w][v])]), p):
+                raise CheckFailure("PEIFFER_FAIL", (v, w))
     # the loop is bilinear, so for k in ker(d) it gives [dv, k] = [v, dk] = 0
     # and [k, dw] = [dk, w] = 0: im(d) acts trivially on ker(d)
     return cm
@@ -212,19 +210,18 @@ def perturbed_sections(pres: Presentation, rng):
     """An alternative valid section pair: s is shifted by a random map into
     im(partial), q by a random map into ker(partial)."""
     s, q = choose_sections(pres)
-    cm = pres.cm
-    field = cm.algebra.field
+    cm, field = pres.cm, pres.cm.algebra.field
 
     def shifted(mat, space):
         """mat plus a random map into space, one column at a time."""
+        cols = []
         for j in range(mat.cols):
-            off = vec_zero(field, mat.rows)
+            col = mat.col(j)
             for row in space.basis.data:
-                off = vec_add(off, vec_scale(field.of(rng.randint(-3, 3)), row))
-            mat = mat + Matrix.from_cols(
-                field, [list(off) if t == j else [field.zero] * mat.rows
-                        for t in range(mat.cols)], mat.rows)
-        return LinearMap(mat)
+                col = vec_add(col, vec_scale(field.of(rng.randint(-3, 3)),
+                                             row))
+            cols.append(col)
+        return LinearMap(Matrix.from_cols(field, cols, mat.rows))
 
     return (shifted(s.matrix, image(cm.partial)),
             shifted(q.matrix, kernel(cm.partial)))
@@ -241,16 +238,27 @@ def _check_sections(pres: Presentation, s: LinearMap, q: LinearMap):
 
 
 def _g2_table(pres, s, q):
-    """g2(x, y) = q([s x, s y] - s [x, y]) on all basis pairs, valued in V."""
+    """g2(x, y) = q([s x, s y] - s [x, y]) on all basis pairs, valued in V,
+    from the integer columns of s and q and the integer structure constants
+    of L and g: (table, d), table[(i, j)] = {index: nonzero int} the
+    coordinates of g2(e_i, e_j) times d (residues mod p over F_p; d = 1)."""
     L, g = pres.cm.algebra, pres.g
-    svecs = [s.matrix.col(u) for u in range(g.dim)]
+    p = _modulus(g.field)
+    c, dc = L.int_structure()
+    gc, dg = g.int_structure()
+    srows, ds = _int_rows(s.matrix)
+    qrows, dq = _int_rows(q.matrix)
+    S, Q = _columns(srows, g.dim), _columns(qrows, L.dim)
     table = {}
     for i in range(g.dim):
         for j in range(g.dim):
-            br = L.bracket(svecs[i], svecs[j])
-            br = tuple(a - b for a, b in zip(br, s.apply(g.c[i][j])))
-            table[(i, j)] = q.apply(br)
-    return svecs, table
+            # [s x, s y] on ds^2 dc and s [x, y] on ds dg, both on ds^2 dc dg
+            br = _sum([(dg * x * y, c[a * L.dim + b]) for a, x in S[i].items()
+                       for b, y in S[j].items()] +
+                      [(-ds * dc * z, S[u])
+                       for u, z in gc[i * g.dim + j].items()])
+            table[i, j] = _reduced(_sum((x, Q[k]) for k, x in br.items()), p)
+    return table, dq * ds * ds * dc * dg
 
 
 def _kernel_puller(pres):
@@ -285,38 +293,36 @@ def theta(pres: Presentation, s: LinearMap | None = None,
                    - g2([x,y],z) + g2([x,z],y) - g2([y,z],x),
 
     value for value, and the cochain is built on the flavor's triples.
+
+    Each value is summed on integers (mod p over F_p), and partial(theta) = 0
+    checked there; only then does it become a field vector, pulled into M.
     """
     if s is None or q is None:
         s, q = choose_sections(pres)
     _check_sections(pres, s, q)
     cm, g, V = pres.cm, pres.g, pres.cm.rep
-    field = g.field
-    svecs, g2 = _g2_table(pres, s, q)
-    lefts, rights = _left_right(V, svecs)
+    field, p, gdim, n = g.field, _modulus(g.field), g.dim, V.dim
+    g2, dt = _g2_table(pres, s, q)
+    acts = _actions(V, s.matrix)     # the action of each s e_u
+    (lefts, dl), (rights, dr) = acts[0], acts[-1]
+    gc, dg = g.int_structure()
+    D = math.lcm(dl, dr, dg)
+    # a Lie module's right action is -rho
+    fl, fr, fg = D // dl, D // dr * (1 if len(acts) == 2 else -1), D // dg
+    dcols = _columns(_int_rows(cm.partial.matrix)[0], n)
     pull = _kernel_puller(pres)
-
-    # g2(-, e_k) and g2(e_i, -) as lists of values on the basis
-    by_second = [[g2[(a, k)] for a in range(g.dim)] for k in range(g.dim)]
-    by_first = [[g2[(i, a)] for a in range(g.dim)] for i in range(g.dim)]
-
-    def lin(uvec, vecs):
-        out = vec_zero(field, V.dim)
-        for coef, vec in zip(uvec, vecs):
-            if coef:
-                out = vec_add(out, vec_scale(coef, vec))
-        return out
 
     def value(t):
         i, j, k = t
-        val = lefts[i].apply(g2[(j, k)])
-        val = vec_add(val, rights[j].apply(g2[(i, k)]))
-        val = tuple(a - b for a, b in zip(val, rights[k].apply(g2[(i, j)])))
-        val = tuple(a - b for a, b in zip(val, lin(g.c[i][j], by_second[k])))
-        val = vec_add(val, lin(g.c[i][k], by_second[j]))
-        val = vec_add(val, lin(g.c[j][k], by_first[i]))
-        if any(cm.partial.apply(val)):
+        acc = _sum([(fl * x, lefts[i][a]) for a, x in g2[j, k].items()]
+                   + [(fr * x, rights[j][a]) for a, x in g2[i, k].items()]
+                   + [(-fr * x, rights[k][a]) for a, x in g2[i, j].items()]
+                   + [(-fg * x, g2[a, k]) for a, x in gc[i * gdim + j].items()]
+                   + [(fg * x, g2[a, j]) for a, x in gc[i * gdim + k].items()]
+                   + [(fg * x, g2[i, a]) for a, x in gc[j * gdim + k].items()])
+        if _reduced(_sum((x, dcols[v]) for v, x in acc.items()), p):
             raise CheckFailure("PEIFFER_FAIL", t, "partial(theta) != 0")
-        return pull(val)
+        return pull(_field_vec(field, acc, D * dt, n))
 
     return cochain_from_values(pres.M, 3, value)
 
@@ -383,11 +389,9 @@ def yoneda_crossed_module(ses: ShortExactSequence, ext2: Cochain
                 for _ in range(mdim)]
     V = Representation(e, ses.middle.dim,
                        zero_act + [ses.middle.action[i] for i in range(g.dim)])
-    mu_cols = []
-    for v in range(ses.middle.dim):
-        bv = ses.beta.matrix.col(v)
-        mu_cols.append(list(bv) + [field.zero] * g.dim)
-    mu = LinearMap(Matrix.from_cols(field, mu_cols, e.dim))
+    # mu(v) = (beta v, 0) in e = M'' + g
+    mu = LinearMap(ses.beta.matrix.vstack(
+        Matrix.zero(field, g.dim, ses.middle.dim)))
     cm = CrossedModule(e, V, mu)
     validate_crossed(cm)
     pres = Presentation(cm, g, proj_e, ses.head, ses.alpha.map)

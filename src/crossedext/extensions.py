@@ -189,15 +189,12 @@ def zero_extension(g, M: Representation, n: int) -> CrossedExtension:
     field = g.field
     zero_mod = trivial_rep(g, 0)
     mids = (M,) + (zero_mod,) * (n - 3)
-    partials = []
-    prev_dim = M.dim
-    for _ in range(n - 3):
-        partials.append(LinearMap.zero(field, prev_dim, 0))
-        prev_dim = 0
+    # M_{n-1} = M -> 0, then 0 -> 0 down to M_1 = 0
+    partials = tuple(LinearMap.zero(field, M.dim if k == 0 else 0, 0)
+                     for k in range(n - 2))
     base = CrossedModule(g, zero_mod, LinearMap.zero(field, 0, g.dim))
-    partials.append(LinearMap.zero(field, prev_dim, 0))
     return CrossedExtension(n, g, M, LinearMap.identity(field, M.dim),
-                            mids, tuple(partials), base,
+                            mids, partials, base,
                             LinearMap.identity(field, g.dim))
 
 

@@ -97,11 +97,8 @@ class Matrix:
     def transpose(self):
         if _built_rows(self) is None:
             rows, d = self._ints
-            out = [{} for _ in range(self.cols)]
-            for i, r in enumerate(rows):
-                for j, v in r.items():
-                    out[j][i] = v
-            return Matrix._from_int_rows(self.field, out, d, self.rows)
+            return Matrix._from_int_rows(self.field, _columns(rows, self.cols),
+                                         d, self.rows)
         data = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
         return Matrix._raw(self.field, data, self.rows)
 
@@ -263,15 +260,37 @@ def _int_rows(m: Matrix):
     return ints
 
 
-def _common_rows(mats):
-    """The integer rows of each of mats on their one common denominator D
-    (the lcm of the views' denominators; 1 over F_p): (rows per matrix,
-    D)."""
+def _common_rows(mats, base=1):
+    """The integer rows of each of mats on one common denominator D, the
+    lcm of base and the views' denominators (1 over F_p): (rows per
+    matrix, D)."""
     views = [_int_rows(m) for m in mats]
-    D = math.lcm(*(d for _, d in views))
+    D = math.lcm(base, *(d for _, d in views))
     return [rows if d == D else
             [{j: v * (D // d) for j, v in row.items()} for row in rows]
             for rows, d in views], D
+
+
+def _columns(rows, cols):
+    """The columns of cols-wide integer rows, as {row index: int} dicts."""
+    out = [{} for _ in range(cols)]
+    for i, r in enumerate(rows):
+        for j, v in r.items():
+            out[j][i] = v
+    return out
+
+
+def _reduced(row, p):
+    """The integer row without its zeros, its entries reduced mod p when p
+    is not None."""
+    if p is None:
+        return {j: v for j, v in row.items() if v}
+    out = {}
+    for j, v in row.items():
+        v %= p
+        if v:
+            out[j] = v
+    return out
 
 
 def _mul_rows(arows, brows):
@@ -310,6 +329,15 @@ def _to_field(field, d):
     return lambda v: Fraction(v, d)
 
 
+def _field_vec(field, acc, d, n):
+    """The field vector of length n with entry k acc[k] / d over Q and
+    acc[k] mod p over F_p, for {index: int} acc, and zero elsewhere."""
+    make, out = _to_field(field, d), [field.zero] * n
+    for k, x in _reduced(acc, _modulus(field)).items():
+        out[k] = make(x)
+    return tuple(out)
+
+
 def _from_ints(field, rows, d, cols):
     """The matrix whose entry (i, j) is rows[i][j] / d over Q and rows[i][j]
     mod p over F_p (zero where rows[i] has no j), built from its integer
@@ -317,17 +345,9 @@ def _from_ints(field, rows, d, cols):
     d divided by their common gcd.  Its dense rows are built on first
     read."""
     p = _modulus(field)
-    view = []
+    view = [_reduced(r, p) for r in rows]
     if p is not None:
-        for r in rows:
-            kept = {}
-            for j, v in r.items():
-                v %= p
-                if v:
-                    kept[j] = v
-            view.append(kept)
         return Matrix._from_int_rows(field, view, 1, cols)
-    view = [{j: v for j, v in r.items() if v} for r in rows]
     g = d
     for r in view:
         if g == 1:
@@ -731,6 +751,9 @@ class LinearMap:
     def __eq__(self, other):
         return isinstance(other, LinearMap) and self.matrix == other.matrix
 
+    def __hash__(self):
+        return hash(self.matrix)
+
     def __repr__(self):
         return f"LinearMap({self.domain_dim} -> {self.codomain_dim})"
 
@@ -757,26 +780,18 @@ def quotient(ambient_dim: int, sub: Subspace):
     """
     if sub.ambient_dim != ambient_dim:
         raise ValueError("subspace ambient dimension mismatch")
-    field = sub.field
-    zero, one = field.zero, field.one
-    free = [c for c in range(ambient_dim) if c not in sub.pivots]
-    qdim = len(free)
+    free = {c: k for k, c in enumerate(c for c in range(ambient_dim)
+                                       if c not in sub.pivots)}
+    rows, d = _int_rows(sub.basis)
     # entry (f, i) of the projection is coordinate f of sub.reduce(e_i): 1 at
     # i = f, minus entry f of basis row r at i = pivot r, 0 elsewhere
-    proj_rows = []
-    for fcol in free:
-        row = [zero] * ambient_dim
-        row[fcol] = one
-        for brow, p in zip(sub.basis.data, sub.pivots):
-            x = brow[fcol]
-            if x:
-                row[p] = -x
-        proj_rows.append(tuple(row))
-    proj = LinearMap(Matrix._raw(field, tuple(proj_rows), ambient_dim))
-    sect = LinearMap(Matrix._raw(field, tuple(
-        tuple(one if i == fcol else zero for fcol in free)
-        for i in range(ambient_dim)), qdim))
-    return proj, sect, qdim
+    proj = _from_ints(sub.field, [
+        {f: d, **{p: -row[f] for row, p in zip(rows, sub.pivots) if f in row}}
+        for f in free], d, ambient_dim)
+    sect = Matrix._from_int_rows(sub.field, [{free[i]: 1} if i in free else {}
+                                             for i in range(ambient_dim)],
+                                 1, len(free))
+    return LinearMap(proj), LinearMap(sect), len(free)
 
 
 def solve(f: LinearMap, target):

@@ -4,15 +4,17 @@ sparse `rref`; the augmented-matrix solve, the reduce loop and the
 reduce-built quotient for `Echelon`, `Subspace.reduce` and `quotient`; and
 Fraction/FpElement multiply-accumulate loops for the integer kernels under
 `@`, `apply`, `lincomb`, `bracket` and the validators, the crossed-module
-axioms among them; the Chevalley-Eilenberg theta formula that the one
-theta of both flavors must reproduce on Lie crossed modules; and the dense-grid CE and Leibniz coboundary builders that
-the integer-row emitter of `crossedext.cohomology` must reproduce."""
+axioms among them; the field-vector theta of both flavors that the
+integer theta must reproduce, and the Chevalley-Eilenberg theta formula
+that it must also reproduce on Lie crossed modules; and the dense-grid CE
+and Leibniz coboundary builders that the integer-row emitter of
+`crossedext.cohomology` must reproduce."""
 from crossedext.algebra import sides
 from crossedext.errors import CheckFailure
 from crossedext.linalg import LinearMap, Matrix, vec_add, vec_scale, vec_zero
 from crossedext.cohomology import (ce_tuples, cochain_from_values,
                                    leib_tuples, sort_with_sign)
-from crossedext.crossed import _check_sections, _g2_table, _kernel_puller
+from crossedext.crossed import _check_sections, _kernel_puller
 
 
 def dense_rref(m: Matrix):
@@ -293,6 +295,61 @@ def dense_crossed_axioms(cm):
                 raise CheckFailure("PEIFFER_FAIL", (v, w))
 
 
+def dense_g2_table(pres, s, q):
+    """The images s e_u of g's basis, and g2(x, y) = q([s x, s y] - s [x, y])
+    on all basis pairs as field vectors of V, by `bracket` and `apply`."""
+    L, g = pres.cm.algebra, pres.g
+    svecs = [s.matrix.col(u) for u in range(g.dim)]
+    table = {}
+    for i in range(g.dim):
+        for j in range(g.dim):
+            br = L.bracket(svecs[i], svecs[j])
+            br = tuple(a - b for a, b in zip(br, s.apply(g.c[i][j])))
+            table[(i, j)] = q.apply(br)
+    return svecs, table
+
+
+def dense_theta(pres, s, q):
+    """The classifying 3-cochain by the Leibniz formula on field vectors,
+    as `crossed.theta` computed it before it ran on integers:
+    theta(x,y,z) = [s x, g2(y,z)] + [g2(x,z), s y] - [g2(x,y), s z]
+                   - g2([x,y],z) + g2([x,z],y) + g2(x,[y,z])
+    on the flavor's triples, with the right action of a Lie module -rho."""
+    _check_sections(pres, s, q)
+    cm, g, V = pres.cm, pres.g, pres.cm.rep
+    field = g.field
+    svecs, g2 = dense_g2_table(pres, s, q)
+    acts = [[of(x) for x in svecs] for _, _, of in sides(V)]
+    lefts = acts[0]
+    rights = acts[1] if len(acts) == 2 else [-a for a in acts[0]]
+    pull = _kernel_puller(pres)
+
+    # g2(-, e_k) and g2(e_i, -) as lists of values on the basis
+    by_second = [[g2[(a, k)] for a in range(g.dim)] for k in range(g.dim)]
+    by_first = [[g2[(i, a)] for a in range(g.dim)] for i in range(g.dim)]
+
+    def lin(uvec, vecs):
+        out = vec_zero(field, V.dim)
+        for coef, vec in zip(uvec, vecs):
+            if coef:
+                out = vec_add(out, vec_scale(coef, vec))
+        return out
+
+    def value(t):
+        i, j, k = t
+        val = lefts[i].apply(g2[(j, k)])
+        val = vec_add(val, rights[j].apply(g2[(i, k)]))
+        val = tuple(a - b for a, b in zip(val, rights[k].apply(g2[(i, j)])))
+        val = tuple(a - b for a, b in zip(val, lin(g.c[i][j], by_second[k])))
+        val = vec_add(val, lin(g.c[i][k], by_second[j]))
+        val = vec_add(val, lin(g.c[j][k], by_first[i]))
+        if any(cm.partial.apply(val)):
+            raise CheckFailure("PEIFFER_FAIL", t, "partial(theta) != 0")
+        return pull(val)
+
+    return cochain_from_values(pres.M, 3, value)
+
+
 def lie_theta(pres, s, q):
     """The classifying 3-cochain of a Lie crossed module by the CE formula
     theta(x,y,z) = [s x, g2(y,z)] - [s y, g2(x,z)] + [s z, g2(x,y)]
@@ -301,7 +358,7 @@ def lie_theta(pres, s, q):
     _check_sections(pres, s, q)
     cm, g, V = pres.cm, pres.g, pres.cm.rep
     field = g.field
-    svecs, g2 = _g2_table(pres, s, q)
+    svecs, g2 = dense_g2_table(pres, s, q)
     acts = [V.action_of(sv) for sv in svecs]
     pull = _kernel_puller(pres)
 

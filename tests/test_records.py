@@ -4,13 +4,13 @@ the shape checks at construction, frozen fields, and field-wise `==` and
 mutable, with fresh sections per instance and `classified` outside `==`."""
 import pytest
 
-from crossedext.algebra import adjoint
+from crossedext.algebra import adjoint, leibniz_adjoint, leibniz_from_lie
 from crossedext.cohomology import Cochain, CohomologyClass, ShortExactSequence
 from crossedext.crossed import CrossedModule, CrossedMorphism, Presentation
 from crossedext.extensions import (CrossedExtension, ExtensionMorphism,
                                    PushoutData)
 from crossedext.field import QQ, PrimeField
-from crossedext.linalg import LinearMap
+from crossedext.linalg import LinearMap, Matrix
 from crossedext.workspace import Workspace
 from crossedext import samples
 
@@ -20,15 +20,9 @@ Z, O = QQ.zero, QQ.one
 
 
 def _hash_agrees(a, b):
-    """Equal records hash alike; a record with an unhashable field (a
-    module) is unhashable, as the tuple of its fields is."""
-    try:
-        h = hash(a)
-    except TypeError:
-        with pytest.raises(TypeError):
-            hash(b)
-        return
-    assert h == hash(b)
+    """Equal records hash alike, those with a module or a linear map among
+    their fields too."""
+    assert hash(a) == hash(b)
 
 
 # class -> its fields, in order, with values that pass its checks
@@ -85,6 +79,21 @@ def test_records_differ_in_any_field(cls, fields):
             continue     # n fixes the lengths of mids and partials
         other = ("x",) * len(value) if isinstance(value, tuple) else "x"
         assert a != cls(**dict(fields, **{name: other})), name
+
+
+def test_equal_modules_and_maps_hash_alike():
+    """Modules and linear maps hash by value, as their `==` compares, like
+    algebras and matrices."""
+    pairs = [(adjoint(G), adjoint(samples.heisenberg(QQ))),
+             (leibniz_adjoint(leibniz_from_lie(G)),
+              leibniz_adjoint(leibniz_from_lie(samples.heisenberg(QQ)))),
+             (LinearMap.identity(QQ, 3), LinearMap(adjoint(G).action[0] -
+                                                   adjoint(G).action[0]
+                                                   + Matrix.identity(QQ, 3)))]
+    for a, b in pairs:
+        assert a is not b and a == b
+        assert hash(a) == hash(b)
+    assert len({Cochain(1, a, (Z,) * 9) for a in (M, adjoint(G))}) == 1
 
 
 def test_cochain_checks_its_length():
