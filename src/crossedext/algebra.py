@@ -7,8 +7,8 @@ one representation.
 from __future__ import annotations
 
 from .errors import CheckFailure
-from .linalg import (Matrix, LinearMap, _common_rows, _field_vec, _int_rows,
-                     _int_vec, _modulus, _mul_rows, block_diag, lincomb)
+from .linalg import (Matrix, LinearMap, _common_rows, _field_vec, _int_vec,
+                     _modulus, _mul_rows, block_diag, lincomb)
 
 # the cochain flavor of a Lie module and of a Leibniz module
 CE = "ce"
@@ -43,11 +43,12 @@ class _AlgebraBase:
     def int_structure(self):
         """The integer view of the structure constants, built once: (rows,
         d) with rows[i * dim + j] = {k: int} the nonzero coordinates of
-        [e_i, e_j] on the common denominator d (see `linalg._int_rows`)."""
+        [e_i, e_j] on the common denominator d, the integer view of the
+        matrix whose rows are those brackets (see `linalg.Matrix`)."""
         if self._ints is None:
-            self._ints = _int_rows(Matrix._raw(
+            self._ints = Matrix._raw(
                 self.field, tuple(v for row in self.c for v in row),
-                self.dim))
+                self.dim)._ints
         return self._ints
 
     def bracket(self, u, v):
@@ -161,11 +162,12 @@ class Representation:
                        self.dim)
 
     def __eq__(self, other):
-        return (isinstance(other, Representation) and self.algebra == other.algebra
+        return (isinstance(other, Representation) and self.dim == other.dim
+                and self.algebra == other.algebra
                 and self.action == other.action)
 
     def __hash__(self):
-        return hash((self.algebra, self.action))
+        return hash((self.dim, self.algebra, self.action))
 
     def __repr__(self):
         return f"Representation(dim={self.dim} over dim-{self.algebra.dim} algebra)"
@@ -253,11 +255,11 @@ class LeibnizRepresentation:
 
     def __eq__(self, other):
         return (isinstance(other, LeibnizRepresentation)
-                and self.algebra == other.algebra
+                and self.dim == other.dim and self.algebra == other.algebra
                 and self.left == other.left and self.right == other.right)
 
     def __hash__(self):
-        return hash((self.algebra, self.left, self.right))
+        return hash((self.dim, self.algebra, self.left, self.right))
 
     def __repr__(self):
         return f"LeibnizRepresentation(dim={self.dim})"

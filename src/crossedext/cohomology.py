@@ -8,11 +8,11 @@ Both flavors' coboundaries come from one emitter, `_emit_coboundary`, which
 writes delta_n directly as integer rows (`{column: int}` on one common
 denominator over Q, residues over F_p) from the integer views of the action
 matrices and the structure constants; the flavors differ only in their
-cochain tuples and their action and bracket terms.  The matrix's dense rows
-are built only if something reads `.data`: rank, elimination, transpose and
-apply work on the integer rows.  Complexes, cochains and classes read their
-algebra and their flavor (CE or LEIBNIZ) from their module, and a module
-owns its one complex (`complex_of`).
+cochain tuples and their action and bracket terms.  A matrix is stored as
+that integer view (see `linalg.Matrix`), so rank, elimination, transpose
+and apply never build its dense rows.  Complexes, cochains and classes
+read their algebra and their flavor (CE or LEIBNIZ) from their module, and
+a module owns its one complex (`complex_of`).
 """
 from __future__ import annotations
 

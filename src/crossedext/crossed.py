@@ -16,7 +16,7 @@ import math
 
 from .errors import CheckFailure
 from .linalg import (Echelon, LinearMap, Matrix, _columns, _common_rows,
-                     _field_vec, _int_rows, _lincomb_rows, _modulus, _mul_rows,
+                     _field_vec, _lincomb_rows, _modulus, _mul_rows,
                      _reduced, image, kernel, linear_section, quotient,
                      vec_add, vec_scale, basis_vector)
 from .algebra import (LeibnizRepresentation, Representation, bracket_defect,
@@ -69,7 +69,7 @@ def _sum(terms):
 def _actions(V, m):
     """For each action family of V, the integer columns of the action of
     each column of m, a matrix into V's algebra, and their denominator."""
-    rows, d = _int_rows(m)
+    rows, d = m._ints
     n, out = V.dim, []
     for _, mats, _ in sides(V):
         A, da = _common_rows(mats)
@@ -102,11 +102,11 @@ def crossed_axioms(cm: CrossedModule) -> CrossedModule:
     n, dim = V.dim, L.dim
     p = _modulus(L.field)
     c, dc = L.int_structure()
-    D, _ = _int_rows(cm.partial.matrix)
+    D, _ = cm.partial.matrix._ints
     # d[x, v] = [x, dv], and d[v, x] = [dv, x] for a Leibniz module
     for i in range(dim):
         for side, mats, _ in sides(V):
-            A, da = _int_rows(mats[i])
+            A, da = mats[i]._ints
             C = [{} for _ in range(dim)]
             for j in range(dim):
                 for k, s in c[j * dim + i if side == "right"
@@ -171,8 +171,7 @@ def induced_pair(cm: CrossedModule) -> Presentation:
         M = validate_leibniz_module(LeibnizRepresentation(g, mdim, *families))
     else:
         M = validate_module(Representation(g, mdim, *families))
-    incl = LinearMap(Matrix.from_cols(field, [list(r) for r in ker.basis.data],
-                                      V.dim))
+    incl = LinearMap(ker.basis.transpose())
     return Presentation(cm, g, proj, M, incl)
 
 
@@ -246,8 +245,8 @@ def _g2_table(pres, s, q):
     p = _modulus(g.field)
     c, dc = L.int_structure()
     gc, dg = g.int_structure()
-    srows, ds = _int_rows(s.matrix)
-    qrows, dq = _int_rows(q.matrix)
+    srows, ds = s.matrix._ints
+    qrows, dq = q.matrix._ints
     S, Q = _columns(srows, g.dim), _columns(qrows, L.dim)
     table = {}
     for i in range(g.dim):
@@ -309,7 +308,7 @@ def theta(pres: Presentation, s: LinearMap | None = None,
     D = math.lcm(dl, dr, dg)
     # a Lie module's right action is -rho
     fl, fr, fg = D // dl, D // dr * (1 if len(acts) == 2 else -1), D // dg
-    dcols = _columns(_int_rows(cm.partial.matrix)[0], n)
+    dcols = _columns(cm.partial.matrix._ints[0], n)
     pull = _kernel_puller(pres)
 
     def value(t):

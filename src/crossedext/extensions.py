@@ -8,7 +8,7 @@ and validate_extension in the tests.
 from __future__ import annotations
 
 from .errors import CheckFailure
-from .linalg import (LinearMap, Matrix, Subspace, block_diag, image, kernel,
+from .linalg import (LinearMap, Matrix, block_diag, image, kernel,
                      linear_section, quotient, solve)
 from .algebra import (ModuleMorphism, Representation, bracket_defect,
                       direct_sum_reps, trivial_rep, validate_lie,
@@ -36,10 +36,8 @@ def _quotient_module(alg, f: Matrix, g: Matrix, actions, detail):
     f : A -> B and g : A -> C, as a module over alg whose basis vector u
     acts on B (+) C by actions[u].  Returns (module, proj, sect); a
     relation that some action moves out of S is a failure with detail."""
-    field = alg.field
     graph = f.vstack(-g)
-    S = Subspace.from_rows(field, graph.rows,
-                           [graph.col(a) for a in range(graph.cols)])
+    S = image(LinearMap(graph))
     proj, sect, qdim = quotient(graph.rows, S)
     induced = []
     for u, big in enumerate(actions):

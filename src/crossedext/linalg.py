@@ -18,73 +18,81 @@ def _modulus(field):
 
 
 class Matrix:
-    """Immutable matrix over an exact field.
+    """Immutable matrix over an exact field, stored as its integer view.
 
-    A matrix has two forms.  `.data` is the dense form: a tuple of row
-    tuples of field elements.  The integer view of `_int_rows`, cached in
-    `_ints`, is the sparse form: each row as {column: int} on one common
-    denominator, canonical, so two views are equal iff the entries are.
-    The public constructor coerces every entry with `field.of`, and `_raw`
-    takes entries that already are field elements; both build the dense
-    form.  `_from_int_rows` builds a matrix from its integer view alone --
-    the results of `@`, `+`, `-`, `lincomb`, `rref`, the `Subspace` bases
-    and the coboundary emitter -- and its `.data` is built on the first
-    read (see `_IntRowMatrix`).
-    `==`, `is_zero`, negation, `transpose`, `apply`, `@` and elimination
-    read the view when `.data` is not built.
+    The view `_ints = (rows, d)` holds row i as {column: int} for its
+    nonzero entries, on one common denominator: over Q entry (i, j) is
+    rows[i][j] / d, with d > 0 the lcm of the entries' denominators; over
+    F_p it is the residue rows[i][j] in [1, p) and d = 1.  The view is
+    canonical (over Q no factor is common to d and all entries), so two
+    matrices of one shape are equal iff their views are, and every
+    operation reads the view alone.  `.data`, the dense rows as a tuple of
+    row tuples of field elements, is derived from the view on its first
+    read and cached.  The public constructor coerces every entry with
+    `field.of`, and `_raw` takes entries that already are field elements;
+    both keep the rows they are given as the `.data` cache.
+    `_from_int_rows` builds a matrix from its view alone: the results of
+    the operations below, `zero`, `identity`, `lincomb`, `rref`, the
+    `Subspace` bases and the coboundary emitter.
     """
 
-    __slots__ = ("field", "rows", "cols", "data", "_ints")
+    __slots__ = ("field", "rows", "cols", "_ints", "_data")
 
     def __init__(self, field, data, cols=None):
-        self.field = field
-        self._ints = None
-        self.data = tuple(tuple(field.of(x) for x in row) for row in data)
-        self.rows = len(self.data)
-        if self.rows:
-            self.cols = len(self.data[0])
-        elif cols is not None:
-            self.cols = cols
-        else:
-            self.cols = 0
-        for row in self.data:
-            if len(row) != self.cols:
+        data = tuple(tuple(field.of(x) for x in row) for row in data)
+        if data:
+            cols = len(data[0])
+        elif cols is None:
+            cols = 0
+        for row in data:
+            if len(row) != cols:
                 raise ValueError("ragged matrix rows")
+        self.field, self.rows, self.cols = field, len(data), cols
+        self._data, self._ints = data, _dense_view(field, data)
 
     @classmethod
     def _raw(cls, field, data, cols):
         """Trusted constructor: data is a tuple of row tuples, each of
         length cols, whose entries already are elements of field."""
         m = object.__new__(cls)
-        m.field = field
-        m._ints = None
-        m.data = data
-        m.rows = len(data)
-        m.cols = cols
+        m.field, m.rows, m.cols = field, len(data), cols
+        m._data, m._ints = data, _dense_view(field, data)
         return m
 
     @staticmethod
     def _from_int_rows(field, rows, d, cols):
-        """Trusted constructor from an integer view (see `_int_rows`): rows
-        is a sequence of {column: nonzero int} dicts, canonical -- residues
-        in [1, p) and d = 1 over F_p; over Q, d > 0 with no common factor
-        of d and all entries.  `.data` is left unset until it is read."""
-        m = object.__new__(_IntRowMatrix)
-        m.field = field
+        """Trusted constructor from a canonical integer view: rows is a
+        sequence of {column: nonzero int} dicts -- residues in [1, p) and
+        d = 1 over F_p; over Q, d > 0 with no common factor of d and all
+        entries.  `.data` is built when it is first read."""
+        m = object.__new__(Matrix)
+        m.field, m.cols, m._data = field, cols, None
         m._ints = (tuple(rows), d)
         m.rows = len(m._ints[0])
-        m.cols = cols
         return m
+
+    @property
+    def data(self):
+        """The dense rows, built from the integer view on the first read."""
+        if self._data is None:
+            rows, d = self._ints
+            zero, make = self.field.zero, _to_field(self.field, d)
+            out = []
+            for r in rows:
+                line = [zero] * self.cols
+                for j, v in r.items():
+                    line[j] = make(v)
+                out.append(tuple(line))
+            self._data = tuple(out)
+        return self._data
 
     @classmethod
     def zero(cls, field, rows, cols):
-        return cls._raw(field, ((field.zero,) * cols,) * rows, cols)
+        return cls._from_int_rows(field, [{} for _ in range(rows)], 1, cols)
 
     @classmethod
     def identity(cls, field, n):
-        z, o = field.zero, field.one
-        return cls._raw(field, tuple(
-            tuple(o if i == j else z for j in range(n)) for i in range(n)), n)
+        return cls._from_int_rows(field, [{i: 1} for i in range(n)], 1, n)
 
     @classmethod
     def from_cols(cls, field, cols, rows_count):
@@ -95,12 +103,9 @@ class Matrix:
         return tuple(row[j] for row in self.data)
 
     def transpose(self):
-        if _built_rows(self) is None:
-            rows, d = self._ints
-            return Matrix._from_int_rows(self.field, _columns(rows, self.cols),
-                                         d, self.rows)
-        data = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
-        return Matrix._raw(self.field, data, self.rows)
+        rows, d = self._ints
+        return Matrix._from_int_rows(self.field, _columns(rows, self.cols), d,
+                                     self.rows)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -112,8 +117,8 @@ class Matrix:
         """self + sign * other on the integer views."""
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch in " + ("+" if sign > 0 else "-"))
-        arows, da = _int_rows(self)
-        brows, db = _int_rows(other)
+        arows, da = self._ints
+        brows, db = other._ints
         d = math.lcm(da, db)
         fa, fb = d // da, sign * (d // db)
         out = []
@@ -124,37 +129,31 @@ class Matrix:
             out.append(acc)
         return _from_ints(self.field, out, d, self.cols)
 
-    # negation of a matrix without dense rows negates its integer view; on
-    # dense rows, negation and scale skip the scalar arithmetic on zero
-    # entries, which most entries of action and coboundary matrices are.
     def __neg__(self):
-        if _built_rows(self) is None:
-            rows, d = self._ints
-            p = _modulus(self.field)
-            return Matrix._from_int_rows(
-                self.field, [{j: p - v if p else -v for j, v in r.items()}
-                             for r in rows], d, self.cols)
-        return Matrix._raw(self.field, tuple(tuple(-a if a else a for a in row)
-                                             for row in self.data), self.cols)
+        rows, d = self._ints
+        p = _modulus(self.field)
+        return Matrix._from_int_rows(
+            self.field, [{j: p - v if p else -v for j, v in r.items()}
+                         for r in rows], d, self.cols)
 
     def scale(self, c):
-        c = self.field.of(c)
-        return Matrix._raw(self.field, tuple(tuple(c * a if a else a
-                                                   for a in row)
-                                             for row in self.data), self.cols)
+        (c,), dc = _int_vec(self.field, (self.field.of(c),))
+        rows, d = self._ints
+        return _from_ints(self.field, [{j: c * v for j, v in r.items()}
+                                       for r in rows], d * dc, self.cols)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch in @")
-        arows, da = _int_rows(self)
-        brows, db = _int_rows(other)
+        arows, da = self._ints
+        brows, db = other._ints
         return _from_ints(self.field, _mul_rows(arows, brows), da * db,
                           other.cols)
 
     def apply(self, vec):
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        rows, d = _int_rows(self)
+        rows, d = self._ints
         field = self.field
         p = _modulus(field)
         v, dv = _int_vec(field, vec)
@@ -169,102 +168,59 @@ class Matrix:
             out.append(make(s) if s else field.zero)
         return tuple(out)
 
+    # both operands on the lcm of their denominators: each prime of the lcm
+    # divides the denominator it came from to its full power, and some
+    # entry of that operand not at all, so the stacked view stays canonical
     def hstack(self, other):
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        return Matrix._raw(self.field, tuple(r1 + r2 for r1, r2 in
-                                             zip(self.data, other.data)),
-                           self.cols + other.cols)
+        (a, b), d = _common_rows((self, other))
+        n = self.cols
+        return Matrix._from_int_rows(
+            self.field, [{**x, **{j + n: v for j, v in y.items()}}
+                         for x, y in zip(a, b)], d, n + other.cols)
 
     def vstack(self, other):
         if self.cols != other.cols:
             raise ValueError("col mismatch in vstack")
-        return Matrix._raw(self.field, self.data + other.data, self.cols)
+        (a, b), d = _common_rows((self, other))
+        return Matrix._from_int_rows(self.field, [*a, *b], d, self.cols)
 
     def is_zero(self):
-        if self._ints is not None:
-            return not any(self._ints[0])
-        return all(not a for row in self.data for a in row)
+        return not any(self._ints[0])
 
     def __eq__(self, other):
-        if not isinstance(other, Matrix) or self.field != other.field:
-            return False
-        if self._ints is None or other._ints is None:
-            return self.data == other.data
         # integer views are canonical, so they are equal iff the entries are
-        return self._ints == other._ints and (self.cols == other.cols
-                                              or not self.rows)
+        return (isinstance(other, Matrix) and self.field == other.field
+                and self.cols == other.cols and self._ints == other._ints)
 
     def __hash__(self):
-        return hash((self.field, self.data))
+        rows, d = self._ints
+        return hash((self.field, self.cols, d,
+                     tuple(frozenset(r.items()) for r in rows)))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.data!r})"
 
 
-class _IntRowMatrix(Matrix):
-    """A matrix built by `Matrix._from_int_rows`.  The hook that builds
-    `.data` on first read lives on this subclass only: a class with
-    `__getattr__` loses the interpreter's fast path for every attribute
-    read of its instances (about 40 ns against 6 ns per read on CPython
-    3.11), so dense matrices keep plain slot reads."""
-
-    __slots__ = ()
-
-    def __getattr__(self, name):
-        # reached only for unset slots, that is for `data` before its
-        # first read
-        if name != "data":
-            raise AttributeError(name)
-        rows, d = self._ints
-        zero, make, cols = self.field.zero, _to_field(self.field, d), self.cols
-        out = []
-        for r in rows:
-            line = [zero] * cols
-            for j, v in r.items():
-                line[j] = make(v)
-            out.append(tuple(line))
-        self.data = tuple(out)
-        return self.data
-
-
-_DATA = Matrix.data
-
-
-def _built_rows(m: Matrix):
-    """m's dense rows if they are built, else None (reading the slot
-    directly never builds them)."""
-    try:
-        return _DATA.__get__(m)
-    except AttributeError:
-        return None
-
-
-def _int_rows(m: Matrix):
-    """The integer view of m: (rows, d) with rows[i] = {column: int} for the
-    nonzero entries of row i.  Over Q, entry (i, j) is rows[i][j] / d with d
-    the lcm of the entries' denominators; over F_p it is rows[i][j] mod p
-    (the residue itself) and d is 1.  Computed once per matrix."""
-    ints = m._ints
-    if ints is None:
-        zero = m.field.zero
-        rows = [{j: x for j, x in enumerate(row) if x is not zero and x}
-                for row in m.data]
-        if _modulus(m.field) is None:
-            d = math.lcm(*{x.denominator for r in rows for x in r.values()})
-            ints = (tuple({j: x.numerator * (d // x.denominator)
-                           for j, x in r.items()} for r in rows), d)
-        else:
-            ints = (tuple({j: x.val for j, x in r.items()} for r in rows), 1)
-        m._ints = ints
-    return ints
+def _dense_view(field, data):
+    """The canonical integer view (see `Matrix`) of dense rows of field
+    elements."""
+    zero = field.zero
+    rows = [{j: x for j, x in enumerate(row) if x is not zero and x}
+            for row in data]
+    if _modulus(field) is None:
+        d = math.lcm(*{x.denominator for r in rows for x in r.values()})
+        return tuple({j: x.numerator * (d // x.denominator)
+                      for j, x in r.items()} for r in rows), d
+    return tuple({j: x.val for j, x in r.items()} for r in rows), 1
 
 
 def _common_rows(mats, base=1):
     """The integer rows of each of mats on one common denominator D, the
     lcm of base and the views' denominators (1 over F_p): (rows per
     matrix, D)."""
-    views = [_int_rows(m) for m in mats]
+    views = [m._ints for m in mats]
     D = math.lcm(base, *(d for _, d in views))
     return [rows if d == D else
             [{j: v * (D // d) for j, v in row.items()} for row in rows]
@@ -363,7 +319,7 @@ def lincomb(field, coefs, mats, rows, cols) -> Matrix:
     """sum_i coefs[i] * mats[i], a rows x cols matrix (zero when every
     coefficient is zero), accumulated on the integer views of the mats."""
     p = _modulus(field)
-    terms = [(c, _int_rows(m)) for c, m in zip(coefs, mats) if c]
+    terms = [(c, m._ints) for c, m in zip(coefs, mats) if c]
     if p is None:
         d = math.lcm(*(c.denominator * dm for c, (_, dm) in terms))
         scaled = [(c.numerator * (d // (c.denominator * dm)), mrows)
@@ -475,7 +431,7 @@ def rref(m: Matrix):
     pivot rows as an integer view on the lcm of their leads, so its dense
     rows are built only if `.data` is read.
     """
-    rows, _ = _int_rows(m)
+    rows, _ = m._ints
     piv = _echelon([dict(r) for r in rows], _modulus(m.field))
     pivots = tuple(sorted(piv))
     # the pivot rows are primitive, so the view on D has no common factor
@@ -518,7 +474,7 @@ class Echelon:
         self.field = matrix.field
         self.cols = matrix.cols
         self._p = _modulus(matrix.field)
-        rows, d = _int_rows(matrix)
+        rows, d = matrix._ints
         self._rows = list(rows)
         self._scale = [d] * len(rows)
         self._piv = None
@@ -657,7 +613,7 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, field, ambient_dim, rows):
-        m = Matrix(field, list(rows)) if rows else Matrix.zero(field, 0, ambient_dim)
+        m = Matrix(field, list(rows), cols=ambient_dim)
         if m.cols != ambient_dim:
             raise ValueError("row length != ambient dimension")
         return cls.row_space(m)
@@ -666,7 +622,7 @@ class Subspace:
     def row_space(cls, m: Matrix):
         """The span of the rows of m."""
         r, piv = rref(m)
-        rows, d = _int_rows(r)
+        rows, d = r._ints
         return cls(m.field, m.cols,
                    Matrix._from_int_rows(m.field, rows[:len(piv)], d, m.cols),
                    piv)
@@ -686,7 +642,7 @@ class Subspace:
         touched."""
         v = list(vec)
         data = self.basis.data
-        nonzero = _int_rows(self.basis)[0]
+        nonzero = self.basis._ints[0]
         for r, p in enumerate(self.pivots):
             f = v[p]
             if f:
@@ -782,7 +738,7 @@ def quotient(ambient_dim: int, sub: Subspace):
         raise ValueError("subspace ambient dimension mismatch")
     free = {c: k for k, c in enumerate(c for c in range(ambient_dim)
                                        if c not in sub.pivots)}
-    rows, d = _int_rows(sub.basis)
+    rows, d = sub.basis._ints
     # entry (f, i) of the projection is coordinate f of sub.reduce(e_i): 1 at
     # i = f, minus entry f of basis row r at i = pivot r, 0 elsewhere
     proj = _from_ints(sub.field, [
@@ -803,10 +759,9 @@ def solve(f: LinearMap, target):
 def solve_matrix(f: LinearMap, targets: Matrix):
     """Columnwise solve: a matrix X with f.matrix @ X = targets, or None."""
     ech = Echelon(f.matrix)
-    of = f.field.of
     cols = []
     for j in range(targets.cols):
-        x = ech.solve(tuple(map(of, targets.col(j))))
+        x = ech.solve(targets.col(j))
         if x is None:
             return None
         cols.append(x)

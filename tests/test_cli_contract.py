@@ -93,6 +93,26 @@ def _cohomology_over(algebra):
                           "module": "sl2_adjoint", "max_degree": 2}]}
 
 
+def _over_zero_algebra(op, degree):
+    """0 -> k -> k^2 -> k -> 0 over the 0-dimensional algebra, and op on a
+    cochain valued in a 3-dimensional module instead of the tail k: over
+    that algebra every module's action is empty, so only the dimensions
+    tell the modules apart."""
+    def module(dim):
+        return {"algebra": "z", "dim": dim, "action": {}}
+    return {"field": "q", "algebras": {"z": {"type": "lie", "dim": 0}},
+            "modules": {"a": module(1), "b": module(2), "c": module(1),
+                        "x": module(3)},
+            "morphisms": {
+                "alpha": {"source": "a", "target": "b",
+                          "matrix": [["1"], ["0"]]},
+                "beta": {"source": "b", "target": "c",
+                         "matrix": [["0", "1"]]}},
+            "sequences": {"ses": {"alpha": "alpha", "beta": "beta"}},
+            "cochains": {"c": _cochain("x", degree)},
+            "commands": [{"op": op, "sequence": "ses", "cochain": "c"}]}
+
+
 # (document, expected error code of its one record)
 HOSTILE = {
     "cohomology-heis3-sl2": (lambda: _cohomology_over("heis3"),
@@ -114,6 +134,10 @@ HOSTILE = {
     "leibniz-extension": (lambda: LEIBNIZ_EXTENSION, "VALIDATION_FAIL"),
     "crossed-ab3-sl2-adjoint": (lambda: _crossed_over(3), "VALIDATION_FAIL"),
     "crossed-ab2-sl2-adjoint": (lambda: _crossed_over(2), "VALIDATION_FAIL"),
+    "connecting-zero-algebra-x3": (lambda: _over_zero_algebra("connecting", 0),
+                                   "BASE_MISMATCH"),
+    "yoneda-zero-algebra-x3": (lambda: _over_zero_algebra("yoneda", 2),
+                               "BASE_MISMATCH"),
 }
 
 

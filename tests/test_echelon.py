@@ -223,7 +223,7 @@ def test_solve_coerces_plain_int_targets():
         assert want is not None
         assert solve(f, b) == want
         assert all(type(x) is type(field.one) for x in solve(f, b))
-        targets = Matrix._raw(field, ((3, 0), (1, 1), (4, 1)), 2)
+        targets = Matrix(field, [[3, 0], [1, 1], [4, 1]])
         assert solve_matrix(f, targets) == Matrix.from_cols(
             field, [want, dense_solve(m, (field.zero, field.one, field.one))],
             3)

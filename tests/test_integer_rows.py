@@ -20,12 +20,12 @@ from crossedext.cohomology import (CochainComplex, ce_coboundary_matrix,
                                    cohomology_table,
                                    leibniz_coboundary_matrix)
 from crossedext.field import PrimeField, QQ
-from crossedext.linalg import (Echelon, LinearMap, Matrix, Subspace,
-                               _built_rows, _int_rows, kernel, rank, rref)
+from crossedext.linalg import (Echelon, LinearMap, Matrix, Subspace, kernel,
+                               rank, rref)
 from dense_oracle import (dense_apply, dense_bracket,
                           dense_ce_coboundary_matrix, dense_kernel_rows,
-                          dense_leibniz_coboundary_matrix, dense_rref,
-                          dense_solve)
+                          dense_leibniz_coboundary_matrix, dense_matmul,
+                          dense_rref, dense_solve)
 
 FIELDS = [QQ, PrimeField(2), PrimeField(5), PrimeField(2147483647)]
 cohomology_mod = importlib.import_module("crossedext.cohomology")
@@ -129,9 +129,9 @@ def leibniz_cases(draw):
 
 def _assert_same_matrix(emitted: Matrix, dense: Matrix):
     """Integer view, dense rows, equality both ways and hash."""
-    assert _built_rows(emitted) is None
+    assert emitted._data is None
     assert (emitted.rows, emitted.cols) == (dense.rows, dense.cols)
-    assert _int_rows(emitted) == _int_rows(dense)
+    assert emitted._ints == dense._ints
     assert emitted.data == dense.data
     assert emitted == dense and dense == emitted
     assert hash(emitted) == hash(dense)
@@ -164,7 +164,7 @@ def matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(matrices(), st.data())
 def test_matrix_from_int_rows_is_the_dense_matrix(m, data):
-    rows, d = _int_rows(m)
+    rows, d = m._ints
 
     def lazy():
         return Matrix._from_int_rows(m.field, [dict(r) for r in rows], d,
@@ -175,8 +175,8 @@ def test_matrix_from_int_rows_is_the_dense_matrix(m, data):
     # leave the dense rows unbuilt
     a = lazy()
     t = a.transpose()
-    assert _built_rows(a) is None and _built_rows(t) is None
-    assert t == m.transpose() and _int_rows(t) == _int_rows(m.transpose())
+    assert a._data is None and t._data is None
+    assert t == m.transpose() and t._ints == m.transpose()._ints
     a = lazy()
     assert rref(a) == rref(m) == dense_rref(m)
     assert Echelon(a).kernel() == kernel(LinearMap(m))
@@ -184,7 +184,7 @@ def test_matrix_from_int_rows_is_the_dense_matrix(m, data):
     assert a.apply(v) == m.apply(v)
     assert a.is_zero() == m.is_zero()
     n = -a
-    assert _built_rows(a) is None and _built_rows(n) is None
+    assert a._data is None and n._data is None
     _assert_same_matrix(n, -m)
     # the engine scales each row to integers (the view's common d for the
     # view, each row's own denominator for an extended row); the solves,
@@ -210,7 +210,7 @@ def test_matrix_from_int_rows_is_the_dense_matrix(m, data):
                 assert ech.solve(b) == dense_solve(grown, b)
             assert ech.kernel() == Subspace.row_space(
                 Matrix(field, dense_kernel_rows(grown), cols=m.cols))
-    assert _built_rows(a) is None
+    assert a._data is None
 
 
 def test_matrix_from_no_int_rows():
@@ -222,16 +222,22 @@ def test_matrix_from_no_int_rows():
         # equal integer views, different widths
         assert z != Matrix._from_int_rows(field, [{}, {}], 1, 3)
         assert z != Matrix.zero(field, 2, 3) and z == Matrix.zero(field, 2, 2)
+        # no rows at all, different widths
+        assert m != Matrix._from_int_rows(field, [], 1, 5)
+        assert LinearMap.zero(field, 3, 0) != LinearMap.zero(field, 5, 0)
 
 
 def test_dense_matrices_keep_plain_attribute_reads():
-    """Only a matrix built from integer rows carries the hook that builds
-    `.data` on first read: a `__getattr__` on Matrix itself would slow
-    every attribute read of every dense matrix."""
+    """Matrix has no `__getattr__` of its own, which would slow every
+    attribute read of every matrix; a product keeps its dense rows unbuilt
+    until `.data` is read, and then they are the dense product."""
     assert "__getattr__" not in vars(Matrix)
-    one = Matrix(QQ, [[1]])
-    assert type(one) is Matrix and type(Matrix.zero(QQ, 1, 1)) is Matrix
-    assert type(one @ one) is not Matrix and (one @ one).data == one.data
+    a = Matrix(QQ, [[1, Fraction(1, 2)], [0, 3]])
+    b = Matrix(QQ, [[Fraction(2, 3), 0], [5, -1]])
+    prod = a @ b
+    assert prod._data is None
+    assert prod.data == dense_matmul(a, b).data
+    assert prod._data is prod.data
 
 
 @st.composite
@@ -269,7 +275,7 @@ def test_cohomology_reads_delta_as_integer_rows(monkeypatch):
     cx = CochainComplex(M)
     assert [cx.dim_h(n) for n in range(4)] == [0, 0, 0, 0]
     assert len(built) == 4 + 4
-    assert all(_built_rows(m) is None for m in built)
+    assert all(m._data is None for m in built)
 
 
 def test_gl4_adjoint_table_fits_in_integer_rows():
@@ -311,7 +317,7 @@ def test_rank_builds_no_dense_rref(monkeypatch):
         finally:
             tracemalloc.stop()
         assert r == 1680
-        assert _built_rows(results[-1][0]) is None
+        assert results[-1][0]._data is None
         assert peak < 8 * 10**6
 
 

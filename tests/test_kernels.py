@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from crossedext.errors import CheckFailure
 from crossedext.field import FpElement, PrimeField, QQ
-from crossedext.linalg import (Matrix, LinearMap, _int_rows, lincomb,
-                               solve_matrix)
+from crossedext.linalg import Matrix, LinearMap, lincomb, solve_matrix
 from crossedext.algebra import (LeibnizAlgebra, LeibnizRepresentation,
                                 Representation, adjoint, leibniz_from_lie,
                                 validate_leibniz, validate_leibniz_module,
@@ -128,8 +127,8 @@ def test_lincomb_matches_oracle(case):
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(FIELDS).flatmap(matrices))
 def test_int_view_is_cached_and_exact(m):
-    view = _int_rows(m)
-    assert _int_rows(m) is view
+    view = m._ints
+    assert m._ints is view
     rows, d = view
     if m.field is QQ:
         assert d == math.lcm(*(x.denominator for r in m.data for x in r))

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from crossedext.field import PrimeField, QQ
 from crossedext.linalg import (LinearMap, Matrix, Subspace, _echelon,
-                               _int_rows, basis_vector, block_diag, kernel,
+                               basis_vector, block_diag, kernel,
                                linear_section, quotient, rank, rref, solve,
                                solve_matrix)
 from dense_oracle import dense_rref
@@ -223,7 +223,7 @@ def test_pivot_rows_are_primitive_multiples_of_the_rref(m):
     positive lead, of its RREF row: no entry is larger than the RREF row on
     the lcm of its denominators, whatever the elimination went through."""
     want, piv = dense_rref(m)
-    got = _echelon([dict(r) for r in _int_rows(m)[0]], None)
+    got = _echelon([dict(r) for r in m._ints[0]], None)
     assert tuple(sorted(got)) == piv
     for k, c in enumerate(piv):
         lead, tail = got[c]
@@ -256,5 +256,30 @@ def test_raw_matrix_equals_coerced_matrix():
             assert all(type(row) is tuple for row in built.data)
         assert raw + raw == raw.scale(2) == Matrix(field, [[2, 0], [-4, 6]])
         assert (raw - raw).is_zero() and raw.scale(0).is_zero()
+        # constructors, stacking and scaling on the integer view, against
+        # the coerced matrix of the same entries; over Q the two stacked
+        # operands sit on denominators 2 and 3
+        half, third = field.one / field.of(2), field.one / field.of(3)
+        halves = Matrix(field, [[half, 0], [-1, 3 * half]])
+        thirds = Matrix(field, [[third, 0], [0, 1]])
+        for built, want in (
+                (Matrix.zero(field, 2, 3), Matrix(field, [[0] * 3] * 2)),
+                (Matrix.identity(field, 2), Matrix(field, [[1, 0], [0, 1]])),
+                (Matrix.from_cols(field, [(1, -2), (0, 3)], 2), coerced),
+                (halves.hstack(thirds),
+                 Matrix(field, [[half, 0, third, 0], [-1, 3 * half, 0, 1]])),
+                (thirds.vstack(halves),
+                 Matrix(field, [[third, 0], [0, 1], [half, 0],
+                                [-1, 3 * half]])),
+                (raw.scale(half), halves),
+                (raw.scale(0), Matrix(field, [[0, 0], [0, 0]])),
+                (Matrix.zero(field, 0, 3), Matrix(field, [], cols=3)),
+                (Matrix.zero(field, 3, 0), Matrix(field, [[], [], []])),
+                (Matrix(field, [], cols=3).transpose(),
+                 Matrix(field, [[], [], []])),
+                (Matrix.zero(field, 0, 2).vstack(raw), coerced),
+                (Matrix.zero(field, 2, 0).hstack(raw), coerced)):
+            assert built == want and hash(built) == hash(want)
+            assert built.data == want.data
     q = Matrix(QQ, [[Fraction(1, 2), 3]])
     assert Subspace.from_rows(QQ, 2, q.data).basis == Matrix(QQ, [[1, 6]])

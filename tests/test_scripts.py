@@ -1,5 +1,7 @@
-"""The example scripts run end to end against the package under test, and
-scripts/report_hashes.py prints the benchmark's manifest hash."""
+"""The example scripts run end to end against the package under test,
+scripts/report_hashes.py prints the benchmark's manifest hash, and
+scripts/src_size.py counts each line of the package once."""
+import importlib.util
 import json
 import os
 import subprocess
@@ -43,3 +45,27 @@ def test_report_hashes_prints_the_manifest_hash():
     # the ladder report is the same for every seed
     assert proc.stdout.splitlines() == [f"{seed} {want} 0",
                                         f"{seed + 1} {want} 0"]
+
+
+def test_src_size_counts_every_line_once():
+    spec = importlib.util.spec_from_file_location("src_size",
+                                                  SCRIPTS / "src_size.py")
+    src_size = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(src_size)
+    paths = sorted(Path(crossedext.__file__).parent.glob("*.py"))
+    for path in paths:
+        counts = src_size.count(path)
+        assert sum(counts.values()) == path.read_text().count("\n")
+        assert counts["code"] and counts["blank"]
+    # one line of each kind, and a string that is not a docstring
+    text = ('"""doc\n\nstring"""\n\n# comment\nx = """a\nb"""  # c\n'
+            'def f():\n    "one line"\n    return x\n')
+    assert src_size.line_kinds(text) == [
+        "docstring", "docstring", "docstring", "blank", "comment", "code",
+        "code", "code", "docstring", "code"]
+    proc = _run(str(SCRIPTS / "src_size.py"))
+    assert proc.returncode == 0, proc.stderr
+    total = proc.stdout.splitlines()[-1].split()
+    assert total[0] == "total"
+    assert int(total[-1]) == sum(p.read_text().count("\n") for p in paths)
+    assert sum(map(int, total[1:5])) == int(total[-1])
