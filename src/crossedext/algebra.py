@@ -7,76 +7,84 @@ one representation.
 from __future__ import annotations
 
 from .errors import CheckFailure
-from .linalg import (Matrix, LinearMap, _common_rows, _field_vec, _int_vec,
-                     _modulus, _mul_rows, block_diag, lincomb)
+from .linalg import (Matrix, LinearMap, _columns, _common_rows, _field_vec,
+                     _from_ints, _int_vec, _lincomb, _modulus, _mul_rows,
+                     _mul_vec, _products_differ, _reduced, _sum, block_diag,
+                     lincomb)
 
 # the cochain flavor of a Lie module and of a Leibniz module
 CE = "ce"
 LEIBNIZ = "leibniz"
 
 
-def _coerce_structure(field, dim, structure):
-    """structure[i][j] is the coefficient vector of the bracket of e_i, e_j."""
-    out = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            row.append(tuple(field.of(x) for x in structure[i][j]))
-            if len(row[-1]) != dim:
-                raise ValueError("structure constant vector of wrong length")
-        out.append(tuple(row))
-    return tuple(out)
-
-
 class _AlgebraBase:
-    __slots__ = ("field", "dim", "c", "_ints")
+    """An algebra by its structure constants, stored as the dim^2 x dim
+    `Matrix` `structure` whose row i * dim + j is [e_i, e_j]: an integer
+    view, so two algebras of one class are equal iff their views are.  `c`,
+    the constants as field elements, is built from it on first read."""
+
+    __slots__ = ("field", "dim", "structure", "_c")
 
     def __init__(self, field, dim, structure):
+        """structure is that Matrix, or a table with structure[i][j] the
+        coefficient vector of [e_i, e_j] (entries anything field.of
+        coerces)."""
+        if not isinstance(structure, Matrix):
+            structure = Matrix(field, [structure[i][j] for i in range(dim)
+                                       for j in range(dim)], cols=dim)
+        elif (structure.rows, structure.cols) != (dim * dim, dim):
+            raise ValueError("structure matrix of wrong shape")
         self.field = field
         self.dim = dim
-        self.c = _coerce_structure(field, dim, structure)
-        self._ints = None
+        self.structure = structure
+        self._c = None
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim}, field={self.field!r})"
 
-    def int_structure(self):
-        """The integer view of the structure constants, built once: (rows,
-        d) with rows[i * dim + j] = {k: int} the nonzero coordinates of
-        [e_i, e_j] on the common denominator d, the integer view of the
-        matrix whose rows are those brackets (see `linalg.Matrix`)."""
-        if self._ints is None:
-            self._ints = Matrix._raw(
-                self.field, tuple(v for row in self.c for v in row),
-                self.dim)._ints
-        return self._ints
+    @property
+    def c(self):
+        """c[i][j], the coefficient vector of [e_i, e_j] as field
+        elements."""
+        if self._c is None:
+            data, n = self.structure.data, self.dim
+            self._c = tuple(data[i * n:(i + 1) * n] for i in range(n))
+        return self._c
 
-    def bracket(self, u, v):
-        """[u, v] of coordinate vectors, summed on the integer views of u,
-        v and the structure constants."""
-        field, dim = self.field, self.dim
-        c, d = self.int_structure()
-        us, du = _int_vec(field, u)
-        vs, dv = _int_vec(field, v)
-        acc = {}
-        for i, a in enumerate(us):
-            if not a:
-                continue
+    def int_structure(self):
+        """The integer view of `structure`: (rows, d) with rows[i * dim + j]
+        = {k: int} the nonzero coordinates of [e_i, e_j] on the common
+        denominator d (see `linalg.Matrix`)."""
+        return self.structure._ints
+
+    def _bracket(self, u, v):
+        """[u, v] of two {index: int} vectors, as {k: int} on d_c times
+        their denominators (neither reduced mod p nor freed of zeros)."""
+        c, _ = self.structure._ints
+        dim, acc = self.dim, {}
+        for i, a in u.items():
             base = i * dim
-            for j, b in enumerate(vs):
-                if not b:
-                    continue
+            for j, b in v.items():
                 ab = a * b
                 for k, s in c[base + j].items():
                     acc[k] = acc.get(k, 0) + ab * s
-        return _field_vec(field, acc, d * du * dv, dim)
+        return acc
+
+    def bracket(self, u, v):
+        """[u, v] of coordinate vectors of field elements, summed on their
+        integer views and those of the structure constants."""
+        field = self.field
+        us, du = _int_vec(field, u)
+        vs, dv = _int_vec(field, v)
+        return _field_vec(field, self._bracket(us, vs),
+                          self.structure._ints[1] * du * dv, self.dim)
 
     def __eq__(self, other):
-        return (type(self) is type(other) and self.field == other.field
-                and self.c == other.c)
+        return (type(self) is type(other)
+                and self.structure == other.structure)
 
     def __hash__(self):
-        return hash((type(self).__name__, self.c))
+        return hash((type(self).__name__, self.structure))
 
 
 class LieAlgebra(_AlgebraBase):
@@ -221,10 +229,19 @@ def validate_module(rep: Representation) -> Representation:
     return rep
 
 
+def _bracket_with(h, i, side):
+    """The matrix of the bracket with e_i on one side: column j is
+    [e_i, e_j] ("left") or [e_j, e_i] ("right")."""
+    c, d = h.int_structure()
+    n = h.dim
+    cols = [c[i * n + j] if side == "left" else c[j * n + i] for j in range(n)]
+    return _from_ints(h.field, _columns(cols, n), d, n)
+
+
 def adjoint(g: LieAlgebra) -> Representation:
     """g acting on itself by the bracket; column j of the matrix of e_i is
     the bracket of e_i with e_j."""
-    return Representation(g, g.dim, [Matrix.from_cols(g.field, g.c[i], g.dim)
+    return Representation(g, g.dim, [_bracket_with(g, i, "left")
                                      for i in range(g.dim)])
 
 
@@ -273,23 +290,26 @@ def validate_leibniz_module(rep: LeibnizRepresentation) -> LeibnizRepresentation
       slot y:  L_i R_j = R_j L_i - L_[ij]
       slot x:  R_[jk]  = R_k R_j - R_j R_k
 
-    Unlike `validate_module` this check keeps its `Matrix` products: on the
-    benchmark's cohomology ladders it is the only caller of `@`, and their
-    traced runs are required to enter `linalg.matmul`.  No benchmark
-    workload times it.
+    Unlike `validate_module` this check keeps its `Matrix` products (`@`):
+    on the benchmark's cohomology ladders it is the only caller of `@`, and
+    their traced runs are required to enter `linalg.matmul`.  L_[ij] and
+    R_[ij] are combinations of the action matrices with the integer
+    structure constants as coefficients.  No benchmark workload times it.
     """
-    h = rep.algebra
+    h, n = rep.algebra, rep.dim
+    c, dc = h.int_structure()
     L, R = rep.left, rep.right
     LL, LR = _products(L, L), _products(L, R)
     RL, RR = _products(R, L), _products(R, R)
     for i in range(h.dim):
         for j in range(h.dim):
-            lb = rep.left_of(h.c[i][j])
+            bracket = (c[i * h.dim + j], dc)
+            lb = _lincomb(h.field, bracket, L, n, n)
             if LL[i][j] != lb - RL[j][i]:
                 raise CheckFailure("MODULE_AXIOM_FAIL", (i, j), "slot z")
             if LR[i][j] != RL[j][i] - lb:
                 raise CheckFailure("MODULE_AXIOM_FAIL", (i, j), "slot y")
-            rb = rep.right_of(h.c[i][j])
+            rb = _lincomb(h.field, bracket, R, n, n)
             if rb != RR[j][i] - RR[i][j]:
                 raise CheckFailure("MODULE_AXIOM_FAIL", (i, j), "slot x")
     return rep
@@ -307,26 +327,33 @@ def sides(rep):
 
 def bracket_defect(f: LinearMap, A, B):
     """The first basis pair (i, j) with f([e_i, e_j]_A) != [f e_i, f e_j]_B,
-    or None when the linear map f : A -> B is an algebra map."""
-    cols = [f.matrix.col(i) for i in range(A.dim)]
+    or None when the linear map f : A -> B is an algebra map.  Both sides
+    are summed on integers (mod p over F_p): with F the integer rows of f
+    on d_f and the structure constants on d_A and d_B, f([e_i, e_j]) is on
+    d_f d_A and [f e_i, f e_j] on d_f^2 d_B."""
+    F, df = f.matrix._ints
+    cols = _columns(F, A.dim)
+    ca, da = A.int_structure()
+    _, db = B.int_structure()
+    p = _modulus(A.field)
     for i in range(A.dim):
         for j in range(A.dim):
-            if f.apply(A.c[i][j]) != B.bracket(cols[i], cols[j]):
+            image = _mul_vec(F, ca[i * A.dim + j])
+            if _reduced(_sum([(df * db, image),
+                              (-da, B._bracket(cols[i], cols[j]))]), p):
                 return i, j
     return None
 
 
 def leibniz_adjoint(h: LeibnizAlgebra) -> LeibnizRepresentation:
-    n = h.dim
     return LeibnizRepresentation(
-        h, n, [Matrix.from_cols(h.field, h.c[i], n) for i in range(n)],
-        [Matrix.from_cols(h.field, [h.c[j][i] for j in range(n)], n)
-         for i in range(n)])
+        h, h.dim, [_bracket_with(h, i, "left") for i in range(h.dim)],
+        [_bracket_with(h, i, "right") for i in range(h.dim)])
 
 
 def leibniz_from_lie(g: LieAlgebra) -> LeibnizAlgebra:
     """Every Lie algebra is a Leibniz algebra with the same constants."""
-    return LeibnizAlgebra(g.field, g.dim, g.c)
+    return LeibnizAlgebra(g.field, g.dim, g.structure)
 
 
 def leibniz_rep_from_lie(rep: Representation,
@@ -361,13 +388,16 @@ class ModuleMorphism:
 
 
 def validate_morphism(phi: ModuleMorphism) -> ModuleMorphism:
+    """Check f rho(e_i) = rho'(e_i) f for every basis vector and action
+    family, on the integer views of the matrices (`_products_differ`)."""
     if phi.source.algebra != phi.target.algebra:
         raise CheckFailure("BASE_MISMATCH", detail="morphism across different algebras")
-    f = phi.matrix
+    f = phi.matrix._ints
+    p = _modulus(phi.matrix.field)
     for i in range(phi.source.algebra.dim):
         for (side, src, _), (_, tgt, _) in zip(sides(phi.source),
                                                sides(phi.target)):
-            if f @ src[i] != tgt[i] @ f:
+            if _products_differ(f, src[i]._ints, tgt[i]._ints, f, p):
                 raise CheckFailure("EQUIVARIANCE_FAIL", (i,),
                                    side and f"{side} action")
     return phi

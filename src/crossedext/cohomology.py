@@ -17,11 +17,12 @@ a module owns its one complex (`complex_of`).
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import CheckFailure
-from .linalg import (Echelon, LinearMap, Matrix, Subspace, _common_rows,
-                     _from_ints, image, kernel, rank, vec_add, vec_scale,
-                     vec_zero)
+from .linalg import (Echelon, LinearMap, Matrix, Subspace, _columns,
+                     _common_rows, _field_vec, _from_ints, _int_vec, _modulus,
+                     _mul_vec, _reduced, _sum, image, kernel, rank)
 # CE and LEIBNIZ are re-exported here, next to the complexes they name
 from .algebra import (CE, LEIBNIZ, LeibnizRepresentation, ModuleMorphism,
                       Representation, sides, validate_lie)
@@ -103,13 +104,14 @@ class Cochain(_Record):
             return self.value(t)
         st, sign = sort_with_sign(t)
         if st is None:
-            return vec_zero(self.module.algebra.field, self.module.dim)
+            return (self.module.algebra.field.zero,) * self.module.dim
         v = self.value(st)
         return v if sign == 1 else tuple(-x for x in v)
 
     def __add__(self, other):
         self._check_like(other)
-        return Cochain(self.degree, self.module, vec_add(self.vec, other.vec))
+        return Cochain(self.degree, self.module,
+                       tuple(a + b for a, b in zip(self.vec, other.vec)))
 
     def __sub__(self, other):
         return self + (-other)
@@ -302,9 +304,18 @@ class CochainComplex:
                 - self.coboundaries(n).dim)
 
     def check_cocycle(self, z: Cochain):
-        """Raise NOT_A_COCYCLE unless delta(z) = 0."""
-        if any(self.delta(z.degree).apply(z.vec)):
-            raise CheckFailure("NOT_A_COCYCLE", detail=f"degree {z.degree}")
+        """Raise NOT_A_COCYCLE unless delta(z) = 0; return the integer view
+        of z.vec (see `linalg.Matrix`), which delta is applied to."""
+        view = _int_vec(self.module.algebra.field, z.vec)
+        if _kills(self.delta(z.degree), view[0]):
+            return view
+        raise CheckFailure("NOT_A_COCYCLE", detail=f"degree {z.degree}")
+
+
+def _kills(f: LinearMap, v) -> bool:
+    """Whether f maps the {index: int} vector v to zero."""
+    rows = f.matrix._ints[0]
+    return not _reduced(_mul_vec(rows, v), _modulus(f.field))
 
 
 def complex_of(module) -> CochainComplex:
@@ -341,7 +352,8 @@ class CohomologyClass(_Record):
         return CohomologyClass(self.degree, self.module,
                                self.representative + other.representative,
                                self.coboundary_space,
-                               vec_add(self.canonical, other.canonical))
+                               tuple(a + b for a, b in
+                                     zip(self.canonical, other.canonical)))
 
     def __sub__(self, other):
         return self + (-other)
@@ -363,9 +375,10 @@ class CohomologyClass(_Record):
 def class_of(z: Cochain) -> CohomologyClass:
     """Cohomology class of a cocycle; raises NOT_A_COCYCLE otherwise."""
     cx = complex_of(z.module)
-    cx.check_cocycle(z)
+    view = cx.check_cocycle(z)
     b = cx.coboundaries(z.degree)
-    return CohomologyClass(z.degree, z.module, z, b, b.reduce(z.vec))
+    return CohomologyClass(z.degree, z.module, z, b,
+                           _field_vec(b.field, *b.reduce(view), len(z.vec)))
 
 
 def cohomology(M, n: int):
@@ -374,14 +387,17 @@ def cohomology(M, n: int):
     cx = complex_of(M)
     z = cx.echelon(n).kernel()
     b = cx.coboundaries(n)
+    field, size = b.field, b.ambient_dim
     classes = []
     # the classes are the kernel rows that leave the span of B^n and the
     # rows taken before them
     acc = Echelon(b.basis)
-    for row in z.basis.data:
-        if acc.extend(row):
-            rep = Cochain(n, M, tuple(row))
-            classes.append(CohomologyClass(n, M, rep, b, b.reduce(row)))
+    rows, d = z.basis._ints
+    for row in rows:
+        if acc.extend((row, d)):
+            rep = Cochain(n, M, _field_vec(field, row, d, size))
+            classes.append(CohomologyClass(
+                n, M, rep, b, _field_vec(field, *b.reduce((row, d)), size)))
     dim_h = z.dim - b.dim
     assert dim_h == len(classes)
     return dim_h, classes
@@ -413,13 +429,15 @@ def coboundary_witness(z: Cochain) -> Cochain | None:
     """A cochain b with delta(b) = z when [z] = 0; None when the class is
     nontrivial.  Raises NOT_A_COCYCLE when z is not closed."""
     cx = complex_of(z.module)
-    cx.check_cocycle(z)
+    view = cx.check_cocycle(z)
     if z.degree == 0:
         return None if any(z.vec) else z
-    sol = cx.echelon(z.degree - 1).solve(z.vec)
+    sol = cx.echelon(z.degree - 1).solve(view)
     if sol is None:
         return None
-    return Cochain(z.degree - 1, z.module, sol)
+    return Cochain(z.degree - 1, z.module,
+                   _field_vec(z.module.algebra.field, *sol,
+                              cx.delta(z.degree - 1).domain_dim))
 
 
 class ShortExactSequence(_Record):
@@ -469,10 +487,14 @@ def map_class(phi: ModuleMorphism, c: CohomologyClass) -> CohomologyClass:
     return class_of(map_coefficients(phi, c.representative))
 
 
-def _values(z: Cochain):
-    """The values of z on its basis tuples, in order."""
-    m = z.module.dim
-    return [z.vec[i * m:(i + 1) * m] for i in range(len(z.tuples()))]
+def _blocks(v, m, count):
+    """The {index: int} cochain vector v cut into its values on count basis
+    tuples, m coordinates each, in order."""
+    out = [{} for _ in range(count)]
+    for i, x in v.items():
+        t, r = divmod(i, m)
+        out[t][r] = x
+    return out
 
 
 def connecting_hom(ses: ShortExactSequence, c: CohomologyClass,
@@ -482,34 +504,45 @@ def connecting_hom(ses: ShortExactSequence, c: CohomologyClass,
 
     lift_rng, when given, perturbs each lift by a random kernel(beta) element;
     the resulting class must not change (checked by property tests).
+
+    The representative enters as one integer view (see `linalg.Matrix`);
+    lifts, coboundary and pullbacks stay integers until the pulled values
+    become the head cochain.
     """
     if c.module is not ses.tail and c.module != ses.tail:
         raise CheckFailure("BASE_MISMATCH",
                            detail="class is not valued in the sequence tail")
     n = c.degree
-    algebra = ses.head.algebra
-    ker_beta = kernel(ses.beta.map)
+    field = ses.head.algebra.field
+    mid = ses.middle.dim
+    K, dk = kernel(ses.beta.map).basis._ints
     lift_of = Echelon(ses.beta.map.matrix).solve
+    rep, dr = _int_vec(field, c.representative.vec)
     lifted = []
-    for value in _values(c.representative):
-        v = lift_of(value)
+    for value in _blocks(rep, c.module.dim, len(c.representative.tuples())):
+        v = lift_of((value, dr))
         if v is None:
             raise CheckFailure("EXACTNESS_FAIL", "tail", "beta is not surjective")
-        if lift_rng is not None and ker_beta.dim:
-            coefs = [algebra.field.of(lift_rng.randint(-3, 3))
-                     for _ in range(ker_beta.dim)]
-            for coef, row in zip(coefs, ker_beta.basis.data):
-                v = vec_add(v, vec_scale(coef, row))
+        if lift_rng is not None and K:
+            x, dv = v
+            coefs = [lift_rng.randint(-3, 3) for _ in K]
+            v = (_sum([(dk, x)] + [(f * dv, row) for f, row in zip(coefs, K)]),
+                 dv * dk)
         lifted.append(v)
-    lift = Cochain(n, ses.middle, tuple(x for v in lifted for x in v))
+    # the lift on the lcm L of the lifts' denominators, and its coboundary
+    L = math.lcm(*(dv for _, dv in lifted))
+    lift = {t * mid + i: v * (L // dv)
+            for t, (x, dv) in enumerate(lifted) for i, v in x.items()}
+    rows, dd = complex_of(ses.middle).delta(n).matrix._ints
     pull_of = Echelon(ses.alpha.map.matrix).solve
     pulled = []
-    for value in _values(coboundary(lift)):
-        m = pull_of(value)
+    for value in _blocks(_mul_vec(rows, lift), mid,
+                         len(cochain_tuples(ses.middle, n + 1))):
+        m = pull_of((value, L * dd))
         if m is None:
             raise CheckFailure("EXACTNESS_FAIL", "middle",
                                "coboundary of lift is not in image(alpha)")
-        pulled.extend(m)
+        pulled.extend(_field_vec(field, *m, ses.head.dim))
     return class_of(Cochain(n + 1, ses.head, tuple(pulled)))
 
 
@@ -529,24 +562,38 @@ def abelian_extension_from_2cocycle(Mpp: Representation, alpha: Cochain):
                            detail="2-cocycle is not valued in the module")
     if alpha.degree != 2:
         raise CheckFailure("DEGREE_MISMATCH", alpha.degree, "need a 2-cocycle")
-    if any(complex_of(Mpp).delta(2).apply(alpha.vec)):
-        raise CheckFailure("NOT_A_COCYCLE", detail="delta(alpha) != 0")
     g = Mpp.algebra
     field = g.field
+    av, da = _int_vec(field, alpha.vec)
+    if not _kills(complex_of(Mpp).delta(2), av):
+        raise CheckFailure("NOT_A_COCYCLE", detail="delta(alpha) != 0")
     m, d = Mpp.dim, g.dim
     n = m + d
-    zero = vec_zero(field, n)
-    structure = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(m):
-        for j in range(d):
-            act = Mpp.action[j].col(i)
-            structure[i][m + j] = tuple(-x for x in act) + vec_zero(field, d)
-            structure[m + j][i] = tuple(act) + vec_zero(field, d)
+    # the structure matrix's integer rows on the lcm D of the denominators
+    # of alpha, of the action matrices and of g's constants
+    A, dm = _common_rows(Mpp.action)
+    gc, dg = g.int_structure()
+    D = math.lcm(da, dm, dg)
+    fa, fm, fg = D // da, D // dm, D // dg
+    rows = [{} for _ in range(n * n)]
+    for j in range(d):
+        # [e_i, f_j] = -rho(f_j) e_i and [f_j, e_i] = rho(f_j) e_i
+        for i, act in enumerate(_columns(A[j], m)):
+            rows[i * n + m + j] = {r: -fm * v for r, v in act.items()}
+            rows[(m + j) * n + i] = {r: fm * v for r, v in act.items()}
+    # [f_i, f_j] = alpha(f_i, f_j) + [f_i, f_j]_g, alpha extended
+    # alternately from its values on the increasing pairs
+    pairs = ce_tuples(d, 2)
+    values = dict(zip(pairs, _blocks(av, m, len(pairs))))
     for i in range(d):
         for j in range(d):
-            aval = alpha.value_signed((i, j))
-            structure[m + i][m + j] = tuple(aval) + tuple(g.c[i][j])
-    e = validate_lie(field, n, structure)
+            row = {m + k: fg * v for k, v in gc[i * d + j].items()}
+            if i != j:
+                f = fa if i < j else -fa
+                for r, v in values[min(i, j), max(i, j)].items():
+                    row[r] = f * v
+            rows[(m + i) * n + m + j] = row
+    e = validate_lie(field, n, _from_ints(field, rows, D, n))
     incl = LinearMap(Matrix.identity(field, m).vstack(
         Matrix.zero(field, d, m)))
     proj = LinearMap(Matrix.zero(field, d, m).hstack(

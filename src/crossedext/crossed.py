@@ -16,9 +16,9 @@ import math
 
 from .errors import CheckFailure
 from .linalg import (Echelon, LinearMap, Matrix, _columns, _common_rows,
-                     _field_vec, _lincomb_rows, _modulus, _mul_rows,
-                     _reduced, image, kernel, linear_section, quotient,
-                     vec_add, vec_scale, basis_vector)
+                     _differ, _field_vec, _from_ints, _lincomb, _lincomb_rows,
+                     _modulus, _mul_rows, _mul_vec, _products_differ,
+                     _reduced, _sum, image, kernel, linear_section, quotient)
 from .algebra import (LeibnizRepresentation, Representation, bracket_defect,
                       sides, validate_lie, validate_leibniz, validate_module,
                       validate_leibniz_module)
@@ -57,15 +57,6 @@ def validate_crossed(cm: CrossedModule) -> CrossedModule:
     return crossed_axioms(cm)
 
 
-def _sum(terms):
-    """sum f * vec over the (int f, {index: int} vec) terms."""
-    acc = {}
-    for f, vec in terms:
-        for r, x in vec.items():
-            acc[r] = acc.get(r, 0) + f * x
-    return acc
-
-
 def _actions(V, m):
     """For each action family of V, the integer columns of the action of
     each column of m, a matrix into V's algebra, and their denominator."""
@@ -77,12 +68,6 @@ def _actions(V, m):
                                              col.items()], n), n)
                      for col in _columns(rows, m.cols)], d * da))
     return out
-
-
-def _differ(xs, fx, ys, fy, p):
-    """Whether fx * xs != fy * ys for two lists of integer rows, mod p over
-    F_p."""
-    return any(_reduced(_sum([(fx, x), (-fy, y)]), p) for x, y in zip(xs, ys))
 
 
 def crossed_axioms(cm: CrossedModule) -> CrossedModule:
@@ -131,41 +116,54 @@ def crossed_axioms(cm: CrossedModule) -> CrossedModule:
 
 def induced_pair(cm: CrossedModule) -> Presentation:
     """The canonical presentation: g = coker(d) on the free coordinates of
-    im(d), M = ker(d) in its RREF basis."""
+    im(d), M = ker(d) in its RREF basis.
+
+    Brackets and actions run on integer columns: the integer structure
+    constants c of L on d_c, the rows of im(d)'s and ker(d)'s bases and of
+    the action matrices.  The section of the quotient sends basis vector u
+    of g to e_{free[u]}, so g's bracket is the projection of the rows of c
+    at free pairs, and u acts on M by the action matrix of e_{free[u]}."""
     L, V, d = cm.algebra, cm.rep, cm.partial
-    field = L.field
+    field, n = L.field, L.dim
     leib = cm.flavor == LEIBNIZ
+    c, dc = L.int_structure()
     im = image(d)
+    B, db = im.basis._ints
     # im(d) must be a two-sided ideal for the quotient bracket to descend
-    for i in range(L.dim):
-        ei = basis_vector(field, L.dim, i)
-        for b in im.basis.data:
-            if not (im.contains(L.bracket(ei, b))
-                    and im.contains(L.bracket(b, ei))):
+    for i in range(n):
+        for b in B:
+            if not (im.contains((_sum((x, c[i * n + j])
+                                      for j, x in b.items()), db * dc))
+                    and im.contains((_sum((x, c[j * n + i])
+                                          for j, x in b.items()), db * dc))):
                 raise CheckFailure("EQUIVARIANCE_FAIL", (i,),
                                    "image of partial is not an ideal")
-    proj, sect, qdim = quotient(L.dim, im)
-    svecs = [sect.matrix.col(j) for j in range(qdim)]
-    structure = [[proj.apply(L.bracket(svecs[i], svecs[j]))
-                  for j in range(qdim)] for i in range(qdim)]
+    proj, _, qdim = quotient(n, im)
+    pivots = set(im.pivots)
+    free = [j for j in range(n) if j not in pivots]
+    P, dp = proj.matrix._ints
+    structure = _from_ints(field, _mul_rows([c[a * n + b] for a in free
+                                             for b in free], _columns(P, n)),
+                           dp * dc, qdim)
     g = (validate_leibniz if leib else validate_lie)(field, qdim, structure)
     ker = kernel(d)
     mdim = ker.dim
+    K, dk = ker.basis._ints
     # the whole left family is induced before the right one, so a failure in
     # it is reported first, whatever its index
     families = []
-    for _, _, of in sides(V):
+    for _, acts, _ in sides(V):
         mats = []
-        for u in range(qdim):
-            act = of(svecs[u])
+        for u, a in enumerate(free):
+            A, da = acts[a]._ints
             cols = []
-            for krow in ker.basis.data:
-                coords = ker.coordinates(act.apply(krow))
+            for krow in K:
+                coords = ker.coordinates((_mul_vec(A, krow), da * dk))
                 if coords is None:
                     raise CheckFailure("EQUIVARIANCE_FAIL", (u,),
                                        "kernel is not stable under the action")
-                cols.append(list(coords))
-            mats.append(Matrix.from_cols(field, cols, mdim))
+                cols.append(coords[0])
+            mats.append(_from_ints(field, _columns(cols, mdim), da * dk, mdim))
         families.append(mats)
     if leib:
         M = validate_leibniz_module(LeibnizRepresentation(g, mdim, *families))
@@ -190,11 +188,13 @@ def validate_presentation(p: Presentation) -> Presentation:
     if image(p.incl) != kernel(d):
         raise CheckFailure("EXACTNESS_FAIL", "V", "im(incl) != ker(partial)")
     s = linear_section(p.pi)
-    im = p.incl.matrix
-    for u in range(g.dim):
-        sv = s.matrix.col(u)
-        for (side, mats, _), (_, _, of) in zip(sides(p.M), sides(V)):
-            if im @ mats[u] != of(sv) @ im:
+    srows, ds = s.matrix._ints
+    im = p.incl.matrix._ints
+    for u, sv in enumerate(_columns(srows, g.dim)):
+        for (side, mats, _), (_, acts, _) in zip(sides(p.M), sides(V)):
+            act = _lincomb(L.field, (sv, ds), acts, V.dim, V.dim)
+            if _products_differ(im, mats[u]._ints, act._ints, im,
+                                _modulus(L.field)):
                 raise CheckFailure("EQUIVARIANCE_FAIL", (u,),
                                    f"{side} action on kernel".lstrip())
     return p
@@ -212,15 +212,14 @@ def perturbed_sections(pres: Presentation, rng):
     cm, field = pres.cm, pres.cm.algebra.field
 
     def shifted(mat, space):
-        """mat plus a random map into space, one column at a time."""
-        cols = []
+        """mat plus a random map into space: to column j, coefs[r][j] times
+        basis row r, drawn one column at a time."""
+        coefs = [[0] * mat.cols for _ in range(space.dim)]
         for j in range(mat.cols):
-            col = mat.col(j)
-            for row in space.basis.data:
-                col = vec_add(col, vec_scale(field.of(rng.randint(-3, 3)),
-                                             row))
-            cols.append(col)
-        return LinearMap(Matrix.from_cols(field, cols, mat.rows))
+            for r in range(space.dim):
+                coefs[r][j] = rng.randint(-3, 3)
+        return LinearMap(mat + space.basis.transpose() @ Matrix(
+            field, coefs, cols=mat.cols))
 
     return (shifted(s.matrix, image(cm.partial)),
             shifted(q.matrix, kernel(cm.partial)))
@@ -261,16 +260,17 @@ def _g2_table(pres, s, q):
 
 
 def _kernel_puller(pres):
-    """The map from a value in ker(partial) to its coordinates in M, by one
-    factorization of incl."""
+    """The map from the integer view of a value in ker(partial) to its
+    coordinates in M, a field vector, by one factorization of incl."""
     solve = Echelon(pres.incl.matrix).solve
+    field, n = pres.M.algebra.field, pres.M.dim
 
     def pull(val):
         m = solve(val)
         if m is None:
             raise CheckFailure("PEIFFER_FAIL", None,
                                "theta value is outside ker(partial)")
-        return m
+        return _field_vec(field, *m, n)
     return pull
 
 
@@ -294,13 +294,14 @@ def theta(pres: Presentation, s: LinearMap | None = None,
     value for value, and the cochain is built on the flavor's triples.
 
     Each value is summed on integers (mod p over F_p), and partial(theta) = 0
-    checked there; only then does it become a field vector, pulled into M.
+    checked there; it is pulled into M as an integer view, and only its
+    coordinates in M become field elements.
     """
     if s is None or q is None:
         s, q = choose_sections(pres)
     _check_sections(pres, s, q)
     cm, g, V = pres.cm, pres.g, pres.cm.rep
-    field, p, gdim, n = g.field, _modulus(g.field), g.dim, V.dim
+    p, gdim, n = _modulus(g.field), g.dim, V.dim
     g2, dt = _g2_table(pres, s, q)
     acts = _actions(V, s.matrix)     # the action of each s e_u
     (lefts, dl), (rights, dr) = acts[0], acts[-1]
@@ -321,7 +322,7 @@ def theta(pres: Presentation, s: LinearMap | None = None,
                    + [(fg * x, g2[i, a]) for a, x in gc[j * gdim + k].items()])
         if _reduced(_sum((x, dcols[v]) for v, x in acc.items()), p):
             raise CheckFailure("PEIFFER_FAIL", t, "partial(theta) != 0")
-        return pull(_field_vec(field, acc, D * dt, n))
+        return pull((acc, D * dt))
 
     return cochain_from_values(pres.M, 3, value)
 
@@ -348,17 +349,20 @@ def check_crossed_morphism(cm: CrossedModule, cm2: CrossedModule,
                            pres: Presentation | None = None,
                            pres2: Presentation | None = None,
                            require_identity: bool = False) -> CrossedMorphism:
-    L = cm.algebra
+    L, V2 = cm.algebra, cm2.rep
     a = phi.alpha.matrix
     if phi.beta.matrix @ cm.partial.matrix != cm2.partial.matrix @ a:
         raise CheckFailure("SQUARE_FAIL", None, "partial' . alpha != beta . partial")
     pair = bracket_defect(phi.beta, L, cm2.algebra)
     if pair is not None:
         raise CheckFailure("SQUARE_FAIL", pair, "beta is not an algebra map")
-    for i in range(L.dim):
-        bi = phi.beta.matrix.col(i)
-        for (side, mats, _), (_, _, of) in zip(sides(cm.rep), sides(cm2.rep)):
-            if a @ mats[i] != of(bi) @ a:
+    brows, db = phi.beta.matrix._ints
+    p = _modulus(L.field)
+    for i, bi in enumerate(_columns(brows, L.dim)):
+        for (side, mats, _), (_, acts, _) in zip(sides(cm.rep), sides(V2)):
+            act = _lincomb(L.field, (bi, db), acts, V2.dim, V2.dim)
+            if _products_differ(a._ints, mats[i]._ints, act._ints, a._ints,
+                                p):
                 raise CheckFailure("EQUIVARIANCE_FAIL", (i,),
                                    side and f"{side} action")
     if require_identity:

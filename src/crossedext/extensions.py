@@ -8,8 +8,9 @@ and validate_extension in the tests.
 from __future__ import annotations
 
 from .errors import CheckFailure
-from .linalg import (LinearMap, Matrix, block_diag, image, kernel,
-                     linear_section, quotient, solve)
+from .linalg import (LinearMap, Matrix, _columns, _from_ints, _lincomb,
+                     _modulus, _mul_vec, _products_differ, block_diag, image,
+                     kernel, linear_section, quotient, solve)
 from .algebra import (ModuleMorphism, Representation, bracket_defect,
                       direct_sum_reps, trivial_rep, validate_lie,
                       validate_module, validate_morphism)
@@ -39,10 +40,12 @@ def _quotient_module(alg, f: Matrix, g: Matrix, actions, detail):
     graph = f.vstack(-g)
     S = image(LinearMap(graph))
     proj, sect, qdim = quotient(graph.rows, S)
+    rows, ds = S.basis._ints
     induced = []
     for u, big in enumerate(actions):
-        for srow in S.basis.data:
-            if not S.contains(big.apply(srow)):
+        A, da = big._ints
+        for srow in rows:
+            if not S.contains((_mul_vec(A, srow), da * ds)):
                 raise CheckFailure("EQUIVARIANCE_FAIL", (u,), detail)
         induced.append(proj.matrix @ big @ sect.matrix)
     return validate_module(Representation(alg, qdim, induced)), proj, sect
@@ -129,13 +132,14 @@ def validate_extension(E: CrossedExtension) -> CrossedExtension:
         except CheckFailure as exc:
             raise CheckFailure("NOT_G_MODULE_MAP", E.n - 1 - idx, str(exc)) from exc
     # d_2 : M_2 -> M_1 is g-equivariant through any section of pi
-    d2 = E.partials[-1]
-    s = linear_section(E.pi)
+    d2 = E.partials[-1].matrix._ints
+    srows, ds = linear_section(E.pi).matrix._ints
     V = E.base.rep
     M2 = E.mids[-1]
-    for u in range(g.dim):
-        if d2.matrix @ M2.action[u] != \
-                V.action_of(s.matrix.col(u)) @ d2.matrix:
+    for u, su in enumerate(_columns(srows, g.dim)):
+        act = _lincomb(g.field, (su, ds), V.action, V.dim, V.dim)
+        if _products_differ(d2, M2.action[u]._ints, act._ints, d2,
+                            _modulus(g.field)):
             raise CheckFailure("NOT_G_MODULE_MAP", 2, f"basis vector {u}")
     # exactness node by node
     if kernel(E.f).dim != 0:
@@ -236,60 +240,65 @@ def ident_alg(alg, field):
 
 def _fiber_algebra(baseA: CrossedModule, piA: LinearMap,
                    baseB: CrossedModule, piB: LinearMap, g):
-    """L x_g L' with componentwise bracket, its embedding into L (+) L',
-    and the projection onto g."""
+    """L x_g L' with componentwise bracket, its embedding F into L (+) L',
+    the halves (x, y) in L and L' of each basis vector of F as integer
+    views, and the projection onto g.  The bracket of two basis vectors is
+    summed on integers, both halves on d^2 d_L d_L' (d the denominator of
+    F's basis, d_L and d_L' those of the structure constants)."""
     LA, LB = baseA.algebra, baseB.algebra
-    field = g.field
-    stacked = piA.matrix.hstack(-piB.matrix)
-    F = kernel(LinearMap(stacked))
-    fdim = F.dim
-    basis = [tuple(r) for r in F.basis.data]
-
-    def split(vec):
-        return vec[:LA.dim], vec[LA.dim:]
-
+    field, a = g.field, LA.dim
+    F = kernel(LinearMap(piA.matrix.hstack(-piB.matrix)))
+    rows, d = F.basis._ints
+    halves = [(({j: v for j, v in r.items() if j < a}, d),
+               ({j - a: v for j, v in r.items() if j >= a}, d)) for r in rows]
+    _, da = LA.int_structure()
+    _, db = LB.int_structure()
     structure = []
-    for a in range(fdim):
-        row = []
-        xa, ya = split(basis[a])
-        for b in range(fdim):
-            xb, yb = split(basis[b])
-            w = tuple(LA.bracket(xa, xb)) + tuple(LB.bracket(ya, yb))
-            coords = F.coordinates(w)
+    for (xa, _), (ya, _) in halves:
+        for (xb, _), (yb, _) in halves:
+            w = {j: v * db for j, v in LA._bracket(xa, xb).items()}
+            for j, v in LB._bracket(ya, yb).items():
+                w[j + a] = v * da
+            coords = F.coordinates((w, d * d * da * db))
             if coords is None:
                 raise CheckFailure("EXACTNESS_FAIL", "L",
                                    "fiber product is not closed under bracket")
-            row.append(coords)
-        structure.append(row)
-    LF = validate_lie(field, fdim, structure)
-    q_cols = [list(piA.apply(split(basis[a])[0])) for a in range(fdim)]
-    q = LinearMap(Matrix.from_cols(field, q_cols, g.dim))
-    return LF, F, basis, split, q
+            structure.append(coords[0])
+    LF = validate_lie(field, F.dim,
+                      _from_ints(field, structure, d * d * da * db, F.dim))
+    xs = _from_ints(field, [x for (x, _), _ in halves], d, a)
+    q = LinearMap(piA.matrix @ xs.transpose())
+    return LF, F, halves, q
+
+
+def _fiber_actions(VA, VB, halves):
+    """The action on V (+) V' of each fiber basis vector with halves
+    (x, y): the block diagonal of the actions of x on V and y on V'."""
+    field = VA.algebra.field
+    return [block_diag(_lincomb(field, x, VA.action, VA.dim, VA.dim),
+                       _lincomb(field, y, VB.action, VB.dim, VB.dim))
+            for x, y in halves]
 
 
 def _fiber_boundary(F, dA: Matrix, dB: Matrix, details):
     """d (+) d' : V (+) V' -> L (+) L' in the coordinates of the fiber
     product F; a column of d or of d' outside F is a failure with detail
     details[0] or details[1]."""
-    d_sum = block_diag(dA, dB)
+    rows, dd = block_diag(dA, dB)._ints
     cols = []
-    for v in range(d_sum.cols):
-        coords = F.coordinates(d_sum.col(v))
+    for v, col in enumerate(_columns(rows, dA.cols + dB.cols)):
+        coords = F.coordinates((col, dd))
         if coords is None:
             raise CheckFailure("EXACTNESS_FAIL", "L", details[v >= dA.cols])
-        cols.append(list(coords))
-    return Matrix.from_cols(F.field, cols, F.dim)
+        cols.append(coords[0])
+    return _from_ints(F.field, _columns(cols, F.dim), dd, len(cols))
 
 
 def _fiber_base(baseA, piA, baseB, piB, g):
     """The crossed module (V (+) V', L x_g L', (d, d')) with its projection."""
-    LF, F, basis, split, q = _fiber_algebra(baseA, piA, baseB, piB, g)
+    LF, F, halves, q = _fiber_algebra(baseA, piA, baseB, piB, g)
     VA, VB = baseA.rep, baseB.rep
-    action = []
-    for a in range(LF.dim):
-        xa, ya = split(basis[a])
-        action.append(block_diag(VA.action_of(xa), VB.action_of(ya)))
-    VV = Representation(LF, VA.dim + VB.dim, action)
+    VV = Representation(LF, VA.dim + VB.dim, _fiber_actions(VA, VB, halves))
     d = _fiber_boundary(F, baseA.partial.matrix, baseB.partial.matrix,
                         ("d_1 misses the fiber", "d_1' misses the fiber"))
     return CrossedModule(LF, VV, LinearMap(d)), q
@@ -337,12 +346,10 @@ def baer_sum_n2(presA: Presentation, presB: Presentation) -> Presentation:
     field = g.field
     cmA, cmB = presA.cm, presB.cm
     VA, VB = cmA.rep, cmB.rep
-    LF, F, basis, split, q = _fiber_algebra(cmA, presA.pi, cmB, presB.pi, g)
+    LF, F, halves, q = _fiber_algebra(cmA, presA.pi, cmB, presB.pi, g)
     W, proj, sect = _quotient_module(
         LF, presA.incl.matrix, presB.incl.matrix,
-        (block_diag(VA.action_of(x), VB.action_of(y))
-         for x, y in map(split, basis)),
-        "pushout relation is not stable")
+        _fiber_actions(VA, VB, halves), "pushout relation is not stable")
     d_big = _fiber_boundary(F, cmA.partial.matrix, cmB.partial.matrix,
                             ("boundary misses the fiber",) * 2)
     d = LinearMap(d_big @ sect.matrix)
@@ -369,30 +376,35 @@ def split_detect(E: CrossedExtension):
     def var(a, b):
         return a * top.dim + b
 
-    rows = []
-    rhs = []
+    # the unknowns are the entries h[a][b]; each equation is one integer
+    # row, scaled by the denominators of the matrices it reads
+    rows, rhs = [], {}
+    F, df = E.f.matrix._ints
+    Fc = _columns(F, M.dim)
     for a in range(M.dim):
         for c in range(M.dim):
-            row = [field.zero] * nun
-            for b in range(top.dim):
-                row[var(a, b)] = E.f.matrix.data[b][c]
-            rows.append(row)
-            rhs.append(field.one if a == c else field.zero)
+            # (h f)[a][c] = delta_ac, times d_f
+            if a == c:
+                rhs[len(rows)] = df
+            rows.append({var(a, b): x for b, x in Fc[c].items()})
     for u in range(g.dim):
+        T, dt = top.action[u]._ints
+        A, dm = M.action[u]._ints
+        Tc = _columns(T, top.dim)
         for a in range(M.dim):
             for c in range(top.dim):
-                row = [field.zero] * nun
-                for b in range(top.dim):
-                    row[var(a, b)] = row[var(a, b)] + top.action[u].data[b][c]
-                for bb in range(M.dim):
-                    row[var(bb, c)] = row[var(bb, c)] - M.action[u].data[a][bb]
+                # (h T_u)[a][c] - (A_u h)[a][c] = 0, times d_T d_A
+                row = {var(a, b): x * dm for b, x in Tc[c].items()}
+                for bb, x in A[a].items():
+                    row[var(bb, c)] = row.get(var(bb, c), 0) - x * dt
                 rows.append(row)
-                rhs.append(field.zero)
-    sol = solve(LinearMap(Matrix(field, rows, cols=nun)), tuple(rhs))
+    sol = solve(LinearMap(_from_ints(field, rows, 1, nun)), (rhs, 1))
     if sol is None:
         return None
-    h = Matrix(field, [[sol[var(a, b)] for b in range(top.dim)]
-                       for a in range(M.dim)], cols=top.dim)
+    x, dx = sol
+    h = _from_ints(field, [{b: x[var(a, b)] for b in range(top.dim)
+                            if var(a, b) in x} for a in range(M.dim)],
+                   dx, top.dim)
     Z = zero_extension(g, M, E.n)
     mor = ExtensionMorphism(
         LinearMap.identity(field, M.dim),

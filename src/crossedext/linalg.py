@@ -28,36 +28,34 @@ class Matrix:
     matrices of one shape are equal iff their views are, and every
     operation reads the view alone.  `.data`, the dense rows as a tuple of
     row tuples of field elements, is derived from the view on its first
-    read and cached.  The public constructor coerces every entry with
-    `field.of`, and `_raw` takes entries that already are field elements;
-    both keep the rows they are given as the `.data` cache.
-    `_from_int_rows` builds a matrix from its view alone: the results of
-    the operations below, `zero`, `identity`, `lincomb`, `rref`, the
+    read and cached.  The public constructor (and `_raw`, for rows of
+    field elements) coerces every entry with `field.of`, checks each row's
+    length against cols when it is given, and keeps the rows as the `.data`
+    cache.  `_from_int_rows` builds a matrix from its view alone: the
+    parsed matrices, the results of the operations below, `rref`, the
     `Subspace` bases and the coboundary emitter.
+
+    A vector crosses the same boundary as an integer view (ints, d): entry
+    i is ints.get(i, 0) / d over Q (d > 0) and ints.get(i, 0) mod p over
+    F_p (d = 1).  `Echelon`, `Subspace` and `solve` take and give vectors
+    in this form; `apply`, `lincomb` and `col` take or give field vectors.
     """
 
     __slots__ = ("field", "rows", "cols", "_ints", "_data")
 
     def __init__(self, field, data, cols=None):
         data = tuple(tuple(field.of(x) for x in row) for row in data)
-        if data:
-            cols = len(data[0])
-        elif cols is None:
-            cols = 0
-        for row in data:
-            if len(row) != cols:
-                raise ValueError("ragged matrix rows")
+        if cols is None:
+            cols = len(data[0]) if data else 0
+        if any(len(row) != cols for row in data):
+            raise ValueError("ragged matrix rows")
         self.field, self.rows, self.cols = field, len(data), cols
         self._data, self._ints = data, _dense_view(field, data)
 
     @classmethod
     def _raw(cls, field, data, cols):
-        """Trusted constructor: data is a tuple of row tuples, each of
-        length cols, whose entries already are elements of field."""
-        m = object.__new__(cls)
-        m.field, m.rows, m.cols = field, len(data), cols
-        m._data, m._ints = data, _dense_view(field, data)
-        return m
+        """The matrix of rows of field elements, each of length cols."""
+        return cls(field, data, cols)
 
     @staticmethod
     def _from_int_rows(field, rows, d, cols):
@@ -76,14 +74,8 @@ class Matrix:
         """The dense rows, built from the integer view on the first read."""
         if self._data is None:
             rows, d = self._ints
-            zero, make = self.field.zero, _to_field(self.field, d)
-            out = []
-            for r in rows:
-                line = [zero] * self.cols
-                for j, v in r.items():
-                    line[j] = make(v)
-                out.append(tuple(line))
-            self._data = tuple(out)
+            self._data = tuple(_field_vec(self.field, r, d, self.cols)
+                               for r in rows)
         return self._data
 
     @classmethod
@@ -137,7 +129,8 @@ class Matrix:
                          for r in rows], d, self.cols)
 
     def scale(self, c):
-        (c,), dc = _int_vec(self.field, (self.field.of(c),))
+        c, dc = _int_vec(self.field, (self.field.of(c),))
+        c = c.get(0, 0)
         rows, d = self._ints
         return _from_ints(self.field, [{j: c * v for j, v in r.items()}
                                        for r in rows], d * dc, self.cols)
@@ -151,22 +144,12 @@ class Matrix:
                           other.cols)
 
     def apply(self, vec):
+        """self times the field vector vec, as a field vector."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         rows, d = self._ints
-        field = self.field
-        p = _modulus(field)
-        v, dv = _int_vec(field, vec)
-        make = _to_field(field, d * dv)
-        out = []
-        for row in rows:
-            s = 0
-            for j, a in row.items():
-                s += a * v[j]
-            if p is not None:
-                s %= p
-            out.append(make(s) if s else field.zero)
-        return tuple(out)
+        v, dv = _int_vec(self.field, vec)
+        return _field_vec(self.field, _mul_vec(rows, v), d * dv, self.rows)
 
     # both operands on the lcm of their denominators: each prime of the lcm
     # divides the denominator it came from to its full power, and some
@@ -262,35 +245,60 @@ def _mul_rows(arows, brows):
     return out
 
 
-def _int_vec(field, vec):
-    """vec on one denominator: (ints, d) with vec[i] = ints[i] / d over Q,
-    d the lcm of the entries' denominators; the residues and d = 1 over
+def _mul_vec(rows, v):
+    """The integer rows times the {index: int} vector v, as {row: int}
+    (neither reduced mod p nor freed of zeros)."""
+    out = {}
+    for i, row in enumerate(rows):
+        s = 0
+        for j, a in row.items():
+            x = v.get(j)
+            if x:
+                s += a * x
+        out[i] = s
+    return out
+
+
+def _sum(terms):
+    """sum f * vec over the (int f, {index: int} vec) terms."""
+    acc = {}
+    for f, vec in terms:
+        for r, x in vec.items():
+            acc[r] = acc.get(r, 0) + f * x
+    return acc
+
+
+def _differ(xs, fx, ys, fy, p):
+    """Whether fx * xs != fy * ys for two lists of integer rows, mod p over
     F_p."""
+    return any(_reduced(_sum([(fx, x), (-fy, y)]), p) for x, y in zip(xs, ys))
+
+
+def _products_differ(a, b, c, e, p):
+    """Whether a b != c e for the integer views (rows, d) of four matrices,
+    compared on integers (mod p over F_p): A B * d_c d_e against
+    C E * d_a d_b."""
+    (A, da), (B, db), (C, dc), (E, de) = a, b, c, e
+    return _differ(_mul_rows(A, B), dc * de, _mul_rows(C, E), da * db, p)
+
+
+def _int_vec(field, vec):
+    """The integer view (ints, d) of the field vector vec (see `Matrix`):
+    its nonzero entries on d, the lcm of their denominators, over Q; the
+    residues and d = 1 over F_p."""
     if _modulus(field) is None:
         d = math.lcm(*[x.denominator for x in vec])
-        if d == 1:
-            return [x.numerator for x in vec], 1
-        return [x.numerator * (d // x.denominator) for x in vec], d
-    return [x.val for x in vec], 1
-
-
-def _to_field(field, d):
-    """The map from a nonzero integer v (reduced mod p over F_p) to the
-    field element v / d over Q, v mod p over F_p."""
-    p = _modulus(field)
-    if p is not None:
-        return lambda v: FpElement(v, p)
-    if d == 1:
-        return Fraction
-    return lambda v: Fraction(v, d)
+        return {i: x.numerator * (d // x.denominator)
+                for i, x in enumerate(vec) if x}, d
+    return {i: x.val for i, x in enumerate(vec) if x.val}, 1
 
 
 def _field_vec(field, acc, d, n):
     """The field vector of length n with entry k acc[k] / d over Q and
     acc[k] mod p over F_p, for {index: int} acc, and zero elsewhere."""
-    make, out = _to_field(field, d), [field.zero] * n
-    for k, x in _reduced(acc, _modulus(field)).items():
-        out[k] = make(x)
+    p, out = _modulus(field), [field.zero] * n
+    for k, x in _reduced(acc, p).items():
+        out[k] = Fraction(x, d) if p is None else FpElement(x, p)
     return tuple(out)
 
 
@@ -316,18 +324,20 @@ def _from_ints(field, rows, d, cols):
 
 
 def lincomb(field, coefs, mats, rows, cols) -> Matrix:
-    """sum_i coefs[i] * mats[i], a rows x cols matrix (zero when every
-    coefficient is zero), accumulated on the integer views of the mats."""
-    p = _modulus(field)
-    terms = [(c, m._ints) for c, m in zip(coefs, mats) if c]
-    if p is None:
-        d = math.lcm(*(c.denominator * dm for c, (_, dm) in terms))
-        scaled = [(c.numerator * (d // (c.denominator * dm)), mrows)
-                  for c, (mrows, dm) in terms]
-    else:
-        d = 1
-        scaled = [(c.val, mrows) for c, (mrows, _) in terms]
-    return _from_ints(field, _lincomb_rows(scaled, rows), d, cols)
+    """sum_i coefs[i] * mats[i] for field coefficients, a rows x cols
+    matrix (zero when every coefficient is zero)."""
+    return _lincomb(field, _int_vec(field, coefs), mats, rows, cols)
+
+
+def _lincomb(field, coefs, mats, rows, cols) -> Matrix:
+    """sum_k x_k / d * mats[k] for the integer view (x, d) of the
+    coefficients, accumulated on the integer views of the mats."""
+    x, dx = coefs
+    terms = [(c, mats[k]._ints) for k, c in x.items() if c]
+    D = math.lcm(*(dm for _, (_, dm) in terms))
+    return _from_ints(field, _lincomb_rows(
+        [(c * (D // dm), mrows) for c, (mrows, dm) in terms], rows),
+        D * dx, cols)
 
 
 def _lincomb_rows(terms, n):
@@ -459,12 +469,13 @@ class Echelon:
     solve of a tall A costs no more than one elimination of A, and a
     factorization that is never asked to solve never pays for the transform.
     Nothing is cached outside the object: it lives exactly as long as the
-    caller that built it keeps it.  Vectors passed in hold field elements.
+    caller that built it keeps it.  Vectors passed in and returned are
+    integer views (ints, d) (see `Matrix`); no field element is formed.
 
     Engine row i is the integer row s_i A_i, s_i = _scale[i] (A's integer
     view, or an extended row on its own denominator).  An augmented column
     carries the same scale: [A | b] enters as s_i (A_i | b_i) and [A | I] as
-    s_i (A_i | e_i).  RREF entries become Fractions only in returned vectors.
+    s_i (A_i | e_i).
     """
 
     __slots__ = ("field", "cols", "_p", "_rows", "_scale", "_piv",
@@ -494,20 +505,6 @@ class Echelon:
     def pivots(self):
         return tuple(sorted(self._pivots()))
 
-    def _sparse(self, vec):
-        """vec on one denominator d, as ({index: nonzero int}, d)."""
-        v, d = _int_vec(self.field, vec)
-        return {j: x for j, x in enumerate(v) if x}, d
-
-    def _dense(self, v):
-        """The field vector of length cols with entry j = x / den for
-        v[j] = (x, den), and zero elsewhere (x mod p over F_p)."""
-        out = [self.field.zero] * self.cols
-        p = self._p
-        for j, (x, den) in v.items():
-            out[j] = Fraction(x, den) if p is None else FpElement(x, p)
-        return tuple(out)
-
     def kernel(self) -> "Subspace":
         """{x | A x = 0}: one basis vector per free column j, with 1 at j
         and minus column j of the RREF at the pivots, each scaled to
@@ -522,13 +519,12 @@ class Echelon:
                                              1, self.cols))
 
     def extend(self, row):
-        """Add row to A.  Returns whether it raised the rank."""
-        if len(row) != self.cols:
-            raise ValueError("vector length mismatch")
+        """Add the row with integer view (ints, d) to A.  Returns whether it
+        raised the rank."""
         piv = self._pivots()
-        r, d = self._sparse(row)
+        r = _reduced(row[0], self._p)
         self._rows.append(dict(r))
-        self._scale.append(d)
+        self._scale.append(row[1])
         self._transform = None
         return _insert(piv, r, self._p)
 
@@ -567,15 +563,15 @@ class Echelon:
                        self._p)
         if n in piv:
             return None
-        return self._dense({c: (tail[n], lead * db)
-                            for c, (lead, tail) in piv.items() if n in tail})
+        return _over_leads({c: (tail[n], lead)
+                            for c, (lead, tail) in piv.items() if n in tail},
+                           db)
 
     def solve(self, b):
-        """The vector x with A x = b whose free coordinates are zero, or None
-        if b is not in the column space of A."""
-        if len(b) != len(self._rows):
-            raise ValueError("target length mismatch")
-        bv, db = self._sparse(b)
+        """The vector x with A x = b whose free coordinates are zero, as an
+        integer view, or None if b is not in the column space of A.  b is
+        the integer view (ints, d) of a vector indexed by A's rows."""
+        bv, db = _reduced(b[0], self._p), b[1]
         if not self._solved:
             self._solved = True
             return self._solve_once(bv, db)
@@ -596,8 +592,16 @@ class Echelon:
         for c, lead, t in solutions:
             s = dot(t)
             if s:
-                out[c] = (s, lead * db)
-        return self._dense(out)
+                out[c] = (s, lead)
+        return _over_leads(out, db)
+
+
+def _over_leads(v, d):
+    """The integer view of the vector with entry c = x / (lead d) for
+    v[c] = (x, lead): all entries on d times the lcm of the leads (lead is 1
+    and x a residue over F_p)."""
+    L = math.lcm(*(lead for _, lead in v.values()))
+    return {c: x * (L // lead) for c, (x, lead) in v.items()}, L * d
 
 
 class Subspace:
@@ -613,10 +617,7 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, field, ambient_dim, rows):
-        m = Matrix(field, list(rows), cols=ambient_dim)
-        if m.cols != ambient_dim:
-            raise ValueError("row length != ambient dimension")
-        return cls.row_space(m)
+        return cls.row_space(Matrix(field, list(rows), cols=ambient_dim))
 
     @classmethod
     def row_space(cls, m: Matrix):
@@ -636,30 +637,34 @@ class Subspace:
         return self.basis.rows
 
     def reduce(self, vec):
-        """Eliminate the pivot coordinates of vec; result is the canonical
-        representative of vec modulo this subspace.  Only the nonzero
-        entries of each basis row (the columns of its integer view) are
-        touched."""
-        v = list(vec)
-        data = self.basis.data
-        nonzero = self.basis._ints[0]
-        for r, p in enumerate(self.pivots):
-            f = v[p]
+        """Eliminate the pivot coordinates of vec, an integer view (ints, d)
+        (see `Matrix`): the canonical representative of vec modulo this
+        subspace, as an integer view on d times the basis denominator db.
+        Basis row r has db at its pivot, so it is d * db vec minus v[p_r]
+        times row r for each pivot p_r; only the nonzero entries of each
+        basis row are touched."""
+        v, d = vec
+        rows, db = self.basis._ints
+        out = {j: x * db for j, x in v.items()} if db != 1 else dict(v)
+        for row, p in zip(rows, self.pivots):
+            f = v.get(p)
             if f:
-                row = data[r]
-                for j in nonzero[r]:
-                    v[j] -= f * row[j]
-        return tuple(v)
+                for j, x in row.items():
+                    out[j] = out.get(j, 0) - f * x
+        return _reduced(out, _modulus(self.field)), d * db
 
     def contains(self, vec):
-        return not any(self.reduce(vec))
+        """Whether the vector with integer view vec lies in the subspace."""
+        return not self.reduce(vec)[0]
 
     def coordinates(self, vec):
-        """Coefficients of vec in the RREF basis, or None if vec is outside."""
-        coords = tuple(vec[p] for p in self.pivots)
-        if any(self.reduce(vec)):
+        """Coefficients of the vector with integer view vec = (ints, d) in
+        the RREF basis, as an integer view on d, or None if it is outside."""
+        if self.reduce(vec)[0]:
             return None
-        return coords
+        v, d = vec
+        return _reduced({r: v.get(p, 0) for r, p in enumerate(self.pivots)},
+                        _modulus(self.field)), d
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
@@ -751,21 +756,27 @@ def quotient(ambient_dim: int, sub: Subspace):
 
 
 def solve(f: LinearMap, target):
-    """A vector v with f(v) = target exactly, or None if target is not in
-    the image of f.  target's entries may be anything the field coerces."""
-    return Echelon(f.matrix).solve(tuple(map(f.field.of, target)))
+    """The vector v with f(v) = target whose free coordinates are zero, as
+    an integer view, or None if target is not in the image of f.  target is
+    an integer view (ints, d) (see `Matrix`)."""
+    return Echelon(f.matrix).solve(target)
 
 
 def solve_matrix(f: LinearMap, targets: Matrix):
     """Columnwise solve: a matrix X with f.matrix @ X = targets, or None."""
     ech = Echelon(f.matrix)
+    rows, d = targets._ints
     cols = []
-    for j in range(targets.cols):
-        x = ech.solve(targets.col(j))
+    for col in _columns(rows, targets.cols):
+        x = ech.solve((col, d))
         if x is None:
             return None
         cols.append(x)
-    return Matrix.from_cols(f.field, cols, f.domain_dim)
+    # every column on the lcm of their denominators
+    D = math.lcm(*(dx for _, dx in cols))
+    return _from_ints(f.field, _columns([{i: v * (D // dx) for i, v in
+                                          x.items()} for x, dx in cols],
+                                        f.domain_dim), D, targets.cols)
 
 
 def linear_section(f: LinearMap) -> LinearMap:
@@ -774,29 +785,28 @@ def linear_section(f: LinearMap) -> LinearMap:
     q is defined on the whole codomain: a codomain vector is first written in
     the RREF basis of image(f) by reading off pivot coordinates, so column i
     of q is the preimage of basis row r when i is pivot r of image(f), and
-    zero otherwise.
+    zero otherwise.  The preimage is the one whose coordinates at the free
+    columns of f's RREF are zero (the solution `Echelon.solve` gives).
+
+    One elimination gives both, of the rows (column j of f | e_j) of
+    [F^T | I] with I's columns in reverse order.  A row whose pivot lies in
+    F^T's m = codomain_dim columns is (R | T): R a row of the RREF basis of
+    image(f) and f(T) = R.  The other rows span ker(f) in the RREF of the
+    reversed coordinates, whose pivots are the last nonzero coordinates of
+    the kernel basis {e_j - sum_c R_c[j] e_c}, one for each free column j.
+    The RREF is fully reduced, so T is zero at every free column.
     """
-    im = image(f)
-    ech = Echelon(f.matrix)
-    cols = [(f.field.zero,) * f.domain_dim] * f.codomain_dim
-    for row, p in zip(im.basis.data, im.pivots):
-        cols[p] = ech.solve(row)
-    return LinearMap(Matrix.from_cols(f.field, cols, f.domain_dim))
-
-
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_scale(c, v):
-    return tuple(c * a for a in v)
-
-
-def vec_zero(field, n):
-    return (field.zero,) * n
-
-
-def basis_vector(field, n, i):
-    v = [field.zero] * n
-    v[i] = field.one
-    return tuple(v)
+    rows, d = f.matrix._ints
+    m, top = f.codomain_dim, f.codomain_dim + f.domain_dim - 1
+    # domain coordinate j is column top - j
+    piv = _echelon([{**col, top - j: d} for j, col in
+                    enumerate(_columns(rows, f.domain_dim))],
+                   _modulus(f.field))
+    image_rows = [(c, lead, tail) for c, (lead, tail) in piv.items() if c < m]
+    D = math.lcm(*(lead for _, lead, _ in image_rows))
+    out = [{} for _ in range(f.domain_dim)]
+    for c, lead, tail in image_rows:
+        for k, v in tail.items():
+            if k >= m:
+                out[top - k][c] = v * (D // lead)
+    return LinearMap(_from_ints(f.field, out, D, m))

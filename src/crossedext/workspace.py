@@ -9,9 +9,10 @@ row-major nested arrays of such strings; structure constants are sparse
 from __future__ import annotations
 
 import json
+import math
 
 from .errors import CheckFailure
-from .field import QQ, FieldError, field_from_spec
+from .field import QQ, FieldError, FpElement, field_from_spec
 from .linalg import LinearMap, Matrix
 from .algebra import (LeibnizRepresentation, ModuleMorphism, Representation,
                       validate_leibniz, validate_leibniz_module, validate_lie,
@@ -50,9 +51,11 @@ class Workspace:
 
 class _Scalars:
     """The scalar parser of one `parse_workspace` call: each distinct
-    string is parsed once, and every later occurrence reuses its field
-    element (Fractions and residues are immutable).  A string is stored
-    only once it has parsed, so a bad scalar fails wherever it occurs."""
+    string is parsed once, and every later occurrence reuses its entry
+    (field element, num, den): the element (Fractions and residues are
+    immutable) and its integers, num / den in lowest terms over Q and the
+    residue over 1 over F_p.  A string is stored only once it has parsed,
+    so a bad scalar fails wherever it occurs."""
 
     __slots__ = ("field", "seen")
 
@@ -60,7 +63,7 @@ class _Scalars:
         self.field = field
         self.seen = {}
 
-    def __call__(self, s):
+    def entry(self, s):
         try:
             return self.seen[s]
         except (KeyError, TypeError):   # TypeError: an unhashable value
@@ -70,19 +73,35 @@ class _Scalars:
         except (ValueError, KeyError) as exc:
             raise CheckFailure("PARSE_ERROR",
                                detail=f"bad scalar {s!r}: {exc}")
-        self.seen[s] = x
-        return x
+        e = self.seen[s] = ((x, x.val, 1) if isinstance(x, FpElement)
+                            else (x, x.numerator, x.denominator))
+        return e
+
+    def __call__(self, s):
+        return self.entry(s)[0]
 
     def matrix(self, rows, cols):
         """The matrix of row-major scalar strings with cols columns."""
-        data = tuple(tuple(self(s) for s in row) for row in rows)
+        entries = [[self.entry(s) for s in row] for row in rows]
         # a row unlike the first is malformed; rows all of one length
         # other than cols are ragged against the declared dimension
-        if data and any(len(r) != len(data[0]) for r in data):
+        if entries and any(len(r) != len(entries[0]) for r in entries):
             raise ValueError("ragged matrix rows")
-        if any(len(r) != cols for r in data):
+        if any(len(r) != cols for r in entries):
             raise CheckFailure("PARSE_ERROR", detail="ragged matrix rows")
-        return Matrix._raw(self.field, data, cols)
+        return self.view([{j: e for j, e in enumerate(r) if e[1]}
+                          for r in entries], cols)
+
+    def view(self, rows, cols):
+        """The matrix whose rows are {column: entry} dicts of nonzero
+        entries, built as its canonical integer view (see `linalg.Matrix`):
+        each num on the lcm d of the dens.  Every den of an entry in lowest
+        terms divides d, and one has the full power of each prime of d, so
+        no factor is common to d and all the integers."""
+        d = math.lcm(*{e[2] for r in rows for e in r.values()})
+        return Matrix._from_int_rows(
+            self.field, [{j: e[1] * (d // e[2]) for j, e in r.items()}
+                         for r in rows], d, cols)
 
 
 def _matrix_out(field, m: Matrix):
@@ -107,15 +126,17 @@ def _resolve(table, name, kind):
 
 
 def _structure_in(scalar, dim, records, name):
-    zero = scalar.field.zero
-    c = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    """The structure matrix (see `algebra._AlgebraBase`) of sparse {i, j,
+    k, value} records; a later record of one (i, j, k) wins."""
+    rows = [{} for _ in range(dim * dim)]
     for rec in records:
         i, j, k = rec["i"], rec["j"], rec["k"]
         if not all(_is_int(x) and 0 <= x < dim for x in (i, j, k)):
             raise CheckFailure("PARSE_ERROR", name,
                                f"{name}: index out of range: {rec}")
-        c[i][j][k] = scalar(rec["value"])
-    return [[tuple(c[i][j]) for j in range(dim)] for i in range(dim)]
+        rows[i * dim + j][k] = scalar.entry(rec["value"])
+    return scalar.view([{k: e for k, e in r.items() if e[1]} for r in rows],
+                       dim)
 
 
 def _is_int(x):

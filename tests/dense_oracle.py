@@ -8,13 +8,38 @@ axioms among them; the field-vector theta of both flavors that the
 integer theta must reproduce, and the Chevalley-Eilenberg theta formula
 that it must also reproduce on Lie crossed modules; and the dense-grid CE
 and Leibniz coboundary builders that the integer-row emitter of
-`crossedext.cohomology` must reproduce."""
+`crossedext.cohomology` must reproduce.
+
+The engine takes and gives vectors as integer views (ints, d); `view` and
+`dense` convert between them and the field vectors of these loops."""
 from crossedext.algebra import sides
 from crossedext.errors import CheckFailure
-from crossedext.linalg import LinearMap, Matrix, vec_add, vec_scale, vec_zero
+from crossedext.linalg import LinearMap, Matrix, _field_vec, _int_vec
 from crossedext.cohomology import (ce_tuples, cochain_from_values,
                                    leib_tuples, sort_with_sign)
 from crossedext.crossed import _check_sections, _kernel_puller
+
+
+def view(field, vec):
+    """The integer view (ints, d) of a field vector."""
+    return _int_vec(field, tuple(vec))
+
+
+def dense(field, v, n):
+    """The field vector of length n of an integer view, or None for None."""
+    return None if v is None else _field_vec(field, *v, n)
+
+
+def vec_add(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def vec_scale(c, v):
+    return tuple(c * a for a in v)
+
+
+def vec_zero(field, n):
+    return (field.zero,) * n
 
 
 def dense_rref(m: Matrix):
@@ -345,7 +370,7 @@ def dense_theta(pres, s, q):
         val = vec_add(val, lin(g.c[j][k], by_first[i]))
         if any(cm.partial.apply(val)):
             raise CheckFailure("PEIFFER_FAIL", t, "partial(theta) != 0")
-        return pull(val)
+        return pull(view(field, val))
 
     return cochain_from_values(pres.M, 3, value)
 
@@ -379,7 +404,7 @@ def lie_theta(pres, s, q):
         val = tuple(a - b for a, b in zip(val, g2_lin(g.c[j][k], i)))
         if any(cm.partial.apply(val)):
             raise CheckFailure("PEIFFER_FAIL", t, "partial(theta) != 0")
-        return pull(val)
+        return pull(view(field, val))
 
     return cochain_from_values(pres.M, 3, value)
 

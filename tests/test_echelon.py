@@ -14,8 +14,9 @@ from crossedext.field import PrimeField, QQ
 from crossedext.linalg import (Echelon, LinearMap, Matrix, Subspace,
                                _from_ints, kernel, linear_section, quotient,
                                solve, solve_matrix)
-from dense_oracle import (dense_apply, dense_kernel_rows, dense_quotient,
-                          dense_reduce, dense_rref, dense_solve)
+from dense_oracle import (dense, dense_apply, dense_kernel_rows,
+                          dense_quotient, dense_reduce, dense_rref,
+                          dense_solve, view)
 
 FIELDS = [QQ, PrimeField(2), PrimeField(5), PrimeField(2147483647)]
 
@@ -81,8 +82,10 @@ def test_echelon_solve_matches_augmented_oracle(system):
     m, targets = system
     ech = Echelon(m)
     for b in targets:
-        assert ech.solve(b) == dense_solve(m, b)
-        assert solve(LinearMap(m), b) == dense_solve(m, b)
+        want = dense_solve(m, b)
+        assert dense(m.field, ech.solve(view(m.field, b)), m.cols) == want
+        assert dense(m.field, solve(LinearMap(m), view(m.field, b)),
+                     m.cols) == want
     # the rank and pivots asked after the solves match the RREF
     _, piv = dense_rref(m)
     assert (ech.rank, ech.pivots) == (len(piv), piv)
@@ -94,7 +97,7 @@ def test_consistent_targets_solve_and_others_are_none(system):
     m, targets = system
     ech = Echelon(m)
     for b in targets:
-        x = ech.solve(b)
+        x = dense(m.field, ech.solve(view(m.field, b)), m.cols)
         if x is None:
             assert dense_solve(m, b) is None
         else:
@@ -146,7 +149,7 @@ def test_extend_matches_row_space_of_stacked_matrix(case):
     rows = list(m.data)
     for row in extra:
         before = Subspace.row_space(Matrix(m.field, rows, cols=m.cols))
-        grew = ech.extend(row)
+        grew = ech.extend(view(m.field, row))
         rows.append(row)
         after = Subspace.row_space(Matrix(m.field, rows, cols=m.cols))
         assert grew == (after.dim > before.dim)
@@ -154,7 +157,8 @@ def test_extend_matches_row_space_of_stacked_matrix(case):
         # the grown factorization still solves against the stacked matrix
         stacked = Matrix(m.field, rows, cols=m.cols)
         b = dense_apply(stacked, row)
-        assert ech.solve(b) == dense_solve(stacked, b)
+        assert dense(m.field, ech.solve(view(m.field, b)),
+                     m.cols) == dense_solve(stacked, b)
 
 
 @settings(max_examples=150, deadline=None)
@@ -172,10 +176,12 @@ def test_subspace_reduce_and_coordinates_match_oracle(case):
     member = dense_apply(m.transpose(), coefs)
     for vec in list(vecs) + [member]:
         want = dense_reduce(basis, piv, vec)
-        assert sub.reduce(vec) == want
+        v = view(m.field, vec)
+        assert dense(m.field, sub.reduce(v), m.cols) == want
         inside = not any(want)
+        assert sub.contains(v) == inside
         coords = tuple(vec[p] for p in piv) if inside else None
-        assert sub.coordinates(vec) == coords
+        assert dense(m.field, sub.coordinates(v), len(piv)) == coords
 
 
 @settings(max_examples=150, deadline=None)
@@ -204,25 +210,31 @@ def test_empty_shapes():
     for field in FIELDS:
         tall = Echelon(Matrix.zero(field, 3, 0))       # 3 x 0
         assert tall.rank == 0 and tall.pivots == ()
-        assert tall.solve((field.zero,) * 3) == ()
-        assert tall.solve((field.zero, field.one, field.zero)) is None
+        assert dense(field, tall.solve(view(field, (field.zero,) * 3)),
+                     0) == ()
+        assert tall.solve(view(field, (field.zero, field.one,
+                                       field.zero))) is None
         wide = Echelon(Matrix.zero(field, 0, 3))       # 0 x 3
-        assert wide.solve(()) == (field.zero,) * 3
+        assert dense(field, wide.solve(view(field, ())), 3) == \
+            (field.zero,) * 3
         assert wide.kernel().dim == 3
-        assert wide.extend((field.zero, field.one, field.one))
-        assert wide.solve((field.of(2),)) == (field.zero, field.of(2),
-                                              field.zero)
+        assert wide.extend(view(field, (field.zero, field.one, field.one)))
+        assert dense(field, wide.solve(view(field, (field.of(2),))), 3) == \
+            (field.zero, field.of(2), field.zero)
 
 
 def test_solve_coerces_plain_int_targets():
+    # plain ints are an integer view on d = 1; the solution is one too,
+    # plain ints on a positive denominator (1 over F_p)
     for field in FIELDS:
         m = Matrix(field, [[1, 2, 0], [0, 1, 1], [1, 3, 1]], cols=3)
         f = LinearMap(m)
         b = (3, 1, 4)
         want = dense_solve(m, tuple(map(field.of, b)))
         assert want is not None
-        assert solve(f, b) == want
-        assert all(type(x) is type(field.one) for x in solve(f, b))
+        x, d = solve(f, (dict(enumerate(b)), 1))
+        assert dense(field, (x, d), 3) == want
+        assert all(type(v) is int for v in [*x.values(), d]) and d > 0
         targets = Matrix(field, [[3, 0], [1, 1], [4, 1]])
         assert solve_matrix(f, targets) == Matrix.from_cols(
             field, [want, dense_solve(m, (field.zero, field.one, field.one))],
@@ -240,8 +252,9 @@ def test_one_shot_and_repeated_solves_agree():
                    tuple(field.of(rng.randint(-3, 3)) for _ in range(7))]
         for b in targets:
             fresh = Echelon(m)
-            first = fresh.solve(b)
-            assert first == fresh.solve(b) == dense_solve(m, b)
+            first = dense(field, fresh.solve(view(field, b)), 3)
+            assert first == dense(field, fresh.solve(view(field, b)), 3) \
+                == dense_solve(m, b)
             assert (fresh.rank, fresh.pivots) == (len(dense_rref(m)[1]),
                                                   dense_rref(m)[1])
 
@@ -255,6 +268,8 @@ def test_many_targets_against_one_factorization():
         for _ in range(40):
             x = tuple(field.of(rng.randint(-3, 3)) for _ in range(6))
             b = dense_apply(m, x)
-            assert ech.solve(b) == dense_solve(m, b)
+            assert dense(field, ech.solve(view(field, b)), 6) == \
+                dense_solve(m, b)
             b = tuple(field.of(rng.randint(-3, 3)) for _ in range(5))
-            assert ech.solve(b) == dense_solve(m, b)
+            assert dense(field, ech.solve(view(field, b)), 6) == \
+                dense_solve(m, b)
