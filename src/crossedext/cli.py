@@ -6,12 +6,14 @@ Usage: crossed-ext <command> --input FILE [--field q|p:PRIME]
 The input document carries its own `commands` list; `report` executes all of
 them, any other command name executes just the matching entries (for `check`,
 an empty list means "validate every named object").  Exit status is 0 iff
-every executed command passed.
+every executed command passed; it is 1 as well when stdout is closed before
+the records are written.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import CheckFailure
@@ -281,15 +283,25 @@ def main(argv=None):
         _emit(records, args.format)
         return 1
     records = run(ws, args.command, args.max_degree)
-    _emit(records, args.format)
+    if not _emit(records, args.format):
+        return 1
     return 0 if all(r["status"] == "PASS" for r in records) else 1
 
 
 def _emit(records, fmt):
-    if fmt == "json":
-        print(json.dumps({"results": records}, indent=2, sort_keys=True))
-    else:
-        print(render_human(records), end="")
+    """Print the records; False if the reader closed stdout first."""
+    try:
+        if fmt == "json":
+            print(json.dumps({"results": records}, indent=2, sort_keys=True))
+        else:
+            print(render_human(records), end="")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the recipe of the `signal` module's documentation: stdout goes to
+        # devnull, so the interpreter's flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return False
+    return True
 
 
 if __name__ == "__main__":

@@ -232,3 +232,26 @@ def test_every_name_in_every_argument_gives_records(which):
             for rec in records:
                 assert rec["status"] in ("PASS", "FAIL"), cmd
                 assert rec["status"] == "PASS" or "error" in rec, cmd
+
+
+@pytest.mark.parametrize("fmt", ["json", "human"])
+def test_closed_stdout_is_exit_1_without_traceback(fmt):
+    """`crossed-ext report ... | head -c 400` closes the pipe before the
+    report is written: the child gets EPIPE, writes nothing to stderr and
+    exits 1.  The read end is closed before the child starts, so every
+    write of the child fails, whatever the timing."""
+    src = str(Path(crossedext.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "crossedext.cli", "report", "--input",
+             str(FIXTURES / "sl2.json"), "--format", fmt],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""
+    assert proc.returncode == 1

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossedext.field import PrimeField, QQ
@@ -117,6 +118,21 @@ def test_quotient_by_full_space_is_zero_dimensional():
     proj, sect, qdim = quotient(2, full)
     assert qdim == 0
     assert proj.matrix.cols == 2
+
+
+def test_declared_width_is_checked():
+    # a width given beside non-empty rows of another length is an error,
+    # not ignored (the matrix would be 1 x 2)
+    for field in ORACLE_FIELDS:
+        with pytest.raises(ValueError, match="ragged"):
+            Matrix(field, [[1, 2]], cols=5)
+        with pytest.raises(ValueError, match="ragged"):
+            Matrix(field, [[1, 2], [3, 4]], cols=1)
+        with pytest.raises(ValueError, match="ragged"):
+            Subspace.from_rows(field, 3, [(field.one, field.zero)])
+        assert Matrix(field, [[1, 2]], cols=2).cols == 2
+        assert (Matrix(field, [], cols=5).rows,
+                Matrix(field, [], cols=5).cols) == (0, 5)
 
 
 def test_solve_matrix_inverts():

@@ -1,16 +1,22 @@
 """The example scripts run end to end against the package under test,
-scripts/report_hashes.py prints the benchmark's manifest hash, and
+scripts/report_hashes.py prints the benchmark's manifest hash and passes
+a field selector to every report, and
 scripts/src_size.py counts each line of the package once."""
+import contextlib
+import hashlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
 import crossedext
+from crossedext import cli
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -45,6 +51,39 @@ def test_report_hashes_prints_the_manifest_hash():
     # the ladder report is the same for every seed
     assert proc.stdout.splitlines() == [f"{seed} {want} 0",
                                         f"{seed + 1} {want} 0"]
+
+
+def test_report_hashes_passes_the_field_after_the_generators_arguments():
+    manifest = json.loads((SCRIPTS.parent / "perfbench" /
+                           "manifest.json").read_text())
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", SCRIPTS.parent / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    text, extra, _ = gen.generate("crossed-mix", 1)
+    assert extra == []
+    # the F_p twin of the seed-1 crossed-mix report, against the same
+    # report made in this process
+    proc = _run(str(SCRIPTS / "report_hashes.py"), "crossed-mix", "1", "1",
+                "--src", SRC, "--field", "p:2147483647")
+    assert proc.returncode == 0, proc.stderr
+    seed, digest, status = proc.stdout.split()
+    assert (seed, status) == ("1", "0")
+    assert digest != manifest["workloads"]["crossed-mix"]["report_sha256"]
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = Path(tmp) / "doc.json"
+        doc.write_text(text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["report", "--input", str(doc), "--format",
+                             "json", "--field", "p:2147483647"]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+    # ladder-fp's generator passes --field p:2147483647; a field given
+    # here comes after it and wins: p:4 is not a field, and the report fails
+    proc = _run(str(SCRIPTS / "report_hashes.py"), "ladder-fp", "1", "1",
+                "--src", SRC, "--field", "p:4")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[2] == "1"
 
 
 def test_src_size_counts_every_line_once():
