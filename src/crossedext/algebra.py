@@ -18,65 +18,46 @@ LEIBNIZ = "leibniz"
 
 
 class _AlgebraBase:
-    """An algebra by its structure constants, stored as the dim^2 x dim
-    `Matrix` `structure` whose row i * dim + j is [e_i, e_j]: an integer
-    view, so two algebras of one class are equal iff their views are.  `c`,
-    the constants as field elements, is built from it on first read."""
+    """An algebra by its structure constants: `structure` is the dim^2 x dim
+    `Matrix` whose row i * dim + j is [e_i, e_j], so two algebras of one
+    class are equal iff these are.  It may be given as that Matrix or as a
+    table, structure[i][j] the coefficient vector of [e_i, e_j]."""
 
-    __slots__ = ("field", "dim", "structure", "_c")
+    __slots__ = ("field", "dim", "structure")
 
     def __init__(self, field, dim, structure):
-        """structure is that Matrix, or a table with structure[i][j] the
-        coefficient vector of [e_i, e_j] (entries anything field.of
-        coerces)."""
         if not isinstance(structure, Matrix):
             structure = Matrix(field, [structure[i][j] for i in range(dim)
                                        for j in range(dim)], cols=dim)
         elif (structure.rows, structure.cols) != (dim * dim, dim):
             raise ValueError("structure matrix of wrong shape")
-        self.field = field
-        self.dim = dim
-        self.structure = structure
-        self._c = None
+        self.field, self.dim, self.structure = field, dim, structure
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim}, field={self.field!r})"
 
     @property
     def c(self):
-        """c[i][j], the coefficient vector of [e_i, e_j] as field
-        elements."""
-        if self._c is None:
-            data, n = self.structure.data, self.dim
-            self._c = tuple(data[i * n:(i + 1) * n] for i in range(n))
-        return self._c
+        """c[i][j], the coefficient vector of [e_i, e_j] in field elements."""
+        data, n = self.structure.data, self.dim
+        return tuple(data[i * n:(i + 1) * n] for i in range(n))
 
     def int_structure(self):
-        """The integer view of `structure`: (rows, d) with rows[i * dim + j]
-        = {k: int} the nonzero coordinates of [e_i, e_j] on the common
-        denominator d (see `linalg.Matrix`)."""
+        """The integer view (rows, d) of `structure` (see `linalg.Matrix`):
+        rows[i * dim + j] = {k: int} holds [e_i, e_j] on d."""
         return self.structure._ints
 
     def _bracket(self, u, v):
-        """[u, v] of two {index: int} vectors, as {k: int} on d_c times
-        their denominators (neither reduced mod p nor freed of zeros)."""
-        c, _ = self.structure._ints
-        dim, acc = self.dim, {}
-        for i, a in u.items():
-            base = i * dim
-            for j, b in v.items():
-                ab = a * b
-                for k, s in c[base + j].items():
-                    acc[k] = acc.get(k, 0) + ab * s
-        return acc
+        """[u, v] of two {index: int} vectors, on d times their
+        denominators (neither reduced mod p nor freed of zeros)."""
+        c, n = self.structure._ints[0], self.dim
+        return _sum((a * b, c[i * n + j]) for i, a in u.items()
+                    for j, b in v.items())
 
     def bracket(self, u, v):
-        """[u, v] of coordinate vectors of field elements, summed on their
-        integer views and those of the structure constants."""
-        field = self.field
-        us, du = _int_vec(field, u)
-        vs, dv = _int_vec(field, v)
-        return _field_vec(field, self._bracket(us, vs),
+        """[u, v] of coordinate vectors of field elements."""
+        (us, du), (vs, dv) = _int_vec(self.field, u), _int_vec(self.field, v)
+        return _field_vec(self.field, self._bracket(us, vs),
                           self.structure._ints[1] * du * dv, self.dim)
 
     def __eq__(self, other):
@@ -230,10 +211,8 @@ def validate_module(rep: Representation) -> Representation:
 
 
 def _bracket_with(h, i, side):
-    """The matrix of the bracket with e_i on one side: column j is
-    [e_i, e_j] ("left") or [e_j, e_i] ("right")."""
-    c, d = h.int_structure()
-    n = h.dim
+    """The matrix whose column j is [e_i, e_j] ("left") or [e_j, e_i]."""
+    (c, d), n = h.int_structure(), h.dim
     cols = [c[i * n + j] if side == "left" else c[j * n + i] for j in range(n)]
     return _from_ints(h.field, _columns(cols, n), d, n)
 
@@ -293,8 +272,8 @@ def validate_leibniz_module(rep: LeibnizRepresentation) -> LeibnizRepresentation
     Unlike `validate_module` this check keeps its `Matrix` products (`@`):
     on the benchmark's cohomology ladders it is the only caller of `@`, and
     their traced runs are required to enter `linalg.matmul`.  L_[ij] and
-    R_[ij] are combinations of the action matrices with the integer
-    structure constants as coefficients.  No benchmark workload times it.
+    R_[ij] take the integer structure constants as coefficients.  No
+    benchmark workload times it.
     """
     h, n = rep.algebra, rep.dim
     c, dc = h.int_structure()
@@ -327,14 +306,12 @@ def sides(rep):
 
 def bracket_defect(f: LinearMap, A, B):
     """The first basis pair (i, j) with f([e_i, e_j]_A) != [f e_i, f e_j]_B,
-    or None when the linear map f : A -> B is an algebra map.  Both sides
-    are summed on integers (mod p over F_p): with F the integer rows of f
-    on d_f and the structure constants on d_A and d_B, f([e_i, e_j]) is on
-    d_f d_A and [f e_i, f e_j] on d_f^2 d_B."""
+    or None when the linear map f : A -> B is an algebra map.  On integers
+    (mod p over F_p), f([e_i, e_j]) is on d_f d_A and [f e_i, f e_j] on
+    d_f^2 d_B (d_f, d_A and d_B the denominators of f and the constants)."""
     F, df = f.matrix._ints
     cols = _columns(F, A.dim)
-    ca, da = A.int_structure()
-    _, db = B.int_structure()
+    (ca, da), db = A.int_structure(), B.int_structure()[1]
     p = _modulus(A.field)
     for i in range(A.dim):
         for j in range(A.dim):
@@ -389,7 +366,7 @@ class ModuleMorphism:
 
 def validate_morphism(phi: ModuleMorphism) -> ModuleMorphism:
     """Check f rho(e_i) = rho'(e_i) f for every basis vector and action
-    family, on the integer views of the matrices (`_products_differ`)."""
+    family, on the integer views of the matrices."""
     if phi.source.algebra != phi.target.algebra:
         raise CheckFailure("BASE_MISMATCH", detail="morphism across different algebras")
     f = phi.matrix._ints

@@ -291,14 +291,12 @@ def main(argv=None):
 def _emit(records, fmt):
     """Print the records; False if the reader closed stdout first."""
     try:
-        if fmt == "json":
-            print(json.dumps({"results": records}, indent=2, sort_keys=True))
-        else:
-            print(render_human(records), end="")
+        sys.stdout.write(render_human(records) if fmt != "json" else
+                         json.dumps({"results": records}, indent=2,
+                                    sort_keys=True) + "\n")
         sys.stdout.flush()
     except BrokenPipeError:
-        # the recipe of the `signal` module's documentation: stdout goes to
-        # devnull, so the interpreter's flush at exit cannot fail again
+        # the `signal` docs' recipe: no second failure at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return False
     return True

@@ -303,19 +303,15 @@ class CochainComplex:
         return (self.delta(n).domain_dim - self.echelon(n).rank
                 - self.coboundaries(n).dim)
 
-    def check_cocycle(self, z: Cochain):
+    def check_cocycle(self, z: Cochain, detail=None):
         """Raise NOT_A_COCYCLE unless delta(z) = 0; return the integer view
-        of z.vec (see `linalg.Matrix`), which delta is applied to."""
+        of z.vec (see `linalg.Matrix`)."""
         view = _int_vec(self.module.algebra.field, z.vec)
-        if _kills(self.delta(z.degree), view[0]):
-            return view
-        raise CheckFailure("NOT_A_COCYCLE", detail=f"degree {z.degree}")
-
-
-def _kills(f: LinearMap, v) -> bool:
-    """Whether f maps the {index: int} vector v to zero."""
-    rows = f.matrix._ints[0]
-    return not _reduced(_mul_vec(rows, v), _modulus(f.field))
+        d = self.delta(z.degree).matrix
+        if _reduced(_mul_vec(d._ints[0], view[0]), _modulus(d.field)):
+            raise CheckFailure("NOT_A_COCYCLE",
+                               detail=detail or f"degree {z.degree}")
+        return view
 
 
 def complex_of(module) -> CochainComplex:
@@ -387,17 +383,13 @@ def cohomology(M, n: int):
     cx = complex_of(M)
     z = cx.echelon(n).kernel()
     b = cx.coboundaries(n)
-    field, size = b.field, b.ambient_dim
-    classes = []
     # the classes are the kernel rows that leave the span of B^n and the
     # rows taken before them
     acc = Echelon(b.basis)
     rows, d = z.basis._ints
-    for row in rows:
-        if acc.extend((row, d)):
-            rep = Cochain(n, M, _field_vec(field, row, d, size))
-            classes.append(CohomologyClass(
-                n, M, rep, b, _field_vec(field, *b.reduce((row, d)), size)))
+    classes = [class_of(Cochain(n, M, _field_vec(b.field, row, d,
+                                                 b.ambient_dim)))
+               for row in rows if acc.extend((row, d))]
     dim_h = z.dim - b.dim
     assert dim_h == len(classes)
     return dim_h, classes
@@ -435,9 +427,8 @@ def coboundary_witness(z: Cochain) -> Cochain | None:
     sol = cx.echelon(z.degree - 1).solve(view)
     if sol is None:
         return None
-    return Cochain(z.degree - 1, z.module,
-                   _field_vec(z.module.algebra.field, *sol,
-                              cx.delta(z.degree - 1).domain_dim))
+    return Cochain(z.degree - 1, z.module, _field_vec(
+        cx.module.algebra.field, *sol, cx.delta(z.degree - 1).domain_dim))
 
 
 class ShortExactSequence(_Record):
@@ -490,11 +481,8 @@ def map_class(phi: ModuleMorphism, c: CohomologyClass) -> CohomologyClass:
 def _blocks(v, m, count):
     """The {index: int} cochain vector v cut into its values on count basis
     tuples, m coordinates each, in order."""
-    out = [{} for _ in range(count)]
-    for i, x in v.items():
-        t, r = divmod(i, m)
-        out[t][r] = x
-    return out
+    return [{i - t * m: v[i] for i in range(t * m, (t + 1) * m) if i in v}
+            for t in range(count)]
 
 
 def connecting_hom(ses: ShortExactSequence, c: CohomologyClass,
@@ -503,47 +491,37 @@ def connecting_hom(ses: ShortExactSequence, c: CohomologyClass,
     the coboundary in the middle module, pull back through alpha.
 
     lift_rng, when given, perturbs each lift by a random kernel(beta) element;
-    the resulting class must not change (checked by property tests).
-
-    The representative enters as one integer view (see `linalg.Matrix`);
-    lifts, coboundary and pullbacks stay integers until the pulled values
-    become the head cochain.
+    the resulting class must not change (checked by property tests).  All
+    of it runs on integer views (see `linalg.Matrix`).
     """
     if c.module is not ses.tail and c.module != ses.tail:
         raise CheckFailure("BASE_MISMATCH",
                            detail="class is not valued in the sequence tail")
-    n = c.degree
-    field = ses.head.algebra.field
-    mid = ses.middle.dim
-    K, dk = kernel(ses.beta.map).basis._ints
+    n, field, mid = c.degree, ses.head.algebra.field, ses.middle.dim
     lift_of = Echelon(ses.beta.map.matrix).solve
     rep, dr = _int_vec(field, c.representative.vec)
-    lifted = []
-    for value in _blocks(rep, c.module.dim, len(c.representative.tuples())):
-        v = lift_of((value, dr))
-        if v is None:
-            raise CheckFailure("EXACTNESS_FAIL", "tail", "beta is not surjective")
-        if lift_rng is not None and K:
-            x, dv = v
-            coefs = [lift_rng.randint(-3, 3) for _ in K]
-            v = (_sum([(dk, x)] + [(f * dv, row) for f, row in zip(coefs, K)]),
-                 dv * dk)
-        lifted.append(v)
+    lifted = [lift_of((v, dr)) for v in _blocks(rep, c.module.dim,
+                                                len(c.representative.tuples()))]
+    if None in lifted:
+        raise CheckFailure("EXACTNESS_FAIL", "tail", "beta is not surjective")
+    K, dk = kernel(ses.beta.map).basis._ints
+    if lift_rng is not None and K:
+        lifted = [(_sum([(dk, x)] + [(lift_rng.randint(-3, 3) * dv, row)
+                                     for row in K]), dv * dk)
+                  for x, dv in lifted]
     # the lift on the lcm L of the lifts' denominators, and its coboundary
     L = math.lcm(*(dv for _, dv in lifted))
     lift = {t * mid + i: v * (L // dv)
             for t, (x, dv) in enumerate(lifted) for i, v in x.items()}
     rows, dd = complex_of(ses.middle).delta(n).matrix._ints
     pull_of = Echelon(ses.alpha.map.matrix).solve
-    pulled = []
-    for value in _blocks(_mul_vec(rows, lift), mid,
-                         len(cochain_tuples(ses.middle, n + 1))):
-        m = pull_of((value, L * dd))
-        if m is None:
-            raise CheckFailure("EXACTNESS_FAIL", "middle",
-                               "coboundary of lift is not in image(alpha)")
-        pulled.extend(_field_vec(field, *m, ses.head.dim))
-    return class_of(Cochain(n + 1, ses.head, tuple(pulled)))
+    pulled = [pull_of((v, L * dd)) for v in _blocks(
+        _mul_vec(rows, lift), mid, len(cochain_tuples(ses.middle, n + 1)))]
+    if None in pulled:
+        raise CheckFailure("EXACTNESS_FAIL", "middle",
+                           "coboundary of lift is not in image(alpha)")
+    return class_of(Cochain(n + 1, ses.head, tuple(
+        x for m in pulled for x in _field_vec(field, *m, ses.head.dim))))
 
 
 def abelian_extension_from_2cocycle(Mpp: Representation, alpha: Cochain):
@@ -562,37 +540,28 @@ def abelian_extension_from_2cocycle(Mpp: Representation, alpha: Cochain):
                            detail="2-cocycle is not valued in the module")
     if alpha.degree != 2:
         raise CheckFailure("DEGREE_MISMATCH", alpha.degree, "need a 2-cocycle")
-    g = Mpp.algebra
-    field = g.field
-    av, da = _int_vec(field, alpha.vec)
-    if not _kills(complex_of(Mpp).delta(2), av):
-        raise CheckFailure("NOT_A_COCYCLE", detail="delta(alpha) != 0")
-    m, d = Mpp.dim, g.dim
-    n = m + d
+    g, m = Mpp.algebra, Mpp.dim
+    field, d, n = g.field, g.dim, m + g.dim
+    av, da = complex_of(Mpp).check_cocycle(alpha, "delta(alpha) != 0")
     # the structure matrix's integer rows on the lcm D of the denominators
     # of alpha, of the action matrices and of g's constants
     A, dm = _common_rows(Mpp.action)
     gc, dg = g.int_structure()
     D = math.lcm(da, dm, dg)
-    fa, fm, fg = D // da, D // dm, D // dg
     rows = [{} for _ in range(n * n)]
     for j in range(d):
-        # [e_i, f_j] = -rho(f_j) e_i and [f_j, e_i] = rho(f_j) e_i
+        # [f_j, e_i] = rho(f_j) e_i = -[e_i, f_j]
         for i, act in enumerate(_columns(A[j], m)):
-            rows[i * n + m + j] = {r: -fm * v for r, v in act.items()}
-            rows[(m + j) * n + i] = {r: fm * v for r, v in act.items()}
-    # [f_i, f_j] = alpha(f_i, f_j) + [f_i, f_j]_g, alpha extended
-    # alternately from its values on the increasing pairs
+            rows[(m + j) * n + i] = {r: D // dm * v for r, v in act.items()}
+            rows[i * n + m + j] = {r: -D // dm * v for r, v in act.items()}
+    # [f_i, f_j] = alpha(f_i, f_j) + [f_i, f_j]_g, alpha alternating
     pairs = ce_tuples(d, 2)
-    values = dict(zip(pairs, _blocks(av, m, len(pairs))))
-    for i in range(d):
-        for j in range(d):
-            row = {m + k: fg * v for k, v in gc[i * d + j].items()}
-            if i != j:
-                f = fa if i < j else -fa
-                for r, v in values[min(i, j), max(i, j)].items():
-                    row[r] = f * v
-            rows[(m + i) * n + m + j] = row
+    for (i, j), value in zip(pairs, _blocks(av, m, len(pairs))):
+        rows[(m + i) * n + m + j] = {r: D // da * v for r, v in value.items()}
+        rows[(m + j) * n + m + i] = {r: -D // da * v for r, v in value.items()}
+    for k, bracket in enumerate(gc):
+        rows[(m + k // d) * n + m + k % d].update(
+            {m + t: D // dg * v for t, v in bracket.items()})
     e = validate_lie(field, n, _from_ints(field, rows, D, n))
     incl = LinearMap(Matrix.identity(field, m).vstack(
         Matrix.zero(field, d, m)))

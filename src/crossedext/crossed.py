@@ -116,13 +116,10 @@ def crossed_axioms(cm: CrossedModule) -> CrossedModule:
 
 def induced_pair(cm: CrossedModule) -> Presentation:
     """The canonical presentation: g = coker(d) on the free coordinates of
-    im(d), M = ker(d) in its RREF basis.
-
-    Brackets and actions run on integer columns: the integer structure
-    constants c of L on d_c, the rows of im(d)'s and ker(d)'s bases and of
-    the action matrices.  The section of the quotient sends basis vector u
-    of g to e_{free[u]}, so g's bracket is the projection of the rows of c
-    at free pairs, and u acts on M by the action matrix of e_{free[u]}."""
+    im(d), M = ker(d) in its RREF basis, on integer views.  The quotient's
+    section sends basis vector u of g to e_{free[u]}: g's bracket is the
+    projection of the brackets of free pairs, and u acts on M by the
+    action matrix of e_{free[u]}."""
     L, V, d = cm.algebra, cm.rep, cm.partial
     field, n = L.field, L.dim
     leib = cm.flavor == LEIBNIZ
@@ -132,15 +129,12 @@ def induced_pair(cm: CrossedModule) -> Presentation:
     # im(d) must be a two-sided ideal for the quotient bracket to descend
     for i in range(n):
         for b in B:
-            if not (im.contains((_sum((x, c[i * n + j])
-                                      for j, x in b.items()), db * dc))
-                    and im.contains((_sum((x, c[j * n + i])
-                                          for j, x in b.items()), db * dc))):
+            if not (im.contains((L._bracket({i: 1}, b), db * dc))
+                    and im.contains((L._bracket(b, {i: 1}), db * dc))):
                 raise CheckFailure("EQUIVARIANCE_FAIL", (i,),
                                    "image of partial is not an ideal")
     proj, _, qdim = quotient(n, im)
-    pivots = set(im.pivots)
-    free = [j for j in range(n) if j not in pivots]
+    free = [j for j in range(n) if j not in im.pivots]
     P, dp = proj.matrix._ints
     structure = _from_ints(field, _mul_rows([c[a * n + b] for a in free
                                              for b in free], _columns(P, n)),
@@ -156,21 +150,16 @@ def induced_pair(cm: CrossedModule) -> Presentation:
         mats = []
         for u, a in enumerate(free):
             A, da = acts[a]._ints
-            cols = []
-            for krow in K:
-                coords = ker.coordinates((_mul_vec(A, krow), da * dk))
-                if coords is None:
-                    raise CheckFailure("EQUIVARIANCE_FAIL", (u,),
-                                       "kernel is not stable under the action")
-                cols.append(coords[0])
-            mats.append(_from_ints(field, _columns(cols, mdim), da * dk, mdim))
+            cols = [ker.coordinates((_mul_vec(A, k), da * dk)) for k in K]
+            if None in cols:
+                raise CheckFailure("EQUIVARIANCE_FAIL", (u,),
+                                   "kernel is not stable under the action")
+            mats.append(_from_ints(field, _columns([x for x, _ in cols], mdim),
+                                   da * dk, mdim))
         families.append(mats)
-    if leib:
-        M = validate_leibniz_module(LeibnizRepresentation(g, mdim, *families))
-    else:
-        M = validate_module(Representation(g, mdim, *families))
-    incl = LinearMap(ker.basis.transpose())
-    return Presentation(cm, g, proj, M, incl)
+    M = (validate_leibniz_module(LeibnizRepresentation(g, mdim, *families))
+         if leib else validate_module(Representation(g, mdim, *families)))
+    return Presentation(cm, g, proj, M, LinearMap(ker.basis.transpose()))
 
 
 def validate_presentation(p: Presentation) -> Presentation:
@@ -187,8 +176,7 @@ def validate_presentation(p: Presentation) -> Presentation:
         raise CheckFailure("EXACTNESS_FAIL", "M", "incl is not injective")
     if image(p.incl) != kernel(d):
         raise CheckFailure("EXACTNESS_FAIL", "V", "im(incl) != ker(partial)")
-    s = linear_section(p.pi)
-    srows, ds = s.matrix._ints
+    srows, ds = linear_section(p.pi).matrix._ints
     im = p.incl.matrix._ints
     for u, sv in enumerate(_columns(srows, g.dim)):
         for (side, mats, _), (_, acts, _) in zip(sides(p.M), sides(V)):
@@ -212,14 +200,11 @@ def perturbed_sections(pres: Presentation, rng):
     cm, field = pres.cm, pres.cm.algebra.field
 
     def shifted(mat, space):
-        """mat plus a random map into space: to column j, coefs[r][j] times
-        basis row r, drawn one column at a time."""
-        coefs = [[0] * mat.cols for _ in range(space.dim)]
-        for j in range(mat.cols):
-            for r in range(space.dim):
-                coefs[r][j] = rng.randint(-3, 3)
+        """mat plus a random map into space, drawn one column at a time."""
+        coefs = [[rng.randint(-3, 3) for _ in range(space.dim)]
+                 for _ in range(mat.cols)]
         return LinearMap(mat + space.basis.transpose() @ Matrix(
-            field, coefs, cols=mat.cols))
+            field, coefs, cols=space.dim).transpose())
 
     return (shifted(s.matrix, image(cm.partial)),
             shifted(q.matrix, kernel(cm.partial)))
@@ -261,7 +246,7 @@ def _g2_table(pres, s, q):
 
 def _kernel_puller(pres):
     """The map from the integer view of a value in ker(partial) to its
-    coordinates in M, a field vector, by one factorization of incl."""
+    coordinates in M (field elements), by one factorization of incl."""
     solve = Echelon(pres.incl.matrix).solve
     field, n = pres.M.algebra.field, pres.M.dim
 
@@ -294,8 +279,7 @@ def theta(pres: Presentation, s: LinearMap | None = None,
     value for value, and the cochain is built on the flavor's triples.
 
     Each value is summed on integers (mod p over F_p), and partial(theta) = 0
-    checked there; it is pulled into M as an integer view, and only its
-    coordinates in M become field elements.
+    checked there; only its coordinates in M become field elements.
     """
     if s is None or q is None:
         s, q = choose_sections(pres)

@@ -134,8 +134,7 @@ def validate_extension(E: CrossedExtension) -> CrossedExtension:
     # d_2 : M_2 -> M_1 is g-equivariant through any section of pi
     d2 = E.partials[-1].matrix._ints
     srows, ds = linear_section(E.pi).matrix._ints
-    V = E.base.rep
-    M2 = E.mids[-1]
+    V, M2 = E.base.rep, E.mids[-1]
     for u, su in enumerate(_columns(srows, g.dim)):
         act = _lincomb(g.field, (su, ds), V.action, V.dim, V.dim)
         if _products_differ(d2, M2.action[u]._ints, act._ints, d2,
@@ -242,30 +241,25 @@ def _fiber_algebra(baseA: CrossedModule, piA: LinearMap,
                    baseB: CrossedModule, piB: LinearMap, g):
     """L x_g L' with componentwise bracket, its embedding F into L (+) L',
     the halves (x, y) in L and L' of each basis vector of F as integer
-    views, and the projection onto g.  The bracket of two basis vectors is
-    summed on integers, both halves on d^2 d_L d_L' (d the denominator of
-    F's basis, d_L and d_L' those of the structure constants)."""
+    views, and the projection onto g.  Brackets are summed on integers."""
     LA, LB = baseA.algebra, baseB.algebra
     field, a = g.field, LA.dim
     F = kernel(LinearMap(piA.matrix.hstack(-piB.matrix)))
     rows, d = F.basis._ints
     halves = [(({j: v for j, v in r.items() if j < a}, d),
                ({j - a: v for j, v in r.items() if j >= a}, d)) for r in rows]
-    _, da = LA.int_structure()
-    _, db = LB.int_structure()
-    structure = []
-    for (xa, _), (ya, _) in halves:
-        for (xb, _), (yb, _) in halves:
-            w = {j: v * db for j, v in LA._bracket(xa, xb).items()}
-            for j, v in LB._bracket(ya, yb).items():
-                w[j + a] = v * da
-            coords = F.coordinates((w, d * d * da * db))
-            if coords is None:
-                raise CheckFailure("EXACTNESS_FAIL", "L",
-                                   "fiber product is not closed under bracket")
-            structure.append(coords[0])
-    LF = validate_lie(field, F.dim,
-                      _from_ints(field, structure, d * d * da * db, F.dim))
+    da, db = LA.int_structure()[1], LB.int_structure()[1]
+    dw = d * d * da * db     # both halves of a bracket on dw
+    structure = [F.coordinates(({**{j: v * db for j, v in
+                                    LA._bracket(xa, xb).items()},
+                                 **{j + a: v * da for j, v in
+                                    LB._bracket(ya, yb).items()}}, dw))
+                 for (xa, _), (ya, _) in halves for (xb, _), (yb, _) in halves]
+    if None in structure:
+        raise CheckFailure("EXACTNESS_FAIL", "L",
+                           "fiber product is not closed under bracket")
+    LF = validate_lie(field, F.dim, _from_ints(
+        field, [x for x, _ in structure], dw, F.dim))
     xs = _from_ints(field, [x for (x, _), _ in halves], d, a)
     q = LinearMap(piA.matrix @ xs.transpose())
     return LF, F, halves, q
@@ -285,13 +279,13 @@ def _fiber_boundary(F, dA: Matrix, dB: Matrix, details):
     product F; a column of d or of d' outside F is a failure with detail
     details[0] or details[1]."""
     rows, dd = block_diag(dA, dB)._ints
-    cols = []
-    for v, col in enumerate(_columns(rows, dA.cols + dB.cols)):
-        coords = F.coordinates((col, dd))
-        if coords is None:
-            raise CheckFailure("EXACTNESS_FAIL", "L", details[v >= dA.cols])
-        cols.append(coords[0])
-    return _from_ints(F.field, _columns(cols, F.dim), dd, len(cols))
+    cols = [F.coordinates((col, dd))
+            for col in _columns(rows, dA.cols + dB.cols)]
+    if None in cols:
+        raise CheckFailure("EXACTNESS_FAIL", "L",
+                           details[cols.index(None) >= dA.cols])
+    return _from_ints(F.field, _columns([x for x, _ in cols], F.dim), dd,
+                      len(cols))
 
 
 def _fiber_base(baseA, piA, baseB, piB, g):
@@ -376,8 +370,7 @@ def split_detect(E: CrossedExtension):
     def var(a, b):
         return a * top.dim + b
 
-    # the unknowns are the entries h[a][b]; each equation is one integer
-    # row, scaled by the denominators of the matrices it reads
+    # unknowns h[a][b]; each equation an integer row, scaled to integers
     rows, rhs = [], {}
     F, df = E.f.matrix._ints
     Fc = _columns(F, M.dim)

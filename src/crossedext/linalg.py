@@ -28,12 +28,10 @@ class Matrix:
     matrices of one shape are equal iff their views are, and every
     operation reads the view alone.  `.data`, the dense rows as a tuple of
     row tuples of field elements, is derived from the view on its first
-    read and cached.  The public constructor (and `_raw`, for rows of
-    field elements) coerces every entry with `field.of`, checks each row's
-    length against cols when it is given, and keeps the rows as the `.data`
-    cache.  `_from_int_rows` builds a matrix from its view alone: the
-    parsed matrices, the results of the operations below, `rref`, the
-    `Subspace` bases and the coboundary emitter.
+    read and cached.  The public constructor coerces every entry with
+    `field.of`, checks each row's length against cols when it is given,
+    and keeps the rows as that cache; `_from_int_rows` builds a matrix
+    from its view alone.
 
     A vector crosses the same boundary as an integer view (ints, d): entry
     i is ints.get(i, 0) / d over Q (d > 0) and ints.get(i, 0) mod p over
@@ -50,23 +48,20 @@ class Matrix:
         if any(len(row) != cols for row in data):
             raise ValueError("ragged matrix rows")
         self.field, self.rows, self.cols = field, len(data), cols
-        self._data, self._ints = data, _dense_view(field, data)
-
-    @classmethod
-    def _raw(cls, field, data, cols):
-        """The matrix of rows of field elements, each of length cols."""
-        return cls(field, data, cols)
+        views = [_int_vec(field, row) for row in data]   # on their lcm D
+        D = math.lcm(*(d for _, d in views))
+        self._data, self._ints = data, (tuple(
+            {j: v * (D // d) for j, v in r.items()} for r, d in views), D)
 
     @staticmethod
     def _from_int_rows(field, rows, d, cols):
         """Trusted constructor from a canonical integer view: rows is a
         sequence of {column: nonzero int} dicts -- residues in [1, p) and
         d = 1 over F_p; over Q, d > 0 with no common factor of d and all
-        entries.  `.data` is built when it is first read."""
-        m = object.__new__(Matrix)
-        m.field, m.cols, m._data = field, cols, None
-        m._ints = (tuple(rows), d)
-        m.rows = len(m._ints[0])
+        entries."""
+        m, rows = object.__new__(Matrix), tuple(rows)
+        m.field, m.rows, m.cols = field, len(rows), cols
+        m._ints, m._data = (rows, d), None
         return m
 
     @property
@@ -109,17 +104,9 @@ class Matrix:
         """self + sign * other on the integer views."""
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch in " + ("+" if sign > 0 else "-"))
-        arows, da = self._ints
-        brows, db = other._ints
-        d = math.lcm(da, db)
-        fa, fb = d // da, sign * (d // db)
-        out = []
-        for arow, brow in zip(arows, brows):
-            acc = {j: fa * a for j, a in arow.items()}
-            for j, b in brow.items():
-                acc[j] = acc.get(j, 0) + fb * b
-            out.append(acc)
-        return _from_ints(self.field, out, d, self.cols)
+        (a, b), d = _common_rows((self, other))
+        return _from_ints(self.field, _lincomb_rows([(1, a), (sign, b)],
+                                                    self.rows), d, self.cols)
 
     def __neg__(self):
         rows, d = self._ints
@@ -130,10 +117,10 @@ class Matrix:
 
     def scale(self, c):
         c, dc = _int_vec(self.field, (self.field.of(c),))
-        c = c.get(0, 0)
         rows, d = self._ints
-        return _from_ints(self.field, [{j: c * v for j, v in r.items()}
-                                       for r in rows], d * dc, self.cols)
+        return _from_ints(self.field, _lincomb_rows([(c.get(0, 0), rows)],
+                                                    self.rows), d * dc,
+                          self.cols)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
@@ -184,19 +171,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.data!r})"
-
-
-def _dense_view(field, data):
-    """The canonical integer view (see `Matrix`) of dense rows of field
-    elements."""
-    zero = field.zero
-    rows = [{j: x for j, x in enumerate(row) if x is not zero and x}
-            for row in data]
-    if _modulus(field) is None:
-        d = math.lcm(*{x.denominator for r in rows for x in r.values()})
-        return tuple({j: x.numerator * (d // x.denominator)
-                      for j, x in r.items()} for r in rows), d
-    return tuple({j: x.val for j, x in r.items()} for r in rows), 1
 
 
 def _common_rows(mats, base=1):
@@ -275,9 +249,8 @@ def _differ(xs, fx, ys, fy, p):
 
 
 def _products_differ(a, b, c, e, p):
-    """Whether a b != c e for the integer views (rows, d) of four matrices,
-    compared on integers (mod p over F_p): A B * d_c d_e against
-    C E * d_a d_b."""
+    """Whether a b != c e for the integer views (rows, d) of four matrices:
+    A B d_c d_e against C E d_a d_b, mod p over F_p."""
     (A, da), (B, db), (C, dc), (E, de) = a, b, c, e
     return _differ(_mul_rows(A, B), dc * de, _mul_rows(C, E), da * db, p)
 
@@ -482,14 +455,11 @@ class Echelon:
                  "_transform", "_solved")
 
     def __init__(self, matrix: Matrix):
-        self.field = matrix.field
-        self.cols = matrix.cols
+        self.field, self.cols = matrix.field, matrix.cols
         self._p = _modulus(matrix.field)
         rows, d = matrix._ints
-        self._rows = list(rows)
-        self._scale = [d] * len(rows)
-        self._piv = None
-        self._transform = None
+        self._rows, self._scale = list(rows), [d] * len(rows)
+        self._piv = self._transform = None
         self._solved = False
 
     def _pivots(self):
@@ -568,9 +538,8 @@ class Echelon:
                            db)
 
     def solve(self, b):
-        """The vector x with A x = b whose free coordinates are zero, as an
-        integer view, or None if b is not in the column space of A.  b is
-        the integer view (ints, d) of a vector indexed by A's rows."""
+        """The vector x with A x = b whose free coordinates are zero, or None
+        if b is not in the column space of A; both integer views."""
         bv, db = _reduced(b[0], self._p), b[1]
         if not self._solved:
             self._solved = True
@@ -588,18 +557,12 @@ class Echelon:
 
         if any(dot(t) for t in checks):
             return None
-        out = {}
-        for c, lead, t in solutions:
-            s = dot(t)
-            if s:
-                out[c] = (s, lead)
-        return _over_leads(out, db)
+        return _over_leads({c: (s, lead) for c, lead, t in solutions
+                            if (s := dot(t))}, db)
 
 
 def _over_leads(v, d):
-    """The integer view of the vector with entry c = x / (lead d) for
-    v[c] = (x, lead): all entries on d times the lcm of the leads (lead is 1
-    and x a residue over F_p)."""
+    """The integer view of {c: x / (lead d)} for v[c] = (x, lead)."""
     L = math.lcm(*(lead for _, lead in v.values()))
     return {c: x * (L // lead) for c, (x, lead) in v.items()}, L * d
 
@@ -610,10 +573,8 @@ class Subspace:
     __slots__ = ("field", "ambient_dim", "basis", "pivots")
 
     def __init__(self, field, ambient_dim, basis: Matrix, pivots):
-        self.field = field
-        self.ambient_dim = ambient_dim
-        self.basis = basis
-        self.pivots = tuple(pivots)
+        self.field, self.ambient_dim = field, ambient_dim
+        self.basis, self.pivots = basis, tuple(pivots)
 
     @classmethod
     def from_rows(cls, field, ambient_dim, rows):
@@ -637,12 +598,9 @@ class Subspace:
         return self.basis.rows
 
     def reduce(self, vec):
-        """Eliminate the pivot coordinates of vec, an integer view (ints, d)
-        (see `Matrix`): the canonical representative of vec modulo this
-        subspace, as an integer view on d times the basis denominator db.
-        Basis row r has db at its pivot, so it is d * db vec minus v[p_r]
-        times row r for each pivot p_r; only the nonzero entries of each
-        basis row are touched."""
+        """The canonical representative of vec, an integer view (ints, d)
+        (see `Matrix`), modulo this subspace: db * v minus v[p] times the
+        basis row with pivot p (whose entry there is db), on d * db."""
         v, d = vec
         rows, db = self.basis._ints
         out = {j: x * db for j, x in v.items()} if db != 1 else dict(v)
@@ -684,8 +642,7 @@ class LinearMap:
 
     def __init__(self, matrix: Matrix):
         self.matrix = matrix
-        self.domain_dim = matrix.cols
-        self.codomain_dim = matrix.rows
+        self.domain_dim, self.codomain_dim = matrix.cols, matrix.rows
 
     @classmethod
     def zero(cls, field, domain_dim, codomain_dim):
@@ -766,16 +723,12 @@ def solve_matrix(f: LinearMap, targets: Matrix):
     """Columnwise solve: a matrix X with f.matrix @ X = targets, or None."""
     ech = Echelon(f.matrix)
     rows, d = targets._ints
-    cols = []
-    for col in _columns(rows, targets.cols):
-        x = ech.solve((col, d))
-        if x is None:
-            return None
-        cols.append(x)
-    # every column on the lcm of their denominators
-    D = math.lcm(*(dx for _, dx in cols))
+    xs = [ech.solve((col, d)) for col in _columns(rows, targets.cols)]
+    if None in xs:
+        return None
+    D = math.lcm(*(dx for _, dx in xs))
     return _from_ints(f.field, _columns([{i: v * (D // dx) for i, v in
-                                          x.items()} for x, dx in cols],
+                                          x.items()} for x, dx in xs],
                                         f.domain_dim), D, targets.cols)
 
 
@@ -785,16 +738,14 @@ def linear_section(f: LinearMap) -> LinearMap:
     q is defined on the whole codomain: a codomain vector is first written in
     the RREF basis of image(f) by reading off pivot coordinates, so column i
     of q is the preimage of basis row r when i is pivot r of image(f), and
-    zero otherwise.  The preimage is the one whose coordinates at the free
-    columns of f's RREF are zero (the solution `Echelon.solve` gives).
+    zero otherwise.  The preimage is zero at the free columns of f's RREF,
+    as `Echelon.solve` gives it.
 
-    One elimination gives both, of the rows (column j of f | e_j) of
-    [F^T | I] with I's columns in reverse order.  A row whose pivot lies in
-    F^T's m = codomain_dim columns is (R | T): R a row of the RREF basis of
-    image(f) and f(T) = R.  The other rows span ker(f) in the RREF of the
-    reversed coordinates, whose pivots are the last nonzero coordinates of
-    the kernel basis {e_j - sum_c R_c[j] e_c}, one for each free column j.
-    The RREF is fully reduced, so T is zero at every free column.
+    One elimination of the rows (column j of f | e_j) of [F^T | I], with
+    I's columns reversed, gives both: a row with its pivot among F^T's m
+    columns is (R | T), R a row of image(f)'s RREF basis and f(T) = R.  The
+    other rows span ker(f), reduced on the reversed coordinates: their
+    pivots are the free columns of f's RREF, where T is therefore zero.
     """
     rows, d = f.matrix._ints
     m, top = f.codomain_dim, f.codomain_dim + f.domain_dim - 1

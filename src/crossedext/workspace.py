@@ -51,17 +51,15 @@ class Workspace:
 
 class _Scalars:
     """The scalar parser of one `parse_workspace` call: each distinct
-    string is parsed once, and every later occurrence reuses its entry
-    (field element, num, den): the element (Fractions and residues are
-    immutable) and its integers, num / den in lowest terms over Q and the
-    residue over 1 over F_p.  A string is stored only once it has parsed,
+    string is parsed once into its entry (field element, num, den), num /
+    den in lowest terms over Q and the residue over 1 over F_p, which every
+    later occurrence reuses.  A string is stored only once it has parsed,
     so a bad scalar fails wherever it occurs."""
 
     __slots__ = ("field", "seen")
 
     def __init__(self, field):
-        self.field = field
-        self.seen = {}
+        self.field, self.seen = field, {}
 
     def entry(self, s):
         try:
@@ -77,9 +75,6 @@ class _Scalars:
                             else (x, x.numerator, x.denominator))
         return e
 
-    def __call__(self, s):
-        return self.entry(s)[0]
-
     def matrix(self, rows, cols):
         """The matrix of row-major scalar strings with cols columns."""
         entries = [[self.entry(s) for s in row] for row in rows]
@@ -89,15 +84,13 @@ class _Scalars:
             raise ValueError("ragged matrix rows")
         if any(len(r) != cols for r in entries):
             raise CheckFailure("PARSE_ERROR", detail="ragged matrix rows")
-        return self.view([{j: e for j, e in enumerate(r) if e[1]}
-                          for r in entries], cols)
+        return self.view([dict(enumerate(r)) for r in entries], cols)
 
     def view(self, rows, cols):
-        """The matrix whose rows are {column: entry} dicts of nonzero
-        entries, built as its canonical integer view (see `linalg.Matrix`):
-        each num on the lcm d of the dens.  Every den of an entry in lowest
-        terms divides d, and one has the full power of each prime of d, so
-        no factor is common to d and all the integers."""
+        """The matrix of rows of {column: entry} dicts, as its canonical
+        integer view (see `linalg.Matrix`): each nonzero num on the lcm d of
+        the dens, which are in lowest terms."""
+        rows = [{j: e for j, e in r.items() if e[1]} for r in rows]
         d = math.lcm(*{e[2] for r in rows for e in r.values()})
         return Matrix._from_int_rows(
             self.field, [{j: e[1] * (d // e[2]) for j, e in r.items()}
@@ -135,8 +128,7 @@ def _structure_in(scalar, dim, records, name):
             raise CheckFailure("PARSE_ERROR", name,
                                f"{name}: index out of range: {rec}")
         rows[i * dim + j][k] = scalar.entry(rec["value"])
-    return scalar.view([{k: e for k, e in r.items() if e[1]} for r in rows],
-                       dim)
+    return scalar.view(rows, dim)
 
 
 def _is_int(x):
@@ -285,7 +277,7 @@ def parse_workspace(text: str, field: str | None = None) -> Workspace:
                                    f"module's flavor {mod.flavor!r}")
             tuples = list(cochain_tuples(mod, degree))
             values = {tuple(e["tuple"]):
-                      tuple(scalar(s) for s in e["value"])
+                      tuple(scalar.entry(s)[0] for s in e["value"])
                       for e in _key(spec, "entries", list, name, [])}
             unknown = set(values) - set(tuples)
             if unknown:

@@ -468,7 +468,7 @@ def dense_ce_coboundary_matrix(g, M, n: int) -> LinearMap:
                     for a in range(m):
                         row = grid[sidx * m + a]
                         row[cidx * m + a] = row[cidx * m + a] + total * coef
-    return LinearMap(Matrix._raw(field, tuple(map(tuple, grid)), len(ins) * m))
+    return LinearMap(Matrix(field, grid, len(ins) * m))
 
 
 def dense_leibniz_coboundary_matrix(h, M, n: int) -> LinearMap:
@@ -512,4 +512,4 @@ def dense_leibniz_coboundary_matrix(h, M, n: int) -> LinearMap:
                         continue
                     merged = S[:pa] + (k,) + S[pa + 1:pb] + S[pb + 1:]
                     add_scalar(sidx, tindex[merged], coef, sign)
-    return LinearMap(Matrix._raw(field, tuple(map(tuple, grid)), len(ins) * m))
+    return LinearMap(Matrix(field, grid, len(ins) * m))

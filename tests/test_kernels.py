@@ -104,7 +104,7 @@ def test_apply_matches_oracle(mv):
     m, vec = mv
     out = m.apply(vec)
     assert out == dense_apply(m, vec)
-    assert_canonical(Matrix._raw(m.field, (out,), len(out)))
+    assert_canonical(Matrix(m.field, (out,), len(out)))
 
 
 @st.composite

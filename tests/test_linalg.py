@@ -251,7 +251,7 @@ def test_pivot_rows_are_primitive_multiples_of_the_rref(m):
 def test_raw_matrix_equals_coerced_matrix():
     for field in ORACLE_FIELDS:
         data = ((field.of(1), field.zero), (field.of(-2), field.of(3)))
-        raw = Matrix._raw(field, data, 2)
+        raw = Matrix(field, data, 2)
         coerced = Matrix(field, [[1, 0], [-2, 3]])
         assert raw == coerced and hash(raw) == hash(coerced)
         assert type(raw.data) is tuple
