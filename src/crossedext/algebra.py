@@ -269,11 +269,11 @@ def validate_leibniz_module(rep: LeibnizRepresentation) -> LeibnizRepresentation
       slot y:  L_i R_j = R_j L_i - L_[ij]
       slot x:  R_[jk]  = R_k R_j - R_j R_k
 
-    Unlike `validate_module` this check keeps its `Matrix` products (`@`):
-    on the benchmark's cohomology ladders it is the only caller of `@`, and
-    their traced runs are required to enter `linalg.matmul`.  L_[ij] and
-    R_[ij] take the integer structure constants as coefficients.  No
-    benchmark workload times it.
+    Unlike `validate_module` and `validate_morphism`, which compare integer
+    products, this check keeps its `Matrix` products (`@`): on the
+    benchmark's cohomology ladders it is the only caller of `@`, and their
+    traced runs are required to enter `linalg.matmul`.  L_[ij] and R_[ij]
+    take the integer structure constants as coefficients.
     """
     h, n = rep.algebra, rep.dim
     c, dc = h.int_structure()
