@@ -171,12 +171,11 @@ def _section(doc, key):
 
 def _structure_out(field, alg):
     out = []
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            for k, v in enumerate(alg.c[i][j]):
-                if v:
-                    out.append({"i": i, "j": j, "k": k,
-                                "value": field.to_str(v)})
+    for r, row in enumerate(alg.structure.data):     # r = i * dim + j
+        for k, v in enumerate(row):
+            if v:
+                out.append({"i": r // alg.dim, "j": r % alg.dim, "k": k,
+                            "value": field.to_str(v)})
     return out
 
 
