@@ -210,18 +210,25 @@ def validate_module(rep: Representation) -> Representation:
     return rep
 
 
-def _bracket_with(h, i, side):
-    """The matrix whose column j is [e_i, e_j] ("left") or [e_j, e_i]."""
+def _bracket_view(h, i, side):
+    """The integer view (rows, d) of the matrix whose column j is
+    [e_j, e_i] on the "right" side and [e_i, e_j] on any other (d the
+    denominator of the structure constants)."""
     (c, d), n = h.int_structure(), h.dim
-    cols = [c[i * n + j] if side == "left" else c[j * n + i] for j in range(n)]
-    return _from_ints(h.field, _columns(cols, n), d, n)
+    return _columns([c[j * n + i] if side == "right" else c[i * n + j]
+                     for j in range(n)], n), d
+
+
+def _adjoint_family(h, side):
+    """The matrices of the bracket with each e_i on one side."""
+    return [_from_ints(h.field, *_bracket_view(h, i, side), h.dim)
+            for i in range(h.dim)]
 
 
 def adjoint(g: LieAlgebra) -> Representation:
     """g acting on itself by the bracket; column j of the matrix of e_i is
     the bracket of e_i with e_j."""
-    return Representation(g, g.dim, [_bracket_with(g, i, "left")
-                                     for i in range(g.dim)])
+    return Representation(g, g.dim, _adjoint_family(g, "left"))
 
 
 class LeibnizRepresentation:
@@ -283,25 +290,65 @@ def validate_leibniz_module(rep: LeibnizRepresentation) -> LeibnizRepresentation
     for i in range(h.dim):
         for j in range(h.dim):
             bracket = (c[i * h.dim + j], dc)
-            lb = _lincomb(h.field, bracket, L, n, n)
+            lb = _from_ints(h.field, *_lincomb(bracket, L, n), n)
             if LL[i][j] != lb - RL[j][i]:
                 raise CheckFailure("MODULE_AXIOM_FAIL", (i, j), "slot z")
             if LR[i][j] != RL[j][i] - lb:
                 raise CheckFailure("MODULE_AXIOM_FAIL", (i, j), "slot y")
-            rb = _lincomb(h.field, bracket, R, n, n)
+            rb = _from_ints(h.field, *_lincomb(bracket, R, n), n)
             if rb != RR[j][i] - RR[i][j]:
                 raise CheckFailure("MODULE_AXIOM_FAIL", (i, j), "slot x")
     return rep
 
 
 def sides(rep):
-    """The action families of a module, as (side, matrices, of) triples:
-    ρ alone for a Lie module, left then right for a Leibniz module.  The
-    side names the family in a failure's detail; it is "" for ρ."""
+    """The action families of a module, as (side, matrices) pairs: ρ alone
+    (side "") for a Lie module, left then right for a Leibniz module.  The
+    side names the family in a failure's detail and in a workspace."""
     if isinstance(rep, LeibnizRepresentation):
-        return (("left", rep.left, rep.left_of),
-                ("right", rep.right, rep.right_of))
-    return (("", rep.action, rep.action_of),)
+        return ("left", rep.left), ("right", rep.right)
+    return ("", rep.action),
+
+
+def pulled_back(V, m: Matrix):
+    """V's action families pulled back along the columns of m, a matrix
+    into V's algebra: (side, views) pairs as in `sides(V)`, views[u] the
+    integer view (rows, d), unreduced, of the action of column u of m."""
+    rows, d = m._ints
+    cols = _columns(rows, m.cols)
+    return [(side, [_lincomb((col, d), mats, V.dim) for col in cols])
+            for side, mats in sides(V)]
+
+
+def equivariance_defect(f: Matrix, src, tgt):
+    """The first (i, side) with f A_i != B_i f, or None when the map with
+    matrix f intertwines the action families src of its source, (side,
+    matrices) pairs as `sides` gives them, and tgt of its target, (side,
+    integer views) pairs as `pulled_back` gives them, paired in order; i is
+    the outer loop.  The products are compared on integers, mod p over F_p
+    (`linalg._products_differ`); each caller raises its own failure."""
+    fv, p = f._ints, _modulus(f.field)
+    for i in range(len(src[0][1])):
+        for (side, a), (_, b) in zip(src, tgt):
+            if _products_differ(fv, a[i]._ints, b[i], fv, p):
+                return i, side
+    return None
+
+
+def hom_rows(A, B):
+    """The equations of Hom_g(A, B) as integer rows (neither reduced mod p
+    nor freed of zeros): the unknown h[b][a] of h : A -> B is column
+    b * A.dim + a, and each row is an entry of (h S - T h) ds dt = 0, for S
+    and T the actions on A and B of one basis vector and side, on ds, dt."""
+    n, rows = A.dim, []
+    for i in range(A.algebra.dim):
+        for (_, src), (_, tgt) in zip(sides(A), sides(B)):
+            (S, ds), (T, dt) = src[i]._ints, tgt[i]._ints
+            Sc = _columns(S, n)
+            rows += [_sum([(dt, {b * n + k: x for k, x in Sc[a].items()}),
+                           (-ds, {k * n + a: x for k, x in T[b].items()})])
+                     for b in range(B.dim) for a in range(n)]
+    return rows
 
 
 def bracket_defect(f: LinearMap, A, B):
@@ -323,9 +370,8 @@ def bracket_defect(f: LinearMap, A, B):
 
 
 def leibniz_adjoint(h: LeibnizAlgebra) -> LeibnizRepresentation:
-    return LeibnizRepresentation(
-        h, h.dim, [_bracket_with(h, i, "left") for i in range(h.dim)],
-        [_bracket_with(h, i, "right") for i in range(h.dim)])
+    return LeibnizRepresentation(h, h.dim, _adjoint_family(h, "left"),
+                                 _adjoint_family(h, "right"))
 
 
 def leibniz_from_lie(g: LieAlgebra) -> LeibnizAlgebra:
@@ -366,17 +412,14 @@ class ModuleMorphism:
 
 def validate_morphism(phi: ModuleMorphism) -> ModuleMorphism:
     """Check f rho(e_i) = rho'(e_i) f for every basis vector and action
-    family, on the integer views of the matrices."""
+    family (`equivariance_defect`)."""
     if phi.source.algebra != phi.target.algebra:
         raise CheckFailure("BASE_MISMATCH", detail="morphism across different algebras")
-    f = phi.matrix._ints
-    p = _modulus(phi.matrix.field)
-    for i in range(phi.source.algebra.dim):
-        for (side, src, _), (_, tgt, _) in zip(sides(phi.source),
-                                               sides(phi.target)):
-            if _products_differ(f, src[i]._ints, tgt[i]._ints, f, p):
-                raise CheckFailure("EQUIVARIANCE_FAIL", (i,),
-                                   side and f"{side} action")
+    hit = equivariance_defect(phi.matrix, sides(phi.source), [
+        (side, [m._ints for m in mats]) for side, mats in sides(phi.target)])
+    if hit:
+        raise CheckFailure("EQUIVARIANCE_FAIL", hit[:1],
+                           hit[1] and f"{hit[1]} action")
     return phi
 
 

@@ -395,8 +395,35 @@ def cohomology(M, n: int):
     return dim_h, classes
 
 
+# The most work (`_table_work`) one cohomology table may take on: gl_2 as
+# a Leibniz algebra with trivial coefficients needs 145 664 units to degree
+# 6 (3.3 s) and 669 956 to degree 7 (54 s and 325 MB).  A unit is about
+# 22 us, and an empty table row (past dim g of a CE table) about 50 us.
+TABLE_BUDGET = 200_000
+
+
+def _table_work(M, max_degree):
+    """The estimated work of cohomology_table(M, max_degree): 4 units per
+    row of the table, and n + 1 (the tuple length) per row of each delta_n,
+    which has |C^{n+1}| = C(dim g, n + 1) dim M (CE) or (dim g)^{n+1} dim M
+    (Leibniz) rows.  The sum stops once it passes TABLE_BUDGET or its terms
+    vanish, so its steps do not grow with max_degree."""
+    g, m = M.algebra.dim, M.dim
+    work = 4 * (max_degree + 1)
+    for k in range(1, max_degree + 2):
+        rows = (math.comb(g, k) if M.flavor == CE else g ** k) * m
+        if not rows or work > TABLE_BUDGET:
+            break
+        work += k * rows
+    return work
+
+
 def cohomology_table(M, max_degree: int):
-    """Rows (degree, dim C^n, rank delta_n, dim H^n) for n = 0..max_degree."""
+    """Rows (degree, dim C^n, rank delta_n, dim H^n) for n = 0..max_degree;
+    BUDGET_EXCEEDED, before any delta, if `_table_work` passes the budget."""
+    if _table_work(M, max_degree) > TABLE_BUDGET:
+        raise CheckFailure("BUDGET_EXCEEDED", max_degree,
+                           f"over the work budget of {TABLE_BUDGET}")
     rows = []
     prev_rank = 0
     for n in range(max_degree + 1):

@@ -15,12 +15,12 @@ from __future__ import annotations
 import math
 
 from .errors import CheckFailure
-from .linalg import (Echelon, LinearMap, Matrix, _columns, _common_rows,
-                     _differ, _field_vec, _from_ints, _lincomb, _lincomb_rows,
-                     _modulus, _mul_rows, _mul_vec, _products_differ,
-                     _reduced, _sum, image, kernel, linear_section, quotient)
-from .algebra import (LeibnizRepresentation, Representation, bracket_defect,
-                      sides, validate_lie, validate_leibniz, validate_module,
+from .linalg import (Echelon, LinearMap, Matrix, _columns, _field_vec,
+                     _from_ints, _modulus, _mul_rows, _mul_vec, _reduced,
+                     _sum, image, kernel, linear_section, quotient)
+from .algebra import (LeibnizRepresentation, Representation, _bracket_view,
+                      bracket_defect, equivariance_defect, pulled_back, sides,
+                      validate_lie, validate_leibniz, validate_module,
                       validate_leibniz_module)
 from .cohomology import (LEIBNIZ, Cochain, CohomologyClass,
                          ShortExactSequence, _Record,
@@ -57,57 +57,34 @@ def validate_crossed(cm: CrossedModule) -> CrossedModule:
     return crossed_axioms(cm)
 
 
-def _actions(V, m):
-    """For each action family of V, the integer columns of the action of
-    each column of m, a matrix into V's algebra, and their denominator."""
-    rows, d = m._ints
-    n, out = V.dim, []
-    for _, mats, _ in sides(V):
-        A, da = _common_rows(mats)
-        out.append(([_columns(_lincomb_rows([(x, A[k]) for k, x in
-                                             col.items()], n), n)
-                     for col in _columns(rows, m.cols)], d * da))
-    return out
-
-
 def crossed_axioms(cm: CrossedModule) -> CrossedModule:
     """The crossed-module axioms, equivariance of d and the Peiffer
     identity, for a V already validated as a module of L's flavor (as every
     module of a parsed workspace is).
 
-    Both run on plain integers (mod p over F_p): the integer rows D of d on
-    its denominator, the rows of each action matrix and the integer
-    structure constants c on d_c (`int_structure`).  Equivariance for e_i
-    on a side with action rows A on a is d_c * D A = a * C D, C the rows of
-    the bracket with e_i on that side.  The Peiffer identity compares, for
-    each pair (v, w), column w of the left action of dv with column v of
-    the right action of dw (minus rho for a Lie module), each family on its
-    common denominator (`_actions`)."""
-    L, V = cm.algebra, cm.rep
-    n, dim = V.dim, L.dim
-    p = _modulus(L.field)
-    c, dc = L.int_structure()
-    D, _ = cm.partial.matrix._ints
+    Both run on integers (mod p over F_p).  d intertwines each action family
+    of V with the bracket on that side (`equivariance_defect`), and the
+    Peiffer identity compares, for each pair (v, w), column w of the left
+    action of dv with column v of the right action of dw (minus rho for a
+    Lie module), each on its own denominator (`pulled_back`)."""
+    L, V, d = cm.algebra, cm.rep, cm.partial.matrix
     # d[x, v] = [x, dv], and d[v, x] = [dv, x] for a Leibniz module
-    for i in range(dim):
-        for side, mats, _ in sides(V):
-            A, da = mats[i]._ints
-            C = [{} for _ in range(dim)]
-            for j in range(dim):
-                for k, s in c[j * dim + i if side == "right"
-                              else i * dim + j].items():
-                    C[k][j] = s
-            if _differ(_mul_rows(D, A), dc, _mul_rows(C, D), da, p):
-                raise CheckFailure("EQUIVARIANCE_FAIL", (i,),
-                                   side and f"{side} action")
+    brackets = [(side, [_bracket_view(L, i, side) for i in range(L.dim)])
+                for side, _ in sides(V)]
+    hit = equivariance_defect(d, sides(V), brackets)
+    if hit:
+        raise CheckFailure("EQUIVARIANCE_FAIL", hit[:1],
+                           hit[1] and f"{hit[1]} action")
     # [dv, w] = [v, dw]: column w of X[v], the left action of dv, against
     # column v of Y[w], the right action of dw without a Lie module's sign
-    acts = _actions(V, cm.partial.matrix)
-    (X, dx), (Y, dy) = acts[0], acts[-1]
+    acts = [[(da, _columns(rows, V.dim)) for rows, da in views]
+            for _, views in pulled_back(V, d)]
+    X, Y = acts[0], acts[-1]
     sign = 1 if len(acts) == 2 else -1
-    for v in range(n):
-        for w in range(n):
-            if _reduced(_sum([(dy, X[v][w]), (-sign * dx, Y[w][v])]), p):
+    p = _modulus(L.field)
+    for v, (dx, xc) in enumerate(X):
+        for w, (dy, yc) in enumerate(Y):
+            if _reduced(_sum([(dy, xc[w]), (-sign * dx, yc[v])]), p):
                 raise CheckFailure("PEIFFER_FAIL", (v, w))
     # the loop is bilinear, so for k in ker(d) it gives [dv, k] = [v, dk] = 0
     # and [k, dw] = [dk, w] = 0: im(d) acts trivially on ker(d)
@@ -146,7 +123,7 @@ def induced_pair(cm: CrossedModule) -> Presentation:
     # the whole left family is induced before the right one, so a failure in
     # it is reported first, whatever its index
     families = []
-    for _, acts, _ in sides(V):
+    for _, acts in sides(V):
         mats = []
         for u, a in enumerate(free):
             A, da = acts[a]._ints
@@ -176,15 +153,12 @@ def validate_presentation(p: Presentation) -> Presentation:
         raise CheckFailure("EXACTNESS_FAIL", "M", "incl is not injective")
     if image(p.incl) != kernel(d):
         raise CheckFailure("EXACTNESS_FAIL", "V", "im(incl) != ker(partial)")
-    srows, ds = linear_section(p.pi).matrix._ints
-    im = p.incl.matrix._ints
-    for u, sv in enumerate(_columns(srows, g.dim)):
-        for (side, mats, _), (_, acts, _) in zip(sides(p.M), sides(V)):
-            act = _lincomb(L.field, (sv, ds), acts, V.dim, V.dim)
-            if _products_differ(im, mats[u]._ints, act._ints, im,
-                                _modulus(L.field)):
-                raise CheckFailure("EQUIVARIANCE_FAIL", (u,),
-                                   f"{side} action on kernel".lstrip())
+    # M acts as V does through any section of pi
+    hit = equivariance_defect(p.incl.matrix, sides(p.M),
+                              pulled_back(V, linear_section(p.pi).matrix))
+    if hit:
+        raise CheckFailure("EQUIVARIANCE_FAIL", hit[:1],
+                           f"{hit[1]} action on kernel".lstrip())
     return p
 
 
@@ -287,20 +261,25 @@ def theta(pres: Presentation, s: LinearMap | None = None,
     cm, g, V = pres.cm, pres.g, pres.cm.rep
     p, gdim, n = _modulus(g.field), g.dim, V.dim
     g2, dt = _g2_table(pres, s, q)
-    acts = _actions(V, s.matrix)     # the action of each s e_u
-    (lefts, dl), (rights, dr) = acts[0], acts[-1]
+    # the action of each s e_u on its denominator, by its integer columns
+    acts = [[(da, _columns(rows, n)) for rows, da in views]
+            for _, views in pulled_back(V, s.matrix)]
     gc, dg = g.int_structure()
-    D = math.lcm(dl, dr, dg)
-    # a Lie module's right action is -rho
-    fl, fr, fg = D // dl, D // dr * (1 if len(acts) == 2 else -1), D // dg
+    D = math.lcm(dg, *(da for fam in acts for da, _ in fam))
+    # each action on D, and a Lie module's right action is -rho
+    sign = 1 if len(acts) == 2 else -1
+    lefts = [(D // da, cols) for da, cols in acts[0]]
+    rights = [(sign * (D // da), cols) for da, cols in acts[-1]]
+    fg = D // dg
     dcols = _columns(cm.partial.matrix._ints[0], n)
     pull = _kernel_puller(pres)
 
     def value(t):
         i, j, k = t
-        acc = _sum([(fl * x, lefts[i][a]) for a, x in g2[j, k].items()]
-                   + [(fr * x, rights[j][a]) for a, x in g2[i, k].items()]
-                   + [(-fr * x, rights[k][a]) for a, x in g2[i, j].items()]
+        (fi, li), (fj, rj), (fk, rk) = lefts[i], rights[j], rights[k]
+        acc = _sum([(fi * x, li[a]) for a, x in g2[j, k].items()]
+                   + [(fj * x, rj[a]) for a, x in g2[i, k].items()]
+                   + [(-fk * x, rk[a]) for a, x in g2[i, j].items()]
                    + [(-fg * x, g2[a, k]) for a, x in gc[i * gdim + j].items()]
                    + [(fg * x, g2[a, j]) for a, x in gc[i * gdim + k].items()]
                    + [(fg * x, g2[i, a]) for a, x in gc[j * gdim + k].items()])
@@ -333,22 +312,18 @@ def check_crossed_morphism(cm: CrossedModule, cm2: CrossedModule,
                            pres: Presentation | None = None,
                            pres2: Presentation | None = None,
                            require_identity: bool = False) -> CrossedMorphism:
-    L, V2 = cm.algebra, cm2.rep
     a = phi.alpha.matrix
     if phi.beta.matrix @ cm.partial.matrix != cm2.partial.matrix @ a:
         raise CheckFailure("SQUARE_FAIL", None, "partial' . alpha != beta . partial")
-    pair = bracket_defect(phi.beta, L, cm2.algebra)
+    pair = bracket_defect(phi.beta, cm.algebra, cm2.algebra)
     if pair is not None:
         raise CheckFailure("SQUARE_FAIL", pair, "beta is not an algebra map")
-    brows, db = phi.beta.matrix._ints
-    p = _modulus(L.field)
-    for i, bi in enumerate(_columns(brows, L.dim)):
-        for (side, mats, _), (_, acts, _) in zip(sides(cm.rep), sides(V2)):
-            act = _lincomb(L.field, (bi, db), acts, V2.dim, V2.dim)
-            if _products_differ(a._ints, mats[i]._ints, act._ints, a._ints,
-                                p):
-                raise CheckFailure("EQUIVARIANCE_FAIL", (i,),
-                                   side and f"{side} action")
+    # alpha carries the action of x on V to the action of beta(x) on V'
+    hit = equivariance_defect(a, sides(cm.rep),
+                              pulled_back(cm2.rep, phi.beta.matrix))
+    if hit:
+        raise CheckFailure("EQUIVARIANCE_FAIL", hit[:1],
+                           hit[1] and f"{hit[1]} action")
     if require_identity:
         if pres is None or pres2 is None:
             raise ValueError("identity check needs both presentations")

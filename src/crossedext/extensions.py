@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from .errors import CheckFailure
 from .linalg import (LinearMap, Matrix, _columns, _from_ints, _lincomb,
-                     _modulus, _mul_vec, _products_differ, block_diag, image,
-                     kernel, linear_section, quotient, solve)
+                     _mul_vec, block_diag, image, kernel, linear_section,
+                     quotient, solve)
 from .algebra import (ModuleMorphism, Representation, bracket_defect,
-                      direct_sum_reps, trivial_rep, validate_lie,
+                      direct_sum_reps, equivariance_defect, hom_rows,
+                      pulled_back, sides, trivial_rep, validate_lie,
                       validate_module, validate_morphism)
 from .cohomology import LEIBNIZ, ShortExactSequence, _Record, validate_ses
 from .crossed import (CrossedModule, CrossedMorphism, Presentation,
@@ -120,26 +121,20 @@ def validate_extension(E: CrossedExtension) -> CrossedExtension:
         raise CheckFailure("EXACTNESS_FAIL", "L", "ker(pi) != im(d_1)")
     if bracket_defect(E.pi, E.base.algebra, g) is not None:
         raise CheckFailure("EXACTNESS_FAIL", "L", "pi is not an algebra map")
-    # equivariance of the chain maps
-    try:
-        validate_morphism(ModuleMorphism(E.M, E.mids[0], E.f.matrix))
-    except CheckFailure as exc:
-        raise CheckFailure("NOT_G_MODULE_MAP", E.n, str(exc)) from exc
-    for idx in range(len(E.partials) - 1):
+    # equivariance of the chain maps, the one leaving M_k at witness k
+    chain = (E.M, *E.mids)
+    for k, (f, src, tgt) in enumerate(zip((E.f, *E.partials[:-1]), chain,
+                                          chain[1:])):
         try:
-            validate_morphism(ModuleMorphism(E.mids[idx], E.mids[idx + 1],
-                                             E.partials[idx].matrix))
+            validate_morphism(ModuleMorphism(src, tgt, f.matrix))
         except CheckFailure as exc:
-            raise CheckFailure("NOT_G_MODULE_MAP", E.n - 1 - idx, str(exc)) from exc
+            raise CheckFailure("NOT_G_MODULE_MAP", E.n - k, str(exc)) from exc
     # d_2 : M_2 -> M_1 is g-equivariant through any section of pi
-    d2 = E.partials[-1].matrix._ints
-    srows, ds = linear_section(E.pi).matrix._ints
-    V, M2 = E.base.rep, E.mids[-1]
-    for u, su in enumerate(_columns(srows, g.dim)):
-        act = _lincomb(g.field, (su, ds), V.action, V.dim, V.dim)
-        if _products_differ(d2, M2.action[u]._ints, act._ints, d2,
-                            _modulus(g.field)):
-            raise CheckFailure("NOT_G_MODULE_MAP", 2, f"basis vector {u}")
+    hit = equivariance_defect(E.partials[-1].matrix, sides(E.mids[-1]),
+                              pulled_back(E.base.rep,
+                                          linear_section(E.pi).matrix))
+    if hit:
+        raise CheckFailure("NOT_G_MODULE_MAP", 2, f"basis vector {hit[0]}")
     # exactness node by node
     if kernel(E.f).dim != 0:
         raise CheckFailure("EXACTNESS_FAIL", "M", "head map is not injective")
@@ -268,10 +263,10 @@ def _fiber_algebra(baseA: CrossedModule, piA: LinearMap,
 def _fiber_actions(VA, VB, halves):
     """The action on V (+) V' of each fiber basis vector with halves
     (x, y): the block diagonal of the actions of x on V and y on V'."""
-    field = VA.algebra.field
-    return [block_diag(_lincomb(field, x, VA.action, VA.dim, VA.dim),
-                       _lincomb(field, y, VB.action, VB.dim, VB.dim))
-            for x, y in halves]
+    def act(V, x):
+        return _from_ints(V.algebra.field, *_lincomb(x, V.action, V.dim),
+                          V.dim)
+    return [block_diag(act(VA, x), act(VB, y)) for x, y in halves]
 
 
 def _fiber_boundary(F, dA: Matrix, dB: Matrix, details):
@@ -370,27 +365,16 @@ def split_detect(E: CrossedExtension):
     def var(a, b):
         return a * top.dim + b
 
-    # unknowns h[a][b]; each equation an integer row, scaled to integers
+    # unknowns h[a][b]: (h f)[a][c] = delta_ac times d_f, and h in Hom_g
     rows, rhs = [], {}
     F, df = E.f.matrix._ints
     Fc = _columns(F, M.dim)
     for a in range(M.dim):
         for c in range(M.dim):
-            # (h f)[a][c] = delta_ac, times d_f
             if a == c:
                 rhs[len(rows)] = df
             rows.append({var(a, b): x for b, x in Fc[c].items()})
-    for u in range(g.dim):
-        T, dt = top.action[u]._ints
-        A, dm = M.action[u]._ints
-        Tc = _columns(T, top.dim)
-        for a in range(M.dim):
-            for c in range(top.dim):
-                # (h T_u)[a][c] - (A_u h)[a][c] = 0, times d_T d_A
-                row = {var(a, b): x * dm for b, x in Tc[c].items()}
-                for bb, x in A[a].items():
-                    row[var(bb, c)] = row.get(var(bb, c), 0) - x * dt
-                rows.append(row)
+    rows += hom_rows(top, M)
     sol = solve(LinearMap(_from_ints(field, rows, 1, nun)), (rhs, 1))
     if sol is None:
         return None

@@ -242,17 +242,12 @@ def _sum(terms):
     return acc
 
 
-def _differ(xs, fx, ys, fy, p):
-    """Whether fx * xs != fy * ys for two lists of integer rows, mod p over
-    F_p."""
-    return any(_reduced(_sum([(fx, x), (-fy, y)]), p) for x, y in zip(xs, ys))
-
-
 def _products_differ(a, b, c, e, p):
     """Whether a b != c e for the integer views (rows, d) of four matrices:
-    A B d_c d_e against C E d_a d_b, mod p over F_p."""
+    A B d_c d_e against C E d_a d_b, row by row, mod p over F_p."""
     (A, da), (B, db), (C, dc), (E, de) = a, b, c, e
-    return _differ(_mul_rows(A, B), dc * de, _mul_rows(C, E), da * db, p)
+    return any(_reduced(_sum([(dc * de, x), (-da * db, y)]), p)
+               for x, y in zip(_mul_rows(A, B), _mul_rows(C, E)))
 
 
 def _int_vec(field, vec):
@@ -299,18 +294,18 @@ def _from_ints(field, rows, d, cols):
 def lincomb(field, coefs, mats, rows, cols) -> Matrix:
     """sum_i coefs[i] * mats[i] for field coefficients, a rows x cols
     matrix (zero when every coefficient is zero)."""
-    return _lincomb(field, _int_vec(field, coefs), mats, rows, cols)
+    return _from_ints(field, *_lincomb(_int_vec(field, coefs), mats, rows),
+                      cols)
 
 
-def _lincomb(field, coefs, mats, rows, cols) -> Matrix:
-    """sum_k x_k / d * mats[k] for the integer view (x, d) of the
-    coefficients, accumulated on the integer views of the mats."""
+def _lincomb(coefs, mats, rows):
+    """The integer view (rows, d) of sum_k x_k / d * mats[k], for the view
+    (x, d) of the coefficients (neither reduced mod p nor freed of zeros)."""
     x, dx = coefs
     terms = [(c, mats[k]._ints) for k, c in x.items() if c]
     D = math.lcm(*(dm for _, (_, dm) in terms))
-    return _from_ints(field, _lincomb_rows(
-        [(c * (D // dm), mrows) for c, (mrows, dm) in terms], rows),
-        D * dx, cols)
+    return _lincomb_rows([(c * (D // dm), mrows) for c, (mrows, dm) in terms],
+                         rows), D * dx
 
 
 def _lincomb_rows(terms, n):

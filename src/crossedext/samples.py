@@ -9,8 +9,8 @@ import itertools
 import random
 
 from .algebra import (LeibnizRepresentation, ModuleMorphism, Representation,
-                      adjoint, direct_sum_reps, leibniz_from_lie, trivial_rep,
-                      validate_leibniz, validate_leibniz_module,
+                      adjoint, direct_sum_reps, hom_rows, leibniz_from_lie,
+                      trivial_rep, validate_leibniz, validate_leibniz_module,
                       validate_lie, validate_module, validate_morphism)
 from .cohomology import (Cochain, ShortExactSequence, coboundary_matrix,
                          validate_ses)
@@ -19,7 +19,7 @@ from .crossed import (CrossedModule, Presentation, induced_pair,
                       zero_crossed_module)
 from .extensions import opext_connecting
 from .field import QQ
-from .linalg import LinearMap, Matrix, kernel, solve_matrix
+from .linalg import LinearMap, Matrix, Subspace, kernel, solve_matrix
 
 
 # ---------------------------------------------------------------- catalog
@@ -188,36 +188,25 @@ def random_leibniz_module(h, rng: random.Random, max_dim=3):
     return validate_leibniz_module(LeibnizRepresentation(h, d, left, right))
 
 
+def _random_vector(space: Subspace, rng: random.Random):
+    """A random combination of the basis of space, one coefficient per
+    basis vector in order, as a field vector."""
+    field = space.field
+    return space.basis.transpose().apply(
+        [random_scalar(field, rng) for _ in range(space.dim)])
+
+
 def random_module_morphism(A: Representation, B: Representation,
                            rng: random.Random) -> ModuleMorphism:
     """A random equivariant map A -> B: sample the solution space of the
-    intertwining equations H rho_A(u) = rho_B(u) H."""
+    intertwining equations H rho_A(u) = rho_B(u) H (`hom_rows`)."""
     field = A.algebra.field
     nvars = B.dim * A.dim
-
-    def var(r, c):
-        return r * A.dim + c
-
-    rows = []
-    for u in range(A.algebra.dim):
-        for r in range(B.dim):
-            for c in range(A.dim):
-                row = [field.zero] * nvars
-                for k in range(A.dim):
-                    row[var(r, k)] = row[var(r, k)] + A.action[u].data[k][c]
-                for k in range(B.dim):
-                    row[var(k, c)] = row[var(k, c)] - B.action[u].data[r][k]
-                rows.append(row)
-    space = kernel(LinearMap(Matrix(field, rows, cols=nvars))) if rows else None
-    vec = [field.zero] * nvars
-    if space is None:
-        vec = [random_scalar(field, rng) for _ in range(nvars)]
-    else:
-        for basis_row in space.basis.data:
-            c = random_scalar(field, rng)
-            vec = [a + c * b for a, b in zip(vec, basis_row)]
-    mat = Matrix(field, [[vec[var(r, c)] for c in range(A.dim)]
-                         for r in range(B.dim)], cols=A.dim)
+    eqs = Matrix(field, [[r.get(j, 0) for j in range(nvars)]
+                         for r in hom_rows(A, B)], cols=nvars)
+    vec = _random_vector(kernel(LinearMap(eqs)), rng)
+    mat = Matrix(field, [vec[r * A.dim:(r + 1) * A.dim] for r in range(B.dim)],
+                 cols=A.dim)
     return validate_morphism(ModuleMorphism(A, B, mat))
 
 
@@ -263,14 +252,7 @@ def split_ses(g, M: Representation, Mpp: Representation) -> ShortExactSequence:
 
 def random_2cocycle(M: Representation, rng: random.Random) -> Cochain:
     """Uniform draw from ker(delta_2) of M's algebra."""
-    d2 = coboundary_matrix(M, 2)
-    Z = kernel(d2)
-    field = M.algebra.field
-    vec = [field.zero] * d2.domain_dim
-    for row in Z.basis.data:
-        c = random_scalar(field, rng)
-        vec = [a + c * b for a, b in zip(vec, row)]
-    return Cochain(2, M, tuple(vec))
+    return Cochain(2, M, _random_vector(kernel(coboundary_matrix(M, 2)), rng))
 
 
 def yoneda_fixtures(field, rng: random.Random, count=10):

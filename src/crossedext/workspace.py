@@ -15,8 +15,8 @@ from .errors import CheckFailure
 from .field import QQ, FieldError, FpElement, field_from_spec
 from .linalg import LinearMap, Matrix
 from .algebra import (LeibnizRepresentation, ModuleMorphism, Representation,
-                      validate_leibniz, validate_leibniz_module, validate_lie,
-                      validate_module, validate_morphism)
+                      sides, validate_leibniz, validate_leibniz_module,
+                      validate_lie, validate_module, validate_morphism)
 from .cohomology import (Cochain, ShortExactSequence, cochain_tuples,
                          validate_ses)
 from . import crossed, extensions
@@ -240,18 +240,16 @@ def parse_workspace(text: str, field: str | None = None) -> Workspace:
             alg = _resolve(ws.algebras, _key(spec, "algebra", str, name),
                            "algebra")
             dim = _key(spec, "dim", int, name)
-            if "left" in spec:
-                left = [scalar.matrix(m, dim) for m in
-                        _action_in(spec, "left", alg.dim, name)]
-                right = [scalar.matrix(m, dim) for m in
-                         _action_in(spec, "right", alg.dim, name)]
-                ws.modules[name] = validate_leibniz_module(
-                    LeibnizRepresentation(alg, dim, left, right))
-            else:
-                action = [scalar.matrix(m, dim) for m in
-                          _action_in(spec, "action", alg.dim, name)]
-                ws.modules[name] = validate_module(
-                    Representation(alg, dim, action))
+            leib = "left" in spec
+            # one family per side of `sides`, under the side's name ("action"
+            # for rho), as serialize_workspace writes them
+            families = [[scalar.matrix(m, dim) for m in
+                         _action_in(spec, side or "action", alg.dim, name)]
+                        for side in (("left", "right") if leib else ("",))]
+            rep = (LeibnizRepresentation if leib else Representation)(
+                alg, dim, *families)
+            ws.modules[name] = (validate_leibniz_module if leib
+                                else validate_module)(rep)
 
     for name, spec in _section(doc, "morphisms"):
         with _wrap(name):
@@ -353,14 +351,9 @@ def serialize_workspace(ws: Workspace) -> str:
     for name, mod in ws.modules.items():
         alg_name = _name_of(ws.algebras, mod.algebra)
         rec = {"algebra": alg_name, "dim": mod.dim}
-        if isinstance(mod, LeibnizRepresentation):
-            rec["left"] = {str(i): _matrix_out(field, m)
-                           for i, m in enumerate(mod.left)}
-            rec["right"] = {str(i): _matrix_out(field, m)
-                            for i, m in enumerate(mod.right)}
-        else:
-            rec["action"] = {str(i): _matrix_out(field, m)
-                             for i, m in enumerate(mod.action)}
+        for side, mats in sides(mod):
+            rec[side or "action"] = {str(i): _matrix_out(field, m)
+                                     for i, m in enumerate(mats)}
         doc["modules"][name] = rec
     doc["morphisms"] = {
         name: {"source": _name_of(ws.modules, mor.source),

@@ -303,12 +303,12 @@ def dense_crossed_axioms(cm):
     L, V, dm = cm.algebra, cm.rep, cm.partial.matrix
     field, n = dm.field, V.dim
     for i in range(L.dim):
-        for side, mats, _ in sides(V):
+        for side, mats in sides(V):
             if dense_matmul(dm, mats[i]) != \
                     dense_matmul(_adjoint_matrix(L, i, side), dm):
                 raise CheckFailure("EQUIVARIANCE_FAIL", (i,),
                                    side and f"{side} action")
-    families = [mats for _, mats, _ in sides(V)]
+    families = [mats for _, mats in sides(V)]
     lefts = [dense_lincomb(field, dm.col(v), families[0], n, n)
              for v in range(n)]
     rights = [dense_lincomb(field, dm.col(w), families[-1], n, n)
@@ -344,7 +344,8 @@ def dense_theta(pres, s, q):
     cm, g, V = pres.cm, pres.g, pres.cm.rep
     field = g.field
     svecs, g2 = dense_g2_table(pres, s, q)
-    acts = [[of(x) for x in svecs] for _, _, of in sides(V)]
+    acts = [[dense_lincomb(field, x, mats, V.dim, V.dim) for x in svecs]
+            for _, mats in sides(V)]
     lefts = acts[0]
     rights = acts[1] if len(acts) == 2 else [-a for a in acts[0]]
     pull = _kernel_puller(pres)

@@ -13,7 +13,8 @@ from crossedext import samples
 from crossedext.algebra import (LeibnizAlgebra, LeibnizRepresentation,
                                 ModuleMorphism, Representation, adjoint,
                                 leibniz_adjoint, leibniz_from_lie,
-                                leibniz_rep_from_lie, validate_morphism)
+                                leibniz_rep_from_lie, trivial_rep,
+                                validate_morphism)
 from crossedext.cohomology import LEIBNIZ, cochain_from_values
 from crossedext.crossed import (CrossedModule, CrossedMorphism, Presentation,
                                 check_crossed_morphism, choose_sections,
@@ -22,6 +23,7 @@ from crossedext.crossed import (CrossedModule, CrossedMorphism, Presentation,
                                 validate_presentation, yoneda_crossed_module,
                                 zero_crossed_module)
 from crossedext.errors import CheckFailure
+from crossedext.extensions import CrossedExtension, validate_extension
 from crossedext.field import PrimeField, QQ
 from crossedext.linalg import LinearMap, Matrix, block_diag
 from crossedext.workspace import parse_workspace
@@ -175,6 +177,19 @@ def _morphism(V):
     return validate_morphism, ModuleMorphism(V, V, _e(0, 0))
 
 
+def _extension_d2(M2):
+    """0 -> k -> M2 -> k -> g = g -> 0 over the zero crossed module of the
+    trivial module k, with d_2 the first coordinate of M2: the head map
+    e_0 is equivariant, and d_2 is not when an action moves the second
+    coordinate onto the first."""
+    g = M2.algebra
+    base = CrossedModule(g, trivial_rep(g, 1), LinearMap.zero(QQ, 1, g.dim))
+    return validate_extension, CrossedExtension(
+        3, g, trivial_rep(g, 1), LinearMap(Matrix(QQ, [[1], [0]])), (M2,),
+        (LinearMap(Matrix(QQ, [[1, 0]])),), base,
+        LinearMap.identity(QQ, g.dim))
+
+
 def _unstable_kernel(V):
     """d sends e_0 onto the first basis vector of the algebra and kills
     e_1, so M = ker(d) is spanned by e_1, and an action moving e_1 onto
@@ -228,6 +243,9 @@ WITNESSES = [
     ("module morphism, leibniz right first",
      _morphism(_leibniz_module(2, [Z2, E01], [E01, Z2])),
      ("EQUIVARIANCE_FAIL", (0,), "right action")),
+    ("extension d2, lie",
+     _extension_d2(_lie_module(2, [Z2, E01])),
+     ("NOT_G_MODULE_MAP", 2, "basis vector 1")),
     ("induced pair, lie",
      _unstable_kernel(_lie_module(2, [Z2, E01])),
      ("EQUIVARIANCE_FAIL", (0,), KERNEL_DETAIL)),
