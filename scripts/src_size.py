@@ -4,7 +4,9 @@ comments and blanks, and their total.
 
     python3 scripts/src_size.py [DIR]
 
-DIR is the package directory, this checkout's src/crossedext by default.
+DIR is the package directory, this checkout's src/crossedext by default;
+a DIR that holds no *.py module is an error (exit status 2), not a zero
+total.
 Each line is counted once, by the first kind it holds of: code, docstring,
 comment, blank.  A docstring is a string that makes up a statement on its
 own; every line it spans counts as docstring.  A line with code and a
@@ -62,9 +64,12 @@ def main():
     ap.add_argument("dir", nargs="?", default=str(ROOT / "src" / "crossedext"),
                     help="the package directory")
     args = ap.parse_args()
+    paths = sorted(Path(args.dir).glob("*.py"))
+    if not paths:
+        ap.error(f"{args.dir} holds no *.py module")
     total = dict.fromkeys(KINDS, 0)
     print(_row("module", KINDS + ("lines",)))
-    for path in sorted(Path(args.dir).glob("*.py")):
+    for path in paths:
         counts = count(path)
         for k in KINDS:
             total[k] += counts[k]

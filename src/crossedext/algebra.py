@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from .errors import CheckFailure
 from .linalg import (Matrix, LinearMap, _columns, _common_rows, _field_vec,
-                     _from_ints, _int_vec, _lincomb, _modulus, _mul_rows,
-                     _mul_vec, _products_differ, _reduced, _sum, block_diag,
-                     lincomb)
+                     _from_ints, _int_vec, _lincomb, _lincomb_rows, _modulus,
+                     _mul_rows, _mul_vec, _negated, _products_differ,
+                     _reduced, _sum, block_diag, lincomb)
 
 # the cochain flavor of a Lie module and of a Leibniz module
 CE = "ce"
@@ -76,19 +76,33 @@ class LeibnizAlgebra(_AlgebraBase):
     flavor = "leibniz"
 
 
-def _leibniz_identity(g, code, cyclic):
+def _skew_defect(g):
+    """The first basis pair (i, j), j >= i, with [e_j, e_i] != -[e_i, e_j]
+    on the integer structure constants (mod p over F_p), or None when g is
+    skew-symmetric.  A failing (i, j) fails as (j, i) too, so this is the
+    lexicographically first failing pair of all."""
+    (c, _), dim, p = g.int_structure(), g.dim, _modulus(g.field)
+    for i in range(dim):
+        for j in range(i, dim):
+            if c[j * dim + i] != _negated(c[i * dim + j], p):
+                return i, j
+    return None
+
+
+def _leibniz_identity(g, code, skew):
     """g, unless the Leibniz defect [ei,[ej,ek]] - [[ei,ej],ek] + [[ei,ek],ej]
     is nonzero on a basis triple: then a failure with code and the first such
-    (i, j, k) in lexicographic order, among those with j, k >= i when cyclic.
-    The sum runs on the integer structure constants on their denominator d
-    (residues over F_p): each term is a product of two constants, so the
-    sum is d^2 times the true one and vanishes with it."""
+    (i, j, k) in lexicographic order, among those with i <= j <= k when g is
+    known to be skew (the defect is then totally antisymmetric, see
+    `validate_lie`), and among all triples when not.  The sum runs on the
+    integer structure constants on their denominator d (residues over F_p):
+    each term is a product of two constants, so the sum is d^2 times the
+    true one and vanishes with it."""
     dim, p = g.dim, _modulus(g.field)
     c, _ = g.int_structure()
     for i in range(dim):
-        lo = i if cyclic else 0
-        for j in range(lo, dim):
-            for k in range(lo, dim):
+        for j in range(i if skew else 0, dim):
+            for k in range(j if skew else 0, dim):
                 acc = {}
                 for m, coef in c[j * dim + k].items():
                     for t, s in c[i * dim + m].items():
@@ -105,28 +119,26 @@ def _leibniz_identity(g, code, cyclic):
 
 
 def validate_lie(field, dim, structure) -> LieAlgebra:
-    """Check antisymmetry and the Jacobi identity on all basis triples."""
+    """Check antisymmetry (`_skew_defect`), then the Jacobi identity on the
+    C(dim + 2, 3) basis triples i <= j <= k: given antisymmetry the Leibniz
+    defect is the Jacobi sum J(i, j, k) = [ei,[ej,ek]] + [ej,[ek,ei]] +
+    [ek,[ei,ej]], which is totally antisymmetric, so every permutation of a
+    failing triple fails and the sorted one comes first.  A structure that
+    is not skew fails before the triples."""
     g = LieAlgebra(field, dim, structure)
-    p = _modulus(field)
-    c, _ = g.int_structure()
-    for i in range(dim):
-        for j in range(dim):
-            if c[i * dim + j] != {k: p - v if p else -v
-                                  for k, v in c[j * dim + i].items()}:
-                raise CheckFailure("ANTISYM_FAIL", (i, j))
-    # Given antisymmetry the Leibniz defect is minus the Jacobi sum
-    # J(i, j, k) = [[ei,ej],ek] + [[ej,ek],ei] + [[ek,ei],ej], invariant
-    # under rotation.  So the lexicographically first failing triple has its
-    # least index first, and the loop over j, k >= i meets it first.
-    # Repeated indices stay in: over F_2 a nonzero [ei, ei] is antisymmetric.
-    return _leibniz_identity(g, "JACOBI_FAIL", cyclic=True)
+    pair = _skew_defect(g)
+    if pair:
+        raise CheckFailure("ANTISYM_FAIL", pair)
+    # repeated indices stay in: over F_2 a nonzero [ei, ei] is skew, and
+    # J(i, i, k) = [ek, [ei, ei]] need not vanish
+    return _leibniz_identity(g, "JACOBI_FAIL", skew=True)
 
 
 def validate_leibniz(field, dim, structure) -> LeibnizAlgebra:
     """Check the right Leibniz identity [x,[y,z]] = [[x,y],z] - [[x,z],y]
     on all basis triples."""
     return _leibniz_identity(LeibnizAlgebra(field, dim, structure),
-                             "LEIBNIZ_FAIL", cyclic=False)
+                             "LEIBNIZ_FAIL", skew=False)
 
 
 class Representation:
@@ -176,7 +188,11 @@ def _products(xs, ys):
 
 
 def validate_module(rep: Representation) -> Representation:
-    """Check rho([ei,ej]) = rho(ei)rho(ej) - rho(ej)rho(ei) on all pairs.
+    """Check rho([ei,ej]) = rho(ei)rho(ej) - rho(ej)rho(ei) on the pairs
+    i <= j: when g is skew (`_skew_defect`), the defect of (j, i) is minus
+    that of (i, j).  A non-skew algebra, which no validated Lie algebra is,
+    takes all pairs.  Either way the first failing pair in lexicographic
+    order is reported.
 
     The check runs on integers.  With A_k the integer rows of rho(e_k) on
     the common denominator D of all the action matrices, and c, d_c the
@@ -185,28 +201,25 @@ def validate_module(rep: Representation) -> Representation:
 
         D * sum_k c_ij^k A_k = d_c * (A_i A_j - A_j A_i),
 
-    compared entry by entry, mod p over F_p (where D = d_c = 1)."""
-    g, n = rep.algebra, rep.dim
+    compared entry by entry, mod p over F_p (where D = d_c = 1).  Each
+    product A_i A_j, i != j, is formed once; the diagonal needs none."""
+    g, n = rep.algebra, rep.algebra.dim
     p = _modulus(g.field)
     c, dc = g.int_structure()
     A, D = _common_rows(rep.action)
     if not any(any(rows) for rows in A):
         return rep      # every action is zero, and so is either side
-    prod = [[_mul_rows(x, y) for y in A] for x in A]
-    for i in range(g.dim):
-        for j in range(g.dim):
-            terms = [(D * s, A[k]) for k, s in c[i * g.dim + j].items()]
-            for r, (ij, ji) in enumerate(zip(prod[i][j], prod[j][i])):
-                acc = {}
-                for f, rows in terms:
-                    for col, v in rows[r].items():
-                        acc[col] = acc.get(col, 0) + f * v
-                for col, v in ij.items():
-                    acc[col] = acc.get(col, 0) - dc * v
-                for col, v in ji.items():
-                    acc[col] = acc.get(col, 0) + dc * v
-                if any(v % p if p else v for v in acc.values()):
-                    raise CheckFailure("MODULE_AXIOM_FAIL", (i, j))
+    skew = _skew_defect(g) is None
+    prod = {(i, j): _mul_rows(A[i], A[j])
+            for i in range(n) for j in range(n) if i != j}
+    for i in range(n):
+        for j in range(i if skew else 0, n):
+            terms = [(D * s, A[k]) for k, s in c[i * n + j].items()]
+            if i != j:
+                terms += [(-dc, prod[i, j]), (dc, prod[j, i])]
+            if any(v % p if p else v for row in _lincomb_rows(terms, rep.dim)
+                   for v in row.values()):
+                raise CheckFailure("MODULE_AXIOM_FAIL", (i, j))
     return rep
 
 
@@ -353,15 +366,19 @@ def hom_rows(A, B):
 
 def bracket_defect(f: LinearMap, A, B):
     """The first basis pair (i, j) with f([e_i, e_j]_A) != [f e_i, f e_j]_B,
-    or None when the linear map f : A -> B is an algebra map.  On integers
-    (mod p over F_p), f([e_i, e_j]) is on d_f d_A and [f e_i, f e_j] on
-    d_f^2 d_B (d_f, d_A and d_B the denominators of f and the constants)."""
+    or None when the linear map f : A -> B is an algebra map.  When A and B
+    are both skew (`_skew_defect`) the defect of (j, i) is minus that of
+    (i, j), so only the pairs i <= j are visited; otherwise all pairs.  On
+    integers (mod p over F_p), f([e_i, e_j]) is on d_f d_A and
+    [f e_i, f e_j] on d_f^2 d_B (d_f, d_A and d_B the denominators of f and
+    the constants)."""
     F, df = f.matrix._ints
     cols = _columns(F, A.dim)
     (ca, da), db = A.int_structure(), B.int_structure()[1]
     p = _modulus(A.field)
+    skew = _skew_defect(A) is None and _skew_defect(B) is None
     for i in range(A.dim):
-        for j in range(A.dim):
+        for j in range(i if skew else 0, A.dim):
             image = _mul_vec(F, ca[i * A.dim + j])
             if _reduced(_sum([(df * db, image),
                               (-da, B._bracket(cols[i], cols[j]))]), p):

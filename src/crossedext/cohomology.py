@@ -399,6 +399,7 @@ def cohomology(M, n: int):
 # a Leibniz algebra with trivial coefficients needs 145 664 units to degree
 # 6 (3.3 s) and 669 956 to degree 7 (54 s and 325 MB).  A unit is about
 # 22 us, and an empty table row (past dim g of a CE table) about 50 us.
+# The parse holds each algebra to it too (`workspace._algebra_work`).
 TABLE_BUDGET = 200_000
 
 

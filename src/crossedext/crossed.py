@@ -16,8 +16,8 @@ import math
 
 from .errors import CheckFailure
 from .linalg import (Echelon, LinearMap, Matrix, _columns, _field_vec,
-                     _from_ints, _modulus, _mul_rows, _mul_vec, _reduced,
-                     _sum, image, kernel, linear_section, quotient)
+                     _from_ints, _modulus, _mul_rows, _mul_vec, _negated,
+                     _reduced, _sum, image, kernel, linear_section, quotient)
 from .algebra import (LeibnizRepresentation, Representation, _bracket_view,
                       bracket_defect, equivariance_defect, pulled_back, sides,
                       validate_lie, validate_leibniz, validate_module,
@@ -66,7 +66,9 @@ def crossed_axioms(cm: CrossedModule) -> CrossedModule:
     of V with the bracket on that side (`equivariance_defect`), and the
     Peiffer identity compares, for each pair (v, w), column w of the left
     action of dv with column v of the right action of dw (minus rho for a
-    Lie module), each on its own denominator (`pulled_back`)."""
+    Lie module), each on its own denominator (`pulled_back`).  For a Lie
+    module the condition rho(dv) w = -rho(dw) v of (v, w) is that of (w, v),
+    so only the pairs w >= v are visited; a Leibniz module takes all."""
     L, V, d = cm.algebra, cm.rep, cm.partial.matrix
     # d[x, v] = [x, dv], and d[v, x] = [dv, x] for a Leibniz module
     brackets = [(side, [_bracket_view(L, i, side) for i in range(L.dim)])
@@ -83,7 +85,8 @@ def crossed_axioms(cm: CrossedModule) -> CrossedModule:
     sign = 1 if len(acts) == 2 else -1
     p = _modulus(L.field)
     for v, (dx, xc) in enumerate(X):
-        for w, (dy, yc) in enumerate(Y):
+        for w in range(v if sign < 0 else 0, V.dim):
+            dy, yc = Y[w]
             if _reduced(_sum([(dy, xc[w]), (-sign * dx, yc[v])]), p):
                 raise CheckFailure("PEIFFER_FAIL", (v, w))
     # the loop is bilinear, so for k in ker(d) it gives [dv, k] = [v, dk] = 0
@@ -198,7 +201,10 @@ def _g2_table(pres, s, q):
     """g2(x, y) = q([s x, s y] - s [x, y]) on all basis pairs, valued in V,
     from the integer columns of s and q and the integer structure constants
     of L and g: (table, d), table[(i, j)] = {index: nonzero int} the
-    coordinates of g2(e_i, e_j) times d (residues mod p over F_p; d = 1)."""
+    coordinates of g2(e_i, e_j) times d (residues mod p over F_p; d = 1).
+    For a Lie crossed module, whose L and g are skew, g2 is skew too: the
+    pairs i <= j are computed and g2(e_j, e_i) = -g2(e_i, e_j) filled in.
+    A Leibniz one computes all pairs."""
     L, g = pres.cm.algebra, pres.g
     p = _modulus(g.field)
     c, dc = L.int_structure()
@@ -206,15 +212,18 @@ def _g2_table(pres, s, q):
     srows, ds = s.matrix._ints
     qrows, dq = q.matrix._ints
     S, Q = _columns(srows, g.dim), _columns(qrows, L.dim)
+    skew = pres.cm.flavor != LEIBNIZ
     table = {}
     for i in range(g.dim):
-        for j in range(g.dim):
+        for j in range(i if skew else 0, g.dim):
             # [s x, s y] on ds^2 dc and s [x, y] on ds dg, both on ds^2 dc dg
             br = _sum([(dg * x * y, c[a * L.dim + b]) for a, x in S[i].items()
                        for b, y in S[j].items()] +
                       [(-ds * dc * z, S[u])
                        for u, z in gc[i * g.dim + j].items()])
             table[i, j] = _reduced(_sum((x, Q[k]) for k, x in br.items()), p)
+            if skew and j != i:
+                table[j, i] = _negated(table[i, j], p)
     return table, dq * ds * ds * dc * dg
 
 

@@ -112,8 +112,7 @@ class Matrix:
         rows, d = self._ints
         p = _modulus(self.field)
         return Matrix._from_int_rows(
-            self.field, [{j: p - v if p else -v for j, v in r.items()}
-                         for r in rows], d, self.cols)
+            self.field, [_negated(r, p) for r in rows], d, self.cols)
 
     def scale(self, c):
         c, dc = _int_vec(self.field, (self.field.of(c),))
@@ -204,6 +203,11 @@ def _reduced(row, p):
         if v:
             out[j] = v
     return out
+
+
+def _negated(row, p):
+    """-row of a canonical integer row: p - v for the residues over F_p."""
+    return {j: p - v if p else -v for j, v in row.items()}
 
 
 def _mul_rows(arows, brows):

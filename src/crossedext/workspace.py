@@ -17,8 +17,8 @@ from .linalg import LinearMap, Matrix
 from .algebra import (LeibnizRepresentation, ModuleMorphism, Representation,
                       sides, validate_leibniz, validate_leibniz_module,
                       validate_lie, validate_module, validate_morphism)
-from .cohomology import (Cochain, ShortExactSequence, cochain_tuples,
-                         validate_ses)
+from .cohomology import (TABLE_BUDGET, Cochain, ShortExactSequence,
+                         cochain_tuples, validate_ses)
 from . import crossed, extensions
 
 
@@ -116,6 +116,13 @@ def _resolve(table, name, kind):
     if name not in table:
         raise CheckFailure("UNRESOLVED_REFERENCE", name, f"unknown {kind} {name!r}")
     return table[name]
+
+
+def _algebra_work(dim, leib):
+    """The rows of an algebra's structure matrix plus the basis triples its
+    validator visits: (dim)^3 for a Leibniz algebra, C(dim + 2, 3) (those
+    with i <= j <= k) for a Lie one."""
+    return dim * dim + (dim ** 3 if leib else math.comb(dim + 2, 3))
 
 
 def _structure_in(scalar, dim, records, name):
@@ -228,12 +235,15 @@ def parse_workspace(text: str, field: str | None = None) -> Workspace:
     for name, spec in _section(doc, "algebras"):
         with _wrap(name):
             dim = _key(spec, "dim", int, name)
+            leib = _key(spec, "type", str, name, "lie") == "leibniz"
+            # refused before its dim^2 structure rows are allocated
+            if _algebra_work(dim, leib) > TABLE_BUDGET:
+                raise CheckFailure("BUDGET_EXCEEDED", dim,
+                                   f"over the work budget of {TABLE_BUDGET}")
             structure = _structure_in(
                 scalar, dim, _key(spec, "structure", list, name, []), name)
-            if _key(spec, "type", str, name, "lie") == "leibniz":
-                ws.algebras[name] = validate_leibniz(field, dim, structure)
-            else:
-                ws.algebras[name] = validate_lie(field, dim, structure)
+            ws.algebras[name] = (validate_leibniz if leib else validate_lie)(
+                field, dim, structure)
 
     for name, spec in _section(doc, "modules"):
         with _wrap(name):

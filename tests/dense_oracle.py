@@ -4,7 +4,8 @@ sparse `rref`; the augmented-matrix solve, the reduce loop and the
 reduce-built quotient for `Echelon`, `Subspace.reduce` and `quotient`; and
 Fraction/FpElement multiply-accumulate loops for the integer kernels under
 `@`, `apply`, `lincomb`, `bracket` and the validators, the crossed-module
-axioms among them; the field-vector theta of both flavors that the
+axioms and `bracket_defect` among them, each on every basis pair or triple;
+the field-vector theta of both flavors that the
 integer theta must reproduce, and the Chevalley-Eilenberg theta formula
 that it must also reproduce on Lie crossed modules; and the dense-grid CE
 and Leibniz coboundary builders that the integer-row emitter of
@@ -426,6 +427,18 @@ def dense_bracket(algebra, u, v):
                 if s:
                     out[k] = out[k] + coef * s
     return tuple(out)
+
+
+def dense_bracket_defect(f: LinearMap, A, B):
+    """The first basis pair (i, j) of all with f([e_i, e_j]_A) !=
+    [f e_i, f e_j]_B, or None, by `dense_apply` and `dense_bracket`."""
+    cols = [f.matrix.col(i) for i in range(A.dim)]
+    for i in range(A.dim):
+        for j in range(A.dim):
+            if dense_apply(f.matrix, A.c[i][j]) != \
+                    dense_bracket(B, cols[i], cols[j]):
+                return i, j
+    return None
 
 
 def dense_ce_coboundary_matrix(g, M, n: int) -> LinearMap:

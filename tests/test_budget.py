@@ -2,7 +2,9 @@
 (`cohomology._table_work`) passes `TABLE_BUDGET` is a BUDGET_EXCEEDED
 record with exit status 1, refused before any coboundary is built, and
 every table the fixtures, the benchmark's workloads and the ladder's next
-rungs ask for is admitted.
+rungs ask for is admitted.  The parse holds each algebra to the same
+budget (`workspace._algebra_work`): its dim^2 structure rows plus the
+triples its validator visits.
 
 Without the budget, `--max-degree 1000000000000000000` on a document whose
 command gives no `max_degree` never finishes, even over sl2: the table has
@@ -23,7 +25,7 @@ from crossedext.algebra import adjoint, leibniz_from_lie, trivial_rep
 from crossedext.cli import DEFAULT_DEGREE_CAP
 from crossedext.cohomology import TABLE_BUDGET, _table_work
 from crossedext.field import QQ
-from crossedext.workspace import parse_workspace
+from crossedext.workspace import _algebra_work, parse_workspace
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -131,3 +133,41 @@ def test_the_estimate_counts_rows_and_tuple_lengths():
     # an empty row is not free: sl2 is admitted to about degree 50 000
     assert _table_work(sl2_trivial, 49_000) <= TABLE_BUDGET
     assert _table_work(sl2_trivial, 50_000) > TABLE_BUDGET
+
+
+# one algebra with no structure constants: without the budget the parse
+# of a Lie one took 3.6 s at dim 200 and 26 s at dim 400
+BARE = {f"{kind}-{dim}": {"algebras": {"a": {"type": kind, "dim": dim}}}
+        for kind in ("lie", "leibniz") for dim in (800, 100_000)}
+
+
+@pytest.mark.parametrize("case", sorted(BARE))
+def test_a_huge_algebra_is_refused_at_parse_quickly(case, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(BARE[case]))
+    src = str(Path(crossedext.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "crossedext.cli", "check", "--input",
+         str(path), "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=2)
+    assert proc.stderr == ""
+    assert proc.returncode == 1
+    rec, = json.loads(proc.stdout)["results"]
+    assert (rec["op"], rec["status"]) == ("parse", "FAIL")
+    assert "a: BUDGET_EXCEEDED" in rec["detail"]
+
+
+def test_the_algebra_budget_counts_rows_and_visited_triples():
+    # a Lie validator visits the triples i <= j <= k, a Leibniz one all
+    assert _algebra_work(3, leib=False) == 9 + 10
+    assert _algebra_work(3, leib=True) == 9 + 27
+    # the largest algebras admitted: dim 103 (Lie) and 58 (Leibniz)
+    assert _algebra_work(103, False) <= TABLE_BUDGET
+    assert _algebra_work(104, False) > TABLE_BUDGET
+    assert _algebra_work(58, True) <= TABLE_BUDGET < _algebra_work(59, True)
+    for kind, dim in (("lie", 103), ("leibniz", 58)):
+        ws = parse_workspace(json.dumps(
+            {"algebras": {"a": {"type": kind, "dim": dim}}}))
+        assert ws.algebras["a"].dim == dim

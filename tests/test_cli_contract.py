@@ -113,6 +113,12 @@ def _over_zero_algebra(op, degree):
             "commands": [{"op": op, "sequence": "ses", "cochain": "c"}]}
 
 
+def _bare_algebra(dim, **kind):
+    """One algebra of dimension dim without structure constants: past the
+    parse's work budget at dim 800."""
+    return {"algebras": {"a": {"dim": dim, **kind}}}
+
+
 # (document, expected error code of its one record)
 HOSTILE = {
     "cohomology-heis3-sl2": (lambda: _cohomology_over("heis3"),
@@ -138,6 +144,12 @@ HOSTILE = {
                                    "BASE_MISMATCH"),
     "yoneda-zero-algebra-x3": (lambda: _over_zero_algebra("yoneda", 2),
                                "BASE_MISMATCH"),
+    "algebra-lie-800": (lambda: _bare_algebra(800), "VALIDATION_FAIL"),
+    "algebra-lie-100000": (lambda: _bare_algebra(100_000), "VALIDATION_FAIL"),
+    "algebra-leibniz-800": (lambda: _bare_algebra(800, type="leibniz"),
+                            "VALIDATION_FAIL"),
+    "algebra-leibniz-100000": (
+        lambda: _bare_algebra(100_000, type="leibniz"), "VALIDATION_FAIL"),
 }
 
 

@@ -1,7 +1,8 @@
 """The example scripts run end to end against the package under test,
 scripts/report_hashes.py prints the benchmark's manifest hash and passes
 a field selector to every report, and
-scripts/src_size.py counts each line of the package once."""
+scripts/src_size.py counts each line of the package once and refuses a
+directory without modules."""
 import contextlib
 import hashlib
 import importlib.util
@@ -108,3 +109,13 @@ def test_src_size_counts_every_line_once():
     assert total[0] == "total"
     assert int(total[-1]) == sum(p.read_text().count("\n") for p in paths)
     assert sum(map(int, total[1:5])) == int(total[-1])
+
+
+def test_src_size_refuses_a_directory_without_modules(tmp_path):
+    """src/ (the package is one level down), an empty directory and a
+    missing one: exit status 2 and a message, not a zero total."""
+    for where in (Path(SRC), tmp_path, tmp_path / "missing"):
+        proc = _run(str(SCRIPTS / "src_size.py"), str(where))
+        assert proc.returncode == 2, where
+        assert proc.stdout == ""
+        assert "holds no *.py module" in proc.stderr
