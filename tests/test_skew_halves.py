@@ -86,15 +86,6 @@ def _mirror_plant(c, rng):
     return _mirror_at(c, i, rng.randrange(i))
 
 
-def _rebased(g, P):
-    """g in the basis of P's columns, not validated again."""
-    Pinv = samples._inverse(P)
-    return LieAlgebra(g.field, g.dim, [[Pinv.apply(g.bracket(P.col(i),
-                                                             P.col(j)))
-                                        for j in range(g.dim)]
-                                       for i in range(g.dim)])
-
-
 def _lie(field, rng, max_dim=3):
     """A Lie algebra: a catalogue one in a random basis, or over F_2 the
     first random skew structure with some [e_i, e_i] nonzero that
@@ -203,13 +194,14 @@ def test_a_module_failure_on_the_f2_diagonal_is_found():
 # ---------------------------------------------------------- bracket_defect
 
 def map_case(field, seed):
-    """(f, A, B): an isomorphism B -> A onto B in another basis, or a
-    random map, with either algebra perhaps planted below the diagonal."""
+    """(f, A, B): A is B in the basis of P's columns and f = P : A -> B
+    (an isomorphism), or f is a random map from another algebra; either
+    algebra is perhaps changed below the diagonal."""
     rng = random.Random(seed)
     B = _lie(field, rng)
     if rng.random() < 0.5:
         P = samples.random_invertible(field, B.dim, rng)
-        A = _rebased(B, P)
+        A = samples.change_basis_lie(B, P)
         f = LinearMap(P)
     else:
         A = _lie(field, rng)
