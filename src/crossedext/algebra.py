@@ -7,10 +7,9 @@ one representation.
 from __future__ import annotations
 
 from .errors import CheckFailure
-from .linalg import (Matrix, LinearMap, _columns, _common_rows, _field_vec,
-                     _from_ints, _int_vec, _lincomb, _lincomb_rows, _modulus,
-                     _mul_rows, _mul_vec, _negated, _products_differ,
-                     _reduced, _sum, block_diag, lincomb)
+from .linalg import (Matrix, LinearMap, _columns, _common_rows, _from_ints,
+                     _lincomb, _lincomb_rows, _modulus, _mul_rows, _mul_vec,
+                     _negated, _products_differ, _reduced, _sum, block_diag)
 
 # the cochain flavor of a Lie module and of a Leibniz module
 CE = "ce"
@@ -53,12 +52,6 @@ class _AlgebraBase:
         c, n = self.structure._ints[0], self.dim
         return _sum((a * b, c[i * n + j]) for i, a in u.items()
                     for j, b in v.items())
-
-    def bracket(self, u, v):
-        """[u, v] of coordinate vectors of field elements."""
-        (us, du), (vs, dv) = _int_vec(self.field, u), _int_vec(self.field, v)
-        return _field_vec(self.field, self._bracket(us, vs),
-                          self.structure._ints[1] * du * dv, self.dim)
 
     def __eq__(self, other):
         return (type(self) is type(other)
@@ -157,10 +150,6 @@ class Representation:
         for m in self.action:
             if m.rows != dim or m.cols != dim:
                 raise ValueError("action matrix of wrong shape")
-
-    def action_of(self, xvec) -> Matrix:
-        return lincomb(self.algebra.field, xvec, self.action, self.dim,
-                       self.dim)
 
     def __eq__(self, other):
         return (isinstance(other, Representation) and self.dim == other.dim
@@ -261,13 +250,6 @@ class LeibnizRepresentation:
         for m in self.left + self.right:
             if m.rows != dim or m.cols != dim:
                 raise ValueError("action matrix of wrong shape")
-
-    def left_of(self, xvec) -> Matrix:
-        return lincomb(self.algebra.field, xvec, self.left, self.dim, self.dim)
-
-    def right_of(self, xvec) -> Matrix:
-        return lincomb(self.algebra.field, xvec, self.right, self.dim,
-                       self.dim)
 
     def __eq__(self, other):
         return (isinstance(other, LeibnizRepresentation)

@@ -36,7 +36,7 @@ class Matrix:
     A vector crosses the same boundary as an integer view (ints, d): entry
     i is ints.get(i, 0) / d over Q (d > 0) and ints.get(i, 0) mod p over
     F_p (d = 1).  `Echelon`, `Subspace` and `solve` take and give vectors
-    in this form; `apply`, `lincomb` and `col` take or give field vectors.
+    in this form; `apply` takes and gives field vectors.
     """
 
     __slots__ = ("field", "rows", "cols", "_ints", "_data")
@@ -80,14 +80,6 @@ class Matrix:
     @classmethod
     def identity(cls, field, n):
         return cls._from_int_rows(field, [{i: 1} for i in range(n)], 1, n)
-
-    @classmethod
-    def from_cols(cls, field, cols, rows_count):
-        return cls(field, [[c[i] for c in cols] for i in range(rows_count)],
-                   cols=len(cols))
-
-    def col(self, j):
-        return tuple(row[j] for row in self.data)
 
     def transpose(self):
         rows, d = self._ints
@@ -293,13 +285,6 @@ def _from_ints(field, rows, d, cols):
         d //= g
         view = [{j: v // g for j, v in r.items()} for r in view]
     return Matrix._from_int_rows(field, view, d, cols)
-
-
-def lincomb(field, coefs, mats, rows, cols) -> Matrix:
-    """sum_i coefs[i] * mats[i] for field coefficients, a rows x cols
-    matrix (zero when every coefficient is zero)."""
-    return _from_ints(field, *_lincomb(_int_vec(field, coefs), mats, rows),
-                      cols)
 
 
 def _lincomb(coefs, mats, rows):
@@ -574,10 +559,6 @@ class Subspace:
     def __init__(self, field, ambient_dim, basis: Matrix, pivots):
         self.field, self.ambient_dim = field, ambient_dim
         self.basis, self.pivots = basis, tuple(pivots)
-
-    @classmethod
-    def from_rows(cls, field, ambient_dim, rows):
-        return cls.row_space(Matrix(field, list(rows), cols=ambient_dim))
 
     @classmethod
     def row_space(cls, m: Matrix):

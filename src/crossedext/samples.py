@@ -8,8 +8,9 @@ from __future__ import annotations
 import itertools
 import random
 
-from .algebra import (LeibnizRepresentation, ModuleMorphism, Representation,
-                      adjoint, direct_sum_reps, hom_rows, leibniz_from_lie,
+from .algebra import (LieAlgebra, ModuleMorphism, Representation,
+                      _skew_defect, adjoint, direct_sum_reps, hom_rows,
+                      leibniz_adjoint, leibniz_from_lie, leibniz_rep_from_lie,
                       trivial_rep, validate_leibniz, validate_leibniz_module,
                       validate_lie, validate_module, validate_morphism)
 from .cohomology import (Cochain, ShortExactSequence, coboundary_matrix,
@@ -19,7 +20,8 @@ from .crossed import (CrossedModule, Presentation, induced_pair,
                       zero_crossed_module)
 from .extensions import opext_connecting
 from .field import QQ
-from .linalg import LinearMap, Matrix, Subspace, kernel, solve_matrix
+from .linalg import (LinearMap, Matrix, Subspace, _columns, _from_ints,
+                     kernel, solve_matrix)
 
 
 # ---------------------------------------------------------------- catalog
@@ -113,17 +115,15 @@ def _inverse(m: Matrix) -> Matrix:
 
 
 def change_basis_lie(g, P: Matrix):
-    """Structure constants of g in the basis given by the columns of P."""
-    field = g.field
-    Pinv = _inverse(P)
-    structure = []
-    for i in range(g.dim):
-        row = []
-        for j in range(g.dim):
-            w = g.bracket(P.col(i), P.col(j))
-            row.append(Pinv.apply(w))
-        structure.append(row)
-    return validate_lie(field, g.dim, structure)
+    """Structure constants of g in the basis given by the columns of P: the
+    integer brackets of P's columns, as the rows of a structure matrix,
+    times the transpose of P^-1."""
+    rows, d = P._ints
+    cols = _columns(rows, g.dim)
+    brackets = _from_ints(g.field, [g._bracket(u, v) for u in cols
+                                    for v in cols],
+                          g.structure._ints[1] * d * d, g.dim)
+    return validate_lie(g.field, g.dim, brackets @ _inverse(P).transpose())
 
 
 def conjugate_module(M: Representation, Q: Matrix) -> Representation:
@@ -176,16 +176,17 @@ def random_leibniz(field, rng: random.Random, max_dim=3):
 
 
 def random_leibniz_module(h, rng: random.Random, max_dim=3):
-    field = h.field
-    if h.flavor == "leibniz" and rng.random() < 0.5:
+    """A random valid h-module: a trivial one a tenth of the time;
+    otherwise the adjoint module of an h that is not skew, and for a skew
+    (so Lie) h a random module of h as a Lie algebra, read with left rho
+    and right -rho."""
+    if rng.random() < 0.1:
         return trivial_rep(h, rng.randint(1, max_dim))
-    # reinterpret a Lie-style pair: left = rho, right = -rho, with rho built
-    # from commuting matrices (trivial blocks suffice at these sizes)
-    d = rng.randint(1, max_dim)
-    zero = Matrix.zero(field, d, d)
-    left = [zero for _ in range(h.dim)]
-    right = [zero for _ in range(h.dim)]
-    return validate_leibniz_module(LeibnizRepresentation(h, d, left, right))
+    if _skew_defect(h):
+        return validate_leibniz_module(leibniz_adjoint(h))
+    g = LieAlgebra(h.field, h.dim, h.structure)
+    return validate_leibniz_module(
+        leibniz_rep_from_lie(random_module(g, rng, max_dim), h))
 
 
 def _random_vector(space: Subspace, rng: random.Random):

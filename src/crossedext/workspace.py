@@ -14,9 +14,10 @@ import math
 from .errors import CheckFailure
 from .field import QQ, FieldError, FpElement, field_from_spec
 from .linalg import LinearMap, Matrix
-from .algebra import (LeibnizRepresentation, ModuleMorphism, Representation,
-                      sides, validate_leibniz, validate_leibniz_module,
-                      validate_lie, validate_module, validate_morphism)
+from .algebra import (CE, LeibnizRepresentation, ModuleMorphism,
+                      Representation, sides, validate_leibniz,
+                      validate_leibniz_module, validate_lie, validate_module,
+                      validate_morphism)
 from .cohomology import (TABLE_BUDGET, Cochain, ShortExactSequence,
                          cochain_tuples, validate_ses)
 from . import crossed, extensions
@@ -123,6 +124,22 @@ def _algebra_work(dim, leib):
     validator visits: (dim)^3 for a Leibniz algebra, C(dim + 2, 3) (those
     with i <= j <= k) for a Lie one."""
     return dim * dim + (dim ** 3 if leib else math.comb(dim + 2, 3))
+
+
+def _cochain_work(mod, n):
+    """n plus |C^n| tuples of dim M entries each (one unit at least, as the
+    tuples are listed even when M is 0), |C^n| = C(dim g, n) for a CE
+    cochain and (dim g)^n for a Leibniz one.  The power stops once the sum
+    passes TABLE_BUDGET, so it is never formed for a huge n."""
+    g, unit = mod.algebra.dim, max(mod.dim, 1)
+    if mod.flavor == CE:
+        return n + math.comb(g, n) * unit
+    tuples = 1
+    for _ in range(n):
+        tuples *= g
+        if n + tuples * unit > TABLE_BUDGET:
+            break
+    return n + tuples * unit
 
 
 def _structure_in(scalar, dim, records, name):
@@ -282,6 +299,10 @@ def parse_workspace(text: str, field: str | None = None) -> Workspace:
                 raise CheckFailure("PARSE_ERROR", name,
                                    f"{name}: flavor {flavor!r} is not the "
                                    f"module's flavor {mod.flavor!r}")
+            # refused before its tuples are listed
+            if _cochain_work(mod, degree) > TABLE_BUDGET:
+                raise CheckFailure("BUDGET_EXCEEDED", degree,
+                                   f"over the work budget of {TABLE_BUDGET}")
             tuples = list(cochain_tuples(mod, degree))
             values = {tuple(e["tuple"]):
                       tuple(scalar.entry(s)[0] for s in e["value"])

@@ -3,22 +3,25 @@
 sparse `rref`; the augmented-matrix solve, the reduce loop and the
 reduce-built quotient for `Echelon`, `Subspace.reduce` and `quotient`; and
 Fraction/FpElement multiply-accumulate loops for the integer kernels under
-`@`, `apply`, `lincomb`, `bracket` and the validators, the crossed-module
+`@`, `apply`, `_lincomb`, `_bracket` and the validators, the crossed-module
 axioms and `bracket_defect` among them, each on every basis pair or triple;
-the field-vector theta of both flavors that the
-integer theta must reproduce, and the Chevalley-Eilenberg theta formula
-that it must also reproduce on Lie crossed modules; and the dense-grid CE
-and Leibniz coboundary builders that the integer-row emitter of
-`crossedext.cohomology` must reproduce.
+the change of basis of an algebra; the field-vector theta of both flavors
+that the integer theta must reproduce, and the Chevalley-Eilenberg theta
+formula that it must also reproduce on Lie crossed modules; and the
+dense-grid CE and Leibniz coboundary builders that the integer-row emitter
+of `crossedext.cohomology` must reproduce.
 
-The engine takes and gives vectors as integer views (ints, d); `view` and
+The oracles read matrices through `.data` and compute on field elements
+only, so they share no kernel or solver with the engine they check
+(`tests/test_imports.py` holds their imports to an allow-list).  The
+engine takes and gives vectors as integer views (ints, d); `view` and
 `dense` convert between them and the field vectors of these loops."""
 from crossedext.algebra import sides
 from crossedext.errors import CheckFailure
 from crossedext.linalg import LinearMap, Matrix, _field_vec, _int_vec
 from crossedext.cohomology import (ce_tuples, cochain_from_values,
                                    leib_tuples, sort_with_sign)
-from crossedext.crossed import _check_sections, _kernel_puller
+from crossedext.crossed import _check_sections
 
 
 def view(field, vec):
@@ -29,6 +32,17 @@ def view(field, vec):
 def dense(field, v, n):
     """The field vector of length n of an integer view, or None for None."""
     return None if v is None else _field_vec(field, *v, n)
+
+
+def dense_col(m: Matrix, j):
+    """Column j of m, read from its dense rows."""
+    return tuple(row[j] for row in m.data)
+
+
+def dense_transpose(m: Matrix) -> Matrix:
+    """The transpose of m, from its dense rows."""
+    return Matrix(m.field, [dense_col(m, j) for j in range(m.cols)],
+                  cols=m.rows)
 
 
 def vec_add(u, v):
@@ -252,9 +266,9 @@ def dense_peiffer(cm, leibniz):
         return tuple(field.one if t == i else field.zero for t in range(n))
 
     for v in range(n):
-        dv = dm.col(v)
+        dv = dense_col(dm, v)
         for w in range(n):
-            dw = dm.col(w)
+            dw = dense_col(dm, w)
             if leibniz:
                 lhs = dense_apply(dense_lincomb(field, dv, V.left, n, n), e(w))
                 rhs = dense_apply(dense_lincomb(field, dw, V.right, n, n),
@@ -274,7 +288,7 @@ def dense_image_kills_kernel(cm, leibniz):
     both spaces from the dense RREF."""
     V, dm = cm.rep, cm.partial.matrix
     field, n = dm.field, V.dim
-    r, piv = dense_rref(dm.transpose())
+    r, piv = dense_rref(dense_transpose(dm))
     image_rows = r.data[:len(piv)]
     families = (V.left, V.right) if leibniz else (V.action,)
     for lrow in image_rows:
@@ -288,11 +302,10 @@ def dense_image_kills_kernel(cm, leibniz):
 
 def _adjoint_matrix(algebra, i, side) -> Matrix:
     """Column j is [e_i, e_j], or [e_j, e_i] for the right side."""
-    if side == "right":
-        cols = [list(algebra.c[j][i]) for j in range(algebra.dim)]
-    else:
-        cols = [list(algebra.c[i][j]) for j in range(algebra.dim)]
-    return Matrix.from_cols(algebra.field, cols, algebra.dim)
+    c, n = algebra.c, algebra.dim
+    return Matrix(algebra.field, [[(c[j][i] if side == "right" else c[i][j])[k]
+                                   for j in range(n)] for k in range(n)],
+                  cols=n)
 
 
 def dense_crossed_axioms(cm):
@@ -310,29 +323,44 @@ def dense_crossed_axioms(cm):
                 raise CheckFailure("EQUIVARIANCE_FAIL", (i,),
                                    side and f"{side} action")
     families = [mats for _, mats in sides(V)]
-    lefts = [dense_lincomb(field, dm.col(v), families[0], n, n)
+    lefts = [dense_lincomb(field, dense_col(dm, v), families[0], n, n)
              for v in range(n)]
-    rights = [dense_lincomb(field, dm.col(w), families[-1], n, n)
+    rights = [dense_lincomb(field, dense_col(dm, w), families[-1], n, n)
               for w in range(n)]
     sign = field.one if len(families) == 2 else -field.one
     for v in range(n):
         for w in range(n):
-            if lefts[v].col(w) != tuple(sign * x for x in rights[w].col(v)):
+            if dense_col(lefts[v], w) != \
+                    tuple(sign * x for x in dense_col(rights[w], v)):
                 raise CheckFailure("PEIFFER_FAIL", (v, w))
 
 
 def dense_g2_table(pres, s, q):
     """The images s e_u of g's basis, and g2(x, y) = q([s x, s y] - s [x, y])
-    on all basis pairs as field vectors of V, by `bracket` and `apply`."""
+    on all basis pairs as field vectors of V, by `dense_bracket` and
+    `dense_apply`."""
     L, g = pres.cm.algebra, pres.g
-    svecs = [s.matrix.col(u) for u in range(g.dim)]
+    svecs = [dense_col(s.matrix, u) for u in range(g.dim)]
     table = {}
     for i in range(g.dim):
         for j in range(g.dim):
-            br = L.bracket(svecs[i], svecs[j])
-            br = tuple(a - b for a, b in zip(br, s.apply(g.c[i][j])))
-            table[(i, j)] = q.apply(br)
+            br = dense_bracket(L, svecs[i], svecs[j])
+            br = tuple(a - b for a, b in
+                       zip(br, dense_apply(s.matrix, g.c[i][j])))
+            table[(i, j)] = dense_apply(q.matrix, br)
     return svecs, table
+
+
+def _dense_puller(pres):
+    """The coordinates in M of a value in ker(partial), by `dense_solve` on
+    incl; a PEIFFER_FAIL for a value outside it."""
+    def pull(val):
+        m = dense_solve(pres.incl.matrix, val)
+        if m is None:
+            raise CheckFailure("PEIFFER_FAIL", None,
+                               "theta value is outside ker(partial)")
+        return m
+    return pull
 
 
 def dense_theta(pres, s, q):
@@ -345,11 +373,13 @@ def dense_theta(pres, s, q):
     cm, g, V = pres.cm, pres.g, pres.cm.rep
     field = g.field
     svecs, g2 = dense_g2_table(pres, s, q)
-    acts = [[dense_lincomb(field, x, mats, V.dim, V.dim) for x in svecs]
-            for _, mats in sides(V)]
-    lefts = acts[0]
-    rights = acts[1] if len(acts) == 2 else [-a for a in acts[0]]
-    pull = _kernel_puller(pres)
+    fams = [mats for _, mats in sides(V)]
+    lefts = [dense_lincomb(field, x, fams[0], V.dim, V.dim) for x in svecs]
+    # a Lie module acts on the right by -rho
+    rights = [dense_lincomb(field, x if len(fams) == 2 else
+                            tuple(-a for a in x), fams[-1], V.dim, V.dim)
+              for x in svecs]
+    pull = _dense_puller(pres)
 
     # g2(-, e_k) and g2(e_i, -) as lists of values on the basis
     by_second = [[g2[(a, k)] for a in range(g.dim)] for k in range(g.dim)]
@@ -364,15 +394,16 @@ def dense_theta(pres, s, q):
 
     def value(t):
         i, j, k = t
-        val = lefts[i].apply(g2[(j, k)])
-        val = vec_add(val, rights[j].apply(g2[(i, k)]))
-        val = tuple(a - b for a, b in zip(val, rights[k].apply(g2[(i, j)])))
+        val = dense_apply(lefts[i], g2[(j, k)])
+        val = vec_add(val, dense_apply(rights[j], g2[(i, k)]))
+        val = tuple(a - b for a, b in
+                    zip(val, dense_apply(rights[k], g2[(i, j)])))
         val = tuple(a - b for a, b in zip(val, lin(g.c[i][j], by_second[k])))
         val = vec_add(val, lin(g.c[i][k], by_second[j]))
         val = vec_add(val, lin(g.c[j][k], by_first[i]))
-        if any(cm.partial.apply(val)):
+        if any(dense_apply(cm.partial.matrix, val)):
             raise CheckFailure("PEIFFER_FAIL", t, "partial(theta) != 0")
-        return pull(view(field, val))
+        return pull(val)
 
     return cochain_from_values(pres.M, 3, value)
 
@@ -386,8 +417,8 @@ def lie_theta(pres, s, q):
     cm, g, V = pres.cm, pres.g, pres.cm.rep
     field = g.field
     svecs, g2 = dense_g2_table(pres, s, q)
-    acts = [V.action_of(sv) for sv in svecs]
-    pull = _kernel_puller(pres)
+    acts = [dense_lincomb(field, sv, V.action, V.dim, V.dim) for sv in svecs]
+    pull = _dense_puller(pres)
 
     def g2_lin(uvec, k):
         out = vec_zero(field, V.dim)
@@ -398,15 +429,16 @@ def lie_theta(pres, s, q):
 
     def value(t):
         i, j, k = t
-        val = acts[i].apply(g2[(j, k)])
-        val = tuple(a - b for a, b in zip(val, acts[j].apply(g2[(i, k)])))
-        val = vec_add(val, acts[k].apply(g2[(i, j)]))
+        val = dense_apply(acts[i], g2[(j, k)])
+        val = tuple(a - b for a, b in
+                    zip(val, dense_apply(acts[j], g2[(i, k)])))
+        val = vec_add(val, dense_apply(acts[k], g2[(i, j)]))
         val = tuple(a - b for a, b in zip(val, g2_lin(g.c[i][j], k)))
         val = vec_add(val, g2_lin(g.c[i][k], j))
         val = tuple(a - b for a, b in zip(val, g2_lin(g.c[j][k], i)))
-        if any(cm.partial.apply(val)):
+        if any(dense_apply(cm.partial.matrix, val)):
             raise CheckFailure("PEIFFER_FAIL", t, "partial(theta) != 0")
-        return pull(view(field, val))
+        return pull(val)
 
     return cochain_from_values(pres.M, 3, value)
 
@@ -429,10 +461,19 @@ def dense_bracket(algebra, u, v):
     return tuple(out)
 
 
+def dense_change_basis(algebra, P: Matrix):
+    """The structure constants of algebra in the basis of P's columns, as a
+    table: [P e_i, P e_j] by `dense_bracket`, written in that basis by
+    `dense_solve` on P."""
+    cols = [dense_col(P, i) for i in range(algebra.dim)]
+    return [[dense_solve(P, dense_bracket(algebra, u, v)) for v in cols]
+            for u in cols]
+
+
 def dense_bracket_defect(f: LinearMap, A, B):
     """The first basis pair (i, j) of all with f([e_i, e_j]_A) !=
     [f e_i, f e_j]_B, or None, by `dense_apply` and `dense_bracket`."""
-    cols = [f.matrix.col(i) for i in range(A.dim)]
+    cols = [dense_col(f.matrix, i) for i in range(A.dim)]
     for i in range(A.dim):
         for j in range(A.dim):
             if dense_apply(f.matrix, A.c[i][j]) != \

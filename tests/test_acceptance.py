@@ -31,6 +31,7 @@ from crossedext.crossed import (CrossedMorphism, check_crossed_morphism,
 from crossedext.extensions import (baer_sum_n2, mediate, push_forward,
                                    pushout, split_detect, zero_extension)
 from crossedext import samples
+from dense_oracle import dense_col
 from test_extensions import validate_whole
 
 Z, O = QQ.zero, QQ.one
@@ -199,7 +200,7 @@ def test_criterion_8_pushout_universality():
         assert med.matrix @ pd.i.matrix == i_prime.matrix
         assert med.matrix @ pd.j.matrix == j_prime.matrix
         for k in range(pd.D.dim):
-            v = pd.sect.matrix.col(k)
+            v = dense_col(pd.sect.matrix, k)
             b, c = v[:B.dim], v[B.dim:]
             lhs = med.apply(pd.proj.apply(tuple(b) + tuple(c)))
             rhs = tuple(x + y

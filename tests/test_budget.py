@@ -4,7 +4,8 @@ record with exit status 1, refused before any coboundary is built, and
 every table the fixtures, the benchmark's workloads and the ladder's next
 rungs ask for is admitted.  The parse holds each algebra to the same
 budget (`workspace._algebra_work`): its dim^2 structure rows plus the
-triples its validator visits.
+triples its validator visits, and each cochain to its degree plus its
+|C^n| tuples of dim M entries (`workspace._cochain_work`).
 
 Without the budget, `--max-degree 1000000000000000000` on a document whose
 command gives no `max_degree` never finishes, even over sl2: the table has
@@ -25,7 +26,9 @@ from crossedext.algebra import adjoint, leibniz_from_lie, trivial_rep
 from crossedext.cli import DEFAULT_DEGREE_CAP
 from crossedext.cohomology import TABLE_BUDGET, _table_work
 from crossedext.field import QQ
-from crossedext.workspace import _algebra_work, parse_workspace
+from crossedext.workspace import (_algebra_work, _cochain_work,
+                                  parse_workspace)
+from test_cli_contract import _cochain_over
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -64,6 +67,24 @@ def _gl2l_trivial_to(degree):
     return doc
 
 
+def _refused_record(tmp_path, doc, command, *args):
+    """The one record of `crossed-ext COMMAND --input DOC ARGS --format
+    json`, run in a child that must exit 1 within 2 s, stderr empty."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(crossedext.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "crossedext.cli", command, "--input",
+         str(path), *args, "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=2)
+    assert proc.stderr == ""
+    assert proc.returncode == 1
+    rec, = json.loads(proc.stdout)["results"]
+    return rec
+
+
 # (document, --max-degree)
 REFUSED = {
     "sl2-to-1e18": (_sl2_without_max_degree, 10 ** 18),
@@ -75,18 +96,8 @@ REFUSED = {
 @pytest.mark.parametrize("case", sorted(REFUSED))
 def test_an_unbounded_table_is_refused_quickly(case, tmp_path):
     make, degree = REFUSED[case]
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(make()))
-    src = str(Path(crossedext.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "crossedext.cli", "cohomology", "--input",
-         str(path), "--max-degree", str(degree), "--format", "json"],
-        capture_output=True, text=True, env=env, timeout=2)
-    assert proc.stderr == ""
-    assert proc.returncode == 1
-    rec, = json.loads(proc.stdout)["results"]
+    rec = _refused_record(tmp_path, make(), "cohomology", "--max-degree",
+                          str(degree))
     assert (rec["status"], rec["error"]) == ("FAIL", "BUDGET_EXCEEDED")
 
 
@@ -143,18 +154,7 @@ BARE = {f"{kind}-{dim}": {"algebras": {"a": {"type": kind, "dim": dim}}}
 
 @pytest.mark.parametrize("case", sorted(BARE))
 def test_a_huge_algebra_is_refused_at_parse_quickly(case, tmp_path):
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(BARE[case]))
-    src = str(Path(crossedext.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "crossedext.cli", "check", "--input",
-         str(path), "--format", "json"],
-        capture_output=True, text=True, env=env, timeout=2)
-    assert proc.stderr == ""
-    assert proc.returncode == 1
-    rec, = json.loads(proc.stdout)["results"]
+    rec = _refused_record(tmp_path, BARE[case], "check")
     assert (rec["op"], rec["status"]) == ("parse", "FAIL")
     assert "a: BUDGET_EXCEEDED" in rec["detail"]
 
@@ -171,3 +171,33 @@ def test_the_algebra_budget_counts_rows_and_visited_triples():
         ws = parse_workspace(json.dumps(
             {"algebras": {"a": {"type": kind, "dim": dim}}}))
         assert ws.algebras["a"].dim == dim
+
+
+def test_a_huge_cochain_is_refused_at_parse_quickly(tmp_path):
+    # without the budget its 2**24 tuples ended in a MemoryError traceback
+    # under a 3 GB address space, and each degree doubled the work
+    rec = _refused_record(tmp_path, _cochain_over(2, 24, "leibniz"), "check")
+    assert (rec["op"], rec["status"]) == ("parse", "FAIL")
+    assert "c: BUDGET_EXCEEDED" in rec["detail"]
+
+
+def test_the_cochain_budget_counts_degree_and_entries():
+    ws = parse_workspace(json.dumps(_cochain_over(3, 0)))
+    lie3 = ws.modules["m"]
+    leib2 = parse_workspace(json.dumps(
+        _cochain_over(2, 0, "leibniz"))).modules["m"]
+    assert _cochain_work(lie3, 2) == 2 + 3
+    # a CE degree past dim g has no tuples: only the degree counts
+    assert _cochain_work(lie3, 60) == 60
+    assert _cochain_work(leib2, 17) == 17 + 2 ** 17 <= TABLE_BUDGET
+    assert _cochain_work(leib2, 18) > TABLE_BUDGET
+    assert _cochain_work(leib2, 10 ** 18) > TABLE_BUDGET
+    # the largest degree admitted over a one-dimensional Leibniz algebra
+    leib1 = parse_workspace(json.dumps(
+        _cochain_over(1, 0, "leibniz"))).modules["m"]
+    assert _cochain_work(leib1, TABLE_BUDGET - 1) == TABLE_BUDGET
+    assert _cochain_work(leib1, TABLE_BUDGET) > TABLE_BUDGET
+    # the empty CE cochains past dim g still parse
+    for degree in (4, 60):
+        c = parse_workspace(json.dumps(_cochain_over(3, degree))).cochains["c"]
+        assert c.vec == () and c.degree == degree

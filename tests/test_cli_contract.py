@@ -6,6 +6,7 @@ import importlib.util
 import itertools
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -119,6 +120,19 @@ def _bare_algebra(dim, **kind):
     return {"algebras": {"a": {"dim": dim, **kind}}}
 
 
+def _cochain_over(dim, degree, kind="lie"):
+    """An algebra of dimension dim without structure constants, its trivial
+    1-dimensional module and an empty cochain of the degree: past the
+    parse's work budget at degree 10**18 whatever dim is, and at degree 24
+    for a 2-dimensional Leibniz algebra (2**24 tuples)."""
+    zero = {str(i): ZERO1 for i in range(dim)}
+    module = ({"left": zero, "right": zero} if kind == "leibniz"
+              else {"action": zero})
+    return {"algebras": {"a": {"type": kind, "dim": dim}},
+            "modules": {"m": {"algebra": "a", "dim": 1, **module}},
+            "cochains": {"c": _cochain("m", degree)}}
+
+
 # (document, expected error code of its one record)
 HOSTILE = {
     "cohomology-heis3-sl2": (lambda: _cohomology_over("heis3"),
@@ -150,7 +164,22 @@ HOSTILE = {
                             "VALIDATION_FAIL"),
     "algebra-leibniz-100000": (
         lambda: _bare_algebra(100_000, type="leibniz"), "VALIDATION_FAIL"),
+    "cochain-lie2-1e18": (lambda: _cochain_over(2, 10 ** 18),
+                          "VALIDATION_FAIL"),
+    "cochain-leibniz2-1e18": (lambda: _cochain_over(2, 10 ** 18, "leibniz"),
+                              "VALIDATION_FAIL"),
+    "cochain-leibniz0-1e18": (lambda: _cochain_over(0, 10 ** 18, "leibniz"),
+                              "VALIDATION_FAIL"),
+    "cochain-leibniz2-24": (lambda: _cochain_over(2, 24, "leibniz"),
+                            "VALIDATION_FAIL"),
 }
+
+
+def _address_space_cap():
+    """Hold a child to 3 GB of address space, so that a document that
+    escapes the work budget fails with a MemoryError, not by exhausting the
+    host."""
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE))
@@ -165,7 +194,8 @@ def test_hostile_input_is_a_fail_record(case, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "crossedext.cli", "report", "--input",
          str(path), "--format", "json"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=env,
+        preexec_fn=_address_space_cap)
     assert "Traceback" not in proc.stderr
     assert proc.returncode == 1
     records = json.loads(proc.stdout)["results"]

@@ -1,0 +1,157 @@
+"""Every exactness failure of the sequence, presentation, crossed-morphism
+and extension validators keeps its code, witness and detail: each row of
+`EXACTNESS` plants one failure in an otherwise valid object.  A sequence's
+failures also reach a document, so they are checked through `cli.main`
+too, as the parse record of `crossed-ext check`."""
+import json
+
+import pytest
+
+from crossedext import cli, samples
+from crossedext.algebra import ModuleMorphism, trivial_rep
+from crossedext.cohomology import ShortExactSequence, validate_ses
+from crossedext.crossed import (CrossedModule, CrossedMorphism, Presentation,
+                                check_crossed_morphism, validate_presentation,
+                                zero_crossed_module)
+from crossedext.extensions import CrossedExtension, validate_extension
+from crossedext.field import QQ
+from crossedext.linalg import LinearMap, Matrix
+from test_flavor_core import outcome
+
+G1 = samples.abelian(QQ, 1)
+
+
+def _ses(alpha, beta, middle=2, source=None):
+    """0 -> k -> k^middle -> k -> 0 over the one-dimensional abelian
+    algebra, all actions trivial, with the matrices alpha and beta; beta
+    leaves a module of dimension source (middle when not given)."""
+    k, mid = trivial_rep(G1, 1), trivial_rep(G1, middle)
+    src = mid if source is None else trivial_rep(G1, source)
+    return validate_ses, ShortExactSequence(
+        ModuleMorphism(k, mid, Matrix(QQ, alpha, cols=1)),
+        ModuleMorphism(src, k, Matrix(QQ, beta, cols=src.dim)))
+
+
+def _presentation(L, g, pi, vdim=1, incl=((1,),)):
+    """The zero crossed module of the trivial L-module k^vdim, presented
+    over g by the matrix pi and over k by the matrix incl."""
+    cm = CrossedModule(L, trivial_rep(L, vdim),
+                       LinearMap.zero(QQ, vdim, L.dim))
+    return validate_presentation, Presentation(
+        cm, g, LinearMap(Matrix(QQ, pi, cols=L.dim)), trivial_rep(g, 1),
+        LinearMap(Matrix(QQ, incl, cols=1)))
+
+
+def _identity_morphism(alpha, beta):
+    """The scalar maps alpha on V = k and beta on L = g of the zero crossed
+    module of k over the one-dimensional algebra, against its own
+    presentation: a crossed morphism, the identity on g and M only when
+    both scalars are 1."""
+    pres = zero_crossed_module(G1, trivial_rep(G1, 1))
+    phi = CrossedMorphism(LinearMap(Matrix(QQ, [[alpha]])),
+                          LinearMap(Matrix(QQ, [[beta]])))
+    return (lambda *args: check_crossed_morphism(*args,
+                                                 require_identity=True),
+            pres.cm, pres.cm, phi, pres, pres)
+
+
+def _extension_over_a_plane():
+    """0 -> k -> k^2 -> k -> L -> g -> 0 with L the abelian plane, g the
+    line and pi the first coordinate: the kernel of pi is the second axis,
+    but d_1 = 0."""
+    L = samples.abelian(QQ, 2)
+    base = CrossedModule(L, trivial_rep(L, 1), LinearMap.zero(QQ, 1, 2))
+    return validate_extension, CrossedExtension(
+        3, G1, trivial_rep(G1, 1), LinearMap(Matrix(QQ, [[1], [0]])),
+        (trivial_rep(G1, 2),), (LinearMap(Matrix(QQ, [[0, 1]])),), base,
+        LinearMap(Matrix(QQ, [[1, 0]])))
+
+
+# (case, (check, *args), (code, witness, detail))
+EXACTNESS = [
+    ("ses, middle modules differ", _ses([[1], [0]], [[0, 0, 1]], source=3),
+     ("BASE_MISMATCH", None, "middle modules differ")),
+    ("ses, alpha not injective", _ses([[0], [0]], [[0, 1]]),
+     ("EXACTNESS_FAIL", "head", "alpha is not injective")),
+    ("ses, beta not surjective", _ses([[1], [0]], [[0, 0]]),
+     ("EXACTNESS_FAIL", "tail", "beta is not surjective")),
+    ("ses, im(alpha) != ker(beta)", _ses([[1], [0]], [[1, 0]]),
+     ("EXACTNESS_FAIL", "middle", "im(alpha) != ker(beta)")),
+    ("presentation, ker(pi) != im(partial)",
+     _presentation(samples.abelian(QQ, 2), G1, [[1, 0]]),
+     ("EXACTNESS_FAIL", "L", "ker(pi) != im(partial)")),
+    # pi = id from [x, y] = y onto the abelian plane: [e_0, e_1] is lost
+    ("presentation, pi not an algebra map",
+     _presentation(samples.solvable2(QQ), samples.abelian(QQ, 2),
+                   [[1, 0], [0, 1]]),
+     ("SQUARE_FAIL", (0, 1), "pi is not an algebra map")),
+    ("presentation, incl not injective",
+     _presentation(G1, G1, [[1]], incl=[[0]]),
+     ("EXACTNESS_FAIL", "M", "incl is not injective")),
+    ("presentation, im(incl) != ker(partial)",
+     _presentation(G1, G1, [[1]], vdim=2, incl=[[1], [0]]),
+     ("EXACTNESS_FAIL", "V", "im(incl) != ker(partial)")),
+    ("crossed morphism, not the identity on g", _identity_morphism(1, 2),
+     ("NOT_IDENTITY_ON_G", None, "")),
+    ("crossed morphism, not the identity on M", _identity_morphism(2, 1),
+     ("NOT_IDENTITY_ON_M", None, "")),
+    ("extension, ker(pi) != im(d_1)", _extension_over_a_plane(),
+     ("EXACTNESS_FAIL", "L", "ker(pi) != im(d_1)")),
+]
+
+
+@pytest.mark.parametrize("case, call, want", EXACTNESS,
+                         ids=[c for c, _, _ in EXACTNESS])
+def test_exactness_failure_witnesses(case, call, want):
+    check, *args = call
+    assert outcome(check, *args) == want
+
+
+def _sequence_document(alpha, beta, middle=2, source=None):
+    """The document of `_ses`: modules a = k, b = k^middle, c = k^source and
+    the sequence of alpha : a -> b and beta : c -> a."""
+    def module(dim):
+        return {"algebra": "g", "dim": dim,
+                "action": {"0": [["0"] * dim for _ in range(dim)]}}
+    source = middle if source is None else source
+    return {"field": "q", "algebras": {"g": {"type": "lie", "dim": 1}},
+            "modules": {"a": module(1), "b": module(middle),
+                        "c": module(source)},
+            "morphisms": {
+                "alpha": {"source": "a", "target": "b", "matrix": alpha},
+                "beta": {"source": "c", "target": "a", "matrix": beta}},
+            "sequences": {"ses": {"alpha": "alpha", "beta": "beta"}},
+            "commands": [{"op": "check"}]}
+
+
+# (case, matrices of `_sequence_document`, detail of the parse record)
+DOCUMENTS = [
+    ("middle modules differ",
+     ([["1"], ["0"]], [["0", "0", "1"]], 2, 3),
+     "VALIDATION_FAIL('ses'): ses: BASE_MISMATCH: middle modules differ"),
+    ("alpha not injective", ([["0"], ["0"]], [["0", "1"]]),
+     "VALIDATION_FAIL('ses'): ses: EXACTNESS_FAIL('head'): "
+     "alpha is not injective"),
+    ("beta not surjective", ([["1"], ["0"]], [["0", "0"]]),
+     "VALIDATION_FAIL('ses'): ses: EXACTNESS_FAIL('tail'): "
+     "beta is not surjective"),
+    ("im(alpha) != ker(beta)", ([["1"], ["0"]], [["1", "0"]]),
+     "VALIDATION_FAIL('ses'): ses: EXACTNESS_FAIL('middle'): "
+     "im(alpha) != ker(beta)"),
+]
+
+
+@pytest.mark.parametrize("case, args, detail", DOCUMENTS,
+                         ids=[c for c, _, _ in DOCUMENTS])
+def test_sequence_failures_reach_the_cli(case, args, detail, tmp_path,
+                                         capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_sequence_document(*args)))
+    assert cli.main(["check", "--input", str(path), "--format",
+                     "json"]) == 1
+    rec, = json.loads(capsys.readouterr().out)["results"]
+    assert rec == {"op": "parse", "status": "FAIL",
+                   "error": "VALIDATION_FAIL", "detail": detail}
+    # and the human format names the same failure
+    assert cli.main(["check", "--input", str(path)]) == 1
+    assert capsys.readouterr().out.startswith(f"[FAIL] parse  detail={detail}")

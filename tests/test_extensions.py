@@ -16,6 +16,7 @@ from crossedext.extensions import (baer_sum, baer_sum_n2,
                                    split_detect, sum_over_g,
                                    validate_extension, zero_extension)
 from crossedext import samples
+from dense_oracle import dense_col
 
 Z, O = QQ.zero, QQ.one
 
@@ -123,7 +124,7 @@ def test_pushout_universal_property(seed):
     assert med.matrix @ pd.j.matrix == j_prime.matrix
     # pointwise formula theta((b, c) + S) = i'(b) + j'(c)
     for k in range(pd.D.dim):
-        v = pd.sect.matrix.col(k)
+        v = dense_col(pd.sect.matrix, k)
         b, c = v[:B.dim], v[B.dim:]
         lhs = med.apply(pd.proj.apply(tuple(b) + tuple(c)))
         rhs = tuple(x + y

@@ -1,12 +1,15 @@
 """Coboundaries emitted as integer rows, matrices whose dense rows are built
-on first read, and the integer-view bracket, checked against the dense
-builders and the Fraction/FpElement bracket loop of dense_oracle; the
+on first read, the integer-view bracket and the change of basis of a Lie
+algebra, checked against the dense builders, the Fraction/FpElement
+bracket loop and the dense change of basis of dense_oracle; the
 integer elimination's row scales, against the dense solve, RREF and kernel;
 plus the gl_n samples at a size where only the integer rows fit in memory."""
 import importlib
+import random
 import tracemalloc
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossedext import samples
@@ -23,7 +26,8 @@ from crossedext.field import PrimeField, QQ
 from crossedext.linalg import (Echelon, LinearMap, Matrix, Subspace, kernel,
                                rank, rref)
 from dense_oracle import (dense, dense_apply, dense_bracket,
-                          dense_ce_coboundary_matrix, dense_kernel_rows,
+                          dense_ce_coboundary_matrix, dense_change_basis,
+                          dense_kernel_rows,
                           dense_leibniz_coboundary_matrix, dense_matmul,
                           dense_rref, dense_solve, view)
 
@@ -60,11 +64,8 @@ def invertibles(draw, field, n):
 
 
 def _rebased(alg, P, validate):
-    """The algebra's structure constants in the basis of P's columns."""
-    Pinv = samples._inverse(P)
-    return validate(alg.field, alg.dim, [
-        [Pinv.apply(alg.bracket(P.col(i), P.col(j))) for j in range(alg.dim)]
-        for i in range(alg.dim)])
+    """The algebra in the basis of P's columns, by the dense oracle."""
+    return validate(alg.field, alg.dim, dense_change_basis(alg, P))
 
 
 LIE_BASES = ["abelian0", "abelian1", "abelian2", "abelian3", "solvable2",
@@ -257,8 +258,23 @@ def brackets(draw):
 @given(brackets())
 def test_bracket_matches_dense_bracket(case):
     alg, u, v = case
-    assert alg.bracket(u, v) == dense_bracket(alg, u, v)
+    (us, du), (vs, dv) = view(alg.field, u), view(alg.field, v)
+    d = alg.int_structure()[1] * du * dv
+    assert dense(alg.field, (alg._bracket(us, vs), d), alg.dim) == \
+        dense_bracket(alg, u, v)
     assert alg.int_structure() is alg.int_structure()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_change_basis_lie_matches_the_dense_change_of_basis(field):
+    rng = random.Random(7)
+    for name in LIE_BASES:
+        g = _lie(field, name)
+        for _ in range(5):
+            P = samples.random_invertible(field, g.dim, rng)
+            want = _rebased(g, P, validate_lie)
+            assert samples.change_basis_lie(g, P).int_structure() == \
+                want.int_structure(), (name, P)
 
 
 def test_cohomology_reads_delta_as_integer_rows(monkeypatch):
@@ -344,5 +360,5 @@ def test_gl_brackets_and_catalog():
     whose order seeds random_lie."""
     g = samples.gl(QQ, 2)
     e = [tuple(QQ.of(int(i == k)) for i in range(4)) for k in range(4)]
-    assert g.bracket(e[1], e[2]) == (1, 0, 0, -1)
+    assert dense_bracket(g, e[1], e[2]) == (1, 0, 0, -1)
     assert not any(name.startswith("gl") for name in samples.LIE_CATALOG)

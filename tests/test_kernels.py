@@ -1,6 +1,7 @@
-"""The integer multiply-accumulate kernels under `@`, `apply`, `lincomb`
-(and so `action_of`, `left_of`, `right_of`) and the validators, checked
-entry for entry against the Fraction/FpElement loops of dense_oracle."""
+"""The integer multiply-accumulate kernels under `@`, `apply`, `_lincomb`
+(the action of a combination of basis vectors, as `pulled_back` and the
+Leibniz-module validator form it) and the validators, checked entry for
+entry against the Fraction/FpElement loops of dense_oracle."""
 import math
 import random
 from fractions import Fraction
@@ -10,14 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 from crossedext.errors import CheckFailure
 from crossedext.field import FpElement, PrimeField, QQ
-from crossedext.linalg import Matrix, LinearMap, lincomb, solve_matrix
+from crossedext.linalg import LinearMap, Matrix, _from_ints, _int_vec, _lincomb
 from crossedext.algebra import (LeibnizAlgebra, LeibnizRepresentation,
                                 Representation, adjoint, leibniz_from_lie,
                                 validate_leibniz, validate_leibniz_module,
                                 validate_lie, validate_module)
 from crossedext.crossed import CrossedModule, validate_crossed
 from crossedext import samples
-from dense_oracle import (dense_apply, dense_bracket, dense_lincomb,
+from dense_oracle import (dense_apply, dense_change_basis, dense_lincomb,
                           dense_matmul, dense_peiffer,
                           dense_validate_leibniz,
                           dense_validate_leibniz_module, dense_validate_lie,
@@ -119,7 +120,8 @@ def combinations(draw):
 @settings(max_examples=150, deadline=None)
 @given(combinations())
 def test_lincomb_matches_oracle(case):
-    out = lincomb(*case)
+    field, coefs, mats, r, c = case
+    out = _from_ints(field, *_lincomb(_int_vec(field, coefs), mats, r), c)
     assert out == dense_lincomb(*case)
     assert_canonical(out)
 
@@ -196,13 +198,6 @@ LEIBNIZ_ALGEBRAS = [samples.nonlie_leibniz, _nonlie_leibniz3] + [
     lambda f, make=make: leibniz_from_lie(make(f)) for make in ALGEBRAS]
 
 
-def _in_basis(h, P):
-    """The structure constants of h in the basis of P's columns."""
-    Pinv = solve_matrix(LinearMap(P), Matrix.identity(h.field, h.dim))
-    cols = [P.col(i) for i in range(h.dim)]
-    return [[Pinv.apply(dense_bracket(h, x, y)) for y in cols] for x in cols]
-
-
 @st.composite
 def leibniz_structures(draw):
     """Leibniz algebras in a random basis, some with one bracket replaced
@@ -210,7 +205,7 @@ def leibniz_structures(draw):
     field = draw(st.sampled_from(FIELDS))
     h = draw(st.sampled_from(LEIBNIZ_ALGEBRAS))(field)
     rng = random.Random(draw(st.integers(0, 2**16)))
-    c = _in_basis(h, samples.random_invertible(field, h.dim, rng))
+    c = dense_change_basis(h, samples.random_invertible(field, h.dim, rng))
     if draw(st.booleans()):
         i, j = (draw(st.integers(0, h.dim - 1)) for _ in range(2))
         c[i][j] = tuple(draw(st.lists(scalars(field), min_size=h.dim,

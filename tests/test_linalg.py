@@ -100,10 +100,10 @@ def test_linear_section_is_right_inverse():
 
 
 def test_subspace_equality_is_basis_independent():
-    a = Subspace.from_rows(QQ, 3, [(QQ.of(1), QQ.of(1), QQ.of(0)),
-                                   (QQ.of(0), QQ.of(2), QQ.of(0))])
-    b = Subspace.from_rows(QQ, 3, [(QQ.of(3), QQ.of(5), QQ.of(0)),
-                                   (QQ.of(1), QQ.of(0), QQ.of(0))])
+    a = Subspace.row_space(Matrix(QQ, [(QQ.of(1), QQ.of(1), QQ.of(0)),
+                                       (QQ.of(0), QQ.of(2), QQ.of(0))]))
+    b = Subspace.row_space(Matrix(QQ, [(QQ.of(3), QQ.of(5), QQ.of(0)),
+                                       (QQ.of(1), QQ.of(0), QQ.of(0))]))
     assert a == b
 
 
@@ -114,7 +114,8 @@ def test_zero_row_matrix_keeps_column_count():
 
 
 def test_quotient_by_full_space_is_zero_dimensional():
-    full = Subspace.from_rows(QQ, 2, [(QQ.one, QQ.zero), (QQ.zero, QQ.one)])
+    full = Subspace.row_space(Matrix(QQ, [(QQ.one, QQ.zero),
+                                          (QQ.zero, QQ.one)]))
     proj, sect, qdim = quotient(2, full)
     assert qdim == 0
     assert proj.matrix.cols == 2
@@ -129,7 +130,8 @@ def test_declared_width_is_checked():
         with pytest.raises(ValueError, match="ragged"):
             Matrix(field, [[1, 2], [3, 4]], cols=1)
         with pytest.raises(ValueError, match="ragged"):
-            Subspace.from_rows(field, 3, [(field.one, field.zero)])
+            Subspace.row_space(Matrix(field, [(field.one, field.zero)],
+                                      cols=3))
         assert Matrix(field, [[1, 2]], cols=2).cols == 2
         assert (Matrix(field, [], cols=5).rows,
                 Matrix(field, [], cols=5).cols) == (0, 5)
@@ -275,7 +277,7 @@ def test_raw_matrix_equals_coerced_matrix():
         for built, want in (
                 (Matrix.zero(field, 2, 3), Matrix(field, [[0] * 3] * 2)),
                 (Matrix.identity(field, 2), Matrix(field, [[1, 0], [0, 1]])),
-                (Matrix.from_cols(field, [(1, -2), (0, 3)], 2), coerced),
+                (Matrix(field, [(1, -2), (0, 3)]).transpose(), coerced),
                 (halves.hstack(thirds),
                  Matrix(field, [[half, 0, third, 0], [-1, 3 * half, 0, 1]])),
                 (thirds.vstack(halves),
@@ -292,4 +294,5 @@ def test_raw_matrix_equals_coerced_matrix():
             assert built == want and hash(built) == hash(want)
             assert built.data == want.data
     q = Matrix(QQ, [[Fraction(1, 2), 3]])
-    assert Subspace.from_rows(QQ, 2, q.data).basis == Matrix(QQ, [[1, 6]])
+    assert Subspace.row_space(Matrix(QQ, q.data, cols=2)).basis == \
+        Matrix(QQ, [[1, 6]])

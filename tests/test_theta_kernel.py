@@ -24,7 +24,8 @@ from crossedext.crossed import (CrossedModule, choose_sections,
 from crossedext.field import PrimeField, QQ
 from crossedext.linalg import LinearMap, Matrix, block_diag, kernel
 from crossedext.workspace import parse_workspace
-from dense_oracle import dense_peiffer, dense_theta
+from dense_oracle import (dense_change_basis, dense_col, dense_lincomb,
+                          dense_peiffer, dense_theta)
 from test_flavor_core import _rebased_crossed, outcome
 
 FIELDS = [QQ, PrimeField(2), PrimeField(5), PrimeField(2147483647)]
@@ -80,14 +81,17 @@ def _rebased_algebra(cm, P):
     """The same crossed module with L in the basis of P's columns."""
     L, V, field = cm.algebra, cm.rep, cm.algebra.field
     Pinv = samples._inverse(P)
-    cols = [P.col(i) for i in range(L.dim)]
-    structure = [[Pinv.apply(L.bracket(x, y)) for y in cols] for x in cols]
-    L2 = type(L)(field, L.dim, structure)
+    cols = [dense_col(P, i) for i in range(L.dim)]
+    L2 = type(L)(field, L.dim, dense_change_basis(L, P))
+
+    def acting(mats):
+        return [dense_lincomb(field, x, mats, V.dim, V.dim) for x in cols]
+
     if isinstance(V, LeibnizRepresentation):
-        V2 = LeibnizRepresentation(L2, V.dim, [V.left_of(x) for x in cols],
-                                   [V.right_of(x) for x in cols])
+        V2 = LeibnizRepresentation(L2, V.dim, acting(V.left),
+                                   acting(V.right))
     else:
-        V2 = Representation(L2, V.dim, [V.action_of(x) for x in cols])
+        V2 = Representation(L2, V.dim, acting(V.action))
     return CrossedModule(L2, V2, LinearMap(Pinv @ cm.partial.matrix))
 
 
