@@ -1,24 +1,13 @@
 """Exact-arithmetic cohomology and crossed-extension calculator for
 finite-dimensional Lie and Leibniz algebras over Q or F_p.
 
-`crossed` and `extensions` run on first use: they are lazy modules
-(importlib.util.LazyLoader), and their names are re-exported by PEP 562."""
+`crossed`, `extensions` and the layers a cohomology table never calls
+(`_spaces` under `linalg`, `_classes` under `cohomology`, `_maps` under
+`algebra`) are lazy modules (importlib.util.LazyLoader), run on first use;
+PEP 562 re-exports their names here and a layer's in its home too."""
 
 import importlib.util as _util
 import sys as _sys
-
-from .errors import CheckFailure
-from .field import QQ, PrimeField, field_from_spec
-from .linalg import LinearMap, Matrix, Subspace
-from .algebra import (LeibnizAlgebra, LeibnizRepresentation, LieAlgebra,
-                      ModuleMorphism, Representation, adjoint,
-                      leibniz_from_lie, trivial_rep, validate_leibniz,
-                      validate_leibniz_module, validate_lie, validate_module,
-                      validate_morphism)
-from .cohomology import (Cochain, CohomologyClass, ShortExactSequence,
-                         class_of, coboundary, coboundary_matrix,
-                         coboundary_witness, cohomology, cohomology_table,
-                         connecting_hom, validate_ses)
 
 
 def _lazy(name):
@@ -30,21 +19,50 @@ def _lazy(name):
     return module
 
 
+def _forward(home, lazy, names):
+    """The PEP 562 __getattr__ of module home: names, from module lazy."""
+    def __getattr__(name):
+        if name not in names:
+            raise AttributeError(f"module {home!r} has no attribute {name!r}")
+        return getattr(lazy, name)
+    return __getattr__
+
+
+# registered before the eager imports below, which may reach them
+_spaces = _lazy("_spaces")
+_classes = _lazy("_classes")
+_maps = _lazy("_maps")
 crossed = _lazy("crossed")
 extensions = _lazy("extensions")
-_LAZY = dict.fromkeys(
+_LAZY = {"Subspace": _spaces}
+_LAZY.update(dict.fromkeys(
+    ["Cochain", "CohomologyClass", "ShortExactSequence", "class_of",
+     "coboundary", "coboundary_witness", "cohomology", "connecting_hom",
+     "validate_ses"], _classes))
+_LAZY.update(dict.fromkeys(
+    ["ModuleMorphism", "adjoint", "leibniz_from_lie", "trivial_rep",
+     "validate_morphism"], _maps))
+_LAZY.update(dict.fromkeys(
     ["CrossedModule", "CrossedMorphism", "Presentation",
      "check_crossed_morphism", "classify2", "induced_pair", "leibniz_theta",
      "negate_crossed", "theta", "validate_crossed", "validate_presentation",
-     "yoneda_crossed_module", "zero_crossed_module"], crossed)
+     "yoneda_crossed_module", "zero_crossed_module"], crossed))
 _LAZY.update(dict.fromkeys(
     ["CrossedExtension", "ExtensionMorphism", "baer_sum", "baer_sum_n2",
      "check_extension_morphism", "mediate", "negate", "opext_connecting",
      "pushout", "push_forward", "split_detect", "sum_over_g",
      "validate_extension", "zero_extension"], extensions))
 
-# workspace binds the lazy modules, so it comes after them
+from .errors import CheckFailure
+from .field import QQ, PrimeField, field_from_spec
+from .linalg import LinearMap, Matrix
+from .algebra import (LeibnizAlgebra, LeibnizRepresentation, LieAlgebra,
+                      Representation, validate_leibniz,
+                      validate_leibniz_module, validate_lie, validate_module)
+from .cohomology import coboundary_matrix, cohomology_table
 from .workspace import Workspace, parse_workspace, serialize_workspace
+
+del cohomology    # the submodule; the package's `cohomology` is the function
 
 
 def __getattr__(name):

@@ -17,9 +17,9 @@ import os
 import sys
 
 from .errors import CheckFailure
-from .cohomology import (class_of, cohomology_table, complex_of,
-                         connecting_hom)
-from . import crossed, extensions
+from .cohomology import cohomology_table
+# lazy modules (see crossedext): a cohomology-only run never executes them
+from . import _classes, crossed, extensions
 from .workspace import Workspace, parse_workspace
 
 DEFAULT_DEGREE_CAP = 4
@@ -120,7 +120,7 @@ def _cmd_theta(ws, args, degree_cap):
 def _cmd_classify(ws, args, degree_cap):
     entry, rec = _classify_record(ws, args["crossed_module"])
     rec.update({"op": "classify", "status": "PASS",
-                "dim_h3": complex_of(entry.pres.M).dim_h(3)})
+                "dim_h3": _classes.complex_of(entry.pres.M).dim_h(3)})
     return [rec]
 
 
@@ -160,7 +160,7 @@ def _cmd_connecting(ws, args, degree_cap):
     ses = ws.sequences[args["sequence"]]
     c = ws.cochains[args["cochain"]]
     _check_tail(ses, c)
-    cl = connecting_hom(ses, class_of(c))
+    cl = _classes.connecting_hom(ses, _classes.class_of(c))
     return [{"op": "connecting", "sequence": args["sequence"],
              "cochain": args["cochain"], "status": "PASS",
              "degree": cl.degree,
@@ -175,7 +175,7 @@ def _cmd_yoneda(ws, args, degree_cap):
     pres = crossed.yoneda_crossed_module(ses, c)
     # both classes live in H^3(g, M), the complex of pres.M = ses.head
     cl = crossed.classify2(pres)
-    agree = cl == connecting_hom(ses, class_of(c))
+    agree = cl == _classes.connecting_hom(ses, _classes.class_of(c))
     return [{"op": "yoneda", "sequence": args["sequence"],
              "cochain": args["cochain"],
              "status": "PASS" if agree else "FAIL",

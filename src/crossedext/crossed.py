@@ -15,17 +15,17 @@ from __future__ import annotations
 import math
 
 from .errors import CheckFailure
-from .linalg import (Echelon, LinearMap, Matrix, _columns, _field_vec,
-                     _from_ints, _modulus, _mul_rows, _mul_vec, _negated,
-                     _reduced, _sum, image, kernel, linear_section, quotient)
-from .algebra import (LeibnizRepresentation, Representation, _bracket_view,
-                      bracket_defect, equivariance_defect, pulled_back, sides,
+from .linalg import (LinearMap, Matrix, _columns, _field_vec, _from_ints,
+                     _modulus, _mul_rows, _mul_vec, _negated, _reduced, _sum)
+from ._spaces import Echelon, image, kernel, linear_section, quotient
+from .algebra import (LEIBNIZ, LeibnizRepresentation, Representation, sides,
                       validate_lie, validate_leibniz, validate_module,
                       validate_leibniz_module)
-from .cohomology import (LEIBNIZ, Cochain, CohomologyClass,
-                         ShortExactSequence, _Record,
-                         abelian_extension_from_2cocycle, class_of,
-                         cochain_from_values, validate_ses)
+from ._maps import (_bracket_view, bracket_defect, equivariance_defect,
+                    pulled_back)
+from ._classes import (Cochain, CohomologyClass, ShortExactSequence, _Record,
+                       abelian_extension_from_2cocycle, class_of,
+                       cochain_from_values, validate_ses)
 
 
 class CrossedModule(_Record):

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 from .errors import CheckFailure
 from .linalg import (LinearMap, Matrix, _columns, _from_ints, _lincomb,
-                     _mul_vec, block_diag, image, kernel, linear_section,
-                     quotient, solve)
-from .algebra import (ModuleMorphism, Representation, bracket_defect,
-                      direct_sum_reps, equivariance_defect, hom_rows,
-                      pulled_back, sides, trivial_rep, validate_lie,
-                      validate_module, validate_morphism)
-from .cohomology import LEIBNIZ, ShortExactSequence, _Record, validate_ses
+                     _mul_vec, block_diag)
+from ._spaces import image, kernel, linear_section, quotient, solve
+from .algebra import (LEIBNIZ, Representation, sides, validate_lie,
+                      validate_module)
+from ._maps import (ModuleMorphism, bracket_defect, direct_sum_reps,
+                    equivariance_defect, hom_rows, pulled_back, trivial_rep,
+                    validate_morphism)
+from ._classes import ShortExactSequence, _Record, validate_ses
 from .crossed import (CrossedModule, CrossedMorphism, Presentation,
                       check_crossed_morphism, crossed_axioms,
                       validate_presentation)

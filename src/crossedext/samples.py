@@ -143,20 +143,32 @@ def random_lie(field, rng: random.Random, max_dim=5):
     return g
 
 
+def _scaled_rep(g, rng: random.Random) -> Representation:
+    """rho(e_i) = c_i A on field^dim g for a random invertible A: a module
+    of an abelian g, as the c_i A commute."""
+    A = random_invertible(g.field, g.dim, rng)
+    return validate_module(Representation(g, g.dim, [
+        A.scale(random_scalar(g.field, rng)) for _ in range(g.dim)]))
+
+
 def random_module(g, rng: random.Random, max_dim=4) -> Representation:
     """A random valid g-module of dimension <= max_dim: a direct sum of
-    trivial and adjoint summands, conjugated by a random basis change."""
+    trivial and acting summands, conjugated by a random basis change: the
+    adjoint module of a nonabelian g, always first when it fits, and
+    `_scaled_rep` of an abelian g, whose adjoint action is zero."""
     field = g.field
+    nonabelian = not g.structure.is_zero()
     pieces = []
     total = 0
     while total < 1 or (total < max_dim and rng.random() < 0.5):
         kind = rng.random()
-        if kind < 0.5 or g.dim > max_dim - total:
+        if g.dim > max_dim - total or (kind < 0.5 and
+                                       (pieces or not nonabelian)):
             d = rng.randint(1, max_dim - total) if max_dim > total else 1
             pieces.append(trivial_rep(g, d))
             total += d
         else:
-            pieces.append(adjoint(g))
+            pieces.append(adjoint(g) if nonabelian else _scaled_rep(g, rng))
             total += g.dim
     M = pieces[0]
     for p in pieces[1:]:

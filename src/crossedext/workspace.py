@@ -14,13 +14,12 @@ import math
 from .errors import CheckFailure
 from .field import QQ, FieldError, FpElement, field_from_spec
 from .linalg import LinearMap, Matrix
-from .algebra import (CE, LeibnizRepresentation, ModuleMorphism,
-                      Representation, sides, validate_leibniz,
-                      validate_leibniz_module, validate_lie, validate_module,
-                      validate_morphism)
-from .cohomology import (TABLE_BUDGET, Cochain, ShortExactSequence,
-                         cochain_tuples, validate_ses)
-from . import crossed, extensions
+from .algebra import (CE, LeibnizRepresentation, Representation, sides,
+                      validate_leibniz, validate_leibniz_module, validate_lie,
+                      validate_module)
+from .cohomology import TABLE_BUDGET
+# lazy modules: a document with none of their objects never runs them
+from . import _classes, _maps, crossed, extensions
 
 
 class Workspace:
@@ -284,9 +283,9 @@ def parse_workspace(text: str, field: str | None = None) -> Workspace:
                            "module")
             tgt = _resolve(ws.modules, _key(spec, "target", str, name),
                            "module")
-            mor = ModuleMorphism(src, tgt, scalar.matrix(
+            mor = _maps.ModuleMorphism(src, tgt, scalar.matrix(
                 _key(spec, "matrix", list, name), src.dim))
-            ws.morphisms[name] = validate_morphism(mor)
+            ws.morphisms[name] = _maps.validate_morphism(mor)
 
     for name, spec in _section(doc, "cochains"):
         with _wrap(name):
@@ -303,7 +302,7 @@ def parse_workspace(text: str, field: str | None = None) -> Workspace:
             if _cochain_work(mod, degree) > TABLE_BUDGET:
                 raise CheckFailure("BUDGET_EXCEEDED", degree,
                                    f"over the work budget of {TABLE_BUDGET}")
-            tuples = list(cochain_tuples(mod, degree))
+            tuples = _classes.cochain_tuples(mod, degree)
             values = {tuple(e["tuple"]):
                       tuple(scalar.entry(s)[0] for s in e["value"])
                       for e in _key(spec, "entries", list, name, [])}
@@ -315,7 +314,7 @@ def parse_workspace(text: str, field: str | None = None) -> Workspace:
             zero = tuple(field.zero for _ in range(mod.dim))
             for t in tuples:
                 vec.extend(values.get(t, zero))
-            ws.cochains[name] = Cochain(degree, mod, tuple(vec))
+            ws.cochains[name] = _classes.Cochain(degree, mod, tuple(vec))
 
     for name, spec in _section(doc, "crossed_modules"):
         with _wrap(name):
@@ -340,7 +339,8 @@ def parse_workspace(text: str, field: str | None = None) -> Workspace:
                              "morphism")
             beta = _resolve(ws.morphisms, _key(spec, "beta", str, name),
                             "morphism")
-            ws.sequences[name] = validate_ses(ShortExactSequence(alpha, beta))
+            ws.sequences[name] = _classes.validate_ses(
+                _classes.ShortExactSequence(alpha, beta))
 
     for name, spec in _section(doc, "extensions"):
         with _wrap(name):

@@ -112,6 +112,25 @@ def test_delta_squared_zero_leibniz(seed):
         assert not any(x for row in (d_n1.matrix @ d_n.matrix).data for x in row)
 
 
+def test_random_lie_modules_act_and_have_delta_squared_zero():
+    """The Lie generator, as acceptance criterion 1 draws it, gives a
+    nonzero action at least half the time, and delta^2 = 0 holds on every
+    such module."""
+    acting = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        g = samples.random_lie(QQ, rng, max_dim=5)
+        M = samples.random_module(g, rng, max_dim=4)
+        if all(m.is_zero() for m in M.action):
+            continue
+        acting += 1
+        for n in range(0, 3):
+            d_n = coboundary_matrix(M, n)
+            d_n1 = coboundary_matrix(M, n + 1)
+            assert (d_n1.matrix @ d_n.matrix).is_zero(), (seed, n)
+    assert acting >= 100
+
+
 def test_random_leibniz_modules_act_and_have_delta_squared_zero():
     """The Leibniz generator draws a nonzero action at least half the time,
     and delta^2 = 0 holds on every such module."""

@@ -31,7 +31,8 @@ def _count_validators(monkeypatch):
     namespace it is made from."""
     calls = Counter()
     mods = [importlib.import_module(f"crossedext.{m}") for m in
-            ("algebra", "cohomology", "crossed", "extensions", "workspace")]
+            ("algebra", "_maps", "cohomology", "crossed", "extensions",
+             "workspace")]
     for name in COUNTED:
         home = next(m for m in mods if name in vars(m)
                     and vars(m)[name].__module__ == m.__name__)
@@ -279,6 +280,27 @@ def _edited(edit):
 def test_base_document_is_valid():
     ws = parse_workspace(json.dumps(BASE))
     assert set(ws.extensions) == {"ext"} and set(ws.sequences) == {"ses"}
+
+
+def test_parse_lists_each_cochains_tuples_once(monkeypatch):
+    """One listing of the basis tuples per parsed cochain, of either
+    flavor: a Cochain counts its tuples in closed form.  A vector of the
+    wrong length is still a ValueError."""
+    doc = copy.deepcopy(BASE)
+    doc["cochains"]["c_leib"] = {"module": "m_leib", "degree": 3, "entries": [
+        {"tuple": [0, 0, 0], "value": ["2"]}]}
+    classes = importlib.import_module("crossedext._classes")
+    listed = Counter()
+    for name in ("ce_tuples", "leib_tuples"):
+        def counted(*args, _name=name, _original=getattr(classes, name)):
+            listed[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(classes, name, counted)
+    ws = parse_workspace(json.dumps(doc))
+    assert listed == Counter({"ce_tuples": 1, "leib_tuples": 1})
+    for c in ws.cochains.values():
+        with pytest.raises(ValueError, match="length 0, want 1"):
+            type(c)(c.degree, c.module, ())
 
 
 @pytest.mark.parametrize("case, edit", CASES, ids=[c for c, _ in CASES])

@@ -2,7 +2,8 @@
 scripts/report_hashes.py prints the benchmark's manifest hash and passes
 a field selector to every report, and
 scripts/src_size.py counts each line of the package once and refuses a
-directory without modules."""
+directory without modules, and scripts/unreached.py lists what a ladder
+run executes but never calls."""
 import contextlib
 import hashlib
 import importlib.util
@@ -119,3 +120,21 @@ def test_src_size_refuses_a_directory_without_modules(tmp_path):
         assert proc.returncode == 2, where
         assert proc.stdout == ""
         assert "holds no *.py module" in proc.stderr
+
+
+def test_unreached_lists_what_a_ladder_run_never_calls():
+    proc = _run(str(SCRIPTS / "unreached.py"), "ladder-q", "1", "--src", SRC)
+    assert proc.returncode == 0, proc.stderr
+    *rows, total = [line.split() for line in proc.stdout.splitlines()]
+    executed = {r[1]: int(r[2]) for r in rows if r[0] == "executed"}
+    missed = {(r[1], r[2]): int(r[3]) for r in rows if r[0] == "unreached"}
+    assert len(executed) + len(missed) == len(rows)
+    # the lazy layers never run on a ladder, and nor do the crossed handlers
+    assert "crossedext.cohomology" in executed
+    assert not {"crossedext._spaces", "crossedext._classes",
+                "crossedext._maps", "crossedext.crossed"} & set(executed)
+    assert missed[("cli.py", "_cmd_theta")] == 7
+    assert ("cli.py", "_cmd_cohomology") not in missed
+    assert ("cohomology.py", "cohomology_table") not in missed
+    assert total == ["total", str(sum(missed.values())), "of",
+                     str(sum(executed.values())), "lines"]

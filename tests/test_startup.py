@@ -1,14 +1,20 @@
 """What a CLI process loads: a cohomology-only document never imports
-`dataclasses` or `inspect` and never executes `crossed.py` or
-`extensions.py`; a document with crossed modules and extensions executes
-both.  Each run is a fresh interpreter started with -S, so that only the
-imports of crossedext and the CLI are counted, not those of `site`."""
+`dataclasses` or `inspect` and never executes the lazy modules (`crossed`,
+`extensions` and the layers `_spaces`, `_classes` and `_maps`); a document
+with crossed modules and extensions executes all five.  A ladder report
+executes at most LADDER_LINES source lines of the package.  Each run is a
+fresh interpreter started with -S, so that only the imports of crossedext
+and the CLI are counted, not those of `site`.  The layers' names are one
+object from their old home and from their lazy module."""
+import importlib
 import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -21,13 +27,39 @@ DRIVER = """
 import json, sys, types
 import crossedext.cli as cli
 rc = cli.main(sys.argv[2:])
-executed = {name: type(sys.modules[f"crossedext.{name}"]) is types.ModuleType
-            for name in ("crossed", "extensions")}
+ran = {n: m.__file__ for n, m in sys.modules.items()
+       if type(m) is types.ModuleType
+       and (n == "crossedext" or n.startswith("crossedext."))}
 with open(sys.argv[1], "w") as fh:
-    json.dump({"rc": rc, "executed": executed,
+    json.dump({"rc": rc,
+               "executed": {n: f"crossedext.{n}" in ran for n in LAZY},
+               "lines": sum(open(f).read().count("\\n") for f in ran.values()),
                "imported": [m for m in ("dataclasses", "inspect")
                             if m in sys.modules]}, fh)
 """
+LAZY = ("crossed", "extensions", "_spaces", "_classes", "_maps")
+# the summed lines of the modules a seed-1 ladder-q report executes: 2817
+# before the three layers were made lazy, 2027 after
+LADDER_LINES = 2027
+
+# old home -> (lazy module, the names it took from there)
+MOVED = {
+    "linalg": ("_spaces", [
+        "Echelon", "Subspace", "_over_leads", "image", "kernel",
+        "linear_section", "quotient", "solve", "solve_matrix"]),
+    "cohomology": ("_classes", [
+        "Cochain", "CochainComplex", "CohomologyClass", "ShortExactSequence",
+        "_Record", "_blocks", "abelian_extension_from_2cocycle", "class_of",
+        "coboundary", "coboundary_witness", "cochain_from_values",
+        "cochain_tuples", "cohomology", "complex_of", "connecting_hom",
+        "h0_invariants", "map_class", "map_coefficients", "validate_ses"]),
+    "algebra": ("_maps", [
+        "ModuleMorphism", "_adjoint_family", "_bracket_view", "adjoint",
+        "bracket_defect", "direct_sum_reps", "equivariance_defect",
+        "hom_rows", "leibniz_adjoint", "leibniz_from_lie",
+        "leibniz_rep_from_lie", "pulled_back", "trivial_rep",
+        "validate_morphism"]),
+}
 
 
 def _gen():
@@ -39,15 +71,16 @@ def _gen():
     return gen
 
 
-def _check(workload, tmp_path):
+def _run(workload, tmp_path, command="check", field=None):
     text, extra, _ = _gen().generate(workload, 1)
     doc = tmp_path / "doc.json"
     doc.write_text(text)
     out = tmp_path / "loaded.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", DRIVER, str(out), "check", "--input",
-         str(doc), "--format", "json"] + extra,
+        [sys.executable, "-S", "-c", f"LAZY = {LAZY!r}\n" + DRIVER, str(out),
+         command, "--input", str(doc), "--format", "json"] + extra
+        + ([] if field is None else ["--field", field]),
         capture_output=True, text=True, env=env, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
     res = json.loads(out.read_text())
@@ -56,12 +89,48 @@ def _check(workload, tmp_path):
 
 
 def test_a_ladder_check_loads_no_crossed_code_and_no_dataclasses(tmp_path):
-    res = _check("ladder-q", tmp_path)
+    res = _run("ladder-q", tmp_path)
     assert res["imported"] == []
-    assert res["executed"] == {"crossed": False, "extensions": False}
+    assert res["executed"] == dict.fromkeys(LAZY, False)
 
 
 def test_a_crossed_mix_check_executes_crossed_and_extensions(tmp_path):
-    res = _check("crossed-mix", tmp_path)
+    res = _run("crossed-mix", tmp_path)
     assert res["imported"] == []
-    assert res["executed"] == {"crossed": True, "extensions": True}
+    assert res["executed"] == dict.fromkeys(LAZY, True)
+
+
+@pytest.mark.parametrize("command, field", [("check", "p:2147483647"),
+                                            ("report", None),
+                                            ("report", "p:2147483647")])
+def test_a_ladder_run_executes_no_lazy_module(command, field, tmp_path):
+    res = _run("ladder-q", tmp_path, command, field)
+    assert res["imported"] == []
+    assert res["executed"] == dict.fromkeys(LAZY, False)
+
+
+def test_a_ladder_report_executes_at_most_ladder_lines(tmp_path):
+    assert _run("ladder-q", tmp_path, "report")["lines"] <= LADDER_LINES
+
+
+def test_a_crossed_mix_report_executes_every_lazy_module(tmp_path):
+    assert _run("crossed-mix", tmp_path, "report")["executed"] == \
+        dict.fromkeys(LAZY, True)
+
+
+def test_every_moved_name_is_one_object_from_both_homes():
+    # import_module, not `import crossedext.cohomology`: the package's
+    # `cohomology` is the function
+    for home, (lazy, names) in MOVED.items():
+        old = importlib.import_module(f"crossedext.{home}")
+        new = importlib.import_module(f"crossedext.{lazy}")
+        for name in names:
+            obj = vars(new)[name]
+            assert getattr(old, name) is obj, name
+            assert name not in vars(old), name
+            assert obj.__module__ == new.__name__, name
+            ns = {}
+            exec(f"from crossedext.{home} import {name}", ns)
+            assert ns[name] is obj, name
+        with pytest.raises(AttributeError):
+            getattr(old, "no_such_name")
