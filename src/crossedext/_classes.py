@@ -58,10 +58,19 @@ class Cochain(_Record):
     def tuples(self):
         return cochain_tuples(self.module, self.degree)
 
-    def value(self, t):
-        idx = self.tuples().index(tuple(t))
+    def items(self):
+        """(tuple, value) for each basis tuple, in order: vec is the values'
+        blocks of dim M scalars, one per tuple (see `cochain_from_values`)."""
         m = self.module.dim
-        return self.vec[idx * m:(idx + 1) * m]
+        return ((t, self.vec[i * m:(i + 1) * m])
+                for i, t in enumerate(self.tuples()))
+
+    def value(self, t):
+        t = tuple(t)
+        for s, v in self.items():
+            if s == t:
+                return v
+        raise ValueError(f"{t} is not a basis tuple of degree {self.degree}")
 
     def value_signed(self, t):
         """Value on an arbitrary index tuple, extended alternately (CE only)."""
@@ -100,7 +109,8 @@ def cochain_from_values(module, degree, value_of) -> Cochain:
     for t in cochain_tuples(module, degree):
         v = tuple(value_of(t))
         if len(v) != module.dim:
-            raise ValueError("value of wrong length")
+            raise ValueError(f"value on {t} has {len(v)} scalars, "
+                             f"want {module.dim}")
         vec.extend(v)
     return Cochain(degree, module, tuple(vec))
 
@@ -316,8 +326,9 @@ def map_coefficients(phi: ModuleMorphism, z: Cochain) -> Cochain:
     """Push a cochain forward along a module morphism on coefficients."""
     if z.module.dim != phi.source.dim:
         raise ValueError("cochain module mismatch")
+    value = dict(z.items())
     return cochain_from_values(phi.target, z.degree,
-                               lambda t: phi.apply(z.value(t)))
+                               lambda t: phi.apply(value[t]))
 
 
 def map_class(phi: ModuleMorphism, c: CohomologyClass) -> CohomologyClass:

@@ -14,10 +14,10 @@ import math
 from .errors import CheckFailure
 from .field import QQ, FieldError, FpElement, field_from_spec
 from .linalg import LinearMap, Matrix
-from .algebra import (CE, LeibnizRepresentation, Representation, sides,
+from .algebra import (LeibnizRepresentation, Representation, sides,
                       validate_leibniz, validate_leibniz_module, validate_lie,
                       validate_module)
-from .cohomology import TABLE_BUDGET
+from .cohomology import TABLE_BUDGET, _tuple_count
 # lazy modules: a document with none of their objects never runs them
 from . import _classes, _maps, crossed, extensions
 
@@ -128,17 +128,11 @@ def _algebra_work(dim, leib):
 def _cochain_work(mod, n):
     """n plus |C^n| tuples of dim M entries each (one unit at least, as the
     tuples are listed even when M is 0), |C^n| = C(dim g, n) for a CE
-    cochain and (dim g)^n for a Leibniz one.  The power stops once the sum
-    passes TABLE_BUDGET, so it is never formed for a huge n."""
-    g, unit = mod.algebra.dim, max(mod.dim, 1)
-    if mod.flavor == CE:
-        return n + math.comb(g, n) * unit
-    tuples = 1
-    for _ in range(n):
-        tuples *= g
-        if n + tuples * unit > TABLE_BUDGET:
-            break
-    return n + tuples * unit
+    cochain and (dim g)^n for a Leibniz one.  A degree past TABLE_BUDGET
+    is over it alone, so |C^n| is never formed for a huge n."""
+    if n > TABLE_BUDGET:
+        return n
+    return n + _tuple_count(mod, n) * max(mod.dim, 1)
 
 
 def _structure_in(scalar, dim, records, name):
@@ -302,19 +296,19 @@ def parse_workspace(text: str, field: str | None = None) -> Workspace:
             if _cochain_work(mod, degree) > TABLE_BUDGET:
                 raise CheckFailure("BUDGET_EXCEEDED", degree,
                                    f"over the work budget of {TABLE_BUDGET}")
-            tuples = _classes.cochain_tuples(mod, degree)
-            values = {tuple(e["tuple"]):
-                      tuple(scalar.entry(s)[0] for s in e["value"])
+            # a repeated tuple keeps its last value
+            values = {tuple(_key(e, "tuple", list, name)):
+                      tuple(scalar.entry(s)[0]
+                            for s in _key(e, "value", list, name))
                       for e in _key(spec, "entries", list, name, [])}
-            unknown = set(values) - set(tuples)
-            if unknown:
-                raise CheckFailure("PARSE_ERROR",
-                                   detail=f"bad index tuple {sorted(unknown)[0]}")
-            vec = []
-            zero = tuple(field.zero for _ in range(mod.dim))
-            for t in tuples:
-                vec.extend(values.get(t, zero))
-            ws.cochains[name] = _classes.Cochain(degree, mod, tuple(vec))
+            # each basis tuple takes its entry out of values; one left
+            # over is not a basis tuple
+            zero = (field.zero,) * mod.dim
+            ws.cochains[name] = _classes.cochain_from_values(
+                mod, degree, lambda t: values.pop(t, zero))
+            if values:
+                raise CheckFailure("PARSE_ERROR", name, f"{name}: bad index "
+                                   f"tuple {sorted(values)[0]}")
 
     for name, spec in _section(doc, "crossed_modules"):
         with _wrap(name):
@@ -373,7 +367,7 @@ def parse_workspace(text: str, field: str | None = None) -> Workspace:
 
 def serialize_workspace(ws: Workspace) -> str:
     field = ws.field
-    doc = {"field": "q" if field is QQ else f"p:{field.p}"}
+    doc = {"field": "q" if field == QQ else f"p:{field.p}"}
     doc["algebras"] = {
         name: {"type": alg.flavor, "dim": alg.dim,
                "structure": _structure_out(field, alg)}
@@ -391,19 +385,13 @@ def serialize_workspace(ws: Workspace) -> str:
                "target": _name_of(ws.modules, mor.target),
                "matrix": _matrix_out(field, mor.matrix)}
         for name, mor in ws.morphisms.items()}
-    doc["cochains"] = {}
-    for name, c in ws.cochains.items():
-        entries = []
-        tuples = c.tuples()
-        d = c.module.dim
-        for pos, t in enumerate(tuples):
-            chunk = c.vec[pos * d:(pos + 1) * d]
-            if any(chunk):
-                entries.append({"tuple": list(t),
-                                "value": [field.to_str(x) for x in chunk]})
-        doc["cochains"][name] = {"module": _name_of(ws.modules, c.module),
-                                 "degree": c.degree, "flavor": c.flavor,
-                                 "entries": entries}
+    doc["cochains"] = {
+        name: {"module": _name_of(ws.modules, c.module), "degree": c.degree,
+               "flavor": c.flavor,
+               "entries": [{"tuple": list(t),
+                            "value": [field.to_str(x) for x in v]}
+                           for t, v in c.items() if any(v)]}
+        for name, c in ws.cochains.items()}
     doc["crossed_modules"] = {
         name: {"L": _name_of(ws.algebras, cm.algebra),
                "V": _name_of(ws.modules, cm.rep),

@@ -4,29 +4,22 @@ manifest's default seed must hash to the manifest's report_sha256.
 perfbench/gen.py is stdlib-only and never imports crossedext, so the
 documents are generated here exactly as the benchmark generates them."""
 import hashlib
-import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
 from crossedext.cli import main
+from support import perfbench_gen
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MANIFEST = json.loads((PERFBENCH / "manifest.json").read_text())
 
 
-def _gen():
-    spec = importlib.util.spec_from_file_location("perfbench_gen",
-                                                  PERFBENCH / "gen.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("workload", ["crossed-mix", "ladder-q", "ladder-fp"])
 def test_benchmark_report_bytes_match_manifest(workload, tmp_path, capsys):
-    text, extra, _ = _gen().generate(workload, MANIFEST["default_seed"])
+    text, extra, _ = perfbench_gen().generate(workload,
+                                              MANIFEST["default_seed"])
     doc = tmp_path / "doc.json"
     doc.write_text(text)
     main(["report", "--input", str(doc), "--format", "json"] + extra)

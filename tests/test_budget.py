@@ -11,7 +11,6 @@ Without the budget, `--max-degree 1000000000000000000` on a document whose
 command gives no `max_degree` never finishes, even over sl2: the table has
 one row per degree, empty past dim g.  A one-dimensional Leibniz algebra
 to degree 1000 takes 36 s, and gl2L trivial to degree 7 takes 54 s."""
-import importlib.util
 import json
 import os
 import subprocess
@@ -28,18 +27,11 @@ from crossedext.cohomology import TABLE_BUDGET, _table_work
 from crossedext.field import QQ
 from crossedext.workspace import (_algebra_work, _cochain_work,
                                   parse_workspace)
+from support import perfbench_gen
 from test_cli_contract import _cochain_over
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
-
-
-def _gen():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_gen", ROOT / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
 
 
 def _sl2_without_max_degree():
@@ -60,7 +52,7 @@ def _leibniz_line():
 
 
 def _gl2l_trivial_to(degree):
-    text, _, _ = _gen().generate("ladder-q", 1)
+    text, _, _ = perfbench_gen().generate("ladder-q", 1)
     doc = json.loads(text)
     doc["commands"] = [{"op": "cohomology", "algebra": "gl2L",
                         "module": "gl2L_trivial", "max_degree": degree}]
@@ -112,7 +104,7 @@ def _document_tables(text, cap=DEFAULT_DEGREE_CAP):
 def _admitted():
     tables = [t for path in sorted(FIXTURES.glob("*.json"))
               for t in _document_tables(path.read_text())]
-    gen = _gen()
+    gen = perfbench_gen()
     for workload in ("ladder-q", "ladder-fp", "crossed-mix"):
         text, _, _ = gen.generate(workload, 1)
         tables += _document_tables(text)

@@ -2,7 +2,6 @@
 status and an error code, the exit status is 1, and no traceback reaches
 stderr.  A module carries its algebra and its flavor, so an input that names
 another algebra or flavor beside a module is refused where it enters."""
-import importlib.util
 import itertools
 import json
 import os
@@ -19,6 +18,7 @@ from crossedext.errors import CheckFailure
 from crossedext.extensions import CrossedExtension, validate_extension
 from crossedext.linalg import LinearMap, Matrix
 from crossedext.workspace import parse_workspace
+from support import perfbench_gen
 from test_command_reuse import _workspace
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,11 +27,7 @@ FIXTURES = ROOT / "fixtures"
 
 def _ladder_doc():
     """The seed-1 ladder-q document of perfbench/gen.py (stdlib only)."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_gen", ROOT / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    text, _, _ = gen.generate("ladder-q", 1)
+    text, _, _ = perfbench_gen().generate("ladder-q", 1)
     return json.loads(text)
 
 

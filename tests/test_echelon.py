@@ -6,7 +6,6 @@ row of A scaled to integers, so the matrices drawn include integer views
 on a common denominator d > 1 and dense rows of different denominators:
 a scale dropped from an augmented column would show as a wrong solve."""
 import random
-from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -17,17 +16,9 @@ from crossedext.linalg import (Echelon, LinearMap, Matrix, Subspace,
 from dense_oracle import (dense, dense_apply, dense_col, dense_kernel_rows,
                           dense_quotient, dense_reduce, dense_rref,
                           dense_solve, dense_transpose, view)
+from support import scalars
 
 FIELDS = [QQ, PrimeField(2), PrimeField(5), PrimeField(2147483647)]
-
-
-def scalars(field):
-    """Mostly zero; over Q with denominators other than 1."""
-    if field is QQ:
-        value = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6))
-    else:
-        value = st.integers(-field.p, field.p).map(field.of)
-    return st.one_of(st.just(field.zero), value)
 
 
 def vectors(field, n):

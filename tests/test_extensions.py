@@ -5,12 +5,13 @@ import pytest
 from crossedext.errors import CheckFailure
 from crossedext.field import QQ
 from crossedext.linalg import LinearMap, Matrix
-from crossedext.algebra import (ModuleMorphism, adjoint, trivial_rep,
-                                validate_module)
+from crossedext.algebra import (ModuleMorphism, adjoint, direct_sum_reps,
+                                trivial_rep, validate_module)
 from crossedext.cohomology import cochain_from_values
 from crossedext.crossed import classify2, negate_crossed, validate_crossed, \
     yoneda_crossed_module, zero_crossed_module
-from crossedext.extensions import (baer_sum, baer_sum_n2,
+from crossedext.extensions import (CrossedExtension, ExtensionMorphism,
+                                   baer_sum, baer_sum_n2,
                                    check_extension_morphism, mediate, negate,
                                    opext_connecting, push_forward, pushout,
                                    split_detect, sum_over_g,
@@ -219,3 +220,86 @@ def test_extension_morphism_square_failure():
     with pytest.raises(CheckFailure) as exc:
         check_extension_morphism(E, E, mor)
     assert exc.value.code == "SQUARE_FAIL"
+
+
+# -------------------------------------------------------------- length four
+
+def _e4():
+    """The length-4 extension of test_opext_connecting_extends_length:
+    0 -> K -> K (+) K -> K^2 -> K -> k -> k -> 0 over the one-dimensional
+    abelian k, with two middle modules."""
+    g = samples.abelian(QQ, 1)
+    ses = samples.nilpotent_ses(g)
+    E3 = opext_connecting(ses, zero_crossed_module(g, ses.tail))
+    return opext_connecting(samples.split_ses(g, trivial_rep(g, 1), E3.M),
+                            E3)
+
+
+def _with(E, **parts):
+    """E with some of its parts replaced."""
+    return CrossedExtension(**{**vars(E), **parts})
+
+
+def _retracts(E, h):
+    return h is not None and h.matrix @ E.f.matrix == \
+        Matrix.identity(QQ, E.M.dim)
+
+
+def test_push_forward_of_a_length_four_extension():
+    E = _e4()
+    dbl = ModuleMorphism(E.M, E.M, Matrix.identity(QQ, 1).scale(QQ.of(2)))
+    pushed, mor = push_forward(dbl, E)
+    validate_whole(pushed)
+    assert check_extension_morphism(E, pushed, mor) is mor
+    # only the head square is pushed out: the lower mids and maps stay
+    assert (pushed.mids[1:], pushed.partials[1:]) == \
+        (E.mids[1:], E.partials[1:])
+    # a middle map off by a factor 2 breaks the square leaving M_3
+    wrong = ExtensionMorphism(mor.alpha, (mor.mids[0], LinearMap(
+        Matrix.identity(QQ, 2).scale(QQ.of(2)))), mor.crossed)
+    with pytest.raises(CheckFailure) as exc:
+        check_extension_morphism(E, pushed, wrong)
+    assert (exc.value.code, exc.value.witness) == ("SQUARE_FAIL", "M_3")
+
+
+def test_baer_sum_and_split_detect_at_length_four():
+    E = _e4()
+    # spliced from a split sequence: its head map has a retraction
+    assert _retracts(E, split_detect(E))
+    total = validate_whole(baer_sum(E, E))
+    assert total.n == 4 and total.M == E.M
+    assert [m.dim for m in total.mids] == [3, 4]
+    assert _retracts(total, split_detect(total))
+
+
+def _planted_m2(E):
+    # d_2 = 0: ker(d_2) is all of M_2, which im(M_3 -> M_2) is not
+    return _with(E, partials=(E.partials[0], LinearMap.zero(QQ, 2, 1)))
+
+
+def _planted_m1(E):
+    # M_1 grows a trivial summand that d_2 misses and d_1 kills
+    g = E.g
+    base = zero_crossed_module(g, direct_sum_reps(E.base.rep,
+                                                  trivial_rep(g, 1))).cm
+    d2 = LinearMap(E.partials[1].matrix.vstack(Matrix.zero(QQ, 1, 2)))
+    return _with(E, partials=(E.partials[0], d2), base=base)
+
+
+@pytest.mark.parametrize("plant, node", [(_planted_m2, "M_2"),
+                                         (_planted_m1, "M_1")])
+def test_length_four_exactness_fails_at_its_node(plant, node):
+    with pytest.raises(CheckFailure) as exc:
+        validate_whole(plant(_e4()))
+    assert (exc.value.code, exc.value.witness) == ("EXACTNESS_FAIL", node)
+
+
+def test_pi_that_is_not_an_algebra_map():
+    # the transposition of x and c of the Heisenberg algebra ([x, y] = c)
+    # is a linear bijection but sends [x, y] = c to x, not to [c, y] = 0
+    E = _zero_ext(4)
+    swap = LinearMap(Matrix(QQ, [[0, 0, 1], [0, 1, 0], [1, 0, 0]], cols=3))
+    with pytest.raises(CheckFailure) as exc:
+        validate_whole(_with(E, pi=swap))
+    assert (exc.value.code, exc.value.witness, exc.value.detail) == \
+        ("EXACTNESS_FAIL", "L", "pi is not an algebra map")

@@ -11,15 +11,12 @@ dense grids (387 of them in `linear_section`) and made 14 018 `_int_vec`
 calls (8510 of them in `bracket`); after, it builds none and makes 342."""
 import collections
 import contextlib
-import importlib.util
 import io
 import sys
-from pathlib import Path
 
 import crossedext
 from crossedext import cli, linalg
-
-ROOT = Path(__file__).resolve().parent.parent
+from support import perfbench_gen
 
 # serialization, and the structure constants of an algebra as field elements
 DATA_READERS = {"_matrix_out", "_structure_out", "c"}
@@ -29,11 +26,7 @@ INT_VEC_CALLERS = {"check_cocycle", "connecting_hom",
 
 
 def _document(tmp_path):
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_gen", ROOT / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    text, extra, _ = gen.generate("crossed-mix", 1)
+    text, extra, _ = perfbench_gen().generate("crossed-mix", 1)
     assert extra == []
     doc = tmp_path / "doc.json"
     doc.write_text(text)

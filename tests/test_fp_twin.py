@@ -9,26 +9,16 @@ The twin is sound where p divides no denominator and no minor that decides
 a rank; at p ~ 2^31 and these sizes a mismatch is a defect until shown
 otherwise.  Each report runs in this process, through `cli.main`."""
 import contextlib
-import importlib.util
 import io
 import json
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from crossedext import cli
+from support import perfbench_gen
 
 P = 2147483647
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def _gen():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_gen", ROOT / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
 
 
 def _report(path, *extra):
@@ -63,7 +53,7 @@ def test_residue_spelling():
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_fp_report_is_the_q_report_mod_p(seed, tmp_path):
-    text, extra, _ = _gen().generate("crossed-mix", seed)
+    text, extra, _ = perfbench_gen().generate("crossed-mix", seed)
     assert extra == []
     doc = tmp_path / "doc.json"
     doc.write_text(text)

@@ -30,19 +30,11 @@ from dense_oracle import (dense, dense_apply, dense_bracket,
                           dense_kernel_rows,
                           dense_leibniz_coboundary_matrix, dense_matmul,
                           dense_rref, dense_solve, view)
+from support import scalars
 
 FIELDS = [QQ, PrimeField(2), PrimeField(5), PrimeField(2147483647)]
 cohomology_mod = importlib.import_module("crossedext.cohomology")
 linalg_mod = importlib.import_module("crossedext.linalg")
-
-
-def scalars(field):
-    """Mostly zero; over Q with denominators 1 to 6."""
-    if field is QQ:
-        value = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6))
-    else:
-        value = st.integers(-field.p, field.p).map(field.of)
-    return st.one_of(st.just(field.zero), value)
 
 
 def vectors(field, n):

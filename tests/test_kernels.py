@@ -23,17 +23,9 @@ from dense_oracle import (dense_apply, dense_change_basis, dense_lincomb,
                           dense_validate_leibniz,
                           dense_validate_leibniz_module, dense_validate_lie,
                           dense_validate_module)
+from support import scalars
 
 FIELDS = [QQ, PrimeField(2), PrimeField(5), PrimeField(2147483647)]
-
-
-def scalars(field):
-    """Mostly zero; over Q with denominators other than 1."""
-    if field is QQ:
-        value = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6))
-    else:
-        value = st.integers(-field.p, field.p).map(field.of)
-    return st.one_of(st.just(field.zero), value)
 
 
 @st.composite

@@ -1,8 +1,6 @@
-import importlib.util
 import math
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +10,7 @@ from crossedext.linalg import (LinearMap, Matrix, Subspace, _echelon,
                                block_diag, kernel, linear_section, quotient,
                                rank, rref, solve, solve_matrix)
 from dense_oracle import dense, dense_rref, view
+from support import perfbench_gen
 
 FIELDS = [QQ, PrimeField(5)]
 ORACLE_FIELDS = [QQ, PrimeField(5), PrimeField(2147483647)]
@@ -193,17 +192,8 @@ def test_rref_oracle_on_degenerate_shapes():
             assert (rref(m)[0].rows, rref(m)[0].cols) == (m.rows, m.cols)
 
 
-def _perfbench_gen():
-    """perfbench/gen.py (standard library only), for the random bases the
-    benchmark documents are drawn in."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
-
-
-GEN = _perfbench_gen()
+# perfbench/gen.py, for the random bases the benchmark documents are drawn in
+GEN = perfbench_gen()
 
 
 def _int_matrices(rows, cols, bound):

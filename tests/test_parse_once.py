@@ -19,7 +19,7 @@ import pytest
 from crossedext.cli import main
 from crossedext.errors import CheckFailure
 from crossedext.workspace import parse_workspace
-from test_bench_documents import _gen
+from support import perfbench_gen
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 COUNTED = ("validate_module", "validate_leibniz_module", "validate_morphism",
@@ -48,7 +48,7 @@ def _count_validators(monkeypatch):
 
 
 def test_parse_validates_each_object_once(monkeypatch):
-    text, _, _ = _gen().generate("crossed-mix", 1)
+    text, _, _ = perfbench_gen().generate("crossed-mix", 1)
     doc = json.loads(text)
     chain_maps = sum(len(spec["chain"]) for spec in doc["extensions"].values())
     calls = _count_validators(monkeypatch)

@@ -19,6 +19,7 @@ import pytest
 
 import crossedext
 from crossedext import cli
+from support import perfbench_gen
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -58,11 +59,7 @@ def test_report_hashes_prints_the_manifest_hash():
 def test_report_hashes_passes_the_field_after_the_generators_arguments():
     manifest = json.loads((SCRIPTS.parent / "perfbench" /
                            "manifest.json").read_text())
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_gen", SCRIPTS.parent / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    text, extra, _ = gen.generate("crossed-mix", 1)
+    text, extra, _ = perfbench_gen().generate("crossed-mix", 1)
     assert extra == []
     # the F_p twin of the seed-1 crossed-mix report, against the same
     # report made in this process

@@ -4,10 +4,8 @@ over Q with denominators 1-6, F_2, F_5 and F_2147483647, for Lie and
 Leibniz crossed modules, with canonical and perturbed sections; on every
 crossed module of the benchmark's seed-1 crossed-mix document; and on a
 crossed module that theta's own partial(theta) = 0 check refuses."""
-import importlib.util
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,11 +24,11 @@ from crossedext.linalg import LinearMap, Matrix, block_diag, kernel
 from crossedext.workspace import parse_workspace
 from dense_oracle import (dense_change_basis, dense_col, dense_lincomb,
                           dense_peiffer, dense_theta)
+from support import perfbench_gen
 from test_flavor_core import _rebased_crossed, outcome
 
 FIELDS = [QQ, PrimeField(2), PrimeField(5), PrimeField(2147483647)]
 KINDS = ["zero", "identity", "yoneda", "nonlie"]
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _scalar(field, rng):
@@ -164,11 +162,7 @@ def test_the_cases_give_nonzero_theta_in_both_flavors():
 @pytest.fixture(scope="module")
 def mix_document():
     """The seed-1 crossed-mix workspace, from perfbench/gen.py."""
-    spec = importlib.util.spec_from_file_location("perfbench_gen",
-                                                  PERFBENCH / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    text, extra, _ = gen.generate("crossed-mix", 1)
+    text, extra, _ = perfbench_gen().generate("crossed-mix", 1)
     assert extra == []
     return parse_workspace(text)
 

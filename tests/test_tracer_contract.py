@@ -8,7 +8,6 @@ benchmark does, and make the same two checks, so a refactor that stops
 entering a layer (say `linalg.rref` or `linalg.matmul`) fails here and not
 only in a traced benchmark run.
 """
-import importlib.util
 import json
 import os
 import subprocess
@@ -17,23 +16,16 @@ from pathlib import Path
 
 import pytest
 
+from support import perfbench_gen
+
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 MANIFEST = json.loads((PERFBENCH / "manifest.json").read_text())
 
 
-def _gen():
-    """perfbench/gen.py, which needs the standard library only."""
-    spec = importlib.util.spec_from_file_location("perfbench_gen",
-                                                  PERFBENCH / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
-
-
 @pytest.mark.parametrize("workload", sorted(MANIFEST["layers_entered"]))
 def test_traced_run_enters_every_listed_layer(workload, tmp_path):
-    text, extra, _ = _gen().generate(workload, 1)
+    text, extra, _ = perfbench_gen().generate(workload, 1)
     doc = tmp_path / "doc.json"
     doc.write_text(text)
     out = tmp_path / "trace.json"

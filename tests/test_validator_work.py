@@ -7,11 +7,11 @@ each module whose action is not zero (dim that of its algebra) and never
 for the others.  A loop over all pairs would form dim^2."""
 from crossedext import algebra
 from crossedext.workspace import parse_workspace
-from test_bench_documents import _gen
+from support import perfbench_gen
 
 
 def test_validate_module_forms_each_off_diagonal_product_once(monkeypatch):
-    text, _, _ = _gen().generate("crossed-mix", 1)
+    text, _, _ = perfbench_gen().generate("crossed-mix", 1)
     calls = []
     original = algebra._mul_rows
 
