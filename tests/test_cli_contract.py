@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import crossedext
+from crossedext import cli
 from crossedext.cli import run_command
 from crossedext.errors import CheckFailure
 from crossedext.extensions import CrossedExtension, validate_extension
@@ -236,6 +237,43 @@ def test_leibniz_extension_is_unsupported_flavor():
     with pytest.raises(CheckFailure) as exc:
         validate_extension(E)
     assert exc.value.code == "UNSUPPORTED_FLAVOR"
+
+
+# a one-dimensional Lie algebra, its zero crossed module (V = k) and a
+# document extension of length n over it: at n = 2 the exact
+# 0 -> k -> V -> L -> L -> 0 with no chain, at n = 1 no chain either
+def _short_extension(n):
+    zero = {"algebra": "g1", "dim": 1, "action": {"0": ZERO1}}
+    return {"field": "q", "algebras": {"g1": {"type": "lie", "dim": 1}},
+            "modules": {"v": zero, "m": zero},
+            "crossed_modules": {"zero": {"L": "g1", "V": "v",
+                                         "partial": ZERO1}},
+            "extensions": {"ext": {"n": n, "g": "g1", "M": "m", "f": [["1"]],
+                                   "chain": [], "base": "zero",
+                                   "pi": [["1"]]}},
+            "commands": [{"op": "check"}]}
+
+
+@pytest.mark.parametrize("n", [2, 1])
+def test_document_extension_shorter_than_three_is_a_parse_error(
+        n, tmp_path, capsys):
+    """A document's extensions start at length 3: a crossed module is
+    written as one, not as an extension of length 2, so a shorter one is
+    one parse record naming the extension, in both formats."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_short_extension(n)))
+    assert cli.main(["check", "--input", str(path), "--format",
+                     "json"]) == 1
+    out, err = capsys.readouterr()
+    rec, = json.loads(out)["results"]
+    assert (rec["op"], rec["status"], rec["error"]) == \
+        ("parse", "FAIL", "PARSE_ERROR")
+    assert rec["detail"].startswith("PARSE_ERROR('ext')")
+    assert err == ""
+    assert cli.main(["check", "--input", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("[FAIL] parse  detail=PARSE_ERROR('ext')")
+    assert out.count("\n") == 1 and err == ""
 
 
 # the name arguments of each command

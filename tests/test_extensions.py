@@ -198,6 +198,35 @@ def test_opext_connecting_extends_length():
     validate_whole(E4)
 
 
+def _nonzero_presentations():
+    """The Yoneda crossed modules of the fixtures and an identity crossed
+    module, each with the sequences whose tail is its M."""
+    rng = random.Random(5)
+    out = [yoneda_crossed_module(ses, c)
+           for ses, c in samples.yoneda_fixtures(QQ, rng, count=4)]
+    out.append(samples.identity_crossed(samples.heisenberg(QQ)))
+    for pres in out:
+        seqs = [samples.split_ses(pres.g, trivial_rep(pres.g, 1), pres.M)]
+        if pres.M == trivial_rep(pres.g, 1):
+            seqs.append(samples.nilpotent_ses(pres.g))
+        yield pres, seqs
+
+
+def test_opext_connecting_splices_nonzero_crossed_modules():
+    """Splicing onto a crossed module presented over (g, M) keeps its
+    crossed module and pi and sends the sequence's middle into V through
+    the head embedding: an exact extension of length 3."""
+    for pres, seqs in _nonzero_presentations():
+        for ses in seqs:
+            E3 = validate_whole(opext_connecting(ses, pres))
+            assert (E3.n, E3.g, E3.M, E3.f) == \
+                (3, pres.g, ses.head, ses.alpha.map)
+            assert E3.mids == (ses.middle,)
+            assert E3.partials == \
+                (LinearMap(pres.incl.matrix @ ses.beta.matrix),)
+            assert E3.base is pres.cm and E3.pi is pres.pi
+
+
 def test_opext_connecting_base_mismatch():
     g = samples.abelian(QQ, 2)
     ses = samples.nilpotent_ses(g)
