@@ -5,13 +5,14 @@
   * a 2-cocycle valued in the quotient,
   * the spliced crossed module, its theta class, and the matching
     connecting-homomorphism image,
-  * Baer-sum arithmetic on the resulting classes.
+  * Baer-sum arithmetic on the resulting classes, with the zero 2-fold
+    extension and the negated one.
 """
 from crossedext.cohomology import (class_of, cochain_from_values,
                                    connecting_hom)
-from crossedext.crossed import (choose_sections, classify2, negate_crossed,
-                                theta, yoneda_crossed_module)
-from crossedext.extensions import baer_sum_n2
+from crossedext.crossed import (choose_sections, classify2, theta,
+                                yoneda_crossed_module)
+from crossedext.extensions import baer_sum_n2, negate, zero_extension
 from crossedext.field import QQ
 from crossedext.samples import abelian, nilpotent_ses
 
@@ -33,8 +34,8 @@ def main():
     print("connecting homomorphism to", fmt(connecting_hom(ses, class_of(c))))
 
     pres = yoneda_crossed_module(ses, c)
-    print(f"\nspliced crossed module: V dim {pres.cm.rep.dim},"
-          f" L dim {pres.cm.algebra.dim}")
+    print(f"\nspliced crossed module: V dim {pres.base.rep.dim},"
+          f" L dim {pres.base.algebra.dim}")
     th = theta(pres, *choose_sections(pres))
     print("theta class (canonical form):", fmt(classify2(pres)))
     print("matches connecting image:",
@@ -42,7 +43,9 @@ def main():
 
     doubled = baer_sum_n2(pres, pres)
     print("\nBaer sum with itself:", fmt(classify2(doubled)))
-    cancelled = baer_sum_n2(pres, negate_crossed(pres))
+    unit = baer_sum_n2(pres, zero_extension(g, pres.M, 2))
+    print("Baer sum with the zero extension:", fmt(classify2(unit)))
+    cancelled = baer_sum_n2(pres, negate(pres))
     print("Baer sum with its negative:", fmt(classify2(cancelled)),
           "(zero class)" if classify2(cancelled).is_zero() else "")
 

@@ -43,10 +43,9 @@ _LAZY.update(dict.fromkeys(
     ["ModuleMorphism", "adjoint", "leibniz_from_lie", "trivial_rep",
      "validate_morphism"], _maps))
 _LAZY.update(dict.fromkeys(
-    ["CrossedModule", "CrossedMorphism", "Presentation",
-     "check_crossed_morphism", "classify2", "induced_pair", "leibniz_theta",
-     "negate_crossed", "theta", "validate_crossed", "validate_presentation",
-     "yoneda_crossed_module", "zero_crossed_module"], crossed))
+    ["CrossedModule", "CrossedMorphism", "check_crossed_morphism",
+     "classify2", "induced_pair", "leibniz_theta", "theta",
+     "validate_crossed", "yoneda_crossed_module"], crossed))
 _LAZY.update(dict.fromkeys(
     ["CrossedExtension", "ExtensionMorphism", "baer_sum", "baer_sum_n2",
      "check_extension_morphism", "mediate", "negate", "opext_connecting",

@@ -66,13 +66,12 @@ def _cmd_cohomology(ws, args, degree_cap):
 
 
 class _Classified:
-    """A crossed module with its induced pair, and, once a command needs
-    it, the module's class.  The complex of the pair's (g, M) is M's own."""
+    """A crossed module's induced pair, the 2-fold extension on it, and its
+    class once a command needs it.  The pair's (g, M) has M's own complex."""
 
-    __slots__ = ("cm", "pres", "cl")
+    __slots__ = ("pres", "cl")
 
     def __init__(self, cm):
-        self.cm = cm
         self.pres = crossed.induced_pair(cm)
         self.cl = None
 
@@ -90,7 +89,7 @@ def _classified(ws, name) -> _Classified:
     again the same way."""
     cm = ws.crossed_modules[name]
     entry = ws.classified.get(name)
-    if entry is None or entry.cm is not cm:
+    if entry is None or entry.pres.base is not cm:
         entry = ws.classified[name] = _Classified(cm)
     return entry
 
@@ -138,7 +137,7 @@ def _cmd_baer_sum(ws, args, degree_cap):
                                _classified(ws, right).pres)
     cl = crossed.classify2(S)
     return [{"op": "baer-sum", "left": left, "right": right,
-             "status": "PASS", "v_dim": S.cm.rep.dim, "l_dim": S.cm.algebra.dim,
+             "status": "PASS", "v_dim": S.base.rep.dim, "l_dim": S.base.algebra.dim,
              "class_canonical": _scalars(ws.field, cl.canonical)}]
 
 
@@ -179,7 +178,7 @@ def _cmd_yoneda(ws, args, degree_cap):
     return [{"op": "yoneda", "sequence": args["sequence"],
              "cochain": args["cochain"],
              "status": "PASS" if agree else "FAIL",
-             "v_dim": pres.cm.rep.dim, "l_dim": pres.cm.algebra.dim,
+             "v_dim": pres.base.rep.dim, "l_dim": pres.base.algebra.dim,
              "class_canonical": _scalars(ws.field, cl.canonical),
              "matches_connecting": agree}]
 

@@ -1,7 +1,8 @@
 """Crossed modules over Lie and Leibniz algebras and their classification.
 
-A crossed module (V, L, d) induces g = coker(d) and M = ker(d); the class of
-the section-built degree-3 cocycle in H^3(g, M) classifies it up to
+A crossed module (V, L, d) induces g = coker(d) and M = ker(d), and is then
+the crossed 2-fold extension 0 -> M -> V -> L -> g -> 0; the class of the
+section-built degree-3 cocycle in H^3(g, M) classifies it up to
 equivalence.  Sections are chosen deterministically by pivot order, and
 section-independence is a test obligation rather than an assumption.
 
@@ -42,12 +43,26 @@ class CrossedModule(_Record):
         return self.rep.flavor
 
 
-class Presentation(_Record):
-    """A crossed module presented over a fixed pair (g, M): a surjection
-    pi : L -> g with kernel im(d) and an embedding incl : M -> V onto ker(d)."""
+class CrossedExtension(_Record):
+    """0 -> M -> M_{n-1} -> ... -> M_2 -> M_1 -> L -> g -> 0, for n >= 2.
 
-    def __init__(self, cm: CrossedModule, g, pi, M, incl):
-        self.__dict__.update(cm=cm, g=g, pi=pi, M=M, incl=incl)
+    mids holds the g-modules M_{n-1} down to M_2 (n-2 of them); partials the
+    maps leaving them, ending with d_2 : M_2 -> M_1 = base.rep.  At n = 2
+    both are empty and f embeds M onto ker(d_1): the crossed module base
+    presented over (g, M) by pi and f.
+    """
+
+    def __init__(self, n: int, g, M: Representation,
+                 f: LinearMap,                 # M -> M_{n-1}
+                 mids: tuple,                  # Representations over g
+                 partials: tuple,              # LinearMaps, one per mid
+                 base: CrossedModule,          # (M_1, L, d_1)
+                 pi: LinearMap):               # L -> g
+        self.__dict__.update(n=n, g=g, M=M, f=f, mids=mids, partials=partials,
+                             base=base, pi=pi)
+        # no tuple has a negative length, so n < 2 fails here too
+        if len(self.mids) != self.n - 2 or len(self.partials) != self.n - 2:
+            raise ValueError("chain length inconsistent with n")
 
 
 def validate_crossed(cm: CrossedModule) -> CrossedModule:
@@ -94,8 +109,8 @@ def crossed_axioms(cm: CrossedModule) -> CrossedModule:
     return cm
 
 
-def induced_pair(cm: CrossedModule) -> Presentation:
-    """The canonical presentation: g = coker(d) on the free coordinates of
+def induced_pair(cm: CrossedModule) -> CrossedExtension:
+    """The canonical 2-fold extension: g = coker(d) on the free coordinates of
     im(d), M = ker(d) in its RREF basis, on integer views.  The quotient's
     section sends basis vector u of g to e_{free[u]}: g's bracket is the
     projection of the brackets of free pairs, and u acts on M by the
@@ -139,42 +154,20 @@ def induced_pair(cm: CrossedModule) -> Presentation:
         families.append(mats)
     M = (validate_leibniz_module(LeibnizRepresentation(g, mdim, *families))
          if leib else validate_module(Representation(g, mdim, *families)))
-    return Presentation(cm, g, proj, M, LinearMap(ker.basis.transpose()))
+    return CrossedExtension(2, g, M, LinearMap(ker.basis.transpose()), (), (),
+                            cm, proj)
 
 
-def validate_presentation(p: Presentation) -> Presentation:
-    cm, g = p.cm, p.g
-    L, V, d = cm.algebra, cm.rep, cm.partial
-    if image(p.pi).dim != g.dim:
-        raise CheckFailure("EXACTNESS_FAIL", "g", "pi is not surjective")
-    if kernel(p.pi) != image(d):
-        raise CheckFailure("EXACTNESS_FAIL", "L", "ker(pi) != im(partial)")
-    pair = bracket_defect(p.pi, L, g)
-    if pair is not None:
-        raise CheckFailure("SQUARE_FAIL", pair, "pi is not an algebra map")
-    if kernel(p.incl).dim != 0:
-        raise CheckFailure("EXACTNESS_FAIL", "M", "incl is not injective")
-    if image(p.incl) != kernel(d):
-        raise CheckFailure("EXACTNESS_FAIL", "V", "im(incl) != ker(partial)")
-    # M acts as V does through any section of pi
-    hit = equivariance_defect(p.incl.matrix, sides(p.M),
-                              pulled_back(V, linear_section(p.pi).matrix))
-    if hit:
-        raise CheckFailure("EQUIVARIANCE_FAIL", hit[:1],
-                           f"{hit[1]} action on kernel".lstrip())
-    return p
-
-
-def choose_sections(pres: Presentation):
+def choose_sections(pres: CrossedExtension):
     """Deterministic pivot-based sections s of pi and q of partial."""
-    return linear_section(pres.pi), linear_section(pres.cm.partial)
+    return linear_section(pres.pi), linear_section(pres.base.partial)
 
 
-def perturbed_sections(pres: Presentation, rng):
+def perturbed_sections(pres: CrossedExtension, rng):
     """An alternative valid section pair: s is shifted by a random map into
     im(partial), q by a random map into ker(partial)."""
     s, q = choose_sections(pres)
-    cm, field = pres.cm, pres.cm.algebra.field
+    cm, field = pres.base, pres.base.algebra.field
 
     def shifted(mat, space):
         """mat plus a random map into space, drawn one column at a time."""
@@ -187,8 +180,8 @@ def perturbed_sections(pres: Presentation, rng):
             shifted(q.matrix, kernel(cm.partial)))
 
 
-def _check_sections(pres: Presentation, s: LinearMap, q: LinearMap):
-    cm = pres.cm
+def _check_sections(pres: CrossedExtension, s: LinearMap, q: LinearMap):
+    cm = pres.base
     if pres.pi.compose(s) != LinearMap.identity(cm.algebra.field, pres.g.dim):
         raise CheckFailure("SECTION_MISMATCH", None, "pi . s != id")
     # d q = id on im(d), which the columns of d span: d q d = d
@@ -205,14 +198,14 @@ def _g2_table(pres, s, q):
     For a Lie crossed module, whose L and g are skew, g2 is skew too: the
     pairs i <= j are computed and g2(e_j, e_i) = -g2(e_i, e_j) filled in.
     A Leibniz one computes all pairs."""
-    L, g = pres.cm.algebra, pres.g
+    L, g = pres.base.algebra, pres.g
     p = _modulus(g.field)
     c, dc = L.int_structure()
     gc, dg = g.int_structure()
     srows, ds = s.matrix._ints
     qrows, dq = q.matrix._ints
     S, Q = _columns(srows, g.dim), _columns(qrows, L.dim)
-    skew = pres.cm.flavor != LEIBNIZ
+    skew = pres.base.flavor != LEIBNIZ
     table = {}
     for i in range(g.dim):
         for j in range(i if skew else 0, g.dim):
@@ -229,8 +222,8 @@ def _g2_table(pres, s, q):
 
 def _kernel_puller(pres):
     """The map from the integer view of a value in ker(partial) to its
-    coordinates in M (field elements), by one factorization of incl."""
-    solve = Echelon(pres.incl.matrix).solve
+    coordinates in M (field elements), by one factorization of f."""
+    solve = Echelon(pres.f.matrix).solve
     field, n = pres.M.algebra.field, pres.M.dim
 
     def pull(val):
@@ -242,7 +235,7 @@ def _kernel_puller(pres):
     return pull
 
 
-def theta(pres: Presentation, s: LinearMap | None = None,
+def theta(pres: CrossedExtension, s: LinearMap | None = None,
           q: LinearMap | None = None) -> Cochain:
     """The classifying 3-cochain of a crossed module, valued in M:
 
@@ -262,12 +255,15 @@ def theta(pres: Presentation, s: LinearMap | None = None,
     value for value, and the cochain is built on the flavor's triples.
 
     Each value is summed on integers (mod p over F_p), and partial(theta) = 0
-    checked there; only its coordinates in M become field elements.
+    checked there; only its coordinates in M become field elements.  An
+    extension of length n != 2 is a LENGTH_MISMATCH.
     """
+    if pres.n != 2:
+        raise CheckFailure("LENGTH_MISMATCH", pres.n, "theta needs n = 2")
     if s is None or q is None:
         s, q = choose_sections(pres)
     _check_sections(pres, s, q)
-    cm, g, V = pres.cm, pres.g, pres.cm.rep
+    cm, g, V = pres.base, pres.g, pres.base.rep
     p, gdim, n = _modulus(g.field), g.dim, V.dim
     g2, dt = _g2_table(pres, s, q)
     # the action of each s e_u on its denominator, by its integer columns
@@ -304,8 +300,9 @@ leibniz_theta = theta
 
 
 def classify2(obj) -> CohomologyClass:
-    """The H^3 class of a crossed module via the canonical sections.  Its
-    representative is the classifying cochain theta itself."""
+    """The H^3 class of a crossed module, or of a 2-fold extension, via the
+    canonical sections.  Its representative is the classifying cochain theta
+    itself."""
     pres = induced_pair(obj) if isinstance(obj, CrossedModule) else obj
     return class_of(theta(pres))
 
@@ -317,10 +314,7 @@ class CrossedMorphism(_Record):
 
 
 def check_crossed_morphism(cm: CrossedModule, cm2: CrossedModule,
-                           phi: CrossedMorphism,
-                           pres: Presentation | None = None,
-                           pres2: Presentation | None = None,
-                           require_identity: bool = False) -> CrossedMorphism:
+                           phi: CrossedMorphism) -> CrossedMorphism:
     a = phi.alpha.matrix
     if phi.beta.matrix @ cm.partial.matrix != cm2.partial.matrix @ a:
         raise CheckFailure("SQUARE_FAIL", None, "partial' . alpha != beta . partial")
@@ -333,24 +327,18 @@ def check_crossed_morphism(cm: CrossedModule, cm2: CrossedModule,
     if hit:
         raise CheckFailure("EQUIVARIANCE_FAIL", hit[:1],
                            hit[1] and f"{hit[1]} action")
-    if require_identity:
-        if pres is None or pres2 is None:
-            raise ValueError("identity check needs both presentations")
-        if pres2.pi.compose(phi.beta) != pres.pi:
-            raise CheckFailure("NOT_IDENTITY_ON_G")
-        if phi.alpha.matrix @ pres.incl.matrix != pres2.incl.matrix:
-            raise CheckFailure("NOT_IDENTITY_ON_M")
     return phi
 
 
 def yoneda_crossed_module(ses: ShortExactSequence, ext2: Cochain
-                          ) -> Presentation:
+                          ) -> CrossedExtension:
     """Splice a short exact sequence of g-modules with the abelian extension
     of a 2-cocycle valued in the quotient module.
 
-    The result is a crossed module presented over (g, M) whose H^3 class is
-    the connecting image of the 2-class (checked as an acceptance property).
+    The result is a 2-fold extension of g by M whose H^3 class is the
+    connecting image of the 2-class (checked as an acceptance property).
     """
+    from .extensions import validate_extension  # extensions imports crossed
     validate_ses(ses)
     g = ses.head.algebra
     field = g.field
@@ -365,19 +353,5 @@ def yoneda_crossed_module(ses: ShortExactSequence, ext2: Cochain
         Matrix.zero(field, g.dim, ses.middle.dim)))
     cm = CrossedModule(e, V, mu)
     validate_crossed(cm)
-    pres = Presentation(cm, g, proj_e, ses.head, ses.alpha.map)
-    validate_presentation(pres)
-    return pres
-
-
-def zero_crossed_module(g, M) -> Presentation:
-    """0 -> M = M -> g = g -> 0 with the zero boundary map."""
-    field = g.field
-    cm = CrossedModule(g, M, LinearMap.zero(field, M.dim, g.dim))
-    return Presentation(cm, g, LinearMap.identity(field, g.dim), M,
-                        LinearMap.identity(field, M.dim))
-
-
-def negate_crossed(pres: Presentation) -> Presentation:
-    """Flip the sign of the head embedding; classifies to the negated class."""
-    return Presentation(pres.cm, pres.g, pres.pi, pres.M, -pres.incl)
+    return validate_extension(CrossedExtension(
+        2, g, ses.head, ses.alpha.map, (), (), cm, proj_e))

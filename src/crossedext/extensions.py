@@ -1,9 +1,10 @@
 """Crossed n-fold extensions: pushouts, pushforwards, sums, and splicing.
 
-An extension is the exact chain 0 -> M -> M_{n-1} -> ... -> M_1 -> L -> g -> 0
-with a crossed module (M_1, L, d_1) at the base.  Exactness is never assumed:
-every constructor's output goes back through its base and module validators
-and validate_extension in the tests.
+An extension is the exact chain 0 -> M -> M_{n-1} -> ... -> M_1 -> L -> g -> 0,
+n >= 2, with a crossed module (M_1, L, d_1) at the base (`CrossedExtension`,
+whose home is `crossed`).  Exactness is never assumed: every constructor's
+output goes back through its base and module validators and
+validate_extension in the tests.
 """
 from __future__ import annotations
 
@@ -17,9 +18,8 @@ from ._maps import (ModuleMorphism, bracket_defect, direct_sum_reps,
                     equivariance_defect, hom_rows, pulled_back, trivial_rep,
                     validate_morphism)
 from ._classes import ShortExactSequence, _Record, validate_ses
-from .crossed import (CrossedModule, CrossedMorphism, Presentation,
-                      check_crossed_morphism, crossed_axioms,
-                      validate_presentation)
+from .crossed import (CrossedExtension, CrossedModule, CrossedMorphism,
+                      check_crossed_morphism, crossed_axioms)
 
 
 class PushoutData(_Record):
@@ -57,9 +57,12 @@ def pushout(f: ModuleMorphism, g: ModuleMorphism) -> PushoutData:
     """Pushout of two module morphisms out of the same source."""
     if f.source != g.source:
         raise CheckFailure("BASE_MISMATCH", detail="pushout legs differ at source")
+    B, C = f.target, g.target
+    if LEIBNIZ in (B.flavor, C.flavor):
+        raise CheckFailure("UNSUPPORTED_FLAVOR", detail="the pushout of "
+                           "Leibniz modules is not implemented")
     validate_morphism(f)
     validate_morphism(g)
-    B, C = f.target, g.target
     alg = B.algebra
     field = alg.field
     D, proj, sect = _quotient_module(
@@ -82,36 +85,16 @@ def mediate(pd: PushoutData, i_prime: LinearMap, j_prime: LinearMap) -> LinearMa
     return LinearMap(i_prime.matrix.hstack(j_prime.matrix) @ pd.sect.matrix)
 
 
-class CrossedExtension(_Record):
-    """0 -> M -> M_{n-1} -> ... -> M_2 -> M_1 -> L -> g -> 0.
-
-    mids holds the g-modules M_{n-1} down to M_2 (n-2 of them); partials the
-    maps leaving them, ending with d_2 : M_2 -> M_1 = base.rep.
-    """
-
-    def __init__(self, n: int, g, M: Representation,
-                 f: LinearMap,                 # M -> M_{n-1}
-                 mids: tuple,                  # Representations over g
-                 partials: tuple,              # LinearMaps, one per mid
-                 base: CrossedModule,          # (M_1, L, d_1)
-                 pi: LinearMap):               # L -> g
-        self.__dict__.update(n=n, g=g, M=M, f=f, mids=mids, partials=partials,
-                             base=base, pi=pi)
-        if self.n < 3:
-            raise ValueError("crossed extensions start at length 3; "
-                             "length 2 is a presented crossed module")
-        if len(self.mids) != self.n - 2 or len(self.partials) != self.n - 2:
-            raise ValueError("chain length inconsistent with n")
-
-
 def validate_extension(E: CrossedExtension) -> CrossedExtension:
     """Exactness and equivariance of the chain of E, for a base already
     validated as a crossed module and M and mids already validated as
     g-modules (as every crossed module and module of a parsed workspace
     is): pi is a surjective algebra map with kernel im(d_1), every chain
-    map is g-equivariant, and the chain is exact at every node.  An
-    extension over a Leibniz base is UNSUPPORTED_FLAVOR."""
-    if E.base.flavor == LEIBNIZ:
+    map is g-equivariant, and the chain is exact at every node.  At n = 2
+    these are the checks that present the crossed module base over (g, M).
+    An extension of length n >= 3 over a Leibniz base is
+    UNSUPPORTED_FLAVOR."""
+    if E.n > 2 and E.base.flavor == LEIBNIZ:
         raise CheckFailure("UNSUPPORTED_FLAVOR", detail="crossed extensions "
                            "over a Leibniz algebra are not implemented")
     g = E.g
@@ -122,30 +105,29 @@ def validate_extension(E: CrossedExtension) -> CrossedExtension:
         raise CheckFailure("EXACTNESS_FAIL", "L", "ker(pi) != im(d_1)")
     if bracket_defect(E.pi, E.base.algebra, g) is not None:
         raise CheckFailure("EXACTNESS_FAIL", "L", "pi is not an algebra map")
-    # equivariance of the chain maps, the one leaving M_k at witness k
-    chain = (E.M, *E.mids)
-    for k, (f, src, tgt) in enumerate(zip((E.f, *E.partials[:-1]), chain,
-                                          chain[1:])):
+    # the chain M = M_n -> ... -> M_1 -> L; the map leaving M_k is maps[n - k]
+    chain, maps = (E.M, *E.mids), (E.f, *E.partials, E.base.partial)
+    # equivariance of the maps between g-modules, the one leaving M_k at
+    # witness k
+    for k, (f, src, tgt) in enumerate(zip(maps, chain, chain[1:])):
         try:
             validate_morphism(ModuleMorphism(src, tgt, f.matrix))
         except CheckFailure as exc:
             raise CheckFailure("NOT_G_MODULE_MAP", E.n - k, str(exc)) from exc
-    # d_2 : M_2 -> M_1 is g-equivariant through any section of pi
-    hit = equivariance_defect(E.partials[-1].matrix, sides(E.mids[-1]),
+    # the map into M_1, d_2 (f at n = 2), is g-equivariant through any
+    # section of pi
+    hit = equivariance_defect(maps[-2].matrix, sides(chain[-1]),
                               pulled_back(E.base.rep,
                                           linear_section(E.pi).matrix))
     if hit:
-        raise CheckFailure("NOT_G_MODULE_MAP", 2, f"basis vector {hit[0]}")
+        raise CheckFailure("NOT_G_MODULE_MAP", 2, f"basis vector {hit[0]}"
+                           + (hit[1] and f", {hit[1]} action"))
     # exactness node by node
     if kernel(E.f).dim != 0:
         raise CheckFailure("EXACTNESS_FAIL", "M", "head map is not injective")
-    if image(E.f) != kernel(E.partials[0]):
-        raise CheckFailure("EXACTNESS_FAIL", f"M_{E.n - 1}")
-    for idx in range(len(E.partials) - 1):
-        if image(E.partials[idx]) != kernel(E.partials[idx + 1]):
-            raise CheckFailure("EXACTNESS_FAIL", f"M_{E.n - 2 - idx}")
-    if image(E.partials[-1]) != kernel(E.base.partial):
-        raise CheckFailure("EXACTNESS_FAIL", "M_1")
+    for k in range(len(maps) - 1):
+        if image(maps[k]) != kernel(maps[k + 1]):
+            raise CheckFailure("EXACTNESS_FAIL", f"M_{E.n - 1 - k}")
     return E
 
 
@@ -163,35 +145,33 @@ def check_extension_morphism(E: CrossedExtension, E2: CrossedExtension,
         raise CheckFailure("LENGTH_MISMATCH")
     if E.g != E2.g:
         raise CheckFailure("BASE_MISMATCH", detail="different base algebra")
-    if E2.f.matrix @ mor.alpha.matrix != mor.mids[0].matrix @ E.f.matrix:
-        raise CheckFailure("SQUARE_FAIL", "head")
-    for idx in range(len(E.partials) - 1):
-        if E2.partials[idx].matrix @ mor.mids[idx].matrix != \
-                mor.mids[idx + 1].matrix @ E.partials[idx].matrix:
-            raise CheckFailure("SQUARE_FAIL", f"M_{E.n - 1 - idx}")
-    if E2.partials[-1].matrix @ mor.mids[-1].matrix != \
-            mor.crossed.alpha.matrix @ E.partials[-1].matrix:
-        raise CheckFailure("SQUARE_FAIL", "M_2")
+    # the vertical maps from M down to M_1; square k commutes with the maps
+    # leaving M_{n-k}, and is named "head" at k = 0
+    verts = (mor.alpha, *mor.mids, mor.crossed.alpha)
+    for k, (d, d2) in enumerate(zip((E.f, *E.partials),
+                                    (E2.f, *E2.partials))):
+        if d2.matrix @ verts[k].matrix != verts[k + 1].matrix @ d.matrix:
+            raise CheckFailure("SQUARE_FAIL", f"M_{E.n - k}" if k else "head")
     check_crossed_morphism(E.base, E2.base, mor.crossed)
     if E2.pi.compose(mor.crossed.beta) != E.pi:
         raise CheckFailure("NOT_IDENTITY_ON_G")
-    validate_morphism(ModuleMorphism(E.M, E2.M, mor.alpha.matrix))
-    for idx, delta in enumerate(mor.mids):
-        validate_morphism(ModuleMorphism(E.mids[idx], E2.mids[idx], delta.matrix))
+    for src, tgt, v in zip((E.M, *E.mids), (E2.M, *E2.mids), verts):
+        validate_morphism(ModuleMorphism(src, tgt, v.matrix))
     return mor
 
 
 def zero_extension(g, M: Representation, n: int) -> CrossedExtension:
-    """0 -> M = M -> 0 -> ... -> 0 -> g = g -> 0."""
+    """0 -> M = M -> 0 -> ... -> 0 -> g = g -> 0; at n = 2 the zero
+    boundary M -> g."""
     field = g.field
-    zero_mod = trivial_rep(g, 0)
-    mids = (M,) + (zero_mod,) * (n - 3)
-    # M_{n-1} = M -> 0, then 0 -> 0 down to M_1 = 0
-    partials = tuple(LinearMap.zero(field, M.dim if k == 0 else 0, 0)
-                     for k in range(n - 2))
-    base = CrossedModule(g, zero_mod, LinearMap.zero(field, 0, g.dim))
+    # M_{n-1} = M, then 0 down to M_1 (which is M at n = 2), all maps zero
+    chain = (M,) + (trivial_rep(g, 0),) * (n - 2)
+    partials = tuple(LinearMap.zero(field, a.dim, b.dim)
+                     for a, b in zip(chain, chain[1:]))
+    base = CrossedModule(g, chain[-1], LinearMap.zero(field, chain[-1].dim,
+                                                      g.dim))
     return CrossedExtension(n, g, M, LinearMap.identity(field, M.dim),
-                            mids, partials, base,
+                            chain[:-1], partials, base,
                             LinearMap.identity(field, g.dim))
 
 
@@ -206,17 +186,16 @@ def push_forward(alpha: ModuleMorphism, E: CrossedExtension):
 
     Returns (alpha E, the connecting ExtensionMorphism E -> alpha E).
     """
+    if not E.mids:
+        raise CheckFailure("LENGTH_MISMATCH", E.n, "push_forward needs n >= 3")
     if alpha.source != E.M:
         raise CheckFailure("BASE_MISMATCH", detail="alpha must start at E's kernel")
     f_mor = ModuleMorphism(E.M, E.mids[0], E.f.matrix)
     pd = pushout(f_mor, alpha)
-    if len(E.partials) > 1:
-        next_dim = E.mids[1].dim
-    else:
-        next_dim = E.base.rep.dim
     field = E.g.field
-    theta_map = mediate(pd, E.partials[0],
-                        LinearMap.zero(field, alpha.target.dim, next_dim))
+    # the pushout's map on to M_{n-2}, the next node of the chain
+    theta_map = mediate(pd, E.partials[0], LinearMap.zero(
+        field, alpha.target.dim, (*E.mids, E.base.rep)[1].dim))
     newE = CrossedExtension(E.n, E.g, alpha.target, pd.j.map,
                             (pd.D,) + E.mids[1:],
                             (theta_map,) + E.partials[1:],
@@ -322,23 +301,24 @@ def baer_sum(E: CrossedExtension, E2: CrossedExtension) -> CrossedExtension:
     return out
 
 
-def baer_sum_n2(presA: Presentation, presB: Presentation) -> Presentation:
-    """Baer sum of two crossed modules presented over the same (g, M):
-    the vector-space pushout V + V' over the fiber product of the bases."""
+def baer_sum_n2(presA: CrossedExtension, presB: CrossedExtension
+                ) -> CrossedExtension:
+    """Baer sum of two 2-fold extensions of the same g by the same M: the
+    vector-space pushout V + V' over the fiber product of the bases."""
     if presA.g != presB.g:
         raise CheckFailure("BASE_MISMATCH", detail="different base algebra")
     if type(presA.M) is not type(presB.M) or presA.M != presB.M:
         raise CheckFailure("BASE_MISMATCH", detail="different kernel module")
-    if LEIBNIZ in (presA.cm.flavor, presB.cm.flavor):
+    if LEIBNIZ in (presA.base.flavor, presB.base.flavor):
         raise CheckFailure("UNSUPPORTED_FLAVOR", detail="the Baer sum of "
                            "Leibniz crossed modules is not implemented")
     g, M = presA.g, presA.M
     field = g.field
-    cmA, cmB = presA.cm, presB.cm
+    cmA, cmB = presA.base, presB.base
     VA, VB = cmA.rep, cmB.rep
     LF, F, halves, q = _fiber_algebra(cmA, presA.pi, cmB, presB.pi, g)
     W, proj, sect = _quotient_module(
-        LF, presA.incl.matrix, presB.incl.matrix,
+        LF, presA.f.matrix, presB.f.matrix,
         _fiber_actions(VA, VB, halves), "pushout relation is not stable")
     d_big = _fiber_boundary(F, cmA.partial.matrix, cmB.partial.matrix,
                             ("boundary misses the fiber",) * 2)
@@ -347,10 +327,8 @@ def baer_sum_n2(presA: Presentation, presB: Presentation) -> Presentation:
     # _quotient_module has validated W
     crossed_axioms(cm)
     emb_a = Matrix.identity(field, VA.dim).vstack(Matrix.zero(field, VB.dim, VA.dim))
-    j = LinearMap(proj.matrix @ emb_a @ presA.incl.matrix)
-    pres = Presentation(cm, g, q, M, j)
-    validate_presentation(pres)
-    return pres
+    j = LinearMap(proj.matrix @ emb_a @ presA.f.matrix)
+    return validate_extension(CrossedExtension(2, g, M, j, (), (), cm, q))
 
 
 def split_detect(E: CrossedExtension):
@@ -358,6 +336,8 @@ def split_detect(E: CrossedExtension):
 
     When a witness exists, the induced morphism onto the zero extension is
     constructed and validated before returning."""
+    if not E.mids:
+        raise CheckFailure("LENGTH_MISMATCH", E.n, "split_detect needs n >= 3")
     g = E.g
     field = g.field
     M, top = E.M, E.mids[0]
@@ -393,17 +373,11 @@ def split_detect(E: CrossedExtension):
     return LinearMap(h)
 
 
-def opext_connecting(ses: ShortExactSequence, E) -> CrossedExtension:
+def opext_connecting(ses: ShortExactSequence,
+                     E: CrossedExtension) -> CrossedExtension:
     """Splice a short exact sequence onto the head: the class-level
     connecting map Opext^n(g, M'') -> Opext^{n+1}(g, M)."""
     validate_ses(ses)
-    if isinstance(E, Presentation):
-        if E.M != ses.tail:
-            raise CheckFailure("BASE_MISMATCH",
-                               detail="extension kernel is not the sequence tail")
-        d2 = LinearMap(E.incl.matrix @ ses.beta.matrix)
-        return CrossedExtension(3, E.g, ses.head, ses.alpha.map,
-                                (ses.middle,), (d2,), E.cm, E.pi)
     if E.M != ses.tail:
         raise CheckFailure("BASE_MISMATCH",
                            detail="extension kernel is not the sequence tail")

@@ -15,10 +15,9 @@ from .algebra import (LieAlgebra, ModuleMorphism, Representation,
                       validate_lie, validate_module, validate_morphism)
 from .cohomology import (Cochain, ShortExactSequence, coboundary_matrix,
                          validate_ses)
-from .crossed import (CrossedModule, Presentation, induced_pair,
-                      validate_crossed, yoneda_crossed_module,
-                      zero_crossed_module)
-from .extensions import opext_connecting
+from .crossed import (CrossedExtension, CrossedModule, induced_pair,
+                      validate_crossed, yoneda_crossed_module)
+from .extensions import opext_connecting, zero_extension
 from .field import QQ
 from .linalg import (LinearMap, Matrix, Subspace, _columns, _from_ints,
                      kernel, solve_matrix)
@@ -225,7 +224,7 @@ def random_module_morphism(A: Representation, B: Representation,
 
 # --------------------------------------------------- crossed-module fixtures
 
-def identity_crossed(g) -> Presentation:
+def identity_crossed(g) -> CrossedExtension:
     """V = L = g acting adjointly, partial = id: induced pair is (0, 0)."""
     field = g.field
     cm = CrossedModule(g, adjoint(g), LinearMap.identity(field, g.dim))
@@ -289,18 +288,18 @@ def nonsplit_extension3(field):
     forcing h ρ(e_0) = 0 while h ρ(e_0) = (0, 1); split_detect must reject."""
     g = abelian(field, 1)
     ses = nilpotent_ses(g)
-    return opext_connecting(ses, zero_crossed_module(g, ses.tail))
+    return opext_connecting(ses, zero_extension(g, ses.tail, 2))
 
 
 def crossed_fixture_pool(field, rng: random.Random, count=20):
-    """Presentations exercising partial = 0, partial = id, and Yoneda."""
+    """2-fold extensions exercising partial = 0, partial = id, and Yoneda."""
     out = []
     while len(out) < count:
         kind = len(out) % 3
         if kind == 0:
             g = random_lie(field, rng, max_dim=3)
             M = random_module(g, rng, max_dim=2)
-            out.append(zero_crossed_module(g, M))
+            out.append(zero_extension(g, M, 2))
         elif kind == 1:
             out.append(identity_crossed(random_lie(field, rng, max_dim=3)))
         else:

@@ -354,6 +354,8 @@ def parse_workspace(text: str, field: str | None = None) -> Workspace:
                 tuple(mids), tuple(partials), base,
                 LinearMap(scalar.matrix(_key(spec, "pi", list, name),
                                         base.algebra.dim)))
+            if E.n < 3:     # a document writes n = 2 as a crossed module
+                raise ValueError("crossed extensions start at length 3")
             ws.extensions[name] = extensions.validate_extension(E)
 
     cmds = doc.get("commands", [])

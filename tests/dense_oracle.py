@@ -339,7 +339,7 @@ def dense_g2_table(pres, s, q):
     """The images s e_u of g's basis, and g2(x, y) = q([s x, s y] - s [x, y])
     on all basis pairs as field vectors of V, by `dense_bracket` and
     `dense_apply`."""
-    L, g = pres.cm.algebra, pres.g
+    L, g = pres.base.algebra, pres.g
     svecs = [dense_col(s.matrix, u) for u in range(g.dim)]
     table = {}
     for i in range(g.dim):
@@ -353,9 +353,9 @@ def dense_g2_table(pres, s, q):
 
 def _dense_puller(pres):
     """The coordinates in M of a value in ker(partial), by `dense_solve` on
-    incl; a PEIFFER_FAIL for a value outside it."""
+    f; a PEIFFER_FAIL for a value outside it."""
     def pull(val):
-        m = dense_solve(pres.incl.matrix, val)
+        m = dense_solve(pres.f.matrix, val)
         if m is None:
             raise CheckFailure("PEIFFER_FAIL", None,
                                "theta value is outside ker(partial)")
@@ -370,7 +370,7 @@ def dense_theta(pres, s, q):
                    - g2([x,y],z) + g2([x,z],y) + g2(x,[y,z])
     on the flavor's triples, with the right action of a Lie module -rho."""
     _check_sections(pres, s, q)
-    cm, g, V = pres.cm, pres.g, pres.cm.rep
+    cm, g, V = pres.base, pres.g, pres.base.rep
     field = g.field
     svecs, g2 = dense_g2_table(pres, s, q)
     fams = [mats for _, mats in sides(V)]
@@ -414,7 +414,7 @@ def lie_theta(pres, s, q):
                    - g2([x,y],z) + g2([x,z],y) - g2([y,z],x)
     on increasing triples."""
     _check_sections(pres, s, q)
-    cm, g, V = pres.cm, pres.g, pres.cm.rep
+    cm, g, V = pres.base, pres.g, pres.base.rep
     field = g.field
     svecs, g2 = dense_g2_table(pres, s, q)
     acts = [dense_lincomb(field, sv, V.action, V.dim, V.dim) for sv in svecs]

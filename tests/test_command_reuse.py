@@ -11,16 +11,18 @@ from pathlib import Path
 import pytest
 
 from crossedext import samples
-from crossedext.algebra import (leibniz_adjoint, leibniz_from_lie,
-                                leibniz_rep_from_lie)
+from crossedext.algebra import (ModuleMorphism, leibniz_adjoint,
+                                leibniz_from_lie, leibniz_rep_from_lie,
+                                trivial_rep)
 from crossedext.cli import main, run_command
 from crossedext.cohomology import class_of, cohomology, cohomology_table
 from crossedext.crossed import (CrossedModule, choose_sections, induced_pair,
                                 leibniz_theta, theta, validate_crossed,
                                 yoneda_crossed_module)
 from crossedext.field import QQ
-from crossedext.linalg import LinearMap
-from crossedext.workspace import parse_workspace, serialize_workspace
+from crossedext.linalg import LinearMap, Matrix
+from crossedext.workspace import (Workspace, parse_workspace,
+                                  serialize_workspace)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # the package exports a function named cohomology, so the submodules are
@@ -36,7 +38,7 @@ def _workspace():
     module of a Leibniz algebra that is not Lie."""
     ws = parse_workspace((FIXTURES / "yoneda_jordan.json").read_text())
     cm = yoneda_crossed_module(ws.sequences["jordan_ses"],
-                               ws.cochains["vol12"]).cm
+                               ws.cochains["vol12"]).base
     leib = leibniz_from_lie(cm.algebra)
     h = samples.nonlie_leibniz(QQ)
     ad_h = leibniz_adjoint(h)
@@ -202,6 +204,30 @@ def test_leibniz_baer_sum_is_a_fail_record(name, doc_text, tmp_path,
     path.write_text(json.dumps(doc))
     assert main(["baer-sum", "--input", str(path), "--format", "json"]) == 1
     assert json.loads(capsys.readouterr().out)["results"] == [LEIBNIZ_BAER]
+
+
+LEIBNIZ_PUSHOUT = {"op": "pushout", "status": "FAIL",
+                   "error": "UNSUPPORTED_FLAVOR",
+                   "detail": "UNSUPPORTED_FLAVOR: the pushout of Leibniz "
+                             "modules is not implemented"}
+
+
+def test_leibniz_pushout_is_a_fail_record(tmp_path, capsys):
+    """A pushout of morphisms of Leibniz modules is refused with its own
+    code, as their Baer sum is: one record, exit 1 and no traceback."""
+    h = samples.nonlie_leibniz(QQ)
+    k, k2 = trivial_rep(h, 1), trivial_rep(h, 2)
+    cmd = {"op": "pushout", "f": "f", "g": "g"}
+    f = ModuleMorphism(k, k2, Matrix(QQ, [[QQ.one], [QQ.zero]], cols=1))
+    g = ModuleMorphism(k, k, Matrix.identity(QQ, 1))
+    ws = Workspace(QQ, algebras={"h": h}, modules={"k": k, "k2": k2},
+                   morphisms={"f": f, "g": g}, commands=[cmd])
+    assert run_command(ws, cmd) == [LEIBNIZ_PUSHOUT]
+    path = tmp_path / "pushout.json"
+    path.write_text(serialize_workspace(ws))
+    assert main(["pushout", "--input", str(path), "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["results"] == [LEIBNIZ_PUSHOUT] and err == ""
 
 
 def test_baer_sum_across_flavors_is_a_base_mismatch(doc_text):

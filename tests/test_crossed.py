@@ -8,12 +8,14 @@ from crossedext.linalg import LinearMap, Matrix
 from crossedext.algebra import adjoint, trivial_rep
 from crossedext.cohomology import (class_of, coboundary, coboundary_witness,
                                    cochain_from_values, connecting_hom)
-from crossedext.crossed import (CrossedModule, CrossedMorphism, Presentation,
-                                check_crossed_morphism, choose_sections,
-                                classify2, leibniz_theta, negate_crossed,
+from crossedext.crossed import (CrossedExtension, CrossedModule,
+                                CrossedMorphism, check_crossed_morphism,
+                                choose_sections, classify2, leibniz_theta,
                                 perturbed_sections, theta, validate_crossed,
-                                validate_presentation, yoneda_crossed_module,
-                                zero_crossed_module)
+                                yoneda_crossed_module)
+from crossedext.extensions import (ExtensionMorphism,
+                                   check_extension_morphism, negate,
+                                   validate_extension, zero_extension)
 from crossedext import samples
 
 Z, O = QQ.zero, QQ.one
@@ -28,8 +30,8 @@ def test_identity_crossed_module_induces_zero_pair():
 
 def test_zero_crossed_module_classifies_to_zero():
     g = samples.heisenberg(QQ)
-    pres = zero_crossed_module(g, adjoint(g))
-    validate_presentation(pres)
+    pres = zero_extension(g, adjoint(g), 2)
+    validate_extension(pres)
     assert classify2(pres).is_zero()
 
 
@@ -46,11 +48,11 @@ def test_validate_crossed_rejects_bad_equivariance():
 def test_validate_presentation_rejects_wrong_kernel():
     g = samples.heisenberg(QQ)
     M = trivial_rep(g, 1)
-    pres = zero_crossed_module(g, M)
-    bad = Presentation(pres.cm, g, pres.pi, M,
-                       LinearMap(Matrix(QQ, [[Z]], cols=1)))
+    pres = zero_extension(g, M, 2)
+    bad = CrossedExtension(2, g, M, LinearMap(Matrix(QQ, [[Z]], cols=1)),
+                           (), (), pres.base, pres.pi)
     with pytest.raises(CheckFailure):
-        validate_presentation(bad)
+        validate_extension(bad)
 
 
 def _jordan_yoneda(value_tuple=(1, 2), scale=1):
@@ -96,13 +98,13 @@ def test_yoneda_class_matches_connecting():
 
 def test_classify_accepts_bare_crossed_module():
     g = samples.sl2(QQ)
-    cm = zero_crossed_module(g, trivial_rep(g, 1)).cm
+    cm = zero_extension(g, trivial_rep(g, 1), 2).base
     assert classify2(cm).is_zero()
 
 
 def test_negation_flips_class():
     _, _, _, pres = _jordan_yoneda()
-    assert classify2(negate_crossed(pres)) == -classify2(pres)
+    assert classify2(negate(pres)) == -classify2(pres)
 
 
 def test_cohomologous_cocycles_give_crossed_morphism_and_equal_class():
@@ -119,8 +121,8 @@ def test_cohomologous_cocycles_give_crossed_morphism_and_equal_class():
                           [O if j == i else Z for j in range(3)])
     beta = LinearMap(Matrix(QQ, shear_rows, cols=4))
     phi = CrossedMorphism(LinearMap.identity(QQ, 2), beta)
-    check_crossed_morphism(presA.cm, presB.cm, phi, presA, presB,
-                           require_identity=True)
+    check_extension_morphism(presA, presB, ExtensionMorphism(
+        LinearMap.identity(QQ, 1), (), phi))
     assert classify2(presA) == classify2(presB)
 
 
@@ -129,14 +131,14 @@ def test_crossed_morphism_square_failure_detected():
     bad = CrossedMorphism(LinearMap.identity(QQ, 2),
                           LinearMap(Matrix.zero(QQ, 4, 4)))
     with pytest.raises(CheckFailure):
-        check_crossed_morphism(pres.cm, pres.cm, bad)
+        check_crossed_morphism(pres.base, pres.base, bad)
 
 
 def test_leibniz_theta_is_cocycle_on_lie_fixture():
     from crossedext.algebra import leibniz_from_lie
     g = samples.heisenberg(QQ)
-    pres = zero_crossed_module(leibniz_from_lie(g),
-                               samples.trivial_rep(leibniz_from_lie(g), 1))
+    pres = zero_extension(leibniz_from_lie(g),
+                          samples.trivial_rep(leibniz_from_lie(g), 1), 2)
     th = leibniz_theta(pres, *choose_sections(pres))
     class_of(th)
     assert not any(th.vec)

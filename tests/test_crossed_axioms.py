@@ -12,7 +12,8 @@ from crossedext import samples
 from crossedext.algebra import (LeibnizRepresentation, Representation,
                                 leibniz_from_lie, leibniz_rep_from_lie)
 from crossedext.crossed import (CrossedModule, crossed_axioms,
-                                yoneda_crossed_module, zero_crossed_module)
+                                yoneda_crossed_module)
+from crossedext.extensions import zero_extension
 from crossedext.field import PrimeField, QQ
 from crossedext.linalg import LinearMap, Matrix, kernel
 from dense_oracle import dense_crossed_axioms
@@ -33,12 +34,12 @@ def _valid(kind, field, rng):
     """A Lie crossed module: zero, identity or a Yoneda splice."""
     if kind == "zero":
         g = samples.random_lie(field, rng, max_dim=3)
-        return zero_crossed_module(g, samples.random_module(g, rng, 2)).cm
+        return zero_extension(g, samples.random_module(g, rng, 2), 2).base
     if kind == "identity":
         return samples.identity_crossed(
-            samples.random_lie(field, rng, 3)).cm
+            samples.random_lie(field, rng, 3)).base
     return yoneda_crossed_module(
-        *samples.yoneda_fixtures(field, rng, count=1)[0]).cm
+        *samples.yoneda_fixtures(field, rng, count=1)[0]).base
 
 
 def _peiffer(field, rng):

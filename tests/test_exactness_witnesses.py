@@ -1,5 +1,6 @@
-"""Every exactness failure of the sequence, presentation, crossed-morphism
-and extension validators keeps its code, witness and detail: each row of
+"""Every exactness failure of the sequence and extension validators, the
+latter at n = 2 (a crossed module presented over (g, M)) and at n = 3, and
+of extension morphisms keeps its code, witness and detail: each row of
 `EXACTNESS` plants one failure in an otherwise valid object.  A sequence's
 failures also reach a document, so they are checked through `cli.main`
 too, as the parse record of `crossed-ext check`."""
@@ -10,10 +11,10 @@ import pytest
 from crossedext import cli, samples
 from crossedext.algebra import ModuleMorphism, trivial_rep
 from crossedext.cohomology import ShortExactSequence, validate_ses
-from crossedext.crossed import (CrossedModule, CrossedMorphism, Presentation,
-                                check_crossed_morphism, validate_presentation,
-                                zero_crossed_module)
-from crossedext.extensions import CrossedExtension, validate_extension
+from crossedext.crossed import CrossedModule, CrossedMorphism
+from crossedext.extensions import (CrossedExtension, ExtensionMorphism,
+                                   check_extension_morphism,
+                                   validate_extension, zero_extension)
 from crossedext.field import QQ
 from crossedext.linalg import LinearMap, Matrix
 from test_flavor_core import outcome
@@ -33,26 +34,25 @@ def _ses(alpha, beta, middle=2, source=None):
 
 
 def _presentation(L, g, pi, vdim=1, incl=((1,),)):
-    """The zero crossed module of the trivial L-module k^vdim, presented
-    over g by the matrix pi and over k by the matrix incl."""
+    """The zero crossed module of the trivial L-module k^vdim, as the 2-fold
+    extension of g by k with the matrices pi and incl as pi and f."""
     cm = CrossedModule(L, trivial_rep(L, vdim),
                        LinearMap.zero(QQ, vdim, L.dim))
-    return validate_presentation, Presentation(
-        cm, g, LinearMap(Matrix(QQ, pi, cols=L.dim)), trivial_rep(g, 1),
-        LinearMap(Matrix(QQ, incl, cols=1)))
+    return validate_extension, CrossedExtension(
+        2, g, trivial_rep(g, 1), LinearMap(Matrix(QQ, incl, cols=1)), (), (),
+        cm, LinearMap(Matrix(QQ, pi, cols=L.dim)))
 
 
 def _identity_morphism(alpha, beta):
     """The scalar maps alpha on V = k and beta on L = g of the zero crossed
-    module of k over the one-dimensional algebra, against its own
-    presentation: a crossed morphism, the identity on g and M only when
+    module of k over the one-dimensional algebra, with the identity on M,
+    from its 2-fold extension to itself: a morphism of extensions only when
     both scalars are 1."""
-    pres = zero_crossed_module(G1, trivial_rep(G1, 1))
+    pres = zero_extension(G1, trivial_rep(G1, 1), 2)
     phi = CrossedMorphism(LinearMap(Matrix(QQ, [[alpha]])),
                           LinearMap(Matrix(QQ, [[beta]])))
-    return (lambda *args: check_crossed_morphism(*args,
-                                                 require_identity=True),
-            pres.cm, pres.cm, phi, pres, pres)
+    return (check_extension_morphism, pres, pres,
+            ExtensionMorphism(LinearMap.identity(QQ, 1), (), phi))
 
 
 def _extension_over_a_plane():
@@ -79,22 +79,22 @@ EXACTNESS = [
      ("EXACTNESS_FAIL", "middle", "im(alpha) != ker(beta)")),
     ("presentation, ker(pi) != im(partial)",
      _presentation(samples.abelian(QQ, 2), G1, [[1, 0]]),
-     ("EXACTNESS_FAIL", "L", "ker(pi) != im(partial)")),
+     ("EXACTNESS_FAIL", "L", "ker(pi) != im(d_1)")),
     # pi = id from [x, y] = y onto the abelian plane: [e_0, e_1] is lost
     ("presentation, pi not an algebra map",
      _presentation(samples.solvable2(QQ), samples.abelian(QQ, 2),
                    [[1, 0], [0, 1]]),
-     ("SQUARE_FAIL", (0, 1), "pi is not an algebra map")),
+     ("EXACTNESS_FAIL", "L", "pi is not an algebra map")),
     ("presentation, incl not injective",
      _presentation(G1, G1, [[1]], incl=[[0]]),
-     ("EXACTNESS_FAIL", "M", "incl is not injective")),
+     ("EXACTNESS_FAIL", "M", "head map is not injective")),
     ("presentation, im(incl) != ker(partial)",
      _presentation(G1, G1, [[1]], vdim=2, incl=[[1], [0]]),
-     ("EXACTNESS_FAIL", "V", "im(incl) != ker(partial)")),
+     ("EXACTNESS_FAIL", "M_1", "")),
     ("crossed morphism, not the identity on g", _identity_morphism(1, 2),
      ("NOT_IDENTITY_ON_G", None, "")),
     ("crossed morphism, not the identity on M", _identity_morphism(2, 1),
-     ("NOT_IDENTITY_ON_M", None, "")),
+     ("SQUARE_FAIL", "head", "")),
     ("extension, ker(pi) != im(d_1)", _extension_over_a_plane(),
      ("EXACTNESS_FAIL", "L", "ker(pi) != im(d_1)")),
 ]

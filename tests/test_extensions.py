@@ -8,8 +8,8 @@ from crossedext.linalg import LinearMap, Matrix
 from crossedext.algebra import (ModuleMorphism, adjoint, direct_sum_reps,
                                 trivial_rep, validate_module)
 from crossedext.cohomology import cochain_from_values
-from crossedext.crossed import classify2, negate_crossed, validate_crossed, \
-    yoneda_crossed_module, zero_crossed_module
+from crossedext.crossed import CrossedModule, classify2, induced_pair, \
+    theta, validate_crossed, yoneda_crossed_module
 from crossedext.extensions import (CrossedExtension, ExtensionMorphism,
                                    baer_sum, baer_sum_n2,
                                    check_extension_morphism, mediate, negate,
@@ -18,6 +18,7 @@ from crossedext.extensions import (CrossedExtension, ExtensionMorphism,
                                    validate_extension, zero_extension)
 from crossedext import samples
 from dense_oracle import dense_col
+from test_flavor_core import _nonlie_crossed
 
 Z, O = QQ.zero, QQ.one
 
@@ -174,13 +175,53 @@ def test_baer_sum_n2_additive_on_classes():
 
 def test_baer_sum_n2_inverse_gives_zero():
     A, _ = _yoneda_pair()
-    assert classify2(baer_sum_n2(A, negate_crossed(A))).is_zero()
+    assert classify2(baer_sum_n2(A, negate(A))).is_zero()
 
 
 def test_baer_sum_n2_with_zero_is_identity():
     A, _ = _yoneda_pair()
-    zero = zero_crossed_module(A.g, A.M)
+    zero = zero_extension(A.g, A.M, 2)
     assert classify2(baer_sum_n2(A, zero)) == classify2(A)
+
+
+def test_two_fold_zero_and_negated_extensions():
+    """At n = 2 zero_extension is the zero boundary M -> g presented by
+    identities, and negate flips the sign of the head embedding only."""
+    g = samples.heisenberg(QQ)
+    M = adjoint(g)
+    zero = validate_whole(zero_extension(g, M, 2))
+    assert zero == CrossedExtension(
+        2, g, M, LinearMap.identity(QQ, 3), (), (),
+        CrossedModule(g, M, LinearMap.zero(QQ, 3, 3)),
+        LinearMap.identity(QQ, 3))
+    A, _ = _yoneda_pair()
+    assert validate_whole(negate(A)) == \
+        CrossedExtension(2, A.g, A.M, -A.f, (), (), A.base, A.pi)
+
+
+def test_length_is_checked_where_it_matters():
+    """push_forward, and with it baer_sum, and split_detect need a module
+    M_{n-1}; theta and classify2 classify 2-fold extensions only."""
+    A, B = _yoneda_pair()
+    ident = ModuleMorphism(A.M, A.M, Matrix.identity(QQ, A.M.dim))
+    for call, args in ((push_forward, (ident, A)), (baer_sum, (A, B)),
+                       (split_detect, (A,))):
+        with pytest.raises(CheckFailure) as exc:
+            call(*args)
+        assert (exc.value.code, exc.value.witness) == ("LENGTH_MISMATCH", 2)
+    E3 = _zero_ext(3)
+    for call in (theta, classify2):
+        with pytest.raises(CheckFailure) as exc:
+            call(E3)
+        assert (exc.value.code, exc.value.witness) == ("LENGTH_MISMATCH", 3)
+
+
+def test_leibniz_two_fold_extensions_validate():
+    """Only n >= 3 refuses a Leibniz base: the induced pairs of Leibniz
+    crossed modules are valid 2-fold extensions."""
+    for k in range(3):
+        pres = induced_pair(validate_crossed(_nonlie_crossed(k)))
+        assert validate_extension(pres) is pres
 
 
 # ------------------------------------------------------------------- splice
@@ -188,7 +229,7 @@ def test_baer_sum_n2_with_zero_is_identity():
 def test_opext_connecting_extends_length():
     g = samples.abelian(QQ, 1)
     ses = samples.nilpotent_ses(g)
-    E2 = zero_crossed_module(g, ses.tail)
+    E2 = zero_extension(g, ses.tail, 2)
     E3 = opext_connecting(ses, E2)
     assert E3.n == 3
     validate_whole(E3)
@@ -223,14 +264,14 @@ def test_opext_connecting_splices_nonzero_crossed_modules():
                 (3, pres.g, ses.head, ses.alpha.map)
             assert E3.mids == (ses.middle,)
             assert E3.partials == \
-                (LinearMap(pres.incl.matrix @ ses.beta.matrix),)
-            assert E3.base is pres.cm and E3.pi is pres.pi
+                (LinearMap(pres.f.matrix @ ses.beta.matrix),)
+            assert E3.base is pres.base and E3.pi is pres.pi
 
 
 def test_opext_connecting_base_mismatch():
     g = samples.abelian(QQ, 2)
     ses = samples.nilpotent_ses(g)
-    E2 = zero_crossed_module(g, trivial_rep(g, 2))
+    E2 = zero_extension(g, trivial_rep(g, 2), 2)
     with pytest.raises(CheckFailure) as exc:
         opext_connecting(ses, E2)
     assert exc.value.code == "BASE_MISMATCH"
@@ -259,7 +300,7 @@ def _e4():
     abelian k, with two middle modules."""
     g = samples.abelian(QQ, 1)
     ses = samples.nilpotent_ses(g)
-    E3 = opext_connecting(ses, zero_crossed_module(g, ses.tail))
+    E3 = opext_connecting(ses, zero_extension(g, ses.tail, 2))
     return opext_connecting(samples.split_ses(g, trivial_rep(g, 1), E3.M),
                             E3)
 
@@ -309,8 +350,8 @@ def _planted_m2(E):
 def _planted_m1(E):
     # M_1 grows a trivial summand that d_2 misses and d_1 kills
     g = E.g
-    base = zero_crossed_module(g, direct_sum_reps(E.base.rep,
-                                                  trivial_rep(g, 1))).cm
+    base = zero_extension(g, direct_sum_reps(E.base.rep,
+                                             trivial_rep(g, 1)), 2).base
     d2 = LinearMap(E.partials[1].matrix.vstack(Matrix.zero(QQ, 1, 2)))
     return _with(E, partials=(E.partials[0], d2), base=base)
 

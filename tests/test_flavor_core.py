@@ -16,14 +16,14 @@ from crossedext.algebra import (LeibnizAlgebra, LeibnizRepresentation,
                                 leibniz_rep_from_lie, trivial_rep,
                                 validate_morphism)
 from crossedext.cohomology import LEIBNIZ, cochain_from_values
-from crossedext.crossed import (CrossedModule, CrossedMorphism, Presentation,
+from crossedext.crossed import (CrossedModule, CrossedMorphism,
                                 check_crossed_morphism, choose_sections,
                                 induced_pair, leibniz_theta,
                                 perturbed_sections, theta, validate_crossed,
-                                validate_presentation, yoneda_crossed_module,
-                                zero_crossed_module)
+                                yoneda_crossed_module)
 from crossedext.errors import CheckFailure
-from crossedext.extensions import CrossedExtension, validate_extension
+from crossedext.extensions import (CrossedExtension, validate_extension,
+                                   zero_extension)
 from crossedext.field import PrimeField, QQ
 from crossedext.linalg import LinearMap, Matrix, block_diag
 from crossedext.workspace import parse_workspace
@@ -68,8 +68,8 @@ def _lie_presentations():
                                   jordan.cochains["vol12"])),
            ("splice over Q", _splice(QQ)),
            ("splice over F_5", _splice(F5)),
-           ("zero", zero_crossed_module(samples.heisenberg(QQ),
-                                        adjoint(samples.heisenberg(QQ)))),
+           ("zero", zero_extension(samples.heisenberg(QQ),
+                                   adjoint(samples.heisenberg(QQ)), 2)),
            ("identity", samples.identity_crossed(samples.sl2(QQ)))]
     rng = random.Random(7)
     for field in (QQ, F5):
@@ -103,7 +103,7 @@ def test_theta_equals_the_ce_formula_on_lie_crossed_modules(name, pres):
 def _leibniz_splice():
     """The Jordan splice read as a Leibniz crossed module: right action
     minus the left one."""
-    cm = _splice(QQ).cm
+    cm = _splice(QQ).base
     h = leibniz_from_lie(cm.algebra)
     return induced_pair(validate_crossed(CrossedModule(
         h, leibniz_rep_from_lie(cm.rep, h), cm.partial)))
@@ -113,7 +113,7 @@ def _leibniz_splice():
 def test_bad_sections_are_refused(flavor):
     pres = _splice(QQ) if flavor == "lie" else _leibniz_splice()
     th = theta if flavor == "lie" else leibniz_theta
-    assert any(any(row) for row in pres.cm.partial.matrix.data)
+    assert any(any(row) for row in pres.base.partial.matrix.data)
     s, q = choose_sections(pres)
     two = QQ.of(2)
     bad_s = LinearMap(s.matrix.scale(two))
@@ -156,11 +156,11 @@ def _equivariance_crossed(V):
 
 
 def _presentation(V, M):
-    """The zero boundary of V, presented over (algebra, M) with M of V's
-    dimension: only the kernel actions can disagree."""
-    pres = zero_crossed_module(V.algebra, V)
-    return validate_presentation, Presentation(pres.cm, pres.g, pres.pi, M,
-                                               pres.incl)
+    """The zero boundary of V, the 2-fold extension of its algebra by M of
+    V's dimension: only the kernel actions can disagree."""
+    pres = zero_extension(V.algebra, V, 2)
+    return validate_extension, CrossedExtension(2, pres.g, M, pres.f, (), (),
+                                                pres.base, pres.pi)
 
 
 def _crossed_morphism(V):
@@ -215,16 +215,16 @@ WITNESSES = [
      ("EQUIVARIANCE_FAIL", (0,), "right action")),
     ("presentation, lie",
      _presentation(_lie_module(2, [Z2, E01]), _lie_module(2, [Z2, Z2])),
-     ("EQUIVARIANCE_FAIL", (1,), "action on kernel")),
+     ("NOT_G_MODULE_MAP", 2, "basis vector 1")),
     ("presentation, leibniz left",
      _presentation(_leibniz_module(2, [Z2, E01], [Z2, Z2]),
                    _leibniz_module(2, [Z2, Z2], [Z2, Z2])),
-     ("EQUIVARIANCE_FAIL", (1,), "left action on kernel")),
+     ("NOT_G_MODULE_MAP", 2, "basis vector 1, left action")),
     # the basis index is the outer loop: right at 0 before left at 1
     ("presentation, leibniz right first",
      _presentation(_leibniz_module(2, [Z2, E01], [E01, Z2]),
                    _leibniz_module(2, [Z2, Z2], [Z2, Z2])),
-     ("EQUIVARIANCE_FAIL", (0,), "right action on kernel")),
+     ("NOT_G_MODULE_MAP", 2, "basis vector 0, right action")),
     ("crossed morphism, lie",
      _crossed_morphism(_lie_module(2, [Z2, E01])),
      ("EQUIVARIANCE_FAIL", (1,), "")),
@@ -309,13 +309,13 @@ def valid_crossed_modules(draw):
     else:
         if kind == "zero":
             g = samples.random_lie(field, rng, max_dim=3)
-            pres = zero_crossed_module(g, samples.random_module(g, rng, 2))
+            pres = zero_extension(g, samples.random_module(g, rng, 2), 2)
         elif kind == "identity":
             pres = samples.identity_crossed(samples.random_lie(field, rng, 3))
         else:
             pres = yoneda_crossed_module(
                 *samples.yoneda_fixtures(field, rng, count=1)[0])
-        cm = pres.cm
+        cm = pres.base
         if draw(st.booleans()):
             h = leibniz_from_lie(cm.algebra)
             cm = CrossedModule(h, leibniz_rep_from_lie(cm.rep, h), cm.partial)

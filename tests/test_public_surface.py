@@ -24,11 +24,9 @@ HOMES = {
                    "class_of", "coboundary", "coboundary_matrix",
                    "coboundary_witness", "cohomology", "cohomology_table",
                    "connecting_hom", "validate_ses"],
-    "crossed": ["CrossedModule", "CrossedMorphism", "Presentation",
-                "check_crossed_morphism", "classify2", "induced_pair",
-                "leibniz_theta", "negate_crossed", "theta", "validate_crossed",
-                "validate_presentation", "yoneda_crossed_module",
-                "zero_crossed_module"],
+    "crossed": ["CrossedModule", "CrossedMorphism", "check_crossed_morphism",
+                "classify2", "induced_pair", "leibniz_theta", "theta",
+                "validate_crossed", "yoneda_crossed_module"],
     "extensions": ["CrossedExtension", "ExtensionMorphism", "baer_sum",
                    "baer_sum_n2", "check_extension_morphism", "mediate",
                    "negate", "opext_connecting", "pushout", "push_forward",
@@ -41,21 +39,20 @@ ALL = [
     "CheckFailure", "Cochain", "CohomologyClass", "CrossedExtension",
     "CrossedModule", "CrossedMorphism", "ExtensionMorphism", "LeibnizAlgebra",
     "LeibnizRepresentation", "LieAlgebra", "LinearMap", "Matrix",
-    "ModuleMorphism", "Presentation", "PrimeField", "QQ", "Representation",
+    "ModuleMorphism", "PrimeField", "QQ", "Representation",
     "ShortExactSequence", "Subspace", "Workspace", "adjoint", "algebra",
     "baer_sum", "baer_sum_n2", "check_crossed_morphism",
     "check_extension_morphism", "class_of", "classify2", "coboundary",
     "coboundary_matrix", "coboundary_witness", "cohomology",
     "cohomology_table", "connecting_hom", "crossed", "errors", "extensions",
     "field", "field_from_spec", "induced_pair", "leibniz_from_lie",
-    "leibniz_theta", "linalg", "mediate", "negate", "negate_crossed",
+    "leibniz_theta", "linalg", "mediate", "negate",
     "opext_connecting", "parse_workspace", "push_forward", "pushout",
     "serialize_workspace", "split_detect", "sum_over_g", "theta",
     "trivial_rep", "validate_crossed", "validate_extension",
     "validate_leibniz", "validate_leibniz_module", "validate_lie",
-    "validate_module", "validate_morphism", "validate_presentation",
-    "validate_ses", "workspace", "yoneda_crossed_module",
-    "zero_crossed_module", "zero_extension",
+    "validate_module", "validate_morphism", "validate_ses", "workspace",
+    "yoneda_crossed_module", "zero_extension",
 ]
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from crossedext.algebra import adjoint, leibniz_adjoint, leibniz_from_lie
 from crossedext.cohomology import Cochain, CohomologyClass, ShortExactSequence
-from crossedext.crossed import CrossedModule, CrossedMorphism, Presentation
+from crossedext.crossed import CrossedModule, CrossedMorphism
 from crossedext.extensions import (CrossedExtension, ExtensionMorphism,
                                    PushoutData)
 from crossedext.field import QQ, PrimeField
@@ -31,8 +31,6 @@ RECORDS = [
     (ShortExactSequence, {"alpha": "a", "beta": "b"}),
     (CrossedModule, {"algebra": G, "rep": M,
                      "partial": LinearMap.identity(QQ, 3)}),
-    (Presentation, {"cm": "cm", "g": "g", "pi": "pi", "M": "M",
-                    "incl": "incl"}),
     (CrossedMorphism, {"alpha": "a", "beta": "b"}),
     (PushoutData, {"D": "D", "i": "i", "j": "j", "proj": "p", "sect": "s",
                    "f": "f", "g": "g"}),
@@ -113,7 +111,7 @@ def test_crossed_module_checks_the_shape_of_partial():
 
 def test_crossed_extension_checks_its_length():
     with pytest.raises(ValueError):
-        CrossedExtension(2, "g", "M", "f", (), (), "base", "pi")
+        CrossedExtension(1, "g", "M", "f", (), (), "base", "pi")
     with pytest.raises(ValueError):
         CrossedExtension(n=4, g="g", M="M", f="f", mids=("m",),
                          partials=("d",), base="base", pi="pi")

@@ -43,7 +43,7 @@ def _count(monkeypatch):
         return original_pair(cm)
 
     def counted_g2(pres, s, q):
-        g2[id(pres.cm)] += 1
+        g2[id(pres.base)] += 1
         return original_g2(pres, s, q)
     monkeypatch.setattr(crossed_mod, "induced_pair", counted_pair)
     monkeypatch.setattr(crossed_mod, "_g2_table", counted_g2)
@@ -104,7 +104,7 @@ def test_a_replaced_crossed_module_is_presented_afresh(doc_text,
     assert run_command(ws, cmd) == want
     # presented once more in ws: the memo of fresh is its own
     assert pairs == {id(new): 1}
-    assert ws.classified["jordan_cm"].cm is new
+    assert ws.classified["jordan_cm"].pres.base is new
 
 
 def test_a_failing_presentation_stores_nothing(doc_text):

@@ -24,7 +24,7 @@ from crossedext import samples
 from crossedext.algebra import (LeibnizAlgebra, LeibnizRepresentation,
                                 LieAlgebra, Representation, bracket_defect,
                                 validate_lie, validate_module)
-from crossedext.crossed import (CrossedModule, Presentation, _g2_table,
+from crossedext.crossed import (CrossedExtension, CrossedModule, _g2_table,
                                 crossed_axioms)
 from crossedext.field import PrimeField, QQ
 from crossedext.linalg import LinearMap, Matrix
@@ -308,7 +308,7 @@ def g2_case(field, seed):
         zeros = [Matrix.zero(field, n, n)] * L.dim
         V = LeibnizRepresentation(L, n, zeros, zeros)
     cm = CrossedModule(L, V, LinearMap(Matrix.zero(field, L.dim, n)))
-    pres = Presentation(cm, g, None, None, None)
+    pres = CrossedExtension(2, g, None, None, (), (), cm, None)
     return (pres, LinearMap(_matrix(field, L.dim, g.dim, rng)),
             LinearMap(_matrix(field, n, L.dim, rng)))
 
@@ -318,7 +318,7 @@ def g2_case(field, seed):
 def test_g2_table_matches_the_full_loop(field, seed):
     pres, s, q = g2_case(field, seed)
     table, d = _g2_table(pres, s, q)
-    n = pres.cm.rep.dim
+    n = pres.base.rep.dim
     _, want = dense_g2_table(pres, s, q)
     assert set(table) == set(want)
     assert {t: dense(field, (v, d), n) for t, v in table.items()} == want

@@ -18,7 +18,8 @@ from crossedext.algebra import (LeibnizAlgebra, LeibnizRepresentation,
 from crossedext.crossed import (CrossedModule, choose_sections,
                                 crossed_axioms, induced_pair,
                                 perturbed_sections, theta, validate_crossed,
-                                yoneda_crossed_module, zero_crossed_module)
+                                yoneda_crossed_module)
+from crossedext.extensions import zero_extension
 from crossedext.field import PrimeField, QQ
 from crossedext.linalg import LinearMap, Matrix, block_diag, kernel
 from crossedext.workspace import parse_workspace
@@ -102,13 +103,13 @@ def theta_case(field, seed, kind, leibniz):
     else:
         if kind == "zero":
             g = samples.random_lie(field, rng, max_dim=3)
-            pres = zero_crossed_module(g, samples.random_module(g, rng, 2))
+            pres = zero_extension(g, samples.random_module(g, rng, 2), 2)
         elif kind == "identity":
             pres = samples.identity_crossed(samples.random_lie(field, rng, 3))
         else:
             pres = yoneda_crossed_module(
                 *samples.yoneda_fixtures(field, rng, count=1)[0])
-        cm = pres.cm
+        cm = pres.base
         if leibniz:
             h = leibniz_from_lie(cm.algebra)
             cm = CrossedModule(h, leibniz_rep_from_lie(cm.rep, h), cm.partial)
