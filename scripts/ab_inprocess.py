@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""Time two checkouts of crossedext against each other in one interpreter,
+round by round, on one benchmark document.
+
+    python3 scripts/ab_inprocess.py OLD_SRC NEW_SRC WORKLOAD SEED
+                                    [--field SPEC] [--rounds N]
+
+OLD_SRC and NEW_SRC are the directories crossedext is imported from (a
+checkout's src/).  Each is loaded under its own package name, which works
+because the package imports itself only relatively.  The document is the
+benchmark's (perfbench/gen.py, standard library only, loaded from its
+file); --field SPEC replaces the generator's field, as in
+scripts/report_hashes.py.  Each round parses the document and runs its
+`report` commands once per checkout, the two in alternating order, so that
+a drift of the host's speed falls on both sides of a pair alike.  The output
+is the median of each side's parse and command seconds and the median of
+the paired NEW/OLD ratios.  The exit status is 1, after a message, if the
+two checkouts' records differ in any round.
+"""
+import argparse
+import gc
+import importlib
+import importlib.util
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("ladder-q", "ladder-fp", "crossed-mix")
+
+
+def _gen():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def load(src, name):
+    """The (workspace, cli) modules of the crossedext in directory src,
+    imported as the package `name`."""
+    pkg_dir = Path(src).resolve() / "crossedext"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg_dir / "__init__.py",
+        submodule_search_locations=[str(pkg_dir)])
+    pkg = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pkg)
+    return (importlib.import_module(f"{name}.workspace"),
+            importlib.import_module(f"{name}.cli"))
+
+
+def measure(side, text, field):
+    """(parse seconds, command seconds, records) of one report."""
+    workspace, cli = side
+    gc.collect()
+    t0 = time.perf_counter()
+    ws = workspace.parse_workspace(text, field)
+    t1 = time.perf_counter()
+    records = cli.run(ws, "report")
+    t2 = time.perf_counter()
+    return t1 - t0, t2 - t1, records
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("old_src")
+    ap.add_argument("new_src")
+    ap.add_argument("workload", choices=WORKLOADS)
+    ap.add_argument("seed", type=int)
+    ap.add_argument("--field", help="a field selector that replaces the "
+                    "generator's")
+    ap.add_argument("--rounds", type=int, default=10)
+    args = ap.parse_args(argv)
+    text, extra, _ = _gen().generate(args.workload, args.seed)
+    field = args.field
+    if field is None and "--field" in extra:
+        field = extra[extra.index("--field") + 1]
+    sides = {"old": load(args.old_src, "crossedext_ab_old"),
+             "new": load(args.new_src, "crossedext_ab_new")}
+    times = {"old": [], "new": []}
+    for r in range(max(args.rounds, 1)):
+        order = ("old", "new") if r % 2 == 0 else ("new", "old")
+        got = {}
+        for key in order:
+            parse_s, cmd_s, records = measure(sides[key], text, field)
+            times[key].append((parse_s, cmd_s))
+            got[key] = json.dumps(records, sort_keys=True)
+        if got["old"] != got["new"]:
+            print(f"round {r}: the two checkouts' records differ",
+                  file=sys.stderr)
+            return 1
+    print(f"{args.workload} seed {args.seed}"
+          + (f" field {field}" if field else "")
+          + f", {len(times['old'])} rounds")
+    for part, pick in (("parse", lambda t: t[0]),
+                       ("commands", lambda t: t[1]), ("total", sum)):
+        old = [pick(t) for t in times["old"]]
+        new = [pick(t) for t in times["new"]]
+        ratio = statistics.median(n / o for n, o in zip(new, old))
+        print(f"{part:9} old {statistics.median(old):.4f} s  "
+              f"new {statistics.median(new):.4f} s  "
+              f"new/old {ratio:.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

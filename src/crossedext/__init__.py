@@ -3,8 +3,9 @@ finite-dimensional Lie and Leibniz algebras over Q or F_p.
 
 `crossed`, `extensions` and the layers a cohomology table never calls
 (`_spaces` under `linalg`, `_classes` under `cohomology`, `_maps` under
-`algebra`) are lazy modules (importlib.util.LazyLoader), run on first use;
-PEP 562 re-exports their names here and a layer's in its home too."""
+`algebra`, `_serializer` under `workspace`) are lazy modules
+(importlib.util.LazyLoader), run on first use; PEP 562 re-exports their
+names here and a layer's in its home too."""
 
 import importlib.util as _util
 import sys as _sys
@@ -32,9 +33,10 @@ def _forward(home, lazy, names):
 _spaces = _lazy("_spaces")
 _classes = _lazy("_classes")
 _maps = _lazy("_maps")
+_serializer = _lazy("_serializer")
 crossed = _lazy("crossed")
 extensions = _lazy("extensions")
-_LAZY = {"Subspace": _spaces}
+_LAZY = {"Subspace": _spaces, "serialize_workspace": _serializer}
 _LAZY.update(dict.fromkeys(
     ["Cochain", "CohomologyClass", "ShortExactSequence", "class_of",
      "coboundary", "coboundary_witness", "cohomology", "connecting_hom",
@@ -59,7 +61,7 @@ from .algebra import (LeibnizAlgebra, LeibnizRepresentation, LieAlgebra,
                       Representation, validate_leibniz,
                       validate_leibniz_module, validate_lie, validate_module)
 from .cohomology import coboundary_matrix, cohomology_table
-from .workspace import Workspace, parse_workspace, serialize_workspace
+from .workspace import Workspace, parse_workspace
 
 del cohomology    # the submodule; the package's `cohomology` is the function
 

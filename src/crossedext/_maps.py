@@ -5,8 +5,8 @@ integer equivariance, Hom_g and algebra-map kernels.  A lazy module (see
 from __future__ import annotations
 
 from .errors import CheckFailure
-from .linalg import (LinearMap, Matrix, _columns, _from_ints, _lincomb,
-                     _modulus, _mul_vec, _products_differ, _reduced, _sum,
+from .linalg import (LinearMap, Matrix, _columns, _first_nonzero_row,
+                     _from_ints, _lincomb, _modulus, _mul_vec, _reduced, _sum,
                      block_diag)
 from .algebra import (LEIBNIZ, LeibnizAlgebra, LeibnizRepresentation,
                       LieAlgebra, Representation, _skew_defect, sides)
@@ -56,12 +56,16 @@ def equivariance_defect(f: Matrix, src, tgt):
     matrix f intertwines the action families src of its source, (side,
     matrices) pairs as `sides` gives them, and tgt of its target, (side,
     integer views) pairs as `pulled_back` gives them, paired in order; i is
-    the outer loop.  The products are compared on integers, mod p over F_p
-    (`linalg._products_differ`); each caller raises its own failure."""
-    fv, p = f._ints, _modulus(f.field)
+    the outer loop.  With F, A, B the integer rows of f, A_i and B_i on d_f,
+    d_A and d_B, the test is F A d_B = B F d_A (d_f d_A d_B times the true
+    one), one `linalg._first_nonzero_row` pass, mod p over F_p; each caller
+    raises its own failure."""
+    (F, _), p = f._ints, _modulus(f.field)
     for i in range(len(src[0][1])):
         for (side, a), (_, b) in zip(src, tgt):
-            if _products_differ(fv, a[i]._ints, b[i], fv, p):
+            (A, da), (B, db) = a[i]._ints, b[i]
+            if _first_nonzero_row([(db, F, A), (-da, B, F)], (), f.rows,
+                                  p) is not None:
                 return i, side
     return None
 

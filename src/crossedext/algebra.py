@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from . import _forward, _maps
 from .errors import CheckFailure
-from .linalg import (Matrix, _common_rows, _from_ints, _lincomb, _lincomb_rows,
-                     _modulus, _mul_rows, _negated, _sum)
+from .linalg import (Matrix, _common_rows, _first_nonzero_row, _from_ints,
+                     _lincomb, _modulus, _negated, _sum)
 
 # the map layer, a lazy module, whose names are served from here too
 __getattr__ = _forward(__name__, _maps, (
@@ -189,8 +189,9 @@ def validate_module(rep: Representation) -> Representation:
 
         D * sum_k c_ij^k A_k = d_c * (A_i A_j - A_j A_i),
 
-    compared entry by entry, mod p over F_p (where D = d_c = 1).  Each
-    product A_i A_j, i != j, is formed once; the diagonal needs none."""
+    compared entry by entry, mod p over F_p (where D = d_c = 1), one
+    `_first_nonzero_row` pass per pair, which stores no product A_i A_j;
+    the diagonal has no product terms."""
     g, n = rep.algebra, rep.algebra.dim
     p = _modulus(g.field)
     c, dc = g.int_structure()
@@ -198,15 +199,12 @@ def validate_module(rep: Representation) -> Representation:
     if not any(any(rows) for rows in A):
         return rep      # every action is zero, and so is either side
     skew = _skew_defect(g) is None
-    prod = {(i, j): _mul_rows(A[i], A[j])
-            for i in range(n) for j in range(n) if i != j}
     for i in range(n):
         for j in range(i if skew else 0, n):
-            terms = [(D * s, A[k]) for k, s in c[i * n + j].items()]
-            if i != j:
-                terms += [(-dc, prod[i, j]), (dc, prod[j, i])]
-            if any(v % p if p else v for row in _lincomb_rows(terms, rep.dim)
-                   for v in row.values()):
+            if _first_nonzero_row(
+                    [(-dc, A[i], A[j]), (dc, A[j], A[i])] if i != j else (),
+                    [(D * s, A[k]) for k, s in c[i * n + j].items()],
+                    rep.dim, p) is not None:
                 raise CheckFailure("MODULE_AXIOM_FAIL", (i, j))
     return rep
 

@@ -244,12 +244,25 @@ def _sum(terms):
     return acc
 
 
-def _products_differ(a, b, c, e, p):
-    """Whether a b != c e for the integer views (rows, d) of four matrices:
-    A B d_c d_e against C E d_a d_b, row by row, mod p over F_p."""
-    (A, da), (B, db), (C, dc), (E, de) = a, b, c, e
-    return any(_reduced(_sum([(dc * de, x), (-da * db, y)]), p)
-               for x, y in zip(_mul_rows(A, B), _mul_rows(C, E)))
+def _first_nonzero_row(products, linear, n, p):
+    """The first r < n at which row r of sum f X Y + sum g Z is nonzero
+    (mod p when p is not None), or None, for the (int f, integer rows X,
+    integer rows Y) products and (int g, integer rows Z) linear terms: each
+    row is accumulated once, from rows r of X and Z, no product is stored,
+    and the rows after the first nonzero one are never formed."""
+    for r in range(n):
+        acc = {}
+        for g, Z in linear:
+            for j, x in Z[r].items():
+                acc[j] = acc.get(j, 0) + g * x
+        for f, X, Y in products:
+            for k, a in X[r].items():
+                a *= f
+                for j, b in Y[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+        if any(v % p if p else v for v in acc.values()):
+            return r
+    return None
 
 
 def _int_vec(field, vec):

@@ -12,14 +12,18 @@ import json
 import math
 
 from .errors import CheckFailure
-from .field import QQ, FieldError, FpElement, field_from_spec
+from .field import FieldError, FpElement, field_from_spec
 from .linalg import LinearMap, Matrix
-from .algebra import (LeibnizRepresentation, Representation, sides,
+from .algebra import (LeibnizRepresentation, Representation,
                       validate_leibniz, validate_leibniz_module, validate_lie,
                       validate_module)
 from .cohomology import TABLE_BUDGET, _tuple_count
+from . import _forward
 # lazy modules: a document with none of their objects never runs them
-from . import _classes, _maps, crossed, extensions
+from . import _classes, _maps, _serializer, crossed, extensions
+
+# the serializer layer, a lazy module, whose name is served from here too
+__getattr__ = _forward(__name__, _serializer, ("serialize_workspace",))
 
 
 class Workspace:
@@ -77,28 +81,34 @@ class _Scalars:
 
     def matrix(self, rows, cols):
         """The matrix of row-major scalar strings with cols columns."""
-        entries = [[self.entry(s) for s in row] for row in rows]
+        m = self.read(map(enumerate, rows), cols)
         # a row unlike the first is malformed; rows all of one length
         # other than cols are ragged against the declared dimension
-        if entries and any(len(r) != len(entries[0]) for r in entries):
+        widths = {len(r) for r in rows}
+        if len(widths) > 1:
             raise ValueError("ragged matrix rows")
-        if any(len(r) != cols for r in entries):
+        if widths - {cols}:
             raise CheckFailure("PARSE_ERROR", detail="ragged matrix rows")
-        return self.view([dict(enumerate(r)) for r in entries], cols)
+        return m
 
-    def view(self, rows, cols):
-        """The matrix of rows of {column: entry} dicts, as its canonical
-        integer view (see `linalg.Matrix`): each nonzero num on the lcm d of
-        the dens, which are in lowest terms."""
-        rows = [{j: e for j, e in r.items() if e[1]} for r in rows]
-        d = math.lcm(*{e[2] for r in rows for e in r.values()})
-        return Matrix._from_int_rows(
-            self.field, [{j: e[1] * (d // e[2]) for j, e in r.items()}
-                         for r in rows], d, cols)
-
-
-def _matrix_out(field, m: Matrix):
-    return [[field.to_str(x) for x in row] for row in m.data]
+    def read(self, rows, cols):
+        """The canonical integer view (see `linalg.Matrix`) of rows of
+        (column, scalar string) pairs, in one pass: each scalar parses (a
+        bad one fails here, before any shape check), zeros are skipped, and
+        each num goes on d, the lcm of the dens (lowest terms) read so far;
+        a den that grows d moves the rows already read onto the new d."""
+        out, d = [], 1
+        for row in rows:
+            out.append({})
+            for j, s in row:
+                _, num, den = self.entry(s)
+                if num:
+                    if d % den:
+                        m = den // math.gcd(d, den)
+                        d *= m
+                        out = [{k: v * m for k, v in r.items()} for r in out]
+                    out[-1][j] = num * (d // den)
+        return Matrix._from_int_rows(self.field, out, d, cols)
 
 
 def _action_in(spec, key, count, name):
@@ -144,8 +154,9 @@ def _structure_in(scalar, dim, records, name):
         if not all(_is_int(x) and 0 <= x < dim for x in (i, j, k)):
             raise CheckFailure("PARSE_ERROR", name,
                                f"{name}: index out of range: {rec}")
-        rows[i * dim + j][k] = scalar.entry(rec["value"])
-    return scalar.view(rows, dim)
+        scalar.entry(rec["value"])      # each value parses, in order
+        rows[i * dim + j][k] = rec["value"]
+    return scalar.read([r.items() for r in rows], dim)
 
 
 def _is_int(x):
@@ -184,16 +195,6 @@ def _section(doc, key):
             raise CheckFailure("PARSE_ERROR", name,
                                f"{name}: must be an object")
     return table.items()
-
-
-def _structure_out(field, alg):
-    out = []
-    for r, row in enumerate(alg.structure.data):     # r = i * dim + j
-        for k, v in enumerate(row):
-            if v:
-                out.append({"i": r // alg.dim, "j": r % alg.dim, "k": k,
-                            "value": field.to_str(v)})
-    return out
 
 
 class _wrap:
@@ -365,60 +366,3 @@ def parse_workspace(text: str, field: str | None = None) -> Workspace:
                            "of objects")
     ws.commands = cmds
     return ws
-
-
-def serialize_workspace(ws: Workspace) -> str:
-    field = ws.field
-    doc = {"field": "q" if field == QQ else f"p:{field.p}"}
-    doc["algebras"] = {
-        name: {"type": alg.flavor, "dim": alg.dim,
-               "structure": _structure_out(field, alg)}
-        for name, alg in ws.algebras.items()}
-    doc["modules"] = {}
-    for name, mod in ws.modules.items():
-        alg_name = _name_of(ws.algebras, mod.algebra)
-        rec = {"algebra": alg_name, "dim": mod.dim}
-        for side, mats in sides(mod):
-            rec[side or "action"] = {str(i): _matrix_out(field, m)
-                                     for i, m in enumerate(mats)}
-        doc["modules"][name] = rec
-    doc["morphisms"] = {
-        name: {"source": _name_of(ws.modules, mor.source),
-               "target": _name_of(ws.modules, mor.target),
-               "matrix": _matrix_out(field, mor.matrix)}
-        for name, mor in ws.morphisms.items()}
-    doc["cochains"] = {
-        name: {"module": _name_of(ws.modules, c.module), "degree": c.degree,
-               "flavor": c.flavor,
-               "entries": [{"tuple": list(t),
-                            "value": [field.to_str(x) for x in v]}
-                           for t, v in c.items() if any(v)]}
-        for name, c in ws.cochains.items()}
-    doc["crossed_modules"] = {
-        name: {"L": _name_of(ws.algebras, cm.algebra),
-               "V": _name_of(ws.modules, cm.rep),
-               "partial": _matrix_out(field, cm.partial.matrix)}
-        for name, cm in ws.crossed_modules.items()}
-    doc["sequences"] = {
-        name: {"alpha": _name_of(ws.morphisms, s.alpha),
-               "beta": _name_of(ws.morphisms, s.beta)}
-        for name, s in ws.sequences.items()}
-    doc["extensions"] = {
-        name: {"n": E.n, "g": _name_of(ws.algebras, E.g),
-               "M": _name_of(ws.modules, E.M),
-               "f": _matrix_out(field, E.f.matrix),
-               "chain": [{"module": _name_of(ws.modules, mod),
-                          "map": _matrix_out(field, d.matrix)}
-                         for mod, d in zip(E.mids, E.partials)],
-               "base": _name_of(ws.crossed_modules, E.base),
-               "pi": _matrix_out(field, E.pi.matrix)}
-        for name, E in ws.extensions.items()}
-    doc["commands"] = ws.commands
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _name_of(table, obj):
-    for name, candidate in table.items():
-        if candidate is obj or candidate == obj:
-            return name
-    raise CheckFailure("UNRESOLVED_REFERENCE", detail="object has no name")

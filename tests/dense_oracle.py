@@ -4,7 +4,8 @@ sparse `rref`; the augmented-matrix solve, the reduce loop and the
 reduce-built quotient for `Echelon`, `Subspace.reduce` and `quotient`; and
 Fraction/FpElement multiply-accumulate loops for the integer kernels under
 `@`, `apply`, `_lincomb`, `_bracket` and the validators, the crossed-module
-axioms and `bracket_defect` among them, each on every basis pair or triple;
+axioms, `bracket_defect` and `equivariance_defect` among them, each on every
+basis pair or triple;
 the change of basis of an algebra; the field-vector theta of both flavors
 that the integer theta must reproduce, and the Chevalley-Eilenberg theta
 formula that it must also reproduce on Lie crossed modules; and the
@@ -253,6 +254,26 @@ def dense_validate_leibniz_module(rep):
             rb = dense_lincomb(h.field, h.c[i][j], R, n, n)
             if rb != _sub(mm(R[j], R[i]), mm(R[i], R[j])):
                 raise CheckFailure("MODULE_AXIOM_FAIL", (i, j), "slot x")
+
+
+def dense_equivariance_defect(f: Matrix, src, tgt):
+    """The first (i, side) with f A_i != B_i f, or None, by `dense_matmul`
+    on field elements: src and tgt are (side, matrices) pairs as `sides`
+    gives them, paired in order, and i is the outer loop."""
+    for i in range(len(src[0][1])):
+        for (side, a), (_, b) in zip(src, tgt):
+            if dense_matmul(f, a[i]) != dense_matmul(b[i], f):
+                return i, side
+    return None
+
+
+def dense_pulled_back(V, m: Matrix):
+    """V's action families pulled back along the columns of m, as (side,
+    matrices) pairs: matrix u is the combination of the family with the
+    coefficients of column u of m, by `dense_lincomb`."""
+    return [(side, [dense_lincomb(m.field, dense_col(m, u), mats, V.dim,
+                                  V.dim) for u in range(m.cols)])
+            for side, mats in sides(V)]
 
 
 def dense_peiffer(cm, leibniz):

@@ -149,3 +149,35 @@ def test_a_serialized_document_is_a_fixed_point_with_the_same_report(
         main(["report", "--input", str(path), "--format", "json"] + extra)
         reports.append(capsys.readouterr().out.encode())
     assert reports[0] == reports[1]
+
+
+def test_an_equal_object_is_serialized_under_its_own_name():
+    """Names are found by identity first: a cochain on m2, equal to the
+    earlier m1, is written on m2, and m2 on its own algebra a2, equal to
+    a1.  Only an object bound under no name of its table (an equal copy)
+    takes the first equal name, and an object equal to none has no name."""
+    doc = {"algebras": {"a1": {"dim": 3}, "a2": {"dim": 3}},
+           "modules": {"m1": {"algebra": "a1", "dim": 2, "action": {
+                           str(i): ZERO2 for i in range(3)}},
+                       "m2": {"algebra": "a2", "dim": 2, "action": {
+                           str(i): ZERO2 for i in range(3)}}},
+           "cochains": {"c": {"module": "m2", "degree": 2, "entries": [
+               _entry((0, 1), "1", "0")]}}}
+    ws = parse_workspace(json.dumps(doc))
+    assert ws.modules["m1"] == ws.modules["m2"]
+    once = serialize_workspace(ws)
+    out = json.loads(once)
+    assert out["cochains"]["c"]["module"] == "m2"
+    assert out["modules"]["m2"]["algebra"] == "a2"
+    assert serialize_workspace(parse_workspace(once)) == once
+    c = ws.cochains["c"]
+    ws.cochains["c"] = cochain_from_values(copy.deepcopy(c.module), 2,
+                                           c.value)
+    assert json.loads(serialize_workspace(ws))["cochains"]["c"][
+        "module"] == "m1"
+    ws.cochains["c"] = cochain_from_values(
+        trivial_rep(ws.algebras["a1"], 1), 2,
+        lambda t: (QQ.zero,))
+    with pytest.raises(CheckFailure) as exc:
+        serialize_workspace(ws)
+    assert exc.value.code == "UNRESOLVED_REFERENCE"

@@ -62,8 +62,9 @@ ORACLE_ALLOWED = {"CheckFailure", "LinearMap", "Matrix", "sides",
                   "_field_vec"}
 # the integer kernels and solvers that the oracles are there to check
 ENGINE = {"_kernel_puller", "_bracket", "_lincomb", "_lincomb_rows",
-          "_mul_vec", "_mul_rows", "_sum", "_echelon", "Echelon", "solve",
-          "solve_matrix", "rref", "kernel", "image", "linear_section"}
+          "_mul_vec", "_mul_rows", "_sum", "_first_nonzero_row", "_echelon",
+          "Echelon", "solve", "solve_matrix", "rref", "kernel", "image",
+          "linear_section"}
 
 
 def engine_uses(source):

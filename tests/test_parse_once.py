@@ -12,12 +12,15 @@ import copy
 import importlib
 import json
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from crossedext.cli import main
 from crossedext.errors import CheckFailure
+from crossedext.field import QQ
+from crossedext.linalg import Matrix
 from crossedext.workspace import parse_workspace
 from support import perfbench_gen
 
@@ -177,6 +180,9 @@ CASES = [
     ("extension not exact at the base", _set(EXT + ("chain", 0, "map"),
                                              [["0", "0"]])),
     ("extension length mismatch", _set(EXT + ("n",), 4)),
+    ("ragged row then bad scalar", _set(MID0, [["4"], ["4", "x"]])),
+    ("later zero structure record", lambda doc: doc["algebras"]["heis"][
+        "structure"].append({"i": 0, "j": 1, "k": 0, "value": "0"})),
 ]
 
 # (code, witness, detail) of each case, recorded before the change
@@ -268,6 +274,14 @@ RECORDS = {
     'extension length mismatch':
         ('PARSE_ERROR', 'ext',
          'ext: malformed spec: chain length inconsistent with n'),
+    # every scalar of a matrix parses before its shape is checked
+    'ragged row then bad scalar':
+        ('PARSE_ERROR', None,
+         "bad scalar 'x': bad rational literal 'x'"),
+    # the "0" erases [e0, e1]'s e0 coordinate, so the bracket is not skew
+    'later zero structure record':
+        ('VALIDATION_FAIL', 'heis',
+         'heis: ANTISYM_FAIL(0, 1)'),
 }
 
 
@@ -280,6 +294,27 @@ def _edited(edit):
 def test_base_document_is_valid():
     ws = parse_workspace(json.dumps(BASE))
     assert set(ws.extensions) == {"ext"} and set(ws.sequences) == {"ses"}
+
+
+def test_the_parsed_views_are_canonical():
+    """A matrix's entries go on the lcm of their denominators, however the
+    rows bring them in, and a structure record that a later one replaces
+    leaves no trace: the views equal those of the field-element
+    constructor."""
+    doc = copy.deepcopy(BASE)
+    doc["modules"]["mixed"] = {"algebra": "ab", "dim": 2, "action": {
+        "0": [["1/2", "0"], ["1/3", "3/4"]], "1": [["0", "0"], ["0", "0"]]}}
+    doc["algebras"]["heis"]["structure"].insert(
+        0, {"i": 0, "j": 1, "k": 0, "value": "1/5"})
+    ws = parse_workspace(json.dumps(doc))
+    F = Fraction
+    assert ws.modules["mixed"].action[0] == Matrix(
+        QQ, [[F(1, 2), 0], [F(1, 3), F(3, 4)]])
+    assert ws.modules["mixed"].action[0]._ints == (({0: 6}, {0: 4, 1: 9}),
+                                                  12)
+    heis = parse_workspace(json.dumps(BASE)).algebras["heis"]
+    assert ws.algebras["heis"] == heis
+    assert ws.algebras["heis"].structure._ints[1] == 1
 
 
 def test_parse_lists_each_cochains_tuples_once(monkeypatch):

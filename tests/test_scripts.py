@@ -1,9 +1,10 @@
 """The example scripts run end to end against the package under test,
 scripts/report_hashes.py prints the benchmark's manifest hash and passes
-a field selector to every report, and
+a field selector to every report,
 scripts/src_size.py counts each line of the package once and refuses a
-directory without modules, and scripts/unreached.py lists what a ladder
-run executes but never calls."""
+directory without modules, scripts/unreached.py lists what a ladder
+run executes but never calls, and scripts/ab_inprocess.py times two
+checkouts in one interpreter and refuses two whose records differ."""
 import contextlib
 import hashlib
 import importlib.util
@@ -14,6 +15,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import shutil
 
 import pytest
 
@@ -135,3 +138,25 @@ def test_unreached_lists_what_a_ladder_run_never_calls():
     assert ("cohomology.py", "cohomology_table") not in missed
     assert total == ["total", str(sum(missed.values())), "of",
                      str(sum(executed.values())), "lines"]
+
+
+def test_ab_inprocess_compares_two_checkouts_in_one_process(tmp_path):
+    proc = _run(str(SCRIPTS / "ab_inprocess.py"), SRC, SRC, "ladder-q", "1",
+                "--rounds", "2")
+    assert proc.returncode == 0, proc.stderr
+    head, *rows = proc.stdout.splitlines()
+    assert head == "ladder-q seed 1, 2 rounds"
+    assert [row.split()[0] for row in rows] == ["parse", "commands", "total"]
+    assert all("new/old" in row for row in rows)
+    # a checkout whose report gains a record differs from this one
+    other = tmp_path / "src"
+    shutil.copytree(Path(SRC) / "crossedext", other / "crossedext",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(other / "crossedext" / "cli.py", "a") as fh:
+        fh.write("\n_run = run\n\n\n"
+                 "def run(ws, which, degree_cap=DEFAULT_DEGREE_CAP):\n"
+                 "    return _run(ws, which, degree_cap) + [{}]\n")
+    proc = _run(str(SCRIPTS / "ab_inprocess.py"), SRC, str(other),
+                "ladder-q", "1", "--rounds", "1")
+    assert proc.returncode == 1
+    assert "records differ" in proc.stderr

@@ -1,10 +1,11 @@
 """What a CLI process loads: a cohomology-only document never imports
 `dataclasses` or `inspect` and never executes the lazy modules (`crossed`,
 `extensions` and the layers `_spaces`, `_classes` and `_maps`); a document
-with crossed modules and extensions executes all five.  A ladder report
-executes at most LADDER_LINES source lines of the package.  Each run is a
-fresh interpreter started with -S, so that only the imports of crossedext
-and the CLI are counted, not those of `site`.  The layers' names are one
+with crossed modules and extensions executes all five.  No report executes
+the serializer layer `_serializer`.  A ladder report executes at most
+LADDER_LINES source lines of the package.  Each run is a fresh interpreter
+started with -S, so that only the imports of crossedext and the CLI are
+counted, not those of `site`.  The layers' names are one
 object from their old home and from their lazy module."""
 import importlib
 import json
@@ -39,9 +40,10 @@ with open(sys.argv[1], "w") as fh:
 """
 LAZY = ("crossed", "extensions", "_spaces", "_classes", "_maps")
 # the summed lines of the modules a seed-1 ladder-q report executes: 2817
-# before the three layers were made lazy, 2027 after, and 2015 once the
-# parse wrote its cochains through the class layer's writer
-LADDER_LINES = 2015
+# before the three layers were made lazy, 2027 after, 2015 once the parse
+# wrote its cochains through the class layer's writer, and 1972 once
+# `serialize_workspace` moved to a lazy layer
+LADDER_LINES = 1972
 
 # old home -> (lazy module, the names it took from there)
 MOVED = {
@@ -60,17 +62,18 @@ MOVED = {
         "hom_rows", "leibniz_adjoint", "leibniz_from_lie",
         "leibniz_rep_from_lie", "pulled_back", "trivial_rep",
         "validate_morphism"]),
+    "workspace": ("_serializer", ["serialize_workspace"]),
 }
 
 
-def _run(workload, tmp_path, command="check", field=None):
+def _run(workload, tmp_path, command="check", field=None, lazy=LAZY):
     text, extra, _ = perfbench_gen().generate(workload, 1)
     doc = tmp_path / "doc.json"
     doc.write_text(text)
     out = tmp_path / "loaded.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", f"LAZY = {LAZY!r}\n" + DRIVER, str(out),
+        [sys.executable, "-S", "-c", f"LAZY = {lazy!r}\n" + DRIVER, str(out),
          command, "--input", str(doc), "--format", "json"] + extra
         + ([] if field is None else ["--field", field]),
         capture_output=True, text=True, env=env, cwd=ROOT)
@@ -108,6 +111,12 @@ def test_a_ladder_report_executes_at_most_ladder_lines(tmp_path):
 def test_a_crossed_mix_report_executes_every_lazy_module(tmp_path):
     assert _run("crossed-mix", tmp_path, "report")["executed"] == \
         dict.fromkeys(LAZY, True)
+
+
+@pytest.mark.parametrize("workload", ["ladder-q", "crossed-mix"])
+def test_no_report_executes_the_serializer_layer(workload, tmp_path):
+    res = _run(workload, tmp_path, "report", lazy=("_serializer",))
+    assert res["executed"] == {"_serializer": False}
 
 
 def test_every_moved_name_is_one_object_from_both_homes():
