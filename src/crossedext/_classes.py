@@ -13,7 +13,24 @@ from ._spaces import Echelon, Subspace, image, kernel
 from .algebra import CE, Representation, sides, validate_lie
 from ._maps import ModuleMorphism
 from .cohomology import (_tuple_count, ce_tuples, coboundary_matrix,
-                         leib_tuples, sort_with_sign)
+                         leib_tuples)
+
+
+def sort_with_sign(t):
+    """Sort an index tuple, tracking the sign of the permutation.
+    Returns (None, 0) when an index repeats."""
+    t = list(t)
+    sign = 1
+    for i in range(1, len(t)):
+        j = i
+        while j > 0 and t[j - 1] > t[j]:
+            t[j - 1], t[j] = t[j], t[j - 1]
+            sign = -sign
+            j -= 1
+    for a, b in zip(t, t[1:]):
+        if a == b:
+            return None, 0
+    return tuple(t), sign
 
 
 def cochain_tuples(module, n: int):

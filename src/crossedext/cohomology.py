@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 
 from . import _classes, _forward
 from .errors import CheckFailure
@@ -31,7 +32,8 @@ __getattr__ = _forward(__name__, _classes, (
     "_Record", "_blocks", "abelian_extension_from_2cocycle", "class_of",
     "coboundary", "coboundary_witness", "cochain_from_values",
     "cochain_tuples", "cohomology", "complex_of", "connecting_hom",
-    "h0_invariants", "map_class", "map_coefficients", "validate_ses"))
+    "h0_invariants", "map_class", "map_coefficients", "sort_with_sign",
+    "validate_ses"))
 
 
 def ce_tuples(dim: int, n: int):
@@ -46,97 +48,82 @@ def _tuple_count(module, n):
     return math.comb(g, n) if module.flavor == CE else g ** n
 
 
-def sort_with_sign(t):
-    """Sort an index tuple, tracking the sign of the permutation.
-    Returns (None, 0) when an index repeats."""
-    t = list(t)
-    sign = 1
-    for i in range(1, len(t)):
-        j = i
-        while j > 0 and t[j - 1] > t[j]:
-            t[j - 1], t[j] = t[j], t[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(t, t[1:]):
-        if a == b:
-            return None, 0
-    return tuple(t), sign
-
-
-def _ce_actions(S):
-    """The action terms of CE delta on the output tuple S: rho(x_pos)
-    applied to the value on S without x_pos, with sign (-1)^pos."""
-    for pos in range(len(S)):
-        yield S[:pos] + S[pos + 1:], 0, S[pos], 1 if pos % 2 == 0 else -1
-
-
-def _ce_insert(S, pa, pb, k):
-    """[x_pa, x_pb]'s coordinate e_k put in the first slot and the tuple
-    resorted: (input tuple, sign (-1)^{pa+pb} times the sorting sign), or
-    None when k repeats an index."""
-    merged, sign = sort_with_sign((k,) + S[:pa] + S[pa + 1:pb] + S[pb + 1:])
-    if merged is None:
-        return None
-    return merged, sign if (pa + pb) % 2 == 0 else -sign
-
-
-def _leibniz_actions(S):
-    """The action terms of Leibniz delta on S: the left action of x_0, and
-    the right action of x_pos with sign (-1)^{pos+1}."""
-    yield S[1:], 0, S[0], 1
-    for pos in range(1, len(S)):
-        yield S[:pos] + S[pos + 1:], 1, S[pos], -1 if pos % 2 == 0 else 1
-
-
-def _leibniz_insert(S, pa, pb, k):
-    """[x_pa, x_pb]'s coordinate e_k put in slot pa, in place, with sign
-    (-1)^pb."""
-    return (S[:pa] + (k,) + S[pa + 1:pb] + S[pb + 1:],
-            1 if pb % 2 == 0 else -1)
-
-
-def _emit_coboundary(algebra, families, m, n, tuples, actions, insert
-                     ) -> LinearMap:
-    """delta_n : C^n -> C^{n+1}, emitted as integer rows.
-
-    Row (S, a) of the matrix is output tuple S and module coordinate a; its
-    column (t, b) is input tuple t and module coordinate b.  actions(S)
-    yields (t, f, i, sign): the block sign * families[f][i] from t.
-    insert(S, pa, pb, k) gives (t, sign) for the coordinate e_k of the
-    bracket of slots pa < pb, or None, which contributes sign * that
-    coordinate times the identity block from t.  Every term is an integer on
-    one common denominator D, the lcm of the denominators of the action
-    matrices' and the structure constants' integer views (over F_p these
-    are residues and D is 1), and `_from_ints` makes the rows the matrix's
-    canonical integer view.
+def _emit_coboundary(algebra, families, m, n, ce) -> LinearMap:
+    """delta_n : C^n -> C^{n+1} of the CE complex (ce true) or the Leibniz
+    complex, as integer rows: row (S, a) is output tuple S and module
+    coordinate a, column (t, b) input tuple t and module coordinate b.
+    - Action terms: sign * one action matrix, from t = S without slot pos:
+      rho(x_pos), sign (-1)^pos (CE); the left action of x_0, and the right
+      action of x_pos, sign (-1)^{pos+1} (Leibniz).  They are skipped when
+      no row of any action matrix holds an entry.
+    - Bracket terms: the coordinate e_k of the bracket of slots pa < pb
+      times the identity block from t.  CE puts k into the sorted rest of
+      S by bisection, at q, with sign (-1)^{pa+pb+q}, and skips k when the
+      rest holds it; Leibniz substitutes k into slot pa, sign (-1)^pb.
+      Each term is one update of the coefficient of t, spread over the
+      identity block once per S.
+    Every term is an integer on one common denominator D, the lcm of the
+    denominators of the action matrices' and the structure constants'
+    integer views (residues and D = 1 over F_p), so the structure constants
+    are scaled to D once; `_from_ints` makes the rows canonical.
     """
     dim = algebra.dim
+    tuples = ce_tuples if ce else leib_tuples
     ins = tuples(dim, n)
-    tindex = {t: i for i, t in enumerate(ins)}
+    offset = {t: i * m for i, t in enumerate(ins)}
     c, dc = algebra.int_structure()
     blocks, D = _common_rows([a for fam in families for a in fam], dc)
     cf = D // dc
+    brackets = [[(k, v * cf) for k, v in row.items()] for row in c]
+    # (first index into blocks, sign) of each slot's action term; none when
+    # no row of an action matrix holds an entry
+    if not any(row for block in blocks for row in block):
+        slots = ()
+    elif ce:
+        slots = [(0, (-1) ** pos) for pos in range(n + 1)]
+    else:
+        slots = [(0, 1)] + [(dim, (-1) ** (pos + 1))
+                            for pos in range(1, n + 1)]
     out = []
     for S in tuples(dim, n + 1):
         block = [{} for _ in range(m)]
-        for t, f, i, sign in actions(S):
-            off = tindex[t] * m
-            for row, arow in zip(block, blocks[f * dim + i]):
+        for pos, (base, sign) in enumerate(slots):
+            off = offset[S[:pos] + S[pos + 1:]]
+            for row, arow in zip(block, blocks[base + S[pos]]):
                 for b, v in arow.items():
                     j = off + b
                     row[j] = row.get(j, 0) + sign * v
-        for pa in range(n + 1):
+        # the bracket terms' coefficient of t by its offset: row (S, a)
+        # takes it at column offset + a
+        acc = block[0] if m == 1 else {}
+        for pa in range(n):
             for pb in range(pa + 1, n + 1):
-                for k, coef in c[S[pa] * dim + S[pb]].items():
-                    hit = insert(S, pa, pb, k)
-                    if hit is None:
-                        continue
-                    t, sign = hit
-                    off = tindex[t] * m
-                    x = sign * coef * cf
-                    for a, row in enumerate(block):
-                        j = off + a
-                        row[j] = row.get(j, 0) + x
+                terms = brackets[S[pa] * dim + S[pb]]
+                if not terms:
+                    continue
+                head, tail = S[:pa], S[pa + 1:pb] + S[pb + 1:]
+                if ce:
+                    rest, odd = head + tail, (pa + pb) & 1
+                else:
+                    odd = pb & 1
+                for k, x in terms:
+                    if ce:
+                        q = bisect_left(rest, k)
+                        if q < len(rest) and rest[q] == k:
+                            continue
+                        off = offset[rest[:q] + (k,) + rest[q:]]
+                        if (odd + q) & 1:
+                            x = -x
+                    else:
+                        off = offset[head + (k,) + tail]
+                        if odd:
+                            x = -x
+                    acc[off] = acc.get(off, 0) + x
+        if m > 1:
+            for off, x in acc.items():
+                for a, row in enumerate(block):
+                    j = off + a
+                    row[j] = row.get(j, 0) + x
         out.extend(block)
     return LinearMap(_from_ints(algebra.field, out, D, len(ins) * m))
 
@@ -148,8 +135,7 @@ def ce_coboundary_matrix(g, M: Representation, n: int) -> LinearMap:
     the first slot, resorted into increasing order.  Degree 0 is the map
     m -> (x -> [x, m]).
     """
-    return _emit_coboundary(g, (M.action,), M.dim, n, ce_tuples, _ce_actions,
-                            _ce_insert)
+    return _emit_coboundary(g, (M.action,), M.dim, n, True)
 
 
 def leibniz_coboundary_matrix(h, M: LeibnizRepresentation, n: int) -> LinearMap:
@@ -158,8 +144,7 @@ def leibniz_coboundary_matrix(h, M: LeibnizRepresentation, n: int) -> LinearMap:
     Terms: left action on the first argument, signed right actions, and
     bracket substitution into the earlier slot.
     """
-    return _emit_coboundary(h, (M.left, M.right), M.dim, n, leib_tuples,
-                            _leibniz_actions, _leibniz_insert)
+    return _emit_coboundary(h, (M.left, M.right), M.dim, n, False)
 
 
 def coboundary_matrix(M, n) -> LinearMap:

@@ -80,7 +80,12 @@ class _Scalars:
         return e
 
     def matrix(self, rows, cols):
-        """The matrix of row-major scalar strings with cols columns."""
+        """The matrix of row-major scalar strings with cols columns; a row
+        that is a string or an object is refused, not read as its characters
+        or keys."""
+        for r in rows:
+            if isinstance(r, (str, dict)):
+                raise TypeError(f"matrix row {r!r} is not a list")
         m = self.read(map(enumerate, rows), cols)
         # a row unlike the first is malformed; rows all of one length
         # other than cols are ragged against the declared dimension

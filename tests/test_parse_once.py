@@ -183,6 +183,9 @@ CASES = [
     ("ragged row then bad scalar", _set(MID0, [["4"], ["4", "x"]])),
     ("later zero structure record", lambda doc: doc["algebras"]["heis"][
         "structure"].append({"i": 0, "j": 1, "k": 0, "value": "0"})),
+    ("string row", _set(("modules", "jordan", "action", "0"), ["01", "00"])),
+    ("object row", _set(("modules", "jordan", "action", "0"),
+                        [{"1": "a", "0": "b"}, {"0": "x", "1": "y"}])),
 ]
 
 # (code, witness, detail) of each case, recorded before the change
@@ -282,6 +285,14 @@ RECORDS = {
     'later zero structure record':
         ('VALIDATION_FAIL', 'heis',
          'heis: ANTISYM_FAIL(0, 1)'),
+    # a row read as its characters or keys would be a valid matrix
+    'string row':
+        ('PARSE_ERROR', 'jordan',
+         "jordan: malformed spec: matrix row '01' is not a list"),
+    'object row':
+        ('PARSE_ERROR', 'jordan',
+         "jordan: malformed spec: matrix row {'1': 'a', '0': 'b'} is not a "
+         "list"),
 }
 
 

@@ -3,8 +3,9 @@ scripts/report_hashes.py prints the benchmark's manifest hash and passes
 a field selector to every report,
 scripts/src_size.py counts each line of the package once and refuses a
 directory without modules, scripts/unreached.py lists what a ladder
-run executes but never calls, and scripts/ab_inprocess.py times two
-checkouts in one interpreter and refuses two whose records differ."""
+run executes but never calls, scripts/ab_inprocess.py times two
+checkouts in one interpreter and refuses two whose records differ, and
+scripts/delta_costs.py lists each coboundary of a ladder with its rank."""
 import contextlib
 import hashlib
 import importlib.util
@@ -160,3 +161,27 @@ def test_ab_inprocess_compares_two_checkouts_in_one_process(tmp_path):
                 "ladder-q", "1", "--rounds", "1")
     assert proc.returncode == 1
     assert "records differ" in proc.stderr
+
+
+def test_delta_costs_lists_each_coboundary_of_a_ladder():
+    text, _, _ = perfbench_gen().generate("ladder-q", 1)
+    proc = _run(str(SCRIPTS / "delta_costs.py"), "ladder-q", "1", "--src",
+                SRC)
+    assert proc.returncode == 0, proc.stderr
+    head, *rows = [line.split() for line in proc.stdout.splitlines()]
+    assert head == ["module", "n", "shape", "nnz", "rank", "emit_ms",
+                    "rank_ms"]
+    ws = crossedext.parse_workspace(text)
+    want = [(cmd["module"], n, f"{dim_c}", r)
+            for cmd in ws.commands
+            for n, dim_c, r, _ in crossedext.cohomology_table(
+                ws.modules[cmd["module"]], cmd["max_degree"])]
+    assert len(rows) == len(want) == 28
+    assert [(row[0], int(row[1]), row[2].split("x")[1], int(row[4]))
+            for row in rows] == want
+    assert all(float(x) >= 0 for row in rows for x in row[5:])
+    proc = _run(str(SCRIPTS / "delta_costs.py"), "ladder-q", "1", "--src",
+                SRC, "--field", "p:4")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "does not parse" in proc.stderr and "Traceback" not in proc.stderr
