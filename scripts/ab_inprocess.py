@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Time two checkouts of crossedext against each other in one interpreter,
-round by round, on one benchmark document.
+round by round, on one or more benchmark documents.
 
     python3 scripts/ab_inprocess.py OLD_SRC NEW_SRC WORKLOAD SEED
+                                    [--field SPEC] [--rounds N]
+    python3 scripts/ab_inprocess.py OLD_SRC NEW_SRC WORKLOAD --seeds 1,2,3
                                     [--field SPEC] [--rounds N]
 
 OLD_SRC and NEW_SRC are the directories crossedext is imported from (a
@@ -13,9 +15,11 @@ file); --field SPEC replaces the generator's field, as in
 scripts/report_hashes.py.  Each round parses the document and runs its
 `report` commands once per checkout, the two in alternating order, so that
 a drift of the host's speed falls on both sides of a pair alike.  The output
-is the median of each side's parse and command seconds and the median of
-the paired NEW/OLD ratios.  The exit status is 1, after a message, if the
-two checkouts' records differ in any round.
+is, for each seed, the median of each side's parse and command seconds and
+the median of the paired NEW/OLD ratios; with more than one seed (--seeds,
+a comma-separated list, each seed taking its turn in every round) it ends
+with the median of all seeds' paired ratios together.  The exit status is
+1, after a message, if the two checkouts' records differ in any round.
 """
 import argparse
 import gc
@@ -52,6 +56,11 @@ def load(src, name):
             importlib.import_module(f"{name}.cli"))
 
 
+# the columns of the output: parse, command and total seconds of a report
+PARTS = (("parse", lambda t: t[0]), ("commands", lambda t: t[1]),
+         ("total", sum))
+
+
 def measure(side, text, field):
     """(parse seconds, command seconds, records) of one report."""
     workspace, cli = side
@@ -69,40 +78,57 @@ def main(argv=None):
     ap.add_argument("old_src")
     ap.add_argument("new_src")
     ap.add_argument("workload", choices=WORKLOADS)
-    ap.add_argument("seed", type=int)
+    ap.add_argument("seed", type=int, nargs="?")
+    ap.add_argument("--seeds", help="comma-separated seeds, in place of SEED")
     ap.add_argument("--field", help="a field selector that replaces the "
                     "generator's")
     ap.add_argument("--rounds", type=int, default=10)
     args = ap.parse_args(argv)
-    text, extra, _ = _gen().generate(args.workload, args.seed)
-    field = args.field
-    if field is None and "--field" in extra:
-        field = extra[extra.index("--field") + 1]
+    if (args.seed is None) == (args.seeds is None):
+        ap.error("give either SEED or --seeds")
+    seeds = [args.seed] if args.seeds is None else \
+        [int(s) for s in args.seeds.split(",")]
+    docs = {}
+    for seed in seeds:
+        text, extra, _ = _gen().generate(args.workload, seed)
+        field = args.field
+        if field is None and "--field" in extra:
+            field = extra[extra.index("--field") + 1]
+        docs[seed] = text, field
     sides = {"old": load(args.old_src, "crossedext_ab_old"),
              "new": load(args.new_src, "crossedext_ab_new")}
-    times = {"old": [], "new": []}
+    times = {seed: {"old": [], "new": []} for seed in seeds}
     for r in range(max(args.rounds, 1)):
         order = ("old", "new") if r % 2 == 0 else ("new", "old")
-        got = {}
-        for key in order:
-            parse_s, cmd_s, records = measure(sides[key], text, field)
-            times[key].append((parse_s, cmd_s))
-            got[key] = json.dumps(records, sort_keys=True)
-        if got["old"] != got["new"]:
-            print(f"round {r}: the two checkouts' records differ",
-                  file=sys.stderr)
-            return 1
-    print(f"{args.workload} seed {args.seed}"
-          + (f" field {field}" if field else "")
-          + f", {len(times['old'])} rounds")
-    for part, pick in (("parse", lambda t: t[0]),
-                       ("commands", lambda t: t[1]), ("total", sum)):
-        old = [pick(t) for t in times["old"]]
-        new = [pick(t) for t in times["new"]]
-        ratio = statistics.median(n / o for n, o in zip(new, old))
-        print(f"{part:9} old {statistics.median(old):.4f} s  "
-              f"new {statistics.median(new):.4f} s  "
-              f"new/old {ratio:.3f}")
+        for seed, (text, field) in docs.items():
+            got = {}
+            for key in order:
+                parse_s, cmd_s, records = measure(sides[key], text, field)
+                times[seed][key].append((parse_s, cmd_s))
+                got[key] = json.dumps(records, sort_keys=True)
+            if got["old"] != got["new"]:
+                print(f"round {r}, seed {seed}: the two checkouts' records "
+                      "differ", file=sys.stderr)
+                return 1
+    ratios = {part: [] for part, _ in PARTS}
+    for seed, (_, field) in docs.items():
+        old_t, new_t = times[seed]["old"], times[seed]["new"]
+        print(f"{args.workload} seed {seed}"
+              + (f" field {field}" if field else "")
+              + f", {len(old_t)} rounds")
+        for part, pick in PARTS:
+            old = [pick(t) for t in old_t]
+            new = [pick(t) for t in new_t]
+            paired = [n / o for n, o in zip(new, old)]
+            ratios[part] += paired
+            print(f"{part:9} old {statistics.median(old):.4f} s  "
+                  f"new {statistics.median(new):.4f} s  "
+                  f"new/old {statistics.median(paired):.3f}")
+    if len(seeds) > 1:
+        print(f"{args.workload} seeds {','.join(map(str, seeds))} pooled, "
+              f"{sum(len(times[s]['old']) for s in seeds)} pairs")
+        for part, _ in PARTS:
+            print(f"{part:9} new/old {statistics.median(ratios[part]):.3f}")
     return 0
 
 

@@ -10,10 +10,10 @@ from .errors import CheckFailure
 from .linalg import (LinearMap, Matrix, _columns, _common_rows, _field_vec,
                      _from_ints, _int_vec, _modulus, _mul_vec, _reduced, _sum)
 from ._spaces import Echelon, Subspace, image, kernel
-from .algebra import CE, Representation, sides, validate_lie
-from ._maps import ModuleMorphism
-from .cohomology import (_tuple_count, ce_tuples, coboundary_matrix,
-                         leib_tuples)
+from .algebra import CE, Representation, validate_lie
+from ._maps import ModuleMorphism, sides
+from .cohomology import (TABLE_BUDGET, _tuple_count, ce_tuples,
+                         coboundary_matrix, leib_tuples)
 
 
 def sort_with_sign(t):
@@ -119,6 +119,17 @@ class Cochain(_Record):
         return not any(self.vec)
 
 
+def _cochain_work(mod, n):
+    """The parse's work on a degree-n cochain valued in mod: n plus |C^n|
+    tuples of dim M entries each (one unit at least, as the tuples are
+    listed even when M is 0), |C^n| = C(dim g, n) for a CE cochain and
+    (dim g)^n for a Leibniz one.  A degree past TABLE_BUDGET is over it
+    alone, so |C^n| is never formed for a huge n."""
+    if n > TABLE_BUDGET:
+        return n
+    return n + _tuple_count(mod, n) * max(mod.dim, 1)
+
+
 def cochain_from_values(module, degree, value_of) -> Cochain:
     """Assemble a cochain from a function mapping basis index tuples to
     module vectors."""
@@ -142,9 +153,12 @@ class CochainComplex:
 
     Each coboundary delta_n, the echelon form of its rows and the space
     B^n = im delta_{n-1} of n-coboundaries are built on first use and kept
-    for the life of the object, which is the life of its module: a module
-    has at most one complex, made by `complex_of`, so every class, splice
-    and connecting map over one module object shares its delta's.
+    for the life of the object.  A module has at most one complex, made by
+    `complex_of`, so every class, splice and connecting map over one module
+    object shares its delta's; within a run, every module equal to one that
+    has a complex (same flavor, algebra structure and action) shares that
+    complex, as the delta's depend on the value alone (`complex_of` with
+    the run's table, `Workspace.complexes`).
     `cohomology_table` does not use it and streams delta_n one at a time:
     keeping the table's delta's on the module raised the seed-1 ladder-q
     report's maxrss from 17.74 to 17.86 MB (medians of 8 runs, 2-vCPU host).
@@ -200,11 +214,19 @@ class CochainComplex:
         return view
 
 
-def complex_of(module) -> CochainComplex:
-    """The cochain complex of module, built on first use and kept on it."""
+def complex_of(module, table=None) -> CochainComplex:
+    """The cochain complex of module, built on first use and kept on it.
+    table, when given, is a run's complexes by module value: a module
+    without a complex takes the one of an equal module there, and a complex
+    built here is entered in it."""
     cx = module._complex
     if cx is None:
-        cx = module._complex = CochainComplex(module)
+        cx = None if table is None else table.get(module)
+        if cx is None:
+            cx = CochainComplex(module)
+            if table is not None:
+                table[module] = cx
+        module._complex = cx
     return cx
 
 
@@ -327,14 +349,18 @@ def validate_ses(ses: ShortExactSequence) -> ShortExactSequence:
     """Exactness of 0 -> head -> middle -> tail -> 0, for alpha and beta
     already validated as module morphisms (as every morphism of a parsed
     workspace is): the middle modules agree, alpha is injective, beta is
-    surjective and im(alpha) = ker(beta)."""
+    surjective and im(alpha) = ker(beta).  One elimination per map: by
+    rank-nullity, alpha is injective iff dim im(alpha) = dim head, and beta
+    surjective iff dim middle - dim ker(beta) = dim tail."""
     if ses.alpha.target is not ses.beta.source and ses.alpha.target != ses.beta.source:
         raise CheckFailure("BASE_MISMATCH", detail="middle modules differ")
-    if kernel(ses.alpha.map).dim != 0:
+    im_alpha = image(ses.alpha.map)
+    if im_alpha.dim != ses.head.dim:
         raise CheckFailure("EXACTNESS_FAIL", "head", "alpha is not injective")
-    if image(ses.beta.map).dim != ses.tail.dim:
+    ker_beta = kernel(ses.beta.map)
+    if ses.middle.dim - ker_beta.dim != ses.tail.dim:
         raise CheckFailure("EXACTNESS_FAIL", "tail", "beta is not surjective")
-    if image(ses.alpha.map) != kernel(ses.beta.map):
+    if im_alpha != ker_beta:
         raise CheckFailure("EXACTNESS_FAIL", "middle", "im(alpha) != ker(beta)")
     return ses
 

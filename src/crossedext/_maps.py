@@ -1,15 +1,25 @@
-"""The map layer of `algebra`, which serves its names: trivial, adjoint and
-direct-sum modules, the Lie-to-Leibniz views, module morphisms and the
-integer equivariance, Hom_g and algebra-map kernels.  A lazy module (see
-`crossedext`): a cohomology table only validates its modules."""
+"""The map layer of `algebra`, which serves its names: a module's action
+families, trivial, adjoint and direct-sum modules, the Lie-to-Leibniz
+views, module morphisms and the integer equivariance, Hom_g and
+algebra-map kernels.  A lazy module (see `crossedext`): a cohomology table
+only validates its modules."""
 from __future__ import annotations
 
 from .errors import CheckFailure
 from .linalg import (LinearMap, Matrix, _columns, _first_nonzero_row,
-                     _from_ints, _lincomb, _modulus, _mul_vec, _reduced, _sum,
-                     block_diag)
+                     _from_ints, _lincomb, _modulus, _mul_vec, _reduced, _sum)
+from ._spaces import block_diag
 from .algebra import (LEIBNIZ, LeibnizAlgebra, LeibnizRepresentation,
-                      LieAlgebra, Representation, _skew_defect, sides)
+                      LieAlgebra, Representation, _skew_defect)
+
+
+def sides(rep):
+    """The action families of a module, as (side, matrices) pairs: ρ alone
+    (side "") for a Lie module, left then right for a Leibniz module.  The
+    side names the family in a failure's detail and in a workspace."""
+    if isinstance(rep, LeibnizRepresentation):
+        return ("left", rep.left), ("right", rep.right)
+    return ("", rep.action),
 
 
 def trivial_rep(algebra, dim) -> "Representation | LeibnizRepresentation":

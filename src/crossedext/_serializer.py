@@ -9,7 +9,7 @@ import json
 from .errors import CheckFailure
 from .field import QQ
 from .linalg import Matrix
-from .algebra import sides
+from ._maps import sides
 from .workspace import Workspace
 
 

@@ -1,6 +1,7 @@
 """The subspace layer of `linalg`, which serves its names: factorizations,
-subspaces, kernels, images, quotients, solves and sections.  A lazy module
-(see `crossedext`): a cohomology table needs only `linalg.rank`."""
+subspaces, kernels, images, quotients, solves, sections and block diagonal
+matrices.  A lazy module (see `crossedext`): a cohomology table needs only
+`linalg.rank`."""
 from __future__ import annotations
 
 import math
@@ -290,3 +291,9 @@ def linear_section(f: LinearMap) -> LinearMap:
             if k >= m:
                 out[top - k][c] = v * (D // lead)
     return LinearMap(_from_ints(f.field, out, D, m))
+
+
+def block_diag(a: Matrix, b: Matrix) -> Matrix:
+    top = a.hstack(Matrix.zero(a.field, a.rows, b.cols))
+    bot = Matrix.zero(a.field, b.rows, a.cols).hstack(b)
+    return top.vstack(bot)

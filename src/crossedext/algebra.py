@@ -16,7 +16,7 @@ __getattr__ = _forward(__name__, _maps, (
     "ModuleMorphism", "_adjoint_family", "_bracket_view", "adjoint",
     "bracket_defect", "direct_sum_reps", "equivariance_defect", "hom_rows",
     "leibniz_adjoint", "leibniz_from_lie", "leibniz_rep_from_lie",
-    "pulled_back", "trivial_rep", "validate_morphism"))
+    "pulled_back", "sides", "trivial_rep", "validate_morphism"))
 
 # the cochain flavor of a Lie module and of a Leibniz module
 CE = "ce"
@@ -29,7 +29,7 @@ class _AlgebraBase:
     class are equal iff these are.  It may be given as that Matrix or as a
     table, structure[i][j] the coefficient vector of [e_i, e_j]."""
 
-    __slots__ = ("field", "dim", "structure")
+    __slots__ = ("field", "dim", "structure", "_skew")
 
     def __init__(self, field, dim, structure):
         if not isinstance(structure, Matrix):
@@ -38,6 +38,7 @@ class _AlgebraBase:
         elif (structure.rows, structure.cols) != (dim * dim, dim):
             raise ValueError("structure matrix of wrong shape")
         self.field, self.dim, self.structure = field, dim, structure
+        self._skew = ()     # not yet known: see _skew_defect
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim}, field={self.field!r})"
@@ -80,13 +81,14 @@ def _skew_defect(g):
     """The first basis pair (i, j), j >= i, with [e_j, e_i] != -[e_i, e_j]
     on the integer structure constants (mod p over F_p), or None when g is
     skew-symmetric.  A failing (i, j) fails as (j, i) too, so this is the
-    lexicographically first failing pair of all."""
-    (c, _), dim, p = g.int_structure(), g.dim, _modulus(g.field)
-    for i in range(dim):
-        for j in range(i, dim):
-            if c[j * dim + i] != _negated(c[i * dim + j], p):
-                return i, j
-    return None
+    lexicographically first failing pair of all.  Kept on g from the first
+    call on, as its structure matrix is immutable."""
+    if g._skew == ():
+        (c, _), dim, p = g.int_structure(), g.dim, _modulus(g.field)
+        g._skew = next(((i, j) for i in range(dim) for j in range(i, dim)
+                        if c[j * dim + i] != _negated(c[i * dim + j], p)),
+                       None)
+    return g._skew
 
 
 def _leibniz_identity(g, code, skew):
@@ -270,13 +272,3 @@ def validate_leibniz_module(rep: LeibnizRepresentation) -> LeibnizRepresentation
             if rb != RR[j][i] - RR[i][j]:
                 raise CheckFailure("MODULE_AXIOM_FAIL", (i, j), "slot x")
     return rep
-
-
-def sides(rep):
-    """The action families of a module, as (side, matrices) pairs: ρ alone
-    (side "") for a Lie module, left then right for a Leibniz module.  The
-    side names the family in a failure's detail and in a workspace."""
-    if isinstance(rep, LeibnizRepresentation):
-        return ("left", rep.left), ("right", rep.right)
-    return ("", rep.action),
-

@@ -67,12 +67,13 @@ def _cmd_cohomology(ws, args, degree_cap):
 
 class _Classified:
     """A crossed module's induced pair, the 2-fold extension on it, and its
-    class once a command needs it.  The pair's (g, M) has M's own complex."""
+    class once a command needs it.  The pair's M has the run's complex."""
 
     __slots__ = ("pres", "cl")
 
-    def __init__(self, cm):
+    def __init__(self, ws, cm):
         self.pres = crossed.induced_pair(cm)
+        _classes.complex_of(self.pres.M, ws.complexes)
         self.cl = None
 
     def classify(self):
@@ -82,15 +83,15 @@ class _Classified:
 
 
 def _classified(ws, name) -> _Classified:
-    """The run's entry for the named crossed module, made by the first
-    command that names it and reused by every later one.  The entry keeps
-    the CrossedModule it was made from, so a replaced table entry is
-    presented afresh; a presentation that fails stores nothing, and fails
-    again the same way."""
+    """The run's entry for the value of the named crossed module, made by
+    the first command that names it or an equal one and reused by every
+    later one, so a replaced table entry is presented afresh unless it is
+    equal; a presentation that fails stores nothing, and fails again the
+    same way."""
     cm = ws.crossed_modules[name]
-    entry = ws.classified.get(name)
-    if entry is None or entry.pres.base is not cm:
-        entry = ws.classified[name] = _Classified(cm)
+    entry = ws.classified.get(cm)
+    if entry is None:
+        entry = ws.classified[cm] = _Classified(ws, cm)
     return entry
 
 
@@ -147,19 +148,32 @@ def _cmd_pushout(ws, args, degree_cap):
              "dim": pd.D.dim}]
 
 
-def _check_tail(ses, c):
-    """A BASE_MISMATCH unless the cochain c is valued in the tail M'' of the
-    sequence 0 -> M -> M' -> M'' -> 0."""
+def _sequence_cochain(ws, args):
+    """The named sequence 0 -> M -> M' -> M'' -> 0 and cochain c, their
+    modules with the run's complexes; a BASE_MISMATCH unless c is valued in
+    M''."""
+    ses, c = ws.sequences[args["sequence"]], ws.cochains[args["cochain"]]
     if c.module is not ses.tail and c.module != ses.tail:
         raise CheckFailure("BASE_MISMATCH", detail="cochain is not valued "
                            "in the sequence tail")
+    for mod in (ses.head, ses.middle, ses.tail, c.module):
+        _classes.complex_of(mod, ws.complexes)
+    return ses, c
+
+
+def _connecting(ws, ses, c):
+    """The connecting image of [c], computed once per run for (ses, c) by
+    a connecting or yoneda command; a failure stores nothing."""
+    cl = ws.connected.get((ses, c))
+    if cl is None:
+        cl = ws.connected[ses, c] = _classes.connecting_hom(
+            ses, _classes.class_of(c))
+    return cl
 
 
 def _cmd_connecting(ws, args, degree_cap):
-    ses = ws.sequences[args["sequence"]]
-    c = ws.cochains[args["cochain"]]
-    _check_tail(ses, c)
-    cl = _classes.connecting_hom(ses, _classes.class_of(c))
+    ses, c = _sequence_cochain(ws, args)
+    cl = _connecting(ws, ses, c)
     return [{"op": "connecting", "sequence": args["sequence"],
              "cochain": args["cochain"], "status": "PASS",
              "degree": cl.degree,
@@ -168,13 +182,11 @@ def _cmd_connecting(ws, args, degree_cap):
 
 
 def _cmd_yoneda(ws, args, degree_cap):
-    ses = ws.sequences[args["sequence"]]
-    c = ws.cochains[args["cochain"]]
-    _check_tail(ses, c)
+    ses, c = _sequence_cochain(ws, args)
     pres = crossed.yoneda_crossed_module(ses, c)
     # both classes live in H^3(g, M), the complex of pres.M = ses.head
     cl = crossed.classify2(pres)
-    agree = cl == _classes.connecting_hom(ses, _classes.class_of(c))
+    agree = cl == _connecting(ws, ses, c)
     return [{"op": "yoneda", "sequence": args["sequence"],
              "cochain": args["cochain"],
              "status": "PASS" if agree else "FAIL",

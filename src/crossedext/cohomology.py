@@ -11,8 +11,8 @@ matrices and the structure constants; the flavors differ only in their
 cochain tuples and their action and bracket terms.  A matrix is stored as
 that integer view (see `linalg.Matrix`), so rank, elimination, transpose
 and apply never build its dense rows.  Complexes, cochains and classes
-read their algebra and their flavor (CE or LEIBNIZ) from their module, and
-a module owns its one complex (`complex_of`).
+read their algebra and their flavor (CE or LEIBNIZ) from their module; a
+module owns its complex, shared by equal modules of a run (`complex_of`).
 """
 from __future__ import annotations
 

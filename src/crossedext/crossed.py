@@ -19,11 +19,11 @@ from .errors import CheckFailure
 from .linalg import (LinearMap, Matrix, _columns, _field_vec, _from_ints,
                      _modulus, _mul_rows, _mul_vec, _negated, _reduced, _sum)
 from ._spaces import Echelon, image, kernel, linear_section, quotient
-from .algebra import (LEIBNIZ, LeibnizRepresentation, Representation, sides,
+from .algebra import (LEIBNIZ, LeibnizRepresentation, Representation,
                       validate_lie, validate_leibniz, validate_module,
                       validate_leibniz_module)
 from ._maps import (_bracket_view, bracket_defect, equivariance_defect,
-                    pulled_back)
+                    pulled_back, sides)
 from ._classes import (Cochain, CohomologyClass, ShortExactSequence, _Record,
                        abelian_extension_from_2cocycle, class_of,
                        cochain_from_values, validate_ses)
@@ -121,11 +121,13 @@ def induced_pair(cm: CrossedModule) -> CrossedExtension:
     c, dc = L.int_structure()
     im = image(d)
     B, db = im.basis._ints
-    # im(d) must be a two-sided ideal for the quotient bracket to descend
+    # im(d) must be a two-sided ideal for the quotient bracket to descend;
+    # in a Lie L, [b, e_i] = -[e_i, b] lies in im(d) with [e_i, b]
     for i in range(n):
         for b in B:
             if not (im.contains((L._bracket({i: 1}, b), db * dc))
-                    and im.contains((L._bracket(b, {i: 1}), db * dc))):
+                    and (not leib or
+                         im.contains((L._bracket(b, {i: 1}), db * dc)))):
                 raise CheckFailure("EQUIVARIANCE_FAIL", (i,),
                                    "image of partial is not an ideal")
     proj, _, qdim = quotient(n, im)

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from .errors import CheckFailure
 from .linalg import (LinearMap, Matrix, _columns, _from_ints, _lincomb,
-                     _mul_vec, block_diag)
-from ._spaces import image, kernel, linear_section, quotient, solve
-from .algebra import (LEIBNIZ, Representation, sides, validate_lie,
-                      validate_module)
+                     _mul_vec)
+from ._spaces import (block_diag, image, kernel, linear_section, quotient,
+                      solve)
+from .algebra import LEIBNIZ, Representation, validate_lie, validate_module
 from ._maps import (ModuleMorphism, bracket_defect, direct_sum_reps,
-                    equivariance_defect, hom_rows, pulled_back, trivial_rep,
-                    validate_morphism)
+                    equivariance_defect, hom_rows, pulled_back, sides,
+                    trivial_rep, validate_morphism)
 from ._classes import ShortExactSequence, _Record, validate_ses
 from .crossed import (CrossedExtension, CrossedModule, CrossedMorphism,
                       check_crossed_morphism, crossed_axioms)
@@ -93,15 +93,20 @@ def validate_extension(E: CrossedExtension) -> CrossedExtension:
     map is g-equivariant, and the chain is exact at every node.  At n = 2
     these are the checks that present the crossed module base over (g, M).
     An extension of length n >= 3 over a Leibniz base is
-    UNSUPPORTED_FLAVOR."""
+    UNSUPPORTED_FLAVOR.
+
+    Each map is eliminated once for its image and once for its kernel, at
+    most: by rank-nullity pi is surjective iff dim L - dim ker(pi) = dim g,
+    and f injective iff dim im(f) = dim M."""
     if E.n > 2 and E.base.flavor == LEIBNIZ:
         raise CheckFailure("UNSUPPORTED_FLAVOR", detail="crossed extensions "
                            "over a Leibniz algebra are not implemented")
     g = E.g
     # pi is a surjective algebra map with kernel im(d_1)
-    if image(E.pi).dim != g.dim:
+    ker_pi = kernel(E.pi)
+    if E.pi.domain_dim - ker_pi.dim != g.dim:
         raise CheckFailure("EXACTNESS_FAIL", "g", "pi is not surjective")
-    if kernel(E.pi) != image(E.base.partial):
+    if ker_pi != image(E.base.partial):
         raise CheckFailure("EXACTNESS_FAIL", "L", "ker(pi) != im(d_1)")
     if bracket_defect(E.pi, E.base.algebra, g) is not None:
         raise CheckFailure("EXACTNESS_FAIL", "L", "pi is not an algebra map")
@@ -122,11 +127,14 @@ def validate_extension(E: CrossedExtension) -> CrossedExtension:
     if hit:
         raise CheckFailure("NOT_G_MODULE_MAP", 2, f"basis vector {hit[0]}"
                            + (hit[1] and f", {hit[1]} action"))
-    # exactness node by node
-    if kernel(E.f).dim != 0:
+    # exactness node by node; the image of f also decides its injectivity
+    im = image(E.f)
+    if im.dim != E.M.dim:
         raise CheckFailure("EXACTNESS_FAIL", "M", "head map is not injective")
     for k in range(len(maps) - 1):
-        if image(maps[k]) != kernel(maps[k + 1]):
+        if k:
+            im = image(maps[k])
+        if im != kernel(maps[k + 1]):
             raise CheckFailure("EXACTNESS_FAIL", f"M_{E.n - 1 - k}")
     return E
 

@@ -6,6 +6,7 @@ discontinuous in the entries, so tolerances would corrupt results).
 """
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 
@@ -142,8 +143,13 @@ class RationalField:
         raise FieldError(f"cannot coerce {x!r} into Q")
 
     def parse(self, text: str):
+        text = text.strip()
         try:
-            return Fraction(text.strip())
+            # Fraction would expand an exponent past the str-digit limit
+            _, e, exp = text.lower().partition("e")
+            if e and 0 < sys.get_int_max_str_digits() < abs(int(exp)):
+                raise ValueError("exponent too large")
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"bad rational literal {text!r}") from exc
 

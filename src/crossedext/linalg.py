@@ -14,8 +14,8 @@ from . import _forward, _spaces
 
 # the subspace layer, a lazy module, whose names are served from here too
 __getattr__ = _forward(__name__, _spaces, (
-    "Echelon", "Subspace", "_over_leads", "image", "kernel", "linear_section",
-    "quotient", "solve", "solve_matrix"))
+    "Echelon", "Subspace", "_over_leads", "block_diag", "image", "kernel",
+    "linear_section", "quotient", "solve", "solve_matrix"))
 
 
 def _modulus(field):
@@ -45,7 +45,7 @@ class Matrix:
     in this form; `apply` takes and gives field vectors.
     """
 
-    __slots__ = ("field", "rows", "cols", "_ints", "_data")
+    __slots__ = ("field", "rows", "cols", "_ints", "_data", "_hash")
 
     def __init__(self, field, data, cols=None):
         data = tuple(tuple(field.of(x) for x in row) for row in data)
@@ -58,6 +58,7 @@ class Matrix:
         D = math.lcm(*(d for _, d in views))
         self._data, self._ints = data, (tuple(
             {j: v * (D // d) for j, v in r.items()} for r, d in views), D)
+        self._hash = None
 
     @staticmethod
     def _from_int_rows(field, rows, d, cols):
@@ -67,7 +68,7 @@ class Matrix:
         entries."""
         m, rows = object.__new__(Matrix), tuple(rows)
         m.field, m.rows, m.cols = field, len(rows), cols
-        m._ints, m._data = (rows, d), None
+        m._ints, m._data, m._hash = (rows, d), None, None
         return m
 
     @property
@@ -162,9 +163,11 @@ class Matrix:
                 and self.cols == other.cols and self._ints == other._ints)
 
     def __hash__(self):
-        rows, d = self._ints
-        return hash((self.field, self.cols, d,
-                     tuple(frozenset(r.items()) for r in rows)))
+        if self._hash is None:
+            rows, d = self._ints
+            self._hash = hash((self.field, self.cols, d,
+                               tuple(frozenset(r.items()) for r in rows)))
+        return self._hash
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.data!r})"
@@ -325,12 +328,6 @@ def _lincomb_rows(terms, n):
             for j, x in row.items():
                 a[j] = a.get(j, 0) + f * x
     return acc
-
-
-def block_diag(a: Matrix, b: Matrix) -> Matrix:
-    top = a.hstack(Matrix.zero(a.field, a.rows, b.cols))
-    bot = Matrix.zero(a.field, b.rows, a.cols).hstack(b)
-    return top.vstack(bot)
 
 
 def _axpy(row, x, lead, tail, p):

@@ -17,7 +17,7 @@ from .linalg import LinearMap, Matrix
 from .algebra import (LeibnizRepresentation, Representation,
                       validate_leibniz, validate_leibniz_module, validate_lie,
                       validate_module)
-from .cohomology import TABLE_BUDGET, _tuple_count
+from .cohomology import TABLE_BUDGET
 from . import _forward
 # lazy modules: a document with none of their objects never runs them
 from . import _classes, _maps, _serializer, crossed, extensions
@@ -27,9 +27,11 @@ __getattr__ = _forward(__name__, _serializer, ("serialize_workspace",))
 
 
 class Workspace:
-    """A document's field, named objects by section, and commands.
-    `classified` is what a run's commands computed for each crossed module,
-    by name (see cli._classified): no part of the document, nor of `==`."""
+    """A document's field, named objects by section, and commands.  A run's
+    commands keep what they derive, by value, in tables outside the document
+    and `==`: `classified` (cli._classified), `complexes` (the cochain
+    complex of each module value, `_classes.complex_of`) and `connected`
+    (cli._connecting)."""
 
     def __init__(self, field, algebras=None, modules=None, morphisms=None,
                  cochains=None, crossed_modules=None, sequences=None,
@@ -45,12 +47,13 @@ class Workspace:
         self.extensions = {} if extensions is None else extensions
         self.commands = [] if commands is None else commands
         self.classified = {} if classified is None else classified
+        self.complexes, self.connected = {}, {}
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ({**vars(self), "classified": None} ==
-                {**vars(other), "classified": None})
+        run = dict.fromkeys(("classified", "complexes", "connected"))
+        return {**vars(self), **run} == {**vars(other), **run}
 
 
 class _Scalars:
@@ -138,16 +141,6 @@ def _algebra_work(dim, leib):
     validator visits: (dim)^3 for a Leibniz algebra, C(dim + 2, 3) (those
     with i <= j <= k) for a Lie one."""
     return dim * dim + (dim ** 3 if leib else math.comb(dim + 2, 3))
-
-
-def _cochain_work(mod, n):
-    """n plus |C^n| tuples of dim M entries each (one unit at least, as the
-    tuples are listed even when M is 0), |C^n| = C(dim g, n) for a CE
-    cochain and (dim g)^n for a Leibniz one.  A degree past TABLE_BUDGET
-    is over it alone, so |C^n| is never formed for a huge n."""
-    if n > TABLE_BUDGET:
-        return n
-    return n + _tuple_count(mod, n) * max(mod.dim, 1)
 
 
 def _structure_in(scalar, dim, records, name):
@@ -299,7 +292,7 @@ def parse_workspace(text: str, field: str | None = None) -> Workspace:
                                    f"{name}: flavor {flavor!r} is not the "
                                    f"module's flavor {mod.flavor!r}")
             # refused before its tuples are listed
-            if _cochain_work(mod, degree) > TABLE_BUDGET:
+            if _classes._cochain_work(mod, degree) > TABLE_BUDGET:
                 raise CheckFailure("BUDGET_EXCEEDED", degree,
                                    f"over the work budget of {TABLE_BUDGET}")
             # a repeated tuple keeps its last value

@@ -5,7 +5,7 @@ every table the fixtures, the benchmark's workloads and the ladder's next
 rungs ask for is admitted.  The parse holds each algebra to the same
 budget (`workspace._algebra_work`): its dim^2 structure rows plus the
 triples its validator visits, and each cochain to its degree plus its
-|C^n| tuples of dim M entries (`workspace._cochain_work`).
+|C^n| tuples of dim M entries (`_classes._cochain_work`).
 
 Without the budget, `--max-degree 1000000000000000000` on a document whose
 command gives no `max_degree` never finishes, even over sl2: the table has
@@ -25,8 +25,8 @@ from crossedext.algebra import adjoint, leibniz_from_lie, trivial_rep
 from crossedext.cli import DEFAULT_DEGREE_CAP
 from crossedext.cohomology import TABLE_BUDGET, _table_work
 from crossedext.field import QQ
-from crossedext.workspace import (_algebra_work, _cochain_work,
-                                  parse_workspace)
+from crossedext._classes import _cochain_work
+from crossedext.workspace import _algebra_work, parse_workspace
 from support import perfbench_gen
 from test_cli_contract import _cochain_over
 

@@ -1,13 +1,17 @@
 """The CLI contract on hostile input: every failure is a record with a
 status and an error code, the exit status is 1, and no traceback reaches
 stderr.  A module carries its algebra and its flavor, so an input that names
-another algebra or flavor beside a module is refused where it enters."""
+another algebra or flavor beside a module is refused where it enters.  A Q
+scalar whose decimal exponent is over the digits Python allows a decimal
+string is refused before `Fraction` expands it."""
 import itertools
 import json
 import os
 import resource
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -130,6 +134,18 @@ def _cochain_over(dim, degree, kind="lie"):
             "cochains": {"c": _cochain("m", degree)}}
 
 
+def _action_scalar(scalar):
+    """The one-dimensional module of the one-dimensional abelian algebra on
+    which the basis vector acts by the scalar string."""
+    return {"algebras": {"a": {"type": "lie", "dim": 1}},
+            "modules": {"m": {"algebra": "a", "dim": 1,
+                              "action": {"0": [[scalar]]}}}}
+
+
+# a decimal exponent that Fraction would expand into a 33-million-bit
+# integer, taking about 9 s each, were it not refused first
+HUGE_EXPONENTS = ["1e10000000", "1e-10000000"]
+
 # (document, expected error code of its one record)
 HOSTILE = {
     "cohomology-heis3-sl2": (lambda: _cohomology_over("heis3"),
@@ -169,6 +185,8 @@ HOSTILE = {
                               "VALIDATION_FAIL"),
     "cochain-leibniz2-24": (lambda: _cochain_over(2, 24, "leibniz"),
                             "VALIDATION_FAIL"),
+    **{f"action-scalar-{s}": (lambda s=s: _action_scalar(s), "PARSE_ERROR")
+       for s in HUGE_EXPONENTS},
 }
 
 
@@ -198,6 +216,26 @@ def test_hostile_input_is_a_fail_record(case, tmp_path):
     records = json.loads(proc.stdout)["results"]
     assert all("status" in r and "error" in r for r in records)
     assert [(r["status"], r["error"]) for r in records] == [("FAIL", code)]
+
+
+@pytest.mark.parametrize("scalar", HUGE_EXPONENTS)
+def test_a_huge_decimal_exponent_is_refused_at_once(scalar):
+    start = time.perf_counter()
+    with pytest.raises(CheckFailure) as exc:
+        parse_workspace(json.dumps(_action_scalar(scalar)))
+    assert time.perf_counter() - start < 2
+    assert (exc.value.code, exc.value.detail) == (
+        "PARSE_ERROR", f"bad scalar {scalar!r}: bad rational literal "
+                       f"{scalar!r}")
+
+
+@pytest.mark.parametrize("scalar, value", [
+    ("1e3", 1000), ("-2.5e-2", Fraction(-1, 40)),
+    (f"1e{sys.get_int_max_str_digits()}",
+     10 ** sys.get_int_max_str_digits())], ids=["1e3", "-2.5e-2", "1e-limit"])
+def test_a_decimal_exponent_within_the_digit_limit_parses(scalar, value):
+    m = parse_workspace(json.dumps(_action_scalar(scalar))).modules["m"]
+    assert m.action[0].data == ((value,),)
 
 
 def test_cohomology_over_another_algebra_is_not_a_pass():

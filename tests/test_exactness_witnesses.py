@@ -1,7 +1,10 @@
 """Every exactness failure of the sequence and extension validators, the
 latter at n = 2 (a crossed module presented over (g, M)) and at n = 3, and
 of extension morphisms keeps its code, witness and detail: each row of
-`EXACTNESS` plants one failure in an otherwise valid object.  A sequence's
+`EXACTNESS` plants one failure in an otherwise valid object.  The rows of
+`FIRST_OF_TWO` fail two or more checks at once and pin which one is
+reported: the validators read injectivity and surjectivity off the same
+image and kernel that the exactness checks compare.  A sequence's
 failures also reach a document, so they are checked through `cli.main`
 too, as the parse record of `crossed-ext check`."""
 import json
@@ -67,6 +70,17 @@ def _extension_over_a_plane():
         LinearMap(Matrix(QQ, [[1, 0]])))
 
 
+def _extension_of_length_3(f, d2):
+    """0 -> k -> k^2 -> k -> g -> g -> 0 over the one-dimensional algebra,
+    all actions trivial, d_1 = 0 and pi = id, with the matrices f and d2:
+    an extension when f = (1, 0)^T and d2 = (0, 1)."""
+    base = CrossedModule(G1, trivial_rep(G1, 1), LinearMap.zero(QQ, 1, 1))
+    return validate_extension, CrossedExtension(
+        3, G1, trivial_rep(G1, 1), LinearMap(Matrix(QQ, f, cols=1)),
+        (trivial_rep(G1, 2),), (LinearMap(Matrix(QQ, d2, cols=2)),), base,
+        LinearMap.identity(QQ, 1))
+
+
 # (case, (check, *args), (code, witness, detail))
 EXACTNESS = [
     ("ses, middle modules differ", _ses([[1], [0]], [[0, 0, 1]], source=3),
@@ -100,8 +114,39 @@ EXACTNESS = [
 ]
 
 
-@pytest.mark.parametrize("case, call, want", EXACTNESS,
-                         ids=[c for c, _, _ in EXACTNESS])
+# (case, (check, *args), (code, witness, detail)) of the first failure
+FIRST_OF_TWO = [
+    # alpha = 0 and beta = 0: not injective, not surjective and
+    # im(alpha) = 0 != ker(beta) = k^2
+    ("ses, all three checks", _ses([[0], [0]], [[0, 0]]),
+     ("EXACTNESS_FAIL", "head", "alpha is not injective")),
+    # beta = 0: not surjective, and ker(beta) = k^2 != im(alpha)
+    ("ses, beta and the middle", _ses([[1], [0]], [[0, 0]]),
+     ("EXACTNESS_FAIL", "tail", "beta is not surjective")),
+    # pi = 0: not surjective, and ker(pi) = L != im(d_1) = 0
+    ("presentation, pi and its kernel", _presentation(G1, G1, [[0]]),
+     ("EXACTNESS_FAIL", "g", "pi is not surjective")),
+    # f = 0: not injective, and im(f) = 0 != ker(d_1) = k^2
+    ("presentation, incl and its image",
+     _presentation(G1, G1, [[1]], vdim=2, incl=[[0], [0]]),
+     ("EXACTNESS_FAIL", "M", "head map is not injective")),
+    # f = 0: not injective, and im(f) = 0 != ker(d_2) at M_2
+    ("extension, f and its image", _extension_of_length_3([[0], [0]],
+                                                          [[0, 1]]),
+     ("EXACTNESS_FAIL", "M", "head map is not injective")),
+    # d_2 = 0: ker(d_2) = k^2 != im(f) at M_2, and im(d_2) = 0 != ker(d_1)
+    # at M_1; the node nearer M is reported
+    ("extension, two nodes", _extension_of_length_3([[1], [0]], [[0, 0]]),
+     ("EXACTNESS_FAIL", "M_2", "")),
+]
+
+
+def test_the_extension_of_length_3_is_valid_as_given():
+    assert outcome(*_extension_of_length_3([[1], [0]], [[0, 1]])) is None
+
+
+@pytest.mark.parametrize("case, call, want", EXACTNESS + FIRST_OF_TWO,
+                         ids=[c for c, _, _ in EXACTNESS + FIRST_OF_TWO])
 def test_exactness_failure_witnesses(case, call, want):
     check, *args = call
     assert outcome(check, *args) == want

@@ -1,8 +1,9 @@
-"""One run presents and classifies each crossed module once: the first
-theta, classify or baer-sum that names it builds its induced pair, and the
-first theta or classify its class, in the complex of the pair's M; later
-commands of the same workspace reuse them and give the records a fresh
-workspace gives."""
+"""One run presents and classifies each crossed module value once: the
+first theta, classify or baer-sum that names it, or an equal crossed module,
+builds its induced pair, and the first theta or classify its class, in the
+complex of the pair's M; later commands of the same workspace reuse them and
+give the records a fresh workspace gives.  The run's entries are keyed by
+the crossed module (`Workspace.classified`)."""
 import importlib
 from collections import Counter
 
@@ -74,7 +75,7 @@ def test_one_presentation_complex_and_class_per_run(name, leibniz, reverse,
     assert sum(g2.values()) == 1 + (not leibniz)
     # delta_2 and delta_3 of the induced (g, M), once each: the Baer sum
     # is classified in the complex of its left operand
-    M = ws.classified[name].pres.M
+    M = ws.classified[cm].pres.M
     assert builds == {(id(M), 2): 1, (id(M), 3): 1}
 
 
@@ -104,7 +105,7 @@ def test_a_replaced_crossed_module_is_presented_afresh(doc_text,
     assert run_command(ws, cmd) == want
     # presented once more in ws: the memo of fresh is its own
     assert pairs == {id(new): 1}
-    assert ws.classified["jordan_cm"].pres.base is new
+    assert ws.classified[new].pres.base is new
 
 
 def test_a_failing_presentation_stores_nothing(doc_text):
@@ -121,6 +122,25 @@ def test_a_failing_presentation_stores_nothing(doc_text):
     assert (first[0]["status"], first[0]["error"]) == \
         ("FAIL", "EQUIVARIANCE_FAIL")
     assert "not an ideal" in first[0]["detail"]
-    assert "bad" not in ws.classified
+    assert ws.crossed_modules["bad"] not in ws.classified
     assert run_command(ws, cmd) == first
-    assert "bad" not in ws.classified
+    assert ws.crossed_modules["bad"] not in ws.classified
+
+
+def test_an_equal_crossed_module_under_another_name_shares_the_entry(
+        doc_text, monkeypatch):
+    ws = parse_workspace(doc_text)
+    cm = ws.crossed_modules["jordan_cm"]
+    # equal to cm, and no object of it is cm's
+    twin = ws.crossed_modules["twin"] = CrossedModule(
+        cm.algebra, cm.rep, LinearMap(Matrix(ws.field, cm.partial.matrix.data,
+                                             cm.partial.matrix.cols)))
+    assert twin == cm and twin.partial is not cm.partial
+    pairs, g2 = _count(monkeypatch)
+    got = [run_command(ws, {"op": op, "crossed_module": name})
+           for name in ("jordan_cm", "twin") for op in ("theta", "classify")]
+    assert pairs == {id(cm): 1} and g2 == {id(cm): 1}
+    assert ws.classified[twin] is ws.classified[cm]
+    # the records differ in the name alone
+    for a, b in zip(got[:2], got[2:]):
+        assert a == [{**rec, "crossed_module": "jordan_cm"} for rec in b]

@@ -1,0 +1,104 @@
+"""A run derives each fact once, and skips no check, pinned by its work on
+the benchmark's crossed-mix document (seed 1, generated by perfbench/gen.py
+as in test_bench_documents):
+
+- coboundary builds: one per (module value, degree), as equal modules of a
+  run share one cochain complex (`Workspace.complexes`).  The run before
+  value sharing built 351 coboundaries of 138 distinct values.
+- eliminations (`linalg._echelon` calls), by phase: the exactness checks
+  eliminate each map once, reading injectivity and surjectivity off the
+  image and kernel they compare; equal crossed modules share one
+  presentation and class, and a yoneda command reuses the connecting class
+  of its (sequence, cochain).  Before these the parse made 1170 and the
+  commands 2033.  A count that falls here is a gain to record, one that
+  rises derives something twice.
+- relation checks (`linalg._first_nonzero_row` calls), by phase: every
+  object still has every relation checked, so the counts stay exact.
+
+A small document pins the sharing itself: within one run two equal modules
+under different names get one complex, and a module of a second parse of
+the same text gets another."""
+import importlib
+import json
+from collections import Counter
+from pathlib import Path
+
+from crossedext import _maps, _spaces, algebra, linalg
+from crossedext.cli import run, run_command
+from crossedext.cohomology import complex_of
+from crossedext.workspace import parse_workspace
+from support import perfbench_gen
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+cohomology_mod = importlib.import_module("crossedext.cohomology")
+
+
+def _count(monkeypatch, counts, phase):
+    """Count, under the key (phase[0], kind), every call of the engine's
+    elimination, relation check and coboundary builders, through each
+    module that binds them."""
+    targets = [(mod, "_echelon", "elimination") for mod in (linalg, _spaces)]
+    targets += [(mod, "_first_nonzero_row", "relation check")
+                for mod in (linalg, algebra, _maps)]
+    targets += [(cohomology_mod, name, "coboundary build")
+                for name in ("ce_coboundary_matrix",
+                             "leibniz_coboundary_matrix")]
+    for mod, name, kind in targets:
+        original = getattr(mod, name)
+
+        def counted(*args, _original=original, _kind=kind):
+            counts[phase[0], _kind] += 1
+            return _original(*args)
+        monkeypatch.setattr(mod, name, counted)
+
+
+def test_seed_1_crossed_mix_work(monkeypatch):
+    text, _, _ = perfbench_gen().generate("crossed-mix", 1)
+    counts, phase = Counter(), ["parse"]
+    _count(monkeypatch, counts, phase)
+    ws = parse_workspace(text)
+    phase[0] = "commands"
+    records = run(ws, "report")
+    assert all(rec["status"] == "PASS" for rec in records)
+    assert counts["parse", "coboundary build"] == 0
+    assert counts["commands", "coboundary build"] <= 138
+    assert (counts["parse", "elimination"],
+            counts["commands", "elimination"]) == (711, 1463)
+    assert (counts["parse", "relation check"],
+            counts["commands", "relation check"]) == (3002, 1774)
+
+
+def _document():
+    """The Jordan fixture, whose k_head and k_tail are equal modules, with
+    its cochain vol12 valued in k_tail too, as tail_vol12, and a connecting
+    command on each."""
+    doc = json.loads((FIXTURES / "yoneda_jordan.json").read_text())
+    doc["cochains"]["tail_vol12"] = {**doc["cochains"]["vol12"],
+                                     "module": "k_tail"}
+    doc["commands"] = [{"op": "connecting", "sequence": "jordan_ses",
+                        "cochain": c} for c in ("vol12", "tail_vol12")]
+    return json.dumps(doc)
+
+
+def test_equal_modules_of_a_run_share_one_complex(monkeypatch):
+    text = _document()
+    ws = parse_workspace(text)
+    head, tail = ws.modules["k_head"], ws.modules["k_tail"]
+    assert head == tail and head is not tail
+    counts, phase = Counter(), ["first"]
+    _count(monkeypatch, counts, phase)
+    first = run_command(ws, ws.commands[0])
+    phase[0] = "second"
+    second = run_command(ws, ws.commands[1])
+    assert first[0]["status"] == "PASS"
+    assert second == [{**first[0], "cochain": "tail_vol12"}]
+    assert complex_of(head) is complex_of(tail)
+    assert counts["first", "coboundary build"] > 0
+    assert counts["second", "coboundary build"] == 0
+    # one complex per distinct module value of the run
+    assert len(ws.complexes) == len(set(ws.complexes.values())) == 2
+    # a second parse of the same text is another run, with its own tables
+    again = parse_workspace(text)
+    assert run_command(again, again.commands[1]) == second
+    assert complex_of(again.modules["k_tail"]) is not complex_of(tail)
+    assert counts["second", "coboundary build"] > 0

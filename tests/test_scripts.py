@@ -149,6 +149,23 @@ def test_ab_inprocess_compares_two_checkouts_in_one_process(tmp_path):
     assert head == "ladder-q seed 1, 2 rounds"
     assert [row.split()[0] for row in rows] == ["parse", "commands", "total"]
     assert all("new/old" in row for row in rows)
+    # --seeds: one block per seed, then the pooled ratios of all pairs
+    proc = _run(str(SCRIPTS / "ab_inprocess.py"), SRC, SRC, "ladder-q",
+                "--seeds", "1,2", "--rounds", "2")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [lines[0], lines[4], lines[8]] == [
+        "ladder-q seed 1, 2 rounds", "ladder-q seed 2, 2 rounds",
+        "ladder-q seeds 1,2 pooled, 4 pairs"]
+    for block in (lines[1:4], lines[5:8], lines[9:]):
+        assert [row.split()[0] for row in block] == \
+            ["parse", "commands", "total"]
+        assert all("new/old" in row for row in block)
+    assert len(lines) == 12
+    # a seed and --seeds together are refused
+    proc = _run(str(SCRIPTS / "ab_inprocess.py"), SRC, SRC, "ladder-q", "1",
+                "--seeds", "1,2")
+    assert proc.returncode == 2 and "either SEED or --seeds" in proc.stderr
     # a checkout whose report gains a record differs from this one
     other = tmp_path / "src"
     shutil.copytree(Path(SRC) / "crossedext", other / "crossedext",
