@@ -12,7 +12,7 @@ from crossedext.cohomology import (class_of, cochain_from_values,
                                    connecting_hom)
 from crossedext.crossed import (choose_sections, classify2, theta,
                                 yoneda_crossed_module)
-from crossedext.extensions import baer_sum_n2, negate, zero_extension
+from crossedext.extensions import baer_sum, negate, zero_extension
 from crossedext.field import QQ
 from crossedext.samples import abelian, nilpotent_ses
 
@@ -41,11 +41,11 @@ def main():
     print("matches connecting image:",
           classify2(pres) == connecting_hom(ses, class_of(c)))
 
-    doubled = baer_sum_n2(pres, pres)
+    doubled = baer_sum(pres, pres)
     print("\nBaer sum with itself:", fmt(classify2(doubled)))
-    unit = baer_sum_n2(pres, zero_extension(g, pres.M, 2))
+    unit = baer_sum(pres, zero_extension(g, pres.M, 2))
     print("Baer sum with the zero extension:", fmt(classify2(unit)))
-    cancelled = baer_sum_n2(pres, negate(pres))
+    cancelled = baer_sum(pres, negate(pres))
     print("Baer sum with its negative:", fmt(classify2(cancelled)),
           "(zero class)" if classify2(cancelled).is_zero() else "")
 

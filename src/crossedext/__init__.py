@@ -49,7 +49,7 @@ _LAZY.update(dict.fromkeys(
      "classify2", "induced_pair", "leibniz_theta", "theta",
      "validate_crossed", "yoneda_crossed_module"], crossed))
 _LAZY.update(dict.fromkeys(
-    ["CrossedExtension", "ExtensionMorphism", "baer_sum", "baer_sum_n2",
+    ["CrossedExtension", "ExtensionMorphism", "baer_sum",
      "check_extension_morphism", "mediate", "negate", "opext_connecting",
      "pushout", "push_forward", "split_detect", "sum_over_g",
      "validate_extension", "zero_extension"], extensions))

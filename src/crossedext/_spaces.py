@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import math
 
-from .linalg import (LinearMap, Matrix, _columns, _echelon, _from_ints,
-                     _insert, _modulus, _reduced, rref)
+from .linalg import (LinearMap, Matrix, _columns, _common_rows, _echelon,
+                     _from_ints, _insert, _modulus, _reduced, rref)
 
 
 class Echelon:
@@ -294,6 +294,10 @@ def linear_section(f: LinearMap) -> LinearMap:
 
 
 def block_diag(a: Matrix, b: Matrix) -> Matrix:
-    top = a.hstack(Matrix.zero(a.field, a.rows, b.cols))
-    bot = Matrix.zero(a.field, b.rows, a.cols).hstack(b)
-    return top.vstack(bot)
+    """[[a, 0], [0, b]] from the integer views in one pass, both on the lcm
+    of their denominators, which keeps the view canonical (`hstack`)."""
+    (x, y), d = _common_rows((a, b))
+    n = a.cols
+    return Matrix._from_int_rows(a.field, [*x, *({j + n: v for j, v in
+                                                  r.items()} for r in y)],
+                                 d, n + b.cols)

@@ -25,8 +25,14 @@ from .workspace import Workspace, parse_workspace
 DEFAULT_DEGREE_CAP = 4
 
 
-def _scalars(field, vec):
-    return [field.to_str(x) for x in vec]
+def _scalars(field, vec, key):
+    """The strings of vec's scalars for the record field key; one past the
+    interpreter's digit limit for `str` is BUDGET_EXCEEDED at key."""
+    try:
+        return [field.to_str(x) for x in vec]
+    except ValueError as exc:
+        raise CheckFailure("BUDGET_EXCEEDED", key, "a scalar has more than "
+                           f"{sys.get_int_max_str_digits()} digits") from exc
 
 
 def _cmd_check(ws, args, degree_cap):
@@ -65,24 +71,7 @@ def _cmd_cohomology(ws, args, degree_cap):
                         "dim_h": h} for n, c, r, h in rows]}]
 
 
-class _Classified:
-    """A crossed module's induced pair, the 2-fold extension on it, and its
-    class once a command needs it.  The pair's M has the run's complex."""
-
-    __slots__ = ("pres", "cl")
-
-    def __init__(self, ws, cm):
-        self.pres = crossed.induced_pair(cm)
-        _classes.complex_of(self.pres.M, ws.complexes)
-        self.cl = None
-
-    def classify(self):
-        if self.cl is None:
-            self.cl = crossed.classify2(self.pres)
-        return self.cl
-
-
-def _classified(ws, name) -> _Classified:
+def _classified(ws, name) -> "crossed.Classified":
     """The run's entry for the value of the named crossed module, made by
     the first command that names it or an equal one and reused by every
     later one, so a replaced table entry is presented afresh unless it is
@@ -91,7 +80,7 @@ def _classified(ws, name) -> _Classified:
     cm = ws.crossed_modules[name]
     entry = ws.classified.get(cm)
     if entry is None:
-        entry = ws.classified[cm] = _Classified(ws, cm)
+        entry = ws.classified[cm] = crossed.Classified(cm, ws.complexes)
     return entry
 
 
@@ -104,7 +93,8 @@ def _classify_record(ws, name):
         "crossed_module": name,
         "induced_g_dim": pres.g.dim,
         "induced_m_dim": pres.M.dim,
-        "class_canonical": _scalars(ws.field, cl.canonical),
+        "class_canonical": _scalars(ws.field, cl.canonical,
+                                    "class_canonical"),
         "class_is_zero": cl.is_zero()}
 
 
@@ -113,7 +103,7 @@ def _cmd_theta(ws, args, degree_cap):
     # the class's representative is the theta cochain classify2 built
     theta = entry.classify().representative
     rec.update({"op": "theta", "status": "PASS",
-                "theta": _scalars(ws.field, theta.vec)})
+                "theta": _scalars(ws.field, theta.vec, "theta")})
     return [rec]
 
 
@@ -125,21 +115,23 @@ def _cmd_classify(ws, args, degree_cap):
 
 
 def _cmd_baer_sum(ws, args, degree_cap):
+    """Two named extensions (n >= 3) or crossed modules (n = 2); a 2-fold
+    sum is over the left operand's (g, M), whose complex holds its class."""
     left, right = args["left"], args["right"]
     if left in ws.extensions:
-        E = extensions.baer_sum(ws.extensions[left], ws.extensions[right])
-        return [{"op": "baer-sum", "left": left, "right": right,
-                 "status": "PASS", "n": E.n,
-                 "top_dim": E.mids[0].dim, "base_dim": E.base.algebra.dim,
-                 "splits": extensions.split_detect(E) is not None}]
-    # the sum is presented over the left operand's (g, M), so its class
-    # lives in that module's complex
-    S = extensions.baer_sum_n2(_classified(ws, left).pres,
-                               _classified(ws, right).pres)
-    cl = crossed.classify2(S)
-    return [{"op": "baer-sum", "left": left, "right": right,
-             "status": "PASS", "v_dim": S.base.rep.dim, "l_dim": S.base.algebra.dim,
-             "class_canonical": _scalars(ws.field, cl.canonical)}]
+        E, E2 = ws.extensions[left], ws.extensions[right]
+    else:
+        E, E2 = _classified(ws, left).pres, _classified(ws, right).pres
+    S = extensions.baer_sum(E, E2)
+    rec = {"op": "baer-sum", "left": left, "right": right, "status": "PASS"}
+    if S.mids:
+        rec.update(n=S.n, top_dim=S.mids[0].dim, base_dim=S.base.algebra.dim,
+                   splits=extensions.split_detect(S) is not None)
+    else:
+        rec.update(v_dim=S.base.rep.dim, l_dim=S.base.algebra.dim,
+                   class_canonical=_scalars(ws.field, crossed.classify2(
+                       S).canonical, "class_canonical"))
+    return [rec]
 
 
 def _cmd_pushout(ws, args, degree_cap):
@@ -177,7 +169,8 @@ def _cmd_connecting(ws, args, degree_cap):
     return [{"op": "connecting", "sequence": args["sequence"],
              "cochain": args["cochain"], "status": "PASS",
              "degree": cl.degree,
-             "class_canonical": _scalars(ws.field, cl.canonical),
+             "class_canonical": _scalars(ws.field, cl.canonical,
+                                         "class_canonical"),
              "class_is_zero": cl.is_zero()}]
 
 
@@ -191,7 +184,8 @@ def _cmd_yoneda(ws, args, degree_cap):
              "cochain": args["cochain"],
              "status": "PASS" if agree else "FAIL",
              "v_dim": pres.base.rep.dim, "l_dim": pres.base.algebra.dim,
-             "class_canonical": _scalars(ws.field, cl.canonical),
+             "class_canonical": _scalars(ws.field, cl.canonical,
+                                         "class_canonical"),
              "matches_connecting": agree}]
 
 

@@ -26,7 +26,7 @@ from ._maps import (_bracket_view, bracket_defect, equivariance_defect,
                     pulled_back, sides)
 from ._classes import (Cochain, CohomologyClass, ShortExactSequence, _Record,
                        abelian_extension_from_2cocycle, class_of,
-                       cochain_from_values, validate_ses)
+                       cochain_from_values, complex_of, validate_ses)
 
 
 class CrossedModule(_Record):
@@ -307,6 +307,24 @@ def classify2(obj) -> CohomologyClass:
     itself."""
     pres = induced_pair(obj) if isinstance(obj, CrossedModule) else obj
     return class_of(theta(pres))
+
+
+class Classified:
+    """A crossed module's induced pair, the 2-fold extension on it, and its
+    class once a command needs it.  Its M has the run's complex, from the
+    table complexes (`_classes.complex_of`)."""
+
+    __slots__ = ("pres", "cl")
+
+    def __init__(self, cm: CrossedModule, complexes):
+        self.pres = induced_pair(cm)
+        complex_of(self.pres.M, complexes)
+        self.cl = None
+
+    def classify(self):
+        if self.cl is None:
+            self.cl = classify2(self.pres)
+        return self.cl
 
 
 class CrossedMorphism(_Record):

@@ -2,9 +2,11 @@
 
 An extension is the exact chain 0 -> M -> M_{n-1} -> ... -> M_1 -> L -> g -> 0,
 n >= 2, with a crossed module (M_1, L, d_1) at the base (`CrossedExtension`,
-whose home is `crossed`).  Exactness is never assumed: every constructor's
+whose home is `crossed`).  The push-forward, Baer sum and split test have
+one body for every n >= 2.  Exactness is never assumed: every constructor's
 output goes back through its base and module validators and
-validate_extension in the tests.
+validate_extension in the tests; a push-forward at n = 2, whose base is
+new, checks it and its chain itself.
 """
 from __future__ import annotations
 
@@ -34,27 +36,11 @@ class PushoutData(_Record):
         self.__dict__.update(D=D, i=i, j=j, proj=proj, sect=sect, f=f, g=g)
 
 
-def _quotient_module(alg, f: Matrix, g: Matrix, actions, detail):
-    """(B (+) C)/S for S = {(f x, -g x)}, the antidiagonal graph of two maps
-    f : A -> B and g : A -> C, as a module over alg whose basis vector u
-    acts on B (+) C by actions[u].  Returns (module, proj, sect); a
-    relation that some action moves out of S is a failure with detail."""
-    graph = f.vstack(-g)
-    S = image(LinearMap(graph))
-    proj, sect, qdim = quotient(graph.rows, S)
-    rows, ds = S.basis._ints
-    induced = []
-    for u, big in enumerate(actions):
-        A, da = big._ints
-        for srow in rows:
-            if not S.contains((_mul_vec(A, srow), da * ds)):
-                raise CheckFailure("EQUIVARIANCE_FAIL", (u,), detail)
-        induced.append(proj.matrix @ big @ sect.matrix)
-    return validate_module(Representation(alg, qdim, induced)), proj, sect
-
-
 def pushout(f: ModuleMorphism, g: ModuleMorphism) -> PushoutData:
-    """Pushout of two module morphisms out of the same source."""
+    """Pushout of two module morphisms out of the same source: (B (+) C)/S
+    for S = {(f x, -g x)}, the antidiagonal graph of the legs, on which
+    basis vector u acts by the block diagonal of its actions on B and C.  A
+    relation that some action moves out of S is an EQUIVARIANCE_FAIL."""
     if f.source != g.source:
         raise CheckFailure("BASE_MISMATCH", detail="pushout legs differ at source")
     B, C = f.target, g.target
@@ -65,10 +51,20 @@ def pushout(f: ModuleMorphism, g: ModuleMorphism) -> PushoutData:
     validate_morphism(g)
     alg = B.algebra
     field = alg.field
-    D, proj, sect = _quotient_module(
-        alg, f.matrix, g.matrix,
-        (block_diag(B.action[u], C.action[u]) for u in range(alg.dim)),
-        "graph subspace is not a submodule")
+    graph = f.matrix.vstack(-g.matrix)
+    S = image(LinearMap(graph))
+    proj, sect, qdim = quotient(graph.rows, S)
+    rows, ds = S.basis._ints
+    induced = []
+    for u in range(alg.dim):
+        big = block_diag(B.action[u], C.action[u])
+        A, da = big._ints
+        for srow in rows:
+            if not S.contains((_mul_vec(A, srow), da * ds)):
+                raise CheckFailure("EQUIVARIANCE_FAIL", (u,),
+                                   "graph subspace is not a submodule")
+        induced.append(proj.matrix @ big @ sect.matrix)
+    D = validate_module(Representation(alg, qdim, induced))
     emb_b = Matrix.identity(field, B.dim).vstack(Matrix.zero(field, C.dim, B.dim))
     emb_c = Matrix.zero(field, B.dim, C.dim).vstack(Matrix.identity(field, C.dim))
     i = ModuleMorphism(B, D, proj.matrix @ emb_b)
@@ -189,31 +185,49 @@ def negate(E: CrossedExtension) -> CrossedExtension:
                             E.base, E.pi)
 
 
-def push_forward(alpha: ModuleMorphism, E: CrossedExtension):
-    """The extension alpha E obtained by pushing the head square out.
+def _through_pi(rep, E: CrossedExtension):
+    """The g-module rep as a module over E's L, acting through pi : L -> g
+    (`pulled_back`).  A Leibniz module or base is UNSUPPORTED_FLAVOR: its
+    two action families make no Lie module."""
+    L = E.base.algebra
+    if LEIBNIZ in (rep.flavor, E.base.flavor):
+        raise CheckFailure("UNSUPPORTED_FLAVOR", detail="Leibniz modules "
+                           "through pi are not implemented")
+    (_, views), = pulled_back(rep, E.pi.matrix)
+    return Representation(L, rep.dim, [_from_ints(L.field, rows, d, rep.dim)
+                                       for rows, d in views])
 
-    Returns (alpha E, the connecting ExtensionMorphism E -> alpha E).
+
+def push_forward(alpha: ModuleMorphism, E: CrossedExtension):
+    """The extension alpha E obtained by pushing the head square out, for
+    every n >= 2.
+
+    The pushout D of f : M -> M_{n-1} and alpha : M -> M' replaces M_{n-1},
+    mapping on by the old map on M_{n-1} and 0 on M'.  At n = 2 M_{n-1} is
+    V, M and M' act through pi (`_through_pi`), and the new base (D, L, d)
+    is checked by crossed_axioms, alpha E by validate_extension.  Returns
+    (alpha E, the connecting ExtensionMorphism E -> alpha E).
     """
-    if not E.mids:
-        raise CheckFailure("LENGTH_MISMATCH", E.n, "push_forward needs n >= 3")
     if alpha.source != E.M:
         raise CheckFailure("BASE_MISMATCH", detail="alpha must start at E's kernel")
-    f_mor = ModuleMorphism(E.M, E.mids[0], E.f.matrix)
-    pd = pushout(f_mor, alpha)
-    field = E.g.field
-    # the pushout's map on to M_{n-2}, the next node of the chain
-    theta_map = mediate(pd, E.partials[0], LinearMap.zero(
-        field, alpha.target.dim, (*E.mids, E.base.rep)[1].dim))
-    newE = CrossedExtension(E.n, E.g, alpha.target, pd.j.map,
-                            (pd.D,) + E.mids[1:],
-                            (theta_map,) + E.partials[1:],
-                            E.base, E.pi)
-    ident = lambda rep: LinearMap.identity(field, rep.dim)
-    mor = ExtensionMorphism(alpha.map,
-                            (pd.i.map,) + tuple(ident(m) for m in E.mids[1:]),
-                            CrossedMorphism(ident(E.base.rep),
-                                            ident_alg(E.base.algebra, field)))
-    return newE, mor
+    field, L, two = E.g.field, E.base.algebra, not E.mids
+    nodes, maps = (*E.mids, E.base.rep), (*E.partials, E.base.partial)
+    src, tgt = ((_through_pi(E.M, E), _through_pi(alpha.target, E)) if two
+                else (E.M, alpha.target))
+    pd = pushout(ModuleMorphism(src, nodes[0], E.f.matrix),
+                 ModuleMorphism(src, tgt, alpha.matrix))
+    nodes = (pd.D, *nodes[1:])
+    maps = (mediate(pd, maps[0], LinearMap.zero(
+        field, tgt.dim, maps[0].codomain_dim)), *maps[1:])
+    base = (crossed_axioms(CrossedModule(L, pd.D, maps[0])) if two
+            else E.base)
+    newE = CrossedExtension(E.n, E.g, alpha.target, pd.j.map, nodes[:-1],
+                            maps[:-1], base, E.pi)
+    # the vertical maps below M: pd.i on the head node, identities under it
+    verts = (pd.i.map, *(LinearMap.identity(field, m.dim) for m in nodes[1:]))
+    mor = ExtensionMorphism(alpha.map, verts[:-1], CrossedMorphism(
+        verts[-1], ident_alg(L, field)))
+    return (validate_extension(newE) if two else newE), mor
 
 
 def ident_alg(alg, field):
@@ -248,36 +262,32 @@ def _fiber_algebra(baseA: CrossedModule, piA: LinearMap,
     return LF, F, halves, q
 
 
-def _fiber_actions(VA, VB, halves):
-    """The action on V (+) V' of each fiber basis vector with halves
-    (x, y): the block diagonal of the actions of x on V and y on V'."""
-    def act(V, x):
-        return _from_ints(V.algebra.field, *_lincomb(x, V.action, V.dim),
-                          V.dim)
-    return [block_diag(act(VA, x), act(VB, y)) for x, y in halves]
-
-
-def _fiber_boundary(F, dA: Matrix, dB: Matrix, details):
+def _fiber_boundary(F, dA: Matrix, dB: Matrix):
     """d (+) d' : V (+) V' -> L (+) L' in the coordinates of the fiber
-    product F; a column of d or of d' outside F is a failure with detail
-    details[0] or details[1]."""
+    product F; a column of d or of d' outside F is an EXACTNESS_FAIL."""
     rows, dd = block_diag(dA, dB)._ints
     cols = [F.coordinates((col, dd))
             for col in _columns(rows, dA.cols + dB.cols)]
     if None in cols:
-        raise CheckFailure("EXACTNESS_FAIL", "L",
-                           details[cols.index(None) >= dA.cols])
+        prime = "'" * (cols.index(None) >= dA.cols)
+        raise CheckFailure("EXACTNESS_FAIL", "L", f"d_1{prime} misses the fiber")
     return _from_ints(F.field, _columns([x for x, _ in cols], F.dim), dd,
                       len(cols))
 
 
 def _fiber_base(baseA, piA, baseB, piB, g):
-    """The crossed module (V (+) V', L x_g L', (d, d')) with its projection."""
+    """The crossed module (V (+) V', L x_g L', (d, d')) with its projection:
+    a fiber basis vector with halves (x, y) acts on V (+) V' by the block
+    diagonal of the actions of x on V and y on V'."""
     LF, F, halves, q = _fiber_algebra(baseA, piA, baseB, piB, g)
     VA, VB = baseA.rep, baseB.rep
-    VV = Representation(LF, VA.dim + VB.dim, _fiber_actions(VA, VB, halves))
-    d = _fiber_boundary(F, baseA.partial.matrix, baseB.partial.matrix,
-                        ("d_1 misses the fiber", "d_1' misses the fiber"))
+
+    def act(V, x):
+        return _from_ints(V.algebra.field, *_lincomb(x, V.action, V.dim),
+                          V.dim)
+    VV = Representation(LF, VA.dim + VB.dim, [
+        block_diag(act(VA, x), act(VB, y)) for x, y in halves])
+    d = _fiber_boundary(F, baseA.partial.matrix, baseB.partial.matrix)
     return CrossedModule(LF, VV, LinearMap(d)), q
 
 
@@ -297,58 +307,33 @@ def sum_over_g(E: CrossedExtension, E2: CrossedExtension) -> CrossedExtension:
 
 
 def baer_sum(E: CrossedExtension, E2: CrossedExtension) -> CrossedExtension:
-    """E + E' = codiagonal pushforward of the sum over g (n >= 3)."""
-    if E.M != E2.M:
+    """E + E' = the codiagonal push-forward of the sum over g, for every
+    n >= 2.  The g and M of the two must agree first, so a pair of mixed
+    flavors is a BASE_MISMATCH; a Leibniz pair is UNSUPPORTED_FLAVOR."""
+    if E.g != E2.g:
+        raise CheckFailure("BASE_MISMATCH", detail="different base algebra")
+    if type(E.M) is not type(E2.M) or E.M != E2.M:
         raise CheckFailure("BASE_MISMATCH", detail="different kernel module")
+    if LEIBNIZ in (E.base.flavor, E2.base.flavor):
+        raise CheckFailure("UNSUPPORTED_FLAVOR", detail="the Baer sum of "
+                           "Leibniz crossed modules is not implemented")
     s = sum_over_g(E, E2)
-    field = E.g.field
-    nabla = ModuleMorphism(s.M, E.M,
-                           Matrix.identity(field, E.M.dim).hstack(
-                               Matrix.identity(field, E.M.dim)))
-    out, _ = push_forward(nabla, s)
+    ident = Matrix.identity(E.g.field, E.M.dim)
+    out, _ = push_forward(ModuleMorphism(s.M, E.M, ident.hstack(ident)), s)
     return out
 
 
-def baer_sum_n2(presA: CrossedExtension, presB: CrossedExtension
-                ) -> CrossedExtension:
-    """Baer sum of two 2-fold extensions of the same g by the same M: the
-    vector-space pushout V + V' over the fiber product of the bases."""
-    if presA.g != presB.g:
-        raise CheckFailure("BASE_MISMATCH", detail="different base algebra")
-    if type(presA.M) is not type(presB.M) or presA.M != presB.M:
-        raise CheckFailure("BASE_MISMATCH", detail="different kernel module")
-    if LEIBNIZ in (presA.base.flavor, presB.base.flavor):
-        raise CheckFailure("UNSUPPORTED_FLAVOR", detail="the Baer sum of "
-                           "Leibniz crossed modules is not implemented")
-    g, M = presA.g, presA.M
-    field = g.field
-    cmA, cmB = presA.base, presB.base
-    VA, VB = cmA.rep, cmB.rep
-    LF, F, halves, q = _fiber_algebra(cmA, presA.pi, cmB, presB.pi, g)
-    W, proj, sect = _quotient_module(
-        LF, presA.f.matrix, presB.f.matrix,
-        _fiber_actions(VA, VB, halves), "pushout relation is not stable")
-    d_big = _fiber_boundary(F, cmA.partial.matrix, cmB.partial.matrix,
-                            ("boundary misses the fiber",) * 2)
-    d = LinearMap(d_big @ sect.matrix)
-    cm = CrossedModule(LF, W, d)
-    # _quotient_module has validated W
-    crossed_axioms(cm)
-    emb_a = Matrix.identity(field, VA.dim).vstack(Matrix.zero(field, VB.dim, VA.dim))
-    j = LinearMap(proj.matrix @ emb_a @ presA.f.matrix)
-    return validate_extension(CrossedExtension(2, g, M, j, (), (), cm, q))
-
-
 def split_detect(E: CrossedExtension):
-    """An equivariant retraction h : M_{n-1} -> M with h f = id, or None.
+    """An equivariant retraction h : M_{n-1} -> M with h f = id, or None,
+    for every n >= 2.  At n = 2 M_{n-1} is the base's V, and h is
+    equivariant along pi: M acts on V's side through pi (`_through_pi`).
 
-    When a witness exists, the induced morphism onto the zero extension is
-    constructed and validated before returning."""
-    if not E.mids:
-        raise CheckFailure("LENGTH_MISMATCH", E.n, "split_detect needs n >= 3")
-    g = E.g
-    field = g.field
-    M, top = E.M, E.mids[0]
+    When a witness exists, the morphism (h, 0, ..., 0; pi) onto
+    zero_extension(g, M, n) is constructed and validated before
+    returning."""
+    field = E.g.field
+    nodes = (*E.mids, E.base.rep)
+    M, top = E.M, nodes[0]
     nun = M.dim * top.dim
 
     def var(a, b):
@@ -363,22 +348,20 @@ def split_detect(E: CrossedExtension):
             if a == c:
                 rhs[len(rows)] = df
             rows.append({var(a, b): x for b, x in Fc[c].items()})
-    rows += hom_rows(top, M)
+    rows += hom_rows(top, M if E.mids else _through_pi(M, E))
     sol = solve(LinearMap(_from_ints(field, rows, 1, nun)), (rhs, 1))
     if sol is None:
         return None
     x, dx = sol
-    h = _from_ints(field, [{b: x[var(a, b)] for b in range(top.dim)
-                            if var(a, b) in x} for a in range(M.dim)],
-                   dx, top.dim)
-    Z = zero_extension(g, M, E.n)
-    mor = ExtensionMorphism(
-        LinearMap.identity(field, M.dim),
-        (LinearMap(h),) + tuple(LinearMap.zero(field, m.dim, 0)
-                                for m in E.mids[1:]),
-        CrossedMorphism(LinearMap.zero(field, E.base.rep.dim, 0), E.pi))
-    check_extension_morphism(E, Z, mor)
-    return LinearMap(h)
+    h = LinearMap(_from_ints(field, [{b: x[var(a, b)] for b in range(top.dim)
+                                      if var(a, b) in x}
+                                     for a in range(M.dim)], dx, top.dim))
+    # the vertical maps below M: h on the head node, zero under it
+    verts = (h, *(LinearMap.zero(field, m.dim, 0) for m in nodes[1:]))
+    mor = ExtensionMorphism(LinearMap.identity(field, M.dim), verts[:-1],
+                            CrossedMorphism(verts[-1], E.pi))
+    check_extension_morphism(E, zero_extension(E.g, M, E.n), mor)
+    return h
 
 
 def opext_connecting(ses: ShortExactSequence,

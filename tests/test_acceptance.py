@@ -6,7 +6,7 @@
 3.  theta well-definedness on >= 20 generated crossed modules.
 4.  classify2 is invariant under crossed morphisms over the identity.
 5.  Yoneda splice class == cochain-level connecting image (>= 10 fixtures).
-6.  Baer-sum group laws at n = 2 through the classifier.
+6.  Baer-sum group laws at n = 2 through the classifier (`baer_sum`).
 7.  split_detect: succeeds on zero and pushed-forward extensions, rejects
     the curated nonsplit fixture.
 8.  Pushout universal property on 50 random cocones.
@@ -26,7 +26,7 @@ from crossedext.cohomology import (class_of, coboundary, coboundary_matrix,
 from crossedext.crossed import (CrossedMorphism, choose_sections, classify2,
                                 leibniz_theta, perturbed_sections, theta,
                                 yoneda_crossed_module)
-from crossedext.extensions import (ExtensionMorphism, baer_sum_n2,
+from crossedext.extensions import (ExtensionMorphism, baer_sum,
                                    check_extension_morphism, mediate, negate,
                                    push_forward, pushout, split_detect,
                                    validate_extension, zero_extension)
@@ -156,11 +156,11 @@ def test_criterion_6_group_structure_n2():
 
     A, B = fixture(1), fixture(2)
     zero = zero_extension(A.g, A.M, 2)
-    assert classify2(baer_sum_n2(A, B)) == classify2(A) + classify2(B)
+    assert classify2(baer_sum(A, B)) == classify2(A) + classify2(B)
     assert classify2(zero).is_zero()
     assert classify2(negate(A)) == -classify2(A)
-    assert classify2(baer_sum_n2(A, zero)) == classify2(A)
-    assert classify2(baer_sum_n2(A, negate(A))).is_zero()
+    assert classify2(baer_sum(A, zero)) == classify2(A)
+    assert classify2(baer_sum(A, negate(A))).is_zero()
 
 
 def test_criterion_7_split_and_zero_detection():

@@ -146,6 +146,14 @@ def _action_scalar(scalar):
 # integer, taking about 9 s each, were it not refused first
 HUGE_EXPONENTS = ["1e10000000", "1e-10000000"]
 
+# the Jordan fixture's vol12 with a value the parse admits, 10 to the digit
+# limit, whose connecting class has a scalar of one digit more than `str`
+# writes
+VOL12_AT_THE_LIMIT = _cochain(
+    "k_head", 2, [{"tuple": [1, 2],
+                   "value": [f"1e{sys.get_int_max_str_digits()}"]}],
+    flavor="ce")
+
 # (document, expected error code of its one record)
 HOSTILE = {
     "cohomology-heis3-sl2": (lambda: _cohomology_over("heis3"),
@@ -187,6 +195,9 @@ HOSTILE = {
                             "VALIDATION_FAIL"),
     **{f"action-scalar-{s}": (lambda s=s: _action_scalar(s), "PARSE_ERROR")
        for s in HUGE_EXPONENTS},
+    "connecting-vol12-1e-limit": (
+        lambda: _on_sequence("connecting", VOL12_AT_THE_LIMIT),
+        "BUDGET_EXCEEDED"),
 }
 
 
@@ -227,6 +238,15 @@ def test_a_huge_decimal_exponent_is_refused_at_once(scalar):
     assert (exc.value.code, exc.value.detail) == (
         "PARSE_ERROR", f"bad scalar {scalar!r}: bad rational literal "
                        f"{scalar!r}")
+
+
+def test_a_record_scalar_past_the_digit_limit_names_its_field():
+    ws = parse_workspace(json.dumps(_on_sequence("connecting",
+                                                 VOL12_AT_THE_LIMIT)))
+    assert run_command(ws, ws.commands[0]) == [{
+        "op": "connecting", "status": "FAIL", "error": "BUDGET_EXCEEDED",
+        "detail": "BUDGET_EXCEEDED('class_canonical'): a scalar has more "
+                  f"than {sys.get_int_max_str_digits()} digits"}]
 
 
 @pytest.mark.parametrize("scalar, value", [

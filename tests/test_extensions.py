@@ -3,7 +3,7 @@ import random
 import pytest
 
 from crossedext.errors import CheckFailure
-from crossedext.field import QQ
+from crossedext.field import QQ, PrimeField
 from crossedext.linalg import LinearMap, Matrix
 from crossedext.algebra import (ModuleMorphism, adjoint, direct_sum_reps,
                                 trivial_rep, validate_module)
@@ -11,7 +11,7 @@ from crossedext.cohomology import cochain_from_values
 from crossedext.crossed import CrossedModule, classify2, induced_pair, \
     theta, validate_crossed, yoneda_crossed_module
 from crossedext.extensions import (CrossedExtension, ExtensionMorphism,
-                                   baer_sum, baer_sum_n2,
+                                   baer_sum,
                                    check_extension_morphism, mediate, negate,
                                    opext_connecting, push_forward, pushout,
                                    split_detect, sum_over_g,
@@ -168,20 +168,88 @@ def _yoneda_pair():
     return yoneda_crossed_module(ses, c1), yoneda_crossed_module(ses, c2)
 
 
-def test_baer_sum_n2_additive_on_classes():
+def test_two_fold_baer_sum_additive_on_classes():
     A, B = _yoneda_pair()
-    assert classify2(baer_sum_n2(A, B)) == classify2(A) + classify2(B)
+    assert classify2(baer_sum(A, B)) == classify2(A) + classify2(B)
 
 
-def test_baer_sum_n2_inverse_gives_zero():
+def test_two_fold_baer_sum_inverse_gives_zero():
     A, _ = _yoneda_pair()
-    assert classify2(baer_sum_n2(A, negate(A))).is_zero()
+    assert classify2(baer_sum(A, negate(A))).is_zero()
 
 
-def test_baer_sum_n2_with_zero_is_identity():
+def test_two_fold_baer_sum_with_zero_is_identity():
     A, _ = _yoneda_pair()
     zero = zero_extension(A.g, A.M, 2)
-    assert classify2(baer_sum_n2(A, zero)) == classify2(A)
+    assert classify2(baer_sum(A, zero)) == classify2(A)
+
+
+def _two_fold_pairs(field, seed, count=5):
+    """Two Yoneda crossed modules on each of count fixture sequences of
+    samples.yoneda_fixtures: its 2-cocycle and a second one on the same
+    tail, so that both are 2-fold extensions of the same g by the same M."""
+    rng = random.Random(seed)
+    return [(yoneda_crossed_module(ses, c), yoneda_crossed_module(
+        ses, samples.random_2cocycle(ses.tail, rng)))
+        for ses, c in samples.yoneda_fixtures(field, rng, count=count)]
+
+
+def _scaled(M, k):
+    field = M.algebra.field
+    return ModuleMorphism(M, M, Matrix.identity(field, M.dim).scale(
+        field.of(k)))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)],
+                         ids=["Q", "F_2147483647"])
+@pytest.mark.parametrize("seed", range(5))
+def test_one_group_law_at_n_2(field, seed):
+    """The Baer sum and the push-forward of 2-fold extensions are valid
+    extensions, and classify2 is a group map: A + B, A + (-A) = 0,
+    A + 0 = A, and pushing along 2 id is A + A.  A split extension has the
+    zero class, and the zero extension splits."""
+    for A, B in _two_fold_pairs(field, seed):
+        zero = zero_extension(A.g, A.M, 2)
+        cA = classify2(A)
+        sums = {(A, B): cA + classify2(B), (A, negate(A)): cA - cA,
+                (A, zero): cA}
+        for (X, Y), want in sums.items():
+            S = validate_whole(baer_sum(X, Y))
+            assert (S.n, S.g, S.M) == (2, A.g, A.M)
+            assert classify2(S) == want
+        doubled, mor = push_forward(_scaled(A.M, 2), A)
+        check_extension_morphism(A, validate_whole(doubled), mor)
+        assert classify2(doubled) == cA + cA
+        for E in (A, B, negate(A), doubled, zero):
+            assert split_detect(E) is None or classify2(E).is_zero()
+        assert split_detect(zero) is not None
+
+
+def test_two_fold_push_forward_along_zero_splits():
+    """Pushed along M -> 0 (+) M', the Yoneda crossed modules with
+    nonzero class give split extensions: D is V/f(M) (+) M'."""
+    seen = 0
+    for A, _ in _two_fold_pairs(QQ, 7):
+        crush = ModuleMorphism(A.M, trivial_rep(A.g, 1),
+                               Matrix.zero(QQ, 1, A.M.dim))
+        E, mor = push_forward(crush, A)
+        check_extension_morphism(A, validate_whole(E), mor)
+        h = split_detect(E)
+        assert h is not None and h.matrix @ E.f.matrix == \
+            Matrix.identity(QQ, 1)
+        seen += not classify2(A).is_zero()
+    assert seen     # some A did not split before
+
+
+def test_two_fold_leibniz_push_forward_and_split_are_refused():
+    """M and M' act on a Leibniz V by two families through pi, which make
+    no Lie module: both are UNSUPPORTED_FLAVOR, not a traceback."""
+    pres = induced_pair(validate_crossed(_nonlie_crossed(1)))
+    ident = ModuleMorphism(pres.M, pres.M, Matrix.identity(QQ, pres.M.dim))
+    for call, args in ((push_forward, (ident, pres)), (split_detect, (pres,))):
+        with pytest.raises(CheckFailure) as exc:
+            call(*args)
+        assert exc.value.code == "UNSUPPORTED_FLAVOR"
 
 
 def test_two_fold_zero_and_negated_extensions():
@@ -200,15 +268,8 @@ def test_two_fold_zero_and_negated_extensions():
 
 
 def test_length_is_checked_where_it_matters():
-    """push_forward, and with it baer_sum, and split_detect need a module
-    M_{n-1}; theta and classify2 classify 2-fold extensions only."""
-    A, B = _yoneda_pair()
-    ident = ModuleMorphism(A.M, A.M, Matrix.identity(QQ, A.M.dim))
-    for call, args in ((push_forward, (ident, A)), (baer_sum, (A, B)),
-                       (split_detect, (A,))):
-        with pytest.raises(CheckFailure) as exc:
-            call(*args)
-        assert (exc.value.code, exc.value.witness) == ("LENGTH_MISMATCH", 2)
+    """theta and classify2 classify 2-fold extensions only; push_forward,
+    baer_sum and split_detect serve every n >= 2."""
     E3 = _zero_ext(3)
     for call in (theta, classify2):
         with pytest.raises(CheckFailure) as exc:

@@ -28,8 +28,8 @@ HOMES = {
                 "classify2", "induced_pair", "leibniz_theta", "theta",
                 "validate_crossed", "yoneda_crossed_module"],
     "extensions": ["CrossedExtension", "ExtensionMorphism", "baer_sum",
-                   "baer_sum_n2", "check_extension_morphism", "mediate",
-                   "negate", "opext_connecting", "pushout", "push_forward",
+                   "check_extension_morphism", "mediate", "negate",
+                   "opext_connecting", "pushout", "push_forward",
                    "split_detect", "sum_over_g", "validate_extension",
                    "zero_extension"],
     "workspace": ["Workspace", "parse_workspace", "serialize_workspace"],
@@ -41,7 +41,7 @@ ALL = [
     "LeibnizRepresentation", "LieAlgebra", "LinearMap", "Matrix",
     "ModuleMorphism", "PrimeField", "QQ", "Representation",
     "ShortExactSequence", "Subspace", "Workspace", "adjoint", "algebra",
-    "baer_sum", "baer_sum_n2", "check_crossed_morphism",
+    "baer_sum", "check_crossed_morphism",
     "check_extension_morphism", "class_of", "classify2", "coboundary",
     "coboundary_matrix", "coboundary_witness", "cohomology",
     "cohomology_table", "connecting_hom", "crossed", "errors", "extensions",

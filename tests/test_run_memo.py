@@ -26,7 +26,7 @@ def doc_text():
 def _commands(name, leibniz):
     cmds = [{"op": "theta", "crossed_module": name},
             {"op": "classify", "crossed_module": name}]
-    # baer_sum_n2 sums Lie crossed modules only
+    # baer_sum refuses a Leibniz pair
     if not leibniz:
         cmds.append({"op": "baer-sum", "left": name, "right": name})
     return cmds

@@ -26,6 +26,11 @@ from crossedext import cli
 from support import perfbench_gen
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+# the SHA-256 of the seed-1 crossed-mix report over F_2147483647 (the
+# manifest's report_sha256 pins the one over Q); with it tier-1 pins the
+# bytes of the n = 2 and n = 3 Baer sums over both fields
+CROSSED_MIX_FP_SEED_1 = \
+    "e9407167ad91a53e5dfdc994ccfb32fa2d04852c0e76892f2212e03e7ba65594"
 
 
 # the children import the same crossedext as this process, installed or not
@@ -73,6 +78,7 @@ def test_report_hashes_passes_the_field_after_the_generators_arguments():
     seed, digest, status = proc.stdout.split()
     assert (seed, status) == ("1", "0")
     assert digest != manifest["workloads"]["crossed-mix"]["report_sha256"]
+    assert digest == CROSSED_MIX_FP_SEED_1
     with tempfile.TemporaryDirectory() as tmp:
         doc = Path(tmp) / "doc.json"
         doc.write_text(text)
