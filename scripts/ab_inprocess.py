@@ -2,8 +2,6 @@
 """Time two checkouts of crossedext against each other in one interpreter,
 round by round, on one or more benchmark documents.
 
-    python3 scripts/ab_inprocess.py OLD_SRC NEW_SRC WORKLOAD SEED
-                                    [--field SPEC] [--rounds N]
     python3 scripts/ab_inprocess.py OLD_SRC NEW_SRC WORKLOAD --seeds 1,2,3
                                     [--field SPEC] [--rounds N]
 
@@ -31,16 +29,9 @@ import sys
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from _gen import perfbench_gen
+
 WORKLOADS = ("ladder-q", "ladder-fp", "crossed-mix")
-
-
-def _gen():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_gen", ROOT / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
 
 
 def load(src, name):
@@ -78,19 +69,15 @@ def main(argv=None):
     ap.add_argument("old_src")
     ap.add_argument("new_src")
     ap.add_argument("workload", choices=WORKLOADS)
-    ap.add_argument("seed", type=int, nargs="?")
-    ap.add_argument("--seeds", help="comma-separated seeds, in place of SEED")
+    ap.add_argument("--seeds", required=True, help="comma-separated seeds")
     ap.add_argument("--field", help="a field selector that replaces the "
                     "generator's")
     ap.add_argument("--rounds", type=int, default=10)
     args = ap.parse_args(argv)
-    if (args.seed is None) == (args.seeds is None):
-        ap.error("give either SEED or --seeds")
-    seeds = [args.seed] if args.seeds is None else \
-        [int(s) for s in args.seeds.split(",")]
+    seeds = [int(s) for s in args.seeds.split(",")]
     docs = {}
     for seed in seeds:
-        text, extra, _ = _gen().generate(args.workload, seed)
+        text, extra, _ = perfbench_gen().generate(args.workload, seed)
         field = args.field
         if field is None and "--field" in extra:
             field = extra[extra.index("--field") + 1]

@@ -18,22 +18,15 @@ document that does not parse (say under --field p:4) gives a message and
 exit status 1.
 """
 import argparse
-import importlib.util
 import sys
 import time
 from pathlib import Path
 
+from _gen import perfbench_gen
+
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("ladder-q", "ladder-fp", "crossed-mix")
 REPEAT = 5
-
-
-def _gen():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_gen", ROOT / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
 
 
 def best_ms(fn, *args):
@@ -63,7 +56,7 @@ def main(argv=None):
     from crossedext.linalg import rank
     from crossedext.workspace import parse_workspace
 
-    text, extra, _ = _gen().generate(args.workload, args.seed)
+    text, extra, _ = perfbench_gen().generate(args.workload, args.seed)
     field = args.field
     if field is None and "--field" in extra:
         field = extra[extra.index("--field") + 1]

@@ -20,23 +20,16 @@ hashes the F_p twin of the crossed-mix reports.
 """
 import argparse
 import hashlib
-import importlib.util
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+from _gen import perfbench_gen
+
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("ladder-q", "ladder-fp", "crossed-mix")
-
-
-def _gen():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_gen", ROOT / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
 
 
 def main():
@@ -50,7 +43,7 @@ def main():
                     "after the generator's arguments")
     args = ap.parse_args()
     field = [] if args.field is None else ["--field", args.field]
-    gen = _gen()
+    gen = perfbench_gen()
     # no __pycache__ is written into DIR
     env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()),
                PYTHONDONTWRITEBYTECODE="1")

@@ -22,13 +22,14 @@ scripts/report_hashes.py.
 """
 import argparse
 import ast
-import importlib.util
 import json
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from _gen import perfbench_gen
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("ladder-q", "ladder-fp", "crossed-mix")
@@ -55,14 +56,6 @@ ran = {n: m.__file__ for n, m in sys.modules.items()
 with open(sys.argv[1], "w") as fh:
     json.dump({"rc": rc, "modules": ran, "entered": sorted(entered)}, fh)
 """
-
-
-def _gen():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_gen", ROOT / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
 
 
 def _first_line(node):
@@ -98,7 +91,7 @@ def main():
                     "after the generator's arguments")
     args = ap.parse_args()
     field = [] if args.field is None else ["--field", args.field]
-    text, extra, _ = _gen().generate(args.workload, args.seed)
+    text, extra, _ = perfbench_gen().generate(args.workload, args.seed)
     env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()),
                PYTHONDONTWRITEBYTECODE="1")
     modules, entered = {}, set()

@@ -20,12 +20,14 @@ def _lazy(name):
     return module
 
 
-def _forward(home, lazy, names):
-    """The PEP 562 __getattr__ of module home: names, from module lazy."""
+def _forward(home, lazy):
+    """The PEP 562 __getattr__ of module home: any global of module lazy.
+    A dunder is refused without running lazy, as `from home import x` asks
+    home for `__path__`."""
     def __getattr__(name):
-        if name not in names:
+        if name.startswith("__") or name not in vars(lazy):
             raise AttributeError(f"module {home!r} has no attribute {name!r}")
-        return getattr(lazy, name)
+        return vars(lazy)[name]
     return __getattr__
 
 

@@ -8,7 +8,7 @@ import math
 
 from .errors import CheckFailure
 from .linalg import (LinearMap, Matrix, _columns, _common_rows, _field_vec,
-                     _from_ints, _int_vec, _modulus, _mul_vec, _reduced, _sum)
+                     _from_ints, _int_vec, _mul_vec, _reduced, _sum)
 from ._spaces import Echelon, Subspace, image, kernel
 from .algebra import CE, Representation, validate_lie
 from ._maps import ModuleMorphism, sides
@@ -208,7 +208,7 @@ class CochainComplex:
         of z.vec (see `linalg.Matrix`)."""
         view = _int_vec(self.module.algebra.field, z.vec)
         d = self.delta(z.degree).matrix
-        if _reduced(_mul_vec(d._ints[0], view[0]), _modulus(d.field)):
+        if _reduced(_mul_vec(d._ints[0], view[0]), d.field.p):
             raise CheckFailure("NOT_A_COCYCLE",
                                detail=detail or f"degree {z.degree}")
         return view
@@ -446,7 +446,7 @@ def abelian_extension_from_2cocycle(Mpp: Representation, alpha: Cochain):
     # the structure matrix's integer rows on the lcm D of the denominators
     # of alpha, of the action matrices and of g's constants
     A, dm = _common_rows(Mpp.action)
-    gc, dg = g.int_structure()
+    gc, dg = g.structure._ints
     D = math.lcm(da, dm, dg)
     rows = [{} for _ in range(n * n)]
     for j in range(d):

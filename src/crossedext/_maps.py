@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from .errors import CheckFailure
 from .linalg import (LinearMap, Matrix, _columns, _first_nonzero_row,
-                     _from_ints, _lincomb, _modulus, _mul_vec, _reduced, _sum)
+                     _from_ints, _lincomb, _mul_vec, _reduced, _sum)
 from ._spaces import block_diag
 from .algebra import (LEIBNIZ, LeibnizAlgebra, LeibnizRepresentation,
                       LieAlgebra, Representation, _skew_defect)
@@ -34,7 +34,7 @@ def _bracket_view(h, i, side):
     """The integer view (rows, d) of the matrix whose column j is
     [e_j, e_i] on the "right" side and [e_i, e_j] on any other (d the
     denominator of the structure constants)."""
-    (c, d), n = h.int_structure(), h.dim
+    (c, d), n = h.structure._ints, h.dim
     return _columns([c[j * n + i] if side == "right" else c[i * n + j]
                      for j in range(n)], n), d
 
@@ -70,7 +70,7 @@ def equivariance_defect(f: Matrix, src, tgt):
     d_A and d_B, the test is F A d_B = B F d_A (d_f d_A d_B times the true
     one), one `linalg._first_nonzero_row` pass, mod p over F_p; each caller
     raises its own failure."""
-    (F, _), p = f._ints, _modulus(f.field)
+    (F, _), p = f._ints, f.field.p
     for i in range(len(src[0][1])):
         for (side, a), (_, b) in zip(src, tgt):
             (A, da), (B, db) = a[i]._ints, b[i]
@@ -106,8 +106,8 @@ def bracket_defect(f: LinearMap, A, B):
     the constants)."""
     F, df = f.matrix._ints
     cols = _columns(F, A.dim)
-    (ca, da), db = A.int_structure(), B.int_structure()[1]
-    p = _modulus(A.field)
+    (ca, da), db = A.structure._ints, B.structure._ints[1]
+    p = A.field.p
     skew = _skew_defect(A) is None and _skew_defect(B) is None
     for i in range(A.dim):
         for j in range(i if skew else 0, A.dim):

@@ -7,7 +7,6 @@ from __future__ import annotations
 import json
 
 from .errors import CheckFailure
-from .field import QQ
 from .linalg import Matrix
 from ._maps import sides
 from .workspace import Workspace
@@ -31,7 +30,7 @@ def serialize_workspace(ws: Workspace) -> str:
     field = ws.field
     name_of = _namer(ws.algebras, ws.modules, ws.morphisms,
                      ws.crossed_modules)
-    doc = {"field": "q" if field == QQ else f"p:{field.p}"}
+    doc = {"field": "q" if field.p is None else f"p:{field.p}"}
     doc["algebras"] = {
         name: {"type": alg.flavor, "dim": alg.dim,
                "structure": _structure_out(field, alg)}

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 
 from .linalg import (LinearMap, Matrix, _columns, _common_rows, _echelon,
-                     _from_ints, _insert, _modulus, _reduced, rref)
+                     _from_ints, _insert, _reduced, rref)
 
 
 class Echelon:
@@ -36,7 +36,7 @@ class Echelon:
 
     def __init__(self, matrix: Matrix):
         self.field, self.cols = matrix.field, matrix.cols
-        self._p = _modulus(matrix.field)
+        self._p = matrix.field.p
         rows, d = matrix._ints
         self._rows, self._scale = list(rows), [d] * len(rows)
         self._piv = self._transform = None
@@ -185,7 +185,7 @@ class Subspace:
             if f:
                 for j, x in row.items():
                     out[j] = out.get(j, 0) - f * x
-        return _reduced(out, _modulus(self.field)), d * db
+        return _reduced(out, self.field.p), d * db
 
     def contains(self, vec):
         """Whether the vector with integer view vec lies in the subspace."""
@@ -198,7 +198,7 @@ class Subspace:
             return None
         v, d = vec
         return _reduced({r: v.get(p, 0) for r, p in enumerate(self.pivots)},
-                        _modulus(self.field)), d
+                        self.field.p), d
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
@@ -282,7 +282,7 @@ def linear_section(f: LinearMap) -> LinearMap:
     # domain coordinate j is column top - j
     piv = _echelon([{**col, top - j: d} for j, col in
                     enumerate(_columns(rows, f.domain_dim))],
-                   _modulus(f.field))
+                   f.field.p)
     image_rows = [(c, lead, tail) for c, (lead, tail) in piv.items() if c < m]
     D = math.lcm(*(lead for _, lead, _ in image_rows))
     out = [{} for _ in range(f.domain_dim)]

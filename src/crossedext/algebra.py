@@ -9,14 +9,10 @@ from __future__ import annotations
 from . import _forward, _maps
 from .errors import CheckFailure
 from .linalg import (Matrix, _common_rows, _first_nonzero_row, _from_ints,
-                     _lincomb, _modulus, _negated, _sum)
+                     _lincomb, _negated, _sum)
 
 # the map layer, a lazy module, whose names are served from here too
-__getattr__ = _forward(__name__, _maps, (
-    "ModuleMorphism", "_adjoint_family", "_bracket_view", "adjoint",
-    "bracket_defect", "direct_sum_reps", "equivariance_defect", "hom_rows",
-    "leibniz_adjoint", "leibniz_from_lie", "leibniz_rep_from_lie",
-    "pulled_back", "sides", "trivial_rep", "validate_morphism"))
+__getattr__ = _forward(__name__, _maps)
 
 # the cochain flavor of a Lie module and of a Leibniz module
 CE = "ce"
@@ -49,11 +45,6 @@ class _AlgebraBase:
         data, n = self.structure.data, self.dim
         return tuple(data[i * n:(i + 1) * n] for i in range(n))
 
-    def int_structure(self):
-        """The integer view (rows, d) of `structure` (see `linalg.Matrix`):
-        rows[i * dim + j] = {k: int} holds [e_i, e_j] on d."""
-        return self.structure._ints
-
     def _bracket(self, u, v):
         """[u, v] of two {index: int} vectors, on d times their
         denominators (neither reduced mod p nor freed of zeros)."""
@@ -84,7 +75,7 @@ def _skew_defect(g):
     lexicographically first failing pair of all.  Kept on g from the first
     call on, as its structure matrix is immutable."""
     if g._skew == ():
-        (c, _), dim, p = g.int_structure(), g.dim, _modulus(g.field)
+        (c, _), dim, p = g.structure._ints, g.dim, g.field.p
         g._skew = next(((i, j) for i in range(dim) for j in range(i, dim)
                         if c[j * dim + i] != _negated(c[i * dim + j], p)),
                        None)
@@ -100,8 +91,8 @@ def _leibniz_identity(g, code, skew):
     integer structure constants on their denominator d (residues over F_p):
     each term is a product of two constants, so the sum is d^2 times the
     true one and vanishes with it."""
-    dim, p = g.dim, _modulus(g.field)
-    c, _ = g.int_structure()
+    dim, p = g.dim, g.field.p
+    c, _ = g.structure._ints
     for i in range(dim):
         for j in range(i if skew else 0, dim):
             for k in range(j if skew else 0, dim):
@@ -186,7 +177,7 @@ def validate_module(rep: Representation) -> Representation:
 
     The check runs on integers.  With A_k the integer rows of rho(e_k) on
     the common denominator D of all the action matrices, and c, d_c the
-    integer structure constants (`int_structure`), the axiom for (i, j)
+    integer structure constants (`structure._ints`), the axiom for (i, j)
     times d_c D^2 is
 
         D * sum_k c_ij^k A_k = d_c * (A_i A_j - A_j A_i),
@@ -195,8 +186,8 @@ def validate_module(rep: Representation) -> Representation:
     `_first_nonzero_row` pass per pair, which stores no product A_i A_j;
     the diagonal has no product terms."""
     g, n = rep.algebra, rep.algebra.dim
-    p = _modulus(g.field)
-    c, dc = g.int_structure()
+    p = g.field.p
+    c, dc = g.structure._ints
     A, D = _common_rows(rep.action)
     if not any(any(rows) for rows in A):
         return rep      # every action is zero, and so is either side
@@ -256,7 +247,7 @@ def validate_leibniz_module(rep: LeibnizRepresentation) -> LeibnizRepresentation
     take the integer structure constants as coefficients.
     """
     h, n = rep.algebra, rep.dim
-    c, dc = h.int_structure()
+    c, dc = h.structure._ints
     L, R = rep.left, rep.right
     LL, LR = _products(L, L), _products(L, R)
     RL, RR = _products(R, L), _products(R, R)

@@ -27,13 +27,7 @@ from .linalg import LinearMap, _common_rows, _from_ints, rank
 from .algebra import CE, LEIBNIZ, LeibnizRepresentation, Representation
 
 # the class layer, a lazy module, whose names are served from here too
-__getattr__ = _forward(__name__, _classes, (
-    "Cochain", "CochainComplex", "CohomologyClass", "ShortExactSequence",
-    "_Record", "_blocks", "abelian_extension_from_2cocycle", "class_of",
-    "coboundary", "coboundary_witness", "cochain_from_values",
-    "cochain_tuples", "cohomology", "complex_of", "connecting_hom",
-    "h0_invariants", "map_class", "map_coefficients", "sort_with_sign",
-    "validate_ses"))
+__getattr__ = _forward(__name__, _classes)
 
 
 def ce_tuples(dim: int, n: int):
@@ -71,7 +65,7 @@ def _emit_coboundary(algebra, families, m, n, ce) -> LinearMap:
     tuples = ce_tuples if ce else leib_tuples
     ins = tuples(dim, n)
     offset = {t: i * m for i, t in enumerate(ins)}
-    c, dc = algebra.int_structure()
+    c, dc = algebra.structure._ints
     blocks, D = _common_rows([a for fam in families for a in fam], dc)
     cf = D // dc
     brackets = [[(k, v * cf) for k, v in row.items()] for row in c]

@@ -17,7 +17,7 @@ import math
 
 from .errors import CheckFailure
 from .linalg import (LinearMap, Matrix, _columns, _field_vec, _from_ints,
-                     _modulus, _mul_rows, _mul_vec, _negated, _reduced, _sum)
+                     _mul_rows, _mul_vec, _negated, _reduced, _sum)
 from ._spaces import Echelon, image, kernel, linear_section, quotient
 from .algebra import (LEIBNIZ, LeibnizRepresentation, Representation,
                       validate_lie, validate_leibniz, validate_module,
@@ -26,7 +26,9 @@ from ._maps import (_bracket_view, bracket_defect, equivariance_defect,
                     pulled_back, sides)
 from ._classes import (Cochain, CohomologyClass, ShortExactSequence, _Record,
                        abelian_extension_from_2cocycle, class_of,
-                       cochain_from_values, complex_of, validate_ses)
+                       _cochain_work, cochain_from_values, complex_of,
+                       validate_ses)
+from .cohomology import TABLE_BUDGET
 
 
 class CrossedModule(_Record):
@@ -98,7 +100,7 @@ def crossed_axioms(cm: CrossedModule) -> CrossedModule:
             for _, views in pulled_back(V, d)]
     X, Y = acts[0], acts[-1]
     sign = 1 if len(acts) == 2 else -1
-    p = _modulus(L.field)
+    p = L.field.p
     for v, (dx, xc) in enumerate(X):
         for w in range(v if sign < 0 else 0, V.dim):
             dy, yc = Y[w]
@@ -118,7 +120,7 @@ def induced_pair(cm: CrossedModule) -> CrossedExtension:
     L, V, d = cm.algebra, cm.rep, cm.partial
     field, n = L.field, L.dim
     leib = cm.flavor == LEIBNIZ
-    c, dc = L.int_structure()
+    c, dc = L.structure._ints
     im = image(d)
     B, db = im.basis._ints
     # im(d) must be a two-sided ideal for the quotient bracket to descend;
@@ -201,9 +203,9 @@ def _g2_table(pres, s, q):
     pairs i <= j are computed and g2(e_j, e_i) = -g2(e_i, e_j) filled in.
     A Leibniz one computes all pairs."""
     L, g = pres.base.algebra, pres.g
-    p = _modulus(g.field)
-    c, dc = L.int_structure()
-    gc, dg = g.int_structure()
+    p = g.field.p
+    c, dc = L.structure._ints
+    gc, dg = g.structure._ints
     srows, ds = s.matrix._ints
     qrows, dq = q.matrix._ints
     S, Q = _columns(srows, g.dim), _columns(qrows, L.dim)
@@ -258,20 +260,25 @@ def theta(pres: CrossedExtension, s: LinearMap | None = None,
 
     Each value is summed on integers (mod p over F_p), and partial(theta) = 0
     checked there; only its coordinates in M become field elements.  An
-    extension of length n != 2 is a LENGTH_MISMATCH.
+    extension of length n != 2 is a LENGTH_MISMATCH, and one whose
+    3-cochains valued in M are over the work budget that the parse holds
+    such a cochain to is BUDGET_EXCEEDED, before any section is chosen.
     """
     if pres.n != 2:
         raise CheckFailure("LENGTH_MISMATCH", pres.n, "theta needs n = 2")
+    if _cochain_work(pres.M, 3) > TABLE_BUDGET:
+        raise CheckFailure("BUDGET_EXCEEDED", 3,
+                           f"over the work budget of {TABLE_BUDGET}")
     if s is None or q is None:
         s, q = choose_sections(pres)
     _check_sections(pres, s, q)
     cm, g, V = pres.base, pres.g, pres.base.rep
-    p, gdim, n = _modulus(g.field), g.dim, V.dim
+    p, gdim, n = g.field.p, g.dim, V.dim
     g2, dt = _g2_table(pres, s, q)
     # the action of each s e_u on its denominator, by its integer columns
     acts = [[(da, _columns(rows, n)) for rows, da in views]
             for _, views in pulled_back(V, s.matrix)]
-    gc, dg = g.int_structure()
+    gc, dg = g.structure._ints
     D = math.lcm(dg, *(da for fam in acts for da, _ in fam))
     # each action on D, and a Lie module's right action is -rho
     sign = 1 if len(acts) == 2 else -1

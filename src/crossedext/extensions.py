@@ -245,7 +245,7 @@ def _fiber_algebra(baseA: CrossedModule, piA: LinearMap,
     rows, d = F.basis._ints
     halves = [(({j: v for j, v in r.items() if j < a}, d),
                ({j - a: v for j, v in r.items() if j >= a}, d)) for r in rows]
-    da, db = LA.int_structure()[1], LB.int_structure()[1]
+    da, db = LA.structure._ints[1], LB.structure._ints[1]
     dw = d * d * da * db     # both halves of a bracket on dw
     structure = [F.coordinates(({**{j: v * db for j, v in
                                     LA._bracket(xa, xb).items()},

@@ -125,9 +125,10 @@ class FpElement:
 
 
 class RationalField:
-    """The field of rationals; elements are fractions.Fraction values."""
+    """The field of rationals; elements are fractions.Fraction values.  Its
+    `p` is None, where a prime field's is its modulus."""
 
-    name = "Q"
+    name, p = "Q", None
 
     def __init__(self):
         self.zero = Fraction(0)

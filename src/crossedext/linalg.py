@@ -9,18 +9,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .field import FpElement, PrimeField
+from .field import FpElement
 from . import _forward, _spaces
 
 # the subspace layer, a lazy module, whose names are served from here too
-__getattr__ = _forward(__name__, _spaces, (
-    "Echelon", "Subspace", "_over_leads", "block_diag", "image", "kernel",
-    "linear_section", "quotient", "solve", "solve_matrix"))
-
-
-def _modulus(field):
-    """p for F_p, None for Q."""
-    return field.p if isinstance(field, PrimeField) else None
+__getattr__ = _forward(__name__, _spaces)
 
 
 class Matrix:
@@ -109,7 +102,7 @@ class Matrix:
 
     def __neg__(self):
         rows, d = self._ints
-        p = _modulus(self.field)
+        p = self.field.p
         return Matrix._from_int_rows(
             self.field, [_negated(r, p) for r in rows], d, self.cols)
 
@@ -272,7 +265,7 @@ def _int_vec(field, vec):
     """The integer view (ints, d) of the field vector vec (see `Matrix`):
     its nonzero entries on d, the lcm of their denominators, over Q; the
     residues and d = 1 over F_p."""
-    if _modulus(field) is None:
+    if field.p is None:
         d = math.lcm(*[x.denominator for x in vec])
         return {i: x.numerator * (d // x.denominator)
                 for i, x in enumerate(vec) if x}, d
@@ -282,7 +275,7 @@ def _int_vec(field, vec):
 def _field_vec(field, acc, d, n):
     """The field vector of length n with entry k acc[k] / d over Q and
     acc[k] mod p over F_p, for {index: int} acc, and zero elsewhere."""
-    p, out = _modulus(field), [field.zero] * n
+    p, out = field.p, [field.zero] * n
     for k, x in _reduced(acc, p).items():
         out[k] = Fraction(x, d) if p is None else FpElement(x, p)
     return tuple(out)
@@ -294,7 +287,7 @@ def _from_ints(field, rows, d, cols):
     view: zeros dropped, residues reduced mod p, and over Q the entries and
     d divided by their common gcd.  Its dense rows are built on first
     read."""
-    p = _modulus(field)
+    p = field.p
     view = [_reduced(r, p) for r in rows]
     if p is not None:
         return Matrix._from_int_rows(field, view, 1, cols)
@@ -415,7 +408,7 @@ def rref(m: Matrix):
     rows are built only if `.data` is read.
     """
     rows, _ = m._ints
-    piv = _echelon([dict(r) for r in rows], _modulus(m.field))
+    piv = _echelon([dict(r) for r in rows], m.field.p)
     pivots = tuple(sorted(piv))
     # the pivot rows are primitive, so the view on D has no common factor
     D = math.lcm(*(piv[c][0] for c in pivots))

@@ -18,7 +18,6 @@ from .cohomology import (Cochain, ShortExactSequence, coboundary_matrix,
 from .crossed import (CrossedExtension, CrossedModule, induced_pair,
                       validate_crossed, yoneda_crossed_module)
 from .extensions import opext_connecting, zero_extension
-from .field import QQ
 from .linalg import (LinearMap, Matrix, Subspace, _columns, _from_ints,
                      kernel, solve_matrix)
 
@@ -94,7 +93,7 @@ def lie_by_name(field, name):
 # ------------------------------------------------------- random generators
 
 def random_scalar(field, rng: random.Random):
-    if field is QQ:
+    if field.p is None:
         return field.of(rng.randint(-3, 3))
     return field.of(rng.randrange(field.p))
 

@@ -12,7 +12,7 @@ import json
 import math
 
 from .errors import CheckFailure
-from .field import FieldError, FpElement, field_from_spec
+from .field import FieldError, field_from_spec
 from .linalg import LinearMap, Matrix
 from .algebra import (LeibnizRepresentation, Representation,
                       validate_leibniz, validate_leibniz_module, validate_lie,
@@ -23,7 +23,7 @@ from . import _forward
 from . import _classes, _maps, _serializer, crossed, extensions
 
 # the serializer layer, a lazy module, whose name is served from here too
-__getattr__ = _forward(__name__, _serializer, ("serialize_workspace",))
+__getattr__ = _forward(__name__, _serializer)
 
 
 class Workspace:
@@ -35,7 +35,7 @@ class Workspace:
 
     def __init__(self, field, algebras=None, modules=None, morphisms=None,
                  cochains=None, crossed_modules=None, sequences=None,
-                 extensions=None, commands=None, classified=None):
+                 extensions=None, commands=None):
         self.field = field
         self.algebras = {} if algebras is None else algebras
         self.modules = {} if modules is None else modules
@@ -46,8 +46,7 @@ class Workspace:
         self.sequences = {} if sequences is None else sequences
         self.extensions = {} if extensions is None else extensions
         self.commands = [] if commands is None else commands
-        self.classified = {} if classified is None else classified
-        self.complexes, self.connected = {}, {}
+        self.classified, self.complexes, self.connected = {}, {}, {}
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -78,8 +77,8 @@ class _Scalars:
         except (ValueError, KeyError) as exc:
             raise CheckFailure("PARSE_ERROR",
                                detail=f"bad scalar {s!r}: {exc}")
-        e = self.seen[s] = ((x, x.val, 1) if isinstance(x, FpElement)
-                            else (x, x.numerator, x.denominator))
+        e = self.seen[s] = ((x, x.numerator, x.denominator)
+                            if self.field.p is None else (x, x.val, 1))
         return e
 
     def matrix(self, rows, cols):

@@ -3,7 +3,8 @@ status and an error code, the exit status is 1, and no traceback reaches
 stderr.  A module carries its algebra and its flavor, so an input that names
 another algebra or flavor beside a module is refused where it enters.  A Q
 scalar whose decimal exponent is over the digits Python allows a decimal
-string is refused before `Fraction` expands it."""
+string is refused before `Fraction` expands it, and a theta past the work
+budget before any of its work."""
 import itertools
 import json
 import os
@@ -17,8 +18,10 @@ from pathlib import Path
 import pytest
 
 import crossedext
-from crossedext import cli
+from crossedext import cli, crossed
+from crossedext._classes import _cochain_work
 from crossedext.cli import run_command
+from crossedext.cohomology import TABLE_BUDGET
 from crossedext.errors import CheckFailure
 from crossedext.extensions import CrossedExtension, validate_extension
 from crossedext.linalg import LinearMap, Matrix
@@ -154,6 +157,21 @@ VOL12_AT_THE_LIMIT = _cochain(
                    "value": [f"1e{sys.get_int_max_str_digits()}"]}],
     flavor="ce")
 
+
+def _zero_crossed(dim):
+    """The zero crossed module over the abelian L of dimension dim, on a V
+    of that dimension with zero action and zero boundary, and one theta
+    command: theta would fill C(dim, 3) * dim entries of C^3(g, M), 980 000
+    at dim 50."""
+    zero = [["0"] * dim] * dim
+    return {"algebras": {"L": {"type": "lie", "dim": dim}},
+            "modules": {"V": {"algebra": "L", "dim": dim,
+                              "action": {str(i): zero for i in range(dim)}}},
+            "crossed_modules": {"zero": {"L": "L", "V": "V",
+                                         "partial": zero}},
+            "commands": [{"op": "theta", "crossed_module": "zero"}]}
+
+
 # (document, expected error code of its one record)
 HOSTILE = {
     "cohomology-heis3-sl2": (lambda: _cohomology_over("heis3"),
@@ -198,6 +216,8 @@ HOSTILE = {
     "connecting-vol12-1e-limit": (
         lambda: _on_sequence("connecting", VOL12_AT_THE_LIMIT),
         "BUDGET_EXCEEDED"),
+    **{f"theta-zero-crossed-{d}": (lambda d=d: _zero_crossed(d),
+                                   "BUDGET_EXCEEDED") for d in (50, 60)},
 }
 
 
@@ -247,6 +267,23 @@ def test_a_record_scalar_past_the_digit_limit_names_its_field():
         "op": "connecting", "status": "FAIL", "error": "BUDGET_EXCEEDED",
         "detail": "BUDGET_EXCEEDED('class_canonical'): a scalar has more "
                   f"than {sys.get_int_max_str_digits()} digits"}]
+
+
+def test_theta_past_the_work_budget_is_refused_at_once():
+    """theta is held to the budget of a parsed 3-cochain valued in M: at
+    dim 50 it is refused, parse included, in under 2 s; at dim 20 (22 803
+    units) it is built."""
+    start = time.perf_counter()
+    ws = parse_workspace(json.dumps(_zero_crossed(50)))
+    rec, = run_command(ws, ws.commands[0])
+    assert time.perf_counter() - start < 2
+    assert (rec["status"], rec["error"]) == ("FAIL", "BUDGET_EXCEEDED")
+    assert rec["detail"] == "BUDGET_EXCEEDED(3): over the work budget of " \
+                            f"{TABLE_BUDGET}"
+    ws = parse_workspace(json.dumps(_zero_crossed(20)))
+    pres = crossed.induced_pair(ws.crossed_modules["zero"])
+    assert _cochain_work(pres.M, 3) == 22_803 <= TABLE_BUDGET
+    assert crossed.theta(pres).is_zero()
 
 
 @pytest.mark.parametrize("scalar, value", [

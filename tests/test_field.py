@@ -88,3 +88,9 @@ def test_uncertifiable_modulus_refused():
 def test_bad_field_spec_rejected(spec):
     with pytest.raises(FieldError):
         field_from_spec(spec)
+
+
+def test_a_field_carries_its_modulus():
+    """`p` tells Q from F_p: None for Q, the prime for F_p."""
+    assert QQ.p is None
+    assert PrimeField(7).p == 7

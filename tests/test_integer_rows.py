@@ -251,10 +251,10 @@ def brackets(draw):
 def test_bracket_matches_dense_bracket(case):
     alg, u, v = case
     (us, du), (vs, dv) = view(alg.field, u), view(alg.field, v)
-    d = alg.int_structure()[1] * du * dv
+    d = alg.structure._ints[1] * du * dv
     assert dense(alg.field, (alg._bracket(us, vs), d), alg.dim) == \
         dense_bracket(alg, u, v)
-    assert alg.int_structure() is alg.int_structure()
+    assert alg.structure._ints is alg.structure._ints
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -265,8 +265,8 @@ def test_change_basis_lie_matches_the_dense_change_of_basis(field):
         for _ in range(5):
             P = samples.random_invertible(field, g.dim, rng)
             want = _rebased(g, P, validate_lie)
-            assert samples.change_basis_lie(g, P).int_structure() == \
-                want.int_structure(), (name, P)
+            assert samples.change_basis_lie(g, P).structure._ints == \
+                want.structure._ints, (name, P)
 
 
 def test_cohomology_reads_delta_as_integer_rows(monkeypatch):

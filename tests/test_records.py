@@ -144,7 +144,7 @@ def test_workspace_construction_and_fresh_sections():
         assert getattr(a, name) is not getattr(b, name)
     assert a.commands == [] and a.commands is not b.commands
     algebras, cmds = {"g": G}, [{"op": "check"}]
-    c = Workspace(QQ, algebras, {}, {}, {}, {}, {}, {}, cmds, {})
+    c = Workspace(QQ, algebras, {}, {}, {}, {}, {}, {}, cmds)
     d = Workspace(QQ, algebras=algebras, commands=cmds)
     assert c.algebras is algebras and c.commands is cmds
     assert c == d and c != a

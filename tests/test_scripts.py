@@ -148,14 +148,14 @@ def test_unreached_lists_what_a_ladder_run_never_calls():
 
 
 def test_ab_inprocess_compares_two_checkouts_in_one_process(tmp_path):
-    proc = _run(str(SCRIPTS / "ab_inprocess.py"), SRC, SRC, "ladder-q", "1",
-                "--rounds", "2")
+    proc = _run(str(SCRIPTS / "ab_inprocess.py"), SRC, SRC, "ladder-q",
+                "--seeds", "1", "--rounds", "2")
     assert proc.returncode == 0, proc.stderr
     head, *rows = proc.stdout.splitlines()
     assert head == "ladder-q seed 1, 2 rounds"
     assert [row.split()[0] for row in rows] == ["parse", "commands", "total"]
     assert all("new/old" in row for row in rows)
-    # --seeds: one block per seed, then the pooled ratios of all pairs
+    # two seeds: one block per seed, then the pooled ratios of all pairs
     proc = _run(str(SCRIPTS / "ab_inprocess.py"), SRC, SRC, "ladder-q",
                 "--seeds", "1,2", "--rounds", "2")
     assert proc.returncode == 0, proc.stderr
@@ -168,10 +168,9 @@ def test_ab_inprocess_compares_two_checkouts_in_one_process(tmp_path):
             ["parse", "commands", "total"]
         assert all("new/old" in row for row in block)
     assert len(lines) == 12
-    # a seed and --seeds together are refused
-    proc = _run(str(SCRIPTS / "ab_inprocess.py"), SRC, SRC, "ladder-q", "1",
-                "--seeds", "1,2")
-    assert proc.returncode == 2 and "either SEED or --seeds" in proc.stderr
+    # the seeds are given only by --seeds
+    proc = _run(str(SCRIPTS / "ab_inprocess.py"), SRC, SRC, "ladder-q", "1")
+    assert proc.returncode == 2 and "--seeds" in proc.stderr
     # a checkout whose report gains a record differs from this one
     other = tmp_path / "src"
     shutil.copytree(Path(SRC) / "crossedext", other / "crossedext",
@@ -181,7 +180,7 @@ def test_ab_inprocess_compares_two_checkouts_in_one_process(tmp_path):
                  "def run(ws, which, degree_cap=DEFAULT_DEGREE_CAP):\n"
                  "    return _run(ws, which, degree_cap) + [{}]\n")
     proc = _run(str(SCRIPTS / "ab_inprocess.py"), SRC, str(other),
-                "ladder-q", "1", "--rounds", "1")
+                "ladder-q", "--seeds", "1", "--rounds", "1")
     assert proc.returncode == 1
     assert "records differ" in proc.stderr
 

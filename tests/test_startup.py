@@ -44,8 +44,9 @@ LAZY = ("crossed", "extensions", "_spaces", "_classes", "_maps")
 # wrote its cochains through the class layer's writer, 1972 once
 # `serialize_workspace` moved to a lazy layer, and 1966 once the emitter
 # inserted bracket coordinates by bisection and `sort_with_sign` moved to
-# the class layer
-LADDER_LINES = 1966
+# the class layer, and 1940 once the lazy forwards lost their name lists
+# and a field carried its own `p`
+LADDER_LINES = 1940
 
 # old home -> (lazy module, the names it took from there)
 MOVED = {
