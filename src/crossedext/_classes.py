@@ -7,8 +7,9 @@ from __future__ import annotations
 import math
 
 from .errors import CheckFailure
-from .linalg import (LinearMap, Matrix, _columns, _common_rows, _field_vec,
-                     _from_ints, _int_vec, _mul_vec, _reduced, _sum)
+from .linalg import (LinearMap, Matrix, _columns, _common_rows, _echelon,
+                     _field_vec, _from_ints, _insert, _int_vec, _mul_vec,
+                     _reduced, _sum)
 from ._spaces import Echelon, Subspace, image, kernel
 from .algebra import CE, Representation, validate_lie
 from ._maps import ModuleMorphism, sides
@@ -158,7 +159,7 @@ class CochainComplex:
     object shares its delta's; within a run, every module equal to one that
     has a complex (same flavor, algebra structure and action) shares that
     complex, as the delta's depend on the value alone (`complex_of` with
-    the run's table, `Workspace.complexes`).
+    the run's table, `Workspace.derived`).
     `cohomology_table` does not use it and streams delta_n one at a time:
     keeping the table's delta's on the module raised the seed-1 ladder-q
     report's maxrss from 17.74 to 17.86 MB (medians of 8 runs, 2-vCPU host).
@@ -214,19 +215,26 @@ class CochainComplex:
         return view
 
 
+def derive(table, key, build, *args):
+    """The fact a run derives under key: build(*args), made on the first
+    call with a key equal to key and kept in table (`Workspace.derived`);
+    a build that raises stores nothing, so the next call builds again and
+    fails the same way."""
+    fact = table.get(key)
+    if fact is None:
+        fact = table[key] = build(*args)
+    return fact
+
+
 def complex_of(module, table=None) -> CochainComplex:
     """The cochain complex of module, built on first use and kept on it.
-    table, when given, is a run's complexes by module value: a module
-    without a complex takes the one of an equal module there, and a complex
-    built here is entered in it."""
+    table, when given, is a run's derived facts: a module without a complex
+    takes the one of an equal module there, and a complex built here is
+    entered in it."""
     cx = module._complex
     if cx is None:
-        cx = None if table is None else table.get(module)
-        if cx is None:
-            cx = CochainComplex(module)
-            if table is not None:
-                table[module] = cx
-        module._complex = cx
+        cx = module._complex = (CochainComplex(module) if table is None else
+                                derive(table, module, CochainComplex, module))
     return cx
 
 
@@ -292,12 +300,13 @@ def cohomology(M, n: int):
     z = cx.echelon(n).kernel()
     b = cx.coboundaries(n)
     # the classes are the kernel rows that leave the span of B^n and the
-    # rows taken before them
-    acc = Echelon(b.basis)
+    # rows taken before them; a row's positive scale leaves its span alone
+    p = b.field.p
+    acc = _echelon([dict(r) for r in b.basis._ints[0]], p)
     rows, d = z.basis._ints
     classes = [class_of(Cochain(n, M, _field_vec(b.field, row, d,
                                                  b.ambient_dim)))
-               for row in rows if acc.extend((row, d))]
+               for row in rows if _insert(acc, dict(row), p)]
     dim_h = z.dim - b.dim
     assert dim_h == len(classes)
     return dim_h, classes
@@ -404,8 +413,8 @@ def connecting_hom(ses: ShortExactSequence, c: CohomologyClass,
                                                 _tuple_count(c.module, n))]
     if None in lifted:
         raise CheckFailure("EXACTNESS_FAIL", "tail", "beta is not surjective")
-    K, dk = kernel(ses.beta.map).basis._ints
-    if lift_rng is not None and K:
+    if lift_rng is not None:
+        K, dk = kernel(ses.beta.map).basis._ints
         lifted = [(_sum([(dk, x)] + [(lift_rng.randint(-3, 3) * dv, row)
                                      for row in K]), dv * dk)
                   for x, dv in lifted]

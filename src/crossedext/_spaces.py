@@ -7,13 +7,12 @@ from __future__ import annotations
 import math
 
 from .linalg import (LinearMap, Matrix, _columns, _common_rows, _echelon,
-                     _from_ints, _insert, _reduced, rref)
+                     _from_ints, _reduced, rref)
 
 
 class Echelon:
     """One sparse factorization of the rows of a matrix A, asked many
-    questions: rank, pivots, kernel, solve, and grown one row at a time by
-    extend.
+    questions: rank, pivots, kernel and solve.
 
     The row echelon form (the pivot dict of `_echelon`) is built on the first
     question that needs it.  The first solve eliminates [A | b], one column
@@ -25,20 +24,18 @@ class Echelon:
     caller that built it keeps it.  Vectors passed in and returned are
     integer views (ints, d) (see `Matrix`); no field element is formed.
 
-    Engine row i is the integer row s_i A_i, s_i = _scale[i] (A's integer
-    view, or an extended row on its own denominator).  An augmented column
-    carries the same scale: [A | b] enters as s_i (A_i | b_i) and [A | I] as
-    s_i (A_i | e_i).
+    Engine row i is the integer row d A_i of A's integer view (rows, d).
+    An augmented column carries the same d: [A | b] enters as d (A_i | b_i)
+    and [A | I] as d (A_i | e_i).
     """
 
-    __slots__ = ("field", "cols", "_p", "_rows", "_scale", "_piv",
-                 "_transform", "_solved")
+    __slots__ = ("field", "cols", "_p", "_rows", "_d", "_piv", "_transform",
+                 "_solved")
 
     def __init__(self, matrix: Matrix):
         self.field, self.cols = matrix.field, matrix.cols
         self._p = matrix.field.p
-        rows, d = matrix._ints
-        self._rows, self._scale = list(rows), [d] * len(rows)
+        self._rows, self._d = matrix._ints
         self._piv = self._transform = None
         self._solved = False
 
@@ -68,16 +65,6 @@ class Echelon:
         return Subspace.row_space(_from_ints(self.field, list(free.values()),
                                              1, self.cols))
 
-    def extend(self, row):
-        """Add the row with integer view (ints, d) to A.  Returns whether it
-        raised the rank."""
-        piv = self._pivots()
-        r = _reduced(row[0], self._p)
-        self._rows.append(dict(r))
-        self._scale.append(row[1])
-        self._transform = None
-        return _insert(piv, r, self._p)
-
     def _solver(self):
         """The row transform of A, from one elimination of [A | I].
 
@@ -89,9 +76,9 @@ class Echelon:
         N as lists of (index into b, integer value).
         """
         if self._transform is None:
-            n, p = self.cols, self._p
-            piv = _echelon([{**r, n + i: s} for i, (r, s) in
-                            enumerate(zip(self._rows, self._scale))], p)
+            n, d = self.cols, self._d
+            piv = _echelon([{**r, n + i: d} for i, r in enumerate(self._rows)],
+                           self._p)
             solutions, checks = [], []
             for c, (lead, tail) in piv.items():
                 t = [(j - n, v) for j, v in tail.items() if j >= n]
@@ -106,11 +93,9 @@ class Echelon:
         """Solve for one right-hand side b = bv / db by eliminating
         [A | bv]: b is consistent unless column n = cols becomes a pivot,
         and then x[c] is entry n of the RREF row with pivot c, over db."""
-        n = self.cols
-        piv = _echelon([{**r, n: s * bv[i]} if i in bv else dict(r)
-                        for i, (r, s) in enumerate(zip(self._rows,
-                                                       self._scale))],
-                       self._p)
+        n, d = self.cols, self._d
+        piv = _echelon([{**r, n: d * bv[i]} if i in bv else dict(r)
+                        for i, r in enumerate(self._rows)], self._p)
         if n in piv:
             return None
         return _over_leads({c: (tail[n], lead)

@@ -71,25 +71,23 @@ def _cmd_cohomology(ws, args, degree_cap):
                         "dim_h": h} for n, c, r, h in rows]}]
 
 
-def _classified(ws, name) -> "crossed.Classified":
-    """The run's entry for the value of the named crossed module, made by
-    the first command that names it or an equal one and reused by every
-    later one, so a replaced table entry is presented afresh unless it is
-    equal; a presentation that fails stores nothing, and fails again the
-    same way."""
-    cm = ws.crossed_modules[name]
-    entry = ws.classified.get(cm)
-    if entry is None:
-        entry = ws.classified[cm] = crossed.Classified(cm, ws.complexes)
-    return entry
+def _presented(ws, cm):
+    """The induced pair of crossed module cm, derived once per run for its
+    value (`_classes.derive`); its M has the run's complex."""
+    pres = _classes.derive(ws.derived, cm, crossed.induced_pair, cm)
+    _classes.complex_of(pres.M, ws.derived)
+    return pres
 
 
 def _classify_record(ws, name):
-    """The classified entry of a crossed module and the record fields that
-    theta and classify share."""
-    entry = _classified(ws, name)
-    cl, pres = entry.classify(), entry.pres
-    return entry, {
+    """The induced pair and class of the named crossed module, the class
+    derived once per run for the crossed module's value too, and the record
+    fields that theta and classify share."""
+    cm = ws.crossed_modules[name]
+    pres = _presented(ws, cm)
+    cl = _classes.derive(ws.derived, (crossed.classify2, cm),
+                         crossed.classify2, pres)
+    return pres, cl, {
         "crossed_module": name,
         "induced_g_dim": pres.g.dim,
         "induced_m_dim": pres.M.dim,
@@ -99,18 +97,17 @@ def _classify_record(ws, name):
 
 
 def _cmd_theta(ws, args, degree_cap):
-    entry, rec = _classify_record(ws, args["crossed_module"])
     # the class's representative is the theta cochain classify2 built
-    theta = entry.classify().representative
+    _, cl, rec = _classify_record(ws, args["crossed_module"])
     rec.update({"op": "theta", "status": "PASS",
-                "theta": _scalars(ws.field, theta.vec, "theta")})
+                "theta": _scalars(ws.field, cl.representative.vec, "theta")})
     return [rec]
 
 
 def _cmd_classify(ws, args, degree_cap):
-    entry, rec = _classify_record(ws, args["crossed_module"])
+    pres, _, rec = _classify_record(ws, args["crossed_module"])
     rec.update({"op": "classify", "status": "PASS",
-                "dim_h3": _classes.complex_of(entry.pres.M).dim_h(3)})
+                "dim_h3": _classes.complex_of(pres.M).dim_h(3)})
     return [rec]
 
 
@@ -121,7 +118,7 @@ def _cmd_baer_sum(ws, args, degree_cap):
     if left in ws.extensions:
         E, E2 = ws.extensions[left], ws.extensions[right]
     else:
-        E, E2 = _classified(ws, left).pres, _classified(ws, right).pres
+        E, E2 = (_presented(ws, ws.crossed_modules[n]) for n in (left, right))
     S = extensions.baer_sum(E, E2)
     rec = {"op": "baer-sum", "left": left, "right": right, "status": "PASS"}
     if S.mids:
@@ -149,18 +146,14 @@ def _sequence_cochain(ws, args):
         raise CheckFailure("BASE_MISMATCH", detail="cochain is not valued "
                            "in the sequence tail")
     for mod in (ses.head, ses.middle, ses.tail, c.module):
-        _classes.complex_of(mod, ws.complexes)
+        _classes.complex_of(mod, ws.derived)
     return ses, c
 
 
 def _connecting(ws, ses, c):
-    """The connecting image of [c], computed once per run for (ses, c) by
-    a connecting or yoneda command; a failure stores nothing."""
-    cl = ws.connected.get((ses, c))
-    if cl is None:
-        cl = ws.connected[ses, c] = _classes.connecting_hom(
-            ses, _classes.class_of(c))
-    return cl
+    """The connecting image of [c], derived once per run for (ses, c)."""
+    return _classes.derive(ws.derived, (ses, c), lambda: (
+        _classes.connecting_hom(ses, _classes.class_of(c))))
 
 
 def _cmd_connecting(ws, args, degree_cap):

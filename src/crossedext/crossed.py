@@ -26,8 +26,7 @@ from ._maps import (_bracket_view, bracket_defect, equivariance_defect,
                     pulled_back, sides)
 from ._classes import (Cochain, CohomologyClass, ShortExactSequence, _Record,
                        abelian_extension_from_2cocycle, class_of,
-                       _cochain_work, cochain_from_values, complex_of,
-                       validate_ses)
+                       _cochain_work, cochain_from_values, validate_ses)
 from .cohomology import TABLE_BUDGET
 
 
@@ -77,7 +76,8 @@ def validate_crossed(cm: CrossedModule) -> CrossedModule:
 def crossed_axioms(cm: CrossedModule) -> CrossedModule:
     """The crossed-module axioms, equivariance of d and the Peiffer
     identity, for a V already validated as a module of L's flavor (as every
-    module of a parsed workspace is).
+    module of a parsed workspace is); a V over another algebra is
+    BASE_MISMATCH.
 
     Both run on integers (mod p over F_p).  d intertwines each action family
     of V with the bracket on that side (`equivariance_defect`), and the
@@ -87,6 +87,8 @@ def crossed_axioms(cm: CrossedModule) -> CrossedModule:
     module the condition rho(dv) w = -rho(dw) v of (v, w) is that of (w, v),
     so only the pairs w >= v are visited; a Leibniz module takes all."""
     L, V, d = cm.algebra, cm.rep, cm.partial.matrix
+    if V.algebra is not L and V.algebra != L:
+        raise CheckFailure("BASE_MISMATCH", detail="V is not a module over L")
     # d[x, v] = [x, dv], and d[v, x] = [dv, x] for a Leibniz module
     brackets = [(side, [_bracket_view(L, i, side) for i in range(L.dim)])
                 for side, _ in sides(V)]
@@ -314,24 +316,6 @@ def classify2(obj) -> CohomologyClass:
     itself."""
     pres = induced_pair(obj) if isinstance(obj, CrossedModule) else obj
     return class_of(theta(pres))
-
-
-class Classified:
-    """A crossed module's induced pair, the 2-fold extension on it, and its
-    class once a command needs it.  Its M has the run's complex, from the
-    table complexes (`_classes.complex_of`)."""
-
-    __slots__ = ("pres", "cl")
-
-    def __init__(self, cm: CrossedModule, complexes):
-        self.pres = induced_pair(cm)
-        complex_of(self.pres.M, complexes)
-        self.cl = None
-
-    def classify(self):
-        if self.cl is None:
-            self.cl = classify2(self.pres)
-        return self.cl
 
 
 class CrossedMorphism(_Record):

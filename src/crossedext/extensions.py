@@ -84,8 +84,9 @@ def mediate(pd: PushoutData, i_prime: LinearMap, j_prime: LinearMap) -> LinearMa
 def validate_extension(E: CrossedExtension) -> CrossedExtension:
     """Exactness and equivariance of the chain of E, for a base already
     validated as a crossed module and M and mids already validated as
-    g-modules (as every crossed module and module of a parsed workspace
-    is): pi is a surjective algebra map with kernel im(d_1), every chain
+    modules (as every crossed module and module of a parsed workspace is):
+    M and mids are modules over g, pi (of shape L -> g, a ValueError
+    otherwise) is a surjective algebra map with kernel im(d_1), every chain
     map is g-equivariant, and the chain is exact at every node.  At n = 2
     these are the checks that present the crossed module base over (g, M).
     An extension of length n >= 3 over a Leibniz base is
@@ -98,6 +99,14 @@ def validate_extension(E: CrossedExtension) -> CrossedExtension:
         raise CheckFailure("UNSUPPORTED_FLAVOR", detail="crossed extensions "
                            "over a Leibniz algebra are not implemented")
     g = E.g
+    # pi : L -> g, shaped as `CrossedModule` holds d_1 : M_1 -> L
+    if E.pi.domain_dim != E.base.algebra.dim or E.pi.codomain_dim != g.dim:
+        raise ValueError("pi has wrong shape")
+    # M and the mids are modules over g itself, node by node
+    for k, mod in enumerate((E.M, *E.mids)):
+        if mod.algebra is not g and mod.algebra != g:
+            raise CheckFailure("BASE_MISMATCH", f"M_{E.n - k}" if k else "M",
+                               "not a module over g")
     # pi is a surjective algebra map with kernel im(d_1)
     ker_pi = kernel(E.pi)
     if E.pi.domain_dim - ker_pi.dim != g.dim:

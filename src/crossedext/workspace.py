@@ -28,10 +28,11 @@ __getattr__ = _forward(__name__, _serializer)
 
 class Workspace:
     """A document's field, named objects by section, and commands.  A run's
-    commands keep what they derive, by value, in tables outside the document
-    and `==`: `classified` (cli._classified), `complexes` (the cochain
-    complex of each module value, `_classes.complex_of`) and `connected`
-    (cli._connecting)."""
+    commands keep what they derive in one table outside the document and
+    `==`, `derived`, each fact under the value it is derived from
+    (`_classes.derive`): a module's cochain complex under the module, a
+    crossed module's induced pair under it and its class under (classify2,
+    it), and a connecting class under (sequence, cochain)."""
 
     def __init__(self, field, algebras=None, modules=None, morphisms=None,
                  cochains=None, crossed_modules=None, sequences=None,
@@ -46,13 +47,13 @@ class Workspace:
         self.sequences = {} if sequences is None else sequences
         self.extensions = {} if extensions is None else extensions
         self.commands = [] if commands is None else commands
-        self.classified, self.complexes, self.connected = {}, {}, {}
+        self.derived = {}
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        run = dict.fromkeys(("classified", "complexes", "connected"))
-        return {**vars(self), **run} == {**vars(other), **run}
+        return {**vars(self), "derived": None} == \
+            {**vars(other), "derived": None}
 
 
 class _Scalars:
@@ -319,9 +320,6 @@ def parse_workspace(text: str, field: str | None = None) -> Workspace:
                     (L.flavor == "leibniz"):
                 raise CheckFailure("PARSE_ERROR", name,
                                    f"{name}: V is not a module of L's flavor")
-            if V.algebra is not L and V.algebra != L:
-                raise CheckFailure("BASE_MISMATCH", name,
-                                   f"{name}: V is not a module over L")
             # V was validated with the modules above
             ws.crossed_modules[name] = crossed.crossed_axioms(cm)
 

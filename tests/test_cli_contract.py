@@ -4,7 +4,8 @@ stderr.  A module carries its algebra and its flavor, so an input that names
 another algebra or flavor beside a module is refused where it enters.  A Q
 scalar whose decimal exponent is over the digits Python allows a decimal
 string is refused before `Fraction` expands it, and a theta past the work
-budget before any of its work."""
+budget before any of its work.  An extension's modules are modules over its
+g, and its pi maps L onto g."""
 import itertools
 import json
 import os
@@ -172,6 +173,36 @@ def _zero_crossed(dim):
             "commands": [{"op": "theta", "crossed_module": "zero"}]}
 
 
+def _solvable_extension(over="s2", pi=(["1", "0"], ["0", "1"]),
+                        commands=("check",)):
+    """The exact 0 -> k -> k^2 -> V -> L -> g -> 0 of length 3 over the
+    2-dimensional solvable g = L ([e0, e1] = e1), V = k, d_1 = 0 and pi the
+    identity, all modules trivial; M and the chain module k^2 are read over
+    the algebra over, and pi is the given rows.  With over the abelian ab2
+    or with a third row of pi, the parse once passed it."""
+    def trivial(algebra, dim):
+        zero = [["0"] * dim] * dim
+        return {"algebra": algebra, "dim": dim,
+                "action": {"0": zero, "1": zero}}
+    return {"field": "q",
+            "algebras": {"s2": {"type": "lie", "dim": 2, "structure": [
+                {"i": 0, "j": 1, "k": 1, "value": "1"},
+                {"i": 1, "j": 0, "k": 1, "value": "-1"}]},
+                "ab2": {"type": "lie", "dim": 2}},
+            "modules": {"v": trivial("s2", 1), "m": trivial(over, 1),
+                        "m2": trivial(over, 2)},
+            "crossed_modules": {"zero": {"L": "s2", "V": "v",
+                                         "partial": [["0"], ["0"]]}},
+            "extensions": {"ext": {"n": 3, "g": "s2", "M": "m",
+                                   "f": [["1"], ["0"]],
+                                   "chain": [{"module": "m2",
+                                              "map": [["0", "1"]]}],
+                                   "base": "zero", "pi": list(pi)}},
+            "commands": [{"op": "check"} if op == "check" else
+                         {"op": op, "left": "ext", "right": "ext"}
+                         for op in commands]}
+
+
 # (document, expected error code of its one record)
 HOSTILE = {
     "cohomology-heis3-sl2": (lambda: _cohomology_over("heis3"),
@@ -218,6 +249,12 @@ HOSTILE = {
         "BUDGET_EXCEEDED"),
     **{f"theta-zero-crossed-{d}": (lambda d=d: _zero_crossed(d),
                                    "BUDGET_EXCEEDED") for d in (50, 60)},
+    "extension-modules-over-ab2": (
+        lambda: _solvable_extension("ab2", commands=("check", "baer-sum")),
+        "VALIDATION_FAIL"),
+    "extension-pi-3x2": (
+        lambda: _solvable_extension(pi=(["1", "0"], ["0", "1"], ["0", "0"])),
+        "PARSE_ERROR"),
 }
 
 
@@ -309,6 +346,24 @@ def test_crossed_module_over_another_algebra_is_a_base_mismatch(dim):
     assert (exc.value.code, exc.value.witness) == ("VALIDATION_FAIL",
                                                    "wrong_base")
     assert "BASE_MISMATCH" in exc.value.detail
+
+
+def test_extension_modules_over_g_and_pi_onto_g_are_accepted():
+    """The document of the hostile extensions, with its modules over g and
+    its pi square, passes check and baer-sum; over ab2 its first module is
+    named, and a third row of pi is a malformed spec."""
+    ws = parse_workspace(json.dumps(_solvable_extension(
+        commands=("check", "baer-sum"))))
+    assert all(r["status"] == "PASS" for r in cli.run(ws, "report"))
+    with pytest.raises(CheckFailure) as exc:
+        parse_workspace(json.dumps(_solvable_extension("ab2")))
+    assert (exc.value.code, exc.value.witness) == ("VALIDATION_FAIL", "ext")
+    assert "BASE_MISMATCH('M')" in exc.value.detail
+    with pytest.raises(CheckFailure) as exc:
+        parse_workspace(json.dumps(_solvable_extension(
+            pi=(["1", "0"], ["0", "1"], ["0", "0"]))))
+    assert exc.value.code == "PARSE_ERROR"
+    assert "pi has wrong shape" in exc.value.detail
 
 
 def test_absent_flavor_is_the_modules_and_its_own_is_accepted():

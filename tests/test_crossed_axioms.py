@@ -2,17 +2,21 @@
 Matrix-product loops they replaced: the same (code, witness, detail) on
 valid crossed modules and on planted equivariance and Peiffer failures,
 over Q with denominators, F_2, F_5 and F_2147483647, for Lie and Leibniz
-crossed modules, with V in a random basis."""
+crossed modules, with V in a random basis.  A V over another algebra than
+L is refused before either axiom."""
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossedext import samples
 from crossedext.algebra import (LeibnizRepresentation, Representation,
-                                leibniz_from_lie, leibniz_rep_from_lie)
+                                adjoint, leibniz_adjoint, leibniz_from_lie,
+                                leibniz_rep_from_lie)
 from crossedext.crossed import (CrossedModule, crossed_axioms,
-                                yoneda_crossed_module)
+                                validate_crossed, yoneda_crossed_module)
+from crossedext.errors import CheckFailure
 from crossedext.extensions import zero_extension
 from crossedext.field import PrimeField, QQ
 from crossedext.linalg import LinearMap, Matrix, kernel
@@ -139,3 +143,21 @@ def test_the_cases_reach_every_outcome():
         ("leibniz",), ("leibniz", "EQUIVARIANCE_FAIL", "left action"),
         ("leibniz", "EQUIVARIANCE_FAIL", "right action"),
         ("leibniz", "PEIFFER_FAIL", "")}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=str)
+@pytest.mark.parametrize("leibniz", [False, True])
+def test_a_v_over_another_algebra_is_a_base_mismatch(field, leibniz):
+    """V the adjoint module of solvable2 beside the abelian L of the same
+    dimension and d = 0: both axioms hold on the matrices, so the crossed
+    module once passed and failed only later, inside `induced_pair`."""
+    L, S = samples.abelian(field, 2), samples.solvable2(field)
+    V = adjoint(S)
+    if leibniz:
+        L, V = leibniz_from_lie(L), leibniz_adjoint(leibniz_from_lie(S))
+    cm = CrossedModule(L, V, LinearMap.zero(field, 2, 2))
+    for check in (validate_crossed, crossed_axioms):
+        with pytest.raises(CheckFailure) as exc:
+            check(cm)
+        assert (exc.value.code, exc.value.detail) == (
+            "BASE_MISMATCH", "V is not a module over L")

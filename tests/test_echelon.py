@@ -133,29 +133,6 @@ def test_linear_section_matches_oracle(m):
 @given(st.sampled_from(FIELDS).flatmap(
     lambda f: st.integers(0, 5).flatmap(
         lambda n: st.tuples(matrices(f, cols=n),
-                            st.lists(vectors(f, n), max_size=5)))))
-def test_extend_matches_row_space_of_stacked_matrix(case):
-    m, extra = case
-    ech = Echelon(m)
-    rows = list(m.data)
-    for row in extra:
-        before = Subspace.row_space(Matrix(m.field, rows, cols=m.cols))
-        grew = ech.extend(view(m.field, row))
-        rows.append(row)
-        after = Subspace.row_space(Matrix(m.field, rows, cols=m.cols))
-        assert grew == (after.dim > before.dim)
-        assert (ech.rank, ech.pivots) == (after.dim, after.pivots)
-        # the grown factorization still solves against the stacked matrix
-        stacked = Matrix(m.field, rows, cols=m.cols)
-        b = dense_apply(stacked, row)
-        assert dense(m.field, ech.solve(view(m.field, b)),
-                     m.cols) == dense_solve(stacked, b)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from(FIELDS).flatmap(
-    lambda f: st.integers(0, 5).flatmap(
-        lambda n: st.tuples(matrices(f, cols=n),
                             st.lists(vectors(f, n), max_size=4)))))
 def test_subspace_reduce_and_coordinates_match_oracle(case):
     m, vecs = case
@@ -209,8 +186,9 @@ def test_empty_shapes():
         assert dense(field, wide.solve(view(field, ())), 3) == \
             (field.zero,) * 3
         assert wide.kernel().dim == 3
-        assert wide.extend(view(field, (field.zero, field.one, field.one)))
-        assert dense(field, wide.solve(view(field, (field.of(2),))), 3) == \
+        row = Echelon(Matrix(field, [[0, 1, 1]], cols=3))     # 1 x 3
+        assert row.rank == 1 and row.pivots == (1,)
+        assert dense(field, row.solve(view(field, (field.of(2),))), 3) == \
             (field.zero, field.of(2), field.zero)
 
 

@@ -179,13 +179,11 @@ def test_matrix_from_int_rows_is_the_dense_matrix(m, data):
     n = -a
     assert a._data is None and n._data is None
     _assert_same_matrix(n, -m)
-    # the engine scales each row to integers (the view's common d for the
-    # view, each row's own denominator for an extended row); the solves,
-    # extends and kernels of both factorizations match the dense oracles
+    # the engine scales each row to integers by the view's common d; the
+    # solves and kernels of both factorizations match the dense oracles
     field = m.field
     bs = data.draw(st.lists(vectors(field, m.rows), max_size=3))
     bs.insert(data.draw(st.integers(0, len(bs))), dense_apply(m, v))
-    extra = data.draw(st.lists(vectors(field, m.cols), max_size=3))
     null = Subspace.row_space(Matrix(field, dense_kernel_rows(m),
                                      cols=m.cols))
     for ech in (Echelon(lazy()), Echelon(m)):
@@ -194,17 +192,6 @@ def test_matrix_from_int_rows_is_the_dense_matrix(m, data):
         for b in bs + bs:
             assert dense(field, ech.solve(view(field, b)), m.cols) == \
                 dense_solve(m, b)
-        stacked = list(m.data)
-        for row in extra:
-            ech.extend(view(field, row))
-            stacked.append(row)
-            grown = Matrix(field, stacked, cols=m.cols)
-            for b in (dense_apply(grown, row),
-                      data.draw(vectors(field, grown.rows))):
-                assert dense(field, ech.solve(view(field, b)), m.cols) == \
-                    dense_solve(grown, b)
-            assert ech.kernel() == Subspace.row_space(
-                Matrix(field, dense_kernel_rows(grown), cols=m.cols))
     assert a._data is None
 
 

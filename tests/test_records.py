@@ -1,7 +1,7 @@
 """The value classes' record semantics: positional and keyword construction,
 the shape checks at construction, frozen fields, and field-wise `==` and
 `hash`; `CohomologyClass` compares by its own rule, and a `Workspace` is
-mutable, with fresh sections per instance and `classified` outside `==`."""
+mutable, with fresh sections per instance and `derived` outside `==`."""
 import pytest
 
 from crossedext.algebra import adjoint, leibniz_adjoint, leibniz_from_lie
@@ -139,7 +139,7 @@ SECTIONS = ["algebras", "modules", "morphisms", "cochains", "crossed_modules",
 def test_workspace_construction_and_fresh_sections():
     a, b = Workspace(QQ), Workspace(field=QQ)
     assert a.field is QQ and a == b
-    for name in SECTIONS + ["classified"]:
+    for name in SECTIONS + ["derived"]:
         assert getattr(a, name) == {}
         assert getattr(a, name) is not getattr(b, name)
     assert a.commands == [] and a.commands is not b.commands
@@ -150,9 +150,9 @@ def test_workspace_construction_and_fresh_sections():
     assert c == d and c != a
 
 
-def test_workspace_is_mutable_and_compares_without_classified():
+def test_workspace_is_mutable_and_compares_without_derived():
     a, b = Workspace(QQ), Workspace(QQ)
-    a.classified["cm"] = "presented"
+    a.derived["cm"] = "presented"
     assert a == b
     b.commands = [{"op": "check"}]
     assert a != b

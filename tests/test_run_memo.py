@@ -3,7 +3,8 @@ first theta, classify or baer-sum that names it, or an equal crossed module,
 builds its induced pair, and the first theta or classify its class, in the
 complex of the pair's M; later commands of the same workspace reuse them and
 give the records a fresh workspace gives.  The run's entries are keyed by
-the crossed module (`Workspace.classified`)."""
+the crossed module: its induced pair under it, its class under (classify2,
+it), both in the run's one table `Workspace.derived`."""
 import importlib
 from collections import Counter
 
@@ -75,7 +76,7 @@ def test_one_presentation_complex_and_class_per_run(name, leibniz, reverse,
     assert sum(g2.values()) == 1 + (not leibniz)
     # delta_2 and delta_3 of the induced (g, M), once each: the Baer sum
     # is classified in the complex of its left operand
-    M = ws.classified[cm].pres.M
+    M = ws.derived[cm].M
     assert builds == {(id(M), 2): 1, (id(M), 3): 1}
 
 
@@ -105,7 +106,8 @@ def test_a_replaced_crossed_module_is_presented_afresh(doc_text,
     assert run_command(ws, cmd) == want
     # presented once more in ws: the memo of fresh is its own
     assert pairs == {id(new): 1}
-    assert ws.classified[new].pres.base is new
+    assert ws.derived[new].base is new
+    assert (crossed_mod.classify2, new) in ws.derived
 
 
 def test_a_failing_presentation_stores_nothing(doc_text):
@@ -122,9 +124,9 @@ def test_a_failing_presentation_stores_nothing(doc_text):
     assert (first[0]["status"], first[0]["error"]) == \
         ("FAIL", "EQUIVARIANCE_FAIL")
     assert "not an ideal" in first[0]["detail"]
-    assert ws.crossed_modules["bad"] not in ws.classified
+    assert ws.crossed_modules["bad"] not in ws.derived
     assert run_command(ws, cmd) == first
-    assert ws.crossed_modules["bad"] not in ws.classified
+    assert ws.crossed_modules["bad"] not in ws.derived
 
 
 def test_an_equal_crossed_module_under_another_name_shares_the_entry(
@@ -140,7 +142,9 @@ def test_an_equal_crossed_module_under_another_name_shares_the_entry(
     got = [run_command(ws, {"op": op, "crossed_module": name})
            for name in ("jordan_cm", "twin") for op in ("theta", "classify")]
     assert pairs == {id(cm): 1} and g2 == {id(cm): 1}
-    assert ws.classified[twin] is ws.classified[cm]
+    assert ws.derived[twin] is ws.derived[cm]
+    assert ws.derived[crossed_mod.classify2, twin] is \
+        ws.derived[crossed_mod.classify2, cm]
     # the records differ in the name alone
     for a, b in zip(got[:2], got[2:]):
         assert a == [{**rec, "crossed_module": "jordan_cm"} for rec in b]

@@ -140,7 +140,7 @@ def test_unreached_lists_what_a_ladder_run_never_calls():
     assert "crossedext.cohomology" in executed
     assert not {"crossedext._spaces", "crossedext._classes",
                 "crossedext._maps", "crossedext.crossed"} & set(executed)
-    assert missed[("cli.py", "_cmd_theta")] == 7
+    assert missed[("cli.py", "_cmd_theta")] == 6
     assert ("cli.py", "_cmd_cohomology") not in missed
     assert ("cohomology.py", "cohomology_table") not in missed
     assert total == ["total", str(sum(missed.values())), "of",

@@ -44,9 +44,11 @@ LAZY = ("crossed", "extensions", "_spaces", "_classes", "_maps")
 # wrote its cochains through the class layer's writer, 1972 once
 # `serialize_workspace` moved to a lazy layer, and 1966 once the emitter
 # inserted bracket coordinates by bisection and `sort_with_sign` moved to
-# the class layer, and 1940 once the lazy forwards lost their name lists
-# and a field carried its own `p`
-LADDER_LINES = 1940
+# the class layer, 1940 once the lazy forwards lost their name lists
+# and a field carried its own `p`, and 1931 once a run kept what it
+# derives in one table and the parse's base check moved to the crossed
+# axioms
+LADDER_LINES = 1931
 
 # old home -> (lazy module, the names it took from there)
 MOVED = {
