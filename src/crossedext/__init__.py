@@ -5,7 +5,8 @@ finite-dimensional Lie and Leibniz algebras over Q or F_p.
 (`_spaces` under `linalg`, `_classes` under `cohomology`, `_maps` under
 `algebra`, `_serializer` under `workspace`) are lazy modules
 (importlib.util.LazyLoader), run on first use; PEP 562 re-exports their
-names here and a layer's in its home too."""
+names here and a layer's in its home too.  So is `_fp`, the prime fields,
+under `field`: a run over Q never executes it."""
 
 import importlib.util as _util
 import sys as _sys
@@ -36,9 +37,11 @@ _spaces = _lazy("_spaces")
 _classes = _lazy("_classes")
 _maps = _lazy("_maps")
 _serializer = _lazy("_serializer")
+_fp = _lazy("_fp")
 crossed = _lazy("crossed")
 extensions = _lazy("extensions")
-_LAZY = {"Subspace": _spaces, "serialize_workspace": _serializer}
+_LAZY = {"Subspace": _spaces, "serialize_workspace": _serializer,
+         "PrimeField": _fp}
 _LAZY.update(dict.fromkeys(
     ["Cochain", "CohomologyClass", "ShortExactSequence", "class_of",
      "coboundary", "coboundary_witness", "cohomology", "connecting_hom",
@@ -57,7 +60,7 @@ _LAZY.update(dict.fromkeys(
      "validate_extension", "zero_extension"], extensions))
 
 from .errors import CheckFailure
-from .field import QQ, PrimeField, field_from_spec
+from .field import QQ, field_from_spec
 from .linalg import LinearMap, Matrix
 from .algebra import (LeibnizAlgebra, LeibnizRepresentation, LieAlgebra,
                       Representation, validate_leibniz,

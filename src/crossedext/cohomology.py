@@ -42,10 +42,12 @@ def _tuple_count(module, n):
     return math.comb(g, n) if module.flavor == CE else g ** n
 
 
-def _emit_coboundary(algebra, families, m, n, ce) -> LinearMap:
+def _emit_coboundary(algebra, families, m, n, ce, rows=None) -> LinearMap:
     """delta_n : C^n -> C^{n+1} of the CE complex (ce true) or the Leibniz
     complex, as integer rows: row (S, a) is output tuple S and module
     coordinate a, column (t, b) input tuple t and module coordinate b.
+    Given rows, a list of (S, [a, ...]), only those rows are emitted, in
+    that order, over all of C^n's columns.
     - Action terms: sign * one action matrix, from t = S without slot pos:
       rho(x_pos), sign (-1)^pos (CE); the left action of x_0, and the right
       action of x_pos, sign (-1)^{pos+1} (Leibniz).  They are skipped when
@@ -79,12 +81,15 @@ def _emit_coboundary(algebra, families, m, n, ce) -> LinearMap:
         slots = [(0, 1)] + [(dim, (-1) ** (pos + 1))
                             for pos in range(1, n + 1)]
     out = []
-    for S in tuples(dim, n + 1):
-        block = [{} for _ in range(m)]
+    if rows is None:
+        rows = ((S, range(m)) for S in tuples(dim, n + 1))
+    for S, coords in rows:
+        block = [{} for _ in coords]
         for pos, (base, sign) in enumerate(slots):
             off = offset[S[:pos] + S[pos + 1:]]
-            for row, arow in zip(block, blocks[base + S[pos]]):
-                for b, v in arow.items():
+            act = blocks[base + S[pos]]
+            for row, a in zip(block, coords):
+                for b, v in act[a].items():
                     j = off + b
                     row[j] = row.get(j, 0) + sign * v
         # the bracket terms' coefficient of t by its offset: row (S, a)
@@ -115,21 +120,22 @@ def _emit_coboundary(algebra, families, m, n, ce) -> LinearMap:
                     acc[off] = acc.get(off, 0) + x
         if m > 1:
             for off, x in acc.items():
-                for a, row in enumerate(block):
+                for a, row in zip(coords, block):
                     j = off + a
                     row[j] = row.get(j, 0) + x
         out.extend(block)
     return LinearMap(_from_ints(algebra.field, out, D, len(ins) * m))
 
 
-def ce_coboundary_matrix(g, M: Representation, n: int) -> LinearMap:
+def ce_coboundary_matrix(g, M: Representation, n: int,
+                         rows=None) -> LinearMap:
     """Matrix of the CE coboundary C^n -> C^{n+1} on the increasing-tuple basis.
 
     First sum: signed module action terms; second sum: bracket insertion in
     the first slot, resorted into increasing order.  Degree 0 is the map
-    m -> (x -> [x, m]).
+    m -> (x -> [x, m]).  Given rows, only those (see `_emit_coboundary`).
     """
-    return _emit_coboundary(g, (M.action,), M.dim, n, True)
+    return _emit_coboundary(g, (M.action,), M.dim, n, True, rows)
 
 
 def leibniz_coboundary_matrix(h, M: LeibnizRepresentation, n: int) -> LinearMap:
@@ -172,18 +178,68 @@ def _table_work(M, max_degree):
     return work
 
 
+def _weight_zero(M, top):
+    """The weight-0 basis of C^k(g, M), k = 0..top, for a CE module M: per
+    k, the (S, [a, ...]) whose weight mu_h(a) - sum_{i in S} alpha_h(i) is
+    zero in the field for every h of the torus; None when the torus has no
+    nonzero weight.  The torus is the basis elements h with ad h and rho(h)
+    diagonal in the given bases; alpha_h and mu_h are their diagonals, read
+    from the integer views on one common denominator and compared mod q:
+    mod p over F_p, and over Q mod a q past any |sum of top alphas - mu|,
+    so that a weight is zero mod q only if it is zero."""
+    dim, p = M.algebra.dim, M.algebra.field.p
+    c, dc = M.algebra.structure._ints
+    acts, D = _common_rows(M.action, dc)
+    torus = []
+    for h in range(dim):
+        ad = c[h * dim:(h + 1) * dim]
+        if all(r.keys() <= {i} for rs in (ad, acts[h])
+               for i, r in enumerate(rs)):
+            torus.append([r.get(i, 0) * (D // dc) for i, r in enumerate(ad)]
+                         + [r.get(a, 0) for a, r in enumerate(acts[h])])
+    q = p or (top + 1) * max([abs(x) for w in torus for x in w],
+                             default=0) + 1
+    torus = [w for w in ([x % q for x in w] for w in torus) if any(w)]
+    if not torus:
+        return None
+    alpha = list(zip(*(w[:dim] for w in torus)))
+    coords = {}
+    for a, mu in enumerate(zip(*(w[dim:] for w in torus))):
+        coords.setdefault(mu, []).append(a)
+    # the tuples of each length and their running weight sums
+    levels = [[((), (0,) * len(torus))]]
+    for _ in range(top):
+        levels.append([(S + (j,), tuple([(x + y) % q
+                                         for x, y in zip(w, alpha[j])]))
+                       for S, w in levels[-1]
+                       for j in range(S[-1] + 1 if S else 0, dim)])
+    return [[(S, coords[w]) for S, w in level if w in coords]
+            for level in levels]
+
+
 def cohomology_table(M, max_degree: int):
     """Rows (degree, dim C^n, rank delta_n, dim H^n) for n = 0..max_degree;
-    BUDGET_EXCEEDED, before any delta, if `_table_work` passes the budget."""
+    BUDGET_EXCEEDED, before any delta, if `_table_work` passes the budget.
+
+    A CE table over an algebra with a torus (`_weight_zero`) eliminates
+    only the weight-0 rows of each delta_n, which meet only weight-0
+    columns.  By Cartan's formula L_h = d i_h + i_h d, the block of a
+    weight nonzero in the field is acyclic, so the nonzero weights add
+    r_n = N_n - r_{n-1} to the rank, r_{-1} = 0, with N_n the number of
+    basis cochains of C^n of nonzero weight."""
     if _table_work(M, max_degree) > TABLE_BUDGET:
         raise CheckFailure("BUDGET_EXCEEDED", max_degree,
                            f"over the work budget of {TABLE_BUDGET}")
+    zero = M.flavor == CE and _weight_zero(M, max_degree + 1)
     rows = []
-    prev_rank = 0
+    prev_rank = r_n = 0
     for n in range(max_degree + 1):
-        d_n = coboundary_matrix(M, n)
+        d_n = ce_coboundary_matrix(M.algebra, M, n, zero[n + 1]) if zero \
+            else coboundary_matrix(M, n)
         dim_c = d_n.domain_dim
-        rank_n = rank(d_n)
+        if zero:
+            r_n = dim_c - sum(len(a) for _, a in zero[n]) - r_n
+        rank_n = rank(d_n) + r_n
         rows.append((n, dim_c, rank_n, dim_c - rank_n - prev_rank))
         prev_rank = rank_n
     return rows

@@ -85,9 +85,10 @@ def validate_extension(E: CrossedExtension) -> CrossedExtension:
     """Exactness and equivariance of the chain of E, for a base already
     validated as a crossed module and M and mids already validated as
     modules (as every crossed module and module of a parsed workspace is):
-    M and mids are modules over g, pi (of shape L -> g, a ValueError
-    otherwise) is a surjective algebra map with kernel im(d_1), every chain
-    map is g-equivariant, and the chain is exact at every node.  At n = 2
+    pi has shape L -> g and each chain map d_k shape M_k -> M_{k-1} (a
+    ValueError otherwise), M and mids are modules over g, pi is a
+    surjective algebra map with kernel im(d_1), every chain map is
+    g-equivariant, and the chain is exact at every node.  At n = 2
     these are the checks that present the crossed module base over (g, M).
     An extension of length n >= 3 over a Leibniz base is
     UNSUPPORTED_FLAVOR.
@@ -102,6 +103,11 @@ def validate_extension(E: CrossedExtension) -> CrossedExtension:
     # pi : L -> g, shaped as `CrossedModule` holds d_1 : M_1 -> L
     if E.pi.domain_dim != E.base.algebra.dim or E.pi.codomain_dim != g.dim:
         raise ValueError("pi has wrong shape")
+    # d_k : M_k -> M_{k-1}, for k = n..2, ending in M_1 = V
+    nodes = (E.M, *E.mids, E.base.rep)
+    for k, d in enumerate((E.f, *E.partials)):
+        if (d.domain_dim, d.codomain_dim) != (nodes[k].dim, nodes[k + 1].dim):
+            raise ValueError(f"chain map d_{E.n - k} has wrong shape")
     # M and the mids are modules over g itself, node by node
     for k, mod in enumerate((E.M, *E.mids)):
         if mod.algebra is not g and mod.algebra != g:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .field import FpElement
 from . import _forward, _spaces
 
 # the subspace layer, a lazy module, whose names are served from here too
@@ -277,7 +276,7 @@ def _field_vec(field, acc, d, n):
     acc[k] mod p over F_p, for {index: int} acc, and zero elsewhere."""
     p, out = field.p, [field.zero] * n
     for k, x in _reduced(acc, p).items():
-        out[k] = Fraction(x, d) if p is None else FpElement(x, p)
+        out[k] = Fraction(x, d) if p is None else field.of(x)
     return tuple(out)
 
 

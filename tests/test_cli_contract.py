@@ -366,6 +366,18 @@ def test_extension_modules_over_g_and_pi_onto_g_are_accepted():
     assert "pi has wrong shape" in exc.value.detail
 
 
+def test_a_chain_map_of_the_wrong_shape_is_named():
+    """d_2 : k^2 -> V with a second row, into the 1-dimensional V, is a
+    malformed spec that names the map, not an index error."""
+    doc = _solvable_extension()
+    doc["extensions"]["ext"]["chain"][0]["map"] = [["0", "1"], ["0", "0"]]
+    with pytest.raises(CheckFailure) as exc:
+        parse_workspace(json.dumps(doc))
+    assert (exc.value.code, exc.value.witness) == ("PARSE_ERROR", "ext")
+    assert exc.value.detail == \
+        "ext: malformed spec: chain map d_2 has wrong shape"
+
+
 def test_absent_flavor_is_the_modules_and_its_own_is_accepted():
     ws = parse_workspace(json.dumps(_jordan(
         a=_cochain("k_tail", 2), b=_cochain("k_tail", 2, flavor="ce"))))

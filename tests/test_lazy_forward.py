@@ -19,12 +19,13 @@ PROBE = """
 import importlib, json, sys, types
 from crossedext.linalg import rref
 from crossedext.algebra import validate_module
+from crossedext.field import QQ
 # the module, not the package's `cohomology`, which is the function
 assert not hasattr(importlib.import_module("crossedext.cohomology"),
                    "__path__")
 print(json.dumps({n: type(sys.modules[f"crossedext.{n}"]) is types.ModuleType
                   for n in ("_spaces", "_classes", "_maps", "_serializer",
-                            "crossed", "extensions")}))
+                            "_fp", "crossed", "extensions")}))
 """
 
 
@@ -37,7 +38,7 @@ def test_importing_from_a_home_runs_no_lazy_module():
 
 
 @pytest.mark.parametrize("home", ["linalg", "algebra", "cohomology",
-                                  "workspace"])
+                                  "workspace", "field"])
 def test_an_unknown_name_is_refused_by_its_home(home):
     module = importlib.import_module(f"crossedext.{home}")
     with pytest.raises(AttributeError, match=f"'crossedext.{home}'"):

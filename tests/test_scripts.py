@@ -5,7 +5,8 @@ scripts/src_size.py counts each line of the package once and refuses a
 directory without modules, scripts/unreached.py lists what a ladder
 run executes but never calls, scripts/ab_inprocess.py times two
 checkouts in one interpreter and refuses two whose records differ, and
-scripts/delta_costs.py lists each coboundary of a ladder with its rank."""
+scripts/delta_costs.py lists each coboundary of a ladder with its rank and,
+where the table is graded, its weight-0 block."""
 import contextlib
 import hashlib
 import importlib.util
@@ -192,7 +193,7 @@ def test_delta_costs_lists_each_coboundary_of_a_ladder():
     assert proc.returncode == 0, proc.stderr
     head, *rows = [line.split() for line in proc.stdout.splitlines()]
     assert head == ["module", "n", "shape", "nnz", "rank", "emit_ms",
-                    "rank_ms"]
+                    "rank_ms", "w0_shape", "w0_emit_ms", "w0_rank_ms"]
     ws = crossedext.parse_workspace(text)
     want = [(cmd["module"], n, f"{dim_c}", r)
             for cmd in ws.commands
@@ -201,7 +202,16 @@ def test_delta_costs_lists_each_coboundary_of_a_ladder():
     assert len(rows) == len(want) == 28
     assert [(row[0], int(row[1]), row[2].split("x")[1], int(row[4]))
             for row in rows] == want
-    assert all(float(x) >= 0 for row in rows for x in row[5:])
+    assert all(float(x) >= 0 for row in rows for x in row[5:7])
+    # the weight-0 blocks the table eliminates: gl3's and sl2's, which
+    # have a torus, and none of the Leibniz, heis3 and abelian4 tables
+    w0 = {(row[0], int(row[1])): row[7:] for row in rows}
+    assert w0["gl3_adjoint", 2][0] == "84x42"
+    assert w0["gl3_trivial", 4][0] == "18x18"
+    assert {m for (m, _), w in w0.items() if w != ["-"] * 3} == \
+        {"gl3_adjoint", "gl3_trivial", "sl2_adjoint"}
+    assert all(float(x) >= 0 for w in w0.values() if w[0] != "-"
+               for x in w[1:])
     proc = _run(str(SCRIPTS / "delta_costs.py"), "ladder-q", "1", "--src",
                 SRC, "--field", "p:4")
     assert proc.returncode == 1

@@ -1,7 +1,8 @@
 """What a CLI process loads: a cohomology-only document never imports
 `dataclasses` or `inspect` and never executes the lazy modules (`crossed`,
 `extensions` and the layers `_spaces`, `_classes` and `_maps`); a document
-with crossed modules and extensions executes all five.  No report executes
+with crossed modules and extensions executes all five.  Only a run over
+F_p executes the prime fields, `_fp`.  No report executes
 the serializer layer `_serializer`.  A ladder report executes at most
 LADDER_LINES source lines of the package.  Each run is a fresh interpreter
 started with -S, so that only the imports of crossedext and the CLI are
@@ -47,8 +48,9 @@ LAZY = ("crossed", "extensions", "_spaces", "_classes", "_maps")
 # the class layer, 1940 once the lazy forwards lost their name lists
 # and a field carried its own `p`, and 1931 once a run kept what it
 # derives in one table and the parse's base check moved to the crossed
-# axioms
-LADDER_LINES = 1931
+# axioms, and 1839 once the prime fields moved to the lazy `_fp` and the
+# CE tables eliminated only their weight-0 rows
+LADDER_LINES = 1839
 
 # old home -> (lazy module, the names it took from there)
 MOVED = {
@@ -69,6 +71,7 @@ MOVED = {
         "leibniz_rep_from_lie", "pulled_back", "trivial_rep",
         "validate_morphism"]),
     "workspace": ("_serializer", ["serialize_workspace"]),
+    "field": ("_fp", ["FpElement", "PrimeField", "_is_prime"]),
 }
 
 
@@ -108,6 +111,15 @@ def test_a_ladder_run_executes_no_lazy_module(command, field, tmp_path):
     res = _run("ladder-q", tmp_path, command, field)
     assert res["imported"] == []
     assert res["executed"] == dict.fromkeys(LAZY, False)
+
+
+@pytest.mark.parametrize("command, field", [("check", None),
+                                            ("report", None),
+                                            ("report", "p:2147483647")])
+def test_only_a_run_over_f_p_executes_the_prime_fields(command, field,
+                                                      tmp_path):
+    res = _run("ladder-q", tmp_path, command, field, lazy=("_fp",))
+    assert res["executed"] == {"_fp": field is not None}
 
 
 def test_a_ladder_report_executes_at_most_ladder_lines(tmp_path):
