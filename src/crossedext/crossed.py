@@ -19,8 +19,8 @@ from .errors import CheckFailure
 from .linalg import (LinearMap, Matrix, _columns, _field_vec, _from_ints,
                      _mul_rows, _mul_vec, _negated, _reduced, _sum)
 from ._spaces import Echelon, image, kernel, linear_section, quotient
-from .algebra import (LEIBNIZ, LeibnizRepresentation, Representation,
-                      validate_lie, validate_leibniz, validate_module,
+from .algebra import (LEIBNIZ, LeibnizAlgebra, LeibnizRepresentation,
+                      LieAlgebra, Representation, validate_module,
                       validate_leibniz_module)
 from ._maps import (_bracket_view, bracket_defect, equivariance_defect,
                     pulled_back, sides)
@@ -118,7 +118,9 @@ def induced_pair(cm: CrossedModule) -> CrossedExtension:
     im(d), M = ker(d) in its RREF basis, on integer views.  The quotient's
     section sends basis vector u of g to e_{free[u]}: g's bracket is the
     projection of the brackets of free pairs, and u acts on M by the
-    action matrix of e_{free[u]}."""
+    action matrix of e_{free[u]}.  For a base past `crossed_axioms`, im(d)
+    is checked an ideal, so g is an algebra, and ker(d) stable, on which
+    im(d) acts by zero (Peiffer), so M is a g-module."""
     L, V, d = cm.algebra, cm.rep, cm.partial
     field, n = L.field, L.dim
     leib = cm.flavor == LEIBNIZ
@@ -140,7 +142,7 @@ def induced_pair(cm: CrossedModule) -> CrossedExtension:
     structure = _from_ints(field, _mul_rows([c[a * n + b] for a in free
                                              for b in free], _columns(P, n)),
                            dp * dc, qdim)
-    g = (validate_leibniz if leib else validate_lie)(field, qdim, structure)
+    g = (LeibnizAlgebra if leib else LieAlgebra)(field, qdim, structure)
     ker = kernel(d)
     mdim = ker.dim
     K, dk = ker.basis._ints
@@ -158,8 +160,7 @@ def induced_pair(cm: CrossedModule) -> CrossedExtension:
             mats.append(_from_ints(field, _columns([x for x, _ in cols], mdim),
                                    da * dk, mdim))
         families.append(mats)
-    M = (validate_leibniz_module(LeibnizRepresentation(g, mdim, *families))
-         if leib else validate_module(Representation(g, mdim, *families)))
+    M = (LeibnizRepresentation if leib else Representation)(g, mdim, *families)
     return CrossedExtension(2, g, M, LinearMap(ker.basis.transpose()), (), (),
                             cm, proj)
 
@@ -346,10 +347,10 @@ def yoneda_crossed_module(ses: ShortExactSequence, ext2: Cochain
     """Splice a short exact sequence of g-modules with the abelian extension
     of a 2-cocycle valued in the quotient module.
 
-    The result is a 2-fold extension of g by M whose H^3 class is the
-    connecting image of the 2-class (checked as an acceptance property).
+    The sequence is checked exact and (V, e, mu) validated, so the splice is
+    a valid 2-fold extension of g by M, whose H^3 class is the connecting
+    image of the 2-class (checked as an acceptance property).
     """
-    from .extensions import validate_extension  # extensions imports crossed
     validate_ses(ses)
     g = ses.head.algebra
     field = g.field
@@ -364,5 +365,4 @@ def yoneda_crossed_module(ses: ShortExactSequence, ext2: Cochain
         Matrix.zero(field, g.dim, ses.middle.dim)))
     cm = CrossedModule(e, V, mu)
     validate_crossed(cm)
-    return validate_extension(CrossedExtension(
-        2, g, ses.head, ses.alpha.map, (), (), cm, proj_e))
+    return CrossedExtension(2, g, ses.head, ses.alpha.map, (), (), cm, proj_e)

@@ -3,10 +3,9 @@
 An extension is the exact chain 0 -> M -> M_{n-1} -> ... -> M_1 -> L -> g -> 0,
 n >= 2, with a crossed module (M_1, L, d_1) at the base (`CrossedExtension`,
 whose home is `crossed`).  The push-forward, Baer sum and split test have
-one body for every n >= 2.  Exactness is never assumed: every constructor's
-output goes back through its base and module validators and
-validate_extension in the tests; a push-forward at n = 2, whose base is
-new, checks it and its chain itself.
+one body for every n >= 2.  A constructor takes validated objects, checks
+the step that decides its construction (its docstring names it) and derives
+the rest; the tests hold those postconditions.
 """
 from __future__ import annotations
 
@@ -15,13 +14,13 @@ from .linalg import (LinearMap, Matrix, _columns, _from_ints, _lincomb,
                      _mul_vec)
 from ._spaces import (block_diag, image, kernel, linear_section, quotient,
                       solve)
-from .algebra import LEIBNIZ, Representation, validate_lie, validate_module
+from .algebra import LEIBNIZ, LieAlgebra, Representation
 from ._maps import (ModuleMorphism, bracket_defect, direct_sum_reps,
                     equivariance_defect, hom_rows, pulled_back, sides,
                     trivial_rep, validate_morphism)
 from ._classes import ShortExactSequence, _Record, validate_ses
 from .crossed import (CrossedExtension, CrossedModule, CrossedMorphism,
-                      check_crossed_morphism, crossed_axioms)
+                      check_crossed_morphism)
 
 
 class PushoutData(_Record):
@@ -40,7 +39,8 @@ def pushout(f: ModuleMorphism, g: ModuleMorphism) -> PushoutData:
     """Pushout of two module morphisms out of the same source: (B (+) C)/S
     for S = {(f x, -g x)}, the antidiagonal graph of the legs, on which
     basis vector u acts by the block diagonal of its actions on B and C.  A
-    relation that some action moves out of S is an EQUIVARIANCE_FAIL."""
+    relation that some action moves out of S is an EQUIVARIANCE_FAIL; past
+    that, S is a submodule of B (+) C, so D is a module and i, j module maps."""
     if f.source != g.source:
         raise CheckFailure("BASE_MISMATCH", detail="pushout legs differ at source")
     B, C = f.target, g.target
@@ -64,13 +64,11 @@ def pushout(f: ModuleMorphism, g: ModuleMorphism) -> PushoutData:
                 raise CheckFailure("EQUIVARIANCE_FAIL", (u,),
                                    "graph subspace is not a submodule")
         induced.append(proj.matrix @ big @ sect.matrix)
-    D = validate_module(Representation(alg, qdim, induced))
+    D = Representation(alg, qdim, induced)
     emb_b = Matrix.identity(field, B.dim).vstack(Matrix.zero(field, C.dim, B.dim))
     emb_c = Matrix.zero(field, B.dim, C.dim).vstack(Matrix.identity(field, C.dim))
     i = ModuleMorphism(B, D, proj.matrix @ emb_b)
     j = ModuleMorphism(C, D, proj.matrix @ emb_c)
-    validate_morphism(i)
-    validate_morphism(j)
     return PushoutData(D, i, j, proj, sect, f, g)
 
 
@@ -215,13 +213,13 @@ def _through_pi(rep, E: CrossedExtension):
 
 def push_forward(alpha: ModuleMorphism, E: CrossedExtension):
     """The extension alpha E obtained by pushing the head square out, for
-    every n >= 2.
-
-    The pushout D of f : M -> M_{n-1} and alpha : M -> M' replaces M_{n-1},
-    mapping on by the old map on M_{n-1} and 0 on M'.  At n = 2 M_{n-1} is
-    V, M and M' act through pi (`_through_pi`), and the new base (D, L, d)
-    is checked by crossed_axioms, alpha E by validate_extension.  Returns
-    (alpha E, the connecting ExtensionMorphism E -> alpha E).
+    every n >= 2: the pushout D of f : M -> M_{n-1} and alpha : M -> M'
+    replaces M_{n-1}, mapping on by d = (d_old, 0).  At n = 2 M_{n-1} is V,
+    M and M' act through pi (`_through_pi`), and (D, L, d) is the new base.
+    For a valid E, `pushout` checks alpha, and alpha E is valid: j is
+    injective, ker(d) = j(M'), im(d) = im(d_old), and at n = 2 im(d) acts
+    on M' through pi d_old = 0.  Returns (alpha E, the connecting
+    ExtensionMorphism E -> alpha E).
     """
     if alpha.source != E.M:
         raise CheckFailure("BASE_MISMATCH", detail="alpha must start at E's kernel")
@@ -234,15 +232,14 @@ def push_forward(alpha: ModuleMorphism, E: CrossedExtension):
     nodes = (pd.D, *nodes[1:])
     maps = (mediate(pd, maps[0], LinearMap.zero(
         field, tgt.dim, maps[0].codomain_dim)), *maps[1:])
-    base = (crossed_axioms(CrossedModule(L, pd.D, maps[0])) if two
-            else E.base)
+    base = CrossedModule(L, pd.D, maps[0]) if two else E.base
     newE = CrossedExtension(E.n, E.g, alpha.target, pd.j.map, nodes[:-1],
                             maps[:-1], base, E.pi)
     # the vertical maps below M: pd.i on the head node, identities under it
     verts = (pd.i.map, *(LinearMap.identity(field, m.dim) for m in nodes[1:]))
     mor = ExtensionMorphism(alpha.map, verts[:-1], CrossedMorphism(
         verts[-1], ident_alg(L, field)))
-    return (validate_extension(newE) if two else newE), mor
+    return newE, mor
 
 
 def ident_alg(alg, field):
@@ -253,7 +250,8 @@ def _fiber_algebra(baseA: CrossedModule, piA: LinearMap,
                    baseB: CrossedModule, piB: LinearMap, g):
     """L x_g L' with componentwise bracket, its embedding F into L (+) L',
     the halves (x, y) in L and L' of each basis vector of F as integer
-    views, and the projection onto g.  Brackets are summed on integers."""
+    views, and the projection onto g.  Brackets are summed on integers, and
+    F is checked closed under those of the Lie L (+) L': a Lie subalgebra."""
     LA, LB = baseA.algebra, baseB.algebra
     field, a = g.field, LA.dim
     F = kernel(LinearMap(piA.matrix.hstack(-piB.matrix)))
@@ -270,7 +268,7 @@ def _fiber_algebra(baseA: CrossedModule, piA: LinearMap,
     if None in structure:
         raise CheckFailure("EXACTNESS_FAIL", "L",
                            "fiber product is not closed under bracket")
-    LF = validate_lie(field, F.dim, _from_ints(
+    LF = LieAlgebra(field, F.dim, _from_ints(
         field, [x for x, _ in structure], dw, F.dim))
     xs = _from_ints(field, [x for (x, _), _ in halves], d, a)
     q = LinearMap(piA.matrix @ xs.transpose())

@@ -255,7 +255,7 @@ def _first_nonzero_row(products, linear, n, p):
                 a *= f
                 for j, b in Y[k].items():
                     acc[j] = acc.get(j, 0) + a * b
-        if any(v % p if p else v for v in acc.values()):
+        if any(v % p for v in acc.values()) if p else any(acc.values()):
             return r
     return None
 

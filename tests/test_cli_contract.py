@@ -265,6 +265,12 @@ def _address_space_cap():
     resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
 
+# the seconds a child may run: every case ends in well under one, so a
+# document that hangs fails here (subprocess.TimeoutExpired) and does not
+# hang the suite
+HOSTILE_SECONDS = 60
+
+
 @pytest.mark.parametrize("case", sorted(HOSTILE))
 def test_hostile_input_is_a_fail_record(case, tmp_path):
     make, code = HOSTILE[case]
@@ -278,7 +284,7 @@ def test_hostile_input_is_a_fail_record(case, tmp_path):
         [sys.executable, "-m", "crossedext.cli", "report", "--input",
          str(path), "--format", "json"],
         capture_output=True, text=True, env=env,
-        preexec_fn=_address_space_cap)
+        preexec_fn=_address_space_cap, timeout=HOSTILE_SECONDS)
     assert "Traceback" not in proc.stderr
     assert proc.returncode == 1
     records = json.loads(proc.stdout)["results"]

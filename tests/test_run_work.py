@@ -1,6 +1,6 @@
-"""A run derives each fact once, and skips no check, pinned by its work on
-the benchmark's crossed-mix document (seed 1, generated by perfbench/gen.py
-as in test_bench_documents):
+"""A run derives each fact once, and checks each construction once, pinned
+by its work on the benchmark's crossed-mix document (seed 1, generated by
+perfbench/gen.py as in test_bench_documents):
 
 - coboundary builds: one per (module value, degree), as equal modules of a
   run share one cochain complex (in the run's table `Workspace.derived`).  The run before
@@ -12,15 +12,19 @@ as in test_bench_documents):
   of its (sequence, cochain), whose kernel of beta is eliminated only when
   a lift is perturbed.  Before these the parse made 1170 and the commands
   2033, and the commands 1463 while each connecting class eliminated that
-  kernel twice and dropped it.  A count that falls here is a gain to record, one that
-  rises derives something twice.
+  kernel twice and dropped it, and 1409 while a 2-fold Baer sum and a
+  yoneda splice each went back through `validate_extension`.  A count that
+  falls here is a gain to record, one that rises derives something twice.
 - relation checks (`linalg._first_nonzero_row` calls), by phase: every
-  object still has every relation checked, so the counts stay exact.  A
-  Baer sum of two crossed modules is the codiagonal push-forward of their
-  sum over g, whose `pushout` checks the equivariance of both legs and of
-  both maps into the pushout, one check per basis vector of the fiber
-  product each: the commands made 1774 when that sum had a pushout of its
-  own that checked none of the four.
+  object of the document has every relation checked at the parse, and a
+  construction checks the step that decides it (a submodule, a closed
+  bracket, an ideal, a stable kernel, a cocycle) and derives the rest, so
+  the counts stay exact.  A Baer sum of two crossed modules is the
+  codiagonal push-forward of their sum over g, whose `pushout` checks the
+  equivariance of its two legs, one check per basis vector of the fiber
+  product each.  The commands made 2102 while `pushout` also checked its
+  two maps into D and D itself, and the constructions went back through
+  the module, Lie and crossed-module validators.
 
 A small document pins the sharing itself: within one run two equal modules
 under different names get one complex, and a module of a second parse of
@@ -70,9 +74,9 @@ def test_seed_1_crossed_mix_work(monkeypatch):
     assert counts["parse", "coboundary build"] == 0
     assert counts["commands", "coboundary build"] <= 138
     assert (counts["parse", "elimination"],
-            counts["commands", "elimination"]) == (711, 1409)
+            counts["commands", "elimination"]) == (711, 1094)
     assert (counts["parse", "relation check"],
-            counts["commands", "relation check"]) == (3002, 2102)
+            counts["commands", "relation check"]) == (3002, 957)
 
 
 def _document():
