@@ -55,8 +55,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve()))
     from crossedext.cli import DEFAULT_DEGREE_CAP, run_command
-    from crossedext.cohomology import (CE, _weight_zero, ce_coboundary_matrix,
-                                       coboundary_matrix)
+    from crossedext.cohomology import CE, _weight_zero, coboundary_matrix
     from crossedext.errors import CheckFailure
     from crossedext.linalg import rank
     from crossedext.workspace import parse_workspace
@@ -88,8 +87,7 @@ def main(argv=None):
             nnz = sum(map(len, m._ints[0]))
             w0 = "-", "-", "-"
             if zero:
-                d0, w0_emit = best_ms(ce_coboundary_matrix, M.algebra, M,
-                                      n, zero[n + 1])
+                d0, w0_emit = best_ms(coboundary_matrix, M, n, zero[n + 1])
                 w0_cols = sum(len(coords) for _, coords in zero[n])
                 w0 = (f"{d0.codomain_dim}x{w0_cols}", f"{w0_emit:.3f}",
                       f"{best_ms(rank, d0)[1]:.3f}")

@@ -11,7 +11,7 @@ from .linalg import (LinearMap, Matrix, _columns, _common_rows, _echelon,
                      _field_vec, _from_ints, _insert, _int_vec, _mul_vec,
                      _reduced, _sum)
 from ._spaces import Echelon, Subspace, image, kernel
-from .algebra import CE, LieAlgebra, Representation, validate_lie
+from .algebra import CE, LieAlgebra, Representation
 from ._maps import ModuleMorphism, sides
 from .cohomology import (TABLE_BUDGET, _tuple_count, ce_tuples,
                          coboundary_matrix, leib_tuples)
@@ -438,9 +438,9 @@ def abelian_extension_from_2cocycle(Mpp: Representation, alpha: Cochain):
     with bracket twisted by a 2-cocycle.
 
     Returns (e, inclusion of M'', projection onto g).  The bracket is
-    [(m,x),(n,y)] = ([x,n] - [y,m] + alpha(x,y), [x,y]); for a module M''
-    its Jacobi identity is delta(alpha) = 0, checked first, unless g has
-    some [e_i, e_i] != 0 (over F_2): then `validate_lie` checks e.
+    [(m,x),(n,y)] = ([x,n] - [y,m] + alpha(x,y), [x,y]), alternating as
+    alpha and the bracket of the Lie algebra g are; for a module M'' its
+    Jacobi identity is delta(alpha) = 0, which is checked.
     """
     if Mpp.flavor != CE:
         raise CheckFailure("UNSUPPORTED_FLAVOR", detail="the abelian "
@@ -472,8 +472,7 @@ def abelian_extension_from_2cocycle(Mpp: Representation, alpha: Cochain):
     for k, bracket in enumerate(gc):
         rows[(m + k // d) * n + m + k % d].update(
             {m + t: D // dg * v for t, v in bracket.items()})
-    e = (validate_lie if any(gc[i * d + i] for i in range(d)) else
-         LieAlgebra)(field, n, _from_ints(field, rows, D, n))
+    e = LieAlgebra(field, n, _from_ints(field, rows, D, n))
     incl = LinearMap(Matrix.identity(field, m).vstack(
         Matrix.zero(field, d, m)))
     proj = LinearMap(Matrix.zero(field, d, m).hstack(

@@ -99,18 +99,18 @@ def hom_rows(A, B):
 def bracket_defect(f: LinearMap, A, B):
     """The first basis pair (i, j) with f([e_i, e_j]_A) != [f e_i, f e_j]_B,
     or None when the linear map f : A -> B is an algebra map.  When A and B
-    are both skew (`_skew_defect`) the defect of (j, i) is minus that of
-    (i, j), so only the pairs i <= j are visited; otherwise all pairs.  On
-    integers (mod p over F_p), f([e_i, e_j]) is on d_f d_A and
-    [f e_i, f e_j] on d_f^2 d_B (d_f, d_A and d_B the denominators of f and
-    the constants)."""
+    are both alternating (`_skew_defect`), as Lie algebras are, the defect
+    of (j, i) is minus that of (i, j) and that of (i, i) is f(0) - 0, so
+    only the pairs i < j are visited; otherwise all pairs.  On integers
+    (mod p over F_p), f([e_i, e_j]) is on d_f d_A and [f e_i, f e_j] on
+    d_f^2 d_B (d_f, d_A and d_B the denominators of f and the constants)."""
     F, df = f.matrix._ints
     cols = _columns(F, A.dim)
     (ca, da), db = A.structure._ints, B.structure._ints[1]
     p = A.field.p
-    skew = _skew_defect(A) is None and _skew_defect(B) is None
+    alternating = _skew_defect(A) is None and _skew_defect(B) is None
     for i in range(A.dim):
-        for j in range(i if skew else 0, A.dim):
+        for j in range(i + 1 if alternating else 0, A.dim):
             image = _mul_vec(F, ca[i * A.dim + j])
             if _reduced(_sum([(df * db, image),
                               (-da, B._bracket(cols[i], cols[j]))]), p):

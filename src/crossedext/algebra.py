@@ -69,24 +69,27 @@ class LeibnizAlgebra(_AlgebraBase):
 
 
 def _skew_defect(g):
-    """The first basis pair (i, j), j >= i, with [e_j, e_i] != -[e_i, e_j]
-    on the integer structure constants (mod p over F_p), or None when g is
-    skew-symmetric.  A failing (i, j) fails as (j, i) too, so this is the
+    """The first basis pair (i, j), j >= i, with [e_j, e_i] != -[e_i, e_j],
+    or with [e_i, e_i] != 0 when j = i, on the integer structure constants
+    (mod p over F_p); None when g is alternating, as a Lie bracket is
+    ([x, x] = 0).  Over Q and odd p that is skew-symmetry; over F_2 it is
+    stronger.  A failing (i, j) fails as (j, i) too, so this is the
     lexicographically first failing pair of all.  Kept on g from the first
     call on, as its structure matrix is immutable."""
     if g._skew == ():
         (c, _), dim, p = g.structure._ints, g.dim, g.field.p
         g._skew = next(((i, j) for i in range(dim) for j in range(i, dim)
-                        if c[j * dim + i] != _negated(c[i * dim + j], p)),
+                        if (c[i * dim + i] if j == i else c[j * dim + i]
+                            != _negated(c[i * dim + j], p))),
                        None)
     return g._skew
 
 
-def _leibniz_identity(g, code, skew):
+def _leibniz_identity(g, code, alternating):
     """g, unless the Leibniz defect [ei,[ej,ek]] - [[ei,ej],ek] + [[ei,ek],ej]
     is nonzero on a basis triple: then a failure with code and the first such
-    (i, j, k) in lexicographic order, among those with i <= j <= k when g is
-    known to be skew (the defect is then totally antisymmetric, see
+    (i, j, k) in lexicographic order, among those with i < j < k when g is
+    known to be alternating (the defect is then the Jacobi sum, see
     `validate_lie`), and among all triples when not.  The sum runs on the
     integer structure constants on their denominator d (residues over F_p):
     each term is a product of two constants, so the sum is d^2 times the
@@ -94,8 +97,8 @@ def _leibniz_identity(g, code, skew):
     dim, p = g.dim, g.field.p
     c, _ = g.structure._ints
     for i in range(dim):
-        for j in range(i if skew else 0, dim):
-            for k in range(j if skew else 0, dim):
+        for j in range(i + 1 if alternating else 0, dim):
+            for k in range(j + 1 if alternating else 0, dim):
                 acc = {}
                 for m, coef in c[j * dim + k].items():
                     for t, s in c[i * dim + m].items():
@@ -112,26 +115,25 @@ def _leibniz_identity(g, code, skew):
 
 
 def validate_lie(field, dim, structure) -> LieAlgebra:
-    """Check antisymmetry (`_skew_defect`), then the Jacobi identity on the
-    C(dim + 2, 3) basis triples i <= j <= k: given antisymmetry the Leibniz
-    defect is the Jacobi sum J(i, j, k) = [ei,[ej,ek]] + [ej,[ek,ei]] +
-    [ek,[ei,ej]], which is totally antisymmetric, so every permutation of a
-    failing triple fails and the sorted one comes first.  A structure that
-    is not skew fails before the triples."""
+    """Check that the bracket is alternating (`_skew_defect`), then the
+    Jacobi identity on the C(dim, 3) basis triples i < j < k: for an
+    alternating bracket the Leibniz defect is the Jacobi sum J(i, j, k) =
+    [ei,[ej,ek]] + [ej,[ek,ei]] + [ek,[ei,ej]], which is alternating too,
+    so it vanishes on a triple with a repeated index, and every permutation
+    of a failing triple fails, the sorted one first.  A structure that is
+    not alternating fails before the triples, as ANTISYM_FAIL."""
     g = LieAlgebra(field, dim, structure)
     pair = _skew_defect(g)
     if pair:
         raise CheckFailure("ANTISYM_FAIL", pair)
-    # repeated indices stay in: over F_2 a nonzero [ei, ei] is skew, and
-    # J(i, i, k) = [ek, [ei, ei]] need not vanish
-    return _leibniz_identity(g, "JACOBI_FAIL", skew=True)
+    return _leibniz_identity(g, "JACOBI_FAIL", alternating=True)
 
 
 def validate_leibniz(field, dim, structure) -> LeibnizAlgebra:
     """Check the right Leibniz identity [x,[y,z]] = [[x,y],z] - [[x,z],y]
     on all basis triples."""
     return _leibniz_identity(LeibnizAlgebra(field, dim, structure),
-                             "LEIBNIZ_FAIL", skew=False)
+                             "LEIBNIZ_FAIL", alternating=False)
 
 
 class Representation:
@@ -170,10 +172,11 @@ def _products(xs, ys):
 
 def validate_module(rep: Representation) -> Representation:
     """Check rho([ei,ej]) = rho(ei)rho(ej) - rho(ej)rho(ei) on the pairs
-    i <= j: when g is skew (`_skew_defect`), the defect of (j, i) is minus
-    that of (i, j).  A non-skew algebra, which no validated Lie algebra is,
-    takes all pairs.  Either way the first failing pair in lexicographic
-    order is reported.
+    i < j: when g is alternating (`_skew_defect`), as a validated Lie
+    algebra is, the defect of (j, i) is minus that of (i, j), and that of
+    (i, i) is rho(0) - 0 = 0.  An algebra that is not alternating takes
+    all pairs.  Either way the first failing pair in lexicographic order is
+    reported.
 
     The check runs on integers.  With A_k the integer rows of rho(e_k) on
     the common denominator D of all the action matrices, and c, d_c the
@@ -183,19 +186,18 @@ def validate_module(rep: Representation) -> Representation:
         D * sum_k c_ij^k A_k = d_c * (A_i A_j - A_j A_i),
 
     compared entry by entry, mod p over F_p (where D = d_c = 1), one
-    `_first_nonzero_row` pass per pair, which stores no product A_i A_j;
-    the diagonal has no product terms."""
+    `_first_nonzero_row` pass per pair, which stores no product A_i A_j."""
     g, n = rep.algebra, rep.algebra.dim
     p = g.field.p
     c, dc = g.structure._ints
     A, D = _common_rows(rep.action)
     if not any(any(rows) for rows in A):
         return rep      # every action is zero, and so is either side
-    skew = _skew_defect(g) is None
+    alternating = _skew_defect(g) is None
     for i in range(n):
-        for j in range(i if skew else 0, n):
+        for j in range(i + 1 if alternating else 0, n):
             if _first_nonzero_row(
-                    [(-dc, A[i], A[j]), (dc, A[j], A[i])] if i != j else (),
+                    [(-dc, A[i], A[j]), (dc, A[j], A[i])],
                     [(D * s, A[k]) for k, s in c[i * n + j].items()],
                     rep.dim, p) is not None:
                 raise CheckFailure("MODULE_AXIOM_FAIL", (i, j))

@@ -4,7 +4,7 @@ Cochain bases are ordered lexicographically: increasing index tuples for the
 alternating (CE) complex, all index tuples for the Leibniz complex, with the
 module basis running fastest.  This fixes every coboundary matrix bit for bit.
 
-Both flavors' coboundaries come from one emitter, `_emit_coboundary`, which
+Both flavors' coboundaries come from one emitter, `coboundary_matrix`, which
 writes delta_n directly as integer rows (`{column: int}` on one common
 denominator over Q, residues over F_p) from the integer views of the action
 matrices and the structure constants; the flavors differ only in their
@@ -24,7 +24,7 @@ from . import _classes, _forward
 from .errors import CheckFailure
 from .linalg import LinearMap, _common_rows, _from_ints, rank
 # CE and LEIBNIZ are re-exported here, next to the complexes they name
-from .algebra import CE, LEIBNIZ, LeibnizRepresentation, Representation
+from .algebra import CE, LEIBNIZ
 
 # the class layer, a lazy module, whose names are served from here too
 __getattr__ = _forward(__name__, _classes)
@@ -42,12 +42,14 @@ def _tuple_count(module, n):
     return math.comb(g, n) if module.flavor == CE else g ** n
 
 
-def _emit_coboundary(algebra, families, m, n, ce, rows=None) -> LinearMap:
-    """delta_n : C^n -> C^{n+1} of the CE complex (ce true) or the Leibniz
-    complex, as integer rows: row (S, a) is output tuple S and module
-    coordinate a, column (t, b) input tuple t and module coordinate b.
-    Given rows, a list of (S, [a, ...]), only those rows are emitted, in
-    that order, over all of C^n's columns.
+def coboundary_matrix(M, n, rows=None) -> LinearMap:
+    """delta_n : C^n -> C^{n+1} of the complex of M's flavor over M's
+    algebra, as integer rows: row (S, a) is output tuple S and module
+    coordinate a, column (t, b) input tuple t and module coordinate b, on
+    the increasing tuples of the CE complex and all tuples of the Leibniz
+    one.  Given rows, a list of (S, [a, ...]), only those rows are emitted,
+    in that order, over all of C^n's columns.  Degree 0 is the map
+    m -> (x -> [x, m]) (CE).
     - Action terms: sign * one action matrix, from t = S without slot pos:
       rho(x_pos), sign (-1)^pos (CE); the left action of x_0, and the right
       action of x_pos, sign (-1)^{pos+1} (Leibniz).  They are skipped when
@@ -63,12 +65,13 @@ def _emit_coboundary(algebra, families, m, n, ce, rows=None) -> LinearMap:
     integer views (residues and D = 1 over F_p), so the structure constants
     are scaled to D once; `_from_ints` makes the rows canonical.
     """
+    algebra, m, ce = M.algebra, M.dim, M.flavor == CE
     dim = algebra.dim
     tuples = ce_tuples if ce else leib_tuples
     ins = tuples(dim, n)
     offset = {t: i * m for i, t in enumerate(ins)}
     c, dc = algebra.structure._ints
-    blocks, D = _common_rows([a for fam in families for a in fam], dc)
+    blocks, D = _common_rows(M.action if ce else M.left + M.right, dc)
     cf = D // dc
     brackets = [[(k, v * cf) for k, v in row.items()] for row in c]
     # (first index into blocks, sign) of each slot's action term; none when
@@ -125,33 +128,6 @@ def _emit_coboundary(algebra, families, m, n, ce, rows=None) -> LinearMap:
                     row[j] = row.get(j, 0) + x
         out.extend(block)
     return LinearMap(_from_ints(algebra.field, out, D, len(ins) * m))
-
-
-def ce_coboundary_matrix(g, M: Representation, n: int,
-                         rows=None) -> LinearMap:
-    """Matrix of the CE coboundary C^n -> C^{n+1} on the increasing-tuple basis.
-
-    First sum: signed module action terms; second sum: bracket insertion in
-    the first slot, resorted into increasing order.  Degree 0 is the map
-    m -> (x -> [x, m]).  Given rows, only those (see `_emit_coboundary`).
-    """
-    return _emit_coboundary(g, (M.action,), M.dim, n, True, rows)
-
-
-def leibniz_coboundary_matrix(h, M: LeibnizRepresentation, n: int) -> LinearMap:
-    """Matrix of the Leibniz coboundary C^n -> C^{n+1} on the tensor basis.
-
-    Terms: left action on the first argument, signed right actions, and
-    bracket substitution into the earlier slot.
-    """
-    return _emit_coboundary(h, (M.left, M.right), M.dim, n, False)
-
-
-def coboundary_matrix(M, n) -> LinearMap:
-    """delta_n of the complex of M's flavor over M's algebra."""
-    if M.flavor == CE:
-        return ce_coboundary_matrix(M.algebra, M, n)
-    return leibniz_coboundary_matrix(M.algebra, M, n)
 
 
 # The most work (`_table_work`) one cohomology table may take on: gl_2 as
@@ -234,8 +210,7 @@ def cohomology_table(M, max_degree: int):
     rows = []
     prev_rank = r_n = 0
     for n in range(max_degree + 1):
-        d_n = ce_coboundary_matrix(M.algebra, M, n, zero[n + 1]) if zero \
-            else coboundary_matrix(M, n)
+        d_n = coboundary_matrix(M, n, zero[n + 1] if zero else None)
         dim_c = d_n.domain_dim
         if zero:
             r_n = dim_c - sum(len(a) for _, a in zero[n]) - r_n

@@ -187,9 +187,9 @@ def random_leibniz(field, rng: random.Random, max_dim=3):
 
 def random_leibniz_module(h, rng: random.Random, max_dim=3):
     """A random valid h-module: a trivial one a tenth of the time;
-    otherwise the adjoint module of an h that is not skew, and for a skew
-    (so Lie) h a random module of h as a Lie algebra, read with left rho
-    and right -rho."""
+    otherwise the adjoint module of an h that is not alternating, and for
+    an alternating (so Lie) h a random module of h as a Lie algebra, read
+    with left rho and right -rho."""
     if rng.random() < 0.1:
         return trivial_rep(h, rng.randint(1, max_dim))
     if _skew_defect(h):

@@ -138,8 +138,10 @@ def _resolve(table, name, kind):
 
 def _algebra_work(dim, leib):
     """The rows of an algebra's structure matrix plus the basis triples its
-    validator visits: (dim)^3 for a Leibniz algebra, C(dim + 2, 3) (those
-    with i <= j <= k) for a Lie one."""
+    validator visits: (dim)^3 for a Leibniz algebra, and for a Lie one at
+    most C(dim + 2, 3), those with i <= j <= k.  The Lie validator visits
+    only the C(dim, 3) with i < j < k; the bound is kept so that what the
+    parse admits does not change."""
     return dim * dim + (dim ** 3 if leib else math.comb(dim + 2, 3))
 
 

@@ -9,8 +9,8 @@ basis pair or triple;
 the change of basis of an algebra; the field-vector theta of both flavors
 that the integer theta must reproduce, and the Chevalley-Eilenberg theta
 formula that it must also reproduce on Lie crossed modules; and the
-dense-grid CE and Leibniz coboundary builders that the integer-row emitter
-of `crossedext.cohomology` must reproduce.
+dense-grid CE and Leibniz coboundary builders that the integer-row builder
+`crossedext.cohomology.coboundary_matrix` must reproduce for both flavors.
 
 The oracles read matrices through `.data` and compute on field elements
 only, so they share no kernel or solver with the engine they check
@@ -188,11 +188,13 @@ def dense_lincomb(field, coefs, mats, rows, cols) -> Matrix:
 
 
 def dense_validate_lie(field, dim, c):
-    """The antisymmetry and Jacobi loops of a Lie algebra validator, on
-    structure constants c[i][j] (vectors of field elements)."""
+    """The alternating and Jacobi loops of a Lie algebra validator, on
+    structure constants c[i][j] (vectors of field elements): [e_i, e_j] =
+    -[e_j, e_i] and [e_i, e_i] = 0 on every pair, then J on every triple."""
     for i in range(dim):
         for j in range(dim):
-            if tuple(c[i][j]) != tuple(-x for x in c[j][i]):
+            if tuple(c[i][j]) != tuple(-x for x in c[j][i]) or \
+                    (i == j and any(c[i][i])):
                 raise CheckFailure("ANTISYM_FAIL", (i, j))
     for i in range(dim):
         for j in range(dim):

@@ -203,6 +203,20 @@ def _solvable_extension(over="s2", pi=(["1", "0"], ["0", "1"]),
                          for op in commands]}
 
 
+def _f2_self_bracket():
+    """[e0, e0] = e1 over F_2, skew but not alternating, so not a Lie
+    algebra, with its trivial module k and a cohomology table of k.  The
+    parse once passed it and gave the table."""
+    zero = [["0"]]
+    return {"field": "p:2",
+            "algebras": {"g": {"type": "lie", "dim": 2, "structure": [
+                {"i": 0, "j": 0, "k": 1, "value": "1"}]}},
+            "modules": {"k": {"algebra": "g", "dim": 1,
+                              "action": {"0": zero, "1": zero}}},
+            "commands": [{"op": "cohomology", "algebra": "g", "module": "k",
+                          "max_degree": 2}]}
+
+
 # (document, expected error code of its one record)
 HOSTILE = {
     "cohomology-heis3-sl2": (lambda: _cohomology_over("heis3"),
@@ -255,6 +269,7 @@ HOSTILE = {
     "extension-pi-3x2": (
         lambda: _solvable_extension(pi=(["1", "0"], ["0", "1"], ["0", "0"])),
         "PARSE_ERROR"),
+    "algebra-f2-self-bracket": (_f2_self_bracket, "VALIDATION_FAIL"),
 }
 
 
@@ -290,6 +305,15 @@ def test_hostile_input_is_a_fail_record(case, tmp_path):
     records = json.loads(proc.stdout)["results"]
     assert all("status" in r and "error" in r for r in records)
     assert [(r["status"], r["error"]) for r in records] == [("FAIL", code)]
+
+
+def test_a_non_alternating_algebra_is_named_at_the_parse():
+    """The parse's record names the algebra and the diagonal pair at which
+    its bracket is not alternating."""
+    with pytest.raises(CheckFailure) as exc:
+        parse_workspace(json.dumps(_f2_self_bracket()))
+    assert (exc.value.code, exc.value.witness, exc.value.detail) == \
+        ("VALIDATION_FAIL", "g", "g: ANTISYM_FAIL(0, 0)")
 
 
 @pytest.mark.parametrize("scalar", HUGE_EXPONENTS)

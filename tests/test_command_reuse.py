@@ -28,6 +28,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # the package exports a function named cohomology, so the submodules are
 # looked up by name
 cohomology_mod = importlib.import_module("crossedext.cohomology")
+classes_mod = importlib.import_module("crossedext._classes")
 crossed_mod = importlib.import_module("crossedext.crossed")
 
 
@@ -101,13 +102,13 @@ def test_leibniz_theta_is_not_zero_on_the_splice(doc_text):
 def _count_builds(monkeypatch):
     """Record (module, n) for every coboundary matrix built."""
     builds = Counter()
-    for name in ("ce_coboundary_matrix", "leibniz_coboundary_matrix"):
-        original = getattr(cohomology_mod, name)
+    original = cohomology_mod.coboundary_matrix
 
-        def counted(algebra, module, n, _original=original):
-            builds[(id(module), n)] += 1
-            return _original(algebra, module, n)
-        monkeypatch.setattr(cohomology_mod, name, counted)
+    def counted(module, n, rows=None):
+        builds[(id(module), n)] += 1
+        return original(module, n, rows)
+    for mod in (cohomology_mod, classes_mod):
+        monkeypatch.setattr(mod, "coboundary_matrix", counted)
     return builds
 
 

@@ -19,9 +19,8 @@ from crossedext.algebra import (LeibnizAlgebra, LeibnizRepresentation,
                                 leibniz_rep_from_lie, trivial_rep,
                                 validate_leibniz, validate_leibniz_module,
                                 validate_lie)
-from crossedext.cohomology import (CochainComplex, ce_coboundary_matrix,
-                                   cohomology_table,
-                                   leibniz_coboundary_matrix)
+from crossedext.cohomology import (CochainComplex, coboundary_matrix,
+                                   cohomology_table)
 from crossedext.field import PrimeField, QQ
 from crossedext.linalg import (Echelon, LinearMap, Matrix, Subspace, kernel,
                                rank, rref)
@@ -34,6 +33,7 @@ from support import scalars
 
 FIELDS = [QQ, PrimeField(2), PrimeField(5), PrimeField(2147483647)]
 cohomology_mod = importlib.import_module("crossedext.cohomology")
+classes_mod = importlib.import_module("crossedext._classes")
 linalg_mod = importlib.import_module("crossedext.linalg")
 
 
@@ -134,7 +134,7 @@ def _assert_same_matrix(emitted: Matrix, dense: Matrix):
 @given(ce_cases(), st.integers(0, 3))
 def test_ce_coboundary_matches_dense_builder(case, n):
     g, M = case
-    _assert_same_matrix(ce_coboundary_matrix(g, M, n).matrix,
+    _assert_same_matrix(coboundary_matrix(M, n).matrix,
                         dense_ce_coboundary_matrix(g, M, n).matrix)
 
 
@@ -142,7 +142,7 @@ def test_ce_coboundary_matches_dense_builder(case, n):
 @given(leibniz_cases(), st.integers(0, 3))
 def test_leibniz_coboundary_matches_dense_builder(case, n):
     h, M = case
-    _assert_same_matrix(leibniz_coboundary_matrix(h, M, n).matrix,
+    _assert_same_matrix(coboundary_matrix(M, n).matrix,
                         dense_leibniz_coboundary_matrix(h, M, n).matrix)
 
 
@@ -260,12 +260,13 @@ def test_cohomology_reads_delta_as_integer_rows(monkeypatch):
     """cohomology_table and a CochainComplex eliminate delta and its
     transpose without building a dense row of either."""
     built = []
-    original = cohomology_mod.ce_coboundary_matrix
+    original = cohomology_mod.coboundary_matrix
 
     def recorded(*args):
         built.append(original(*args).matrix)
         return LinearMap(built[-1])
-    monkeypatch.setattr(cohomology_mod, "ce_coboundary_matrix", recorded)
+    for mod in (cohomology_mod, classes_mod):
+        monkeypatch.setattr(mod, "coboundary_matrix", recorded)
     g = samples.sl2(QQ)
     M = adjoint(g)
     assert [row[3] for row in cohomology_table(M, 3)] == [0, 0, 0, 0]

@@ -340,16 +340,19 @@ def test_peiffer_witnesses():
 
 
 def test_jacobi_witnesses_over_f2_with_nonzero_self_brackets():
+    """Skew structures over F_2 with a nonzero [e_i, e_i]: not alternating,
+    so `validate_lie` refuses each at its first such pair (i, i) before any
+    triple.  The Leibniz validator, which visits every triple, finds their
+    Jacobi failures, the sorted triple of the first failing orbit."""
     F2 = PrimeField(2)
     # [e, e] = e: antisymmetric over F_2, and 3[[e,e],e] = e != 0
-    assert outcome(validate_lie, F2, 1, [[[1]]]) == \
-        ("JACOBI_FAIL", (0, 0, 0), "")
-    assert outcome(validate_lie, F2, 2, [[[0, 0], [0, 1]],
-                                         [[0, 1], [1, 0]]]) == \
-        ("JACOBI_FAIL", (1, 1, 1), "")
-    assert outcome(validate_lie, F2, 2, [[[0, 0], [1, 0]],
-                                         [[1, 0], [0, 1]]]) == \
-        ("JACOBI_FAIL", (0, 1, 1), "")
+    cases = [(1, [[[1]]], (0, 0), (0, 0, 0)),
+             (2, [[[0, 0], [0, 1]], [[0, 1], [1, 0]]], (1, 1), (1, 1, 1)),
+             (2, [[[0, 0], [1, 0]], [[1, 0], [0, 1]]], (1, 1), (0, 1, 1))]
+    for dim, c, pair, triple in cases:
+        assert outcome(validate_lie, F2, dim, c) == ("ANTISYM_FAIL", pair, "")
+        assert outcome(validate_leibniz, F2, dim, c) == \
+            ("LEIBNIZ_FAIL", triple, "")
 
 
 def test_jacobi_witness_with_fractions():
@@ -364,12 +367,17 @@ def test_jacobi_witness_is_the_rotation_with_the_least_index_first():
     """[e0, e1] = e0 and [e2, e2] = e0 over F_2: the only failing orbit is
     that of (2, 2, 1), where [[e2, e2], e1] = e0 is the one nonzero term.
     Its rotation (1, 2, 2) comes first in lexicographic order, and both the
-    loop over j, k >= i and the oracle's loop over all triples report it."""
+    Leibniz validator and its oracle, each over all triples, report it.
+    The bracket is not alternating, so `validate_lie` and its oracle refuse
+    it at (2, 2) before any triple."""
     F2 = PrimeField(2)
     c = [[[0, 0, 0], [1, 0, 0], [0, 0, 0]],
          [[1, 0, 0], [0, 0, 0], [0, 0, 0]],
          [[0, 0, 0], [0, 0, 0], [1, 0, 0]]]
-    assert outcome(validate_lie, F2, 3, c) == ("JACOBI_FAIL", (1, 2, 2), "")
-    assert outcome(dense_validate_lie, F2, 3,
-                   [[tuple(F2.of(x) for x in v) for v in row]
-                    for row in c]) == ("JACOBI_FAIL", (1, 2, 2), "")
+    assert outcome(validate_leibniz, F2, 3, c) == \
+        outcome(dense_validate_leibniz, LeibnizAlgebra(F2, 3, c)) == \
+        ("LEIBNIZ_FAIL", (1, 2, 2), "")
+    assert outcome(validate_lie, F2, 3, c) == \
+        outcome(dense_validate_lie, F2, 3,
+                [[tuple(F2.of(x) for x in v) for v in row]
+                 for row in c]) == ("ANTISYM_FAIL", (2, 2), "")

@@ -3,17 +3,17 @@ antisymmetry leaves independent agree with the full-loop oracles of
 dense_oracle, witness for witness:
 
 - `validate_lie`: the pairs i <= j of `_skew_defect`, the triples
-  i <= j <= k of the Jacobi loop;
-- `validate_module` and `bracket_defect`: the pairs i <= j when the
-  algebras are skew, and every pair when not;
+  i < j < k of the Jacobi loop;
+- `validate_module` and `bracket_defect`: the pairs i < j when the
+  algebras are alternating, and every pair when not;
 - the Lie Peiffer loop of `crossed_axioms`: the pairs w >= v;
 - `_g2_table` of a Lie crossed module: g2(e_j, e_i) = -g2(e_i, e_j).
 
 The failures are planted on the side the halves skip (j < i, w < v) and
-on the diagonal over F_2, where a skew [e_i, e_i] may be nonzero; an
-algebra built without validation that is not skew must take the full
-loops.  The fields are Q with denominators, F_2, F_3, F_5 and
-F_2147483647."""
+on the diagonal over F_2, where a skew [e_i, e_i] may be nonzero: such an
+algebra is not alternating, `validate_lie` refuses it, and built without
+validation it must take the full loops, as must one that is not skew.
+The fields are Q with denominators, F_2, F_3, F_5 and F_2147483647."""
 import random
 from fractions import Fraction
 
@@ -22,7 +22,8 @@ from hypothesis import given, settings, strategies as st
 
 from crossedext import samples
 from crossedext.algebra import (LeibnizAlgebra, LeibnizRepresentation,
-                                LieAlgebra, Representation, bracket_defect,
+                                LieAlgebra, Representation, _skew_defect,
+                                bracket_defect, validate_leibniz,
                                 validate_lie, validate_module)
 from crossedext.crossed import (CrossedExtension, CrossedModule, _g2_table,
                                 crossed_axioms)
@@ -87,17 +88,19 @@ def _mirror_plant(c, rng):
 
 
 def _lie(field, rng, max_dim=3):
-    """A Lie algebra: a catalogue one in a random basis, or over F_2 the
-    first random skew structure with some [e_i, e_i] nonzero that
-    satisfies the Jacobi identity (in dimension 2 or more: [e0, e0] = e0
-    fails it)."""
+    """A catalogue Lie algebra in a random basis, or over F_2, half the
+    time, a `LieAlgebra` built without validation that is not alternating:
+    the first random skew structure with some [e_i, e_i] nonzero that
+    satisfies the Leibniz identity on every triple (in dimension 2 or
+    more: [e0, e0] = e0 fails it).  `validate_lie` refuses it, and the
+    loops must take its diagonal."""
     if field is F2 and rng.random() < 0.5:
         dim = rng.randint(2, max_dim)
         while True:
             c = _skew(field, dim, rng)
             if any(any(c[i][i]) for i in range(dim)) and \
-                    outcome(validate_lie, field, dim, c) is None:
-                return validate_lie(field, dim, c)
+                    outcome(validate_leibniz, field, dim, c) is None:
+                return LieAlgebra(field, dim, c)
     return samples.random_lie(field, rng, max_dim)
 
 
@@ -126,22 +129,27 @@ def test_validate_lie_matches_the_full_loops(field, seed):
 
 def test_a_jacobi_failure_on_the_f2_diagonal_is_found():
     """[e0, e0] = e1 and [e1, e1] = e0 over F_2: skew, and J(0, 0, 1) =
-    [e1, [e0, e0]] = e0, though no triple of distinct indices exists."""
+    [e1, [e0, e0]] = e0, though no triple of distinct indices exists.  The
+    bracket is not alternating, so `validate_lie` refuses it at the pair
+    (0, 0) before any triple; the Leibniz validator, which visits every
+    triple, finds the failure at (0, 0, 1)."""
     o, z = F2.one, F2.zero
     c = [[[z, o], [z, z]], [[z, z], [o, z]]]
     assert outcome(validate_lie, F2, 2, c) == \
-        outcome(dense_validate_lie, F2, 2, c) == ("JACOBI_FAIL", (0, 0, 1), "")
+        outcome(dense_validate_lie, F2, 2, c) == ("ANTISYM_FAIL", (0, 0), "")
+    assert outcome(validate_leibniz, F2, 2, c) == \
+        ("LEIBNIZ_FAIL", (0, 0, 1), "")
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_a_nonzero_self_bracket_is_skew_only_over_f2(field):
-    """[e1, e1] = e0 is -[e1, e1] over F_2 alone; elsewhere the diagonal
-    pair (1, 1) is the antisymmetry witness."""
+    """[e1, e1] = e0 is -[e1, e1] over F_2 alone, but a Lie bracket is
+    alternating, so on every field the diagonal pair (1, 1) is the
+    ANTISYM_FAIL witness."""
     z, o = field.zero, field.one
     c = [[[z, z], [z, z]], [[z, z], [o, z]]]
-    want = None if field is F2 else ("ANTISYM_FAIL", (1, 1), "")
     assert outcome(validate_lie, field, 2, c) == \
-        outcome(dense_validate_lie, field, 2, c) == want
+        outcome(dense_validate_lie, field, 2, c) == ("ANTISYM_FAIL", (1, 1), "")
 
 
 # --------------------------------------------------------- validate_module
@@ -199,7 +207,8 @@ def map_case(field, seed):
     algebra is perhaps changed below the diagonal."""
     rng = random.Random(seed)
     B = _lie(field, rng)
-    if rng.random() < 0.5:
+    # `samples.change_basis_lie` validates, and refuses an F_2 `_lie`
+    if rng.random() < 0.5 and _skew_defect(B) is None:
         P = samples.random_invertible(field, B.dim, rng)
         A = samples.change_basis_lie(B, P)
         f = LinearMap(P)
