@@ -62,9 +62,9 @@ _LAZY.update(dict.fromkeys(
 from .errors import CheckFailure
 from .field import QQ, field_from_spec
 from .linalg import LinearMap, Matrix
-from .algebra import (LeibnizAlgebra, LeibnizRepresentation, LieAlgebra,
-                      Representation, validate_leibniz,
-                      validate_leibniz_module, validate_lie, validate_module)
+from .algebra import (LeibnizAlgebra, LieAlgebra, Representation,
+                      validate_leibniz, validate_leibniz_module, validate_lie,
+                      validate_module)
 from .cohomology import coboundary_matrix, cohomology_table
 from .workspace import Workspace, parse_workspace
 

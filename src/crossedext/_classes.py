@@ -12,7 +12,7 @@ from .linalg import (LinearMap, Matrix, _columns, _common_rows, _echelon,
                      _reduced, _sum)
 from ._spaces import Echelon, Subspace, image, kernel
 from .algebra import CE, LieAlgebra, Representation
-from ._maps import ModuleMorphism, sides
+from ._maps import ModuleMorphism
 from .cohomology import (TABLE_BUDGET, _tuple_count, ce_tuples,
                          coboundary_matrix, leib_tuples)
 
@@ -316,7 +316,7 @@ def h0_invariants(M) -> Subspace:
     """Kernel of the stacked action matrices (the left ones of a Leibniz
     module): {m | [x, m] = 0 for all x}."""
     stacked = Matrix.zero(M.algebra.field, 0, M.dim)
-    for a in sides(M)[0][1]:
+    for a in M.action:
         stacked = stacked.vstack(a)
     return kernel(LinearMap(stacked))
 

@@ -9,25 +9,25 @@ from .errors import CheckFailure
 from .linalg import (LinearMap, Matrix, _columns, _first_nonzero_row,
                      _from_ints, _lincomb, _mul_vec, _reduced, _sum)
 from ._spaces import block_diag
-from .algebra import (LEIBNIZ, LeibnizAlgebra, LeibnizRepresentation,
-                      LieAlgebra, Representation, _skew_defect)
+from .algebra import (LEIBNIZ, LeibnizAlgebra, LieAlgebra, Representation,
+                      _skew_defect)
 
 
 def sides(rep):
     """The action families of a module, as (side, matrices) pairs: ρ alone
-    (side "") for a Lie module, left then right for a Leibniz module.  The
-    side names the family in a failure's detail and in a workspace."""
-    if isinstance(rep, LeibnizRepresentation):
-        return ("left", rep.left), ("right", rep.right)
-    return ("", rep.action),
+    (side "") for a Lie module, left (`action`) then right for a Leibniz
+    module.  The side names the family in a failure's detail and in a
+    workspace; two modules' families pair up when their flavors agree."""
+    if rep.right is None:
+        return ("", rep.action),
+    return ("left", rep.action), ("right", rep.right)
 
 
-def trivial_rep(algebra, dim) -> "Representation | LeibnizRepresentation":
-    field = algebra.field
-    zeros = [Matrix.zero(field, dim, dim) for _ in range(algebra.dim)]
-    if algebra.flavor == LEIBNIZ:
-        return LeibnizRepresentation(algebra, dim, zeros, list(zeros))
-    return Representation(algebra, dim, zeros)
+def trivial_rep(algebra, dim) -> Representation:
+    """k^dim with zero actions, a module of the algebra's flavor."""
+    zeros = [Matrix.zero(algebra.field, dim, dim)] * algebra.dim
+    return Representation(algebra, dim, zeros,
+                          zeros if algebra.flavor == LEIBNIZ else None)
 
 
 def _bracket_view(h, i, side):
@@ -118,9 +118,9 @@ def bracket_defect(f: LinearMap, A, B):
     return None
 
 
-def leibniz_adjoint(h: LeibnizAlgebra) -> LeibnizRepresentation:
-    return LeibnizRepresentation(h, h.dim, _adjoint_family(h, "left"),
-                                 _adjoint_family(h, "right"))
+def leibniz_adjoint(h: LeibnizAlgebra) -> Representation:
+    return Representation(h, h.dim, _adjoint_family(h, "left"),
+                          _adjoint_family(h, "right"))
 
 
 def leibniz_from_lie(g: LieAlgebra) -> LeibnizAlgebra:
@@ -129,11 +129,10 @@ def leibniz_from_lie(g: LieAlgebra) -> LeibnizAlgebra:
 
 
 def leibniz_rep_from_lie(rep: Representation,
-                         h: LeibnizAlgebra | None = None) -> LeibnizRepresentation:
+                         h: LeibnizAlgebra | None = None) -> Representation:
     """A Lie module (rho) becomes a Leibniz module with left rho, right -rho."""
     h = h or leibniz_from_lie(rep.algebra)
-    return LeibnizRepresentation(h, rep.dim, rep.action,
-                                 [-m for m in rep.action])
+    return Representation(h, rep.dim, rep.action, [-m for m in rep.action])
 
 
 class ModuleMorphism:
@@ -161,9 +160,12 @@ class ModuleMorphism:
 
 def validate_morphism(phi: ModuleMorphism) -> ModuleMorphism:
     """Check f rho(e_i) = rho'(e_i) f for every basis vector and action
-    family (`equivariance_defect`)."""
+    family (`equivariance_defect`), between modules over one algebra and of
+    one flavor, whose families pair up; otherwise BASE_MISMATCH."""
     if phi.source.algebra != phi.target.algebra:
         raise CheckFailure("BASE_MISMATCH", detail="morphism across different algebras")
+    if phi.source.flavor != phi.target.flavor:
+        raise CheckFailure("BASE_MISMATCH", detail="morphism across module flavors")
     hit = equivariance_defect(phi.matrix, sides(phi.source), [
         (side, [m._ints for m in mats]) for side, mats in sides(phi.target)])
     if hit:
@@ -173,7 +175,10 @@ def validate_morphism(phi: ModuleMorphism) -> ModuleMorphism:
 
 
 def direct_sum_reps(a: Representation, b: Representation) -> Representation:
-    if a.algebra != b.algebra:
+    """a (+) b, block diagonal in each action family, for a and b over one
+    algebra and of one flavor."""
+    if a.algebra != b.algebra or a.flavor != b.flavor:
         raise CheckFailure("BASE_MISMATCH", detail="direct sum over different algebras")
-    mats = [block_diag(x, y) for x, y in zip(a.action, b.action)]
-    return Representation(a.algebra, a.dim + b.dim, mats)
+    return Representation(a.algebra, a.dim + b.dim, *[
+        [block_diag(x, y) for x, y in zip(fa, fb)]
+        for (_, fa), (_, fb) in zip(sides(a), sides(b))])

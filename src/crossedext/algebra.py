@@ -137,29 +137,37 @@ def validate_leibniz(field, dim, structure) -> LeibnizAlgebra:
 
 
 class Representation:
-    """A module over a Lie algebra: one action matrix per basis vector."""
+    """A module over a Lie or Leibniz algebra by its action families, one
+    matrix per basis vector each: `action`, rho or a Leibniz module's left
+    action, and `right`, a Leibniz module's right action, or None for a Lie
+    module, whose right action is -rho (Loday-Pirashvili).  `flavor`, CE or
+    LEIBNIZ, is set by `right` and names the module's cochain complex."""
 
-    __slots__ = ("algebra", "dim", "action", "_complex")
-    flavor = CE
+    __slots__ = ("algebra", "dim", "action", "right", "flavor", "_complex")
 
-    def __init__(self, algebra: LieAlgebra, dim: int, action):
+    def __init__(self, algebra, dim: int, action, right=None):
         self.algebra = algebra
         self.dim = dim
         self.action = tuple(action)
+        self.right = None if right is None else tuple(right)
+        self.flavor = CE if right is None else LEIBNIZ
         self._complex = None    # its cochain complex, cohomology.complex_of
-        if len(self.action) != algebra.dim:
-            raise ValueError("need one action matrix per algebra basis vector")
-        for m in self.action:
-            if m.rows != dim or m.cols != dim:
-                raise ValueError("action matrix of wrong shape")
+        for mats in ((self.action,) if right is None
+                     else (self.action, self.right)):
+            if len(mats) != algebra.dim:
+                raise ValueError("need one action matrix per algebra basis "
+                                 "vector and side")
+            for m in mats:
+                if m.rows != dim or m.cols != dim:
+                    raise ValueError("action matrix of wrong shape")
 
     def __eq__(self, other):
         return (isinstance(other, Representation) and self.dim == other.dim
                 and self.algebra == other.algebra
-                and self.action == other.action)
+                and self.action == other.action and self.right == other.right)
 
     def __hash__(self):
-        return hash((self.dim, self.algebra, self.action))
+        return hash((self.dim, self.algebra, self.action, self.right))
 
     def __repr__(self):
         return f"Representation(dim={self.dim} over dim-{self.algebra.dim} algebra)"
@@ -171,12 +179,13 @@ def _products(xs, ys):
 
 
 def validate_module(rep: Representation) -> Representation:
-    """Check rho([ei,ej]) = rho(ei)rho(ej) - rho(ej)rho(ei) on the pairs
-    i < j: when g is alternating (`_skew_defect`), as a validated Lie
-    algebra is, the defect of (j, i) is minus that of (i, j), and that of
-    (i, i) is rho(0) - 0 = 0.  An algebra that is not alternating takes
-    all pairs.  Either way the first failing pair in lexicographic order is
-    reported.
+    """Check the axioms of rep's flavor (`validate_leibniz_module` for a
+    Leibniz module).  A Lie module's algebra must be alternating
+    (`_skew_defect`), or ANTISYM_FAIL names its first failing pair: the CE
+    complex reads only the pairs i < j, so it would be another algebra's.
+    Then rho([ei,ej]) = rho(ei)rho(ej) - rho(ej)rho(ei) is checked on the
+    pairs i < j, as the defect of (j, i) is minus that of (i, j), and that
+    of (i, i) is rho(0) - 0; the first failing pair is reported.
 
     The check runs on integers.  With A_k the integer rows of rho(e_k) on
     the common denominator D of all the action matrices, and c, d_c the
@@ -187,15 +196,19 @@ def validate_module(rep: Representation) -> Representation:
 
     compared entry by entry, mod p over F_p (where D = d_c = 1), one
     `_first_nonzero_row` pass per pair, which stores no product A_i A_j."""
+    if rep.flavor == LEIBNIZ:
+        return validate_leibniz_module(rep)
     g, n = rep.algebra, rep.algebra.dim
+    pair = _skew_defect(g)
+    if pair:
+        raise CheckFailure("ANTISYM_FAIL", pair)
     p = g.field.p
     c, dc = g.structure._ints
     A, D = _common_rows(rep.action)
     if not any(any(rows) for rows in A):
         return rep      # every action is zero, and so is either side
-    alternating = _skew_defect(g) is None
     for i in range(n):
-        for j in range(i + 1 if alternating else 0, n):
+        for j in range(i + 1, n):
             if _first_nonzero_row(
                     [(-dc, A[i], A[j]), (dc, A[j], A[i])],
                     [(D * s, A[k]) for k, s in c[i * n + j].items()],
@@ -204,40 +217,11 @@ def validate_module(rep: Representation) -> Representation:
     return rep
 
 
-class LeibnizRepresentation:
-    """A module over a Leibniz algebra: left and right action families."""
-
-    __slots__ = ("algebra", "dim", "left", "right", "_complex")
-    flavor = LEIBNIZ
-
-    def __init__(self, algebra: LeibnizAlgebra, dim: int, left, right):
-        self.algebra = algebra
-        self.dim = dim
-        self.left = tuple(left)
-        self.right = tuple(right)
-        self._complex = None    # its cochain complex, cohomology.complex_of
-        if len(self.left) != algebra.dim or len(self.right) != algebra.dim:
-            raise ValueError("need one left and one right matrix per basis vector")
-        for m in self.left + self.right:
-            if m.rows != dim or m.cols != dim:
-                raise ValueError("action matrix of wrong shape")
-
-    def __eq__(self, other):
-        return (isinstance(other, LeibnizRepresentation)
-                and self.dim == other.dim and self.algebra == other.algebra
-                and self.left == other.left and self.right == other.right)
-
-    def __hash__(self):
-        return hash((self.dim, self.algebra, self.left, self.right))
-
-    def __repr__(self):
-        return f"LeibnizRepresentation(dim={self.dim})"
-
-
-def validate_leibniz_module(rep: LeibnizRepresentation) -> LeibnizRepresentation:
+def validate_leibniz_module(rep: Representation) -> Representation:
     """The three mixed Leibniz identities, one module slot at a time.
 
-    With L_i, R_i the left/right matrices and c the structure constants:
+    With L_i, R_i the left/right matrices (`action`, `right`) and c the
+    structure constants:
       slot z:  L_i L_j = L_[ij] - R_j L_i
       slot y:  L_i R_j = R_j L_i - L_[ij]
       slot x:  R_[jk]  = R_k R_j - R_j R_k
@@ -250,7 +234,7 @@ def validate_leibniz_module(rep: LeibnizRepresentation) -> LeibnizRepresentation
     """
     h, n = rep.algebra, rep.dim
     c, dc = h.structure._ints
-    L, R = rep.left, rep.right
+    L, R = rep.action, rep.right
     LL, LR = _products(L, L), _products(L, R)
     RL, RR = _products(R, L), _products(R, R)
     for i in range(h.dim):

@@ -71,7 +71,7 @@ def coboundary_matrix(M, n, rows=None) -> LinearMap:
     ins = tuples(dim, n)
     offset = {t: i * m for i, t in enumerate(ins)}
     c, dc = algebra.structure._ints
-    blocks, D = _common_rows(M.action if ce else M.left + M.right, dc)
+    blocks, D = _common_rows(M.action + (M.right or ()), dc)
     cf = D // dc
     brackets = [[(k, v * cf) for k, v in row.items()] for row in c]
     # (first index into blocks, sign) of each slot's action term; none when

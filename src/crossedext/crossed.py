@@ -6,10 +6,10 @@ section-built degree-3 cocycle in H^3(g, M) classifies it up to
 equivalence.  Sections are chosen deterministically by pivot order, and
 section-independence is a test obligation rather than an assumption.
 
-One code path serves both flavors.  A Lie module is read as a Leibniz
-module whose right action is -rho, so theta is one formula (see `theta`),
-and the validators walk a module's action families (`algebra.sides`): rho
-alone for a Lie module, left then right for a Leibniz one.
+One code path serves both flavors, on one module type.  A Lie module is a
+Leibniz module whose right action is -rho, so theta is one formula (see
+`theta`), and the validators walk a module's action families (`sides`):
+rho alone for a Lie module, left then right for a Leibniz one.
 """
 from __future__ import annotations
 
@@ -19,9 +19,8 @@ from .errors import CheckFailure
 from .linalg import (LinearMap, Matrix, _columns, _field_vec, _from_ints,
                      _mul_rows, _mul_vec, _negated, _reduced, _sum)
 from ._spaces import Echelon, image, kernel, linear_section, quotient
-from .algebra import (LEIBNIZ, LeibnizAlgebra, LeibnizRepresentation,
-                      LieAlgebra, Representation, validate_module,
-                      validate_leibniz_module)
+from .algebra import (LEIBNIZ, LeibnizAlgebra, LieAlgebra, Representation,
+                      validate_module)
 from ._maps import (_bracket_view, bracket_defect, equivariance_defect,
                     pulled_back, sides)
 from ._classes import (Cochain, CohomologyClass, ShortExactSequence, _Record,
@@ -67,9 +66,9 @@ class CrossedExtension(_Record):
 
 
 def validate_crossed(cm: CrossedModule) -> CrossedModule:
-    """Validate V as an L-module, then the crossed-module axioms."""
-    (validate_leibniz_module if cm.flavor == LEIBNIZ
-     else validate_module)(cm.rep)
+    """Validate V as an L-module of its flavor, then the crossed-module
+    axioms."""
+    validate_module(cm.rep)
     return crossed_axioms(cm)
 
 
@@ -85,7 +84,9 @@ def crossed_axioms(cm: CrossedModule) -> CrossedModule:
     action of dv with column v of the right action of dw (minus rho for a
     Lie module), each on its own denominator (`pulled_back`).  For a Lie
     module the condition rho(dv) w = -rho(dw) v of (v, w) is that of (w, v),
-    so only the pairs w >= v are visited; a Leibniz module takes all."""
+    so only the pairs w >= v are visited, and (v, v) asks rho(dv) v = 0, as
+    the bracket [v, w] = rho(dv) w is alternating (2 rho(dv) v = 0 is void
+    over F_2).  A Leibniz module takes all pairs."""
     L, V, d = cm.algebra, cm.rep, cm.partial.matrix
     if V.algebra is not L and V.algebra != L:
         raise CheckFailure("BASE_MISMATCH", detail="V is not a module over L")
@@ -104,7 +105,9 @@ def crossed_axioms(cm: CrossedModule) -> CrossedModule:
     sign = 1 if len(acts) == 2 else -1
     p = L.field.p
     for v, (dx, xc) in enumerate(X):
-        for w in range(v if sign < 0 else 0, V.dim):
+        if sign < 0 and _reduced(xc[v], p):
+            raise CheckFailure("PEIFFER_FAIL", (v, v))
+        for w in range(v + 1 if sign < 0 else 0, V.dim):
             dy, yc = Y[w]
             if _reduced(_sum([(dy, xc[w]), (-sign * dx, yc[v])]), p):
                 raise CheckFailure("PEIFFER_FAIL", (v, w))
@@ -160,7 +163,7 @@ def induced_pair(cm: CrossedModule) -> CrossedExtension:
             mats.append(_from_ints(field, _columns([x for x, _ in cols], mdim),
                                    da * dk, mdim))
         families.append(mats)
-    M = (LeibnizRepresentation if leib else Representation)(g, mdim, *families)
+    M = Representation(g, mdim, *families)
     return CrossedExtension(2, g, M, LinearMap(ker.basis.transpose()), (), (),
                             cm, proj)
 

@@ -86,8 +86,10 @@ def validate_extension(E: CrossedExtension) -> CrossedExtension:
     pi has shape L -> g and each chain map d_k shape M_k -> M_{k-1} (a
     ValueError otherwise), M and mids are modules over g, pi is a
     surjective algebra map with kernel im(d_1), every chain map is
-    g-equivariant, and the chain is exact at every node.  At n = 2
-    these are the checks that present the crossed module base over (g, M).
+    g-equivariant, and the chain is exact at every node.  M and the mids
+    are of the base's flavor, so the action families of each map pair up,
+    or BASE_MISMATCH.  At n = 2 these are the checks that present the
+    crossed module base over (g, M).
     An extension of length n >= 3 over a Leibniz base is
     UNSUPPORTED_FLAVOR.
 
@@ -106,11 +108,14 @@ def validate_extension(E: CrossedExtension) -> CrossedExtension:
     for k, d in enumerate((E.f, *E.partials)):
         if (d.domain_dim, d.codomain_dim) != (nodes[k].dim, nodes[k + 1].dim):
             raise ValueError(f"chain map d_{E.n - k} has wrong shape")
-    # M and the mids are modules over g itself, node by node
+    # M and the mids are modules over g itself of the base's flavor
     for k, mod in enumerate((E.M, *E.mids)):
         if mod.algebra is not g and mod.algebra != g:
             raise CheckFailure("BASE_MISMATCH", f"M_{E.n - k}" if k else "M",
                                "not a module over g")
+        if mod.flavor != E.base.flavor:
+            raise CheckFailure("BASE_MISMATCH", f"M_{E.n - k}" if k else "M",
+                               "not a module of the base's flavor")
     # pi is a surjective algebra map with kernel im(d_1)
     ker_pi = kernel(E.pi)
     if E.pi.domain_dim - ker_pi.dim != g.dim:
@@ -305,7 +310,12 @@ def _fiber_base(baseA, piA, baseB, piB, g):
 
 
 def sum_over_g(E: CrossedExtension, E2: CrossedExtension) -> CrossedExtension:
-    """E (+)_g E': componentwise chain over the fiber product of the bases."""
+    """E (+)_g E': componentwise chain over the fiber product of the bases;
+    a Leibniz base is UNSUPPORTED_FLAVOR, as the fiber product is built
+    as a Lie algebra."""
+    if LEIBNIZ in (E.base.flavor, E2.base.flavor):
+        raise CheckFailure("UNSUPPORTED_FLAVOR", detail="the Baer sum of "
+                           "Leibniz crossed modules is not implemented")
     if E.n != E2.n:
         raise CheckFailure("LENGTH_MISMATCH")
     if E.g != E2.g:
@@ -325,11 +335,8 @@ def baer_sum(E: CrossedExtension, E2: CrossedExtension) -> CrossedExtension:
     flavors is a BASE_MISMATCH; a Leibniz pair is UNSUPPORTED_FLAVOR."""
     if E.g != E2.g:
         raise CheckFailure("BASE_MISMATCH", detail="different base algebra")
-    if type(E.M) is not type(E2.M) or E.M != E2.M:
+    if E.M != E2.M:
         raise CheckFailure("BASE_MISMATCH", detail="different kernel module")
-    if LEIBNIZ in (E.base.flavor, E2.base.flavor):
-        raise CheckFailure("UNSUPPORTED_FLAVOR", detail="the Baer sum of "
-                           "Leibniz crossed modules is not implemented")
     s = sum_over_g(E, E2)
     ident = Matrix.identity(E.g.field, E.M.dim)
     out, _ = push_forward(ModuleMorphism(s.M, E.M, ident.hstack(ident)), s)

@@ -11,8 +11,9 @@ import random
 from .algebra import (LieAlgebra, ModuleMorphism, Representation,
                       _skew_defect, adjoint, direct_sum_reps, hom_rows,
                       leibniz_adjoint, leibniz_from_lie, leibniz_rep_from_lie,
-                      trivial_rep, validate_leibniz, validate_leibniz_module,
-                      validate_lie, validate_module, validate_morphism)
+                      sides, trivial_rep, validate_leibniz,
+                      validate_leibniz_module, validate_lie, validate_module,
+                      validate_morphism)
 from .cohomology import (Cochain, ShortExactSequence, coboundary_matrix,
                          validate_ses)
 from .crossed import (CrossedExtension, CrossedModule, induced_pair,
@@ -127,8 +128,8 @@ def change_basis_lie(g, P: Matrix):
 def conjugate_module(M: Representation, Q: Matrix) -> Representation:
     """Same module in a new basis of the underlying vector space."""
     Qinv = _inverse(Q)
-    return validate_module(Representation(
-        M.algebra, M.dim, [Qinv @ a @ Q for a in M.action]))
+    return validate_module(Representation(M.algebra, M.dim, *[
+        [Qinv @ a @ Q for a in mats] for _, mats in sides(M)]))
 
 
 def random_lie(field, rng: random.Random, max_dim=5):

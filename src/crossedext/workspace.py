@@ -14,9 +14,8 @@ import math
 from .errors import CheckFailure
 from .field import FieldError, field_from_spec
 from .linalg import LinearMap, Matrix
-from .algebra import (LeibnizRepresentation, Representation,
-                      validate_leibniz, validate_leibniz_module, validate_lie,
-                      validate_module)
+from .algebra import (LEIBNIZ, Representation, validate_leibniz,
+                      validate_lie, validate_module)
 from .cohomology import TABLE_BUDGET
 from . import _forward
 # lazy modules: a document with none of their objects never runs them
@@ -261,16 +260,14 @@ def parse_workspace(text: str, field: str | None = None) -> Workspace:
             alg = _resolve(ws.algebras, _key(spec, "algebra", str, name),
                            "algebra")
             dim = _key(spec, "dim", int, name)
-            leib = "left" in spec
             # one family per side of `sides`, under the side's name ("action"
             # for rho), as serialize_workspace writes them
             families = [[scalar.matrix(m, dim) for m in
                          _action_in(spec, side or "action", alg.dim, name)]
-                        for side in (("left", "right") if leib else ("",))]
-            rep = (LeibnizRepresentation if leib else Representation)(
-                alg, dim, *families)
-            ws.modules[name] = (validate_leibniz_module if leib
-                                else validate_module)(rep)
+                        for side in (("left", "right") if "left" in spec
+                                     else ("",))]
+            ws.modules[name] = validate_module(
+                Representation(alg, dim, *families))
 
     for name, spec in _section(doc, "morphisms"):
         with _wrap(name):
@@ -318,8 +315,7 @@ def parse_workspace(text: str, field: str | None = None) -> Workspace:
             partial = LinearMap(scalar.matrix(
                 _key(spec, "partial", list, name), V.dim))
             cm = crossed.CrossedModule(L, V, partial)
-            if isinstance(V, LeibnizRepresentation) != \
-                    (L.flavor == "leibniz"):
+            if (V.flavor == LEIBNIZ) != (L.flavor == LEIBNIZ):
                 raise CheckFailure("PARSE_ERROR", name,
                                    f"{name}: V is not a module of L's flavor")
             # V was validated with the modules above

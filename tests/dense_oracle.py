@@ -187,15 +187,21 @@ def dense_lincomb(field, coefs, mats, rows, cols) -> Matrix:
     return Matrix(field, out, cols=cols)
 
 
-def dense_validate_lie(field, dim, c):
-    """The alternating and Jacobi loops of a Lie algebra validator, on
-    structure constants c[i][j] (vectors of field elements): [e_i, e_j] =
-    -[e_j, e_i] and [e_i, e_i] = 0 on every pair, then J on every triple."""
+def dense_alternating(dim, c):
+    """The alternating loop of a Lie bracket, on structure constants
+    c[i][j] (vectors of field elements): [e_i, e_j] = -[e_j, e_i] and
+    [e_i, e_i] = 0 on every pair."""
     for i in range(dim):
         for j in range(dim):
             if tuple(c[i][j]) != tuple(-x for x in c[j][i]) or \
                     (i == j and any(c[i][i])):
                 raise CheckFailure("ANTISYM_FAIL", (i, j))
+
+
+def dense_validate_lie(field, dim, c):
+    """The alternating loop (`dense_alternating`) and the Jacobi loop of a
+    Lie algebra validator, J on every triple."""
+    dense_alternating(dim, c)
     for i in range(dim):
         for j in range(dim):
             for k in range(dim):
@@ -232,8 +238,10 @@ def _sub(a: Matrix, b: Matrix) -> Matrix:
 
 
 def dense_validate_module(rep):
-    """rho([ei,ej]) = rho(ei)rho(ej) - rho(ej)rho(ei), pair by pair."""
+    """A Lie module's algebra is alternating (`dense_alternating`), and
+    rho([ei,ej]) = rho(ei)rho(ej) - rho(ej)rho(ei), pair by pair."""
     g, A, n = rep.algebra, rep.action, rep.dim
+    dense_alternating(g.dim, g.c)
     for i in range(g.dim):
         for j in range(g.dim):
             lhs = dense_lincomb(g.field, g.c[i][j], A, n, n)
@@ -244,7 +252,7 @@ def dense_validate_module(rep):
 
 def dense_validate_leibniz_module(rep):
     """The slot z, y and x identities of a Leibniz module, pair by pair."""
-    h, L, R, n = rep.algebra, rep.left, rep.right, rep.dim
+    h, L, R, n = rep.algebra, rep.action, rep.right, rep.dim
     mm = dense_matmul
     for i in range(h.dim):
         for j in range(h.dim):
@@ -280,7 +288,8 @@ def dense_pulled_back(V, m: Matrix):
 
 def dense_peiffer(cm, leibniz):
     """The Peiffer loop of a crossed module: rho(dv) w = -rho(dw) v (Lie),
-    [dv, w] = [v, dw] (Leibniz), over every pair (v, w)."""
+    and rho(dv) v = 0 when w = v, [dv, w] = [v, dw] (Leibniz), over every
+    pair (v, w)."""
     V, dm = cm.rep, cm.partial.matrix
     field = dm.field
     n = V.dim
@@ -293,14 +302,15 @@ def dense_peiffer(cm, leibniz):
         for w in range(n):
             dw = dense_col(dm, w)
             if leibniz:
-                lhs = dense_apply(dense_lincomb(field, dv, V.left, n, n), e(w))
+                lhs = dense_apply(dense_lincomb(field, dv, V.action, n, n), e(w))
                 rhs = dense_apply(dense_lincomb(field, dw, V.right, n, n),
                                   e(v))
             else:
                 lhs = dense_apply(dense_lincomb(field, dv, V.action, n, n),
                                   e(w))
-                rhs = tuple(-x for x in dense_apply(
-                    dense_lincomb(field, dw, V.action, n, n), e(v)))
+                rhs = vec_zero(field, n) if v == w else tuple(
+                    -x for x in dense_apply(
+                        dense_lincomb(field, dw, V.action, n, n), e(v)))
             if lhs != rhs:
                 raise CheckFailure("PEIFFER_FAIL", (v, w))
 
@@ -313,7 +323,7 @@ def dense_image_kills_kernel(cm, leibniz):
     field, n = dm.field, V.dim
     r, piv = dense_rref(dense_transpose(dm))
     image_rows = r.data[:len(piv)]
-    families = (V.left, V.right) if leibniz else (V.action,)
+    families = (V.action, V.right) if leibniz else (V.action,)
     for lrow in image_rows:
         for krow in dense_kernel_rows(dm):
             for mats in families:
@@ -336,7 +346,7 @@ def dense_crossed_axioms(cm):
     `crossed.crossed_axioms` checked them before it ran on integer rows:
     d A_i = ad(e_i) d for every action family, then, pair by pair, column
     w of the left action of dv against column v of the right action of dw
-    (minus rho for a Lie module)."""
+    (minus rho for a Lie module, and zero on a Lie module's diagonal)."""
     L, V, dm = cm.algebra, cm.rep, cm.partial.matrix
     field, n = dm.field, V.dim
     for i in range(L.dim):
@@ -350,11 +360,13 @@ def dense_crossed_axioms(cm):
              for v in range(n)]
     rights = [dense_lincomb(field, dense_col(dm, w), families[-1], n, n)
               for w in range(n)]
-    sign = field.one if len(families) == 2 else -field.one
+    lie = len(families) == 1
+    sign = -field.one if lie else field.one
     for v in range(n):
         for w in range(n):
-            if dense_col(lefts[v], w) != \
-                    tuple(sign * x for x in dense_col(rights[w], v)):
+            want = vec_zero(field, n) if lie and v == w else \
+                tuple(sign * x for x in dense_col(rights[w], v))
+            if dense_col(lefts[v], w) != want:
                 raise CheckFailure("PEIFFER_FAIL", (v, w))
 
 
@@ -576,7 +588,7 @@ def dense_leibniz_coboundary_matrix(h, M, n: int) -> LinearMap:
             row[cidx * m + a] = row[cidx * m + a] + sign * coef
 
     for sidx, S in enumerate(outs):
-        add_block(sidx, tindex[S[1:]], M.left[S[0]], 1)
+        add_block(sidx, tindex[S[1:]], M.action[S[0]], 1)
         for pos in range(1, n + 1):
             rest = S[:pos] + S[pos + 1:]
             sign = 1 if (pos + 1) % 2 == 0 else -1  # (-1)^i, i = pos+1

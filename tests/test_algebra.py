@@ -94,7 +94,7 @@ def test_lie_rep_to_leibniz_rep():
     rep = leibniz_rep_from_lie(adjoint(g), h)
     validate_leibniz_module(rep)
     for i in range(3):
-        assert rep.left[i] == -rep.right[i]
+        assert rep.action[i] == -rep.right[i]
 
 
 def test_morphism_equivariance_checked():

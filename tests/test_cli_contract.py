@@ -217,6 +217,54 @@ def _f2_self_bracket():
                           "max_degree": 2}]}
 
 
+def _morphism_across_flavors():
+    """A Leibniz module k with left action 0 and right action 1 and the
+    trivial Lie module k over the abelian algebra k, and the identity
+    between them both ways.  The identity intertwines the left actions
+    and no other family; the parse once compared only those, and passed
+    both maps."""
+    return {"field": "q",
+            "algebras": {"k": {"type": "lie", "dim": 1}},
+            "modules": {"m": {"algebra": "k", "dim": 1, "left": {"0": ZERO1},
+                              "right": {"0": [["1"]]}},
+                        "n": {"algebra": "k", "dim": 1,
+                              "action": {"0": ZERO1}}},
+            "morphisms": {"f": {"source": "m", "target": "n",
+                                "matrix": [["1"]]},
+                          "h": {"source": "n", "target": "m",
+                                "matrix": [["1"]]}},
+            "commands": [{"op": "check"}]}
+
+
+def _lie_module_over_leibniz_algebra():
+    """The Leibniz algebra [e1, e1] = e0, which is not Lie, with a Lie
+    (`action`) module k, rho(e0) = 0 and rho(e1) = 1, and its cohomology
+    table.  The parse once passed it, and the CE table, which never reads
+    [e1, e1], was that of the abelian algebra k^2."""
+    return {"field": "q",
+            "algebras": {"h": {"type": "leibniz", "dim": 2, "structure": [
+                {"i": 1, "j": 1, "k": 0, "value": "1"}]}},
+            "modules": {"m": {"algebra": "h", "dim": 1,
+                              "action": {"0": ZERO1, "1": [["1"]]}}},
+            "commands": [{"op": "cohomology", "algebra": "h", "module": "m",
+                          "max_degree": 2}]}
+
+
+def _crossed_f2_peiffer_diagonal():
+    """L = F_2 e abelian, V = F_2^2 with rho(e) e_0 = e_1, and d the first
+    coordinate: [e_0, e_0] = rho(d e_0) e_0 = e_1 is not alternating.  The
+    parse once checked 2 rho(d e_0) e_0 = 0 on the diagonal, and passed
+    the crossed module and classified it, over F_2 only."""
+    return {"field": "p:2",
+            "algebras": {"L": {"type": "lie", "dim": 1}},
+            "modules": {"V": {"algebra": "L", "dim": 2,
+                              "action": {"0": [["0", "0"], ["1", "0"]]}}},
+            "crossed_modules": {"cm": {"L": "L", "V": "V",
+                                       "partial": [["1", "0"]]}},
+            "commands": [{"op": "check"},
+                         {"op": "classify", "crossed_module": "cm"}]}
+
+
 # (document, expected error code of its one record)
 HOSTILE = {
     "cohomology-heis3-sl2": (lambda: _cohomology_over("heis3"),
@@ -270,6 +318,11 @@ HOSTILE = {
         lambda: _solvable_extension(pi=(["1", "0"], ["0", "1"], ["0", "0"])),
         "PARSE_ERROR"),
     "algebra-f2-self-bracket": (_f2_self_bracket, "VALIDATION_FAIL"),
+    "morphism-across-flavors": (_morphism_across_flavors, "VALIDATION_FAIL"),
+    "lie-module-over-leibniz-algebra": (_lie_module_over_leibniz_algebra,
+                                        "VALIDATION_FAIL"),
+    "crossed-f2-peiffer-diagonal": (_crossed_f2_peiffer_diagonal,
+                                    "VALIDATION_FAIL"),
 }
 
 
@@ -305,6 +358,37 @@ def test_hostile_input_is_a_fail_record(case, tmp_path):
     records = json.loads(proc.stdout)["results"]
     assert all("status" in r and "error" in r for r in records)
     assert [(r["status"], r["error"]) for r in records] == [("FAIL", code)]
+
+
+@pytest.mark.parametrize("make, detail", [
+    (_morphism_across_flavors, "f: BASE_MISMATCH: morphism across module "
+                               "flavors"),
+    (_lie_module_over_leibniz_algebra, "m: ANTISYM_FAIL(1, 1)"),
+    (_crossed_f2_peiffer_diagonal, "cm: PEIFFER_FAIL(0, 0)")])
+def test_a_flavor_boundary_failure_is_named_at_the_parse(make, detail):
+    """Each flavor-boundary record names its object and the check that
+    refused it."""
+    with pytest.raises(CheckFailure) as exc:
+        parse_workspace(json.dumps(make()))
+    assert (exc.value.code, exc.value.detail) == ("VALIDATION_FAIL", detail)
+
+
+@pytest.mark.parametrize("kind, families", [
+    ("lie", {"left": {"0": ZERO1}, "right": {"0": ZERO1}}),
+    ("leibniz", {"action": {"0": ZERO1}})])
+def test_a_crossed_module_of_the_other_flavor_is_a_parse_error(kind,
+                                                              families):
+    """The V of a crossed module is a module of L's flavor: a Leibniz
+    module over a Lie algebra, or a Lie module over a Leibniz one, is
+    refused as V."""
+    doc = {"algebras": {"L": {"type": kind, "dim": 1}},
+           "modules": {"V": {"algebra": "L", "dim": 1, **families}},
+           "crossed_modules": {"cm": {"L": "L", "V": "V",
+                                      "partial": [["0"]]}}}
+    with pytest.raises(CheckFailure) as exc:
+        parse_workspace(json.dumps(doc))
+    assert (exc.value.code, exc.value.detail) == \
+        ("PARSE_ERROR", "cm: V is not a module of L's flavor")
 
 
 def test_a_non_alternating_algebra_is_named_at_the_parse():

@@ -139,7 +139,7 @@ def test_random_leibniz_modules_act_and_have_delta_squared_zero():
         rng = random.Random(seed)
         h = samples.random_leibniz(QQ, rng)
         M = samples.random_leibniz_module(h, rng)
-        if all(m.is_zero() for m in M.left + M.right):
+        if all(m.is_zero() for m in M.action + M.right):
             continue
         acting += 1
         for n in range(0, 3):

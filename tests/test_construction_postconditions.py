@@ -26,8 +26,8 @@ from hypothesis import given, settings, strategies as st
 
 from crossedext import samples
 from crossedext.algebra import (LEIBNIZ, direct_sum_reps, validate_leibniz,
-                                validate_leibniz_module, validate_lie,
-                                validate_module, validate_morphism)
+                                validate_lie, validate_module,
+                                validate_morphism)
 from crossedext.cohomology import abelian_extension_from_2cocycle
 from crossedext.crossed import (crossed_axioms, induced_pair,
                                 validate_crossed, yoneda_crossed_module)
@@ -93,10 +93,6 @@ def _algebra_ok(alg):
     check(alg.field, alg.dim, alg.structure)
 
 
-def _module_ok(M):
-    (validate_leibniz_module if M.flavor == LEIBNIZ else validate_module)(M)
-
-
 def _pushout_ok(pd):
     validate_module(pd.D)
     validate_morphism(pd.i)
@@ -129,7 +125,7 @@ def test_an_induced_pair_is_an_algebra_and_a_module(field, seed, kind,
     validate_crossed(cm)
     pres = induced_pair(cm)
     _algebra_ok(pres.g)
-    _module_ok(pres.M)
+    validate_module(pres.M)
 
 
 @settings(**DRAWS)
@@ -181,7 +177,7 @@ def test_the_mix_document_constructions_keep_their_postconditions(
     for cm in ws.crossed_modules.values():
         pres = induced_pair(cm)
         _algebra_ok(pres.g)
-        _module_ok(pres.M)
+        validate_module(pres.M)
     for cmd in ws.commands:
         op = cmd["op"]
         if op == "baer-sum" and cmd["left"] in ws.crossed_modules:

@@ -11,9 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossedext import samples
-from crossedext.algebra import (LeibnizRepresentation, Representation,
-                                adjoint, leibniz_adjoint, leibniz_from_lie,
-                                leibniz_rep_from_lie)
+from crossedext.algebra import (Representation, adjoint, leibniz_adjoint,
+                                leibniz_from_lie, leibniz_rep_from_lie)
 from crossedext.crossed import (CrossedModule, crossed_axioms,
                                 validate_crossed, yoneda_crossed_module)
 from crossedext.errors import CheckFailure
@@ -99,11 +98,10 @@ def crossed_case(field, seed, kind, leibniz):
     elif kind == "bad action" and V.dim and L.dim:
         # one matrix of the last action family plus a random matrix
         i = rng.randrange(L.dim)
-        fams = [list(m) for m in ((V.left, V.right) if leibniz
+        fams = [list(m) for m in ((V.action, V.right) if leibniz
                                   else (V.action,))]
         fams[-1][i] = fams[-1][i] + _random_matrix(field, V.dim, V.dim, rng)
-        V = LeibnizRepresentation(L, V.dim, *fams) if leibniz else \
-            Representation(L, V.dim, *fams)
+        V = Representation(L, V.dim, *fams)
         cm = CrossedModule(L, V, cm.partial)
     if field is QQ:
         # d/3 is as much a crossed module as d, with denominators

@@ -13,10 +13,9 @@ from hypothesis import given, settings, strategies as st
 from crossedext.errors import CheckFailure
 from crossedext.field import PrimeField, QQ
 from crossedext.linalg import LinearMap, Matrix, _first_nonzero_row
-from crossedext.algebra import (LeibnizAlgebra, LeibnizRepresentation,
-                                LieAlgebra, ModuleMorphism, Representation,
-                                equivariance_defect, pulled_back, sides,
-                                validate_morphism)
+from crossedext.algebra import (LeibnizAlgebra, LieAlgebra, ModuleMorphism,
+                                Representation, equivariance_defect,
+                                pulled_back, sides, validate_morphism)
 from crossedext.crossed import CrossedModule, crossed_axioms
 from dense_oracle import (_adjoint_matrix, dense_equivariance_defect,
                           dense_pulled_back)
@@ -48,7 +47,7 @@ def nonzero(field):
 
 def _module(alg, dim, families):
     if isinstance(alg, LeibnizAlgebra):
-        return LeibnizRepresentation(alg, dim, *families)
+        return Representation(alg, dim, *families)
     return Representation(alg, dim, families[0])
 
 

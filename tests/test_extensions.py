@@ -4,9 +4,9 @@ import pytest
 
 from crossedext.errors import CheckFailure
 from crossedext.field import QQ, PrimeField
-from crossedext.linalg import LinearMap, Matrix
-from crossedext.algebra import (ModuleMorphism, adjoint, direct_sum_reps,
-                                trivial_rep, validate_module)
+from crossedext.linalg import LinearMap, Matrix, block_diag
+from crossedext.algebra import (ModuleMorphism, Representation, adjoint,
+                                direct_sum_reps, trivial_rep, validate_module)
 from crossedext.cohomology import cochain_from_values
 from crossedext.crossed import CrossedModule, classify2, induced_pair, \
     theta, validate_crossed, yoneda_crossed_module
@@ -250,6 +250,26 @@ def test_two_fold_leibniz_push_forward_and_split_are_refused():
         with pytest.raises(CheckFailure) as exc:
             call(*args)
         assert exc.value.code == "UNSUPPORTED_FLAVOR"
+
+
+def test_a_leibniz_sum_keeps_its_flavor_or_is_refused():
+    """The direct sum of two Leibniz modules is block diagonal in both
+    families, and a Leibniz module and a Lie one have no direct sum.  The
+    sum over g of a Leibniz pair, whose fiber product would be built as a
+    Lie algebra, is UNSUPPORTED_FLAVOR."""
+    pres = induced_pair(validate_crossed(_nonlie_crossed(1)))
+    V = pres.base.rep
+    s = direct_sum_reps(V, V)
+    assert (s.flavor, s.right[1]) == (V.flavor, block_diag(V.right[1],
+                                                           V.right[1]))
+    lie = trivial_rep(samples.abelian(QQ, 1), 1)
+    with pytest.raises(CheckFailure) as exc:
+        direct_sum_reps(lie, Representation(lie.algebra, 1, lie.action,
+                                             lie.action))
+    assert exc.value.code == "BASE_MISMATCH"
+    with pytest.raises(CheckFailure) as exc:
+        sum_over_g(pres, pres)
+    assert exc.value.code == "UNSUPPORTED_FLAVOR"
 
 
 def test_two_fold_zero_and_negated_extensions():

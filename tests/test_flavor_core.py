@@ -1,8 +1,9 @@
 """One crossed-module core serves both flavors: the one theta equals the
 Chevalley-Eilenberg formula on Lie crossed modules, every validator that
 walks a module's action families keeps its failure code, witness and
-detail, a bad section pair is refused before theta is built, and every
-valid crossed module has im(d) acting trivially on ker(d)."""
+detail, modules of the two flavors are refused where they meet, a bad
+section pair is refused before theta is built, and every valid crossed
+module has im(d) acting trivially on ker(d)."""
 import random
 from pathlib import Path
 
@@ -10,11 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossedext import samples
-from crossedext.algebra import (LeibnizAlgebra, LeibnizRepresentation,
-                                ModuleMorphism, Representation, adjoint,
-                                leibniz_adjoint, leibniz_from_lie,
-                                leibniz_rep_from_lie, trivial_rep,
-                                validate_morphism)
+from crossedext.algebra import (LeibnizAlgebra, ModuleMorphism,
+                                Representation, adjoint, leibniz_adjoint,
+                                leibniz_from_lie, leibniz_rep_from_lie,
+                                trivial_rep, validate_morphism)
 from crossedext.cohomology import LEIBNIZ, cochain_from_values
 from crossedext.crossed import (CrossedModule, CrossedMorphism,
                                 check_crossed_morphism, choose_sections,
@@ -141,8 +141,7 @@ def _lie_module(dim, acts):
 
 
 def _leibniz_module(dim, left, right):
-    return LeibnizRepresentation(_abelian_leibniz(len(left)), dim, left,
-                                 right)
+    return Representation(_abelian_leibniz(len(left)), dim, left, right)
 
 
 Z2 = Matrix.zero(QQ, 2, 2)
@@ -259,6 +258,50 @@ WITNESSES = [
 ]
 
 
+def _exact_extension(M2):
+    """0 -> k -> M2 -> k -> g = g -> 0 over the zero crossed module of the
+    trivial module k, exact: the head map is e_1 and d_2 the first
+    coordinate of M2."""
+    g = M2.algebra
+    base = CrossedModule(g, trivial_rep(g, 1), LinearMap.zero(QQ, 1, g.dim))
+    return CrossedExtension(
+        3, g, trivial_rep(g, 1), LinearMap(Matrix(QQ, [[0], [1]])), (M2,),
+        (LinearMap(Matrix(QQ, [[1, 0]])),), base,
+        LinearMap.identity(QQ, g.dim))
+
+
+# a Lie module and a Leibniz module over one abelian algebra of dim 2, the
+# right action of the Leibniz one moving the second coordinate onto the
+# first, and its left action zero like the Lie one's
+AB2 = samples.abelian(QQ, 2)
+LIE2 = Representation(AB2, 2, [Z2, Z2])
+LEIB2 = Representation(AB2, 2, [Z2, Z2], [Z2, E01])
+ACROSS = ("BASE_MISMATCH", None, "morphism across module flavors")
+
+# (case, (check, *args), (code, witness, detail)) for modules of the two
+# flavors where they meet; the left actions agree, so each of these once
+# passed, its loop pairing the left action with rho and no more
+FLAVOR_BOUNDARY = [
+    ("module morphism, leibniz to lie",
+     (validate_morphism, ModuleMorphism(LEIB2, LIE2, _e(0, 0))), ACROSS),
+    ("module morphism, lie to leibniz",
+     (validate_morphism, ModuleMorphism(LIE2, LEIB2, _e(0, 0))), ACROSS),
+    ("presentation, leibniz kernel over a lie base",
+     _presentation(LIE2, LEIB2),
+     ("BASE_MISMATCH", "M", "not a module of the base's flavor")),
+    ("extension, leibniz M_2 over a lie base",
+     (validate_extension, _exact_extension(LEIB2)),
+     ("BASE_MISMATCH", "M_2", "not a module of the base's flavor")),
+]
+
+
+@pytest.mark.parametrize("case, call, want", FLAVOR_BOUNDARY,
+                         ids=[c for c, _, _ in FLAVOR_BOUNDARY])
+def test_modules_of_two_flavors_do_not_meet(case, call, want):
+    check, *args = call
+    assert outcome(check, *args) == want
+
+
 @pytest.mark.parametrize("case, call, want", WITNESSES,
                          ids=[c for c, _, _ in WITNESSES])
 def test_action_family_failure_witnesses(case, call, want):
@@ -273,9 +316,8 @@ def _rebased_crossed(cm, Q):
 
     def conj(mats):
         return [Qinv @ a @ Q for a in mats]
-    if isinstance(V, LeibnizRepresentation):
-        V = LeibnizRepresentation(V.algebra, V.dim, conj(V.left),
-                                  conj(V.right))
+    if V.flavor == LEIBNIZ:
+        V = Representation(V.algebra, V.dim, conj(V.action), conj(V.right))
     else:
         V = Representation(V.algebra, V.dim, conj(V.action))
     return CrossedModule(cm.algebra, V, LinearMap(cm.partial.matrix @ Q))
@@ -287,9 +329,9 @@ def _nonlie_crossed(k):
     h = samples.nonlie_leibniz(QQ)
     ad = leibniz_adjoint(h)
     zero = Matrix.zero(QQ, k, k)
-    V = LeibnizRepresentation(h, h.dim + k,
-                              [block_diag(a, zero) for a in ad.left],
-                              [block_diag(a, zero) for a in ad.right])
+    V = Representation(h, h.dim + k,
+                       [block_diag(a, zero) for a in ad.action],
+                       [block_diag(a, zero) for a in ad.right])
     d = Matrix.identity(QQ, h.dim).hstack(Matrix.zero(QQ, h.dim, k))
     return CrossedModule(h, V, LinearMap(d))
 

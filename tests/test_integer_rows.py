@@ -13,12 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossedext import samples
-from crossedext.algebra import (LeibnizAlgebra, LeibnizRepresentation,
-                                LieAlgebra, adjoint, direct_sum_reps,
-                                leibniz_adjoint, leibniz_from_lie,
-                                leibniz_rep_from_lie, trivial_rep,
-                                validate_leibniz, validate_leibniz_module,
-                                validate_lie)
+from crossedext.algebra import (LeibnizAlgebra, LieAlgebra, adjoint,
+                                direct_sum_reps, leibniz_adjoint,
+                                leibniz_from_lie, leibniz_rep_from_lie,
+                                trivial_rep, validate_leibniz, validate_lie)
 from crossedext.cohomology import (CochainComplex, coboundary_matrix,
                                    cohomology_table)
 from crossedext.field import PrimeField, QQ
@@ -112,11 +110,7 @@ def leibniz_cases(draw):
                                   draw(st.integers(1, 2)))
         M = leibniz_adjoint(h)
     if M.dim and draw(st.booleans()):
-        Q = draw(invertibles(field, M.dim))
-        Qinv = samples._inverse(Q)
-        M = validate_leibniz_module(LeibnizRepresentation(
-            h, M.dim, [Qinv @ a @ Q for a in M.left],
-            [Qinv @ a @ Q for a in M.right]))
+        M = samples.conjugate_module(M, draw(invertibles(field, M.dim)))
     return h, M
 
 

@@ -12,10 +12,10 @@ from hypothesis import given, settings, strategies as st
 from crossedext.errors import CheckFailure
 from crossedext.field import FpElement, PrimeField, QQ
 from crossedext.linalg import LinearMap, Matrix, _from_ints, _int_vec, _lincomb
-from crossedext.algebra import (LeibnizAlgebra, LeibnizRepresentation,
-                                Representation, adjoint, leibniz_from_lie,
-                                validate_leibniz, validate_leibniz_module,
-                                validate_lie, validate_module)
+from crossedext.algebra import (LeibnizAlgebra, Representation, adjoint,
+                                leibniz_from_lie, validate_leibniz,
+                                validate_leibniz_module, validate_lie,
+                                validate_module)
 from crossedext.crossed import CrossedModule, validate_crossed
 from crossedext import samples
 from dense_oracle import (dense_apply, dense_change_basis, dense_lincomb,
@@ -240,7 +240,7 @@ def broken_leibniz_modules(draw):
     n = draw(st.integers(1, 3))
     left = [draw(matrices(field, n, n)) for _ in range(2)]
     right = [draw(matrices(field, n, n)) for _ in range(2)]
-    return LeibnizRepresentation(h, n, left, right)
+    return Representation(h, n, left, right)
 
 
 @settings(max_examples=150, deadline=None)
@@ -263,7 +263,7 @@ def crossed_modules(draw):
     d = LinearMap(Matrix(field, [[field.one] + [field.zero] * (n - 1)]))
     if draw(st.booleans()):
         L = LeibnizAlgebra(field, 1, [[[0]]])
-        V = LeibnizRepresentation(L, n, [Matrix.zero(field, n, n)], [N])
+        V = Representation(L, n, [Matrix.zero(field, n, n)], [N])
         return CrossedModule(L, V, d), True
     L = samples.abelian(field, 1)
     return CrossedModule(L, Representation(L, n, [N]), d), False
@@ -305,13 +305,13 @@ def test_module_axiom_witness_with_fractions():
 def test_leibniz_module_slot_witnesses(field):
     h1 = LeibnizAlgebra(field, 1, [[[0]]])
     zero = Matrix.zero(field, 2, 2)
-    slot_y = LeibnizRepresentation(h1, 2, [_e(0, 1, 2, field)],
-                                   [_e(1, 1, 2, field)])
+    slot_y = Representation(h1, 2, [_e(0, 1, 2, field)],
+                            [_e(1, 1, 2, field)])
     assert outcome(validate_leibniz_module, slot_y) == \
         ("MODULE_AXIOM_FAIL", (0, 0), "slot y")
     h2 = LeibnizAlgebra(field, 2, [[[0, 0], [0, 0]], [[0, 0], [0, 0]]])
-    slot_x = LeibnizRepresentation(h2, 2, [zero, zero],
-                                   [_e(0, 1, 2, field), _e(1, 0, 2, field)])
+    slot_x = Representation(h2, 2, [zero, zero],
+                            [_e(0, 1, 2, field), _e(1, 0, 2, field)])
     assert outcome(validate_leibniz_module, slot_x) == \
         ("MODULE_AXIOM_FAIL", (0, 1), "slot x")
     h = samples.sl2(field)
@@ -319,7 +319,7 @@ def test_leibniz_module_slot_witnesses(field):
     lr = leibniz_rep_from_lie(adjoint(h), leibniz_from_lie(h))
     right = list(lr.right)
     right[1] = -right[1]
-    slot_z = LeibnizRepresentation(lr.algebra, 3, lr.left, right)
+    slot_z = Representation(lr.algebra, 3, lr.action, right)
     assert outcome(validate_leibniz_module, slot_z) == \
         ("MODULE_AXIOM_FAIL", (0, 1), "slot z")
 
@@ -334,7 +334,7 @@ def test_peiffer_witnesses():
                        LinearMap(Matrix(QQ, [[0, 1, 0]])))
     assert outcome(validate_crossed, cm) == ("PEIFFER_FAIL", (1, 1), "")
     h1 = LeibnizAlgebra(QQ, 1, [[[0]]])
-    V = LeibnizRepresentation(h1, 3, [Matrix.zero(QQ, 3, 3)], [_e(2, 1)])
+    V = Representation(h1, 3, [Matrix.zero(QQ, 3, 3)], [_e(2, 1)])
     cm = CrossedModule(h1, V, LinearMap(Matrix(QQ, [[1, 0, 0]])))
     assert outcome(validate_crossed, cm) == ("PEIFFER_FAIL", (1, 0), "")
 

@@ -24,7 +24,7 @@ import pytest
 
 import crossedext
 from crossedext import cli, linalg, samples
-from crossedext.algebra import LeibnizRepresentation, validate_leibniz_module
+from crossedext.algebra import Representation, validate_leibniz_module
 from crossedext.crossed import CrossedModule, validate_crossed
 from crossedext.field import QQ
 from crossedext.linalg import LinearMap, Matrix
@@ -39,7 +39,7 @@ COMMANDS = [{"op": "check"}, {"op": "theta", "crossed_module": "cm"},
 def _document():
     h = samples.nonlie_leibniz(QQ)
     zero = Matrix.zero(QQ, 2, 2)
-    V = validate_leibniz_module(LeibnizRepresentation(
+    V = validate_leibniz_module(Representation(
         h, 2, [zero, Matrix(QQ, [[0, 0], [3, 0]])], [zero, zero]))
     cm = validate_crossed(CrossedModule(h, V, LinearMap(
         Matrix(QQ, [[2, 0], [0, 0]]))))

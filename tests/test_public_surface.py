@@ -15,9 +15,9 @@ HOMES = {
     "errors": ["CheckFailure"],
     "field": ["PrimeField", "QQ", "field_from_spec"],
     "linalg": ["LinearMap", "Matrix", "Subspace"],
-    "algebra": ["LeibnizAlgebra", "LeibnizRepresentation", "LieAlgebra",
-                "ModuleMorphism", "Representation", "adjoint",
-                "leibniz_from_lie", "trivial_rep", "validate_leibniz",
+    "algebra": ["LeibnizAlgebra", "LieAlgebra", "ModuleMorphism",
+                "Representation", "adjoint", "leibniz_from_lie",
+                "trivial_rep", "validate_leibniz",
                 "validate_leibniz_module", "validate_lie", "validate_module",
                 "validate_morphism"],
     "cohomology": ["Cochain", "CohomologyClass", "ShortExactSequence",
@@ -38,7 +38,7 @@ HOMES = {
 ALL = [
     "CheckFailure", "Cochain", "CohomologyClass", "CrossedExtension",
     "CrossedModule", "CrossedMorphism", "ExtensionMorphism", "LeibnizAlgebra",
-    "LeibnizRepresentation", "LieAlgebra", "LinearMap", "Matrix",
+    "LieAlgebra", "LinearMap", "Matrix",
     "ModuleMorphism", "PrimeField", "QQ", "Representation",
     "ShortExactSequence", "Subspace", "Workspace", "adjoint", "algebra",
     "baer_sum", "check_crossed_morphism",

@@ -4,15 +4,19 @@ dense_oracle, witness for witness:
 
 - `validate_lie`: the pairs i <= j of `_skew_defect`, the triples
   i < j < k of the Jacobi loop;
-- `validate_module` and `bracket_defect`: the pairs i < j when the
-  algebras are alternating, and every pair when not;
-- the Lie Peiffer loop of `crossed_axioms`: the pairs w >= v;
+- `validate_module`: the pairs i < j, as it refuses an algebra that is
+  not alternating (ANTISYM_FAIL) before any pair;
+- `bracket_defect`: the pairs i < j when the algebras are alternating,
+  and every pair when not;
+- the Lie Peiffer loop of `crossed_axioms`: the pairs w >= v, with
+  rho(dv) v = 0 on the diagonal;
 - `_g2_table` of a Lie crossed module: g2(e_j, e_i) = -g2(e_i, e_j).
 
 The failures are planted on the side the halves skip (j < i, w < v) and
 on the diagonal over F_2, where a skew [e_i, e_i] may be nonzero: such an
 algebra is not alternating, `validate_lie` refuses it, and built without
-validation it must take the full loops, as must one that is not skew.
+validation it must take the full loops, or be refused, as must one that
+is not skew.
 The fields are Q with denominators, F_2, F_3, F_5 and F_2147483647."""
 import random
 from fractions import Fraction
@@ -21,8 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossedext import samples
-from crossedext.algebra import (LeibnizAlgebra, LeibnizRepresentation,
-                                LieAlgebra, Representation, _skew_defect,
+from crossedext.algebra import (LeibnizAlgebra, LieAlgebra, Representation, _skew_defect,
                                 bracket_defect, validate_leibniz,
                                 validate_lie, validate_module)
 from crossedext.crossed import (CrossedExtension, CrossedModule, _g2_table,
@@ -160,7 +163,9 @@ def module_case(field, seed):
     not skew), or both."""
     rng = random.Random(seed)
     g = _lie(field, rng)
-    M = samples.random_module(g, rng, 3) if g.dim and rng.random() < 0.7 \
+    # `samples.random_module` validates, and refuses an F_2 `_lie`
+    M = samples.random_module(g, rng, 3) if g.dim and \
+        _skew_defect(g) is None and rng.random() < 0.7 \
         else Representation(g, 2, [_matrix(field, 2, 2, rng)
                                    for _ in range(g.dim)])
     acts = list(M.action)
@@ -181,22 +186,26 @@ def test_validate_module_matches_the_full_loop(field, seed):
 
 def test_a_non_skew_algebra_keeps_its_mirror_witness():
     """[e1, e0] = e0 and [e0, e1] = 0, not validated, on k with rho(e0) = 1
-    and rho(e1) = 0: only the pair (1, 0) fails."""
+    and rho(e1) = 0: only the pair (1, 0) fails the module axiom, but the
+    bracket is not alternating, so the module is refused at its mirror
+    (0, 1) before any pair is checked."""
     g = LieAlgebra(QQ, 2, [[[0, 0], [0, 0]], [[1, 0], [0, 0]]])
     rep = Representation(g, 1, [Matrix(QQ, [[1]]), Matrix(QQ, [[0]])])
     assert outcome(validate_module, rep) == outcome(dense_validate_module,
                                                     rep) == \
-        ("MODULE_AXIOM_FAIL", (1, 0), "")
+        ("ANTISYM_FAIL", (0, 1), "")
 
 
 def test_a_module_failure_on_the_f2_diagonal_is_found():
-    """[e0, e0] = e1 over F_2 with rho(e1) = 1: rho([e0, e0]) != 0."""
+    """[e0, e0] = e1 over F_2 with rho(e1) = 1: rho([e0, e0]) != 0, but
+    the bracket is not alternating, so the module is refused at (0, 0)
+    before any pair is checked."""
     o, z = F2.one, F2.zero
     g = LieAlgebra(F2, 2, [[[z, o], [z, z]], [[z, z], [z, z]]])
     rep = Representation(g, 1, [Matrix(F2, [[0]]), Matrix(F2, [[1]])])
     assert outcome(validate_module, rep) == outcome(dense_validate_module,
                                                     rep) == \
-        ("MODULE_AXIOM_FAIL", (0, 0), "")
+        ("ANTISYM_FAIL", (0, 0), "")
 
 
 # ---------------------------------------------------------- bracket_defect
@@ -255,7 +264,7 @@ def peiffer_case(field, seed):
     """(cm, leibniz): L = span(e) abelian, d the first coordinate of V,
     and V acted on by N, whose first row is zero, so that d is
     equivariant.  A Lie module has rho(e) = N, and the Peiffer identity
-    of (v, w) asks for N e_w = 0 if v = 0, and of (0, 0) for 2 N e_0 = 0.
+    of (v, w) asks for N e_w = 0 if v = 0, and of (0, 0) for N e_0 = 0.
     A Leibniz one acts by 0 on the left and N on the right, and (v, 0)
     asks for N e_v = 0: with column 0 of N zero that fails only below the
     diagonal.  V is then perhaps put in a random basis."""
@@ -268,7 +277,7 @@ def peiffer_case(field, seed):
     d = LinearMap(Matrix(field, [[field.one] + [field.zero] * (n - 1)]))
     if leibniz:
         L = LeibnizAlgebra(field, 1, [[[0]]])
-        V = LeibnizRepresentation(L, n, [Matrix.zero(field, n, n)], [N])
+        V = Representation(L, n, [Matrix.zero(field, n, n)], [N])
     else:
         L = samples.abelian(field, 1)
         V = Representation(L, n, [N])
@@ -286,9 +295,9 @@ def test_peiffer_loop_matches_the_full_loop(field, seed):
 
 
 def test_a_lie_peiffer_failure_on_the_diagonal_is_found():
-    """rho(e) = N with N e_0 = e_1: (0, 0) asks for 2 N e_0 = 0, which
-    fails over Q and F_3 and holds over F_2 (where (0, 1) fails)."""
-    for field, want in ((QQ, (0, 0)), (FIELDS[2], (0, 0)), (F2, None)):
+    """rho(e) = N with N e_0 = e_1: (0, 0) asks for [e_0, e_0] = N e_0 = 0,
+    which fails on every field, F_2 too, where 2 N e_0 = 0 would hold."""
+    for field, want in ((QQ, (0, 0)), (FIELDS[2], (0, 0)), (F2, (0, 0))):
         L = samples.abelian(field, 1)
         N = Matrix(field, [[0, 0], [1, 0]])
         cm = CrossedModule(L, Representation(L, 2, [N]),
@@ -315,7 +324,7 @@ def g2_case(field, seed):
                                           for _ in range(k)])
                 for k in (rng.randint(1, 3), rng.randint(1, 3)))
         zeros = [Matrix.zero(field, n, n)] * L.dim
-        V = LeibnizRepresentation(L, n, zeros, zeros)
+        V = Representation(L, n, zeros, zeros)
     cm = CrossedModule(L, V, LinearMap(Matrix.zero(field, L.dim, n)))
     pres = CrossedExtension(2, g, None, None, (), (), cm, None)
     return (pres, LinearMap(_matrix(field, L.dim, g.dim, rng)),
@@ -343,13 +352,16 @@ def _side(pair):
 def test_the_plants_reach_the_skipped_sides():
     """The drawn cases fail below the diagonal, which a half loop taken
     without reason would miss, and on the diagonal, which a loop without
-    it would miss; and some of them pass."""
+    it would miss; and some of them pass.  A module plant that makes its
+    algebra non-alternating is refused as ANTISYM_FAIL, at the upper pair
+    of a mirror plant or on the diagonal."""
     seen = set()
     for seed in range(120):
         field = FIELDS[seed % len(FIELDS)]
         rep = module_case(field, seed)
         got = outcome(dense_validate_module, rep)
-        seen.add(("module", _side(got[1]) if got else "pass"))
+        seen.add(("module", got[0], _side(got[1])) if got else
+                 ("module", "pass"))
         pair = dense_bracket_defect(*map_case(field, seed))
         seen.add(("bracket", _side(pair) if pair else "pass"))
         cm, leibniz = peiffer_case(field, seed)
@@ -358,8 +370,9 @@ def test_the_plants_reach_the_skipped_sides():
         got = outcome(dense_validate_lie, field, *lie_case(field, seed))
         seen.add(("lie", got[0] if got else "pass"))
     assert seen >= {
-        ("module", "mirror"), ("module", "diagonal"), ("module", "upper"),
-        ("module", "pass"), ("bracket", "mirror"), ("bracket", "pass"),
+        ("module", "ANTISYM_FAIL", "upper"),
+        ("module", "ANTISYM_FAIL", "diagonal"),
+        ("module", "MODULE_AXIOM_FAIL", "upper"), ("module", "pass"), ("bracket", "mirror"), ("bracket", "pass"),
         ("bracket", "diagonal"), ("peiffer", True, "mirror"),
         ("peiffer", True, "pass"), ("peiffer", False, "diagonal"),
         ("peiffer", False, "pass"), ("lie", "ANTISYM_FAIL"),

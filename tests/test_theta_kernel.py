@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossedext import samples
-from crossedext.algebra import (LeibnizAlgebra, LeibnizRepresentation,
-                                LieAlgebra, Representation, leibniz_adjoint,
+from crossedext.algebra import (LEIBNIZ, LeibnizAlgebra, LieAlgebra,
+                                Representation, leibniz_adjoint,
                                 leibniz_from_lie, leibniz_rep_from_lie,
                                 validate_module)
 from crossedext.crossed import (CrossedModule, choose_sections,
@@ -64,13 +64,13 @@ def _nonlie(field, rng):
     N = Matrix(field, [[_scalar(field, rng) if c > r else 0
                         for c in range(k)] for r in range(k)], cols=k)
     zk, zm = Matrix.zero(field, k, k), Matrix.zero(field, m, m)
-    left = [block_diag(x, zk) for x in ad.left]
+    left = [block_diag(x, zk) for x in ad.action]
     right = [block_diag(x, zk) for x in ad.right]
     for _ in range(a):
         f = _scalar(field, rng)
         left.append(block_diag(zm, N.scale(f)))
         right.append(block_diag(zm, -N.scale(f)))
-    V = LeibnizRepresentation(L, m + k, left, right)
+    V = Representation(L, m + k, left, right)
     d = Matrix.identity(field, m).hstack(Matrix.zero(field, m, k)).vstack(
         Matrix.zero(field, a, m + k))
     return CrossedModule(L, V, LinearMap(d))
@@ -86,9 +86,8 @@ def _rebased_algebra(cm, P):
     def acting(mats):
         return [dense_lincomb(field, x, mats, V.dim, V.dim) for x in cols]
 
-    if isinstance(V, LeibnizRepresentation):
-        V2 = LeibnizRepresentation(L2, V.dim, acting(V.left),
-                                   acting(V.right))
+    if V.flavor == LEIBNIZ:
+        V2 = Representation(L2, V.dim, acting(V.action), acting(V.right))
     else:
         V2 = Representation(L2, V.dim, acting(V.action))
     return CrossedModule(L2, V2, LinearMap(Pinv @ cm.partial.matrix))
